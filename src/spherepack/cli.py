@@ -33,7 +33,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -54,9 +54,6 @@ from .magic import RadialKind, default_evaluator, tabulate_radial
 from .packing import e8_packing_spec, finite_density_mc, periodic_density
 from .quadrature import QuadratureConfig
 
-PI = math.pi
-SQRT2 = math.sqrt(2.0)
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -67,8 +64,6 @@ class RunConfig:
     series_order: int = 50
     eta_min: float = 0.5
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
-    ce_grid_step: float = 0.05
-    ce_grid_rmax: float = 6.0
     axis_grid_lo: float = 0.05
     axis_grid_hi: float = 20.0
     axis_grid_n: int = 400
@@ -81,8 +76,6 @@ class RunConfig:
             raise ConfigError("series_order must be at least 2")
         if self.eta_min <= 0:
             raise ConfigError("eta_min must be positive")
-        if self.ce_grid_step <= 0 or self.ce_grid_rmax <= SQRT2:
-            raise ConfigError("ce grid must be positive and extend beyond sqrt(2)")
         if not (0 < self.axis_grid_lo < self.axis_grid_hi) or self.axis_grid_n < 2:
             raise ConfigError("axis grid must satisfy 0 < lo < hi and n >= 2")
         if self.threads < 0:
@@ -91,51 +84,32 @@ class RunConfig:
             raise ConfigError("output_format must be json or csv")
 
     def to_dict(self) -> dict:
-        return {
-            "series_order": self.series_order,
-            "eta_min": self.eta_min,
-            "quadrature": {
-                "gauss_order": self.quadrature.gauss_order,
-                "panels_per_segment": self.quadrature.panels_per_segment,
-                "ray_truncation": self.quadrature.ray_truncation,
-                "tail_tol": self.quadrature.tail_tol,
-            },
-            "ce_grid_step": self.ce_grid_step,
-            "ce_grid_rmax": self.ce_grid_rmax,
-            "axis_grid_lo": self.axis_grid_lo,
-            "axis_grid_hi": self.axis_grid_hi,
-            "axis_grid_n": self.axis_grid_n,
-            "seed": self.seed,
-            "threads": self.threads,
-            "output_format": self.output_format,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        known = {"series_order", "eta_min", "quadrature", "ce_grid_step",
-                 "ce_grid_rmax", "axis_grid_lo", "axis_grid_hi", "axis_grid_n",
-                 "seed", "threads", "output_format"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _reject_unknown(cls, data, "config")
         quad_data = data.get("quadrature", {})
         if not isinstance(quad_data, dict):
             raise ConfigError("quadrature must be an object")
-        quad_known = {"gauss_order", "panels_per_segment", "ray_truncation", "tail_tol"}
-        quad_unknown = set(quad_data) - quad_known
-        if quad_unknown:
-            raise ConfigError(f"unknown quadrature keys: {sorted(quad_unknown)}")
+        _reject_unknown(QuadratureConfig, quad_data, "quadrature")
         try:
             quad = QuadratureConfig(**quad_data)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad quadrature config: {exc}") from exc
-        fields = {k: v for k, v in data.items() if k != "quadrature"}
+        rest = {k: v for k, v in data.items() if k != "quadrature"}
         try:
-            return cls(quadrature=quad, **fields)
+            return cls(quadrature=quad, **rest)
         except TypeError as exc:
             raise ConfigError(f"bad config: {exc}") from exc
+
+
+def _reject_unknown(cls, data: dict, label: str) -> None:
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {label} keys: {sorted(unknown)}")
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +182,11 @@ def _cmd_forms_eval(args, config: RunConfig):
     except ValueError:
         valid = ", ".join(f.value for f in FormId)
         raise ConfigError(f"unknown form {args.form!r}; choose from {valid}")
-    if args.im <= 0:
-        raise ConfigError("--im must be positive (upper half-plane)")
+    _require_finite("--re", args.re)
+    _require_finite("--im", args.im)
+    if args.im < config.eta_min:
+        raise ConfigError(f"--im must be at least eta_min = {config.eta_min}; "
+                          "direct series evaluation is refused below it")
     series = form_qseries(form)
     value = series.eval(complex(args.re, args.im), eta_min=config.eta_min)
     results = {
@@ -295,6 +272,7 @@ def _cmd_packing_density(args, config: RunConfig):
 
 
 def _cmd_packing_mc(args, config: RunConfig):
+    _require_finite("--radius", args.radius)
     threads = _effective_threads(args, config)
     est = finite_density_mc(e8_packing_spec(), radius=args.radius,
                             samples=args.samples, seed=_effective_seed(args, config),
@@ -315,6 +293,9 @@ def _cmd_packing_mc(args, config: RunConfig):
 
 
 def _cmd_magic_eval(args, config: RunConfig):
+    _require_finite("--r", args.r)
+    if args.r < 0:
+        raise ConfigError(f"--r must be nonnegative, got {args.r}")
     ev = default_evaluator(config.quadrature)
     a = ev.eval_a(args.r)
     b = ev.eval_b(args.r)
@@ -421,9 +402,16 @@ def _parse_grid(spec: str) -> list[float]:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise ConfigError(f"--grid expects lo:hi:n, got {spec!r}")
+    _require_finite("--grid lo", lo)
+    _require_finite("--grid hi", hi)
     if n < 2 or hi <= lo:
         raise ConfigError("--grid needs hi > lo and n >= 2")
     return [lo + (hi - lo) * j / (n - 1) for j in range(n)]
+
+
+def _require_finite(flag: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag} must be finite, got {value}")
 
 
 def _effective_threads(args, config: RunConfig) -> int:

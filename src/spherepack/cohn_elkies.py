@@ -98,39 +98,41 @@ class CEReport:
         }
 
 
-def verify_ce(g_eval: Callable[[float], float],
-              ghat_eval: Callable[[float], float],
+def verify_ce(g_values: Callable[[np.ndarray], np.ndarray],
+              ghat_values: Callable[[np.ndarray], np.ndarray],
               grid: Sequence[float] | None = None,
               tol: float | None = None,
               tol_bound: float = 1e-6) -> CEReport:
     """Check the certificate's sign conditions on a grid and compute the bound.
 
+    ``g_values`` and ``ghat_values`` map a radius array to a value array.
     The conditions are taken at separation sqrt(2): g may be positive only
     inside the first lattice radius, g_hat nowhere negative.  ``tol``
     defaults to 1e-7*|g(0)|, one order below the quadrature
     self-convergence error.
     """
-    grid = tuple(default_ce_grid() if grid is None else (float(r) for r in grid))
-    if not any(r > SQRT2 * (1 + 1e-6) for r in grid):
+    grid = default_ce_grid() if grid is None else tuple(float(r) for r in grid)
+    rs = np.asarray(grid)
+    outside = rs > SQRT2 * (1 + 1e-6)
+    if not outside.any():
         raise InsufficientGrid("grid needs points above sqrt(2) to test the sign condition")
-    g0 = g_eval(0.0)
-    ghat0 = ghat_eval(0.0)
+    g0 = float(g_values(np.zeros(1))[0])
+    ghat0 = float(ghat_values(np.zeros(1))[0])
     if tol is None:
         tol = 1e-7 * abs(g0)
-    outside = [r for r in grid if r > SQRT2 * (1 + 1e-6)]
-    g_vals = [(g_eval(r), r) for r in outside]
-    ce2_max_violation, ce2_argmax = max(g_vals)
-    ghat_vals = [(ghat_eval(r), r) for r in grid]
-    ce3_min_value, ce3_argmin = min(ghat_vals)
+    g_vals = g_values(rs)
+    ghat_vals = ghat_values(rs)
+    i2 = int(np.argmax(np.where(outside, g_vals, -np.inf)))
+    i3 = int(np.argmin(ghat_vals))
     ce1 = g0 > 0.0
     bound = rescaled_bound(g0, ghat0) if ghat0 > 0 else float("inf")
-    ok = (ce1 and ce2_max_violation <= tol and ce3_min_value >= -tol
+    ok = (ce1 and g_vals[i2] <= tol and ghat_vals[i3] >= -tol
           and abs(bound - E8_DENSITY) <= tol_bound)
     return CEReport(grid=grid, g0=g0, ghat0=ghat0, ce1_pass=ce1,
-                    ce2_max_violation=ce2_max_violation, ce2_argmax=ce2_argmax,
-                    ce3_min_value=ce3_min_value, ce3_argmin=ce3_argmin,
+                    ce2_max_violation=float(g_vals[i2]), ce2_argmax=float(rs[i2]),
+                    ce3_min_value=float(ghat_vals[i3]), ce3_argmin=float(rs[i3]),
                     bound=bound, target=E8_DENSITY, tol=tol, tol_bound=tol_bound,
-                    pass_=ok)
+                    pass_=bool(ok))
 
 
 def verify_magic_ce(evaluator: MagicEvaluator | None = None,
@@ -138,28 +140,7 @@ def verify_magic_ce(evaluator: MagicEvaluator | None = None,
                     tol: float | None = None) -> CEReport:
     """The headline run: the magic function against its own certificate."""
     ev = evaluator if evaluator is not None else default_evaluator()
-    grid = default_ce_grid() if grid is None else tuple(float(r) for r in grid)
-    if not any(r > SQRT2 * (1 + 1e-6) for r in grid):
-        raise InsufficientGrid("grid needs points above sqrt(2) to test the sign condition")
-    rs = np.asarray(grid)
-    g_vals = ev.g_values(rs)
-    ghat_vals = ev.g_hat_values(rs)
-    g0 = float(ev.eval_g(0.0))
-    ghat0 = float(ev.eval_g_hat(0.0))
-    if tol is None:
-        tol = 1e-7 * abs(g0)
-    outside = rs > SQRT2 * (1 + 1e-6)
-    i2 = int(np.argmax(np.where(outside, g_vals, -np.inf)))
-    i3 = int(np.argmin(ghat_vals))
-    bound = rescaled_bound(g0, ghat0)
-    ce1 = g0 > 0.0
-    ok = (ce1 and g_vals[i2] <= tol and ghat_vals[i3] >= -tol
-          and abs(bound - E8_DENSITY) <= 1e-6)
-    return CEReport(grid=grid, g0=g0, ghat0=ghat0, ce1_pass=ce1,
-                    ce2_max_violation=float(g_vals[i2]), ce2_argmax=float(rs[i2]),
-                    ce3_min_value=float(ghat_vals[i3]), ce3_argmin=float(rs[i3]),
-                    bound=bound, target=E8_DENSITY, tol=tol, tol_bound=1e-6,
-                    pass_=ok)
+    return verify_ce(ev.g_values, ev.g_hat_values, grid, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import NonRealValue
 from .qseries import (
@@ -233,45 +233,48 @@ def psi_i_qseries(order: int = DEFAULT_ORDER_Q4) -> QSeries:
     return series.truncate(order)
 
 
+def _b_q4() -> QSeries:
+    """E4^2/Delta re-expressed in nome q4 at the default q4 order."""
+    return (e4sq_over_delta_qseries(DEFAULT_ORDER_Q4 // 8 + 1).to_q4()
+            .truncate(DEFAULT_ORDER_Q4))
+
+
 @lru_cache(maxsize=None)
-def _b_minus_psi_i_q4(order: int = DEFAULT_ORDER_Q4) -> QSeries:
+def _b_minus_psi_i_q4() -> QSeries:
     """E4^2/Delta - psi_i in nome q4; the double poles cancel exactly.
 
     Constant term 360.  Used to evaluate phi0 +- (36/pi^2) psi_s and the
     S-weighted kernels without catastrophic cancellation of the
     exp(2*pi*t) parts.
     """
-    b4 = e4sq_over_delta_qseries(order // 8 + 1).to_q4().truncate(order)
-    return b4 - psi_i_qseries(order)
+    return _b_q4() - psi_i_qseries()
 
 
 @lru_cache(maxsize=None)
-def _b_plus_psi_i_q4(order: int = DEFAULT_ORDER_Q4) -> QSeries:
-    b4 = e4sq_over_delta_qseries(order // 8 + 1).to_q4().truncate(order)
-    return b4 + psi_i_qseries(order)
+def _b_plus_psi_i_q4() -> QSeries:
+    return _b_q4() + psi_i_qseries()
+
+
+#: builder of each named form; form_qseries calls it without an order at the
+#: default, the call form magic uses too, so phi0 and psi_s at the default
+#: order are one cache entry each
+_FORM_BUILDERS = {
+    FormId.E2: partial(eisenstein_qseries, 2),
+    FormId.E4: partial(eisenstein_qseries, 4),
+    FormId.E6: partial(eisenstein_qseries, 6),
+    FormId.DELTA: delta_qseries,
+    FormId.THETA00: partial(theta_qseries, "00"),
+    FormId.THETA01: partial(theta_qseries, "01"),
+    FormId.THETA10: partial(theta_qseries, "10"),
+    FormId.PHI0: phi0_qseries,
+    FormId.PSI_S: psi_s_qseries,
+}
 
 
 def form_qseries(form: FormId, order: int | None = None) -> QSeries:
     """Series for any named form; order defaults per nome."""
-    if form is FormId.E2:
-        return eisenstein_qseries(2, order if order is not None else DEFAULT_ORDER_Q2)
-    if form is FormId.E4:
-        return eisenstein_qseries(4, order if order is not None else DEFAULT_ORDER_Q2)
-    if form is FormId.E6:
-        return eisenstein_qseries(6, order if order is not None else DEFAULT_ORDER_Q2)
-    if form is FormId.DELTA:
-        return delta_qseries(order if order is not None else DEFAULT_ORDER_Q2)
-    if form is FormId.THETA00:
-        return theta_qseries("00", order if order is not None else DEFAULT_ORDER_Q4)
-    if form is FormId.THETA01:
-        return theta_qseries("01", order if order is not None else DEFAULT_ORDER_Q4)
-    if form is FormId.THETA10:
-        return theta_qseries("10", order if order is not None else DEFAULT_ORDER_Q4)
-    if form is FormId.PHI0:
-        return phi0_qseries(order if order is not None else DEFAULT_ORDER_Q2)
-    if form is FormId.PSI_S:
-        return psi_s_qseries(order if order is not None else DEFAULT_ORDER_Q4)
-    raise ValueError(f"unknown form {form}")
+    build = _FORM_BUILDERS[form]
+    return build() if order is None else build(order)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,9 @@ from .errors import (
     TailBoundViolated,
 )
 from .forms import (
+    FormId,
     e4sq_over_delta_qseries,
-    eval_phi0,
-    eval_psi_s,
+    form_qseries,
     phi0_anomaly_qseries,
     phi0_qseries,
     psi_i_qseries,
@@ -64,7 +64,6 @@ from .forms import (
 from .quadrature import QuadratureConfig, gauss_nodes, panel_nodes
 
 PI = math.pi
-SQRT2 = math.sqrt(2.0)
 
 #: coefficient of the plus eigenfunction inside g
 COEFF_A = 1j * PI / 8640.0
@@ -75,51 +74,25 @@ COEFF_B = -1j / (240.0 * PI)
 #: |a(0)| = 8640/pi; reference scale for realness assertions
 A_SCALE = 8640.0 / PI
 
-#: growth/decay rates and leading-coefficient envelopes of the two ray
-#: integrands, used in certified tail bounds (factor 2 of safety)
-_RAY_DECAY_A = 2.0 * PI
-_RAY_COEFF_A = 2.0 * 518400.0
-_RAY_DECAY_B = PI
-_RAY_COEFF_B = 2.0 * 10240.0
-
-
-class IntegrandKind(Enum):
-    PHI0_SHIFT_PLUS = "phi0_shift_plus"     # phi0(-1/(z+1)) (z+1)^2
-    PHI0_SHIFT_MINUS = "phi0_shift_minus"   # phi0(-1/(z-1)) (z-1)^2
-    PHI0_INVERTED = "phi0_inverted"         # phi0(-1/z) z^2
-    PHI0_DIRECT = "phi0_direct"             # phi0(z)
-    PSI_SHIFT_PLUS = "psi_shift_plus"
-    PSI_SHIFT_MINUS = "psi_shift_minus"
-    PSI_INVERTED = "psi_inverted"
-    PSI_DIRECT = "psi_direct"
-
-
-def _kernel(kind: IntegrandKind, z: complex) -> complex:
-    """Integrand without the exponential factor exp(pi*i*r^2*z)."""
-    if kind is IntegrandKind.PHI0_SHIFT_PLUS:
-        return eval_phi0(-1.0 / (z + 1.0)) * (z + 1.0) ** 2
-    if kind is IntegrandKind.PHI0_SHIFT_MINUS:
-        return eval_phi0(-1.0 / (z - 1.0)) * (z - 1.0) ** 2
-    if kind is IntegrandKind.PHI0_INVERTED:
-        return eval_phi0(-1.0 / z) * z ** 2
-    if kind is IntegrandKind.PHI0_DIRECT:
-        return eval_phi0(z)
-    if kind is IntegrandKind.PSI_SHIFT_PLUS:
-        return eval_psi_s(-1.0 / (z + 1.0)) * (z + 1.0) ** 2
-    if kind is IntegrandKind.PSI_SHIFT_MINUS:
-        return eval_psi_s(-1.0 / (z - 1.0)) * (z - 1.0) ** 2
-    if kind is IntegrandKind.PSI_INVERTED:
-        return eval_psi_s(-1.0 / z) * z ** 2
-    if kind is IntegrandKind.PSI_DIRECT:
-        return eval_psi_s(z)
-    raise ValueError(f"unknown integrand {kind}")
+#: decay rate and leading-coefficient envelope of each ray integrand, used
+#: in certified tail bounds (factor 2 of safety)
+_RAY_TAIL = {FormId.PHI0: (2.0 * PI, 2.0 * 518400.0), FormId.PSI_S: (PI, 2.0 * 10240.0)}
 
 
 @dataclass(frozen=True)
 class ContourSegment:
+    """One straight leg (or the vertical ray) of a contour integral.
+
+    The integrand, without the exponential factor exp(pi*i*r^2*z), is the
+    form (``FormId.PHI0`` or ``FormId.PSI_S``) pulled back by the leg map
+    z -> -1/(z+shift) with weight (z+shift)^2, or the form itself at z when
+    ``shift`` is None (the direct ray).
+    """
+
     start: complex
     end: complex
-    integrand: IntegrandKind
+    form: FormId
+    shift: int | None
     coefficient: complex
     is_ray: bool = False
 
@@ -132,66 +105,54 @@ class ContourSegment:
             if self.start != self.end and mid.imag <= 0:
                 raise ValueError("segment interior must stay in the upper half-plane")
 
+    def kernel(self, z: np.ndarray) -> np.ndarray:
+        """Integrand without the exponential factor at the nodes z: one series eval."""
+        series = form_qseries(self.form)
+        if self.shift is None:
+            return series.eval(z)
+        w = z + self.shift
+        return series.eval(-1.0 / w) * w ** 2
 
-def contour_segments_a(r2: float) -> list[ContourSegment]:
-    """The six legs whose integral sum defines a(r), r^2 = r2.
+
+def contour_segments(form: FormId) -> list[ContourSegment]:
+    """The six legs whose integral sum defines a(r) (phi0) or b(r) (psi_s).
 
     Legs follow the drawn orientation: -1 -> -1+i -> i, 1 -> 1+i -> i,
     i -> 0 with coefficient +2 (same as -2 times the 0 -> i integral),
-    and the ray i -> i*inf with coefficient +2.
+    and the ray i -> i*inf with coefficient +2 for a and -2 for b.
     """
-    if r2 < 0:
-        raise ValueError("r2 must be nonnegative")
-    sp, sm = IntegrandKind.PHI0_SHIFT_PLUS, IntegrandKind.PHI0_SHIFT_MINUS
+    ray = {FormId.PHI0: 2.0, FormId.PSI_S: -2.0}[form]
     return [
-        ContourSegment(-1.0 + 0j, -1.0 + 1j, sp, 1.0),
-        ContourSegment(-1.0 + 1j, 1j, sp, 1.0),
-        ContourSegment(1.0 + 0j, 1.0 + 1j, sm, 1.0),
-        ContourSegment(1.0 + 1j, 1j, sm, 1.0),
-        ContourSegment(1j, 0j, IntegrandKind.PHI0_INVERTED, 2.0),
-        ContourSegment(1j, 1j, IntegrandKind.PHI0_DIRECT, 2.0, is_ray=True),
+        ContourSegment(-1.0 + 0j, -1.0 + 1j, form, 1, 1.0),
+        ContourSegment(-1.0 + 1j, 1j, form, 1, 1.0),
+        ContourSegment(1.0 + 0j, 1.0 + 1j, form, -1, 1.0),
+        ContourSegment(1.0 + 1j, 1j, form, -1, 1.0),
+        ContourSegment(1j, 0j, form, 0, 2.0),
+        ContourSegment(1j, 1j, form, None, ray, is_ray=True),
     ]
 
 
-def contour_segments_b(r2: float) -> list[ContourSegment]:
-    """The six legs of b(r): psi_s integrands, ray coefficient -2."""
-    if r2 < 0:
-        raise ValueError("r2 must be nonnegative")
-    sp, sm = IntegrandKind.PSI_SHIFT_PLUS, IntegrandKind.PSI_SHIFT_MINUS
-    return [
-        ContourSegment(-1.0 + 0j, -1.0 + 1j, sp, 1.0),
-        ContourSegment(-1.0 + 1j, 1j, sp, 1.0),
-        ContourSegment(1.0 + 0j, 1.0 + 1j, sm, 1.0),
-        ContourSegment(1.0 + 1j, 1j, sm, 1.0),
-        ContourSegment(1j, 0j, IntegrandKind.PSI_INVERTED, 2.0),
-        ContourSegment(1j, 1j, IntegrandKind.PSI_DIRECT, -2.0, is_ray=True),
-    ]
-
-
-def _ray_tail_bound(kind: IntegrandKind, r2: float, T: float) -> float:
-    if kind is IntegrandKind.PHI0_DIRECT:
-        decay, coeff = _RAY_DECAY_A, _RAY_COEFF_A
-    else:
-        decay, coeff = _RAY_DECAY_B, _RAY_COEFF_B
+def _check_ray_tail(form: FormId, r2: float, quad: QuadratureConfig) -> None:
+    decay, coeff = _RAY_TAIL[form]
     rate = decay + PI * r2
-    return coeff * math.exp(-rate * T) / rate
+    tail = coeff * math.exp(-rate * quad.ray_truncation) / rate
+    if tail > quad.tail_tol:
+        raise TailBoundViolated(
+            f"ray tail {tail:.3g} above tol {quad.tail_tol} at T={quad.ray_truncation}")
 
 
 def _segment_nodes(seg: ContourSegment, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and complex weights (including kernel values and coefficient)."""
     if seg.is_ray:
-        t0 = seg.start.imag
-        nodes_t, weights_t = panel_nodes(t0, quad.ray_truncation,
+        nodes_t, weights_t = panel_nodes(seg.start.imag, quad.ray_truncation,
                                          quad.panels_per_segment, quad.gauss_order)
-        nodes = 1j * nodes_t
-        weights = 1j * weights_t
+        nodes, weights = 1j * nodes_t, 1j * weights_t
     elif seg.start == seg.end:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
     else:
         nodes, weights = panel_nodes(seg.start, seg.end,
                                      quad.panels_per_segment, quad.gauss_order)
-    kernel = np.array([_kernel(seg.integrand, z) for z in nodes], dtype=complex)
-    return nodes, seg.coefficient * weights * kernel
+    return nodes, seg.coefficient * weights * seg.kernel(nodes)
 
 
 def segment_integral(seg: ContourSegment, r2: float, quad: QuadratureConfig) -> complex:
@@ -202,116 +163,99 @@ def segment_integral(seg: ContourSegment, r2: float, quad: QuadratureConfig) -> 
     on an endpoint anyway.
     """
     if seg.is_ray:
-        tail = _ray_tail_bound(seg.integrand, r2, quad.ray_truncation)
-        if tail > quad.tail_tol:
-            raise TailBoundViolated(
-                f"ray tail {tail:.3g} above tol {quad.tail_tol} at T={quad.ray_truncation}")
+        _check_ray_tail(seg.form, r2, quad)
     nodes, weights = _segment_nodes(seg, quad)
-    if len(nodes) == 0:
-        return 0j
     return complex((weights * np.exp(1j * PI * r2 * nodes)).sum())
+
+
+def _assemble(form: FormId, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of all six legs of one function, concatenated."""
+    _check_ray_tail(form, 0.0, quad)
+    parts = [_segment_nodes(seg, quad) for seg in contour_segments(form)]
+    return np.concatenate([n for n, _ in parts]), np.concatenate([w for _, w in parts])
+
+
+def _sweep(nodes: np.ndarray, weights: np.ndarray, radii) -> np.ndarray:
+    """sum_k weights_k exp(pi*i*r^2*nodes_k) at each radius (complex array)."""
+    r2 = np.asarray(radii, dtype=float) ** 2
+    return np.exp(1j * PI * np.outer(r2, nodes)) @ weights
+
+
+def _imaginary_or_raise(values: np.ndarray, label: str) -> np.ndarray:
+    bad = np.abs(values.real) > 1e-8 * (np.abs(values) + A_SCALE)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonRealValue(f"{label}: real part {values.real[i]} too large (value {values[i]})")
+    return values
+
+
+def _real_or_raise(values: np.ndarray, label: str) -> np.ndarray:
+    bad = np.abs(values.imag) > 1e-7 * (np.abs(values) + 1.0)
+    if bad.any():
+        raise NonRealValue(f"{label}: imaginary part {values.imag[np.argmax(bad)]} too large")
+    return values.real
 
 
 class MagicEvaluator:
     """Precomputed contour data; everything r-dependent is one vector product.
 
     The kernel values on all twelve legs are independent of the radius, so
-    they are computed once per quadrature configuration; evaluating a, b, g
-    at a radius then costs a single exp over the node array.  Instances are
+    they are computed once per quadrature configuration, one array series
+    evaluation per leg; evaluating a, b, g at radii then costs one exp over
+    radii x nodes.  The ``*_values`` methods take radius arrays and are the
+    only evaluation path; ``eval_*`` are their length-1 case.  Instances are
     immutable after construction and safe to share.
     """
 
     def __init__(self, quad: QuadratureConfig | None = None):
         self.quad = quad if quad is not None else QuadratureConfig()
-        a_segs = contour_segments_a(0.0)
-        b_segs = contour_segments_b(0.0)
-        for seg in (a_segs[-1], b_segs[-1]):
-            tail = _ray_tail_bound(seg.integrand, 0.0, self.quad.ray_truncation)
-            if tail > self.quad.tail_tol:
-                raise TailBoundViolated(
-                    f"ray truncation {self.quad.ray_truncation} cannot certify "
-                    f"{self.quad.tail_tol} (tail {tail:.3g})")
-        self._nodes_a, self._weights_a = self._assemble(a_segs)
-        self._nodes_b, self._weights_b = self._assemble(b_segs)
+        self._nodes_a, self._weights_a = _assemble(FormId.PHI0, self.quad)
+        self._nodes_b, self._weights_b = _assemble(FormId.PSI_S, self.quad)
 
-    def _assemble(self, segs: Sequence[ContourSegment]) -> tuple[np.ndarray, np.ndarray]:
-        nodes, weights = [], []
-        for seg in segs:
-            n, w = _segment_nodes(seg, self.quad)
-            nodes.append(n)
-            weights.append(w)
-        return np.concatenate(nodes), np.concatenate(weights)
+    # -- contour evaluations: purely imaginary up to quadrature noise -----------
 
-    # -- contour evaluations ---------------------------------------------------
+    def a_values(self, radii) -> np.ndarray:
+        """Plus eigenfunction over a radius grid (complex array)."""
+        return _imaginary_or_raise(_sweep(self._nodes_a, self._weights_a, radii), "a")
+
+    def b_values(self, radii) -> np.ndarray:
+        """Minus eigenfunction over a radius grid (complex array)."""
+        return _imaginary_or_raise(_sweep(self._nodes_b, self._weights_b, radii), "b")
 
     def eval_a(self, r: float) -> complex:
-        """Plus eigenfunction at radius r; purely imaginary up to quadrature noise."""
-        return self._check_imaginary(self._sum(self._nodes_a, self._weights_a, r * r), "a")
+        return complex(self.a_values([r])[0])
 
     def eval_b(self, r: float) -> complex:
-        return self._check_imaginary(self._sum(self._nodes_b, self._weights_b, r * r), "b")
+        return complex(self.b_values([r])[0])
 
-    def _sum(self, nodes: np.ndarray, weights: np.ndarray, r2: float) -> complex:
-        return complex((weights * np.exp(1j * PI * r2 * nodes)).sum())
+    # -- the certificate combination: real up to quadrature noise ---------------
 
-    @staticmethod
-    def _check_imaginary(value: complex, label: str) -> complex:
-        if abs(value.real) > 1e-8 * (abs(value) + A_SCALE):
-            raise NonRealValue(
-                f"{label}: real part {value.real} too large (value {value})")
-        return value
-
-    def a_values(self, radii: np.ndarray) -> np.ndarray:
-        """Vectorized eval_a over a radius grid (complex array)."""
-        r2 = np.asarray(radii, dtype=float) ** 2
-        return np.exp(1j * PI * np.outer(r2, self._nodes_a)) @ self._weights_a
-
-    def b_values(self, radii: np.ndarray) -> np.ndarray:
-        r2 = np.asarray(radii, dtype=float) ** 2
-        return np.exp(1j * PI * np.outer(r2, self._nodes_b)) @ self._weights_b
-
-    # -- the certificate combination -------------------------------------------
-
-    def eval_g(self, r: float) -> float:
-        combo = COEFF_A * self.eval_a(r) + COEFF_B * self.eval_b(r)
+    def g_values(self, radii) -> np.ndarray:
+        combo = COEFF_A * self.a_values(radii) + COEFF_B * self.b_values(radii)
         return _real_or_raise(combo, "g")
 
-    def eval_g_hat(self, r: float) -> float:
-        combo = COEFF_A * self.eval_a(r) - COEFF_B * self.eval_b(r)
+    def g_hat_values(self, radii) -> np.ndarray:
+        combo = COEFF_A * self.a_values(radii) - COEFF_B * self.b_values(radii)
         return _real_or_raise(combo, "g_hat")
 
-    def g_values(self, radii: np.ndarray) -> np.ndarray:
-        return (COEFF_A * self.a_values(radii) + COEFF_B * self.b_values(radii)).real
+    def eval_g(self, r: float) -> float:
+        return float(self.g_values([r])[0])
 
-    def g_hat_values(self, radii: np.ndarray) -> np.ndarray:
-        return (COEFF_A * self.a_values(radii) - COEFF_B * self.b_values(radii)).real
+    def eval_g_hat(self, r: float) -> float:
+        return float(self.g_hat_values([r])[0])
 
     # -- single-integral representations (r >= sqrt(2)) -------------------------
 
     def eval_a_propagated(self, r: float) -> complex:
         """a(r) through the collapsed axis integral; valid for r >= sqrt(2)."""
-        r2 = _check_propagated_radius(r)
-        if r2 is None:
-            return 0j
-        s2 = math.sin(PI * r2 / 2.0) ** 2
-        return 4j * s2 * _laplace_phi(r2, self.quad)
+        return _collapsed(FormId.PHI0, r, self.quad)
 
     def eval_b_propagated(self, r: float) -> complex:
-        r2 = _check_propagated_radius(r)
-        if r2 is None:
-            return 0j
-        s2 = math.sin(PI * r2 / 2.0) ** 2
-        return -4j * s2 * _laplace_psi_i(r2, self.quad)
+        return _collapsed(FormId.PSI_S, r, self.quad)
 
 
-def _real_or_raise(value: complex, label: str) -> float:
-    if abs(value.imag) > 1e-7 * (abs(value) + 1.0):
-        raise NonRealValue(f"{label}: imaginary part {value.imag} too large")
-    return value.real
-
-
-def _check_propagated_radius(r: float) -> float | None:
-    """r^2 for the collapsed representation; None at the boundary r = sqrt(2).
+def _collapsed(form: FormId, r: float, quad: QuadratureConfig) -> complex:
+    """4i sin^2(pi r^2/2) Int_0^inf t^2 F(i/t) e^{-pi r^2 t} dt: a (F = phi0) or b (F = psi_s).
 
     At r = sqrt(2) exactly, the axis integral diverges but its
     sin^2(pi r^2/2) prefactor vanishes; the function value is 0.
@@ -321,20 +265,16 @@ def _check_propagated_radius(r: float) -> float | None:
         raise PropagatedDomainError(
             f"single-integral form diverges below sqrt(2); got r = {r}")
     if abs(r2 - 2.0) < 1e-11:
-        return None
-    return r2
+        return 0j
+    return 4j * math.sin(PI * r2 / 2.0) ** 2 * _laplace(form, r2, quad)
 
 
-def _exp_moment0(c: float) -> float:
-    return math.exp(-c) / c
-
-
-def _exp_moment1(c: float) -> float:
-    return math.exp(-c) * (c + 1.0) / (c * c)
-
-
-def _exp_moment2(c: float) -> float:
-    return math.exp(-c) * (c * c + 2.0 * c + 2.0) / (c * c * c)
+#: int_1^inf t^m e^{-c t} dt for m = 0, 1, 2
+_EXP_MOMENTS = (
+    lambda c: math.exp(-c) / c,
+    lambda c: math.exp(-c) * (c + 1.0) / (c * c),
+    lambda c: math.exp(-c) * (c * c + 2.0 * c + 2.0) / (c * c * c),
+)
 
 
 def _float_pairs(series):
@@ -342,71 +282,48 @@ def _float_pairs(series):
             for k in range(series.lowest, series.order + 1) if series.coefficient(k) != 0]
 
 
-@lru_cache(maxsize=1)
-def _phi0_float_coeffs():
-    return (_float_pairs(phi0_qseries()), _float_pairs(phi0_anomaly_qseries()),
-            _float_pairs(e4sq_over_delta_qseries()))
+@lru_cache(maxsize=2)
+def _moment_terms(form: FormId) -> tuple[tuple[int, float, float], ...]:
+    """(moment order m, rate offset, coefficient) of t^2 F(i/t) expanded on [1, inf).
 
-
-@lru_cache(maxsize=1)
-def _psi_i_float_coeffs():
-    ser = psi_i_qseries()
-    pairs = []
-    for k in range(ser.lowest, ser.order + 1):
-        c = ser.coefficient(k)
-        if c != 0:
-            if k % 4:
-                raise RuntimeError("psi_i support must lie in 4Z")
-            pairs.append((k // 4, float(c)))
-    return pairs
-
-
-def _laplace_phi(r2: float, quad: QuadratureConfig) -> float:
-    """Int_0^inf t^2 phi0(i/t) e^{-pi r2 t} dt for r2 > 2.
-
-    [0,1]: Gauss panels on the inversion-transformed series (argument i/t
-    has Im >= 1).  [1,inf): exact exponential moments of the q-expansion
-    of t^2 phi0(it) - (12t/pi) A(it) + (36/pi^2) B(it), which equals
-    t^2 phi0(i/t) there.
+    phi0: t^2 phi0(i/t) = t^2 phi0(it) - (12t/pi) A(it) + (36/pi^2) B(it)
+    there, with A = (E2 E4 - E6) E4/Delta and B = E4^2/Delta, all in
+    exp(-2 pi n t).  psi_s: t^2 psi_s(i/t) = -psi_i(it), in exp(-pi k t).
     """
-    x, w = gauss_nodes(2 * quad.gauss_order)
-    low = 0.0
-    for panel in range(4):
-        lo, hi = panel / 4.0, (panel + 1) / 4.0
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        for xi, wi in zip(x, w):
-            t = mid + half * xi
-            low += wi * half * (t * t * eval_phi0(1j / t).real * math.exp(-PI * r2 * t))
-    phi0_pairs, anom_pairs, b_pairs = _phi0_float_coeffs()
-    high = 0.0
-    for n, c in phi0_pairs:
-        high += c * _exp_moment2(2.0 * PI * n + PI * r2)
-    for n, c in anom_pairs:
-        high -= (12.0 / PI) * c * _exp_moment1(2.0 * PI * n + PI * r2)
-    for n, c in b_pairs:
-        high += (36.0 / PI ** 2) * c * _exp_moment0(2.0 * PI * n + PI * r2)
-    return low + high
+    if form is FormId.PHI0:
+        parts = ((2, 1.0, phi0_qseries()), (1, -12.0 / PI, phi0_anomaly_qseries()),
+                 (0, 36.0 / PI ** 2, e4sq_over_delta_qseries()))
+        return tuple((m, 2.0 * PI * n, f * c)
+                     for m, f, series in parts for n, c in _float_pairs(series))
+    pairs = _float_pairs(psi_i_qseries())
+    if any(k % 4 for k, _ in pairs):
+        raise RuntimeError("psi_i support must lie in 4Z")
+    return tuple((0, PI * (k // 4), -c) for k, c in pairs)
 
 
-def _laplace_psi_i(r2: float, quad: QuadratureConfig) -> float:
-    """Int_0^inf psi_i(it) e^{-pi r2 t} dt for r2 > 2."""
-    x, w = gauss_nodes(2 * quad.gauss_order)
-    low = 0.0
-    for panel in range(4):
-        lo, hi = panel / 4.0, (panel + 1) / 4.0
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        for xi, wi in zip(x, w):
-            t = mid + half * xi
-            low += wi * half * ((-t * t) * eval_psi_s(1j / t).real * math.exp(-PI * r2 * t))
+def _laplace(form: FormId, r2: float, quad: QuadratureConfig) -> float:
+    """Int_0^inf t^2 F(i/t) e^{-pi r2 t} dt for r2 > 2, F = phi0 or psi_s.
+
+    [0,1]: one array of Gauss panels on the inversion-transformed series
+    (argument i/t has Im >= 1).  [1,inf): exact exponential moments of the
+    integrand's q-expansion there (see ``_moment_terms``).
+    """
+    t, w = panel_nodes(0.0, 1.0, 4, 2 * quad.gauss_order)
+    kernel = (t * t) * form_qseries(form).eval(1j / t).real
+    low = float(w @ (kernel * np.exp(-PI * r2 * t)))
     high = 0.0
-    for k, c in _psi_i_float_coeffs():
-        high += c * _exp_moment0(PI * k + PI * r2)
+    for m, offset, c in _moment_terms(form):
+        high += c * _EXP_MOMENTS[m](offset + PI * r2)
     return low + high
 
 
 @lru_cache(maxsize=4)
 def default_evaluator(quad: QuadratureConfig | None = None) -> MagicEvaluator:
-    """Shared evaluator; building the node tables costs about a second."""
+    """Shared evaluator per quadrature configuration.
+
+    Building the node tables costs one array series evaluation per leg,
+    about ten milliseconds once the exact series are cached.
+    """
     return MagicEvaluator(quad)
 
 
@@ -459,19 +376,22 @@ def tabulate_radial(which: RadialKind, radii: Sequence[float],
 _SERIES_CUTOFF = 12.0
 
 
-def _bessel_series(n: int, x: float) -> float:
+def _bessel_series(n: int, x):
+    """Power series of J_n, summed until every element's next term is negligible."""
     half = x / 2.0
     term = half ** n / math.factorial(n)
     total = term
     for m in range(1, 80):
-        term *= -(half * half) / (m * (m + n))
-        total += term
-        if abs(term) < 1e-18 * max(abs(total), 1e-300):
+        # not in place: total starts as the same object as term
+        term = term * (-(half * half) / (m * (m + n)))
+        total = total + term
+        if np.all(np.abs(term) < 1e-18 * np.maximum(np.abs(total), 1e-300)):
             break
     return total
 
 
-def _bessel_asymptotic(n: int, x: float) -> float:
+def _bessel_asymptotic(n: int, x):
+    """Hankel asymptotic expansion of J_n, ten terms."""
     mu = 4.0 * n * n
     chi = x - (2 * n + 1) * PI / 4.0
     p, q = 1.0, 0.0
@@ -482,32 +402,29 @@ def _bessel_asymptotic(n: int, x: float) -> float:
             q += term if (m // 2) % 2 == 0 else -term
         else:
             p += term if (m // 2) % 2 == 0 else -term
-    return math.sqrt(2.0 / (PI * x)) * (p * math.cos(chi) - q * math.sin(chi))
+    return np.sqrt(2.0 / (PI * x)) * (p * np.cos(chi) - q * np.sin(chi))
 
 
-def bessel_j(n: int, x: float) -> float:
-    """J_n(x) for n in 0..3: power series below 12, asymptotics + recurrence above."""
+def bessel_j(n: int, x):
+    """J_n(x) for n in 0..3 and x >= 0, a scalar or an ndarray.
+
+    Power series below 12, asymptotics plus upward recurrence above (stable
+    there since n <= 3 << x).  A scalar x returns a float.
+    """
     if n < 0 or n > 3:
         raise ValueError("bessel_j supports orders 0..3")
-    if x < 0:
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
         raise ValueError("bessel_j expects x >= 0")
-    if x < _SERIES_CUTOFF:
-        return _bessel_series(n, x)
-    j0 = _bessel_asymptotic(0, x)
-    if n == 0:
-        return j0
-    j1 = _bessel_asymptotic(1, x)
-    if n == 1:
-        return j1
-    # upward recurrence is stable here since n <= 3 << x
-    jm, jc = j0, j1
+    low = x < _SERIES_CUTOFF
+    out = np.empty_like(x)
+    out[low] = _bessel_series(n, x[low])
+    far = x[~low]
+    jm, jc = _bessel_asymptotic(0, far), _bessel_asymptotic(1, far)
     for k in range(1, n):
-        jm, jc = jc, (2.0 * k / x) * jc - jm
-    return jc
-
-
-def _bessel_j3_array(x: np.ndarray) -> np.ndarray:
-    return np.array([bessel_j(3, float(v)) for v in x])
+        jm, jc = jc, (2.0 * k / far) * jc - jm
+    out[~low] = jm if n == 0 else jc
+    return float(out) if out.ndim == 0 else out
 
 
 # -- the radial Fourier transform in dimension 8 ------------------------------
@@ -570,5 +487,5 @@ def hankel8(table: RadialTable, r: float, taper_start: float = 0.7) -> float:
         s = mid + half * x
         f = _cubic_interp(radii, values, s)
         window = _taper((s - s0) / (s_max - s0))
-        total += float((w * f * window * _bessel_j3_array(2.0 * PI * r * s) * s ** 4).sum() * half)
+        total += float((w * f * window * bessel_j(3, 2.0 * PI * r * s) * s ** 4).sum() * half)
     return 2.0 * PI * total / r ** 3

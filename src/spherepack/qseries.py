@@ -27,6 +27,8 @@ from fractions import Fraction
 from enum import Enum
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     DomainTooLow,
     NomeMismatch,
@@ -54,10 +56,12 @@ class Nome(Enum):
     Q2 = "q2"
     Q4 = "q4"
 
-    def value_at(self, tau: complex) -> complex:
+    def value_at(self, tau):
+        """The nome at tau: cmath for a scalar, numpy elementwise for an ndarray."""
+        exp = np.exp if isinstance(tau, np.ndarray) else cmath.exp
         if self is Nome.Q2:
-            return cmath.exp(2j * cmath.pi * tau)
-        return cmath.exp(1j * cmath.pi * tau / 4)
+            return exp(2j * cmath.pi * tau)
+        return exp(1j * cmath.pi * tau / 4)
 
 
 class QSeries:
@@ -260,28 +264,33 @@ class QSeries:
         c_top = max(nz) if nz else max((abs(c) for c in floats), default=0.0)
         return c_top * abs_nome ** max(self.order, 1) / (1.0 - abs_nome)
 
-    def eval(self, tau: complex, tol: float = 1e-12,
-             eta_min: float = ETA_MIN_DEFAULT) -> complex:
-        """Evaluate at a point of the upper half-plane by Horner's rule.
+    def eval(self, tau, tol: float = 1e-12, eta_min: float = ETA_MIN_DEFAULT):
+        """Evaluate at a point, or an ndarray of points, of the upper half-plane.
 
-        Refuses points with Im(tau) < eta_min (DomainTooLow) and refuses to
-        return values whose certified truncation tail exceeds ``tol``
-        (TruncationInsufficient).
+        One Horner loop serves both: a scalar tau runs it on a Python complex
+        nome and returns a ``complex``, an ndarray runs it elementwise and
+        returns a complex array of the same shape.  Refuses points with
+        Im(tau) < eta_min or NaN (DomainTooLow) and refuses to return
+        values whose certified truncation tail, taken at the largest
+        |nome|, exceeds ``tol`` (TruncationInsufficient).
         """
-        if tau.imag < eta_min:
+        array = isinstance(tau, np.ndarray)
+        im_min = tau.imag.min() if array else tau.imag
+        if not im_min >= eta_min:
             raise DomainTooLow(
-                f"Im(tau) = {tau.imag} below eta_min = {eta_min}; "
+                f"Im(tau) = {im_min} below eta_min = {eta_min}; "
                 "use the axis-transform evaluators for low points")
         w = self.nome.value_at(tau)
-        if self.lowest < 0 and abs(w) < 1e-300:
+        abs_w = np.abs(w) if array else abs(w)
+        abs_min, abs_max = (abs_w.min(), abs_w.max()) if array else (abs_w, abs_w)
+        if self.lowest < 0 and abs_min < 1e-300:
             raise DomainTooLow(
-                f"nome underflow at Im(tau) = {tau.imag} with a pole at the cusp")
-        if self.tail_estimate(abs(w)) > tol:
+                f"nome underflow at Im(tau) = {im_min} with a pole at the cusp")
+        if self.tail_estimate(float(abs_max)) > tol:
             raise TruncationInsufficient(
-                f"tail estimate exceeds tol={tol} at |q|={abs(w):.4g}, order {self.order}")
-        floats = self._floats()
+                f"tail estimate exceeds tol={tol} at |q|={abs_max:.4g}, order {self.order}")
         acc = 0.0 + 0.0j
-        for c in reversed(floats):
+        for c in reversed(self._floats()):
             acc = acc * w + c
         if self.lowest:
             acc *= w ** self.lowest

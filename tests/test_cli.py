@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import spherepack
 from spherepack.cli import RunConfig, run
 from spherepack.errors import ConfigError
 
@@ -231,3 +235,42 @@ def test_runconfig_validation():
         RunConfig(output_format="xml")
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"quadrature": {"nodes": 3}})
+
+
+@pytest.mark.parametrize("argv", [
+    ["magic", "eval", "--r", "nan"],
+    ["magic", "eval", "--r", "inf"],
+    ["magic", "eval", "--r", "-1"],
+    ["forms", "eval", "--form", "Phi0", "--im", "nan"],
+    ["forms", "eval", "--form", "E4", "--re", "inf"],
+    ["forms", "eval", "--form", "E4", "--im", "0.3"],
+    ["packing", "mc", "--radius", "nan", "--samples", "1000"],
+    ["magic", "table", "--which", "G", "--grid", "0:nan:5"],
+    ["axis", "check", "--grid=-inf:1:5"],
+])
+def test_bad_input_refused_at_boundary(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["magic", "verify"], 16),
+    (["axis", "check"], 22),
+])
+def test_one_series_build_per_cache_entry(argv, builds):
+    # a fresh process, so the count is the command's own exact-series builds
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spherepack.__file__)))
+    script = (
+        "import contextlib, io\n"
+        "from spherepack import cli, forms\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.run({argv!r}) == 0\n"
+        "print(sum(f.cache_info().misses for f in vars(forms).values()\n"
+        "          if hasattr(f, 'cache_info')))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) == builds

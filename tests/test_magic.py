@@ -1,6 +1,7 @@
 """Magic function: contour geometry, quadrature convergence, representation
 consistency, certificate values, Bessel/Hankel eigenfunction cross-checks."""
 
+import copy
 import math
 
 import numpy as np
@@ -8,19 +9,19 @@ import pytest
 
 from spherepack.errors import (
     InsufficientTable,
+    NonRealValue,
     PropagatedDomainError,
     TailBoundViolated,
 )
+from spherepack.forms import FormId
 from spherepack.magic import (
     A_SCALE,
     ContourSegment,
-    IntegrandKind,
     MagicEvaluator,
     RadialKind,
     RadialTable,
     bessel_j,
-    contour_segments_a,
-    contour_segments_b,
+    contour_segments,
     default_evaluator,
     hankel8,
     segment_integral,
@@ -40,16 +41,16 @@ def ev():
 # -- contour geometry ----------------------------------------------------------
 
 def test_segment_counts_and_endpoints():
-    segs = contour_segments_a(4.0)
+    segs = contour_segments(FormId.PHI0)
     assert len(segs) == 6
     endpoints = {s.start for s in segs} | {s.end for s in segs if not s.is_ray}
     assert endpoints == {-1 + 0j, -1 + 1j, 1 + 0j, 1 + 1j, 1j, 0j}
 
 
 def test_segment_coefficients():
-    a = contour_segments_a(1.0)
+    a = contour_segments(FormId.PHI0)
     assert [s.coefficient for s in a] == [1.0, 1.0, 1.0, 1.0, 2.0, 2.0]
-    b = contour_segments_b(1.0)
+    b = contour_segments(FormId.PSI_S)
     assert [s.coefficient for s in b] == [1.0, 1.0, 1.0, 1.0, 2.0, -2.0]
     assert b[-1].is_ray
 
@@ -63,36 +64,35 @@ def test_inverted_leg_argument_high():
 
 def test_segment_arguments_stay_above_half():
     from spherepack.quadrature import panel_nodes
-    for seg in contour_segments_a(1.0)[:4] + contour_segments_b(1.0)[:4]:
+    for seg in contour_segments(FormId.PHI0)[:4] + contour_segments(FormId.PSI_S)[:4]:
         nodes, _ = panel_nodes(seg.start, seg.end, 8, 32)
-        shift = 1.0 if "plus" in seg.integrand.value else -1.0
-        args = -1.0 / (nodes + shift)
+        args = -1.0 / (nodes + seg.shift)
         assert (args.imag >= 0.5 - 1e-12).all()
 
 
 def test_zero_length_segment_is_zero():
-    seg = ContourSegment(1j, 1j, IntegrandKind.PHI0_DIRECT, 1.0)
+    seg = ContourSegment(1j, 1j, FormId.PHI0, None, 1.0)
     assert segment_integral(seg, 1.0, QuadratureConfig()) == 0
 
 
 def test_reversed_segment_negates():
     quad = QuadratureConfig()
-    fwd = ContourSegment(-1 + 1j, 1j, IntegrandKind.PHI0_SHIFT_PLUS, 1.0)
-    rev = ContourSegment(1j, -1 + 1j, IntegrandKind.PHI0_SHIFT_PLUS, 1.0)
+    fwd = ContourSegment(-1 + 1j, 1j, FormId.PHI0, 1, 1.0)
+    rev = ContourSegment(1j, -1 + 1j, FormId.PHI0, 1, 1.0)
     a = segment_integral(fwd, 1.0, quad)
     b = segment_integral(rev, 1.0, quad)
     assert abs(a + b) < 1e-14 * max(abs(a), 1.0)
 
 
 def test_ray_self_convergence_under_refinement():
-    ray = contour_segments_a(4.0)[-1]
+    ray = contour_segments(FormId.PHI0)[-1]
     base = segment_integral(ray, 4.0, QuadratureConfig())
     fine = segment_integral(ray, 4.0, QuadratureConfig(gauss_order=64, panels_per_segment=16))
     assert abs(base - fine) < 1e-10 * max(abs(base), 1e-12)
 
 
 def test_ray_tail_bound_enforced():
-    ray = contour_segments_b(0.0)[-1]
+    ray = contour_segments(FormId.PSI_S)[-1]
     with pytest.raises(TailBoundViolated):
         segment_integral(ray, 0.0, QuadratureConfig(ray_truncation=4.0, tail_tol=1e-12))
 
@@ -170,6 +170,18 @@ def test_vectorized_values_match_scalar(ev):
     for i, r in enumerate(rs):
         assert abs(av[i] - ev.eval_a(float(r))) < 1e-12 * (abs(av[i]) + 1)
         assert abs(gv[i] - ev.eval_g(float(r))) < 1e-12
+
+
+def test_sweeps_refuse_nonreal_values(ev):
+    # a real part injected into the a-weights must not pass into g unnoticed
+    bad = copy.copy(ev)
+    bad._weights_a = ev._weights_a + 1.0
+    rs = np.array([0.0, 1.0, 2.5])
+    for method in (bad.a_values, bad.g_values, bad.g_hat_values):
+        with pytest.raises(NonRealValue):
+            method(rs)
+    with pytest.raises(NonRealValue):
+        bad.eval_g(1.0)
 
 
 def test_quadrature_self_convergence(ev):
@@ -265,15 +277,31 @@ def test_bessel_derivative_identity():
         assert abs(bessel_j(1, x) + d) < 1e-8
 
 
+def _series_oracle(n, x, terms=60):
+    """Independent 60-term series evaluation of J_n."""
+    total = 0.0
+    for m in range(terms):
+        total += (-1) ** m * (x / 2.0) ** (n + 2 * m) / (
+            math.factorial(m) * math.factorial(m + n))
+    return total
+
+
 def test_bessel_j3_series_oracle():
-    # independent 60-term series evaluation
-    def series(n, x, terms=60):
-        total = 0.0
-        for m in range(terms):
-            total += (-1) ** m * (x / 2.0) ** (n + 2 * m) / (
-                math.factorial(m) * math.factorial(m + n))
-        return total
-    assert abs(bessel_j(3, 5.0) - series(3, 5.0)) < 1e-10
+    assert abs(bessel_j(3, 5.0) - _series_oracle(3, 5.0)) < 1e-10
+
+
+def test_bessel_array_matches_scalar_and_series_oracle():
+    xs = np.array([0.0, 0.3, 1.0, 5.0, 11.9, 12.0, 13.5, 20.0, 47.0])
+    for n in range(4):
+        got = bessel_j(n, xs)
+        assert got.shape == xs.shape
+        for x, v in zip(xs, got):
+            assert abs(v - bessel_j(n, float(x))) <= 1e-15 * max(abs(v), 1e-300)
+    below = xs[xs < 12.0]
+    assert np.all(np.abs(bessel_j(3, below) - [_series_oracle(3, x) for x in below]) < 1e-10)
+    assert isinstance(bessel_j(3, 5.0), float)
+    with pytest.raises(ValueError):
+        bessel_j(1, np.array([1.0, -1.0]))
 
 
 def test_bessel_branches_agree_in_overlap():

@@ -3,9 +3,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spherepack.errors import DomainTooLow, NomeMismatch, TruncationInsufficient, ZeroDivisionSeries
+from spherepack.forms import FormId, form_qseries, psi_i_qseries
 from spherepack.qseries import Nome, QSeries, from_coefficients, monomial, one_series, zero_series
 
 
@@ -115,3 +117,52 @@ def test_add_respects_truncation_window():
 def test_pow_matches_repeated_mul():
     f = from_coefficients(Nome.Q2, [(0, 1), (1, 2), (2, -1)], 12)
     assert f ** 3 == f * f * f
+
+
+# -- array evaluation -------------------------------------------------------------
+
+def _array_points():
+    re = np.linspace(-1.5, 1.5, 7)
+    im = np.array([0.5, 0.8, 1.0, 2.5, 6.0])
+    return (re[:, None] + 1j * im[None, :]).ravel()
+
+
+@pytest.mark.parametrize("form", list(FormId))
+def test_array_eval_matches_scalar(form):
+    series = form_qseries(form)
+    taus = _array_points()
+    got = series.eval(taus)
+    assert got.shape == taus.shape and got.dtype == complex
+    want = np.array([series.eval(complex(t)) for t in taus])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_array_eval_keeps_shape_and_pole():
+    # psi_i has a double pole at the cusp (negative lowest exponent)
+    series = psi_i_qseries()
+    taus = _array_points().reshape(7, 5)
+    got = series.eval(taus)
+    assert got.shape == (7, 5)
+    assert abs(got[3, 2] - series.eval(complex(taus[3, 2]))) <= 1e-13 * abs(got[3, 2])
+
+
+def test_scalar_eval_returns_python_complex():
+    series = form_qseries(FormId.PSI_S)
+    assert type(series.eval(0.1 + 1.3j)) is complex
+    assert type(series.eval(np.complex128(0.1 + 1.3j))) is complex
+
+
+def test_array_eval_raises_the_scalar_errors():
+    taus = np.array([0.0 + 1.0j, 0.2 + 0.3j])
+    with pytest.raises(DomainTooLow):
+        geometric(60).eval(taus)
+    with pytest.raises(DomainTooLow):
+        geometric(60).eval(complex(taus[1]))
+    f = from_coefficients(Nome.Q2, [(0, 1), (3, 10 ** 9)], 3)
+    taus = np.array([0.0 + 3.0j, 0.0 + 0.5j])
+    with pytest.raises(TruncationInsufficient):
+        f.eval(taus, tol=1e-12)
+    with pytest.raises(TruncationInsufficient):
+        f.eval(complex(taus[1]), tol=1e-12)
+    with pytest.raises(DomainTooLow):
+        geometric(60).eval(np.array([1j, complex(0.0, math.nan)]))
