@@ -549,7 +549,8 @@ def run(argv: list[str] | None = None) -> int:
         if config.output_format == "csv" and command not in _CSV_COMMANDS:
             raise ConfigError(f"csv output is only available for {sorted(_CSV_COMMANDS)}")
         results, passed, csv = _HANDLERS[command](args, config)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
+        # ValueError: the library's own argument checks, and malformed JSON
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SpherepackError as exc:

@@ -99,8 +99,7 @@ def eisenstein_qseries(weight: int, order: int = DEFAULT_ORDER_Q2) -> QSeries:
     if order < 0:
         raise ValueError("order must be nonnegative")
     factor, k = {2: (-24, 1), 4: (240, 3), 6: (-504, 5)}[weight]
-    coeffs = [Fraction(1)] + [Fraction(factor * divisor_sum(n, k)) for n in range(1, order + 1)]
-    return QSeries(Nome.Q2, coeffs)
+    return QSeries(Nome.Q2, [1] + [factor * divisor_sum(n, k) for n in range(1, order + 1)])
 
 
 @lru_cache(maxsize=None)

@@ -150,13 +150,19 @@ def _count_hits(points: np.ndarray, spec: PeriodicPackingSpec) -> int:
     return int(hit.sum())
 
 
+def _worker_count(threads: int, blocks: int) -> int:
+    """Threads worth starting: at most one per sample block, at least one."""
+    return max(1, min(threads, blocks))
+
+
 def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
                       seed: int, threads: int = 0) -> DensityEstimate:
     """Monte-Carlo estimate of the finite density at the given window radius.
 
     Deterministic for fixed (seed, samples): the hit count is a sum of
     per-block integers, each a pure function of the sample indices, so the
-    result does not depend on the worker count.
+    result does not depend on the worker count.  At most one worker runs
+    per block, whatever ``threads`` asks for.
 
     Only lattice packings whose decoder is the E8 decoder are supported
     (the basis is not consulted for hit tests, the coset decoder is).
@@ -172,8 +178,9 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
         pts = _sample_block(seed, start, count, radius)
         return _count_hits(pts, spec)
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = _worker_count(threads, len(blocks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             hits = sum(pool.map(work, blocks))
     else:
         hits = sum(map(work, blocks))

@@ -1,7 +1,8 @@
 """Truncated q-expansions with exact rational coefficients.
 
 Every (quasi)modular form in this package is stored as a ``QSeries``: a
-finite window of exact ``Fraction`` coefficients in one of two nomes,
+finite window of exact rational coefficients, held as integer numerators
+over one common denominator, in one of two nomes,
 
 * ``Nome.Q2``: q2 = exp(2*pi*i*tau)
 * ``Nome.Q4``: q4 = exp(pi*i*tau/4)
@@ -9,12 +10,15 @@ finite window of exact ``Fraction`` coefficients in one of two nomes,
 Q4 is the common nome for the Jacobi theta constants, so that the series
 with half-integer exponents in exp(pi*i*tau) become honest power series.
 Quotients of forms may acquire a pole at the cusp (e.g. E4^2/Delta), so a
-series carries a ``lowest`` exponent that can be negative; ``coeffs[j]``
+series carries a ``lowest`` exponent that can be negative; ``num[j]/den``
 is the coefficient of nome**(lowest + j).
 
 Exactness is the point: identity checks (Ramanujan, Jacobi, the
 discriminant/eta-product match) are decided by integer arithmetic, and
-floating point enters only in :func:`QSeries.eval`.
+floating point enters only in :func:`QSeries.eval`.  Every ring operation
+runs on Python ints; ``Fraction`` appears only where coefficients enter
+(the constructor, :meth:`QSeries.scale`) and leave (:meth:`QSeries.coefficient`,
+``repr``).
 
 Instances are immutable after construction and safe to share between
 threads.
@@ -23,6 +27,7 @@ threads.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from enum import Enum
 from typing import Iterable, Sequence
@@ -65,26 +70,38 @@ class Nome(Enum):
 
 
 class QSeries:
-    """Truncated Laurent series sum_{k=lowest}^{order} c_k * nome^k.
+    """Truncated Laurent series sum_{k=lowest}^{order} (num[k-lowest]/den) * nome^k.
 
     Exponents above ``order`` are unknown (truncated), exponents below
-    ``lowest`` are exactly zero.  All coefficients are ``Fraction``.
+    ``lowest`` are exactly zero.  ``num`` is a tuple of ints and ``den`` a
+    positive int with gcd(den, *num) = 1; ``num[0]`` is nonzero unless the
+    window is zero.  The constructor takes ints or ``Fraction``s.
     """
 
-    __slots__ = ("nome", "lowest", "coeffs", "_float_cache")
+    __slots__ = ("nome", "lowest", "num", "den", "_float_cache")
 
     def __init__(self, nome: Nome, coeffs: Sequence, lowest: int = 0):
-        if not coeffs:
+        parsed = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in parsed))
+        self._set(nome, [c.numerator * (den // c.denominator) for c in parsed], den, lowest)
+
+    @classmethod
+    def _make(cls, nome: Nome, num: Sequence[int], den: int, lowest: int) -> "QSeries":
+        """Series from integer numerators over a positive denominator."""
+        series = cls.__new__(cls)
+        series._set(nome, num, den, lowest)
+        return series
+
+    def _set(self, nome: Nome, num: Sequence[int], den: int, lowest: int) -> None:
+        if not num:
             raise ValueError("QSeries needs at least one coefficient slot")
-        self.nome = nome
-        parsed = [Fraction(c) for c in coeffs]
-        lowest = int(lowest)
         # trim exact leading zeros so `lowest` reflects the true leading exponent
-        while len(parsed) > 1 and parsed[0] == 0:
-            parsed.pop(0)
-            lowest += 1
-        self.lowest = lowest
-        self.coeffs = tuple(parsed)
+        first = next((j for j, n in enumerate(num) if n), len(num) - 1)
+        g = math.gcd(den, *num)
+        self.nome = nome
+        self.lowest = int(lowest) + first
+        self.num = tuple(n // g for n in num[first:]) if g > 1 else tuple(num[first:])
+        self.den = den // g
         self._float_cache = None
 
     # -- basic introspection -------------------------------------------------
@@ -92,7 +109,11 @@ class QSeries:
     @property
     def order(self) -> int:
         """Highest retained exponent."""
-        return self.lowest + len(self.coeffs) - 1
+        return self.lowest + len(self.num) - 1
+
+    def _num_at(self, k: int) -> int:
+        """Numerator of nome**k over ``den``, 0 below the window."""
+        return self.num[k - self.lowest] if k >= self.lowest else 0
 
     def coefficient(self, k: int) -> Fraction:
         """Exact coefficient of nome**k (0 outside the stored window).
@@ -102,23 +123,18 @@ class QSeries:
         """
         if k > self.order:
             raise IndexError(f"coefficient of exponent {k} beyond order {self.order}")
-        if k < self.lowest:
-            return Fraction(0)
-        return self.coeffs[k - self.lowest]
+        return Fraction(self._num_at(k), self.den)
 
     def leading_exponent(self) -> int | None:
         """Exponent of the first nonzero coefficient, or None for the zero window."""
-        for j, c in enumerate(self.coeffs):
-            if c != 0:
-                return self.lowest + j
-        return None
+        return self.lowest if self.num[0] else None
 
     def support(self) -> list[int]:
         """Exponents with nonzero coefficients."""
-        return [self.lowest + j for j, c in enumerate(self.coeffs) if c != 0]
+        return [self.lowest + j for j, n in enumerate(self.num) if n]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.num[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
@@ -127,11 +143,12 @@ class QSeries:
             return False
         lo = min(self.lowest, other.lowest)
         hi = min(self.order, other.order)
-        return all(self.coefficient(k) == other.coefficient(k) for k in range(lo, hi + 1))
+        return all(self._num_at(k) * other.den == other._num_at(k) * self.den
+                   for k in range(lo, hi + 1))
 
     def __repr__(self) -> str:
-        terms = [f"{c}*{self.nome.value}^{self.lowest + j}"
-                 for j, c in enumerate(self.coeffs) if c != 0][:4]
+        terms = [f"{Fraction(n, self.den)}*{self.nome.value}^{self.lowest + j}"
+                 for j, n in enumerate(self.num) if n][:4]
         body = " + ".join(terms) if terms else "0"
         return f"QSeries({body} + O({self.nome.value}^{self.order + 1}))"
 
@@ -145,45 +162,43 @@ class QSeries:
         self._check_nome(other)
         lowest = min(self.lowest, other.lowest)
         order = min(self.order, other.order)
-        coeffs = [self.coefficient(k) + other.coefficient(k) for k in range(lowest, order + 1)]
-        return QSeries(self.nome, coeffs, lowest)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        num = [a * self._num_at(k) + b * other._num_at(k) for k in range(lowest, order + 1)]
+        return QSeries._make(self.nome, num, den, lowest)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.nome, [-c for c in self.coeffs], self.lowest)
+        return QSeries._make(self.nome, [-n for n in self.num], self.den, self.lowest)
 
     def scale(self, c) -> "QSeries":
         c = Fraction(c)
-        return QSeries(self.nome, [c * a for a in self.coeffs], self.lowest)
+        return QSeries._make(self.nome, [c.numerator * n for n in self.num],
+                             c.denominator * self.den, self.lowest)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         self._check_nome(other)
-        # First unknown exponent of the product: whichever factor truncates
-        # first, shifted by the other factor's lowest exponent.
-        prec = min(self.order + 1 + other.lowest, other.order + 1 + self.lowest)
-        lowest = self.lowest + other.lowest
-        n = prec - lowest
-        if n <= 0:
-            raise ValueError("product has no retained coefficients at this truncation")
-        acc = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
+        # The product is known up to whichever factor truncates first,
+        # shifted by the other factor's lowest exponent: min(len) slots.
+        n = min(len(self.num), len(other.num))
+        acc = [0] * n
+        right = [(j, b) for j, b in enumerate(other.num[:n]) if b]
+        for i, a in enumerate(self.num[:n]):
+            if not a:
                 continue
-            ka = self.lowest + i
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                k = ka + other.lowest + j - lowest
-                if 0 <= k < n:
-                    acc[k] += a * b
-        return QSeries(self.nome, acc, lowest)
+            for j, b in right:
+                k = i + j
+                if k >= n:
+                    break
+                acc[k] += a * b
+        return QSeries._make(self.nome, acc, self.den * other.den, self.lowest + other.lowest)
 
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
             raise ValueError("use inverse() for negative powers")
-        result = QSeries(self.nome, [Fraction(1)] + [Fraction(0)] * (len(self.coeffs) - 1), 0)
+        result = QSeries._make(self.nome, [1] + [0] * (len(self.num) - 1), 1, 0)
         base = self
         while n:
             if n & 1:
@@ -195,21 +210,29 @@ class QSeries:
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse; lowest exponent negates, precision shrinks by 2*lowest."""
-        lead = self.leading_exponent()
-        if lead is None:
+        if self.is_zero():
             raise ZeroDivisionSeries("cannot invert the zero series")
-        # u = series / nome^lead is a unit; invert it by recursion.
-        u = [self.coefficient(lead + j) for j in range(self.order - lead + 1)]
-        n = len(u)
-        inv = [Fraction(0)] * n
-        inv[0] = 1 / u[0]
+        # self = (content/den) * nome^lowest * U with U = sum u_j nome^j, u_j
+        # coprime integers.  W_k = u0^(k+1) * [nome^k] U^-1 is an integer:
+        # W_0 = 1, W_k = -sum_{j=1..k} u_j u0^(j-1) W_{k-j}.
+        content = math.gcd(*self.num)
+        u = [x // content for x in self.num]
+        u0, n = u[0], len(u)
+        steps = [(j, uj * u0 ** (j - 1)) for j, uj in enumerate(u) if j and uj]
+        w = [1] + [0] * (n - 1)
         for k in range(1, n):
-            s = Fraction(0)
-            for j in range(1, k + 1):
-                if u[j] != 0:
-                    s += u[j] * inv[k - j]
-            inv[k] = -s / u[0]
-        return QSeries(self.nome, inv, -lead)
+            s = 0
+            for j, e in steps:
+                if j > k:
+                    break
+                s += e * w[k - j]
+            w[k] = -s
+        # [nome^k] U^-1 = W_k u0^(n-1-k) / u0^n; fold in den/content.
+        num = [self.den * wk * u0 ** (n - 1 - k) for k, wk in enumerate(w)]
+        den = content * u0 ** n
+        if den < 0:
+            num, den = [-x for x in num], -den
+        return QSeries._make(self.nome, num, den, -self.lowest)
 
     def __truediv__(self, other: "QSeries") -> "QSeries":
         self._check_nome(other)
@@ -220,7 +243,7 @@ class QSeries:
         if order < self.lowest:
             raise ValueError("truncation below the lowest exponent")
         keep = order - self.lowest + 1
-        return QSeries(self.nome, self.coeffs[:keep], self.lowest)
+        return QSeries._make(self.nome, self.num[:keep], self.den, self.lowest)
 
     # -- calculus and nome conversion ----------------------------------------
 
@@ -230,39 +253,37 @@ class QSeries:
         Acts on nome exponents as k -> k (Q2) and k -> k/8 (Q4), because
         q4^8 = q2.  Coefficients stay exact rationals.
         """
-        scale = Fraction(1) if self.nome is Nome.Q2 else Fraction(1, 8)
-        coeffs = [scale * (self.lowest + j) * c for j, c in enumerate(self.coeffs)]
-        return QSeries(self.nome, coeffs, self.lowest)
+        den = self.den if self.nome is Nome.Q2 else 8 * self.den
+        num = [(self.lowest + j) * n for j, n in enumerate(self.num)]
+        return QSeries._make(self.nome, num, den, self.lowest)
 
     def to_q4(self) -> "QSeries":
         """Re-express a Q2 series in the Q4 nome (exponents multiply by 8)."""
         if self.nome is Nome.Q4:
             return self
-        n = 8 * (len(self.coeffs) - 1) + 1
-        coeffs = [Fraction(0)] * n
-        for j, c in enumerate(self.coeffs):
-            coeffs[8 * j] = c
-        return QSeries(Nome.Q4, coeffs, 8 * self.lowest)
+        num = [0] * (8 * (len(self.num) - 1) + 1)
+        num[::8] = self.num
+        return QSeries._make(Nome.Q4, num, self.den, 8 * self.lowest)
 
     # -- numerics --------------------------------------------------------------
 
-    def _floats(self):
+    def _numeric(self) -> tuple[tuple[float, ...], float]:
+        """Float coefficients (int / int is correctly rounded) and the tail
+        constant C, computed once.  C is the largest magnitude among the last
+        few retained coefficients, a pragmatic stand-in for the
+        (sub-exponentially growing) true tail.
+        """
         if self._float_cache is None:
-            self._float_cache = tuple(float(c) for c in self.coeffs)
+            floats = tuple(n / self.den for n in self.num)
+            nz = [abs(c) for c in floats[-12:] if c != 0.0]
+            self._float_cache = (floats, max(nz) if nz else max(map(abs, floats)))
         return self._float_cache
 
     def tail_estimate(self, abs_nome: float) -> float:
-        """Geometric tail bound C * |q|^order / (1 - |q|).
-
-        C is the largest magnitude among the last few retained coefficients,
-        a pragmatic stand-in for the (sub-exponentially growing) true tail.
-        """
+        """Geometric tail bound C * |q|^order / (1 - |q|), C as in ``_numeric``."""
         if abs_nome >= 1.0:
             return float("inf")
-        floats = self._floats()
-        nz = [abs(c) for c in floats[-12:] if c != 0.0]
-        c_top = max(nz) if nz else max((abs(c) for c in floats), default=0.0)
-        return c_top * abs_nome ** max(self.order, 1) / (1.0 - abs_nome)
+        return self._numeric()[1] * abs_nome ** max(self.order, 1) / (1.0 - abs_nome)
 
     def eval(self, tau, tol: float = 1e-12, eta_min: float = ETA_MIN_DEFAULT):
         """Evaluate at a point, or an ndarray of points, of the upper half-plane.
@@ -290,7 +311,7 @@ class QSeries:
             raise TruncationInsufficient(
                 f"tail estimate exceeds tol={tol} at |q|={abs_max:.4g}, order {self.order}")
         acc = 0.0 + 0.0j
-        for c in reversed(self._floats()):
+        for c in reversed(self._numeric()[0]):
             acc = acc * w + c
         if self.lowest:
             acc *= w ** self.lowest
@@ -298,19 +319,19 @@ class QSeries:
 
 
 def zero_series(nome: Nome, order: int) -> QSeries:
-    return QSeries(nome, [Fraction(0)] * (order + 1), 0)
+    return QSeries(nome, [0] * (order + 1), 0)
 
 
 def one_series(nome: Nome, order: int) -> QSeries:
-    return QSeries(nome, [Fraction(1)] + [Fraction(0)] * order, 0)
+    return QSeries(nome, [1] + [0] * order, 0)
 
 
 def monomial(nome: Nome, k: int, order: int, c=1) -> QSeries:
     """c * nome^k truncated at ``order``."""
     if k > order:
         raise ValueError("monomial exponent above truncation order")
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[k] = Fraction(c)
+    coeffs = [0] * (order + 1)
+    coeffs[k] = c
     return QSeries(nome, coeffs, 0)
 
 
@@ -319,9 +340,9 @@ def from_coefficients(nome: Nome, pairs: Iterable[tuple[int, object]], order: in
     pairs = list(pairs)
     lowest = min((k for k, _ in pairs), default=0)
     lowest = min(lowest, 0)
-    coeffs = [Fraction(0)] * (order - lowest + 1)
+    coeffs = [0] * (order - lowest + 1)
     for k, c in pairs:
         if k > order:
             raise ValueError(f"exponent {k} above truncation order {order}")
-        coeffs[k - lowest] += Fraction(c)
+        coeffs[k - lowest] += c
     return QSeries(nome, coeffs, lowest)

@@ -247,6 +247,13 @@ def test_runconfig_validation():
     ["packing", "mc", "--radius", "nan", "--samples", "1000"],
     ["magic", "table", "--which", "G", "--grid", "0:nan:5"],
     ["axis", "check", "--grid=-inf:1:5"],
+    # refused by the library with ValueError
+    ["packing", "mc", "--samples", "0"],
+    ["packing", "mc", "--radius", "-1"],
+    ["lattice", "shells", "--max-norm2", "-2"],
+    ["lattice", "decode", "--point", "nan,0,0,0,0,0,0,0"],
+    ["forms", "identities", "--order", "1"],
+    ["axis", "check", "--grid", "0:1:5"],
 ])
 def test_bad_input_refused_at_boundary(capsys, argv):
     code, out, err = invoke(capsys, *argv)

@@ -12,6 +12,7 @@ from spherepack.packing import (
     ball_volume,
     check_separation,
     e8_packing_spec,
+    _worker_count,
     finite_density_mc,
     periodic_density,
 )
@@ -118,6 +119,15 @@ def test_mc_reproducible_across_thread_counts():
     b = finite_density_mc(spec, radius=3.0, samples=200_000, seed=42, threads=4)
     assert a.value == b.value
     assert a.stderr == b.stderr
+
+
+@pytest.mark.parametrize("threads, blocks, workers", [
+    (0, 5, 1), (1, 5, 1), (4, 5, 4), (5, 5, 5), (6, 5, 5),
+    (10 ** 6, 32, 32), (10 ** 6, 1, 1), (3, 0, 1),
+])
+def test_mc_worker_count_clamped_to_blocks(threads, blocks, workers):
+    # pure function: nothing here starts a thread
+    assert _worker_count(threads, blocks) == workers
 
 
 def test_mc_seed_sensitivity():

@@ -166,3 +166,155 @@ def test_array_eval_raises_the_scalar_errors():
         f.eval(complex(taus[1]), tol=1e-12)
     with pytest.raises(DomainTooLow):
         geometric(60).eval(np.array([1j, complex(0.0, math.nan)]))
+
+
+# -- exactness: integer numerators against a plain-Fraction reference -------------
+
+def _window(s):
+    """(nome, lowest, exact coefficients) of a library series, after checking
+    that it is stored as reduced int numerators over a positive denominator."""
+    assert type(s.den) is int and s.den > 0 and all(type(n) is int for n in s.num)
+    assert math.gcd(s.den, *s.num) == 1
+    return s.nome, s.lowest, [s.coefficient(k) for k in range(s.lowest, s.order + 1)]
+
+
+def _ref(nome, lowest, coeffs):
+    """Reference series: leading zeros trimmed as the library does."""
+    coeffs = [Fraction(c) for c in coeffs]
+    while len(coeffs) > 1 and coeffs[0] == 0:
+        coeffs.pop(0)
+        lowest += 1
+    return nome, lowest, coeffs
+
+
+def _ref_at(r, k):
+    _, lowest, coeffs = r
+    return coeffs[k - lowest] if k >= lowest else Fraction(0)
+
+
+def _ref_order(r):
+    return r[1] + len(r[2]) - 1
+
+
+def _ref_add(r, s):
+    lowest, order = min(r[1], s[1]), min(_ref_order(r), _ref_order(s))
+    return _ref(r[0], lowest, [_ref_at(r, k) + _ref_at(s, k) for k in range(lowest, order + 1)])
+
+
+def _ref_scale(r, c):
+    return _ref(r[0], r[1], [Fraction(c) * a for a in r[2]])
+
+
+def _ref_mul(r, s):
+    n = min(len(r[2]), len(s[2]))
+    acc = [Fraction(0)] * n
+    for i, a in enumerate(r[2]):
+        for j, b in enumerate(s[2]):
+            if i + j < n:
+                acc[i + j] += a * b
+    return _ref(r[0], r[1] + s[1], acc)
+
+
+def _ref_pow(r, e):
+    out = _ref(r[0], 0, [1] + [0] * (len(r[2]) - 1))
+    for _ in range(e):
+        out = _ref_mul(out, r)
+    return out
+
+
+def _ref_inverse(r):
+    u = r[2]
+    inv = [1 / u[0]]
+    for k in range(1, len(u)):
+        inv.append(-sum(u[j] * inv[k - j] for j in range(1, k + 1)) / u[0])
+    return _ref(r[0], -r[1], inv)
+
+
+def _ref_eq(r, s):
+    lo, hi = min(r[1], s[1]), min(_ref_order(r), _ref_order(s))
+    return r[0] is s[0] and all(_ref_at(r, k) == _ref_at(s, k) for k in range(lo, hi + 1))
+
+
+def _random_coeffs(rng, n):
+    """Rationals with small numerators and denominators, about a third zero;
+    the first is nonzero and seldom a unit."""
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() > 0.35 else 0
+              for _ in range(n)]
+    coeffs[0] = rng.choice([2, -3, Fraction(5, 4), Fraction(-7, 6), 1, -1])
+    return coeffs
+
+
+def test_integer_numerators_match_fraction_reference():
+    import random
+    rng = random.Random(20240611)
+    for _ in range(120):
+        nome = rng.choice([Nome.Q2, Nome.Q4])
+        ca, cb = _random_coeffs(rng, rng.randint(1, 14)), _random_coeffs(rng, rng.randint(1, 14))
+        la, lb = rng.randint(-4, 3), rng.randint(-4, 3)
+        a, b = QSeries(nome, ca, la), QSeries(nome, cb, lb)
+        ra, rb = _ref(nome, la, ca), _ref(nome, lb, cb)
+        c = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+        assert _window(a) == ra and _window(b) == rb
+        assert _window(a + b) == _ref_add(ra, rb)
+        assert _window(a - b) == _ref_add(ra, _ref_scale(rb, -1))
+        assert _window(-a) == _ref_scale(ra, -1)
+        assert _window(a.scale(c)) == _ref_scale(ra, c)
+        assert _window(a * b) == _ref_mul(ra, rb)
+        e = rng.randint(0, 4)
+        assert _window(a ** e) == _ref_pow(ra, e)
+        assert _window(a.inverse()) == _ref_inverse(ra)
+        assert _window(a / b) == _ref_mul(ra, _ref_inverse(rb))
+        cut = rng.randint(a.lowest, a.order)
+        assert _window(a.truncate(cut)) == _ref(nome, la, ca[:cut - a.lowest + 1])
+        step = Fraction(1) if nome is Nome.Q2 else Fraction(1, 8)
+        assert _window(a.derivative()) == _ref(
+            nome, a.lowest, [step * (a.lowest + j) * x for j, x in enumerate(ra[2])])
+        if nome is Nome.Q2:
+            spread = [0] * (8 * len(ra[2]) - 7)
+            spread[::8] = ra[2]
+            assert _window(a.to_q4()) == _ref(Nome.Q4, 8 * a.lowest, spread)
+        assert (a == b) == _ref_eq(ra, rb)
+        # == over the common window, across different denominators (13 divides
+        # no denominator of _random_coeffs)
+        longer = QSeries(nome, ra[2] + [Fraction(1, 13)], a.lowest)
+        assert longer.den != a.den and longer == a and a == longer
+        bumped = QSeries(nome, ra[2][:-1] + [ra[2][-1] + Fraction(1, 17)], a.lowest)
+        assert bumped != a and (bumped == longer) is False
+
+
+def test_zero_window_through_integer_paths():
+    z = QSeries(Nome.Q4, [Fraction(0), 0, Fraction(0, 5)], -2)
+    assert z.is_zero() and z.leading_exponent() is None and z.den == 1
+    assert z.order == 0 and z.coefficient(-3) == 0
+    with pytest.raises(ZeroDivisionSeries):
+        z.inverse()
+    f = QSeries(Nome.Q4, [Fraction(3, 4), 0, 1], 0)
+    assert (f - f).is_zero()
+
+
+# The builder calls the benchmark makes (each distinct call once), hashed as
+# (nome, lowest, [(numerator, denominator), ...]) of each exact coefficient.
+# Recorded with the earlier Fraction-coefficient implementation.
+_PINNED_CALLS = [
+    ("eisenstein_qseries", 2, 50), ("eisenstein_qseries", 4, 50), ("eisenstein_qseries", 6, 50),
+    ("theta_qseries", "00", 200), ("theta_qseries", "10", 200), ("theta_qseries", "01", 200),
+    ("form_qseries", "THETA00"), ("form_qseries", "THETA10"), ("form_qseries", "THETA01"),
+    ("delta_qseries", 50), ("eta_product_qseries", 50),
+    ("form_qseries", "PHI0"), ("form_qseries", "PSI_S"), ("phi0_qseries",),
+    ("phi0_anomaly_qseries",), ("e4sq_over_delta_qseries",), ("psi_i_qseries",),
+    ("_b_minus_psi_i_q4",), ("_b_plus_psi_i_q4",),
+]
+_PINNED_SHA256 = "1b345697b56f1c73507f263add64fb990cf7a3fe2e992a9c4530d60e2b013fab"
+
+
+def test_builder_coefficients_match_pinned_hash():
+    import hashlib
+    from spherepack import forms
+    digest = hashlib.sha256()
+    for name, *args in _PINNED_CALLS:
+        s = (forms.form_qseries(FormId[args[0]]) if name == "form_qseries"
+             else getattr(forms, name)(*args))
+        nome, lowest, coeffs = _window(s)
+        pairs = [(c.numerator, c.denominator) for c in coeffs]
+        digest.update(repr((nome.value, lowest, pairs)).encode())
+    assert digest.hexdigest() == _PINNED_SHA256
