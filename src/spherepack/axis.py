@@ -1,7 +1,8 @@
 """Imaginary-axis restrictions and the two-sided positivity inequalities.
 
-``res_to_imag_axis`` restricts any named form to t -> F(i*t), returning
-exactly 0 for t <= 0.
+Every function takes a grid of t as one array and evaluates each series
+once per branch (t >= 1, t < 1), never per point.  ``res_to_imag_axis``
+restricts any named form to t -> F(i*t), returning exactly 0 for t <= 0.
 
 ``eq2_samples``/``verify_inequalities`` probe the pair of combinations
 phi0 +- (36/pi^2) psi_s in two conventions:
@@ -27,15 +28,16 @@ phi0 +- (36/pi^2) psi_s in two conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
+
+import numpy as np
 
 from .forms import (
     FormId,
     axis_combo_direct,
     axis_combo_weighted,
-    eval_form,
     eval_phi0_axis,
     eval_psi_i_axis,
     eval_psi_s_axis,
@@ -60,86 +62,93 @@ def log_grid(lo: float = 0.05, hi: float = 20.0, n: int = 400) -> tuple[float, .
     return tuple(lo * ratio ** (j / (n - 1)) for j in range(n))
 
 
-def res_to_imag_axis(form: FormId, t: float) -> complex:
-    """F(i*t) for t > 0 and exactly 0 otherwise.
+#: t < 1 through the inversion law F(it) = sign * u^weight * partner(iu)
+#: + anomaly * u / pi with u = 1/t; E2's anomaly is its quasimodular term
+_INVERSION = {
+    FormId.E2: (-1.0, 2, FormId.E2, 6.0),
+    FormId.E4: (1.0, 4, FormId.E4, 0.0),
+    FormId.E6: (-1.0, 6, FormId.E6, 0.0),
+    FormId.DELTA: (1.0, 12, FormId.DELTA, 0.0),
+    FormId.THETA00: (1.0, 0.5, FormId.THETA00, 0.0),
+    FormId.THETA01: (1.0, 0.5, FormId.THETA10, 0.0),
+    FormId.THETA10: (1.0, 0.5, FormId.THETA01, 0.0),
+}
+
+#: forms whose small-t branch needs more than one series
+_AXIS_EVALUATORS = {FormId.PHI0: eval_phi0_axis, FormId.PSI_S: eval_psi_s_axis}
+
+
+def res_to_imag_axis(form: FormId, t: float | np.ndarray) -> complex | np.ndarray:
+    """F(i*t) for t > 0 and exactly 0 otherwise, at a float or an array of t.
 
     Small t is reached through the inversion laws of each form, so the
     series argument always has Im >= 1.
     """
-    if t <= 0.0:
-        return 0j
-    if t >= 1.0:
-        return form_qseries(form).eval(1j * t)
-    u = 1.0 / t
-    iu = 1j * u
-    if form is FormId.E2:
-        return -(u * u) * eval_form(FormId.E2, iu) + 6.0 * u / PI
-    if form is FormId.E4:
-        return (u ** 4) * eval_form(FormId.E4, iu)
-    if form is FormId.E6:
-        return -(u ** 6) * eval_form(FormId.E6, iu)
-    if form is FormId.DELTA:
-        return (u ** 12) * eval_form(FormId.DELTA, iu)
-    if form is FormId.THETA00:
-        return math.sqrt(u) * eval_form(FormId.THETA00, iu)
-    if form is FormId.THETA01:
-        return math.sqrt(u) * eval_form(FormId.THETA10, iu)
-    if form is FormId.THETA10:
-        return math.sqrt(u) * eval_form(FormId.THETA01, iu)
-    if form is FormId.PHI0:
-        return complex(eval_phi0_axis(t))
-    if form is FormId.PSI_S:
-        return complex(eval_psi_s_axis(t))
-    raise ValueError(f"unknown form {form}")
+    ts = np.asarray(t, dtype=float)
+    if np.isnan(ts).any():
+        raise ValueError("axis restriction needs t that is not NaN")
+    out = np.zeros(ts.shape, dtype=complex)
+    positive = ts > 0.0
+    if form in _AXIS_EVALUATORS:
+        out[positive] = _AXIS_EVALUATORS[form](ts[positive])
+    else:
+        sign, weight, partner, anomaly = _INVERSION[form]
+        upper = ts >= 1.0
+        out[upper] = form_qseries(form).eval(1j * ts[upper])
+        u = 1.0 / ts[positive & ~upper]
+        out[positive & ~upper] = (sign * u ** weight * form_qseries(partner).eval(1j * u)
+                                  + anomaly * u / PI)
+    return complex(out) if ts.ndim == 0 else out
 
 
 def check_realness(form: FormId, grid: Sequence[float]) -> float:
     """max |Im F(it)| / |F(it)| over the grid (should be rounding-level)."""
-    worst = 0.0
-    for t in grid:
-        if t <= 0:
-            raise ValueError("realness grid must be positive")
-        v = res_to_imag_axis(form, t)
-        if v != 0:
-            worst = max(worst, abs(v.imag) / abs(v))
-    return worst
+    ts = np.asarray(grid, dtype=float)
+    if not (ts > 0).all():
+        raise ValueError("realness grid must be positive")
+    v = res_to_imag_axis(form, ts)
+    v = v[v != 0]
+    return float(np.max(np.abs(v.imag) / np.abs(v), initial=0.0))
 
 
-@dataclass(frozen=True)
-class AxisSample:
-    """One grid point: the two kernels and their weighted sum and difference."""
+@dataclass(frozen=True, eq=False)
+class AxisSamples:
+    """The grid, the two kernels and their weighted sum and difference, as arrays."""
 
-    t: float
-    phi0: float
-    psi_s: float
-    combo_plus: float    # phi0 + (36/pi^2) psi_s
-    combo_minus: float   # phi0 - (36/pi^2) psi_s
+    t: np.ndarray
+    phi0: np.ndarray
+    psi_s: np.ndarray
+    combo_plus: np.ndarray    # phi0 + (36/pi^2) psi_s
+    combo_minus: np.ndarray   # phi0 - (36/pi^2) psi_s
+
+    def margins(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both combinations over max(|kernels|): scale-free sign margins."""
+        scale = np.maximum(np.maximum(np.abs(self.phi0), WEIGHT36 * np.abs(self.psi_s)), 1e-300)
+        return self.combo_plus / scale, self.combo_minus / scale
+
+    def concat(self, other: "AxisSamples") -> "AxisSamples":
+        return AxisSamples(*map(np.concatenate, zip(vars(self).values(), vars(other).values())))
 
 
-def eq2_samples(grid: Sequence[float], convention: Eq2Convention) -> list[AxisSample]:
-    """Kernel pairs and combinations at each grid point.
+#: per convention: phi0-slot kernel, psi_s-slot kernel, combination, phi0-slot weight
+_CONVENTIONS = {
+    Eq2Convention.DIRECT: (eval_phi0_axis, eval_psi_s_axis, axis_combo_direct, 1.0),
+    Eq2Convention.S_WEIGHTED: (eval_psi_i_axis, phi0_weighted_kernel, axis_combo_weighted, WEIGHT36),
+}
+
+
+def eq2_samples(grid: Sequence[float], convention: Eq2Convention) -> AxisSamples:
+    """Kernel pairs and combinations over the whole grid.
 
     The combinations are computed through cancellation-free series (the
     exp(2 pi t)-sized parts combined exactly), so the samples remain
-    meaningful where naive subtraction would lose all precision.
+    meaningful where naive subtraction would lose all precision.  A t <= 0
+    or NaN raises ValueError.
     """
-    samples = []
-    for t in grid:
-        if t <= 0:
-            raise ValueError("grid must be positive")
-        if convention is Eq2Convention.DIRECT:
-            phi0 = eval_phi0_axis(t)
-            psi = eval_psi_s_axis(t)
-            plus = axis_combo_direct(t, +1)
-            minus = axis_combo_direct(t, -1)
-        else:
-            phi0 = WEIGHT36 * eval_psi_i_axis(t)
-            psi = (1.0 / WEIGHT36) * phi0_weighted_kernel(t)
-            plus = axis_combo_weighted(t, +1)
-            minus = axis_combo_weighted(t, -1)
-        samples.append(AxisSample(t=t, phi0=phi0, psi_s=psi,
-                                  combo_plus=plus, combo_minus=minus))
-    return samples
+    t = np.asarray(grid, dtype=float)
+    first, second, combo, w = _CONVENTIONS[convention]
+    return AxisSamples(t=t, phi0=w * first(t), psi_s=(1.0 / w) * second(t),
+                       combo_plus=combo(t, +1), combo_minus=combo(t, -1))
 
 
 @dataclass(frozen=True)
@@ -156,53 +165,35 @@ class InequalityReport:
     pass_: bool
 
     def as_dict(self) -> dict:
-        return {
-            "convention": self.convention.value,
-            "grid_size": self.grid_size,
-            "min_plus": self.min_plus,
-            "argmin_plus": self.argmin_plus,
-            "min_minus": self.min_minus,
-            "argmin_minus": self.argmin_minus,
-            "min_margin_plus": self.min_margin_plus,
-            "min_margin_minus": self.min_margin_minus,
-            "refined": self.refined,
-            "pass": self.pass_,
-        }
-
-
-def _margins(sample: AxisSample) -> tuple[float, float]:
-    scale = max(abs(sample.phi0), WEIGHT36 * abs(sample.psi_s), 1e-300)
-    return sample.combo_plus / scale, sample.combo_minus / scale
+        return ({f.name.rstrip("_"): getattr(self, f.name) for f in fields(self)}
+                | {"convention": self.convention.value})
 
 
 def verify_inequalities(grid: Sequence[float] | None = None,
-                        convention: Eq2Convention = Eq2Convention.S_WEIGHTED,
-                        refine: bool = True) -> InequalityReport:
+                        convention: Eq2Convention = Eq2Convention.S_WEIGHTED) -> InequalityReport:
     """Positivity of both combinations over the grid, with local refinement.
 
     A refinement pass (4x density) is run around any normalized margin
     below 1e-3 to make sure a thin sign dip is not straddled by the grid.
     pass is true iff both combinations are strictly positive everywhere.
     """
-    pts = list(log_grid() if grid is None else grid)
+    pts = np.asarray(log_grid() if grid is None else grid, dtype=float)
+    if not pts.size:
+        raise ValueError("grid must not be empty")
     samples = eq2_samples(pts, convention)
-    refined = False
-    if refine:
-        suspicious = [s.t for s in samples if min(_margins(s)) < 1e-3]
-        extra: list[float] = []
-        for t in suspicious:
-            extra.extend([t * 0.99, t * 0.995, t * 1.005, t * 1.01])
-        extra = [t for t in extra if pts[0] <= t <= pts[-1]]
-        if extra:
-            refined = True
-            samples.extend(eq2_samples(extra, convention))
-    min_plus = min(samples, key=lambda s: s.combo_plus)
-    min_minus = min(samples, key=lambda s: s.combo_minus)
-    margin_plus = min(_margins(s)[0] for s in samples)
-    margin_minus = min(_margins(s)[1] for s in samples)
-    ok = min_plus.combo_plus > 0.0 and min_minus.combo_minus > 0.0
-    return InequalityReport(convention=convention, grid_size=len(samples),
-                            min_plus=min_plus.combo_plus, argmin_plus=min_plus.t,
-                            min_minus=min_minus.combo_minus, argmin_minus=min_minus.t,
-                            min_margin_plus=margin_plus, min_margin_minus=margin_minus,
-                            refined=refined, pass_=ok)
+    plus, minus = samples.margins()
+    near = samples.t[np.minimum(plus, minus) < 1e-3]
+    extra = np.outer(near, [0.99, 0.995, 1.005, 1.01]).ravel()
+    extra = extra[(pts[0] <= extra) & (extra <= pts[-1])]
+    if extra.size:
+        samples = samples.concat(eq2_samples(extra, convention))
+        plus, minus = samples.margins()
+    # first-index argmin: ties resolve to the earliest sample, as min() does
+    ip, im = int(np.argmin(samples.combo_plus)), int(np.argmin(samples.combo_minus))
+    min_plus, min_minus = float(samples.combo_plus[ip]), float(samples.combo_minus[im])
+    return InequalityReport(
+        convention=convention, grid_size=samples.t.size,
+        min_plus=min_plus, argmin_plus=float(samples.t[ip]),
+        min_minus=min_minus, argmin_minus=float(samples.t[im]),
+        min_margin_plus=float(plus.min()), min_margin_minus=float(minus.min()),
+        refined=bool(extra.size), pass_=min_plus > 0.0 and min_minus > 0.0)

@@ -273,10 +273,9 @@ def _cmd_packing_density(args, config: RunConfig):
 
 def _cmd_packing_mc(args, config: RunConfig):
     _require_finite("--radius", args.radius)
-    threads = _effective_threads(args, config)
     est = finite_density_mc(e8_packing_spec(), radius=args.radius,
                             samples=args.samples, seed=_effective_seed(args, config),
-                            threads=threads)
+                            threads=_effective_threads(args, config))
     dev = abs(est.value - E8_DENSITY)
     results = {
         "value": est.value,
@@ -284,7 +283,7 @@ def _cmd_packing_mc(args, config: RunConfig):
         "samples": est.samples,
         "seed": est.seed,
         "radius": est.radius,
-        "threads": threads,
+        "threads": est.workers,
         "target": E8_DENSITY,
         "abs_deviation": dev,
         "deviation_sigmas": dev / est.stderr if est.stderr > 0 else float("inf"),
@@ -371,15 +370,11 @@ def _cmd_axis_check(args, config: RunConfig):
     grid = (_parse_grid(args.grid) if args.grid
             else log_grid(config.axis_grid_lo, config.axis_grid_hi, config.axis_grid_n))
     which = args.convention
-    reports = {}
-    if which in ("direct", "both"):
-        reports["direct"] = verify_inequalities(grid, Eq2Convention.DIRECT).as_dict()
-    if which in ("sweighted", "both"):
-        reports["sweighted"] = verify_inequalities(grid, Eq2Convention.S_WEIGHTED).as_dict()
-    realness = {
-        "phi0": check_realness(FormId.PHI0, log_grid(0.1, 10.0, 25)),
-        "psi_s": check_realness(FormId.PSI_S, log_grid(0.1, 10.0, 25)),
-    }
+    names = ("direct", "sweighted") if which == "both" else (which,)
+    reports = {n: verify_inequalities(grid, Eq2Convention(n)).as_dict() for n in names}
+    real_grid = log_grid(0.1, 10.0, 25)
+    realness = {"phi0": check_realness(FormId.PHI0, real_grid),
+                "psi_s": check_realness(FormId.PSI_S, real_grid)}
     results = {
         "conventions": reports,
         "certified_by": "sweighted",

@@ -15,18 +15,22 @@ The classical identities the whole construction leans on (Ramanujan's
 derivative identities, the Jacobi quartic identity, Delta as an eta
 product) are checked here in exact arithmetic.
 
-Everything on the positive imaginary axis is evaluated through
-``*_axis`` functions: direct series for t >= 1, inversion transforms for
-t < 1 so the series argument always has Im >= 1.
+Everything on the positive imaginary axis is evaluated through ``*_axis``
+functions, which take a float or an array of t: direct series for t >= 1,
+inversion transforms for t < 1 so the series argument always has Im >= 1,
+one array series evaluation per branch.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
+
+import numpy as np
 
 from .errors import NonRealValue
 from .qseries import (
@@ -73,6 +77,22 @@ class FormId(Enum):
 # arithmetic helpers and generators
 # ---------------------------------------------------------------------------
 
+def _series_cache(build):
+    """lru_cache keyed on the effective arguments, defaults filled in, so
+    theta_qseries("00") and theta_qseries("00", 256) are one entry."""
+    cached = lru_cache(maxsize=None)(build)
+    signature = inspect.signature(build)
+
+    @wraps(build)
+    def call(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args)
+
+    call.cache_info = cached.cache_info
+    return call
+
+
 def divisor_sum(n: int, k: int) -> int:
     """sigma_k(n), the sum of k-th powers of the divisors of n."""
     if n < 1:
@@ -91,7 +111,7 @@ def divisor_sum(n: int, k: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+@_series_cache
 def eisenstein_qseries(weight: int, order: int = DEFAULT_ORDER_Q2) -> QSeries:
     """E2, E4 or E6 as an exact q2-series with constant term 1."""
     if weight not in (2, 4, 6):
@@ -102,7 +122,7 @@ def eisenstein_qseries(weight: int, order: int = DEFAULT_ORDER_Q2) -> QSeries:
     return QSeries(Nome.Q2, [1] + [factor * divisor_sum(n, k) for n in range(1, order + 1)])
 
 
-@lru_cache(maxsize=None)
+@_series_cache
 def theta_qseries(kind: str, order: int = DEFAULT_ORDER_Q4) -> QSeries:
     """Jacobi theta constant in the common nome q4 = exp(pi*i*tau/4).
 
@@ -134,7 +154,7 @@ def theta_qseries(kind: str, order: int = DEFAULT_ORDER_Q4) -> QSeries:
     return from_coefficients(Nome.Q4, pairs, order)
 
 
-@lru_cache(maxsize=None)
+@_series_cache
 def delta_qseries(order: int = DEFAULT_ORDER_Q2) -> QSeries:
     """The discriminant (E4^3 - E6^2)/1728; integer coefficients, q-coefficient 1."""
     if order < 1:
@@ -144,7 +164,7 @@ def delta_qseries(order: int = DEFAULT_ORDER_Q2) -> QSeries:
     return (e4 ** 3 - e6 ** 2).scale(Fraction(1, 1728))
 
 
-@lru_cache(maxsize=None)
+@_series_cache
 def eta_product_qseries(order: int = DEFAULT_ORDER_Q2) -> QSeries:
     """q * prod_{n>=1} (1 - q^n)^24, expanded symbolically.
 
@@ -162,7 +182,7 @@ def eta_product_qseries(order: int = DEFAULT_ORDER_Q2) -> QSeries:
         Nome.Q2, [(k + 1, prod.coefficient(k)) for k in range(0, order)], order)
 
 
-@lru_cache(maxsize=None)
+@_series_cache
 def phi0_qseries(order: int = DEFAULT_ORDER_Q2) -> QSeries:
     """(E2*E4 - E6)^2 / Delta; leading term 518400*q."""
     if order < 2:
@@ -173,14 +193,14 @@ def phi0_qseries(order: int = DEFAULT_ORDER_Q2) -> QSeries:
     return series.truncate(order)
 
 
-@lru_cache(maxsize=None)
+@_series_cache
 def e2e4_minus_e6_qseries(order: int = DEFAULT_ORDER_Q2) -> QSeries:
     """E2*E4 - E6, the depth-1 weight-8 combination; leading term 720*q."""
     return (eisenstein_qseries(2, order) * eisenstein_qseries(4, order)
             - eisenstein_qseries(6, order))
 
 
-@lru_cache(maxsize=None)
+@_series_cache
 def phi0_anomaly_qseries(order: int = DEFAULT_ORDER_Q2) -> QSeries:
     """(E2*E4 - E6)*E4 / Delta, the linear anomaly term of phi0 under inversion."""
     pad = order + 2
@@ -188,7 +208,7 @@ def phi0_anomaly_qseries(order: int = DEFAULT_ORDER_Q2) -> QSeries:
     return (num / delta_qseries(pad)).truncate(order)
 
 
-@lru_cache(maxsize=None)
+@_series_cache
 def e4sq_over_delta_qseries(order: int = DEFAULT_ORDER_Q2) -> QSeries:
     """E4^2 / Delta; has a simple pole at the cusp (lowest exponent -1)."""
     pad = order + 2
@@ -196,7 +216,7 @@ def e4sq_over_delta_qseries(order: int = DEFAULT_ORDER_Q2) -> QSeries:
     return ((e4 * e4) / delta_qseries(pad)).truncate(order)
 
 
-@lru_cache(maxsize=None)
+@_series_cache
 def psi_s_qseries(order: int = DEFAULT_ORDER_Q4) -> QSeries:
     """128*((th01^4 - th10^4)/th00^8 - (th10^4 + th00^4)/th01^8) in nome q4.
 
@@ -213,7 +233,7 @@ def psi_s_qseries(order: int = DEFAULT_ORDER_Q4) -> QSeries:
     return series.truncate(order)
 
 
-@lru_cache(maxsize=None)
+@_series_cache
 def psi_i_qseries(order: int = DEFAULT_ORDER_Q4) -> QSeries:
     """The inversion companion psi_i(z) = z^2 * psi_s(-1/z) as a theta quotient.
 
@@ -254,9 +274,8 @@ def _b_plus_psi_i_q4() -> QSeries:
     return _b_q4() + psi_i_qseries()
 
 
-#: builder of each named form; form_qseries calls it without an order at the
-#: default, the call form magic uses too, so phi0 and psi_s at the default
-#: order are one cache entry each
+#: builder of each named form; the builders cache on the effective order, so
+#: form_qseries(FormId.THETA00) and theta_qseries("00", 256) share one entry
 _FORM_BUILDERS = {
     FormId.E2: partial(eisenstein_qseries, 2),
     FormId.E4: partial(eisenstein_qseries, 4),
@@ -297,8 +316,6 @@ def eval_psi_s(tau: complex | HalfPlanePoint, tol: float = 1e-12) -> complex:
 
 def eval_psi_s_from_thetas(tau: complex | HalfPlanePoint, tol: float = 1e-12) -> complex:
     """psi_s assembled from three theta evaluations instead of its own series."""
-    if isinstance(tau, HalfPlanePoint):
-        tau = tau.tau
     t00 = eval_form(FormId.THETA00, tau, tol) ** 4
     t01 = eval_form(FormId.THETA01, tau, tol) ** 4
     t10 = eval_form(FormId.THETA10, tau, tol) ** 4
@@ -396,73 +413,65 @@ def check_jacobi(order: int = DEFAULT_ORDER_Q4,
 AXIS_T_MIN = 0.01
 
 
-def _check_axis_t(t: float) -> None:
-    if not t > 0:
-        raise ValueError(f"axis evaluation needs t > 0, got {t}")
-    if t < AXIS_T_MIN or t > 1.0 / AXIS_T_MIN:
-        raise ValueError(f"axis evaluation supports t in [{AXIS_T_MIN}, {1/AXIS_T_MIN}], got {t}")
+def _on_axis(t, high, low, label: str, rel: float = 1e-9):
+    """high(t, i*t) where t >= 1 and low(t, i/t) where t < 1, one call each;
+    ValueError for NaN or t outside [AXIS_T_MIN, 1/AXIS_T_MIN], NonRealValue
+    beyond ``rel``.  A float t gives a float, an array a float array."""
+    ts = np.asarray(t, dtype=float)
+    flat = ts.ravel()
+    inside = (flat >= AXIS_T_MIN) & (flat <= 1.0 / AXIS_T_MIN)
+    if not inside.all():
+        bad = flat[np.argmin(inside)]
+        need = "t > 0" if not bad > 0 else f"t in [{AXIS_T_MIN}, {1 / AXIS_T_MIN}]"
+        raise ValueError(f"axis evaluation needs {need}, got {bad}")
+    val = np.empty(flat.shape, dtype=complex)
+    upper = flat >= 1.0
+    val[upper] = high(flat[upper], 1j * flat[upper])
+    val[~upper] = low(flat[~upper], 1j * (1.0 / flat[~upper]))
+    nonreal = np.abs(val.imag) > rel * np.maximum(np.abs(val), 1e-30)
+    if nonreal.any():
+        v = val[np.argmax(nonreal)]
+        raise NonRealValue(f"{label}: imaginary part {v.imag} too large for |{v}|")
+    return float(val[0].real) if ts.ndim == 0 else val.real.reshape(ts.shape)
 
 
-def _real_of(value: complex, scale: float, rel: float, label: str) -> float:
-    if abs(value.imag) > rel * max(abs(value), scale):
-        raise NonRealValue(f"{label}: imaginary part {value.imag} too large for |{value}|")
-    return value.real
-
-
-def eval_phi0_axis(t: float) -> float:
+def eval_phi0_axis(t: float | np.ndarray) -> float | np.ndarray:
     """phi0 on the positive imaginary axis; positive for all t."""
-    _check_axis_t(t)
-    if t >= 1.0:
-        return _real_of(eval_phi0(1j * t), 1e-30, 1e-9, "phi0 axis")
-    u = 1.0 / t
-    val = (eval_phi0(1j * u)
-           - (12.0 * t / PI) * phi0_anomaly_qseries().eval(1j * u)
-           + (36.0 * t * t / PI ** 2) * e4sq_over_delta_qseries().eval(1j * u))
-    return _real_of(val, 1e-30, 1e-9, "phi0 axis (transformed)")
+    return _on_axis(
+        t, lambda t, it: eval_phi0(it),
+        lambda t, iu: (eval_phi0(iu)
+                       - (12.0 * t / PI) * phi0_anomaly_qseries().eval(iu)
+                       + (36.0 * t * t / PI ** 2) * e4sq_over_delta_qseries().eval(iu)),
+        "phi0 axis")
 
 
-def eval_psi_s_axis(t: float) -> float:
+def eval_psi_s_axis(t: float | np.ndarray) -> float | np.ndarray:
     """psi_s on the positive imaginary axis; negative for all t."""
-    _check_axis_t(t)
-    if t >= 1.0:
-        return _real_of(eval_psi_s(1j * t), 1e-30, 1e-9, "psi_s axis")
-    u = 1.0 / t
-    val = -(t * t) * psi_i_qseries().eval(1j * u)
-    return _real_of(val, 1e-30, 1e-9, "psi_s axis (transformed)")
+    return _on_axis(t, lambda t, it: eval_psi_s(it),
+                    lambda t, iu: -(t * t) * psi_i_qseries().eval(iu), "psi_s axis")
 
 
-def eval_psi_i_axis(t: float) -> float:
+def eval_psi_i_axis(t: float | np.ndarray) -> float | np.ndarray:
     """psi_i on the positive imaginary axis; positive, grows like exp(2*pi*t)."""
-    _check_axis_t(t)
-    if t >= 1.0:
-        return _real_of(psi_i_qseries().eval(1j * t), 1e-30, 1e-9, "psi_i axis")
-    u = 1.0 / t
-    val = -(t * t) * eval_psi_s(1j * u)
-    return _real_of(val, 1e-30, 1e-9, "psi_i axis (transformed)")
+    return _on_axis(t, lambda t, it: psi_i_qseries().eval(it),
+                    lambda t, iu: -(t * t) * eval_psi_s(iu), "psi_i axis")
 
 
-def phi0_weighted_kernel(t: float) -> float:
+def phi0_weighted_kernel(t: float | np.ndarray) -> float | np.ndarray:
     """t^2 * phi0(i/t): the plus-eigenfunction's axis kernel.
 
     For t >= 1 the inversion law is substituted so no exp(2*pi*t)-sized
     cancellation occurs; for t < 1 the series at i/t converges directly.
     """
-    _check_axis_t(t)
-    if t < 1.0:
-        return (t * t) * _real_of(eval_phi0(1j / t), 1e-30, 1e-9, "phi0 kernel")
-    it = 1j * t
-    val = ((t * t) * eval_phi0(it)
-           - (12.0 * t / PI) * phi0_anomaly_qseries().eval(it)
-           + (36.0 / PI ** 2) * e4sq_over_delta_qseries().eval(it))
-    return _real_of(val, 1e-30, 1e-9, "phi0 kernel (transformed)")
+    return _on_axis(
+        t,
+        lambda t, it: ((t * t) * eval_phi0(it)
+                       - (12.0 * t / PI) * phi0_anomaly_qseries().eval(it)
+                       + (36.0 / PI ** 2) * e4sq_over_delta_qseries().eval(it)),
+        lambda t, iu: (t * t) * eval_phi0(iu), "phi0 kernel")
 
 
-def psi_i_axis_kernel(t: float) -> float:
-    """psi_i(i*t) = -t^2 * psi_s(i/t): the minus-eigenfunction's axis kernel."""
-    return eval_psi_i_axis(t)
-
-
-def axis_combo_direct(t: float, sign: int) -> float:
+def axis_combo_direct(t: float | np.ndarray, sign: int) -> float | np.ndarray:
     """phi0(it) + sign*(36/pi^2)*psi_s(it), evaluated without cancellation.
 
     For t < 1 both terms blow up like t^2 exp(2*pi/t); the blowing-up
@@ -470,22 +479,19 @@ def axis_combo_direct(t: float, sign: int) -> float:
     through the exact series B - sign*psi_i whose poles cancel (sign=+1)
     or add benignly (sign=-1).
     """
-    _check_axis_t(t)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     c = 36.0 / PI ** 2
-    if t >= 1.0:
-        return eval_phi0_axis(t) + sign * c * eval_psi_s_axis(t)
-    u = 1.0 / t
-    iu = 1j * u
     combo = _b_minus_psi_i_q4() if sign > 0 else _b_plus_psi_i_q4()
-    val = (eval_phi0(iu)
-           - (12.0 * t / PI) * phi0_anomaly_qseries().eval(iu)
-           + (36.0 * t * t / PI ** 2) * combo.eval(iu))
-    return _real_of(val, 1e-30, 1e-8, "axis combo (direct convention)")
+    return _on_axis(
+        t, lambda t, it: eval_phi0(it) + sign * c * eval_psi_s(it),
+        lambda t, iu: (eval_phi0(iu)
+                       - (12.0 * t / PI) * phi0_anomaly_qseries().eval(iu)
+                       + (36.0 * t * t / PI ** 2) * combo.eval(iu)),
+        "axis combo (direct convention)", rel=1e-8)
 
 
-def axis_combo_weighted(t: float, sign: int) -> float:
+def axis_combo_weighted(t: float | np.ndarray, sign: int) -> float | np.ndarray:
     """(36/pi^2)*psi_i(it) + sign*t^2*phi0(i/t), evaluated without cancellation.
 
     These are the two pointwise integrand-sign controls of the magic
@@ -494,22 +500,21 @@ def axis_combo_weighted(t: float, sign: int) -> float:
     parts of the two kernels coincide and are combined through the exact
     series psi_i - B before evaluation.
     """
-    _check_axis_t(t)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     c = 36.0 / PI ** 2
-    if t < 1.0:
-        return c * eval_psi_i_axis(t) + sign * phi0_weighted_kernel(t)
-    it = 1j * t
     if sign > 0:
         # c*psi_i + PHI: the exp(2*pi*t) parts add, so group them as c*(psi_i + B).
-        val = (c * _b_plus_psi_i_q4().eval(it)
-               + (t * t) * eval_phi0(it)
-               - (12.0 * t / PI) * phi0_anomaly_qseries().eval(it))
+        def high(t, it):
+            return (c * _b_plus_psi_i_q4().eval(it) + (t * t) * eval_phi0(it)
+                    - (12.0 * t / PI) * phi0_anomaly_qseries().eval(it))
     else:
         # c*psi_i - PHI = -c*(B - psi_i) + [c*B - PHI]; the bracket's poles cancel:
         # c*B - PHI = -t^2 phi0(it) + (12t/pi) A(it), both cusp-regular.
-        val = (-c * _b_minus_psi_i_q4().eval(it)
-               - (t * t) * eval_phi0(it)
-               + (12.0 * t / PI) * phi0_anomaly_qseries().eval(it))
-    return _real_of(val, 1e-30, 1e-8, "axis combo (weighted convention)")
+        def high(t, it):
+            return (-c * _b_minus_psi_i_q4().eval(it) - (t * t) * eval_phi0(it)
+                    + (12.0 * t / PI) * phi0_anomaly_qseries().eval(it))
+    return _on_axis(
+        t, high,
+        lambda t, iu: c * (-(t * t) * eval_psi_s(iu)) + sign * ((t * t) * eval_phi0(iu)),
+        "axis combo (weighted convention)", rel=1e-8)

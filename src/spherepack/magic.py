@@ -175,10 +175,15 @@ def _assemble(form: FormId, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndar
     return np.concatenate([n for n, _ in parts]), np.concatenate([w for _, w in parts])
 
 
+_SWEEP_CHUNK = 256
+
+
 def _sweep(nodes: np.ndarray, weights: np.ndarray, radii) -> np.ndarray:
-    """sum_k weights_k exp(pi*i*r^2*nodes_k) at each radius (complex array)."""
-    r2 = np.asarray(radii, dtype=float) ** 2
-    return np.exp(1j * PI * np.outer(r2, nodes)) @ weights
+    """sum_k weights_k exp(pi*i*r^2*nodes_k) at each radius (complex array),
+    in near-equal blocks of at most _SWEEP_CHUNK radii, none of length 1."""
+    r2 = np.asarray(radii, dtype=float).ravel() ** 2
+    chunks = np.array_split(r2, max(1, -(-r2.size // _SWEEP_CHUNK)))
+    return np.concatenate([np.exp(1j * PI * np.outer(c, nodes)) @ weights for c in chunks])
 
 
 def _imaginary_or_raise(values: np.ndarray, label: str) -> np.ndarray:

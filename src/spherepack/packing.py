@@ -95,6 +95,7 @@ class DensityEstimate:
     samples: int
     seed: int
     radius: float
+    workers: int    # threads that ran the sample blocks
 
 
 # -- counter-based sampling ---------------------------------------------------
@@ -187,4 +188,4 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
     value = hits / samples
     stderr = math.sqrt(max(value * (1.0 - value), 0.0) / samples)
     return DensityEstimate(value=value, stderr=stderr, samples=samples,
-                           seed=seed, radius=radius)
+                           seed=seed, radius=radius, workers=workers)

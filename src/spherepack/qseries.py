@@ -290,12 +290,14 @@ class QSeries:
 
         One Horner loop serves both: a scalar tau runs it on a Python complex
         nome and returns a ``complex``, an ndarray runs it elementwise and
-        returns a complex array of the same shape.  Refuses points with
-        Im(tau) < eta_min or NaN (DomainTooLow) and refuses to return
-        values whose certified truncation tail, taken at the largest
-        |nome|, exceeds ``tol`` (TruncationInsufficient).
+        returns a complex array of the same shape (empty for an empty
+        array).  Refuses points with Im(tau) < eta_min or NaN (DomainTooLow)
+        and refuses to return values whose certified truncation tail, taken
+        at the largest |nome|, exceeds ``tol`` (TruncationInsufficient).
         """
         array = isinstance(tau, np.ndarray)
+        if array and not tau.size:
+            return np.empty(tau.shape, dtype=complex)
         im_min = tau.imag.min() if array else tau.imag
         if not im_min >= eta_min:
             raise DomainTooLow(

@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from spherepack.axis import (
-    AxisSample,
+    AxisSamples,
     Eq2Convention,
     InequalityReport,
     check_realness,
@@ -50,6 +51,23 @@ def test_res_to_imag_axis_e2_small_t():
     assert abs(v - w) < 1e-10 * abs(v)
 
 
+@pytest.mark.parametrize("form", list(FormId))
+def test_res_to_imag_axis_array_matches_per_float(form):
+    grid = np.concatenate([[-1.0, 0.0], np.geomspace(0.05, 20.0, 41), [1.0, 1.0 - 1e-12]])
+    got = res_to_imag_axis(form, grid)
+    assert got.shape == grid.shape and got.dtype == complex
+    want = [res_to_imag_axis(form, float(t)) for t in grid]
+    assert all(type(w) is complex for w in want)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    assert np.all(got[:2] == 0j)
+
+
+def test_res_to_imag_axis_refuses_nan():
+    for form in FormId:
+        with pytest.raises(ValueError):
+            res_to_imag_axis(form, np.array([0.5, math.nan]))
+
+
 def test_check_realness_on_log_grids():
     grid = log_grid(0.1, 10.0, 40)
     assert check_realness(FormId.PHI0, grid) < 1e-9
@@ -71,14 +89,15 @@ def test_log_grid_shape():
 
 def test_combo_algebra_identity():
     for conv in Eq2Convention:
-        for s in eq2_samples([0.3, 1.0, 2.0], conv):
-            recon_plus = s.phi0 + W * s.psi_s
-            recon_minus = s.phi0 - W * s.psi_s
-            scale = max(abs(s.phi0), W * abs(s.psi_s), 1.0)
-            assert abs(s.combo_plus - recon_plus) < 1e-8 * scale
-            assert abs(s.combo_minus - recon_minus) < 1e-8 * scale
-            # plus + minus = 2 phi0 to near machine accuracy
-            assert abs((s.combo_plus + s.combo_minus) - 2.0 * s.phi0) <= 1e-11 * scale
+        s = eq2_samples([0.3, 1.0, 2.0], conv)
+        assert isinstance(s, AxisSamples) and s.t.shape == (3,)
+        recon_plus = s.phi0 + W * s.psi_s
+        recon_minus = s.phi0 - W * s.psi_s
+        scale = np.maximum(np.maximum(abs(s.phi0), W * abs(s.psi_s)), 1.0)
+        assert np.all(abs(s.combo_plus - recon_plus) < 1e-8 * scale)
+        assert np.all(abs(s.combo_minus - recon_minus) < 1e-8 * scale)
+        # plus + minus = 2 phi0 to near machine accuracy
+        assert np.all(abs((s.combo_plus + s.combo_minus) - 2.0 * s.phi0) <= 1e-11 * scale)
 
 
 def test_direct_convention_fails():
@@ -97,20 +116,19 @@ def test_sweighted_convention_passes():
 
 
 def test_sweighted_single_point():
-    report = verify_inequalities(grid=[1.0], convention=Eq2Convention.S_WEIGHTED,
-                                 refine=False)
+    report = verify_inequalities(grid=[1.0], convention=Eq2Convention.S_WEIGHTED)
     assert report.pass_
 
 
 def test_direct_plus_combo_negative_at_both_ends():
     samples = eq2_samples([0.05, 20.0], Eq2Convention.DIRECT)
-    assert all(s.combo_plus < 0.0 for s in samples)
+    assert np.all(samples.combo_plus < 0.0)
 
 
 def test_sweighted_kernels_positive():
-    for s in eq2_samples(log_grid(0.05, 20.0, 50), Eq2Convention.S_WEIGHTED):
-        assert s.phi0 > 0.0
-        assert s.psi_s > 0.0
+    s = eq2_samples(log_grid(0.05, 20.0, 50), Eq2Convention.S_WEIGHTED)
+    assert np.all(s.phi0 > 0.0)
+    assert np.all(s.psi_s > 0.0)
 
 
 def test_convention_conclusion_matches_certificate():

@@ -215,10 +215,20 @@ def test_usage_error_returns_2(capsys):
 
 def test_env_threads(monkeypatch, capsys):
     monkeypatch.setenv("SPHEREPACK_THREADS", "2")
+    # two sample blocks, so both requested threads run
     code, out, _ = invoke(capsys, "packing", "mc", "--radius", "2",
-                          "--samples", "5000", "--seed", "1")
+                          "--samples", "65536", "--seed", "1")
     assert code == 0
     assert json.loads(out)["results"]["threads"] == 2
+
+
+def test_mc_reports_the_workers_that_ran(capsys):
+    # 1,000 samples are one block, so one worker runs whatever is asked for
+    code, out, _ = invoke(capsys, "packing", "mc", "--threads", "64", "--samples", "1000")
+    assert code == 0
+    data = json.loads(out)
+    assert data["results"]["threads"] == 1
+    assert data["config"]["threads"] == 64
 
 
 def test_env_threads_invalid(monkeypatch, capsys):
@@ -265,6 +275,7 @@ def test_bad_input_refused_at_boundary(capsys, argv):
 @pytest.mark.parametrize("argv, builds", [
     (["magic", "verify"], 16),
     (["axis", "check"], 22),
+    (["forms", "identities", "--order", "64"], 8),
 ])
 def test_one_series_build_per_cache_entry(argv, builds):
     # a fresh process, so the count is the command's own exact-series builds

@@ -2,9 +2,16 @@
 evaluation accuracy, and the imaginary-axis transforms."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+
+import spherepack
+from spherepack import qseries
 
 from spherepack.errors import NonRealValue
 from spherepack.forms import (
@@ -361,3 +368,78 @@ def test_axis_realness_small_imag_parts():
             assert abs(v.imag) < 1e-9 * abs(v)
         assert isinstance(eval_phi0_axis(t), float)
         assert isinstance(eval_psi_s_axis(t), float)
+
+
+# -- the array axis path --------------------------------------------------------
+
+AXIS_EVALUATORS = {
+    "phi0_axis": eval_phi0_axis,
+    "psi_s_axis": eval_psi_s_axis,
+    "psi_i_axis": eval_psi_i_axis,
+    "phi0_weighted_kernel": phi0_weighted_kernel,
+    "combo_direct_plus": lambda t: axis_combo_direct(t, +1),
+    "combo_direct_minus": lambda t: axis_combo_direct(t, -1),
+    "combo_weighted_plus": lambda t: axis_combo_weighted(t, +1),
+    "combo_weighted_minus": lambda t: axis_combo_weighted(t, -1),
+}
+
+#: straddles t = 1 and contains it
+STRADDLE = np.concatenate([np.geomspace(0.05, 20.0, 41), [1.0, 1.0 - 1e-12]])
+
+
+@pytest.mark.parametrize("name", list(AXIS_EVALUATORS))
+def test_axis_array_matches_per_float(name):
+    f = AXIS_EVALUATORS[name]
+    got = f(STRADDLE)
+    assert got.shape == STRADDLE.shape and got.dtype == float
+    want = [f(float(t)) for t in STRADDLE]
+    assert all(type(w) is float for w in want)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    assert f(STRADDLE.reshape(43, 1)).shape == (43, 1)
+
+
+@pytest.mark.parametrize("name", list(AXIS_EVALUATORS))
+@pytest.mark.parametrize("bad", [math.nan, 0.0, 0.005])
+def test_axis_array_refuses_bad_t(name, bad):
+    with pytest.raises(ValueError):
+        AXIS_EVALUATORS[name](np.array([0.5, bad, 2.0]))
+
+
+@pytest.mark.parametrize("name", list(AXIS_EVALUATORS))
+def test_axis_refuses_injected_imaginary_part(name, monkeypatch):
+    # every branch formula is a real combination of series values, so a
+    # phase on each series value turns up in the result on both sides of t = 1
+    plain = qseries.QSeries.eval
+    monkeypatch.setattr(qseries.QSeries, "eval",
+                        lambda self, tau, **kw: plain(self, tau, **kw) * (1 + 1e-6j))
+    for t in (np.array([0.5, 0.7]), np.array([1.5, 3.0])):
+        with pytest.raises(NonRealValue):
+            AXIS_EVALUATORS[name](t)
+
+
+def test_builders_cache_on_effective_order():
+    # a fresh process, so the misses are the builds of exactly these calls
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spherepack.__file__)))
+    script = (
+        "from spherepack import forms\n"
+        "from spherepack.forms import FormId\n"
+        "groups = [\n"
+        "    (forms.theta_qseries, [forms.theta_qseries('00'), forms.theta_qseries('00', 256),\n"
+        "                           forms.theta_qseries('00', order=256),\n"
+        "                           forms.form_qseries(FormId.THETA00)]),\n"
+        "    (forms.eisenstein_qseries, [forms.eisenstein_qseries(4),\n"
+        "                                forms.eisenstein_qseries(4, 50),\n"
+        "                                forms.form_qseries(FormId.E4)]),\n"
+        "    (forms.delta_qseries, [forms.delta_qseries(), forms.delta_qseries(50),\n"
+        "                           forms.form_qseries(FormId.DELTA)]),\n"
+        "]\n"
+        "for build, series in groups:\n"
+        "    assert all(s is series[0] for s in series), build.__name__\n"
+        "    print(build.__name__, build.cache_info().misses)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # delta_qseries(50) adds one Eisenstein build, E6 at order 50
+    assert done.stdout.split() == ["theta_qseries", "1", "eisenstein_qseries", "2",
+                                   "delta_qseries", "1"]

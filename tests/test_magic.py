@@ -26,6 +26,8 @@ from spherepack.magic import (
     hankel8,
     segment_integral,
     tabulate_radial,
+    _SWEEP_CHUNK,
+    _sweep,
 )
 from spherepack.quadrature import QuadratureConfig
 
@@ -182,6 +184,15 @@ def test_sweeps_refuse_nonreal_values(ev):
             method(rs)
     with pytest.raises(NonRealValue):
         bad.eval_g(1.0)
+
+
+@pytest.mark.parametrize("n", [_SWEEP_CHUNK + 1, 1001])
+def test_chunked_sweep_matches_one_outer_product(ev, n):
+    radii = np.linspace(0.0, 6.0, n)
+    want = np.exp(1j * PI * np.outer(radii ** 2, ev._nodes_a)) @ ev._weights_a
+    got = _sweep(ev._nodes_a, ev._weights_a, radii)
+    assert got.shape == (n,)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_quadrature_self_convergence(ev):

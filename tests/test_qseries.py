@@ -152,6 +152,13 @@ def test_scalar_eval_returns_python_complex():
     assert type(series.eval(np.complex128(0.1 + 1.3j))) is complex
 
 
+def test_array_eval_of_empty_array_is_empty():
+    # the length-0 case of arrays-in/arrays-out, also for a pole at the cusp
+    for series in (psi_i_qseries(), form_qseries(FormId.PHI0)):
+        got = series.eval(np.empty((0, 3), dtype=complex))
+        assert got.shape == (0, 3) and got.dtype == complex
+
+
 def test_array_eval_raises_the_scalar_errors():
     taus = np.array([0.0 + 1.0j, 0.2 + 0.3j])
     with pytest.raises(DomainTooLow):
