@@ -35,7 +35,9 @@ from typing import Sequence
 import numpy as np
 
 from .forms import (
+    WEIGHT36,
     FormId,
+    axis_branches,
     axis_combo_direct,
     axis_combo_weighted,
     eval_phi0_axis,
@@ -46,7 +48,6 @@ from .forms import (
 )
 
 PI = math.pi
-WEIGHT36 = 36.0 / PI ** 2
 
 
 class Eq2Convention(Enum):
@@ -62,42 +63,42 @@ def log_grid(lo: float = 0.05, hi: float = 20.0, n: int = 400) -> tuple[float, .
     return tuple(lo * ratio ** (j / (n - 1)) for j in range(n))
 
 
-#: t < 1 through the inversion law F(it) = sign * u^weight * partner(iu)
-#: + anomaly * u / pi with u = 1/t; E2's anomaly is its quasimodular term
-_INVERSION = {
-    FormId.E2: (-1.0, 2, FormId.E2, 6.0),
-    FormId.E4: (1.0, 4, FormId.E4, 0.0),
-    FormId.E6: (-1.0, 6, FormId.E6, 0.0),
-    FormId.DELTA: (1.0, 12, FormId.DELTA, 0.0),
-    FormId.THETA00: (1.0, 0.5, FormId.THETA00, 0.0),
-    FormId.THETA01: (1.0, 0.5, FormId.THETA10, 0.0),
-    FormId.THETA10: (1.0, 0.5, FormId.THETA01, 0.0),
-}
+def _inversion(sign: float, weight: float, partner: FormId, anomaly: float = 0.0):
+    """F(it) = sign * u^weight * partner(iu) + anomaly * u / pi for t < 1, u = 1/t."""
+    return lambda t, iu: (sign * iu.imag ** weight * form_qseries(partner).eval(iu)
+                          + anomaly * iu.imag / PI)
 
-#: forms whose small-t branch needs more than one series
-_AXIS_EVALUATORS = {FormId.PHI0: eval_phi0_axis, FormId.PSI_S: eval_psi_s_axis}
+
+#: each form's t < 1 branch: its inversion law (E2's anomaly is its quasimodular term);
+#: PHI0 and PSI_S, whose laws need more than one series, use their forms evaluators
+_SMALL_T = {
+    FormId.E2: _inversion(-1.0, 2, FormId.E2, 6.0),
+    FormId.E4: _inversion(1.0, 4, FormId.E4),
+    FormId.E6: _inversion(-1.0, 6, FormId.E6),
+    FormId.DELTA: _inversion(1.0, 12, FormId.DELTA),
+    FormId.THETA00: _inversion(1.0, 0.5, FormId.THETA00),
+    FormId.THETA01: _inversion(1.0, 0.5, FormId.THETA10),
+    FormId.THETA10: _inversion(1.0, 0.5, FormId.THETA01),
+    FormId.PHI0: lambda t, iu: eval_phi0_axis(t),
+    FormId.PSI_S: lambda t, iu: eval_psi_s_axis(t),
+}
 
 
 def res_to_imag_axis(form: FormId, t: float | np.ndarray) -> complex | np.ndarray:
     """F(i*t) for t > 0 and exactly 0 otherwise, at a float or an array of t.
 
-    Small t is reached through the inversion laws of each form, so the
-    series argument always has Im >= 1.
+    t >= 1 is the form's own series at i*t, with no upper limit.  Smaller t
+    is reached through the inversion laws of each form, so the series
+    argument always has Im >= 1; for PHI0 and PSI_S that branch is their
+    forms evaluator, which refuses 0 < t < AXIS_T_MIN (ValueError).
     """
     ts = np.asarray(t, dtype=float)
     if np.isnan(ts).any():
         raise ValueError("axis restriction needs t that is not NaN")
     out = np.zeros(ts.shape, dtype=complex)
     positive = ts > 0.0
-    if form in _AXIS_EVALUATORS:
-        out[positive] = _AXIS_EVALUATORS[form](ts[positive])
-    else:
-        sign, weight, partner, anomaly = _INVERSION[form]
-        upper = ts >= 1.0
-        out[upper] = form_qseries(form).eval(1j * ts[upper])
-        u = 1.0 / ts[positive & ~upper]
-        out[positive & ~upper] = (sign * u ** weight * form_qseries(partner).eval(1j * u)
-                                  + anomaly * u / PI)
+    out[positive] = axis_branches(ts[positive], lambda t, it: form_qseries(form).eval(it),
+                                  _SMALL_T[form])
     return complex(out) if ts.ndim == 0 else out
 
 

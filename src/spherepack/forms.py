@@ -411,12 +411,24 @@ def check_jacobi(order: int = DEFAULT_ORDER_Q4,
 
 #: Below this the transformed series argument exp(-2*pi/t) underflows.
 AXIS_T_MIN = 0.01
+#: the weight 36/pi^2 that pairs psi_s (or psi_i) with phi0 in the axis combinations
+WEIGHT36 = 36.0 / PI ** 2
+
+
+def axis_branches(t: np.ndarray, high, low) -> np.ndarray:
+    """high(t, i*t) where t >= 1 and low(t, i/t) where t < 1, one call each,
+    as a complex array of t's shape.  The one place that splits t by branch."""
+    val = np.empty(t.shape, dtype=complex)
+    upper = t >= 1.0
+    val[upper] = high(t[upper], 1j * t[upper])
+    val[~upper] = low(t[~upper], 1j * (1.0 / t[~upper]))
+    return val
 
 
 def _on_axis(t, high, low, label: str, rel: float = 1e-9):
-    """high(t, i*t) where t >= 1 and low(t, i/t) where t < 1, one call each;
-    ValueError for NaN or t outside [AXIS_T_MIN, 1/AXIS_T_MIN], NonRealValue
-    beyond ``rel``.  A float t gives a float, an array a float array."""
+    """``axis_branches`` for t in [AXIS_T_MIN, 1/AXIS_T_MIN] (ValueError
+    otherwise, NaN included), real to ``rel`` (NonRealValue otherwise).
+    A float t gives a float, an array a float array."""
     ts = np.asarray(t, dtype=float)
     flat = ts.ravel()
     inside = (flat >= AXIS_T_MIN) & (flat <= 1.0 / AXIS_T_MIN)
@@ -424,10 +436,7 @@ def _on_axis(t, high, low, label: str, rel: float = 1e-9):
         bad = flat[np.argmin(inside)]
         need = "t > 0" if not bad > 0 else f"t in [{AXIS_T_MIN}, {1 / AXIS_T_MIN}]"
         raise ValueError(f"axis evaluation needs {need}, got {bad}")
-    val = np.empty(flat.shape, dtype=complex)
-    upper = flat >= 1.0
-    val[upper] = high(flat[upper], 1j * flat[upper])
-    val[~upper] = low(flat[~upper], 1j * (1.0 / flat[~upper]))
+    val = axis_branches(flat, high, low)
     nonreal = np.abs(val.imag) > rel * np.maximum(np.abs(val), 1e-30)
     if nonreal.any():
         v = val[np.argmax(nonreal)]
@@ -467,7 +476,7 @@ def phi0_weighted_kernel(t: float | np.ndarray) -> float | np.ndarray:
         t,
         lambda t, it: ((t * t) * eval_phi0(it)
                        - (12.0 * t / PI) * phi0_anomaly_qseries().eval(it)
-                       + (36.0 / PI ** 2) * e4sq_over_delta_qseries().eval(it)),
+                       + WEIGHT36 * e4sq_over_delta_qseries().eval(it)),
         lambda t, iu: (t * t) * eval_phi0(iu), "phi0 kernel")
 
 
@@ -481,10 +490,9 @@ def axis_combo_direct(t: float | np.ndarray, sign: int) -> float | np.ndarray:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    c = 36.0 / PI ** 2
     combo = _b_minus_psi_i_q4() if sign > 0 else _b_plus_psi_i_q4()
     return _on_axis(
-        t, lambda t, it: eval_phi0(it) + sign * c * eval_psi_s(it),
+        t, lambda t, it: eval_phi0(it) + sign * WEIGHT36 * eval_psi_s(it),
         lambda t, iu: (eval_phi0(iu)
                        - (12.0 * t / PI) * phi0_anomaly_qseries().eval(iu)
                        + (36.0 * t * t / PI ** 2) * combo.eval(iu)),
@@ -502,19 +510,12 @@ def axis_combo_weighted(t: float | np.ndarray, sign: int) -> float | np.ndarray:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    c = 36.0 / PI ** 2
-    if sign > 0:
-        # c*psi_i + PHI: the exp(2*pi*t) parts add, so group them as c*(psi_i + B).
-        def high(t, it):
-            return (c * _b_plus_psi_i_q4().eval(it) + (t * t) * eval_phi0(it)
-                    - (12.0 * t / PI) * phi0_anomaly_qseries().eval(it))
-    else:
-        # c*psi_i - PHI = -c*(B - psi_i) + [c*B - PHI]; the bracket's poles cancel:
-        # c*B - PHI = -t^2 phi0(it) + (12t/pi) A(it), both cusp-regular.
-        def high(t, it):
-            return (-c * _b_minus_psi_i_q4().eval(it) - (t * t) * eval_phi0(it)
-                    + (12.0 * t / PI) * phi0_anomaly_qseries().eval(it))
+    # W = 36/pi^2, PHI = t^2 phi0(i/t): W*psi_i + PHI = W*(B + psi_i) + [PHI - W*B] and
+    # W*psi_i - PHI = -W*(B - psi_i) - [PHI - W*B], with the cusp-regular bracket
+    # PHI - W*B = t^2 phi0(it) - (12t/pi) A(it): the exp(2*pi*t) parts never cancel in floats.
+    combo = _b_plus_psi_i_q4() if sign > 0 else _b_minus_psi_i_q4()
     return _on_axis(
-        t, high,
-        lambda t, iu: c * (-(t * t) * eval_psi_s(iu)) + sign * ((t * t) * eval_phi0(iu)),
+        t, lambda t, it: sign * (WEIGHT36 * combo.eval(it) + (t * t) * eval_phi0(it)
+                                 - (12.0 * t / PI) * phi0_anomaly_qseries().eval(it)),
+        lambda t, iu: WEIGHT36 * (-(t * t) * eval_psi_s(iu)) + sign * ((t * t) * eval_phi0(iu)),
         "axis combo (weighted convention)", rel=1e-8)

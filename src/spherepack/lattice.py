@@ -98,9 +98,6 @@ class LatticeBasis:
         if len(self.rows) != 8:
             raise ValueError("a basis has 8 rows")
 
-    def half_matrix(self) -> list[list[int]]:
-        return [list(r.half_coords) for r in self.rows]
-
     def determinant(self) -> Fraction:
         """Exact determinant of the (half-integer) basis matrix."""
         return Fraction(_int_det([list(r.half_coords) for r in self.rows]), 2 ** 8)

@@ -16,7 +16,7 @@ from spherepack.axis import (
     verify_inequalities,
 )
 from spherepack.cohn_elkies import verify_magic_ce
-from spherepack.forms import FormId
+from spherepack.forms import AXIS_T_MIN, FormId, form_qseries
 
 PI = math.pi
 W = 36.0 / PI ** 2
@@ -66,6 +66,22 @@ def test_res_to_imag_axis_refuses_nan():
     for form in FormId:
         with pytest.raises(ValueError):
             res_to_imag_axis(form, np.array([0.5, math.nan]))
+
+
+@pytest.mark.parametrize("form", list(FormId))
+def test_res_to_imag_axis_large_t_is_the_direct_series(form):
+    """t >= 1 has no upper limit: each form is its own series at i*t."""
+    grid = np.array([1.0, 150.0, 200.0])
+    want = np.array([form_qseries(form).eval(1j * t) for t in grid])
+    got = res_to_imag_axis(form, grid)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    assert res_to_imag_axis(form, 200.0) == got[-1]
+
+
+def test_res_to_imag_axis_phi0_psi_s_refuse_t_below_axis_t_min():
+    for form in (FormId.PHI0, FormId.PSI_S):
+        with pytest.raises(ValueError):
+            res_to_imag_axis(form, AXIS_T_MIN / 2)
 
 
 def test_check_realness_on_log_grids():
