@@ -9,18 +9,22 @@ estimated by Monte Carlo: points uniform in B(0, R), hit-tested against
 the lattice decoder.  The sampler is counter-based (every sample is a pure
 function of (seed, index)), so the estimate is bit-reproducible for a
 fixed (seed, samples) regardless of how many workers share the blocks.
+Sampler and decoder work coordinate-major, on (8, n) arrays whose rows are
+contiguous, and sum eight coordinates in numpy's pairwise order, so every
+sample, distance and hit is the same as in the row-major formulation.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .lattice import LatticeBasis, decode_batch, e8_basis
+from .lattice import CHUNK, LatticeBasis, Scratch, e8_basis, nearest_in_coset, sum8
 
 _BLOCK = 1 << 15
 
@@ -103,52 +107,92 @@ class DensityEstimate:
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
+_LANES = np.arange(9, dtype=np.uint64)[:, None]
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
+def _splitmix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The splitmix64 mix, in place on a uint64 array; ``tmp`` is scratch of its shape."""
     # modular 64-bit wraparound is the point of the mix
     with np.errstate(over="ignore"):
-        z = x + _GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        return z ^ (z >> np.uint64(31))
+        z += _GAMMA
+        z ^= np.right_shift(z, 30, out=tmp)
+        z *= _M1
+        z ^= np.right_shift(z, 27, out=tmp)
+        z *= _M2
+        z ^= np.right_shift(z, 31, out=tmp)
+    return z
 
 
-def _uniforms(seed: int, indices: np.ndarray, lane: int) -> np.ndarray:
-    """Open-interval (0,1) uniforms, a pure function of (seed, index, lane)."""
-    with np.errstate(over="ignore"):
-        key = indices * np.uint64(16) + np.uint64(lane)
-        bits = _splitmix64(key ^ _splitmix64(np.uint64(seed & (2 ** 64 - 1))))
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 + 2.0 ** -54
+def _stream_key(seed: int) -> np.ndarray:
+    """splitmix64(seed): every lane's counter is XORed with it before its own mix."""
+    key = np.array(seed & (2 ** 64 - 1), dtype=np.uint64)
+    return _splitmix64(key, key.copy())
+
+
+def _sample_chunk(key: np.ndarray, start: int, radius: float, out: np.ndarray,
+                  scratch: Scratch) -> None:
+    """Fill ``out``, (8, n) with n <= CHUNK, with samples start .. start + n - 1.
+
+    Each value goes through the same floating-point operations, in the same
+    order, as in the row-major sampler, so every sample is bit-identical.
+    The uniforms overwrite their own lane bits in place.
+    """
+    n = out.shape[1]
+    bits = scratch.get("lanes", 9, n, np.uint64)
+    np.add(np.arange(start, start + n, dtype=np.uint64) * np.uint64(16), _LANES, out=bits)
+    bits ^= key
+    _splitmix64(bits, scratch.get("mix", 9, n, np.uint64))
+    u = bits.view(np.float64)
+    np.multiply(np.right_shift(bits, 11, out=bits), 2.0 ** -53, out=u)
+    u += 2.0 ** -54
+    rho, angle = u[0:8:2], u[1:8:2]
+    np.log(rho, out=rho)
+    rho *= -2.0
+    np.sqrt(rho, out=rho)
+    angle *= 2.0 * math.pi
+    np.cos(angle, out=out[0::2])
+    np.sin(angle, out=out[1::2])
+    out[0::2] *= rho
+    out[1::2] *= rho
+    scale = u[8] ** 0.125
+    scale *= radius
+    norms = np.sqrt(sum8(np.square(out, out=u[:8]), scratch.get("sums", 4, n)))
+    norms[norms == 0.0] = 1.0
+    scale /= norms
+    out *= scale
 
 
 def _sample_block(seed: int, start: int, count: int, radius: float) -> np.ndarray:
-    """Uniform points in B(0, radius): Gaussian direction x radius * u^(1/8)."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    normals = np.empty((count, 8))
-    for pair in range(4):
-        u1 = _uniforms(seed, idx, 2 * pair)
-        u2 = _uniforms(seed, idx, 2 * pair + 1)
-        rho = np.sqrt(-2.0 * np.log(u1))
-        normals[:, 2 * pair] = rho * np.cos(2.0 * math.pi * u2)
-        normals[:, 2 * pair + 1] = rho * np.sin(2.0 * math.pi * u2)
-    norms = np.sqrt((normals ** 2).sum(axis=1))
-    norms[norms == 0.0] = 1.0
-    u = _uniforms(seed, idx, 8)
-    r = radius * u ** 0.125
-    return normals * (r / norms)[:, None]
+    """Uniform points in B(0, radius): Gaussian direction x radius * u^(1/8).
+
+    Lane l (0..8) of sample i is the open-interval (0,1) uniform made from
+    the top 53 bits of splitmix64((16 i + l) ^ splitmix64(seed)), a pure
+    function of (seed, i, l).  Lanes 0-7 make four Box-Muller pairs, lane 8
+    the radius.  The block is built coordinate-major, as an (8, count)
+    array, and returned as its (count, 8) transpose view.
+    """
+    key, scratch = _stream_key(seed), Scratch()
+    normals = np.empty((8, count))
+    for lo in range(0, count, CHUNK):
+        _sample_chunk(key, start + lo, radius, normals[:, lo:lo + CHUNK], scratch)
+    return normals.T
 
 
-def _count_hits(points: np.ndarray, spec: PeriodicPackingSpec) -> int:
-    """How many points lie within separation/2 of some packing center."""
-    if not spec.offsets:
-        return 0
+def _count_hits(y: np.ndarray, spec: PeriodicPackingSpec, scratch: Scratch) -> int:
+    """How many columns of y, (8, n) with n <= CHUNK, lie within separation/2 of a center.
+
+    Only the squared distance to each coset decides; the closer point is never assembled.
+    """
+    n = y.shape[1]
     rho = spec.separation / 2.0
-    hit = np.zeros(len(points), dtype=bool)
+    point, shifted = scratch.get("point", 8, n), scratch.get("shifted", 8, n)
+    hit = np.zeros(n, dtype=bool)
     for off in spec.offsets:
-        _, d = decode_batch(points - np.asarray(off))
-        hit |= d <= rho
-    return int(hit.sum())
+        np.subtract(y, np.asarray(off)[:, None], out=shifted)
+        d2 = nearest_in_coset(shifted, False, point, scratch).copy()
+        np.minimum(d2, nearest_in_coset(shifted, True, point, scratch), out=d2)
+        hit |= np.sqrt(d2) <= rho
+    return int(np.count_nonzero(hit))
 
 
 def _worker_count(threads: int, blocks: int) -> int:
@@ -165,19 +209,35 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
     result does not depend on the worker count.  At most one worker runs
     per block, whatever ``threads`` asks for.
 
-    Only lattice packings whose decoder is the E8 decoder are supported
-    (the basis is not consulted for hit tests, the coset decoder is).
+    The hit test is the E8 coset decoder, so the basis must generate E8:
+    a :class:`LatticeBasis` (its rows are E8 vectors) with determinant +-1.
+    Any other basis, and a NaN or infinite radius, is a ValueError.  Each
+    block is sampled and hit-tested CHUNK columns at a time, in buffers
+    that each worker thread reuses for every block it takes.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if not (isinstance(spec.basis, LatticeBasis) and abs(spec.basis.determinant()) == 1):
+        raise ValueError("the hit test decodes E8: the basis must be a LatticeBasis "
+                         "of E8 vectors with determinant +-1")
+    key = _stream_key(seed)
     blocks = [(start, min(_BLOCK, samples - start)) for start in range(0, samples, _BLOCK)]
 
+    per_thread = threading.local()
+
     def work(block):
+        if not hasattr(per_thread, "scratch"):
+            per_thread.scratch = Scratch()
+        scratch = per_thread.scratch
         start, count = block
-        pts = _sample_block(seed, start, count, radius)
-        return _count_hits(pts, spec)
+        hits = 0
+        for lo in range(start, start + count, CHUNK):
+            y = scratch.get("sample", 8, min(CHUNK, start + count - lo))
+            _sample_chunk(key, lo, radius, y, scratch)
+            hits += _count_hits(y, spec, scratch)
+        return hits
 
     workers = _worker_count(threads, len(blocks))
     if workers > 1:

@@ -1,0 +1,194 @@
+"""The coordinate-major Monte-Carlo kernel against the row-major formulation.
+
+The reference functions below are the earlier row-major sampler and decoder,
+kept verbatim as an oracle.  Comparing in one process ties the test to no
+particular libm: both sides call the same log, sin, cos and pow.  The
+oracle's 8-sums are numpy's pairwise ``sum(axis=1)``, which is the tree
+((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)) only on C-contiguous rows, so the
+oracle always gets C-contiguous input.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from spherepack.lattice import CHUNK, decode_batch, e8_basis
+from spherepack.packing import (
+    _BLOCK,
+    PeriodicPackingSpec,
+    _sample_block,
+    e8_packing_spec,
+    finite_density_mc,
+)
+
+# -- the row-major reference ---------------------------------------------------
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+
+
+def ref_splitmix64(x):
+    with np.errstate(over="ignore"):
+        z = x + _GAMMA
+        z = (z ^ (z >> np.uint64(30))) * _M1
+        z = (z ^ (z >> np.uint64(27))) * _M2
+        return z ^ (z >> np.uint64(31))
+
+
+def ref_uniforms(seed, indices, lane):
+    with np.errstate(over="ignore"):
+        key = indices * np.uint64(16) + np.uint64(lane)
+        bits = ref_splitmix64(key ^ ref_splitmix64(np.uint64(seed & (2 ** 64 - 1))))
+    return (bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 + 2.0 ** -54
+
+
+def ref_sample_block(seed, start, count, radius):
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    normals = np.empty((count, 8))
+    for pair in range(4):
+        u1 = ref_uniforms(seed, idx, 2 * pair)
+        u2 = ref_uniforms(seed, idx, 2 * pair + 1)
+        rho = np.sqrt(-2.0 * np.log(u1))
+        normals[:, 2 * pair] = rho * np.cos(2.0 * math.pi * u2)
+        normals[:, 2 * pair + 1] = rho * np.sin(2.0 * math.pi * u2)
+    norms = np.sqrt((normals ** 2).sum(axis=1))
+    norms[norms == 0.0] = 1.0
+    u = ref_uniforms(seed, idx, 8)
+    r = radius * u ** 0.125
+    return normals * (r / norms)[:, None]
+
+
+def ref_decode_d8(y):
+    f = np.floor(y + 0.5)
+    delta = y - f
+    odd = (f.sum(axis=1).astype(np.int64) & 1).astype(bool)
+    if odd.any():
+        idx = np.abs(delta[odd]).argmax(axis=1)
+        rows = np.nonzero(odd)[0]
+        step = np.where(delta[rows, idx] >= 0.0, 1.0, -1.0)
+        f[rows, idx] += step
+    return f
+
+
+def ref_decode_batch(points):
+    y = np.asarray(points, dtype=np.float64)
+    if y.ndim == 1:
+        y = y[None, :]
+    a = ref_decode_d8(y)
+    b = ref_decode_d8(y - 0.5) + 0.5
+    da = ((y - a) ** 2).sum(axis=1)
+    db = ((y - b) ** 2).sum(axis=1)
+    use_b = db < da
+    best = np.where(use_b[:, None], b, a)
+    dist = np.sqrt(np.where(use_b, db, da))
+    return best, dist
+
+
+def ref_hits(spec, radius, samples, seed):
+    hits = 0
+    for start in range(0, samples, _BLOCK):
+        pts = ref_sample_block(seed, start, min(_BLOCK, samples - start), radius)
+        hit = np.zeros(len(pts), dtype=bool)
+        for off in spec.offsets:
+            _, d = ref_decode_batch(pts - np.asarray(off))
+            hit |= d <= spec.separation / 2.0
+        hits += int(hit.sum())
+    return hits
+
+
+# -- bit identity ----------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 42, -5, 2 ** 64 - 1])
+@pytest.mark.parametrize("start", [0, 7, 3 * _BLOCK, 2 ** 40])
+@pytest.mark.parametrize("count", [1, 1000, CHUNK + 1, _BLOCK])
+def test_sampler_matches_row_major(seed, start, count):
+    pts = _sample_block(seed, start, count, 5.0)
+    assert pts.shape == (count, 8)
+    assert np.array_equal(pts, ref_sample_block(seed, start, count, 5.0))
+
+
+def test_sampler_returns_transpose_of_contiguous_block():
+    pts = _sample_block(3, 0, 1000, 2.0)
+    assert pts.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("scale", [0.7, 20.0])
+def test_decoder_matches_row_major_on_uniform_points(scale):
+    y = np.random.default_rng(11).uniform(-scale, scale, size=(3 * CHUNK + 5, 8))
+    best, dist = decode_batch(y)
+    want_best, want_dist = ref_decode_batch(y)
+    assert np.array_equal(best, want_best)
+    assert np.array_equal(dist, want_dist)
+
+
+def test_decoder_matches_row_major_on_rounding_boundaries():
+    # ties in the parity fix, exact halves, integers with odd sums, and
+    # coordinates so small that y - 1/2 + 1/2 rounds to 0
+    edges = np.array([0.0, -0.0, 1e-20, -1e-20, 0.5, -0.5, 1.5, -1.5, 0.25, -0.25,
+                      1.0, -1.0, 2.0, 0.75, -0.75, 3.5])
+    y = np.random.default_rng(2).choice(edges, size=(5000, 8))
+    # the farthest coordinate is exactly on its integer: the fix steps up
+    y = np.vstack([y, [1.0] + [0.0] * 7, [-1.0] + [0.0] * 7, [1.5] + [0.5] * 7])
+    best, dist = decode_batch(y)
+    want_best, want_dist = ref_decode_batch(y)
+    assert np.array_equal(best, want_best)
+    assert np.array_equal(dist, want_dist)
+
+
+def test_decoder_matches_row_major_on_sampled_points():
+    pts = _sample_block(42, 0, _BLOCK, 5.0)
+    best, dist = decode_batch(pts)
+    want_best, want_dist = ref_decode_batch(np.ascontiguousarray(pts))
+    assert np.array_equal(best, want_best)
+    assert np.array_equal(dist, want_dist)
+
+
+@pytest.mark.parametrize("offsets", [
+    ((0.0,) * 8,),
+    ((0.5, -0.25, 0.0, 0.0, 1.0, 0.0, 0.0, 0.125),),
+    ((0.0,) * 8, (0.5,) * 4 + (0.0,) * 4),
+], ids=["zero-offset", "nonzero-offset", "two-offsets"])
+def test_hit_counts_match_row_major(offsets):
+    spec = PeriodicPackingSpec(basis=e8_basis(), offsets=offsets)
+    est = finite_density_mc(spec, radius=3.0, samples=40_000, seed=9)
+    assert est.value == ref_hits(spec, 3.0, 40_000, 9) / 40_000
+
+
+# -- edge cases --------------------------------------------------------------------
+
+def test_decode_single_point():
+    point = np.array([0.9, 0.9, 0, 0, 0, 0, 0, 0])
+    best, dist = decode_batch(point)
+    assert best.shape == (1, 8) and dist.shape == (1,)
+    assert np.array_equal(best, [[1, 1, 0, 0, 0, 0, 0, 0]])
+    assert np.array_equal(dist, ref_decode_batch(point)[1])
+
+
+def test_decode_layouts_agree():
+    y = np.random.default_rng(5).uniform(-4, 4, size=(1000, 8))
+    want_best, want_dist = ref_decode_batch(y)
+    for view in (y, np.asfortranarray(y), np.ascontiguousarray(y.T).T):
+        best, dist = decode_batch(view)
+        assert np.array_equal(best, want_best)
+        assert np.array_equal(dist, want_dist)
+
+
+def test_decode_empty_batch():
+    best, dist = decode_batch(np.empty((0, 8)))
+    assert best.shape == (0, 8) and dist.shape == (0,)
+
+
+def test_decode_rejects_wrong_width():
+    with pytest.raises(ValueError):
+        decode_batch(np.zeros((3, 7)))
+
+
+def test_partial_block_same_on_one_and_two_threads():
+    spec = e8_packing_spec()
+    one = finite_density_mc(spec, radius=5.0, samples=40_000, seed=4, threads=1)
+    two = finite_density_mc(spec, radius=5.0, samples=40_000, seed=4, threads=2)
+    assert two.workers == 2
+    assert one.value == two.value
+    assert one.value == ref_hits(spec, 5.0, 40_000, 4) / 40_000

@@ -113,6 +113,32 @@ def test_mc_rejects_bad_input():
         finite_density_mc(e8_packing_spec(), radius=1.0, samples=0, seed=1)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+def test_mc_rejects_non_finite_radius(radius):
+    with pytest.raises(ValueError):
+        finite_density_mc(e8_packing_spec(), radius=radius, samples=10, seed=1)
+
+
+def test_mc_rejects_a_basis_other_than_e8():
+    # the hit test decodes E8 whatever the basis says; 3*I8 has density 3.9e-5
+    cubic = PeriodicPackingSpec(basis=(3 * np.eye(8)).tolist())
+    assert periodic_density(cubic) == pytest.approx(ball_volume(8, math.sqrt(2) / 2) / 3 ** 8)
+    with pytest.raises(ValueError):
+        finite_density_mc(cubic, radius=2.0, samples=100, seed=1)
+    doubled = LatticeBasis(tuple(LatticeVector(tuple(2 * h for h in r.half_coords))
+                                 for r in e8_basis().rows))
+    with pytest.raises(ValueError):
+        finite_density_mc(PeriodicPackingSpec(basis=doubled), radius=2.0, samples=100, seed=1)
+
+
+def test_mc_accepts_any_basis_of_e8():
+    rows = list(e8_basis().rows)
+    rows[0], rows[7] = rows[7], rows[0]
+    reordered = PeriodicPackingSpec(basis=LatticeBasis(tuple(rows)))
+    a = finite_density_mc(reordered, radius=2.0, samples=2000, seed=1)
+    assert a.value == finite_density_mc(e8_packing_spec(), radius=2.0, samples=2000, seed=1).value
+
+
 def test_mc_reproducible_across_thread_counts():
     spec = e8_packing_spec()
     a = finite_density_mc(spec, radius=3.0, samples=200_000, seed=42, threads=1)
