@@ -325,24 +325,21 @@ def _cmd_magic_table(args, config: RunConfig):
 
 def _cmd_magic_verify(args, config: RunConfig):
     ev = default_evaluator(config.quadrature)
-    a0 = abs(ev.eval_a(0.0))
-    g0 = ev.eval_g(0.0)
+    checked = (1.5, 2.0, 3.0)
+    lattice = (1, 2, 3)
+    a = ev.a_values((0.0,) + checked).tolist()
+    b = ev.b_values((0.0,) + checked).tolist()
+    g = ev.g_values([0.0] + [math.sqrt(2.0 * n) for n in lattice]).tolist()
+    a0, b0, g0 = abs(a[0]), abs(b[0]), g[0]
     consistency = {}
     worst_rel = 0.0
-    for r in (1.5, 2.0, 3.0):
-        ca, pa = ev.eval_a(r), ev.eval_a_propagated(r)
-        cb, pb = ev.eval_b(r), ev.eval_b_propagated(r)
-        rel_a = abs(ca - pa) / max(abs(ca), a0)
-        rel_b = abs(cb - pb) / max(abs(cb), a0)
+    for r, ca, cb in zip(checked, a[1:], b[1:]):
+        rel_a = abs(ca - ev.eval_a_propagated(r)) / max(abs(ca), a0)
+        rel_b = abs(cb - ev.eval_b_propagated(r)) / max(abs(cb), a0)
         worst_rel = max(worst_rel, rel_a, rel_b)
         consistency[format(r, ".3g")] = {"a_rel_error": rel_a, "b_rel_error": rel_b}
-    zeros = {}
-    worst_zero = 0.0
-    for n in (1, 2, 3):
-        v = abs(ev.eval_g(math.sqrt(2.0 * n)))
-        zeros[str(n)] = v
-        worst_zero = max(worst_zero, v)
-    b0 = abs(ev.eval_b(0.0))
+    zeros = {str(n): abs(v) for n, v in zip(lattice, g[1:])}
+    worst_zero = max(zeros.values())
     results = {
         "representation_consistency": consistency,
         "max_rel_error": worst_rel,

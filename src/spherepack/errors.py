@@ -29,10 +29,6 @@ class TailBoundViolated(SpherepackError):
     """Ray truncation cannot certify the requested tail tolerance."""
 
 
-class PropagatedDomainError(SpherepackError):
-    """Single-integral representation requested below its convergence radius."""
-
-
 class NonpositiveFhat0(SpherepackError):
     """Cohn-Elkies bound requested with fhat(0) <= 0."""
 

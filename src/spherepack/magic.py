@@ -1,40 +1,42 @@
-"""The magic function: contour integrals, eigenfunction combination, Hankel check.
+"""The magic function: real Laplace integrals, the contour oracle, Hankel check.
 
-The plus eigenfunction a and minus eigenfunction b are built from six
-straight contour legs each (two rectangle sides from -1 and +1 up to i,
-the leg from i down to 0, and the vertical ray from i), with integrands
-assembled from phi0 respectively psi_s at inversion-transformed
-arguments.  Every leg keeps its integrand argument at Im >= 1/2, where
-the exact q-expansions converge fast, so the legs are plain
-Gauss-Legendre panels; the ray is truncated with a certified exponential
-tail bound.
+The plus eigenfunction a and minus eigenfunction b are purely imaginary
+on real radii.  With s = r^2 and L[K](s) = Int_0^inf K(t) e^{-pi s t} dt
+they are single real integrals along the imaginary axis (Viazovska,
+Annals of Math. 185 (2017), Props. 6 and 8):
 
-Both functions are purely imaginary on real radii: each vertical leg
-contributes i times a real integral and the two horizontal legs are
-complex conjugates with a sign.  The real combination
+    a(r) = 4i sin^2(pi s/2) L[Kphi](s),    Kphi(t) = t^2 phi0(i/t)
+    b(r) = 4i sin^2(pi s/2) L[Kpsi](s),    Kpsi(t) = t^2 psi_s(i/t)
 
-    g(r)     = Re[ (pi*i/8640) a(r) - (i/(240*pi)) b(r) ]
-    g_hat(r) = Re[ (pi*i/8640) a(r) + (i/(240*pi)) b(r) ]
+The Cohn-Elkies candidate g = Re[(pi i/8640) a - (i/(240 pi)) b] and its
+Fourier transform g_hat (a and b are +1 and -1 eigenfunctions, so hatting
+g only flips the b term) are
 
-is the Cohn-Elkies candidate and its Fourier transform (a and b are +1
-and -1 eigenfunctions, so hatting g only flips the b term).  The b-term
-sign is fixed by the sign conditions the certificate must satisfy
-(g <= 0 beyond sqrt(2), g_hat >= 0 everywhere) and is cross-checked by
-the independent Hankel-transform pipeline in this module; with the theta
-and Eisenstein conventions used here, g(0) = g_hat(0) = 1 exactly.
+    g(r)     = -(pi/2160) sin^2(pi s/2) L[K+](s),   K+ = Kphi - W Kpsi
+    g_hat(r) =  (pi/2160) sin^2(pi s/2) L[K-](s),   K- = -Kphi - W Kpsi
 
-For r >= sqrt(2) both functions collapse to single exponential-kernel
-integrals along the imaginary axis (the rectangle legs cancel against
-the rays by periodicity), picking up the factor -4 sin^2(pi r^2/2) that
-pins the zeros at radii sqrt(2n) -- double zeros from sqrt(4) on, a
-simple crossing at sqrt(2) where the kernel's cusp pole eats one order:
+with W = 36/pi^2: K+ and K- are the S-weighted axis kernels
+(``forms.axis_combo_weighted``), positive on (0, inf), so the sign
+conditions g <= 0 beyond sqrt(2) and g_hat >= 0 are sin^2 >= 0 times a
+positive integral, and the zeros at the lattice radii sqrt(2n) are those
+of sin^2.  The b-term sign is cross-checked by the independent
+Hankel-transform pipeline in this module; with the theta and Eisenstein
+conventions used here, g(0) = g_hat(0) = 1.
 
-    a(r) = -4 sin^2(pi r^2/2) Int_0^{i inf} phi0(-1/z) z^2 e^{pi i r^2 z} dz
-    b(r) = -4 sin^2(pi r^2/2) Int_0^{i inf} psi_i(z)        e^{pi i r^2 z} dz
+Quadrature: Gauss panels on [0, 1], where the node values at i/t need the
+series at Im >= 1 only, and on [1, inf) exact exponential moments of the
+kernel's q-expansion (``_moment_terms``).  Kphi, Kpsi and K+ grow like
+e^{2 pi t}, K- like t, so the integrals converge only for s > 2
+respectively s > 0.  Below s = 2 + _SUBTRACT_MARGIN the growing terms
+(rate offset <= 0) are subtracted on [0, 1] and their Laplace transforms
+m!/(pi (s - j))^{m+1} added back in closed form, each multiplied with
+sin^2(pi s/2) as one expression that is finite at s = 0 and s = 2.
 
-with psi_i(z) = z^2 psi_s(-1/z).  These are evaluated independently of
-the contour sums (Gauss on [0,1], exact exponential moments termwise on
-[1, inf)) and serve as the representation-consistency oracle.
+The six-leg contour integral (two rectangle sides from -1 and +1 up to
+i, the leg from i down to 0, and the vertical ray from i) is a second,
+independent representation of a and b.  It serves only as the oracle of
+``eval_a_propagated``/``eval_b_propagated``; its node table is built on
+the first oracle call.
 """
 
 from __future__ import annotations
@@ -47,13 +49,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    InsufficientTable,
-    NonRealValue,
-    PropagatedDomainError,
-    TailBoundViolated,
-)
+from .errors import InsufficientTable, TailBoundViolated
 from .forms import (
+    WEIGHT36,
     FormId,
     e4sq_over_delta_qseries,
     form_qseries,
@@ -65,14 +63,229 @@ from .quadrature import QuadratureConfig, gauss_nodes, panel_nodes
 
 PI = math.pi
 
-#: coefficient of the plus eigenfunction inside g
-COEFF_A = 1j * PI / 8640.0
-#: coefficient of the minus eigenfunction inside g; the sign makes the
-#: combination satisfy the certificate's sign conditions (see module doc)
-COEFF_B = -1j / (240.0 * PI)
-
-#: |a(0)| = 8640/pi; reference scale for realness assertions
+#: |a(0)| = 8640/pi; reference scale for a and b
 A_SCALE = 8640.0 / PI
+
+#: g = -_G_SCALE sin^2 L[K+], g_hat = _G_SCALE sin^2 L[K-]
+_G_SCALE = PI / 2160.0
+#: s = r^2 below 2 + this margin takes the subtracted form; above it the
+#: plain integral converges and subtracting would only cost accuracy
+_SUBTRACT_MARGIN = 1.0
+#: radii per block of a Laplace sweep
+_BLOCK = 256
+
+
+# ---------------------------------------------------------------------------
+# the Laplace representation
+# ---------------------------------------------------------------------------
+
+def _float_pairs(series):
+    return [(k, float(series.coefficient(k)))
+            for k in range(series.lowest, series.order + 1) if series.coefficient(k) != 0]
+
+
+@lru_cache(maxsize=2)
+def _moment_terms(form: FormId) -> tuple[tuple[int, float, float], ...]:
+    """(moment order m, rate offset, coefficient) of t^2 F(i/t) expanded on [1, inf).
+
+    phi0: t^2 phi0(i/t) = t^2 phi0(it) - (12t/pi) A(it) + (36/pi^2) B(it)
+    there, with A = (E2 E4 - E6) E4/Delta and B = E4^2/Delta, all in
+    exp(-2 pi n t).  psi_s: t^2 psi_s(i/t) = -psi_i(it), in exp(-pi k t).
+    """
+    if form is FormId.PHI0:
+        parts = ((2, 1.0, phi0_qseries()), (1, -12.0 / PI, phi0_anomaly_qseries()),
+                 (0, 36.0 / PI ** 2, e4sq_over_delta_qseries()))
+        return tuple((m, 2.0 * PI * n, f * c)
+                     for m, f, series in parts for n, c in _float_pairs(series))
+    pairs = _float_pairs(psi_i_qseries())
+    if any(k % 4 for k, _ in pairs):
+        raise RuntimeError("psi_i support must lie in 4Z")
+    return tuple((0, PI * (k // 4), -c) for k, c in pairs)
+
+
+def _combine(fa: float, terms_a, fb: float, terms_b) -> tuple[tuple[int, float, float], ...]:
+    """The terms of fa*A + fb*B, merged on (moment order, rate offset); exact
+    cancellations (the e^{2 pi t} terms of K-) are dropped."""
+    merged: dict[tuple[int, float], float] = {}
+    for f, terms in ((fa, terms_a), (fb, terms_b)):
+        for m, offset, c in terms:
+            merged[m, offset] = merged.get((m, offset), 0.0) + f * c
+    return tuple((m, offset, c) for (m, offset), c in merged.items() if c != 0.0)
+
+
+@dataclass(frozen=True)
+class _Moments:
+    """Int_1^inf sum_T c_T t^m_T e^{-offset_T t} e^{-pi s t} dt, exact for m <= 2:
+    e^{-pi s} sum_T c_T e^{-offset_T} (x + m x^2 + m(m-1) x^3), x = 1/(offset_T + pi s)."""
+
+    offset: np.ndarray     # (T, 1)
+    k: np.ndarray          # (3, T): the coefficients of x, x^2 and x^3
+
+    @classmethod
+    def of(cls, order, offset, coeff) -> _Moments:
+        scaled = coeff * np.exp(-offset)
+        return cls(offset[:, None],
+                   np.stack([scaled, order * scaled, order * (order - 1.0) * scaled]))
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        x = np.add(self.offset, PI * s)
+        np.reciprocal(x, out=x)             # in place: a fresh (T, B) array costs page faults
+        total = self.k[0] @ x
+        x2 = x * x
+        total += self.k[1] @ x2
+        x2 *= x
+        total += self.k[2] @ x2
+        return np.exp(-PI * s) * total
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """One real axis kernel K on the Laplace rule.
+
+    ``plain`` and ``subtracted`` are the Gauss weights times K, respectively
+    K minus its growing terms, at the [0, 1] nodes.  On [1, inf) K is a sum
+    of terms c t^m e^{-offset t}: ``decaying`` has those with offset > 0,
+    ``growing`` the others, each e^{pi j t} with j = ``shift``.
+    """
+
+    nodes: np.ndarray
+    plain: np.ndarray
+    subtracted: np.ndarray
+    decaying: _Moments
+    growing: _Moments
+    shift: np.ndarray      # (G, 1)
+    order: np.ndarray      # (G, 1)
+    coeff: np.ndarray      # (G,)
+
+    @classmethod
+    def build(cls, nodes, weights, values, terms) -> _Kernel:
+        order, offset, coeff = (np.array(col, dtype=float) for col in zip(*terms))
+        up = offset <= 0.0
+        shift = np.round(-offset[up] / PI)
+        # the closed forms need even shifts (sin^2(pi s/2) has period 2 in s),
+        # at most 2 (so the plain integral converges above the switch), and m <= 1
+        if order.max() > 2 or np.any(shift % 2) or np.any(shift > 2) or np.any(order[up] > 1):
+            raise RuntimeError("unexpected growing term in an axis kernel")
+        grow = coeff[up] @ (nodes ** order[up, None] * np.exp(-offset[up, None] * nodes))
+        return cls(nodes, weights * values, weights * (values - grow),
+                   _Moments.of(order[~up], offset[~up], coeff[~up]),
+                   _Moments.of(order[up], offset[up], coeff[up]),
+                   shift[:, None], order[up, None], coeff[up])
+
+    def sin2_laplace(self, s: np.ndarray) -> np.ndarray:
+        """sin^2(pi s/2) L[K](s) at each s = r^2 >= 0 of one block."""
+        sine = np.sin(PI * (s - 2.0 * np.round(s / 2.0)) / 2.0)   # the reduction is exact
+        low = s < 2.0 + _SUBTRACT_MARGIN
+        e = np.multiply.outer(s, -PI * self.nodes)
+        np.exp(e, out=e)
+        inner = np.where(low, e @ self.subtracted, e @ self.plain) + self.decaying(s)
+        inner[~low] += self.growing(s[~low])
+        out = sine * sine * inner
+        # below the switch the growing terms' transforms m!/(pi w)^{m+1}, w = s - j,
+        # times sin^2, through q = sin(pi s/2)/(pi w), which is sinc-like for small w
+        w = s[low] - self.shift
+        near = np.abs(w) < 1.0
+        q = np.where(near, 0.5 * np.sinc(w / 2.0), sine[low] / (PI * np.where(near, 1.0, w)))
+        out[low] += self.coeff @ np.where(self.order == 0, sine[low] * q, q * q)
+        return out
+
+
+def _laplace_sweep(kernel: _Kernel, radii) -> np.ndarray:
+    """sin^2(pi r^2/2) L[K](r^2) at each radius, in near-equal blocks of at
+    most _BLOCK radii."""
+    s = np.asarray(radii, dtype=float).ravel() ** 2
+    blocks = np.array_split(s, max(1, -(-s.size // _BLOCK)))
+    return np.concatenate([kernel.sin2_laplace(b) for b in blocks])
+
+
+def _imaginary(values: np.ndarray) -> np.ndarray:
+    out = np.zeros(values.shape, dtype=complex)
+    out.imag = values
+    return out
+
+
+class MagicEvaluator:
+    """Laplace tables of the four axis kernels; everything r-dependent is a
+    block of exponentials times them.
+
+    The kernel values at the [0, 1] Gauss nodes and the exponential terms
+    on [1, inf) are independent of the radius, so they are built once per
+    quadrature configuration (``panels_per_segment`` panels of
+    ``gauss_order`` nodes), from one array series evaluation per form.
+    a, b, g and g_hat are real integrals at every r >= 0; a and b come
+    back as complex arrays with real part exactly 0.  The ``*_values``
+    methods take radius arrays and are the only evaluation path; ``eval_*``
+    are their length-1 case.  ``eval_*_propagated`` evaluate the
+    independent contour representation.  Instances are immutable after
+    construction and safe to share.
+    """
+
+    def __init__(self, quad: QuadratureConfig | None = None):
+        self.quad = quad if quad is not None else QuadratureConfig()
+        t, w = panel_nodes(0.0, 1.0, self.quad.panels_per_segment, self.quad.gauss_order)
+        kphi = (t * t) * form_qseries(FormId.PHI0).eval(1j / t).real
+        kpsi = (t * t) * form_qseries(FormId.PSI_S).eval(1j / t).real
+        phi, psi = _moment_terms(FormId.PHI0), _moment_terms(FormId.PSI_S)
+        # a's and b's tables share one array of nodes
+        self._nodes_a = self._nodes_b = t
+        self._phi = _Kernel.build(t, w, kphi, phi)
+        self._psi = _Kernel.build(t, w, kpsi, psi)
+        self._plus = _Kernel.build(t, w, kphi - WEIGHT36 * kpsi,
+                                   _combine(1.0, phi, -WEIGHT36, psi))
+        self._minus = _Kernel.build(t, w, -kphi - WEIGHT36 * kpsi,
+                                    _combine(-1.0, phi, -WEIGHT36, psi))
+
+    def a_values(self, radii) -> np.ndarray:
+        """Plus eigenfunction over a radius grid (complex array, real part 0)."""
+        return _imaginary(4.0 * _laplace_sweep(self._phi, radii))
+
+    def b_values(self, radii) -> np.ndarray:
+        """Minus eigenfunction over a radius grid (complex array, real part 0)."""
+        return _imaginary(4.0 * _laplace_sweep(self._psi, radii))
+
+    def g_values(self, radii) -> np.ndarray:
+        return -_G_SCALE * _laplace_sweep(self._plus, radii)
+
+    def g_hat_values(self, radii) -> np.ndarray:
+        return _G_SCALE * _laplace_sweep(self._minus, radii)
+
+    def eval_a(self, r: float) -> complex:
+        return complex(self.a_values([r])[0])
+
+    def eval_b(self, r: float) -> complex:
+        return complex(self.b_values([r])[0])
+
+    def eval_g(self, r: float) -> float:
+        return float(self.g_values([r])[0])
+
+    def eval_g_hat(self, r: float) -> float:
+        return float(self.g_hat_values([r])[0])
+
+    # -- the contour oracle --------------------------------------------------
+
+    def eval_a_propagated(self, r: float) -> complex:
+        """a(r) through the six-leg contour, independent of the Laplace tables."""
+        return _contour_value(FormId.PHI0, r, self.quad)
+
+    def eval_b_propagated(self, r: float) -> complex:
+        """b(r) through the six-leg contour, independent of the Laplace tables."""
+        return _contour_value(FormId.PSI_S, r, self.quad)
+
+
+@lru_cache(maxsize=4)
+def default_evaluator(quad: QuadratureConfig | None = None) -> MagicEvaluator:
+    """Shared evaluator per quadrature configuration.
+
+    Building the Laplace tables costs one array series evaluation per form
+    on the [0, 1] nodes and the four kernels' moment terms, a few
+    milliseconds once the exact series are cached.
+    """
+    return MagicEvaluator(quad)
+
+
+# ---------------------------------------------------------------------------
+# the six-leg contour: the oracle
+# ---------------------------------------------------------------------------
 
 #: decay rate and leading-coefficient envelope of each ray integrand, used
 #: in certified tail bounds (factor 2 of safety)
@@ -168,168 +381,18 @@ def segment_integral(seg: ContourSegment, r2: float, quad: QuadratureConfig) -> 
     return complex((weights * np.exp(1j * PI * r2 * nodes)).sum())
 
 
-def _assemble(form: FormId, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=4)
+def _contour_table(form: FormId, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of all six legs of one function, concatenated."""
     _check_ray_tail(form, 0.0, quad)
     parts = [_segment_nodes(seg, quad) for seg in contour_segments(form)]
     return np.concatenate([n for n, _ in parts]), np.concatenate([w for _, w in parts])
 
 
-_SWEEP_CHUNK = 256
-
-
-def _sweep(nodes: np.ndarray, weights: np.ndarray, radii) -> np.ndarray:
-    """sum_k weights_k exp(pi*i*r^2*nodes_k) at each radius (complex array),
-    in near-equal blocks of at most _SWEEP_CHUNK radii, none of length 1."""
-    r2 = np.asarray(radii, dtype=float).ravel() ** 2
-    chunks = np.array_split(r2, max(1, -(-r2.size // _SWEEP_CHUNK)))
-    return np.concatenate([np.exp(1j * PI * np.outer(c, nodes)) @ weights for c in chunks])
-
-
-def _imaginary_or_raise(values: np.ndarray, label: str) -> np.ndarray:
-    bad = np.abs(values.real) > 1e-8 * (np.abs(values) + A_SCALE)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NonRealValue(f"{label}: real part {values.real[i]} too large (value {values[i]})")
-    return values
-
-
-def _real_or_raise(values: np.ndarray, label: str) -> np.ndarray:
-    bad = np.abs(values.imag) > 1e-7 * (np.abs(values) + 1.0)
-    if bad.any():
-        raise NonRealValue(f"{label}: imaginary part {values.imag[np.argmax(bad)]} too large")
-    return values.real
-
-
-class MagicEvaluator:
-    """Precomputed contour data; everything r-dependent is one vector product.
-
-    The kernel values on all twelve legs are independent of the radius, so
-    they are computed once per quadrature configuration, one array series
-    evaluation per leg; evaluating a, b, g at radii then costs one exp over
-    radii x nodes.  The ``*_values`` methods take radius arrays and are the
-    only evaluation path; ``eval_*`` are their length-1 case.  Instances are
-    immutable after construction and safe to share.
-    """
-
-    def __init__(self, quad: QuadratureConfig | None = None):
-        self.quad = quad if quad is not None else QuadratureConfig()
-        self._nodes_a, self._weights_a = _assemble(FormId.PHI0, self.quad)
-        self._nodes_b, self._weights_b = _assemble(FormId.PSI_S, self.quad)
-
-    # -- contour evaluations: purely imaginary up to quadrature noise -----------
-
-    def a_values(self, radii) -> np.ndarray:
-        """Plus eigenfunction over a radius grid (complex array)."""
-        return _imaginary_or_raise(_sweep(self._nodes_a, self._weights_a, radii), "a")
-
-    def b_values(self, radii) -> np.ndarray:
-        """Minus eigenfunction over a radius grid (complex array)."""
-        return _imaginary_or_raise(_sweep(self._nodes_b, self._weights_b, radii), "b")
-
-    def eval_a(self, r: float) -> complex:
-        return complex(self.a_values([r])[0])
-
-    def eval_b(self, r: float) -> complex:
-        return complex(self.b_values([r])[0])
-
-    # -- the certificate combination: real up to quadrature noise ---------------
-
-    def g_values(self, radii) -> np.ndarray:
-        combo = COEFF_A * self.a_values(radii) + COEFF_B * self.b_values(radii)
-        return _real_or_raise(combo, "g")
-
-    def g_hat_values(self, radii) -> np.ndarray:
-        combo = COEFF_A * self.a_values(radii) - COEFF_B * self.b_values(radii)
-        return _real_or_raise(combo, "g_hat")
-
-    def eval_g(self, r: float) -> float:
-        return float(self.g_values([r])[0])
-
-    def eval_g_hat(self, r: float) -> float:
-        return float(self.g_hat_values([r])[0])
-
-    # -- single-integral representations (r >= sqrt(2)) -------------------------
-
-    def eval_a_propagated(self, r: float) -> complex:
-        """a(r) through the collapsed axis integral; valid for r >= sqrt(2)."""
-        return _collapsed(FormId.PHI0, r, self.quad)
-
-    def eval_b_propagated(self, r: float) -> complex:
-        return _collapsed(FormId.PSI_S, r, self.quad)
-
-
-def _collapsed(form: FormId, r: float, quad: QuadratureConfig) -> complex:
-    """4i sin^2(pi r^2/2) Int_0^inf t^2 F(i/t) e^{-pi r^2 t} dt: a (F = phi0) or b (F = psi_s).
-
-    At r = sqrt(2) exactly, the axis integral diverges but its
-    sin^2(pi r^2/2) prefactor vanishes; the function value is 0.
-    """
-    r2 = r * r
-    if r2 < 2.0 * (1.0 - 1e-12):
-        raise PropagatedDomainError(
-            f"single-integral form diverges below sqrt(2); got r = {r}")
-    if abs(r2 - 2.0) < 1e-11:
-        return 0j
-    return 4j * math.sin(PI * r2 / 2.0) ** 2 * _laplace(form, r2, quad)
-
-
-#: int_1^inf t^m e^{-c t} dt for m = 0, 1, 2
-_EXP_MOMENTS = (
-    lambda c: math.exp(-c) / c,
-    lambda c: math.exp(-c) * (c + 1.0) / (c * c),
-    lambda c: math.exp(-c) * (c * c + 2.0 * c + 2.0) / (c * c * c),
-)
-
-
-def _float_pairs(series):
-    return [(k, float(series.coefficient(k)))
-            for k in range(series.lowest, series.order + 1) if series.coefficient(k) != 0]
-
-
-@lru_cache(maxsize=2)
-def _moment_terms(form: FormId) -> tuple[tuple[int, float, float], ...]:
-    """(moment order m, rate offset, coefficient) of t^2 F(i/t) expanded on [1, inf).
-
-    phi0: t^2 phi0(i/t) = t^2 phi0(it) - (12t/pi) A(it) + (36/pi^2) B(it)
-    there, with A = (E2 E4 - E6) E4/Delta and B = E4^2/Delta, all in
-    exp(-2 pi n t).  psi_s: t^2 psi_s(i/t) = -psi_i(it), in exp(-pi k t).
-    """
-    if form is FormId.PHI0:
-        parts = ((2, 1.0, phi0_qseries()), (1, -12.0 / PI, phi0_anomaly_qseries()),
-                 (0, 36.0 / PI ** 2, e4sq_over_delta_qseries()))
-        return tuple((m, 2.0 * PI * n, f * c)
-                     for m, f, series in parts for n, c in _float_pairs(series))
-    pairs = _float_pairs(psi_i_qseries())
-    if any(k % 4 for k, _ in pairs):
-        raise RuntimeError("psi_i support must lie in 4Z")
-    return tuple((0, PI * (k // 4), -c) for k, c in pairs)
-
-
-def _laplace(form: FormId, r2: float, quad: QuadratureConfig) -> float:
-    """Int_0^inf t^2 F(i/t) e^{-pi r2 t} dt for r2 > 2, F = phi0 or psi_s.
-
-    [0,1]: one array of Gauss panels on the inversion-transformed series
-    (argument i/t has Im >= 1).  [1,inf): exact exponential moments of the
-    integrand's q-expansion there (see ``_moment_terms``).
-    """
-    t, w = panel_nodes(0.0, 1.0, 4, 2 * quad.gauss_order)
-    kernel = (t * t) * form_qseries(form).eval(1j / t).real
-    low = float(w @ (kernel * np.exp(-PI * r2 * t)))
-    high = 0.0
-    for m, offset, c in _moment_terms(form):
-        high += c * _EXP_MOMENTS[m](offset + PI * r2)
-    return low + high
-
-
-@lru_cache(maxsize=4)
-def default_evaluator(quad: QuadratureConfig | None = None) -> MagicEvaluator:
-    """Shared evaluator per quadrature configuration.
-
-    Building the node tables costs one array series evaluation per leg,
-    about ten milliseconds once the exact series are cached.
-    """
-    return MagicEvaluator(quad)
+def _contour_value(form: FormId, r: float, quad: QuadratureConfig) -> complex:
+    """The six legs' sum at one radius: a (phi0) or b (psi_s)."""
+    nodes, weights = _contour_table(form, quad)
+    return complex(np.exp(1j * PI * (r * r * nodes)) @ weights)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +528,8 @@ def hankel8(table: RadialTable, r: float, taper_start: float = 0.7) -> float:
     Gauss resolving both the Bessel oscillation (period 1/r) and the
     profile's own oscillation, with a smooth taper over the last
     (1 - taper_start) of the table regularizing the slowly decaying
-    eigenfunction tails.
+    eigenfunction tails.  The integrand is evaluated once on all
+    (panels x 16) nodes; the panel sums are added in panel order.
     """
     if r <= 0:
         raise ValueError("hankel8 needs r > 0")
@@ -486,11 +550,11 @@ def hankel8(table: RadialTable, r: float, taper_start: float = 0.7) -> float:
         s = edges[-1]
         h = min(0.5 / r, 1.0 / max(1.0, s), s_max - s)
         edges.append(s + max(h, 1e-3))
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        s = mid + half * x
-        f = _cubic_interp(radii, values, s)
-        window = _taper((s - s0) / (s_max - s0))
-        total += float((w * f * window * bessel_j(3, 2.0 * PI * r * s) * s ** 4).sum() * half)
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    half = (hi - lo) / 2.0
+    s = ((lo + hi) / 2.0)[:, None] + half[:, None] * x      # one row of nodes per panel
+    f = _cubic_interp(radii, values, s)
+    window = _taper((s - s0) / (s_max - s0))
+    panels = (w * f * window * bessel_j(3, 2.0 * PI * r * s) * s ** 4).sum(axis=1) * half
+    total = float(np.cumsum(panels)[-1])                      # panel by panel, in order
     return 2.0 * PI * total / r ** 3

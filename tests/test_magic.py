@@ -1,18 +1,19 @@
 """Magic function: contour geometry, quadrature convergence, representation
 consistency, certificate values, Bessel/Hankel eigenfunction cross-checks."""
 
-import copy
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from spherepack.errors import (
-    InsufficientTable,
-    NonRealValue,
-    PropagatedDomainError,
-    TailBoundViolated,
-)
+from spherepack import magic
+from spherepack.cli import run
+from spherepack.cohn_elkies import default_ce_grid, verify_magic_ce
+from spherepack.errors import InsufficientTable, TailBoundViolated
 from spherepack.forms import FormId
 from spherepack.magic import (
     A_SCALE,
@@ -26,8 +27,9 @@ from spherepack.magic import (
     hankel8,
     segment_integral,
     tabulate_radial,
-    _SWEEP_CHUNK,
-    _sweep,
+    _BLOCK,
+    _SUBTRACT_MARGIN,
+    _laplace_sweep,
 )
 from spherepack.quadrature import QuadratureConfig
 
@@ -175,24 +177,25 @@ def test_vectorized_values_match_scalar(ev):
 
 
 def test_sweeps_refuse_nonreal_values(ev):
-    # a real part injected into the a-weights must not pass into g unnoticed
-    bad = copy.copy(ev)
-    bad._weights_a = ev._weights_a + 1.0
-    rs = np.array([0.0, 1.0, 2.5])
-    for method in (bad.a_values, bad.g_values, bad.g_hat_values):
-        with pytest.raises(NonRealValue):
-            method(rs)
-    with pytest.raises(NonRealValue):
-        bad.eval_g(1.0)
+    # the Laplace path is real arithmetic: a and b are i times a real array
+    rs = np.array([0.0, 1.0, SQRT2, 2.5, 7.0])
+    for method in (ev.a_values, ev.b_values):
+        values = method(rs)
+        assert values.dtype == np.complex128
+        assert np.all(values.real == 0)
+    for method in (ev.g_values, ev.g_hat_values):
+        assert method(rs).dtype == np.float64
+    assert isinstance(ev.eval_g(1.0), float)
 
 
-@pytest.mark.parametrize("n", [_SWEEP_CHUNK + 1, 1001])
+@pytest.mark.parametrize("n", [_BLOCK + 1, 1001])
 def test_chunked_sweep_matches_one_outer_product(ev, n):
     radii = np.linspace(0.0, 6.0, n)
-    want = np.exp(1j * PI * np.outer(radii ** 2, ev._nodes_a)) @ ev._weights_a
-    got = _sweep(ev._nodes_a, ev._weights_a, radii)
-    assert got.shape == (n,)
-    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    for kernel in (ev._phi, ev._psi, ev._plus, ev._minus):
+        want = kernel.sin2_laplace(radii ** 2)       # every radius in one block
+        got = _laplace_sweep(kernel, radii)
+        assert got.shape == (n,)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_quadrature_self_convergence(ev):
@@ -230,15 +233,17 @@ def test_propagated_near_minimal_radius(ev):
 
 
 def test_propagated_at_sqrt2_is_zero(ev):
-    assert ev.eval_a_propagated(SQRT2) == 0
-    assert ev.eval_b_propagated(SQRT2) == 0
+    a0 = abs(ev.eval_a(0.0))
+    assert abs(ev.eval_a(SQRT2)) <= 1e-14 * a0
+    assert abs(ev.eval_b(SQRT2)) <= 1e-14 * a0
 
 
 def test_propagated_rejects_small_radius(ev):
-    with pytest.raises(PropagatedDomainError):
-        ev.eval_a_propagated(1.0)
-    with pytest.raises(PropagatedDomainError):
-        ev.eval_b_propagated(1.2)
+    # the contour oracle holds below sqrt(2) too, and agrees with production there
+    a0 = abs(ev.eval_a(0.0))
+    for r in (0.0, 0.5, 1.0, 1.2, 1.4):
+        assert abs(ev.eval_a_propagated(r) - ev.eval_a(r)) <= 1e-14 * a0
+        assert abs(ev.eval_b_propagated(r) - ev.eval_b(r)) <= 1e-14 * a0
 
 
 def test_propagated_a_sign_at_three(ev):
@@ -247,6 +252,81 @@ def test_propagated_a_sign_at_three(ev):
     val = ev.eval_a_propagated(1.5)
     assert val.imag > 0.0
     assert ev.eval_g(1.5) < 0.0
+
+
+# -- the Laplace integrals against the contour oracle ------------------------------
+
+#: the radius where the subtracted form hands over to the plain integral
+SWITCH = math.sqrt(2.0 + _SUBTRACT_MARGIN)
+ORACLE_RADII = np.concatenate([
+    [0.0, 1e-3, SQRT2 - 1e-9, SQRT2 + 1e-9, SWITCH - 1e-9, SWITCH + 1e-9, 20.0],
+    np.sqrt(2.0 * np.arange(1, 9)),
+    np.arange(0.0, 20.0001, 0.02),
+])
+
+
+@pytest.fixture(scope="module")
+def oracle(ev):
+    """a, b, g and g_hat at ORACLE_RADII from the six-leg contour, one radius at a time."""
+    a = np.array([ev.eval_a_propagated(float(r)) for r in ORACLE_RADII])
+    b = np.array([ev.eval_b_propagated(float(r)) for r in ORACLE_RADII])
+    plus, minus = 1j * PI / 8640.0 * a, 1j / (240.0 * PI) * b
+    return a, b, (plus - minus).real, (plus + minus).real
+
+
+def test_laplace_a_and_b_match_contour_oracle(ev, oracle):
+    a, b, _, _ = oracle
+    a0 = abs(ev.eval_a(0.0))
+    assert np.abs(ev.a_values(ORACLE_RADII) - a).max() <= 1e-14 * a0
+    assert np.abs(ev.b_values(ORACLE_RADII) - b).max() <= 1e-14 * a0
+
+
+def test_laplace_g_and_g_hat_match_contour_oracle(ev, oracle):
+    _, _, g, g_hat = oracle
+    assert np.abs(ev.g_values(ORACLE_RADII) - g).max() <= 1e-14
+    assert np.abs(ev.g_hat_values(ORACLE_RADII) - g_hat).max() <= 1e-14
+
+
+def test_minus_kernel_growth_cancels_exactly(ev):
+    # the e^{2 pi t} terms of -Kphi and -W Kpsi cancel in the merged terms, so
+    # K- grows only like t; K+ keeps them
+    assert set(ev._minus.shift.ravel()) == {0.0}
+    assert set(ev._plus.shift.ravel()) == {0.0, 2.0}
+
+
+@pytest.mark.parametrize("radii", [np.array(default_ce_grid()), np.linspace(0.0, 20.0, 20002)[1:]],
+                         ids=["ce_grid", "dense"])
+def test_sign_conditions_hold_without_slack(ev, radii):
+    beyond = radii > SQRT2
+    assert ev.g_values(radii)[beyond].max() <= 0.0
+    assert ev.g_hat_values(radii).min() >= 0.0
+
+
+def test_bound_reports_signs_without_slack(capsys):
+    assert run(["bound"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["ce2_max_violation"] <= 0.0
+    assert res["ce3_min_value"] >= 0.0
+    rep = verify_magic_ce()
+    assert rep.tol == 1e-7 * abs(rep.g0)
+
+
+def test_production_never_builds_the_contour_table():
+    # a fresh process, so the count is the commands' own
+    src = os.path.dirname(os.path.dirname(os.path.abspath(magic.__file__)))
+    script = (
+        "import contextlib, io\n"
+        "from spherepack import cli, magic\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['bound']) == 0\n"
+        "    assert cli.run(['magic', 'table', '--which', 'GHat', '--grid', '0:20:101']) == 0\n"
+        "print(magic._contour_table.cache_info().misses)\n"
+        "magic.default_evaluator().eval_a_propagated(1.0)\n"
+        "print(magic._contour_table.cache_info().misses)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "1"]
 
 
 # -- radial tables ---------------------------------------------------------------
