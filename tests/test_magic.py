@@ -198,6 +198,29 @@ def test_chunked_sweep_matches_one_outer_product(ev, n):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def test_repeated_sweeps_reuse_work_arrays(ev):
+    rng = np.random.default_rng(7)
+    ev.g_values(np.sort(rng.uniform(0.0, 6.0, 3000)))
+    kept = dict(magic._SCRATCH.arrays)
+    for method in (ev.a_values, ev.b_values, ev.g_values, ev.g_hat_values):
+        method(np.sort(rng.uniform(0.0, 6.0, 3000)))
+        method([1.0])
+    assert magic._SCRATCH.arrays.keys() == kept.keys()
+    assert all(magic._SCRATCH.arrays[k] is v for k, v in kept.items())
+
+
+def test_sweeps_from_threads_match_one_thread(ev):
+    from concurrent.futures import ThreadPoolExecutor
+
+    radii = np.linspace(0.0, 6.0, 1001)
+    methods = [ev.g_values, ev.g_hat_values, ev.a_values, ev.b_values]
+    want = [m(radii) for m in methods]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = list(pool.map(lambda m: m(radii), methods * 8))
+    for w, g in zip(want * 8, got):
+        assert np.array_equal(w, g)
+
+
 def test_quadrature_self_convergence(ev):
     fine = MagicEvaluator(QuadratureConfig(gauss_order=48, panels_per_segment=12))
     for r in (0.0, 1.0, 2.0):
