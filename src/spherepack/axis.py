@@ -30,16 +30,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .forms import (
+    COMBO_DIRECT,
+    COMBO_WEIGHTED,
     WEIGHT36,
+    AxisTable,
     FormId,
-    axis_branches,
-    axis_combo_direct,
-    axis_combo_weighted,
+    axis_table,
     eval_phi0_axis,
     eval_psi_i_axis,
     eval_psi_s_axis,
@@ -65,8 +67,8 @@ def log_grid(lo: float = 0.05, hi: float = 20.0, n: int = 400) -> tuple[float, .
 
 def _inversion(sign: float, weight: float, partner: FormId, anomaly: float = 0.0):
     """F(it) = sign * u^weight * partner(iu) + anomaly * u / pi for t < 1, u = 1/t."""
-    return lambda t, iu: (sign * iu.imag ** weight * form_qseries(partner).eval(iu)
-                          + anomaly * iu.imag / PI)
+    build = partial(form_qseries, partner)
+    return lambda t, v: sign * (1.0 / t) ** weight * v(build) + anomaly * (1.0 / t) / PI
 
 
 #: each form's t < 1 branch: its inversion law (E2's anomaly is its quasimodular term);
@@ -79,8 +81,8 @@ _SMALL_T = {
     FormId.THETA00: _inversion(1.0, 0.5, FormId.THETA00),
     FormId.THETA01: _inversion(1.0, 0.5, FormId.THETA10),
     FormId.THETA10: _inversion(1.0, 0.5, FormId.THETA01),
-    FormId.PHI0: lambda t, iu: eval_phi0_axis(t),
-    FormId.PSI_S: lambda t, iu: eval_psi_s_axis(t),
+    FormId.PHI0: lambda t, v: eval_phi0_axis(t),
+    FormId.PSI_S: lambda t, v: eval_psi_s_axis(t),
 }
 
 
@@ -97,8 +99,8 @@ def res_to_imag_axis(form: FormId, t: float | np.ndarray) -> complex | np.ndarra
         raise ValueError("axis restriction needs t that is not NaN")
     out = np.zeros(ts.shape, dtype=complex)
     positive = ts > 0.0
-    out[positive] = axis_branches(ts[positive], lambda t, it: form_qseries(form).eval(it),
-                                  _SMALL_T[form])
+    build = partial(form_qseries, form)
+    out[positive] = AxisTable(ts[positive]).branches(lambda t, v: v(build), _SMALL_T[form])
     return complex(out) if ts.ndim == 0 else out
 
 
@@ -131,10 +133,10 @@ class AxisSamples:
         return AxisSamples(*map(np.concatenate, zip(vars(self).values(), vars(other).values())))
 
 
-#: per convention: phi0-slot kernel, psi_s-slot kernel, combination, phi0-slot weight
+#: per convention: phi0-slot kernel, psi_s-slot kernel, the two combinations, phi0-slot weight
 _CONVENTIONS = {
-    Eq2Convention.DIRECT: (eval_phi0_axis, eval_psi_s_axis, axis_combo_direct, 1.0),
-    Eq2Convention.S_WEIGHTED: (eval_psi_i_axis, phi0_weighted_kernel, axis_combo_weighted, WEIGHT36),
+    Eq2Convention.DIRECT: (eval_phi0_axis, eval_psi_s_axis, COMBO_DIRECT, 1.0),
+    Eq2Convention.S_WEIGHTED: (eval_psi_i_axis, phi0_weighted_kernel, COMBO_WEIGHTED, WEIGHT36),
 }
 
 
@@ -143,13 +145,15 @@ def eq2_samples(grid: Sequence[float], convention: Eq2Convention) -> AxisSamples
 
     The combinations are computed through cancellation-free series (the
     exp(2 pi t)-sized parts combined exactly), so the samples remain
-    meaningful where naive subtraction would lose all precision.  A t <= 0
-    or NaN raises ValueError.
+    meaningful where naive subtraction would lose all precision.  The four
+    arrays read one ``AxisTable``, so each series is evaluated once per
+    branch.  A t <= 0 or NaN raises ValueError.
     """
     t = np.asarray(grid, dtype=float)
     first, second, combo, w = _CONVENTIONS[convention]
-    return AxisSamples(t=t, phi0=w * first(t), psi_s=(1.0 / w) * second(t),
-                       combo_plus=combo(t, +1), combo_minus=combo(t, -1))
+    table = axis_table(t)
+    return AxisSamples(t=t, phi0=w * first.on(table), psi_s=(1.0 / w) * second.on(table),
+                       combo_plus=combo[1].on(table), combo_minus=combo[-1].on(table))
 
 
 @dataclass(frozen=True)

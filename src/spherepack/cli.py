@@ -286,7 +286,8 @@ def _cmd_packing_mc(args, config: RunConfig):
         "threads": est.workers,
         "target": E8_DENSITY,
         "abs_deviation": dev,
-        "deviation_sigmas": dev / est.stderr if est.stderr > 0 else float("inf"),
+        # undefined (null) when every sample hit or every sample missed
+        "deviation_sigmas": dev / est.stderr if est.stderr > 0 else None,
     }
     return results, True, None
 

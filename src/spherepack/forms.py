@@ -415,69 +415,123 @@ AXIS_T_MIN = 0.01
 WEIGHT36 = 36.0 / PI ** 2
 
 
-def axis_branches(t: np.ndarray, high, low) -> np.ndarray:
-    """high(t, i*t) where t >= 1 and low(t, i/t) where t < 1, one call each,
-    as a complex array of t's shape.  The one place that splits t by branch."""
-    val = np.empty(t.shape, dtype=complex)
-    upper = t >= 1.0
-    val[upper] = high(t[upper], 1j * t[upper])
-    val[~upper] = low(t[~upper], 1j * (1.0 / t[~upper]))
-    return val
+class AxisTable:
+    """Series values on the two branches of one grid of t: at i*t where
+    t >= 1 and at i/t where t < 1.  The one place that splits t by branch.
+
+    ``values(build, upper)`` evaluates ``build()`` once per branch, on
+    first use, so the kernels of one pass share their series values.  A
+    table lives for one pass over one grid; nothing outlives it.
+    """
+
+    def __init__(self, t: np.ndarray):
+        self.t = t
+        self.upper = t >= 1.0
+        self._points = {True: 1j * t[self.upper], False: 1j * (1.0 / t[~self.upper])}
+        self._values: dict = {}
+
+    def values(self, build, upper: bool) -> np.ndarray:
+        key = build, upper
+        if key not in self._values:
+            self._values[key] = build().eval(self._points[upper])
+        return self._values[key]
+
+    def branches(self, high, low) -> np.ndarray:
+        """high(t, v) where t >= 1 and low(t, v) where t < 1, each called once
+        with v(build) the branch's values of build(), as a complex array."""
+        val = np.empty(self.t.shape, dtype=complex)
+        for upper, part, where in ((True, high, self.upper), (False, low, ~self.upper)):
+            val[where] = part(self.t[where], partial(self.values, upper=upper))
+        return val
 
 
-def _on_axis(t, high, low, label: str, rel: float = 1e-9):
-    """``axis_branches`` for t in [AXIS_T_MIN, 1/AXIS_T_MIN] (ValueError
-    otherwise, NaN included), real to ``rel`` (NonRealValue otherwise).
-    A float t gives a float, an array a float array."""
-    ts = np.asarray(t, dtype=float)
-    flat = ts.ravel()
-    inside = (flat >= AXIS_T_MIN) & (flat <= 1.0 / AXIS_T_MIN)
+def axis_table(t) -> AxisTable:
+    """The table of a flat grid of t in [AXIS_T_MIN, 1/AXIS_T_MIN]
+    (ValueError otherwise, NaN included)."""
+    t = np.asarray(t, dtype=float)
+    inside = (t >= AXIS_T_MIN) & (t <= 1.0 / AXIS_T_MIN)
     if not inside.all():
-        bad = flat[np.argmin(inside)]
+        bad = t[np.argmin(inside)]
         need = "t > 0" if not bad > 0 else f"t in [{AXIS_T_MIN}, {1 / AXIS_T_MIN}]"
         raise ValueError(f"axis evaluation needs {need}, got {bad}")
-    val = axis_branches(flat, high, low)
-    nonreal = np.abs(val.imag) > rel * np.maximum(np.abs(val), 1e-30)
-    if nonreal.any():
-        v = val[np.argmax(nonreal)]
-        raise NonRealValue(f"{label}: imaginary part {v.imag} too large for |{v}|")
-    return float(val[0].real) if ts.ndim == 0 else val.real.reshape(ts.shape)
+    return AxisTable(t)
 
 
-def eval_phi0_axis(t: float | np.ndarray) -> float | np.ndarray:
-    """phi0 on the positive imaginary axis; positive for all t."""
-    return _on_axis(
-        t, lambda t, it: eval_phi0(it),
-        lambda t, iu: (eval_phi0(iu)
-                       - (12.0 * t / PI) * phi0_anomaly_qseries().eval(iu)
-                       + (36.0 * t * t / PI ** 2) * e4sq_over_delta_qseries().eval(iu)),
-        "phi0 axis")
+@dataclass(frozen=True)
+class AxisKernel:
+    """A real function on the axis: ``high`` for t >= 1 and ``low`` for t < 1,
+    each a combination of series values read from an ``AxisTable``."""
+
+    high: object
+    low: object
+    label: str
+    rel: float = 1e-9
+
+    def on(self, table: AxisTable) -> np.ndarray:
+        """The kernel over the table's grid as a float array, after checking
+        that it is real to ``rel`` (NonRealValue otherwise)."""
+        val = table.branches(self.high, self.low)
+        nonreal = np.abs(val.imag) > self.rel * np.maximum(np.abs(val), 1e-30)
+        if nonreal.any():
+            v = val[np.argmax(nonreal)]
+            raise NonRealValue(f"{self.label}: imaginary part {v.imag} too large for |{v}|")
+        return val.real
+
+    def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
+        """The kernel at a float t (a float) or an array of t (a float array)."""
+        ts = np.asarray(t, dtype=float)
+        val = self.on(axis_table(ts.ravel()))
+        return float(val[0]) if ts.ndim == 0 else val.reshape(ts.shape)
 
 
-def eval_psi_s_axis(t: float | np.ndarray) -> float | np.ndarray:
-    """psi_s on the positive imaginary axis; negative for all t."""
-    return _on_axis(t, lambda t, it: eval_psi_s(it),
-                    lambda t, iu: -(t * t) * psi_i_qseries().eval(iu), "psi_s axis")
+#: phi0 on the positive imaginary axis; positive for all t
+eval_phi0_axis = AxisKernel(
+    lambda t, v: v(phi0_qseries),
+    lambda t, v: (v(phi0_qseries)
+                  - (12.0 * t / PI) * v(phi0_anomaly_qseries)
+                  + (36.0 * t * t / PI ** 2) * v(e4sq_over_delta_qseries)),
+    "phi0 axis")
+#: psi_s on the positive imaginary axis; negative for all t
+eval_psi_s_axis = AxisKernel(lambda t, v: v(psi_s_qseries),
+                             lambda t, v: -(t * t) * v(psi_i_qseries), "psi_s axis")
+#: psi_i on the positive imaginary axis; positive, grows like exp(2*pi*t)
+eval_psi_i_axis = AxisKernel(lambda t, v: v(psi_i_qseries),
+                             lambda t, v: -(t * t) * v(psi_s_qseries), "psi_i axis")
+#: t^2 * phi0(i/t), the plus-eigenfunction's axis kernel.  For t >= 1 the
+#: inversion law is substituted so no exp(2*pi*t)-sized cancellation occurs;
+#: for t < 1 the series at i/t converges directly.
+phi0_weighted_kernel = AxisKernel(
+    lambda t, v: ((t * t) * v(phi0_qseries)
+                  - (12.0 * t / PI) * v(phi0_anomaly_qseries)
+                  + WEIGHT36 * v(e4sq_over_delta_qseries)),
+    lambda t, v: (t * t) * v(phi0_qseries), "phi0 kernel")
 
 
-def eval_psi_i_axis(t: float | np.ndarray) -> float | np.ndarray:
-    """psi_i on the positive imaginary axis; positive, grows like exp(2*pi*t)."""
-    return _on_axis(t, lambda t, it: psi_i_qseries().eval(it),
-                    lambda t, iu: -(t * t) * eval_psi_s(iu), "psi_i axis")
+def _combo_direct(sign: int) -> AxisKernel:
+    combo = _b_minus_psi_i_q4 if sign > 0 else _b_plus_psi_i_q4
+    return AxisKernel(
+        lambda t, v: v(phi0_qseries) + sign * WEIGHT36 * v(psi_s_qseries),
+        lambda t, v: (v(phi0_qseries)
+                      - (12.0 * t / PI) * v(phi0_anomaly_qseries)
+                      + (36.0 * t * t / PI ** 2) * v(combo)),
+        "axis combo (direct convention)", rel=1e-8)
 
 
-def phi0_weighted_kernel(t: float | np.ndarray) -> float | np.ndarray:
-    """t^2 * phi0(i/t): the plus-eigenfunction's axis kernel.
+def _combo_weighted(sign: int) -> AxisKernel:
+    # W = 36/pi^2, PHI = t^2 phi0(i/t): W*psi_i + PHI = W*(B + psi_i) + [PHI - W*B] and
+    # W*psi_i - PHI = -W*(B - psi_i) - [PHI - W*B], with the cusp-regular bracket
+    # PHI - W*B = t^2 phi0(it) - (12t/pi) A(it): the exp(2*pi*t) parts never cancel in floats.
+    combo = _b_plus_psi_i_q4 if sign > 0 else _b_minus_psi_i_q4
+    return AxisKernel(
+        lambda t, v: sign * (WEIGHT36 * v(combo) + (t * t) * v(phi0_qseries)
+                             - (12.0 * t / PI) * v(phi0_anomaly_qseries)),
+        lambda t, v: WEIGHT36 * (-(t * t) * v(psi_s_qseries)) + sign * ((t * t) * v(phi0_qseries)),
+        "axis combo (weighted convention)", rel=1e-8)
 
-    For t >= 1 the inversion law is substituted so no exp(2*pi*t)-sized
-    cancellation occurs; for t < 1 the series at i/t converges directly.
-    """
-    return _on_axis(
-        t,
-        lambda t, it: ((t * t) * eval_phi0(it)
-                       - (12.0 * t / PI) * phi0_anomaly_qseries().eval(it)
-                       + WEIGHT36 * e4sq_over_delta_qseries().eval(it)),
-        lambda t, iu: (t * t) * eval_phi0(iu), "phi0 kernel")
+
+#: the kernels of axis_combo_direct and axis_combo_weighted, per sign
+COMBO_DIRECT = {sign: _combo_direct(sign) for sign in (1, -1)}
+COMBO_WEIGHTED = {sign: _combo_weighted(sign) for sign in (1, -1)}
 
 
 def axis_combo_direct(t: float | np.ndarray, sign: int) -> float | np.ndarray:
@@ -490,13 +544,7 @@ def axis_combo_direct(t: float | np.ndarray, sign: int) -> float | np.ndarray:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    combo = _b_minus_psi_i_q4() if sign > 0 else _b_plus_psi_i_q4()
-    return _on_axis(
-        t, lambda t, it: eval_phi0(it) + sign * WEIGHT36 * eval_psi_s(it),
-        lambda t, iu: (eval_phi0(iu)
-                       - (12.0 * t / PI) * phi0_anomaly_qseries().eval(iu)
-                       + (36.0 * t * t / PI ** 2) * combo.eval(iu)),
-        "axis combo (direct convention)", rel=1e-8)
+    return COMBO_DIRECT[sign](t)
 
 
 def axis_combo_weighted(t: float | np.ndarray, sign: int) -> float | np.ndarray:
@@ -510,12 +558,4 @@ def axis_combo_weighted(t: float | np.ndarray, sign: int) -> float | np.ndarray:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    # W = 36/pi^2, PHI = t^2 phi0(i/t): W*psi_i + PHI = W*(B + psi_i) + [PHI - W*B] and
-    # W*psi_i - PHI = -W*(B - psi_i) - [PHI - W*B], with the cusp-regular bracket
-    # PHI - W*B = t^2 phi0(it) - (12t/pi) A(it): the exp(2*pi*t) parts never cancel in floats.
-    combo = _b_plus_psi_i_q4() if sign > 0 else _b_minus_psi_i_q4()
-    return _on_axis(
-        t, lambda t, it: sign * (WEIGHT36 * combo.eval(it) + (t * t) * eval_phi0(it)
-                                 - (12.0 * t / PI) * phi0_anomaly_qseries().eval(it)),
-        lambda t, iu: WEIGHT36 * (-(t * t) * eval_psi_s(iu)) + sign * ((t * t) * eval_phi0(iu)),
-        "axis combo (weighted convention)", rel=1e-8)
+    return COMBO_WEIGHTED[sign](t)

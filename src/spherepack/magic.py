@@ -74,6 +74,8 @@ _G_SCALE = PI / 2160.0
 _SUBTRACT_MARGIN = 1.0
 #: radii per block of a Laplace sweep
 _BLOCK = 256
+#: the largest radius handled, so that pi r^2 stays finite
+_R_MAX = 1e150
 
 
 class _Scratch(threading.local):
@@ -210,7 +212,14 @@ class _Kernel:
         e = _SCRATCH.take("exp", s.size, self.nodes.size).reshape(s.size, self.nodes.size)
         np.multiply.outer(s, -PI * self.nodes, out=e)
         np.exp(e, out=e)
-        inner = np.where(low, e @ self.subtracted, e @ self.plain) + self.decaying(s)
+        # a block on one side of the switch computes only the product it uses
+        if low.all():
+            inner = e @ self.subtracted
+        elif not low.any():
+            inner = e @ self.plain
+        else:
+            inner = np.where(low, e @ self.subtracted, e @ self.plain)
+        inner += self.decaying(s)
         inner[~low] += self.growing(s[~low])
         out = sine * sine * inner
         # below the switch the growing terms' transforms m!/(pi w)^{m+1}, w = s - j,
@@ -224,8 +233,12 @@ class _Kernel:
 
 def _laplace_sweep(kernel: _Kernel, radii) -> np.ndarray:
     """sin^2(pi r^2/2) L[K](r^2) at each radius, in near-equal blocks of at
-    most _BLOCK radii."""
-    s = np.asarray(radii, dtype=float).ravel() ** 2
+    most _BLOCK radii.  A NaN radius or one beyond _R_MAX is a ValueError."""
+    r = np.asarray(radii, dtype=float).ravel()
+    inside = np.abs(r) <= _R_MAX
+    if not inside.all():
+        raise ValueError(f"radii must satisfy |r| <= {_R_MAX:g}, got {r[np.argmin(inside)]}")
+    s = r ** 2
     blocks = np.array_split(s, max(1, -(-s.size // _BLOCK)))
     return np.concatenate([kernel.sin2_laplace(b) for b in blocks])
 

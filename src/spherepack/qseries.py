@@ -288,12 +288,20 @@ class QSeries:
     def eval(self, tau, tol: float = 1e-12, eta_min: float = ETA_MIN_DEFAULT):
         """Evaluate at a point, or an ndarray of points, of the upper half-plane.
 
-        One Horner loop serves both: a scalar tau runs it on a Python complex
-        nome and returns a ``complex``, an ndarray runs it elementwise and
-        returns a complex array of the same shape (empty for an empty
+        One Horner loop serves both: a scalar tau runs it on a Python nome
+        and returns a ``complex``, an ndarray runs it elementwise, in place,
+        and returns a complex array of the same shape (empty for an empty
         array).  Refuses points with Im(tau) < eta_min or NaN (DomainTooLow)
         and refuses to return values whose certified truncation tail, taken
         at the largest |nome|, exceeds ``tol`` (TruncationInsufficient).
+
+        The loop skips the add of each zero coefficient, and its working
+        type follows the nome: when no nome value has a nonzero imaginary
+        part (every point of the imaginary axis), it runs in float.  That
+        is the real part of the complex loop bit for bit, up to the sign of
+        a zero, because the imaginary parts stay exactly zero.  The factor
+        nome**lowest stays a complex integer power, of which the float loop
+        takes the real part.
         """
         array = isinstance(tau, np.ndarray)
         if array and not tau.size:
@@ -312,12 +320,18 @@ class QSeries:
         if self.tail_estimate(float(abs_max)) > tol:
             raise TruncationInsufficient(
                 f"tail estimate exceeds tol={tol} at |q|={abs_max:.4g}, order {self.order}")
-        acc = 0.0 + 0.0j
-        for c in reversed(self._numeric()[0]):
-            acc = acc * w + c
+        real = not np.any(w.imag)
+        x = w.real if real else w
+        *rest, top = self._numeric()[0]
+        acc = np.full(w.shape, top, dtype=x.dtype) if array else type(x)(top)
+        for c in reversed(rest):
+            acc *= x
+            if c:
+                acc += c
         if self.lowest:
-            acc *= w ** self.lowest
-        return acc
+            power = w ** self.lowest
+            acc *= power.real if real else power
+        return acc.astype(complex, copy=False) if array else complex(acc)
 
 
 def zero_series(nome: Nome, order: int) -> QSeries:

@@ -82,7 +82,7 @@ def test_criterion_04_representation_consistency(capsys):
         worst = max(worst, abs(ev.eval_b(r) - ev.eval_b_propagated(r)) / a0)
     with capsys.disabled():
         report(4, worst < 1e-6,
-               f"contour vs collapsed integral at r in (1.5, 2, 3): worst rel {worst:.2e}", t0, 30.0)
+               f"Laplace vs contour oracle at r in (1.5, 2, 3): worst rel {worst:.2e}", t0, 30.0)
 
 
 def test_criterion_05_double_zero_values_and_higher_slopes(capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spherepack import forms
 from spherepack.axis import (
     AxisSamples,
     Eq2Convention,
@@ -17,6 +18,7 @@ from spherepack.axis import (
 )
 from spherepack.cohn_elkies import verify_magic_ce
 from spherepack.forms import AXIS_T_MIN, FormId, form_qseries
+from spherepack.qseries import QSeries
 
 PI = math.pi
 W = 36.0 / PI ** 2
@@ -161,3 +163,49 @@ def test_report_is_serializable():
     d = report.as_dict()
     assert d["convention"] == "sweighted"
     assert d["pass"] is True
+
+
+# -- one evaluation per (series, branch) in a pass ---------------------------------
+
+#: the distinct (series, branch) pairs the four arrays of a pass read
+_PASS_SERIES = {
+    Eq2Convention.DIRECT: {
+        "t >= 1": ("phi0", "psi_s"),
+        "t < 1": ("phi0", "A", "B", "psi_i", "B - psi_i", "B + psi_i"),
+    },
+    Eq2Convention.S_WEIGHTED: {
+        "t >= 1": ("phi0", "A", "B", "psi_i", "B - psi_i", "B + psi_i"),
+        "t < 1": ("phi0", "psi_s"),
+    },
+}
+
+#: the public evaluators behind each convention's four arrays, phi0-slot weight last
+_PUBLIC = {
+    Eq2Convention.DIRECT: (forms.eval_phi0_axis, forms.eval_psi_s_axis,
+                           forms.axis_combo_direct, 1.0),
+    Eq2Convention.S_WEIGHTED: (forms.eval_psi_i_axis, forms.phi0_weighted_kernel,
+                               forms.axis_combo_weighted, W),
+}
+
+
+@pytest.mark.parametrize("convention", list(Eq2Convention))
+def test_eq2_pass_evaluates_each_series_once_per_branch(convention, monkeypatch):
+    grid = np.array(log_grid(n=64))
+    calls = []
+    real_eval = QSeries.eval
+
+    def counting_eval(self, tau, *args, **kwargs):
+        calls.append((id(self), complex(tau.flat[0])))
+        return real_eval(self, tau, *args, **kwargs)
+
+    monkeypatch.setattr(QSeries, "eval", counting_eval)
+    samples = eq2_samples(grid, convention)
+    monkeypatch.undo()
+    want = sum(map(len, _PASS_SERIES[convention].values()))
+    assert len(calls) == len(set(calls)) == want
+    first, second, combo, w = _PUBLIC[convention]
+    assert np.array_equal(samples.t, grid)
+    assert np.array_equal(samples.phi0, w * first(grid))
+    assert np.array_equal(samples.psi_s, (1.0 / w) * second(grid))
+    assert np.array_equal(samples.combo_plus, combo(grid, +1))
+    assert np.array_equal(samples.combo_minus, combo(grid, -1))

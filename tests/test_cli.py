@@ -231,6 +231,14 @@ def test_mc_reports_the_workers_that_ran(capsys):
     assert data["config"]["threads"] == 64
 
 
+def test_mc_sigma_deviation_is_null_without_a_spread(capsys):
+    # one sample has standard error 0, so the deviation in sigmas is undefined
+    code, out, _ = invoke(capsys, "packing", "mc", "--samples", "1")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["stderr"] == 0.0 and results["deviation_sigmas"] is None
+
+
 def test_env_threads_invalid(monkeypatch, capsys):
     monkeypatch.setenv("SPHEREPACK_THREADS", "many")
     code, _, err = invoke(capsys, "packing", "mc", "--radius", "2",
@@ -264,6 +272,9 @@ def test_runconfig_validation():
     ["lattice", "decode", "--point", "nan,0,0,0,0,0,0,0"],
     ["forms", "identities", "--order", "1"],
     ["axis", "check", "--grid", "0:1:5"],
+    # r^2 would overflow: refused by the Laplace sweep instead of giving NaN
+    ["magic", "eval", "--r", "1e300"],
+    ["magic", "table", "--which", "G", "--grid=-1e308:1e308:5"],
 ])
 def test_bad_input_refused_at_boundary(capsys, argv):
     code, out, err = invoke(capsys, *argv)

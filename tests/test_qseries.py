@@ -314,14 +314,65 @@ _PINNED_CALLS = [
 _PINNED_SHA256 = "1b345697b56f1c73507f263add64fb990cf7a3fe2e992a9c4530d60e2b013fab"
 
 
+def _build(call):
+    from spherepack import forms
+    name, *args = call
+    return forms.form_qseries(FormId[args[0]]) if name == "form_qseries" else getattr(forms, name)(*args)
+
+
 def test_builder_coefficients_match_pinned_hash():
     import hashlib
-    from spherepack import forms
     digest = hashlib.sha256()
-    for name, *args in _PINNED_CALLS:
-        s = (forms.form_qseries(FormId[args[0]]) if name == "form_qseries"
-             else getattr(forms, name)(*args))
-        nome, lowest, coeffs = _window(s)
+    for call in _PINNED_CALLS:
+        nome, lowest, coeffs = _window(_build(call))
         pairs = [(c.numerator, c.denominator) for c in coeffs]
         digest.update(repr((nome.value, lowest, pairs)).encode())
     assert digest.hexdigest() == _PINNED_SHA256
+
+
+# -- the real-nome Horner against the complex loop it replaced ----------------------
+
+def _complex_horner(series, tau):
+    """eval's earlier loop, guards left out: complex Horner in every case, then
+    the complex integer power nome**lowest."""
+    w = series.nome.value_at(tau)
+    acc = 0.0 + 0.0j
+    for c in reversed(series._numeric()[0]):
+        acc = acc * w + c
+    if series.lowest:
+        acc *= w ** series.lowest
+    return acc
+
+
+#: t log-spaced on [0.01, 100], t = 1 included
+_AXIS_T = np.logspace(-2.0, 2.0, 33)
+
+
+def _axis_points():
+    t = _AXIS_T
+    assert 1.0 in t
+    return {"i*t": 1j * t[t >= 0.5], "i/t": 1j / t[t <= 2.0], "i*(1/t)": 1j * (1.0 / t[t <= 2.0])}
+
+
+@pytest.mark.parametrize("call", _PINNED_CALLS, ids=lambda call: "-".join(map(str, call)))
+def test_real_nome_horner_is_the_complex_loop_bit_for_bit(call):
+    series = _build(call)
+    for label, taus in _axis_points().items():
+        got = series.eval(taus)
+        assert got.dtype == complex
+        assert np.array_equal(got, _complex_horner(series, taus)), label
+        assert np.all(got.imag == 0.0), label
+        assert all(series.eval(complex(z)) == _complex_horner(series, complex(z)) for z in taus)
+    taus = _array_points()
+    assert np.array_equal(series.eval(taus), _complex_horner(series, taus))
+
+
+def test_real_nome_keeps_the_complex_power_of_a_pole():
+    # psi_i has lowest exponent -8; (nome.real)**-8 differs from the real part of
+    # the complex power in the last bit at some of these points
+    series = psi_i_qseries()
+    assert series.lowest == -8
+    for label, taus in _axis_points().items():
+        w = series.nome.value_at(taus)
+        assert np.any((w ** -8).real != w.real ** -8), label
+        assert np.array_equal(series.eval(taus), _complex_horner(series, taus)), label
