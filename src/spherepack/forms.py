@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial, wraps
@@ -460,12 +460,18 @@ def axis_table(t) -> AxisTable:
 @dataclass(frozen=True)
 class AxisKernel:
     """A real function on the axis: ``high`` for t >= 1 and ``low`` for t < 1,
-    each a combination of series values read from an ``AxisTable``."""
+    each a combination of series values read from an ``AxisTable``.  ``doc``,
+    if given, becomes the instance's docstring."""
 
     high: object
     low: object
     label: str
     rel: float = 1e-9
+    doc: str = field(default="", repr=False)
+
+    def __post_init__(self):
+        if self.doc:
+            object.__setattr__(self, "__doc__", self.doc)
 
     def on(self, table: AxisTable) -> np.ndarray:
         """The kernel over the table's grid as a float array, after checking
@@ -484,27 +490,28 @@ class AxisKernel:
         return float(val[0]) if ts.ndim == 0 else val.reshape(ts.shape)
 
 
-#: phi0 on the positive imaginary axis; positive for all t
 eval_phi0_axis = AxisKernel(
     lambda t, v: v(phi0_qseries),
     lambda t, v: (v(phi0_qseries)
                   - (12.0 * t / PI) * v(phi0_anomaly_qseries)
                   + (36.0 * t * t / PI ** 2) * v(e4sq_over_delta_qseries)),
-    "phi0 axis")
-#: psi_s on the positive imaginary axis; negative for all t
-eval_psi_s_axis = AxisKernel(lambda t, v: v(psi_s_qseries),
-                             lambda t, v: -(t * t) * v(psi_i_qseries), "psi_s axis")
-#: psi_i on the positive imaginary axis; positive, grows like exp(2*pi*t)
-eval_psi_i_axis = AxisKernel(lambda t, v: v(psi_i_qseries),
-                             lambda t, v: -(t * t) * v(psi_s_qseries), "psi_i axis")
-#: t^2 * phi0(i/t), the plus-eigenfunction's axis kernel.  For t >= 1 the
-#: inversion law is substituted so no exp(2*pi*t)-sized cancellation occurs;
-#: for t < 1 the series at i/t converges directly.
+    "phi0 axis", doc="phi0 on the positive imaginary axis; positive for all t.")
+eval_psi_s_axis = AxisKernel(
+    lambda t, v: v(psi_s_qseries), lambda t, v: -(t * t) * v(psi_i_qseries), "psi_s axis",
+    doc="psi_s on the positive imaginary axis; negative for all t.")
+eval_psi_i_axis = AxisKernel(
+    lambda t, v: v(psi_i_qseries), lambda t, v: -(t * t) * v(psi_s_qseries), "psi_i axis",
+    doc="psi_i on the positive imaginary axis; positive, grows like exp(2*pi*t).")
 phi0_weighted_kernel = AxisKernel(
     lambda t, v: ((t * t) * v(phi0_qseries)
                   - (12.0 * t / PI) * v(phi0_anomaly_qseries)
                   + WEIGHT36 * v(e4sq_over_delta_qseries)),
-    lambda t, v: (t * t) * v(phi0_qseries), "phi0 kernel")
+    lambda t, v: (t * t) * v(phi0_qseries), "phi0 kernel",
+    doc="""t^2 * phi0(i/t): the plus-eigenfunction's axis kernel.
+
+    For t >= 1 the inversion law is substituted so no exp(2*pi*t)-sized
+    cancellation occurs; for t < 1 the series at i/t converges directly.
+    """)
 
 
 def _combo_direct(sign: int) -> AxisKernel:

@@ -212,14 +212,7 @@ class _Kernel:
         e = _SCRATCH.take("exp", s.size, self.nodes.size).reshape(s.size, self.nodes.size)
         np.multiply.outer(s, -PI * self.nodes, out=e)
         np.exp(e, out=e)
-        # a block on one side of the switch computes only the product it uses
-        if low.all():
-            inner = e @ self.subtracted
-        elif not low.any():
-            inner = e @ self.plain
-        else:
-            inner = np.where(low, e @ self.subtracted, e @ self.plain)
-        inner += self.decaying(s)
+        inner = np.where(low, e @ self.subtracted, e @ self.plain) + self.decaying(s)
         inner[~low] += self.growing(s[~low])
         out = sine * sine * inner
         # below the switch the growing terms' transforms m!/(pi w)^{m+1}, w = s - j,

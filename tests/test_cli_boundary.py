@@ -1,5 +1,6 @@
 """CLI boundary property: any floats, ints and grid strings give exit 0, 1 or 2,
-never a traceback, and never ``pass: true`` beside a non-finite result.
+never a traceback, and never ``pass: true`` (or, for a csv table, exit 0)
+beside a non-finite result.
 
 Sizes that set the work (Monte-Carlo samples, threads, grid points, series
 order, shell norm) are capped so that no example starts a large run; the
@@ -93,3 +94,7 @@ def test_cli_boundary_property(argv, capsys, monkeypatch):
     if code != 2 and out.startswith("{"):
         report = json.loads(out)
         assert not (report["pass"] and _non_finite(report["results"])), (argv, out)
+    elif code == 0:
+        # a csv table has no pass field; exit 0 is its pass
+        cells = [c for line in out.splitlines()[1:] for c in line.split(",")]
+        assert not _non_finite(cells), (argv, out)

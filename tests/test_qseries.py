@@ -368,11 +368,15 @@ def test_real_nome_horner_is_the_complex_loop_bit_for_bit(call):
 
 
 def test_real_nome_keeps_the_complex_power_of_a_pole():
-    # psi_i has lowest exponent -8; (nome.real)**-8 differs from the real part of
-    # the complex power in the last bit at some of these points
+    # psi_i has lowest exponent -8; with the numpy this was written against,
+    # (nome.real)**-8 differs from the real part of the complex power in the last
+    # bit at some of these points, so a float power would fail the comparison
     series = psi_i_qseries()
     assert series.lowest == -8
-    for label, taus in _axis_points().items():
-        w = series.nome.value_at(taus)
-        assert np.any((w ** -8).real != w.real ** -8), label
+    points = _axis_points()
+    for label, taus in points.items():
         assert np.array_equal(series.eval(taus), _complex_horner(series, taus)), label
+    w = series.nome.value_at(np.concatenate(list(points.values())))
+    if np.array_equal((w ** -8).real, w.real ** -8):
+        pytest.skip("this numpy rounds the complex and the float power alike, "
+                    "so the comparison cannot tell them apart")
