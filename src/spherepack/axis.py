@@ -1,8 +1,13 @@
-"""Imaginary-axis restrictions and the two-sided positivity inequalities.
+"""Imaginary-axis evaluation and the two-sided positivity inequalities.
 
-Every function takes a grid of t as one array and evaluates each series
-once per branch (t >= 1, t < 1), never per point.  ``res_to_imag_axis``
-restricts any named form to t -> F(i*t), returning exactly 0 for t <= 0.
+Every function here takes a grid of t as one array (a float t is the
+length-1 case) and reads its series values from one ``AxisTable``: each
+series is evaluated once per branch, at i*t where t >= 1 and at i/t where
+t < 1, so the series argument always has Im >= 1.  The table is the one
+realness check: on the axis every nome is real, so a series value with a
+nonzero imaginary part raises NonRealValue, and the kernels do plain float
+arithmetic.  ``res_to_imag_axis`` restricts any named form to
+t -> F(i*t), returning exactly 0 for t <= 0.
 
 ``eq2_samples``/``verify_inequalities`` probe the pair of combinations
 phi0 +- (36/pi^2) psi_s in two conventions:
@@ -35,21 +40,181 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import NonRealValue
 from .forms import (
-    COMBO_DIRECT,
-    COMBO_WEIGHTED,
     WEIGHT36,
-    AxisTable,
     FormId,
-    axis_table,
-    eval_phi0_axis,
-    eval_psi_i_axis,
-    eval_psi_s_axis,
+    _b_minus_psi_i_q4,
+    _b_plus_psi_i_q4,
+    e4sq_over_delta_qseries,
     form_qseries,
-    phi0_weighted_kernel,
+    phi0_anomaly_qseries,
+    phi0_qseries,
+    psi_i_qseries,
+    psi_s_qseries,
 )
 
 PI = math.pi
+
+
+# ---------------------------------------------------------------------------
+# the table and the axis kernels
+#
+# For t >= 1 the series converge comfortably at tau = i*t.  For t < 1 we
+# move to tau = i/t via the inversion laws
+#
+#   phi0(it)  = phi0(i/t) - (12t/pi) A(i/t) + (36t^2/pi^2) B(i/t)
+#   psi_s(it) = -t^2 psi_i(i/t)          psi_i(it) = -t^2 psi_s(i/t)
+#
+# with A = (E2 E4 - E6) E4/Delta and B = E4^2/Delta.  These follow from
+# E2's quasimodular anomaly and the weight-2 theta transformation; the
+# direct and transformed branches are cross-checked on the overlap
+# t in [0.8, 1.25] by the test suite before anything downstream trusts
+# them.
+# ---------------------------------------------------------------------------
+
+#: Below this the transformed series argument exp(-2*pi/t) underflows.
+AXIS_T_MIN = 0.01
+
+
+class AxisTable:
+    """Series values on the two branches of one grid of t: at i*t where
+    t >= 1 and at i/t where t < 1.  The one place that splits t by branch.
+
+    ``values(build, upper)`` evaluates ``build()`` once per branch, on
+    first use, so the kernels of one pass share their series values; it is
+    also the one realness check.  A table lives for one pass over one grid;
+    nothing outlives it.
+    """
+
+    def __init__(self, t: np.ndarray):
+        self.t = t
+        self.upper = t >= 1.0
+        self._points = {True: 1j * t[self.upper], False: 1j * (1.0 / t[~self.upper])}
+        self._values: dict = {}
+
+    def values(self, build, upper: bool) -> np.ndarray:
+        """The branch's values of build() as a float array; NonRealValue if
+        any has a nonzero imaginary part, which no real nome can give."""
+        key = build, upper
+        if key not in self._values:
+            val = build().eval(self._points[upper])
+            if val.imag.any():
+                raise NonRealValue(f"{getattr(build, '__name__', build)} is not real on the "
+                                   f"axis: {val[val.imag != 0][0]}")
+            self._values[key] = val.real
+        return self._values[key]
+
+    def branches(self, kernel, *sign) -> np.ndarray:
+        """kernel(t, v, upper, *sign) on each branch's part of the grid, as one
+        float array; v(build) gives the branch's values of build()."""
+        val = np.empty(self.t.shape)
+        for upper, where in ((True, self.upper), (False, ~self.upper)):
+            val[where] = kernel(self.t[where], partial(self.values, upper=upper), upper, *sign)
+        return val
+
+
+def axis_table(t) -> AxisTable:
+    """The table of a flat grid of t in [AXIS_T_MIN, 1/AXIS_T_MIN]
+    (ValueError otherwise, NaN included)."""
+    t = np.asarray(t, dtype=float)
+    inside = (t >= AXIS_T_MIN) & (t <= 1.0 / AXIS_T_MIN)
+    if not inside.all():
+        bad = t[np.argmin(inside)]
+        need = "t > 0" if not bad > 0 else f"t in [{AXIS_T_MIN}, {1 / AXIS_T_MIN}]"
+        raise ValueError(f"axis evaluation needs {need}, got {bad}")
+    return AxisTable(t)
+
+
+def _on_axis(kernel):
+    """The public front end of kernel(t, v, upper, *sign): a function of t (a
+    float, or an array whose shape the result keeps) and, for a combination,
+    a sign of +1 or -1, evaluated on a table of its own.  It keeps the
+    kernel's name and docstring; ``.kernel`` is the kernel, for a shared table."""
+    def front(t: float | np.ndarray, *sign: int) -> float | np.ndarray:
+        if sign and sign[0] not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        ts = np.asarray(t, dtype=float)
+        val = axis_table(ts.ravel()).branches(kernel, *sign)
+        return float(val[0]) if ts.ndim == 0 else val.reshape(ts.shape)
+
+    front.__name__, front.__qualname__, front.__doc__ = (
+        kernel.__name__, kernel.__qualname__, kernel.__doc__)
+    front.kernel = kernel
+    return front
+
+
+@_on_axis
+def eval_phi0_axis(t, v, upper):
+    """phi0 on the positive imaginary axis; positive for all t."""
+    if upper:
+        return v(phi0_qseries)
+    return (v(phi0_qseries)
+            - (12.0 * t / PI) * v(phi0_anomaly_qseries)
+            + (36.0 * t * t / PI ** 2) * v(e4sq_over_delta_qseries))
+
+
+@_on_axis
+def eval_psi_s_axis(t, v, upper):
+    """psi_s on the positive imaginary axis; negative for all t."""
+    return v(psi_s_qseries) if upper else -(t * t) * v(psi_i_qseries)
+
+
+@_on_axis
+def eval_psi_i_axis(t, v, upper):
+    """psi_i on the positive imaginary axis; positive, grows like exp(2*pi*t)."""
+    return v(psi_i_qseries) if upper else -(t * t) * v(psi_s_qseries)
+
+
+@_on_axis
+def phi0_weighted_kernel(t, v, upper):
+    """t^2 * phi0(i/t): the plus-eigenfunction's axis kernel.
+
+    For t >= 1 the inversion law is substituted so no exp(2*pi*t)-sized
+    cancellation occurs; for t < 1 the series at i/t converges directly.
+    """
+    if not upper:
+        return (t * t) * v(phi0_qseries)
+    return ((t * t) * v(phi0_qseries)
+            - (12.0 * t / PI) * v(phi0_anomaly_qseries)
+            + WEIGHT36 * v(e4sq_over_delta_qseries))
+
+
+@_on_axis
+def axis_combo_direct(t, v, upper, sign):
+    """phi0(it) + sign*(36/pi^2)*psi_s(it), evaluated without cancellation.
+
+    For t < 1 both terms blow up like t^2 exp(2*pi/t); the blowing-up
+    parts are B = E4^2/Delta and -psi_i, so the combination is evaluated
+    through the exact series B - sign*psi_i whose poles cancel (sign=+1)
+    or add benignly (sign=-1).
+    """
+    if upper:
+        return v(phi0_qseries) + sign * WEIGHT36 * v(psi_s_qseries)
+    combo = _b_minus_psi_i_q4 if sign > 0 else _b_plus_psi_i_q4
+    return (v(phi0_qseries)
+            - (12.0 * t / PI) * v(phi0_anomaly_qseries)
+            + (36.0 * t * t / PI ** 2) * v(combo))
+
+
+@_on_axis
+def axis_combo_weighted(t, v, upper, sign):
+    """(36/pi^2)*psi_i(it) + sign*t^2*phi0(i/t), evaluated without cancellation.
+
+    These are the two pointwise integrand-sign controls of the magic
+    function beyond sqrt(2): the plus combination controls the sign of g,
+    the minus combination the sign of g-hat.  For t >= 1 the exp(2*pi*t)
+    parts of the two kernels coincide and are combined through the exact
+    series psi_i - B before evaluation.
+    """
+    if not upper:
+        return WEIGHT36 * (-(t * t) * v(psi_s_qseries)) + sign * ((t * t) * v(phi0_qseries))
+    # W = 36/pi^2, PHI = t^2 phi0(i/t): W*psi_i + PHI = W*(B + psi_i) + [PHI - W*B] and
+    # W*psi_i - PHI = -W*(B - psi_i) - [PHI - W*B], with the cusp-regular bracket
+    # PHI - W*B = t^2 phi0(it) - (12t/pi) A(it): the exp(2*pi*t) parts never cancel in floats.
+    combo = _b_plus_psi_i_q4 if sign > 0 else _b_minus_psi_i_q4
+    return sign * (WEIGHT36 * v(combo) + (t * t) * v(phi0_qseries)
+                   - (12.0 * t / PI) * v(phi0_anomaly_qseries))
 
 
 class Eq2Convention(Enum):
@@ -65,25 +230,30 @@ def log_grid(lo: float = 0.05, hi: float = 20.0, n: int = 400) -> tuple[float, .
     return tuple(lo * ratio ** (j / (n - 1)) for j in range(n))
 
 
-def _inversion(sign: float, weight: float, partner: FormId, anomaly: float = 0.0):
-    """F(it) = sign * u^weight * partner(iu) + anomaly * u / pi for t < 1, u = 1/t."""
-    build = partial(form_qseries, partner)
-    return lambda t, v: sign * (1.0 / t) ** weight * v(build) + anomaly * (1.0 / t) / PI
+def _inversion(form: FormId, sign: float, weight: float, partner: FormId,
+               anomaly: float = 0.0):
+    """F's own series for t >= 1 and, with u = 1/t,
+    F(it) = sign * u^weight * partner(iu) + anomaly * u / pi for t < 1."""
+    own, other = partial(form_qseries, form), partial(form_qseries, partner)
+
+    def law(t, v, upper):
+        if upper:
+            return v(own)
+        return sign * (1.0 / t) ** weight * v(other) + anomaly * (1.0 / t) / PI
+    return law
 
 
-#: each form's t < 1 branch: its inversion law (E2's anomaly is its quasimodular term);
-#: PHI0 and PSI_S, whose laws need more than one series, use their forms evaluators
-_SMALL_T = {
-    FormId.E2: _inversion(-1.0, 2, FormId.E2, 6.0),
-    FormId.E4: _inversion(1.0, 4, FormId.E4),
-    FormId.E6: _inversion(-1.0, 6, FormId.E6),
-    FormId.DELTA: _inversion(1.0, 12, FormId.DELTA),
-    FormId.THETA00: _inversion(1.0, 0.5, FormId.THETA00),
-    FormId.THETA01: _inversion(1.0, 0.5, FormId.THETA10),
-    FormId.THETA10: _inversion(1.0, 0.5, FormId.THETA01),
-    FormId.PHI0: lambda t, v: eval_phi0_axis(t),
-    FormId.PSI_S: lambda t, v: eval_psi_s_axis(t),
-}
+#: each form's law on the axis (E2's anomaly is its quasimodular term); PHI0
+#: and PSI_S, whose t < 1 laws need more than one series, are their axis kernels
+_LAWS = {form: _inversion(form, *law) for form, law in {
+    FormId.E2: (-1.0, 2, FormId.E2, 6.0),
+    FormId.E4: (1.0, 4, FormId.E4),
+    FormId.E6: (-1.0, 6, FormId.E6),
+    FormId.DELTA: (1.0, 12, FormId.DELTA),
+    FormId.THETA00: (1.0, 0.5, FormId.THETA00),
+    FormId.THETA01: (1.0, 0.5, FormId.THETA10),
+    FormId.THETA10: (1.0, 0.5, FormId.THETA01),
+}.items()} | {FormId.PHI0: eval_phi0_axis.kernel, FormId.PSI_S: eval_psi_s_axis.kernel}
 
 
 def res_to_imag_axis(form: FormId, t: float | np.ndarray) -> complex | np.ndarray:
@@ -91,21 +261,23 @@ def res_to_imag_axis(form: FormId, t: float | np.ndarray) -> complex | np.ndarra
 
     t >= 1 is the form's own series at i*t, with no upper limit.  Smaller t
     is reached through the inversion laws of each form, so the series
-    argument always has Im >= 1; for PHI0 and PSI_S that branch is their
-    forms evaluator, which refuses 0 < t < AXIS_T_MIN (ValueError).
+    argument always has Im >= 1; PHI0 and PSI_S, whose laws there hold
+    poles in exp(2*pi/t), refuse 0 < t < AXIS_T_MIN (ValueError).
     """
     ts = np.asarray(t, dtype=float)
     if np.isnan(ts).any():
         raise ValueError("axis restriction needs t that is not NaN")
     out = np.zeros(ts.shape, dtype=complex)
     positive = ts > 0.0
-    build = partial(form_qseries, form)
-    out[positive] = AxisTable(ts[positive]).branches(lambda t, v: v(build), _SMALL_T[form])
+    if form in (FormId.PHI0, FormId.PSI_S):
+        axis_table(ts[positive & (ts < 1.0)])  # only for its range check
+    out[positive] = AxisTable(ts[positive]).branches(_LAWS[form])
     return complex(out) if ts.ndim == 0 else out
 
 
 def check_realness(form: FormId, grid: Sequence[float]) -> float:
-    """max |Im F(it)| / |F(it)| over the grid (should be rounding-level)."""
+    """max |Im F(it)| / |F(it)| over the grid: 0 whenever it returns, since
+    the axis table refuses every series value that is not real."""
     ts = np.asarray(grid, dtype=float)
     if not (ts > 0).all():
         raise ValueError("realness grid must be positive")
@@ -133,10 +305,12 @@ class AxisSamples:
         return AxisSamples(*map(np.concatenate, zip(vars(self).values(), vars(other).values())))
 
 
-#: per convention: phi0-slot kernel, psi_s-slot kernel, the two combinations, phi0-slot weight
+#: per convention: phi0-slot kernel, psi_s-slot kernel, the combination, phi0-slot weight
 _CONVENTIONS = {
-    Eq2Convention.DIRECT: (eval_phi0_axis, eval_psi_s_axis, COMBO_DIRECT, 1.0),
-    Eq2Convention.S_WEIGHTED: (eval_psi_i_axis, phi0_weighted_kernel, COMBO_WEIGHTED, WEIGHT36),
+    Eq2Convention.DIRECT: (eval_phi0_axis.kernel, eval_psi_s_axis.kernel,
+                           axis_combo_direct.kernel, 1.0),
+    Eq2Convention.S_WEIGHTED: (eval_psi_i_axis.kernel, phi0_weighted_kernel.kernel,
+                               axis_combo_weighted.kernel, WEIGHT36),
 }
 
 
@@ -152,8 +326,9 @@ def eq2_samples(grid: Sequence[float], convention: Eq2Convention) -> AxisSamples
     t = np.asarray(grid, dtype=float)
     first, second, combo, w = _CONVENTIONS[convention]
     table = axis_table(t)
-    return AxisSamples(t=t, phi0=w * first.on(table), psi_s=(1.0 / w) * second.on(table),
-                       combo_plus=combo[1].on(table), combo_minus=combo[-1].on(table))
+    return AxisSamples(t=t, phi0=w * table.branches(first),
+                       psi_s=(1.0 / w) * table.branches(second),
+                       combo_plus=table.branches(combo, 1), combo_minus=table.branches(combo, -1))
 
 
 @dataclass(frozen=True)

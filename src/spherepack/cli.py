@@ -274,7 +274,7 @@ def _cmd_packing_density(args, config: RunConfig):
 def _cmd_packing_mc(args, config: RunConfig):
     _require_finite("--radius", args.radius)
     est = finite_density_mc(e8_packing_spec(), radius=args.radius,
-                            samples=args.samples, seed=_effective_seed(args, config),
+                            samples=args.samples, seed=config.seed,
                             threads=_effective_threads(args, config))
     dev = abs(est.value - E8_DENSITY)
     results = {
@@ -310,8 +310,7 @@ def _cmd_magic_eval(args, config: RunConfig):
 
 
 def _cmd_magic_table(args, config: RunConfig):
-    kind = {"a": RadialKind.A, "b": RadialKind.B, "g": RadialKind.G,
-            "ghat": RadialKind.GHAT}.get(args.which.lower())
+    kind = {k.value.lower(): k for k in RadialKind}.get(args.which.lower())
     if kind is None:
         raise ConfigError(f"--which must be A, B, G or GHat, got {args.which!r}")
     grid = _parse_grid(args.grid)
@@ -408,24 +407,17 @@ def _require_finite(flag: str, value: float) -> None:
 
 
 def _effective_threads(args, config: RunConfig) -> int:
-    if getattr(args, "threads", None) is not None:
-        n = args.threads
-    elif os.environ.get("SPHEREPACK_THREADS"):
+    """config.threads, which holds --threads when it is given; without the
+    flag SPHEREPACK_THREADS overrides the config file.  0 means auto."""
+    n = config.threads
+    if args.threads is None and os.environ.get("SPHEREPACK_THREADS"):
         try:
             n = int(os.environ["SPHEREPACK_THREADS"])
         except ValueError:
             raise ConfigError("SPHEREPACK_THREADS must be an integer")
-    else:
-        n = config.threads
     if n < 0:
         raise ConfigError("threads must be nonnegative")
     return n or min(os.cpu_count() or 1, 8)
-
-
-def _effective_seed(args, config: RunConfig) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return config.seed
 
 
 _CSV_COMMANDS = {"lattice shells", "magic table"}

@@ -1,4 +1,4 @@
-"""The quasimodular forms of the E8 certificate and their axis behaviour.
+"""The quasimodular forms of the E8 certificate: exact series and identities.
 
 Exact q-expansions for E2, E4, E6, the discriminant, the three Jacobi theta
 constants, and the two weight-0 combinations that drive the magic function:
@@ -13,26 +13,19 @@ eigenfunction integrates along the imaginary axis.
 
 The classical identities the whole construction leans on (Ramanujan's
 derivative identities, the Jacobi quartic identity, Delta as an eta
-product) are checked here in exact arithmetic.
-
-Everything on the positive imaginary axis is evaluated through ``*_axis``
-functions, which take a float or an array of t: direct series for t >= 1,
-inversion transforms for t < 1 so the series argument always has Im >= 1,
-one array series evaluation per branch.
+product) are checked here in exact arithmetic.  Evaluation on the positive
+imaginary axis lives in ``spherepack.axis``.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial, wraps
 
-import numpy as np
-
-from .errors import NonRealValue
 from .qseries import (
     DEFAULT_ORDER_Q2,
     DEFAULT_ORDER_Q4,
@@ -42,7 +35,8 @@ from .qseries import (
     one_series,
 )
 
-PI = math.pi
+#: the weight 36/pi^2 that pairs psi_s (or psi_i) with phi0 in the axis combinations
+WEIGHT36 = 36.0 / math.pi ** 2
 
 
 @dataclass(frozen=True)
@@ -391,178 +385,3 @@ def check_jacobi(order: int = DEFAULT_ORDER_Q4,
              - eval_form(FormId.THETA01, tau) ** 4)
         numeric.append(abs(v))
     return JacobiReport(order, res, tuple(numeric))
-
-
-# ---------------------------------------------------------------------------
-# imaginary-axis evaluation
-#
-# For t >= 1 the series converge comfortably at tau = i*t.  For t < 1 we
-# move to tau = i/t via the inversion laws
-#
-#   phi0(it)  = phi0(i/t) - (12t/pi) A(i/t) + (36t^2/pi^2) B(i/t)
-#   psi_s(it) = -t^2 psi_i(i/t)          psi_i(it) = -t^2 psi_s(i/t)
-#
-# with A = (E2 E4 - E6) E4/Delta and B = E4^2/Delta.  These follow from
-# E2's quasimodular anomaly and the weight-2 theta transformation; the
-# direct and transformed branches are cross-checked on the overlap
-# t in [0.8, 1.25] by the test suite before anything downstream trusts
-# them.
-# ---------------------------------------------------------------------------
-
-#: Below this the transformed series argument exp(-2*pi/t) underflows.
-AXIS_T_MIN = 0.01
-#: the weight 36/pi^2 that pairs psi_s (or psi_i) with phi0 in the axis combinations
-WEIGHT36 = 36.0 / PI ** 2
-
-
-class AxisTable:
-    """Series values on the two branches of one grid of t: at i*t where
-    t >= 1 and at i/t where t < 1.  The one place that splits t by branch.
-
-    ``values(build, upper)`` evaluates ``build()`` once per branch, on
-    first use, so the kernels of one pass share their series values.  A
-    table lives for one pass over one grid; nothing outlives it.
-    """
-
-    def __init__(self, t: np.ndarray):
-        self.t = t
-        self.upper = t >= 1.0
-        self._points = {True: 1j * t[self.upper], False: 1j * (1.0 / t[~self.upper])}
-        self._values: dict = {}
-
-    def values(self, build, upper: bool) -> np.ndarray:
-        key = build, upper
-        if key not in self._values:
-            self._values[key] = build().eval(self._points[upper])
-        return self._values[key]
-
-    def branches(self, high, low) -> np.ndarray:
-        """high(t, v) where t >= 1 and low(t, v) where t < 1, each called once
-        with v(build) the branch's values of build(), as a complex array."""
-        val = np.empty(self.t.shape, dtype=complex)
-        for upper, part, where in ((True, high, self.upper), (False, low, ~self.upper)):
-            val[where] = part(self.t[where], partial(self.values, upper=upper))
-        return val
-
-
-def axis_table(t) -> AxisTable:
-    """The table of a flat grid of t in [AXIS_T_MIN, 1/AXIS_T_MIN]
-    (ValueError otherwise, NaN included)."""
-    t = np.asarray(t, dtype=float)
-    inside = (t >= AXIS_T_MIN) & (t <= 1.0 / AXIS_T_MIN)
-    if not inside.all():
-        bad = t[np.argmin(inside)]
-        need = "t > 0" if not bad > 0 else f"t in [{AXIS_T_MIN}, {1 / AXIS_T_MIN}]"
-        raise ValueError(f"axis evaluation needs {need}, got {bad}")
-    return AxisTable(t)
-
-
-@dataclass(frozen=True)
-class AxisKernel:
-    """A real function on the axis: ``high`` for t >= 1 and ``low`` for t < 1,
-    each a combination of series values read from an ``AxisTable``.  ``doc``,
-    if given, becomes the instance's docstring."""
-
-    high: object
-    low: object
-    label: str
-    rel: float = 1e-9
-    doc: str = field(default="", repr=False)
-
-    def __post_init__(self):
-        if self.doc:
-            object.__setattr__(self, "__doc__", self.doc)
-
-    def on(self, table: AxisTable) -> np.ndarray:
-        """The kernel over the table's grid as a float array, after checking
-        that it is real to ``rel`` (NonRealValue otherwise)."""
-        val = table.branches(self.high, self.low)
-        nonreal = np.abs(val.imag) > self.rel * np.maximum(np.abs(val), 1e-30)
-        if nonreal.any():
-            v = val[np.argmax(nonreal)]
-            raise NonRealValue(f"{self.label}: imaginary part {v.imag} too large for |{v}|")
-        return val.real
-
-    def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
-        """The kernel at a float t (a float) or an array of t (a float array)."""
-        ts = np.asarray(t, dtype=float)
-        val = self.on(axis_table(ts.ravel()))
-        return float(val[0]) if ts.ndim == 0 else val.reshape(ts.shape)
-
-
-eval_phi0_axis = AxisKernel(
-    lambda t, v: v(phi0_qseries),
-    lambda t, v: (v(phi0_qseries)
-                  - (12.0 * t / PI) * v(phi0_anomaly_qseries)
-                  + (36.0 * t * t / PI ** 2) * v(e4sq_over_delta_qseries)),
-    "phi0 axis", doc="phi0 on the positive imaginary axis; positive for all t.")
-eval_psi_s_axis = AxisKernel(
-    lambda t, v: v(psi_s_qseries), lambda t, v: -(t * t) * v(psi_i_qseries), "psi_s axis",
-    doc="psi_s on the positive imaginary axis; negative for all t.")
-eval_psi_i_axis = AxisKernel(
-    lambda t, v: v(psi_i_qseries), lambda t, v: -(t * t) * v(psi_s_qseries), "psi_i axis",
-    doc="psi_i on the positive imaginary axis; positive, grows like exp(2*pi*t).")
-phi0_weighted_kernel = AxisKernel(
-    lambda t, v: ((t * t) * v(phi0_qseries)
-                  - (12.0 * t / PI) * v(phi0_anomaly_qseries)
-                  + WEIGHT36 * v(e4sq_over_delta_qseries)),
-    lambda t, v: (t * t) * v(phi0_qseries), "phi0 kernel",
-    doc="""t^2 * phi0(i/t): the plus-eigenfunction's axis kernel.
-
-    For t >= 1 the inversion law is substituted so no exp(2*pi*t)-sized
-    cancellation occurs; for t < 1 the series at i/t converges directly.
-    """)
-
-
-def _combo_direct(sign: int) -> AxisKernel:
-    combo = _b_minus_psi_i_q4 if sign > 0 else _b_plus_psi_i_q4
-    return AxisKernel(
-        lambda t, v: v(phi0_qseries) + sign * WEIGHT36 * v(psi_s_qseries),
-        lambda t, v: (v(phi0_qseries)
-                      - (12.0 * t / PI) * v(phi0_anomaly_qseries)
-                      + (36.0 * t * t / PI ** 2) * v(combo)),
-        "axis combo (direct convention)", rel=1e-8)
-
-
-def _combo_weighted(sign: int) -> AxisKernel:
-    # W = 36/pi^2, PHI = t^2 phi0(i/t): W*psi_i + PHI = W*(B + psi_i) + [PHI - W*B] and
-    # W*psi_i - PHI = -W*(B - psi_i) - [PHI - W*B], with the cusp-regular bracket
-    # PHI - W*B = t^2 phi0(it) - (12t/pi) A(it): the exp(2*pi*t) parts never cancel in floats.
-    combo = _b_plus_psi_i_q4 if sign > 0 else _b_minus_psi_i_q4
-    return AxisKernel(
-        lambda t, v: sign * (WEIGHT36 * v(combo) + (t * t) * v(phi0_qseries)
-                             - (12.0 * t / PI) * v(phi0_anomaly_qseries)),
-        lambda t, v: WEIGHT36 * (-(t * t) * v(psi_s_qseries)) + sign * ((t * t) * v(phi0_qseries)),
-        "axis combo (weighted convention)", rel=1e-8)
-
-
-#: the kernels of axis_combo_direct and axis_combo_weighted, per sign
-COMBO_DIRECT = {sign: _combo_direct(sign) for sign in (1, -1)}
-COMBO_WEIGHTED = {sign: _combo_weighted(sign) for sign in (1, -1)}
-
-
-def axis_combo_direct(t: float | np.ndarray, sign: int) -> float | np.ndarray:
-    """phi0(it) + sign*(36/pi^2)*psi_s(it), evaluated without cancellation.
-
-    For t < 1 both terms blow up like t^2 exp(2*pi/t); the blowing-up
-    parts are B = E4^2/Delta and -psi_i, so the combination is evaluated
-    through the exact series B - sign*psi_i whose poles cancel (sign=+1)
-    or add benignly (sign=-1).
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return COMBO_DIRECT[sign](t)
-
-
-def axis_combo_weighted(t: float | np.ndarray, sign: int) -> float | np.ndarray:
-    """(36/pi^2)*psi_i(it) + sign*t^2*phi0(i/t), evaluated without cancellation.
-
-    These are the two pointwise integrand-sign controls of the magic
-    function beyond sqrt(2): the plus combination controls the sign of g,
-    the minus combination the sign of g-hat.  For t >= 1 the exp(2*pi*t)
-    parts of the two kernels coincide and are combined through the exact
-    series psi_i - B before evaluation.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return COMBO_WEIGHTED[sign](t)

@@ -352,13 +352,24 @@ def decode_batch(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best.T, dist
 
 
+#: callers of the decoder refuse |x| >= DECODE_LIMIT: below it every sum of
+#: eight rounded coordinates is an exact float integer, with a defined parity
+DECODE_LIMIT = 2.0 ** 50
+
+
 def nearest_point(y: Sequence[float]) -> tuple[LatticeVector, float]:
-    """Nearest lattice point to y and the Euclidean distance."""
+    """Nearest lattice point to y and the Euclidean distance.
+
+    Refuses (ValueError) a coordinate that is not finite or has
+    |x| >= DECODE_LIMIT.  Near the limit a coordinate keeps few fractional
+    bits and y - 1/2 may round, so the point found is a lattice point but
+    not always the nearest one.
+    """
     arr = np.asarray(list(y), dtype=np.float64)
     if arr.shape != (8,):
         raise ValueError("nearest_point expects an 8-vector")
-    if not np.isfinite(arr).all():
-        raise ValueError("coordinates must be finite")
+    if not (np.abs(arr) < DECODE_LIMIT).all():
+        raise ValueError("coordinates must be finite with |x| < 2^50")
     best, dist = decode_batch(arr[None, :])
     halves = tuple(int(round(2.0 * c)) for c in best[0])
     return LatticeVector(halves), float(dist[0])

@@ -16,7 +16,7 @@ g only flips the b term) are
     g_hat(r) =  (pi/2160) sin^2(pi s/2) L[K-](s),   K- = -Kphi - W Kpsi
 
 with W = 36/pi^2: K+ and K- are the S-weighted axis kernels
-(``forms.axis_combo_weighted``), positive on (0, inf), so the sign
+(``axis.axis_combo_weighted``), positive on (0, inf), so the sign
 conditions g <= 0 beyond sqrt(2) and g_hat >= 0 are sin^2 >= 0 times a
 positive integral, and the zeros at the lattice radii sqrt(2n) are those
 of sin^2.  The b-term sign is cross-checked by the independent
@@ -459,21 +459,21 @@ class RadialTable:
             raise ValueError("table values must be finite")
 
 
+#: each radial profile's values at an array of radii
+_PROFILES = {
+    RadialKind.A: lambda ev, rs: ev.a_values(rs).imag,
+    RadialKind.B: lambda ev, rs: ev.b_values(rs).imag,
+    RadialKind.G: lambda ev, rs: ev.g_values(rs),
+    RadialKind.GHAT: lambda ev, rs: ev.g_hat_values(rs),
+}
+
+
 def tabulate_radial(which: RadialKind, radii: Sequence[float],
                     evaluator: MagicEvaluator | None = None) -> RadialTable:
     """Evaluate one radial profile on a grid (vectorized, deterministic)."""
     ev = evaluator if evaluator is not None else default_evaluator()
     rs = np.asarray(list(radii), dtype=float)
-    if which is RadialKind.A:
-        vals = ev.a_values(rs).imag
-    elif which is RadialKind.B:
-        vals = ev.b_values(rs).imag
-    elif which is RadialKind.G:
-        vals = ev.g_values(rs)
-    elif which is RadialKind.GHAT:
-        vals = ev.g_hat_values(rs)
-    else:
-        raise ValueError(f"unknown radial kind {which}")
+    vals = _PROFILES[which](ev, rs)
     return RadialTable(tuple(float(r) for r in rs), tuple(float(v) for v in vals), which)
 
 

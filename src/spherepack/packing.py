@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import CHUNK, LatticeBasis, Scratch, e8_basis, nearest_in_coset, sum8
+from .lattice import CHUNK, DECODE_LIMIT, LatticeBasis, Scratch, e8_basis, nearest_in_coset, sum8
 
 _BLOCK = 1 << 15
 
@@ -211,12 +211,13 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
 
     The hit test is the E8 coset decoder, so the basis must generate E8:
     a :class:`LatticeBasis` (its rows are E8 vectors) with determinant +-1.
-    Any other basis, and a NaN or infinite radius, is a ValueError.  Each
-    block is sampled and hit-tested CHUNK columns at a time, in buffers
-    that each worker thread reuses for every block it takes.
+    Any other basis, and a radius outside (0, DECODE_LIMIT), the decoder's
+    limit on the coordinates, is a ValueError.  Each block is sampled and
+    hit-tested CHUNK columns at a time, in buffers that each worker thread
+    reuses for every block it takes.
     """
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be positive and finite, got {radius}")
+    if not 0 < radius < DECODE_LIMIT:
+        raise ValueError(f"radius must be positive and below 2^50, got {radius}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if not (isinstance(spec.basis, LatticeBasis) and abs(spec.basis.determinant()) == 1):

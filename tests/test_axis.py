@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from spherepack import forms
+from spherepack import axis
 from spherepack.axis import (
+    AXIS_T_MIN,
     AxisSamples,
     Eq2Convention,
     InequalityReport,
@@ -17,7 +18,7 @@ from spherepack.axis import (
     verify_inequalities,
 )
 from spherepack.cohn_elkies import verify_magic_ce
-from spherepack.forms import AXIS_T_MIN, FormId, form_qseries
+from spherepack.forms import FormId, form_qseries
 from spherepack.qseries import QSeries
 
 PI = math.pi
@@ -181,10 +182,10 @@ _PASS_SERIES = {
 
 #: the public evaluators behind each convention's four arrays, phi0-slot weight last
 _PUBLIC = {
-    Eq2Convention.DIRECT: (forms.eval_phi0_axis, forms.eval_psi_s_axis,
-                           forms.axis_combo_direct, 1.0),
-    Eq2Convention.S_WEIGHTED: (forms.eval_psi_i_axis, forms.phi0_weighted_kernel,
-                               forms.axis_combo_weighted, W),
+    Eq2Convention.DIRECT: (axis.eval_phi0_axis, axis.eval_psi_s_axis,
+                           axis.axis_combo_direct, 1.0),
+    Eq2Convention.S_WEIGHTED: (axis.eval_psi_i_axis, axis.phi0_weighted_kernel,
+                               axis.axis_combo_weighted, W),
 }
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -275,9 +276,15 @@ def test_runconfig_validation():
     # r^2 would overflow: refused by the Laplace sweep instead of giving NaN
     ["magic", "eval", "--r", "1e300"],
     ["magic", "table", "--which", "G", "--grid=-1e308:1e308:5"],
+    # beyond 2^50 the decoder's coordinate sums are no longer exact integers
+    ["lattice", "decode", "--point=1e300,0,0,0,0,0,0,0"],
+    ["lattice", "decode", "--point=1e19,0.5,0,0,0,0,0,0"],
+    ["packing", "mc", "--radius=1e19", "--samples=1"],
 ])
 def test_bad_input_refused_at_boundary(capsys, argv):
-    code, out, err = invoke(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

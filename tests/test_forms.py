@@ -3,9 +3,11 @@ evaluation accuracy, and the imaginary-axis transforms."""
 
 import math
 import os
+import pydoc
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,12 +15,19 @@ import pytest
 import spherepack
 from spherepack import qseries
 
+from spherepack.axis import (
+    axis_combo_direct,
+    axis_combo_weighted,
+    eval_phi0_axis,
+    eval_psi_i_axis,
+    eval_psi_s_axis,
+    phi0_weighted_kernel,
+    res_to_imag_axis,
+)
 from spherepack.errors import NonRealValue
 from spherepack.forms import (
     FormId,
     HalfPlanePoint,
-    axis_combo_direct,
-    axis_combo_weighted,
     check_jacobi,
     check_ramanujan,
     delta_qseries,
@@ -28,16 +37,12 @@ from spherepack.forms import (
     eta_product_qseries,
     eval_form,
     eval_phi0,
-    eval_phi0_axis,
     eval_psi_s,
-    eval_psi_s_axis,
-    eval_psi_i_axis,
     eval_psi_s_from_thetas,
     e2e4_minus_e6_qseries,
     form_qseries,
     normalized_derivative,
     phi0_qseries,
-    phi0_weighted_kernel,
     psi_i_qseries,
     psi_s_qseries,
     serre_derivative,
@@ -405,16 +410,35 @@ def test_axis_array_refuses_bad_t(name, bad):
         AXIS_EVALUATORS[name](np.array([0.5, bad, 2.0]))
 
 
-@pytest.mark.parametrize("name", list(AXIS_EVALUATORS))
+#: the axis evaluators and each named form's restriction to the axis
+PHASE_CHECKED = AXIS_EVALUATORS | {f"res_{form.value}": partial(res_to_imag_axis, form)
+                                   for form in FormId}
+
+
+@pytest.mark.parametrize("name", list(PHASE_CHECKED))
 def test_axis_refuses_injected_imaginary_part(name, monkeypatch):
-    # every branch formula is a real combination of series values, so a
-    # phase on each series value turns up in the result on both sides of t = 1
+    # the axis table refuses any series value that is not real, so a phase
+    # on each series value is refused on both sides of t = 1.  Only a patch
+    # like this one reaches that check: on the axis every nome is real.
     plain = qseries.QSeries.eval
     monkeypatch.setattr(qseries.QSeries, "eval",
                         lambda self, tau, **kw: plain(self, tau, **kw) * (1 + 1e-6j))
     for t in (np.array([0.5, 0.7]), np.array([1.5, 3.0])):
         with pytest.raises(NonRealValue):
-            AXIS_EVALUATORS[name](t)
+            PHASE_CHECKED[name](t)
+
+
+AXIS_FUNCTIONS = ["eval_phi0_axis", "eval_psi_s_axis", "eval_psi_i_axis",
+                  "phi0_weighted_kernel", "axis_combo_direct", "axis_combo_weighted"]
+
+
+@pytest.mark.parametrize("name", AXIS_FUNCTIONS)
+def test_axis_functions_keep_their_names_and_docstrings(name):
+    f = getattr(spherepack.axis, name)
+    assert f.__name__ == name and f.__doc__
+    assert sum(getattr(spherepack.axis, g).__doc__ == f.__doc__ for g in AXIS_FUNCTIONS) == 1
+    # help() shows the function's own first docstring line
+    assert f.__doc__.splitlines()[0] in pydoc.render_doc(f, renderer=pydoc.plaintext)
 
 
 def test_builders_cache_on_effective_order():

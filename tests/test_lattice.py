@@ -178,6 +178,21 @@ def _exhaustive_nearest(y):
     return math.sqrt(min(best, d2.min()))
 
 
+def test_nearest_point_just_inside_the_coordinate_bound():
+    x = float(np.nextafter(2.0 ** 50, 0.0))  # 2^50 - 1/8
+    for y in ([x, -x, 0.5, 0.3, -0.7, 1.5, 2.5, 0.0], [x - 0.5] + [0.25] * 7):
+        v, d = nearest_point(y)  # a LatticeVector: its coordinate sum is even
+        nearest = [h / 2.0 for h in v.half_coords]
+        assert e8_membership(nearest)
+        assert abs(d - math.dist(y, nearest)) < 1e-12
+        assert d <= 1.0  # the covering radius
+    # where y - 1/2 and y + 1/2 are exact floats the point is the nearest one
+    y = np.array([x - 0.5] + [0.25] * 7)
+    assert abs(nearest_point(y)[1] - _exhaustive_nearest(y)) < 1e-12
+    with pytest.raises(ValueError):
+        nearest_point([2.0 ** 50] + [0.0] * 7)
+
+
 def test_decoder_matches_exhaustive_search():
     rng = np.random.default_rng(20240817)
     pts = rng.uniform(-2.0, 2.0, size=(1000, 8))

@@ -109,6 +109,9 @@ def test_mc_empty_offsets():
 def test_mc_rejects_bad_input():
     with pytest.raises(ValueError):
         finite_density_mc(e8_packing_spec(), radius=0.0, samples=10, seed=1)
+    # the samples' coordinates reach the radius, and the decoder's limit is 2^50
+    with pytest.raises(ValueError):
+        finite_density_mc(e8_packing_spec(), radius=2.0 ** 50, samples=10, seed=1)
     with pytest.raises(ValueError):
         finite_density_mc(e8_packing_spec(), radius=1.0, samples=0, seed=1)
 
