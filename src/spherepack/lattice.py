@@ -6,9 +6,11 @@ are integer arithmetic throughout; floating point appears only in the
 nearest-point decoder's distances.
 
 Shell counts come from an integer dynamic program over the coordinates
-(one coset at a time); explicit shell vectors come from a pruned box
-search.  The two enumeration routes are independent, and the test suite
-holds them against each other.
+(one coset at a time).  Explicit shell vectors come from a pruned box
+expansion on small-integer arrays: each coset grows one coordinate at a
+time, keeping the prefixes whose partial norm fits, and one ``lexsort``
+orders the result by norm and coordinates.  The two enumeration routes
+share no code, and the test suite holds them against each other.
 """
 
 from __future__ import annotations
@@ -193,47 +195,46 @@ def _shell_counts(max_norm2: int) -> tuple[int, ...]:
     return tuple(integer[4 * m] + half[4 * m] for m in range(0, max_norm2 + 1))
 
 
-def _box_vectors(max_norm2: int) -> list[LatticeVector]:
-    """All nonzero lattice vectors with ||v||^2 <= max_norm2, pruned box DFS."""
-    out: list[LatticeVector] = []
+def _box_vectors(max_norm2: int) -> tuple[np.ndarray, np.ndarray]:
+    """All nonzero lattice vectors with ||v||^2 <= max_norm2, pruned box search.
+
+    Returns their doubled coordinates, an (n, 8) int8 array, and their
+    squared norms, an (n,) int16 array, sorted by (norm, coordinates).
+    """
     budget4 = 4 * max_norm2  # in half-coordinate scale
-
-    def walk(prefix: list[int], used: int, start_parity: int):
-        depth = len(prefix)
-        if depth == 8:
-            if sum(prefix) % 4 == 0 and used > 0:
-                out.append(LatticeVector(tuple(prefix)))
-            return
-        rem = budget4 - used
-        hmax = int(math.isqrt(rem))
-        if start_parity == 0:
-            values = range(-(hmax - hmax % 2), hmax + 1, 2)
-        else:
-            values = range(-(hmax - (1 - hmax % 2)), hmax + 1, 2)
-        for h in values:
-            walk(prefix + [h], used + h * h, start_parity)
-
-    walk([], 0, 0)
-    walk([], 0, 1)
-    out.sort(key=lambda v: (v.norm2(), v.half_coords))
-    return out
+    hmax = math.isqrt(budget4)
+    coords, norms = [], []
+    for parity in (0, 1):
+        top = hmax - (hmax - parity) % 2  # largest |h| of this coset's parity
+        h = np.arange(-top, top + 1, 2, dtype=np.int8)
+        h2 = h.astype(np.int16) ** 2
+        c, used = np.zeros((1, 0), np.int8), np.zeros(1, np.int16)
+        for _ in range(8):
+            rows, cols = np.nonzero(used[:, None] + h2 <= budget4)
+            c, used = np.column_stack([c[rows], h[cols]]), used[rows] + h2[cols]
+        keep = (c.sum(axis=1) % 4 == 0) & (used > 0)
+        coords.append(c[keep])
+        norms.append(used[keep] // 4)
+    coords, norm2 = np.concatenate(coords), np.concatenate(norms)
+    order = np.lexsort((*coords.T[::-1], norm2))  # the last key sorts first
+    return coords[order], norm2[order]
 
 
-def enumerate_shells(max_norm2: int, with_vectors: bool = False,
-                     cap: int = MAX_NORM2_CAP) -> list[Shell]:
+def enumerate_shells(max_norm2: int, with_vectors: bool = False) -> list[Shell]:
     """Shells 0 < ||v||^2 <= max_norm2, complete and duplicate-free."""
     if max_norm2 < 0:
         raise ValueError("max_norm2 must be nonnegative")
-    if max_norm2 > cap:
-        raise ResourceGuard(f"max_norm2 = {max_norm2} above cap {cap}")
+    if max_norm2 > MAX_NORM2_CAP:
+        raise ResourceGuard(f"max_norm2 = {max_norm2} above cap {MAX_NORM2_CAP}")
     if with_vectors:
         if max_norm2 > MAX_NORM2_VECTORS_CAP:
             raise ResourceGuard(
                 f"explicit vectors capped at norm^2 {MAX_NORM2_VECTORS_CAP}")
-        by_norm: dict[int, list[LatticeVector]] = {}
-        for v in _box_vectors(max_norm2):
-            by_norm.setdefault(v.norm2(), []).append(v)
-        return [Shell(m, len(vs), tuple(vs)) for m, vs in sorted(by_norm.items())]
+        coords, norm2 = _box_vectors(max_norm2)
+        starts = np.flatnonzero(np.diff(norm2, prepend=-1)).tolist()
+        return [Shell(int(norm2[lo]), hi - lo,
+                      tuple(LatticeVector(tuple(h)) for h in coords[lo:hi].tolist()))
+                for lo, hi in zip(starts, starts[1:] + [len(norm2)])]
     counts = _shell_counts(max_norm2)
     return [Shell(m, counts[m]) for m in range(2, max_norm2 + 1, 2) if counts[m]]
 
@@ -246,8 +247,9 @@ def min_norm() -> float:
     return math.sqrt(shells[0].norm2)
 
 
-def theta_coefficients(max_n: int, cap: int = MAX_NORM2_CAP // 2) -> list[int]:
+def theta_coefficients(max_n: int) -> list[int]:
     """r(n) = #{v : ||v||^2 = 2n} for n = 0..max_n (the lattice's theta numbers)."""
+    cap = MAX_NORM2_CAP // 2
     if max_n > cap:
         raise ResourceGuard(f"max_n = {max_n} above cap {cap}")
     counts = _shell_counts(2 * max_n)
@@ -298,6 +300,36 @@ def sum8(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return s[0]
 
 
+def round_in_coset(y: np.ndarray, half: bool, f: np.ndarray,
+                   scratch: Scratch) -> tuple[np.ndarray, np.ndarray]:
+    """Round every coordinate of y on the grid of D8, or of D8 + (1/2,...,1/2).
+
+    ``y`` is (8, n) with n <= CHUNK.  Writes ``floor(yc + 1/2)`` into
+    ``f``, where yc is y for D8 and y - 1/2 for the half coset, and returns
+    yc with a boolean row that marks the columns whose rounded coordinate
+    sum is odd: the columns the parity fix has to change.  For the half
+    coset yc is a row block of ``scratch`` that the next call overwrites.
+    """
+    n = y.shape[1]
+    yc = np.subtract(y, 0.5, out=scratch.get("coset", 8, n)) if half else y
+    np.floor(np.add(yc, 0.5, out=f), out=f)
+    odd = (sum8(f, scratch.get("sums", 4, n)).astype(np.int64) & 1).astype(bool)
+    return yc, odd
+
+
+def coset_distance2(y: np.ndarray, half: bool, f: np.ndarray, scratch: Scratch) -> np.ndarray:
+    """Squared distances from the columns of y to the D8 points in ``f``.
+
+    For the half coset ``f`` is first shifted by 1/2, in place, onto the
+    coset.  The distances are a row of ``scratch`` that the next call
+    overwrites.
+    """
+    if half:
+        f += 0.5
+    diff = np.subtract(y, f, out=scratch.get("coset", 8, y.shape[1]))
+    return sum8(np.square(diff, out=diff), scratch.get("sums", 4, y.shape[1]))
+
+
 def nearest_in_coset(y: np.ndarray, half: bool, point: np.ndarray,
                      scratch: Scratch) -> np.ndarray:
     """Nearest point of D8, or of D8 + (1/2,...,1/2), to each column of y.
@@ -309,20 +341,13 @@ def nearest_in_coset(y: np.ndarray, half: bool, point: np.ndarray,
     coordinate farthest from its integer is rounded the other way (Conway &
     Sloane).  The half coset decodes ``y - 1/2`` in D8 and shifts back.
     """
-    n = y.shape[1]
-    work, sums = scratch.get("coset", 8, n), scratch.get("sums", 4, n)
-    yc = np.subtract(y, 0.5, out=work) if half else y
-    f = np.add(yc, 0.5, out=point)
-    np.floor(f, out=f)
-    odd = np.flatnonzero((sum8(f, sums).astype(np.int64) & 1).astype(bool))
+    yc, odd = round_in_coset(y, half, point, scratch)
+    odd = np.flatnonzero(odd)
     if odd.size:
-        delta = yc[:, odd] - f[:, odd]
+        delta = yc[:, odd] - point[:, odd]
         idx = np.abs(delta).argmax(axis=0)
-        f[idx, odd] += np.where(delta[idx, np.arange(odd.size)] >= 0.0, 1.0, -1.0)
-    if half:
-        f += 0.5
-    diff = np.subtract(y, f, out=work)
-    return sum8(np.square(diff, out=diff), sums)
+        point[idx, odd] += np.where(delta[idx, np.arange(odd.size)] >= 0.0, 1.0, -1.0)
+    return coset_distance2(y, half, point, scratch)
 
 
 def decode_batch(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

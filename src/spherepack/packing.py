@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import CHUNK, DECODE_LIMIT, LatticeBasis, Scratch, e8_basis, nearest_in_coset, sum8
+from .lattice import (CHUNK, DECODE_LIMIT, LatticeBasis, Scratch, coset_distance2, e8_basis,
+                      nearest_in_coset, round_in_coset, sum8)
 
 _BLOCK = 1 << 15
 
@@ -178,20 +179,43 @@ def _sample_block(seed: int, start: int, count: int, radius: float) -> np.ndarra
     return normals.T
 
 
+#: how far the parity fix can lower a squared distance, by rounding alone.
+#: Where x + 1/2 rounds up to an integer (x = 1/2 - 2^-54 in D8, or
+#: x = y - 1/2 with -2^-54 <= y < 0 in the half coset), the coordinate is
+#: 1/2 + 2^-54 from its rounding before the fix and 1/2 - 2^-54 after it.
+#: Fixed or not, a squared distance to a coset is below 3, where one unit in
+#: the last place is 2^-51, so the fix lowers it by a few units at most.
+_FIX_SLACK = 2.0 ** -46
+
+
 def _count_hits(y: np.ndarray, spec: PeriodicPackingSpec, scratch: Scratch) -> int:
     """How many columns of y, (8, n) with n <= CHUNK, lie within separation/2 of a center.
 
-    Only the squared distance to each coset decides; the closer point is never assembled.
+    Only the squared distance to each coset decides; the closer point is
+    never assembled.  Each coset rounds every column once.  Where the
+    rounded coordinate sum is even, that is the coset's nearest point and
+    its distance is final.  Where it is odd, the parity fix moves one
+    coordinate from |y - f| <= 1/2 to 1 - |y - f| >= 1/2, and float squaring
+    and the ``sum8`` tree are monotone, so the fixed distance is never
+    below the unfixed one (up to ``_FIX_SLACK``).  So only the odd columns
+    whose unfixed distance is within reach go through ``nearest_in_coset``;
+    the hits are those of the full decoder, column for column.
     """
     n = y.shape[1]
     rho = spec.separation / 2.0
+    reach2 = rho * rho + _FIX_SLACK
     point, shifted = scratch.get("point", 8, n), scratch.get("shifted", 8, n)
     hit = np.zeros(n, dtype=bool)
     for off in spec.offsets:
         np.subtract(y, np.asarray(off)[:, None], out=shifted)
-        d2 = nearest_in_coset(shifted, False, point, scratch).copy()
-        np.minimum(d2, nearest_in_coset(shifted, True, point, scratch), out=d2)
-        hit |= np.sqrt(d2) <= rho
+        for half in (False, True):
+            _, odd = round_in_coset(shifted, half, point, scratch)
+            d2 = coset_distance2(shifted, half, point, scratch)
+            hit |= (np.sqrt(d2) <= rho) & ~odd
+            cand = np.flatnonzero(odd & (d2 <= reach2))
+            if cand.size:
+                d2 = nearest_in_coset(shifted[:, cand], half, point[:, :cand.size], scratch)
+                hit[cand] |= np.sqrt(d2) <= rho
     return int(np.count_nonzero(hit))
 
 

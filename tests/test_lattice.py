@@ -95,11 +95,25 @@ def test_first_shells():
 def test_shell_counts_match_box_enumeration():
     """Counting DP against the explicit pruned box search, norms <= 8."""
     shells_dp = enumerate_shells(8)
-    vectors = _box_vectors(8)
-    by_norm = {}
-    for v in vectors:
-        by_norm[v.norm2()] = by_norm.get(v.norm2(), 0) + 1
-    assert {s.norm2: s.count for s in shells_dp} == by_norm
+    _, norm2 = _box_vectors(8)
+    norms, counts = np.unique(norm2, return_counts=True)
+    assert {s.norm2: s.count for s in shells_dp} == dict(zip(norms.tolist(), counts.tolist()))
+
+
+#: sha256 of enumerate_shells(m, with_vectors=True) for m in _PINNED_NORMS,
+#: taken from the recursive box search that the array expansion replaced
+_PINNED_NORMS = (0, 1, 2, 8, 12)
+_PINNED_SHELLS_SHA256 = "35c362016afe296286356af9b2ee79ca2026da9fd5f95912ab9e9ac2c7acb4ad"
+
+
+def test_shell_vectors_match_pinned_hash():
+    import hashlib
+    digest = hashlib.sha256()
+    for m in _PINNED_NORMS:
+        shells = enumerate_shells(m, with_vectors=True)
+        digest.update(repr([(s.norm2, s.count, tuple(v.half_coords for v in s.vectors))
+                            for s in shells]).encode())
+    assert digest.hexdigest() == _PINNED_SHELLS_SHA256
 
 
 def test_shells_with_vectors():

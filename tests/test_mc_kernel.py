@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from spherepack import lattice, packing
 from spherepack.lattice import CHUNK, decode_batch, e8_basis
 from spherepack.packing import (
     _BLOCK,
@@ -152,8 +153,74 @@ def test_decoder_matches_row_major_on_sampled_points():
 ], ids=["zero-offset", "nonzero-offset", "two-offsets"])
 def test_hit_counts_match_row_major(offsets):
     spec = PeriodicPackingSpec(basis=e8_basis(), offsets=offsets)
-    est = finite_density_mc(spec, radius=3.0, samples=40_000, seed=9)
-    assert est.value == ref_hits(spec, 3.0, 40_000, 9) / 40_000
+    for radius in (0.5, 1.0, 3.0, 30.0):
+        want = ref_hits(spec, radius, 40_000, 9) / 40_000
+        for threads in (1, 2):
+            est = finite_density_mc(spec, radius=radius, samples=40_000, seed=9, threads=threads)
+            assert est.workers == threads
+            assert est.value == want, (radius, threads)
+
+
+def _unfixed_d2(y, half):
+    """Squared distance of each row of y to its rounding on the coset's grid, parity ignored."""
+    shift = 0.5 if half else 0.0
+    return ((y - (np.floor((y - shift) + 0.5) + shift)) ** 2).sum(axis=1)
+
+
+def _parity_block():
+    """Rows where the parity fix decides the hit, for D8 and, shifted by 1/2, its half coset.
+
+    Every base row but the last rounds to an odd coordinate sum in D8, and
+    each lies at squared distance 3/4 or more from the half coset, so D8
+    alone decides.
+    """
+    base = [
+        [1.0, 0.2, 0.2, 0, 0, 0, 0, 0],          # unfixed 0.08 within, fixed 0.68 beyond
+        [0.6, 0, 0, 0, 0, 0, 0, 0],              # unfixed 0.16 within, fixed 0.36 within
+        [1.0, 0.45, 0.45, 0.45, 0, 0, 0, 0],     # unfixed 0.61 beyond, fixed 0.71 beyond
+        [0.5, -0.5, 0, 0, 0, 0, 0, 0],           # unfixed and fixed exactly rho
+        [0.625] + [0.125] * 7,                   # unfixed 1/4, fixed exactly rho
+        [0.625, 0.375, 0.375] + [0.125] * 5,     # unfixed exactly rho, fixed 3/4 beyond
+        [0.5, 0.5, 0, 0, 0, 0, 0, 0],            # even sum, exactly rho
+    ]
+    # Where x + 1/2 rounds up to an integer, |x - f| is 1/2 + 2^-54 before
+    # the fix and 1/2 - 2^-54 after it: the fixed distance is the smaller one.
+    # A third coordinate walks the unfixed distance across rho.
+    corners = []
+    for x in (0.4921875, 0.49609375, 0.498046875):
+        z0 = math.sqrt(0.5 + 2.0 ** -52 - 0.25 - x * x)
+        for k in range(-3, 4):
+            z = z0 + k * math.ulp(z0)
+            corners.append([0.5 - 2.0 ** -54, -x, -z, 0, 0, 0, 0, 0])      # D8
+            corners.append([-2.0 ** -54, 0.5 - x, 0.5 - z, 1.5] + [0.5] * 4)  # half coset
+    base = np.array(base)
+    return np.vstack([base, base + 0.5, np.array(corners)])
+
+
+def test_hits_where_the_parity_fix_decides(monkeypatch):
+    y = _parity_block()
+    spec = e8_packing_spec()
+    rho = spec.separation / 2.0
+    want = ref_decode_batch(y)[1] <= rho
+    # in both cosets some corner row is a hit only after the fix
+    for half, first in ((False, 0.5 - 2.0 ** -54), (True, -2.0 ** -54)):
+        rows = y[:, 0] == first
+        assert (want[rows] & (np.sqrt(_unfixed_d2(y[rows], half)) > rho)).any()
+
+    ran = []
+
+    def counting(cols, half, point, scratch):
+        ran.append((half, cols.shape[1]))
+        return lattice.nearest_in_coset(cols, half, point, scratch)
+
+    monkeypatch.setattr(packing, "nearest_in_coset", counting)
+    scratch = lattice.Scratch()
+    cols = np.ascontiguousarray(y.T)
+    assert packing._count_hits(cols, spec, scratch) == int(want.sum())
+    assert {half for half, _ in ran} == {False, True}
+    assert sum(n for _, n in ran) < 2 * len(y)    # not every column is decoded in full
+    got = [packing._count_hits(cols[:, i:i + 1].copy(), spec, scratch) for i in range(len(y))]
+    assert np.array_equal(np.array(got, dtype=bool), want)
 
 
 # -- edge cases --------------------------------------------------------------------
