@@ -353,8 +353,9 @@ def verify_inequalities(grid: Sequence[float] | None = None,
                         convention: Eq2Convention = Eq2Convention.S_WEIGHTED) -> InequalityReport:
     """Positivity of both combinations over the grid, with local refinement.
 
-    A refinement pass (4x density) is run around any normalized margin
-    below 1e-3 to make sure a thin sign dip is not straddled by the grid.
+    A refinement pass (4x density) is run around any sample whose smaller
+    normalized margin lies in [0, 1e-3), to make sure a thin sign dip is
+    not straddled by the grid; a negative margin has already failed.
     pass is true iff both combinations are strictly positive everywhere.
     """
     pts = np.asarray(log_grid() if grid is None else grid, dtype=float)
@@ -362,7 +363,8 @@ def verify_inequalities(grid: Sequence[float] | None = None,
         raise ValueError("grid must not be empty")
     samples = eq2_samples(pts, convention)
     plus, minus = samples.margins()
-    near = samples.t[np.minimum(plus, minus) < 1e-3]
+    low = np.minimum(plus, minus)
+    near = samples.t[(0.0 <= low) & (low < 1e-3)]
     extra = np.outer(near, [0.99, 0.995, 1.005, 1.01]).ravel()
     extra = extra[(pts[0] <= extra) & (extra <= pts[-1])]
     if extra.size:

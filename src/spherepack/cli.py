@@ -34,6 +34,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -420,21 +421,53 @@ def _effective_threads(args, config: RunConfig) -> int:
     return n or min(os.cpu_count() or 1, 8)
 
 
-_CSV_COMMANDS = {"lattice shells", "magic table"}
+class _Command(NamedTuple):
+    help: str
+    handler: Callable
+    csv: bool = False     # --format csv prints the handler's table
+    flags: dict = {}      # the command's own flags: name -> add_argument keywords
 
-_HANDLERS = {
-    "forms eval": _cmd_forms_eval,
-    "forms identities": _cmd_forms_identities,
-    "lattice shells": _cmd_lattice_shells,
-    "lattice decode": _cmd_lattice_decode,
-    "lattice info": _cmd_lattice_info,
-    "packing density": _cmd_packing_density,
-    "packing mc": _cmd_packing_mc,
-    "magic eval": _cmd_magic_eval,
-    "magic table": _cmd_magic_table,
-    "magic verify": _cmd_magic_verify,
-    "bound": _cmd_bound,
-    "axis check": _cmd_axis_check,
+
+_COMMON_FLAGS = {
+    "--config": dict(help="JSON configuration file"),
+    "--out": dict(help="write the report to this file instead of stdout"),
+    "--format": dict(choices=["json", "csv"]),
+    "--seed": dict(type=int),
+    "--threads": dict(type=int),
+}
+
+_GROUP_HELP = {
+    "forms": "q-expansions and identities",
+    "lattice": "lattice geometry",
+    "packing": "densities",
+    "magic": "the certificate function",
+    "axis": "imaginary-axis inequality checks",
+}
+
+#: every command, in the order the help lists them
+_COMMANDS = {
+    "forms eval": _Command("evaluate a form on the upper half-plane", _cmd_forms_eval, flags={
+        "--form": dict(required=True, help="E2,E4,E6,Delta,Theta00,Theta01,Theta10,Phi0,PsiS"),
+        "--re": dict(type=float, default=0.0), "--im": dict(type=float, default=1.0)}),
+    "forms identities": _Command("exact residuals of the classical identities",
+                                 _cmd_forms_identities, flags={"--order": dict(type=int)}),
+    "lattice shells": _Command("shell counts up to a squared norm", _cmd_lattice_shells, csv=True,
+                               flags={"--max-norm2": dict(type=int, required=True)}),
+    "lattice decode": _Command("nearest lattice point", _cmd_lattice_decode, flags={
+        "--point": dict(required=True, help="8 comma-separated coordinates")}),
+    "lattice info": _Command("basis, covolume, theta coefficients", _cmd_lattice_info),
+    "packing density": _Command("closed-form packing density", _cmd_packing_density),
+    "packing mc": _Command("Monte-Carlo finite density", _cmd_packing_mc, flags={
+        "--radius": dict(type=float, default=5.0), "--samples": dict(type=int, default=2_000_000)}),
+    "magic eval": _Command("a, b, g, g_hat at one radius", _cmd_magic_eval,
+                           flags={"--r": dict(type=float, required=True)}),
+    "magic table": _Command("radial table of A, B, G or GHat", _cmd_magic_table, csv=True, flags={
+        "--which": dict(required=True), "--grid": dict(required=True, help="lo:hi:n")}),
+    "magic verify": _Command("representation consistency and zeros", _cmd_magic_verify),
+    "bound": _Command("Cohn-Elkies verdict and bound value", _cmd_bound),
+    "axis check": _Command("two-sided positivity in both conventions", _cmd_axis_check, flags={
+        "--convention": dict(choices=["direct", "sweighted", "both"], default="both"),
+        "--grid": dict(help="lo:hi:n (logarithmic default)")}),
 }
 
 
@@ -442,69 +475,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spherepack",
         description="Numerical verification toolkit for the E8 sphere packing bound")
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--out", help="write the report to this file instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"], default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-
     top = parser.add_subparsers(dest="group", required=True)
-
-    forms = top.add_parser("forms", help="q-expansions and identities")
-    forms_sub = forms.add_subparsers(dest="sub", required=True)
-    p = forms_sub.add_parser("eval", help="evaluate a form on the upper half-plane")
-    p.add_argument("--form", required=True, help="E2,E4,E6,Delta,Theta00,Theta01,Theta10,Phi0,PsiS")
-    p.add_argument("--re", type=float, default=0.0)
-    p.add_argument("--im", type=float, default=1.0)
-    add_common(p)
-    p = forms_sub.add_parser("identities", help="exact residuals of the classical identities")
-    p.add_argument("--order", type=int, default=None)
-    add_common(p)
-
-    lattice = top.add_parser("lattice", help="lattice geometry")
-    lattice_sub = lattice.add_subparsers(dest="sub", required=True)
-    p = lattice_sub.add_parser("shells", help="shell counts up to a squared norm")
-    p.add_argument("--max-norm2", type=int, required=True, dest="max_norm2")
-    add_common(p)
-    p = lattice_sub.add_parser("decode", help="nearest lattice point")
-    p.add_argument("--point", required=True, help="8 comma-separated coordinates")
-    add_common(p)
-    p = lattice_sub.add_parser("info", help="basis, covolume, theta coefficients")
-    add_common(p)
-
-    packing = top.add_parser("packing", help="densities")
-    packing_sub = packing.add_subparsers(dest="sub", required=True)
-    p = packing_sub.add_parser("density", help="closed-form packing density")
-    add_common(p)
-    p = packing_sub.add_parser("mc", help="Monte-Carlo finite density")
-    p.add_argument("--radius", type=float, default=5.0)
-    p.add_argument("--samples", type=int, default=2_000_000)
-    add_common(p)
-
-    magic = top.add_parser("magic", help="the certificate function")
-    magic_sub = magic.add_subparsers(dest="sub", required=True)
-    p = magic_sub.add_parser("eval", help="a, b, g, g_hat at one radius")
-    p.add_argument("--r", type=float, required=True)
-    add_common(p)
-    p = magic_sub.add_parser("table", help="radial table of A, B, G or GHat")
-    p.add_argument("--which", required=True)
-    p.add_argument("--grid", required=True, help="lo:hi:n")
-    add_common(p)
-    p = magic_sub.add_parser("verify", help="representation consistency and zeros")
-    add_common(p)
-
-    p = top.add_parser("bound", help="Cohn-Elkies verdict and bound value")
-    add_common(p)
-
-    axis = top.add_parser("axis", help="imaginary-axis inequality checks")
-    axis_sub = axis.add_subparsers(dest="sub", required=True)
-    p = axis_sub.add_parser("check", help="two-sided positivity in both conventions")
-    p.add_argument("--convention", choices=["direct", "sweighted", "both"], default="both")
-    p.add_argument("--grid", default=None, help="lo:hi:n (logarithmic default)")
-    add_common(p)
-
+    groups = {}
+    for command, entry in _COMMANDS.items():
+        group, _, sub = command.partition(" ")
+        if sub and group not in groups:
+            groups[group] = top.add_parser(group, help=_GROUP_HELP[group]).add_subparsers(
+                dest="sub", required=True)
+        p = (groups[group] if sub else top).add_parser(sub or group, help=entry.help)
+        for flag, keywords in (entry.flags | _COMMON_FLAGS).items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -522,18 +502,13 @@ def run(argv: list[str] | None = None) -> int:
         if args.config:
             with open(args.config) as fh:
                 config = RunConfig.from_dict(json.load(fh))
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.threads is not None:
-            overrides["threads"] = args.threads
-        if args.format is not None:
-            overrides["output_format"] = args.format
-        if overrides:
-            config = replace(config, **overrides)
-        if config.output_format == "csv" and command not in _CSV_COMMANDS:
-            raise ConfigError(f"csv output is only available for {sorted(_CSV_COMMANDS)}")
-        results, passed, csv = _HANDLERS[command](args, config)
+        overrides = {"seed": args.seed, "threads": args.threads, "output_format": args.format}
+        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+        entry = _COMMANDS[command]
+        if config.output_format == "csv" and not entry.csv:
+            tables = sorted(name for name, e in _COMMANDS.items() if e.csv)
+            raise ConfigError(f"csv output is only available for {tables}")
+        results, passed, csv = entry.handler(args, config)
     except (ConfigError, OSError, ValueError) as exc:
         # ValueError: the library's own argument checks, and malformed JSON
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ zeros at sqrt(2n)); this is numerical verification, not a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,21 +81,8 @@ class CEReport:
     pass_: bool
 
     def as_dict(self) -> dict:
-        return {
-            "g0": self.g0,
-            "ghat0": self.ghat0,
-            "ce1_pass": self.ce1_pass,
-            "ce2_max_violation": self.ce2_max_violation,
-            "ce2_argmax": self.ce2_argmax,
-            "ce3_min_value": self.ce3_min_value,
-            "ce3_argmin": self.ce3_argmin,
-            "bound": self.bound,
-            "target": self.target,
-            "tol": self.tol,
-            "tol_bound": self.tol_bound,
-            "grid_points": len(self.grid),
-            "pass": self.pass_,
-        }
+        return ({f.name.rstrip("_"): getattr(self, f.name)
+                 for f in fields(self) if f.name != "grid"} | {"grid_points": len(self.grid)})
 
 
 def verify_ce(g_values: Callable[[np.ndarray], np.ndarray],

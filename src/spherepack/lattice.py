@@ -16,6 +16,7 @@ share no code, and the test suite holds them against each other.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -266,25 +267,28 @@ def theta_coefficients(max_n: int) -> list[int]:
 CHUNK = 1 << 13
 
 
-class Scratch:
-    """Named (rows, CHUNK) arrays that one thread reuses from pass to pass.
+class Scratch(threading.local):
+    """Named work arrays that each thread reuses from pass to pass; one
+    instance may be shared by threads, each of which sees its own arrays.
 
-    The kernels take their large temporaries from here.  With fresh
-    multi-megabyte temporaries in every block, malloc handed their pages
-    back to the operating system between blocks, and taking them back cost
-    a page fault per 4 KiB: about a third of the Monte-Carlo time at 2^20
-    samples on a 2-vCPU Xeon VM.
+    The coset kernel, the Monte-Carlo sampler and ``magic``'s Laplace sweep
+    take their large temporaries from here.  With fresh multi-megabyte
+    temporaries in every block, malloc handed their pages back to the
+    operating system between blocks, and taking them back cost a page fault
+    per 4 KiB: about a third of the Monte-Carlo time at 2^20 samples on a
+    2-vCPU Xeon VM.
     """
 
     def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
+        self.arrays: dict[str, np.ndarray] = {}
 
     def get(self, name: str, rows: int, n: int, dtype=np.float64) -> np.ndarray:
-        """The (rows, n) array called ``name``, for n <= CHUNK; its contents are stale."""
-        buf = self._arrays.get(name)
-        if buf is None:
-            buf = self._arrays[name] = np.empty((rows, CHUNK), dtype)
-        return buf[:, :n]
+        """A C-contiguous (rows, n) view of the 1-D buffer called ``name`` (one
+        dtype per name), which grows to fit; its contents are stale."""
+        buf = self.arrays.get(name)
+        if buf is None or buf.size < rows * n:
+            buf = self.arrays[name] = np.empty(rows * n, dtype)
+        return buf[:rows * n].reshape(rows, n)
 
 
 def sum8(x: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -42,7 +42,6 @@ the first oracle call.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -60,6 +59,7 @@ from .forms import (
     phi0_qseries,
     psi_i_qseries,
 )
+from .lattice import Scratch
 from .quadrature import QuadratureConfig, gauss_nodes, panel_nodes
 
 PI = math.pi
@@ -78,31 +78,9 @@ _BLOCK = 256
 _R_MAX = 1e150
 
 
-class _Scratch(threading.local):
-    """This thread's work arrays for the blocks of a Laplace sweep, kept
-    between blocks and calls.
-
-    A block's exponential and moment arrays are a few hundred KiB each.
-    Allocated fresh per block, they come from mmap or a trimmed heap in
-    some processes and not in others, depending on what the allocator has
-    seen before, and then cost a page fault per 4 KiB touched: about as
-    much time as the arithmetic of the sweep.
-    """
-
-    def __init__(self):
-        self.arrays: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, radii: int, per_radius: int) -> np.ndarray:
-        """The first radii * per_radius elements of the 1-D buffer kept under
-        name, which grows to fit and to at least _BLOCK radii; callers
-        reshape it, so it stays C-contiguous like a fresh array."""
-        buf = self.arrays.get(name)
-        if buf is None or buf.size < radii * per_radius:
-            buf = self.arrays[name] = np.empty(max(radii, _BLOCK) * per_radius)
-        return buf[:radii * per_radius]
-
-
-_SCRATCH = _Scratch()
+#: each thread's exponential and moment arrays for the blocks of a Laplace
+#: sweep, a few hundred KiB each, kept between blocks and calls
+_SCRATCH = Scratch()
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +137,7 @@ class _Moments:
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         terms, n = self.offset.shape[0], s.size
-        x = _SCRATCH.take("x", n, terms).reshape(terms, n)
-        x2 = _SCRATCH.take("x2", n, terms).reshape(terms, n)
+        x, x2 = _SCRATCH.get("x", terms, n), _SCRATCH.get("x2", terms, n)
         np.add(self.offset, PI * s, out=x)
         np.reciprocal(x, out=x)
         total = self.k[0] @ x
@@ -209,7 +186,7 @@ class _Kernel:
         """sin^2(pi s/2) L[K](s) at each s = r^2 >= 0 of one block."""
         sine = np.sin(PI * (s - 2.0 * np.round(s / 2.0)) / 2.0)   # the reduction is exact
         low = s < 2.0 + _SUBTRACT_MARGIN
-        e = _SCRATCH.take("exp", s.size, self.nodes.size).reshape(s.size, self.nodes.size)
+        e = _SCRATCH.get("exp", s.size, self.nodes.size)
         np.multiply.outer(s, -PI * self.nodes, out=e)
         np.exp(e, out=e)
         inner = np.where(low, e @ self.subtracted, e @ self.plain) + self.decaying(s)

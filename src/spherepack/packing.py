@@ -17,7 +17,6 @@ sample, distance and hit is the same as in the row-major formulation.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -250,12 +249,9 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
     key = _stream_key(seed)
     blocks = [(start, min(_BLOCK, samples - start)) for start in range(0, samples, _BLOCK)]
 
-    per_thread = threading.local()
+    scratch = Scratch()
 
     def work(block):
-        if not hasattr(per_thread, "scratch"):
-            per_thread.scratch = Scratch()
-        scratch = per_thread.scratch
         start, count = block
         hits = 0
         for lo in range(start, start + count, CHUNK):

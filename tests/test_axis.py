@@ -122,6 +122,8 @@ def test_combo_algebra_identity():
 def test_direct_convention_fails():
     report = verify_inequalities(convention=Eq2Convention.DIRECT)
     assert not report.pass_
+    # every margin is already negative, so nothing is refined
+    assert report.grid_size == 400 and report.refined is False
     # the failing side is the plus combination; the minus one holds
     assert report.min_plus < 0.0
     assert report.min_minus > 0.0
@@ -129,7 +131,7 @@ def test_direct_convention_fails():
 
 def test_sweighted_convention_passes():
     report = verify_inequalities(convention=Eq2Convention.S_WEIGHTED)
-    assert report.pass_
+    assert report.pass_ and report.refined is True
     assert report.min_plus > 0.0
     assert report.min_minus > 0.0
 

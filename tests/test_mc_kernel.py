@@ -9,6 +9,7 @@ oracle always gets C-contiguous input.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -224,6 +225,32 @@ def test_hits_where_the_parity_fix_decides(monkeypatch):
 
 
 # -- edge cases --------------------------------------------------------------------
+
+def test_scratch_arrays_are_per_thread_contiguous_and_reused():
+    scratch = lattice.Scratch()
+    got = {}
+
+    def take(key):
+        got[key] = scratch.get("y", 8, 100)
+
+    threads = [threading.Thread(target=take, args=(key,)) for key in ("one", "two")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    take("main")
+    for a in got.values():
+        assert a.shape == (8, 100) and a.flags.c_contiguous
+    assert not np.shares_memory(got["one"], got["two"])
+    assert not np.shares_memory(got["main"], got["one"])
+    assert not np.shares_memory(got["main"], got["two"])
+    smaller = scratch.get("y", 3, 50)
+    assert smaller.shape == (3, 50) and smaller.flags.c_contiguous
+    assert smaller.base is scratch.arrays["y"] is got["main"].base
+    larger = scratch.get("y", 8, 200)
+    assert larger.shape == (8, 200) and larger.base is scratch.arrays["y"]
+
 
 def test_decode_single_point():
     point = np.array([0.9, 0.9, 0, 0, 0, 0, 0, 0])
