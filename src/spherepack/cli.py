@@ -285,6 +285,8 @@ def _cmd_packing_mc(args, config: RunConfig):
         "seed": est.seed,
         "radius": est.radius,
         "threads": est.workers,
+        # samples that the float32 pass left to the exact float64 recheck
+        "rechecked": est.rechecked,
         "target": E8_DENSITY,
         "abs_deviation": dev,
         # undefined (null) when every sample hit or every sample missed

@@ -16,6 +16,7 @@ share no code, and the test suite holds them against each other.
 from __future__ import annotations
 
 import math
+import mmap
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -267,6 +268,10 @@ def theta_coefficients(max_n: int) -> list[int]:
 CHUNK = 1 << 13
 
 
+#: private anonymous maps where the platform has the flag (Windows maps are private)
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
 class Scratch(threading.local):
     """Named work arrays that each thread reuses from pass to pass; one
     instance may be shared by threads, each of which sees its own arrays.
@@ -277,6 +282,13 @@ class Scratch(threading.local):
     operating system between blocks, and taking them back cost a page fault
     per 4 KiB: about a third of the Monte-Carlo time at 2^20 samples on a
     2-vCPU Xeon VM.
+
+    The buffers are anonymous memory maps, not malloc blocks, so a buffer
+    that is dropped goes back to the operating system at once.  From malloc,
+    a worker thread's buffers stayed resident in its arena after the thread
+    ended, by chance of what else the arena held: a 2-thread Monte-Carlo
+    call left 4 MB behind with one hit test and 8 MB with another that
+    differed only in its small temporaries.
     """
 
     def __init__(self):
@@ -287,7 +299,8 @@ class Scratch(threading.local):
         dtype per name), which grows to fit; its contents are stale."""
         buf = self.arrays.get(name)
         if buf is None or buf.size < rows * n:
-            buf = self.arrays[name] = np.empty(rows * n, dtype)
+            nbytes = max(rows * n, 1) * np.dtype(dtype).itemsize    # mmap refuses 0 bytes
+            buf = self.arrays[name] = np.frombuffer(mmap.mmap(-1, nbytes, **_PRIVATE), dtype)
         return buf[:rows * n].reshape(rows, n)
 
 
@@ -354,6 +367,11 @@ def nearest_in_coset(y: np.ndarray, half: bool, point: np.ndarray,
     return coset_distance2(y, half, point, scratch)
 
 
+#: decode_batch's work arrays (at most CHUNK columns each), kept from call to
+#: call: fresh maps in every call cost a page fault per 4 KiB
+_DECODE_SCRATCH = Scratch()
+
+
 def decode_batch(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized decoder: nearest lattice points and distances for an (n,8) array.
 
@@ -368,7 +386,7 @@ def decode_batch(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if y.ndim != 2 or y.shape[1] != 8:
         raise ValueError(f"decode_batch expects (n, 8) points, got shape {y.shape}")
     best, dist = np.empty((8, len(y))), np.empty(len(y))
-    scratch = Scratch()
+    scratch = _DECODE_SCRATCH
     for lo in range(0, len(y), CHUNK):
         cols = slice(lo, lo + CHUNK)
         yt = y[cols].T

@@ -12,6 +12,18 @@ fixed (seed, samples) regardless of how many workers share the blocks.
 Sampler and decoder work coordinate-major, on (8, n) arrays whose rows are
 contiguous, and sum eight coordinates in numpy's pairwise order, so every
 sample, distance and hit is the same as in the row-major formulation.
+
+The hit test is a filtered predicate (Shewchuk, DCG 18, 1997).  A first
+pass draws every sample with float32 cos and sin, each within
+eps = 2^-18 of the float64 ones.  That moves the unit direction by at most
+2 sqrt(2) eps, and the sample by at most 2 sqrt(2) eps R.  The distance to
+the centers is 1-Lipschitz, so a sample decodes to within
+delta = 2 sqrt(2) eps R + eta of its exact distance, where eta covers the
+float rounding of both samplers and decoders.  Beyond delta of the
+separation radius rho the first pass decides; the samples in the band
+between rho - delta and rho + delta are drawn again in float64 and
+decoded exactly.  Where delta >= rho the band holds everything, so every
+sample takes the exact path.
 """
 
 from __future__ import annotations
@@ -100,6 +112,7 @@ class DensityEstimate:
     seed: int
     radius: float
     workers: int    # threads that ran the sample blocks
+    rechecked: int  # samples in the band that float32 trig cannot decide, decoded exactly
 
 
 # -- counter-based sampling ---------------------------------------------------
@@ -129,17 +142,36 @@ def _stream_key(seed: int) -> np.ndarray:
     return _splitmix64(key, key.copy())
 
 
-def _sample_chunk(key: np.ndarray, start: int, radius: float, out: np.ndarray,
-                  scratch: Scratch) -> None:
-    """Fill ``out``, (8, n) with n <= CHUNK, with samples start .. start + n - 1.
+#: bound on |trig32(fl32(theta)) - trig(theta)| for numpy's float32 cos and
+#: sin at the sampler's angles theta = 2 pi u, 0 < u < 1.  Rounding theta to
+#: float32 contributes at most 2^-22; the largest error measured on 2^24
+#: angles was 2.6e-7, about 2^-21.9.  ``test_mc_kernel`` checks a quarter of
+#: this bound, so a platform with a worse float32 trig fails there.
+_TRIG32_ERROR = 2.0 ** -18
 
-    Each value goes through the same floating-point operations, in the same
-    order, as in the row-major sampler, so every sample is bit-identical.
-    The uniforms overwrite their own lane bits in place.
+#: eta / (1 + R).  The float rounding of both samplers and both decoders, and
+#: the parity fix's ``_FIX_SLACK``, each move a decoded distance at the edges
+#: of the band by less than 2^-44 (1 + R)
+_ETA = 2.0 ** -32
+
+#: above this many samples the lane counter 16 i + l wraps around 2^64
+_MAX_SAMPLES = 2 ** 60
+
+
+def _sample_chunk(key: np.ndarray, index: np.ndarray, radius: float, out: np.ndarray,
+                  scratch: Scratch, trig32: bool = False) -> None:
+    """Fill ``out``, (8, n) with n <= CHUNK, with the samples numbered ``index``.
+
+    ``index`` is a uint64 array of n sample indices.  Each value goes
+    through the same floating-point operations, in the same order, as in
+    the row-major sampler, so every sample is bit-identical.  The uniforms
+    overwrite their own lane bits in place.  With ``trig32`` the Box-Muller
+    angles go through float32 cos and sin, within ``_TRIG32_ERROR`` of the
+    float64 ones; every other operation is unchanged.
     """
     n = out.shape[1]
     bits = scratch.get("lanes", 9, n, np.uint64)
-    np.add(np.arange(start, start + n, dtype=np.uint64) * np.uint64(16), _LANES, out=bits)
+    np.add(index * np.uint64(16), _LANES, out=bits)
     bits ^= key
     _splitmix64(bits, scratch.get("mix", 9, n, np.uint64))
     u = bits.view(np.float64)
@@ -150,10 +182,15 @@ def _sample_chunk(key: np.ndarray, start: int, radius: float, out: np.ndarray,
     rho *= -2.0
     np.sqrt(rho, out=rho)
     angle *= 2.0 * math.pi
-    np.cos(angle, out=out[0::2])
-    np.sin(angle, out=out[1::2])
-    out[0::2] *= rho
-    out[1::2] *= rho
+    if trig32:
+        angle32 = scratch.get("angle32", 4, n, np.float32)
+        np.copyto(angle32, angle, casting="same_kind")
+        sin = np.sin(angle32, out=scratch.get("sin32", 4, n, np.float32))
+        cos = np.cos(angle32, out=angle32)
+    else:
+        cos, sin = np.cos(angle, out=out[0::2]), np.sin(angle, out=out[1::2])
+    np.multiply(cos, rho, out=out[0::2])
+    np.multiply(sin, rho, out=out[1::2])
     scale = u[8] ** 0.125
     scale *= radius
     norms = np.sqrt(sum8(np.square(out, out=u[:8]), scratch.get("sums", 4, n)))
@@ -172,9 +209,10 @@ def _sample_block(seed: int, start: int, count: int, radius: float) -> np.ndarra
     array, and returned as its (count, 8) transpose view.
     """
     key, scratch = _stream_key(seed), Scratch()
+    index = np.arange(start, start + count, dtype=np.uint64)
     normals = np.empty((8, count))
     for lo in range(0, count, CHUNK):
-        _sample_chunk(key, start + lo, radius, normals[:, lo:lo + CHUNK], scratch)
+        _sample_chunk(key, index[lo:lo + CHUNK], radius, normals[:, lo:lo + CHUNK], scratch)
     return normals.T
 
 
@@ -187,35 +225,59 @@ def _sample_block(seed: int, start: int, count: int, radius: float) -> np.ndarra
 _FIX_SLACK = 2.0 ** -46
 
 
-def _count_hits(y: np.ndarray, spec: PeriodicPackingSpec, scratch: Scratch) -> int:
-    """How many columns of y, (8, n) with n <= CHUNK, lie within separation/2 of a center.
+def _near_distance2(y: np.ndarray, spec: PeriodicPackingSpec, reach2: float,
+                    scratch: Scratch) -> np.ndarray:
+    """Squared distance from each column of y, (8, n) with n <= CHUNK, to its nearest center.
 
-    Only the squared distance to each coset decides; the closer point is
-    never assembled.  Each coset rounds every column once.  Where the
-    rounded coordinate sum is even, that is the coset's nearest point and
-    its distance is final.  Where it is odd, the parity fix moves one
-    coordinate from |y - f| <= 1/2 to 1 - |y - f| >= 1/2, and float squaring
-    and the ``sum8`` tree are monotone, so the fixed distance is never
-    below the unfixed one (up to ``_FIX_SLACK``).  So only the odd columns
-    whose unfixed distance is within reach go through ``nearest_in_coset``;
-    the hits are those of the full decoder, column for column.
+    Exact (that of the full decoder) wherever it is at most
+    reach2 - ``_FIX_SLACK``, and above that elsewhere.  Only the squared
+    distance to each coset decides; the closer point is never assembled.
+    Each coset rounds every column once.  Where the rounded coordinate sum
+    is even, that is the coset's nearest point and its distance is final.
+    Where it is odd, the parity fix moves one coordinate from
+    |y - f| <= 1/2 to 1 - |y - f| >= 1/2, and float squaring and the
+    ``sum8`` tree are monotone, so the fixed distance is never below the
+    unfixed one (up to ``_FIX_SLACK``).  So only the odd columns whose
+    unfixed distance is within reach2 go through ``nearest_in_coset``; the
+    others keep their unfixed distance, which is above reach2.  The result
+    is a row of ``scratch``.
     """
     n = y.shape[1]
-    rho = spec.separation / 2.0
-    reach2 = rho * rho + _FIX_SLACK
-    point, shifted = scratch.get("point", 8, n), scratch.get("shifted", 8, n)
-    hit = np.zeros(n, dtype=bool)
+    point = scratch.get("point", 8, n)
+    best = scratch.get("best", 1, n)[0]
+    best.fill(np.inf)
     for off in spec.offsets:
-        np.subtract(y, np.asarray(off)[:, None], out=shifted)
+        shifted = y
+        if any(off):
+            shifted = np.subtract(y, np.asarray(off)[:, None], out=scratch.get("shifted", 8, n))
         for half in (False, True):
             _, odd = round_in_coset(shifted, half, point, scratch)
             d2 = coset_distance2(shifted, half, point, scratch)
-            hit |= (np.sqrt(d2) <= rho) & ~odd
             cand = np.flatnonzero(odd & (d2 <= reach2))
+            before = best[cand]
+            np.minimum(best, d2, out=best)
             if cand.size:
                 d2 = nearest_in_coset(shifted[:, cand], half, point[:, :cand.size], scratch)
-                hit[cand] |= np.sqrt(d2) <= rho
-    return int(np.count_nonzero(hit))
+                best[cand] = np.minimum(before, d2, out=before)
+    return best
+
+
+def _count_hits(y: np.ndarray, spec: PeriodicPackingSpec, scratch: Scratch) -> int:
+    """How many columns of y, (8, n) with n <= CHUNK, lie within separation/2 of a center.
+
+    The exact hit test: the rule ``sqrt(d2) <= separation/2`` on the
+    squared distances of ``_near_distance2``, reaching separation^2/4 plus
+    ``_FIX_SLACK``, so the hits are those of the full decoder, column for
+    column.  ``finite_density_mc`` runs it on float64 samples only where its
+    float32 pass cannot decide: float32 trig, within eps = 2^-18, moves a
+    sample by at most 2 sqrt(2) eps R, and the 1-Lipschitz distance by as
+    much, so only squared distances between (rho - delta)^2 and
+    (rho + delta)^2, delta = 2 sqrt(2) eps R + eta, come here; where
+    delta >= rho, every sample does.
+    """
+    rho = spec.separation / 2.0
+    d2 = _near_distance2(y, spec, rho * rho + _FIX_SLACK, scratch)
+    return int(np.count_nonzero(np.sqrt(d2) <= rho))
 
 
 def _worker_count(threads: int, blocks: int) -> int:
@@ -234,39 +296,74 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
 
     The hit test is the E8 coset decoder, so the basis must generate E8:
     a :class:`LatticeBasis` (its rows are E8 vectors) with determinant +-1.
-    Any other basis, and a radius outside (0, DECODE_LIMIT), the decoder's
-    limit on the coordinates, is a ValueError.  Each block is sampled and
+    Any other basis, a radius outside (0, DECODE_LIMIT), the decoder's
+    limit on the coordinates, and more than 2^60 samples, where the
+    lane counters wrap, are a ValueError.  Each block is sampled and
     hit-tested CHUNK columns at a time, in buffers that each worker thread
     reuses for every block it takes.
+
+    Every sample is first drawn with float32 cos and sin, within
+    eps = ``_TRIG32_ERROR`` of the float64 ones.  Each of the four
+    Box-Muller pairs then moves by at most sqrt(2) eps times its length, so
+    the Gaussian vector moves by sqrt(2) eps times its norm, its unit
+    direction by 2 sqrt(2) eps, and the sample by 2 sqrt(2) eps R.  The
+    distance to the union of the cosets is 1-Lipschitz, so the decoded
+    distance moves by at most delta = 2 sqrt(2) eps R + eta, with
+    eta = ``_ETA`` (1 + R) for the float rounding.  A squared distance at
+    most (rho - delta)^2 is a hit and one above (rho + delta)^2 a miss, for
+    rho = separation/2; the parity fix reaches (rho + delta)^2 plus
+    ``_FIX_SLACK``.  The samples in between are drawn again in float64 and
+    decoded by ``_count_hits``, once per block; ``rechecked`` counts them.
+    Where delta >= rho nothing is certain, so every sample takes that exact
+    path.  Either way the hits are those of the exact sampler and decoder.
     """
     if not 0 < radius < DECODE_LIMIT:
         raise ValueError(f"radius must be positive and below 2^50, got {radius}")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    if not 1 <= samples <= _MAX_SAMPLES:
+        raise ValueError(f"samples must be between 1 and 2^60, got {samples}")
     if not (isinstance(spec.basis, LatticeBasis) and abs(spec.basis.determinant()) == 1):
         raise ValueError("the hit test decodes E8: the basis must be a LatticeBasis "
                          "of E8 vectors with determinant +-1")
     key = _stream_key(seed)
-    blocks = [(start, min(_BLOCK, samples - start)) for start in range(0, samples, _BLOCK)]
+    rho = spec.separation / 2.0
+    delta = 2.0 * math.sqrt(2.0) * _TRIG32_ERROR * radius + _ETA * (1.0 + radius)
+    lo2, hi2 = (rho - delta) ** 2, (rho + delta) ** 2
 
     scratch = Scratch()
 
-    def work(block):
-        start, count = block
+    def exact_hits(index):
         hits = 0
-        for lo in range(start, start + count, CHUNK):
-            y = scratch.get("sample", 8, min(CHUNK, start + count - lo))
-            _sample_chunk(key, lo, radius, y, scratch)
+        for lo in range(0, index.size, CHUNK):
+            part = index[lo:lo + CHUNK]
+            y = scratch.get("sample", 8, part.size)
+            _sample_chunk(key, part, radius, y, scratch)
             hits += _count_hits(y, spec, scratch)
         return hits
 
-    workers = _worker_count(threads, len(blocks))
+    def work(start):
+        """(hits, rechecked) of the block from sample ``start``."""
+        index = np.arange(start, min(start + _BLOCK, samples), dtype=np.uint64)
+        if delta >= rho:
+            return np.array([exact_hits(index), index.size])
+        hits, band = 0, []
+        for lo in range(0, index.size, CHUNK):
+            part = index[lo:lo + CHUNK]
+            y = scratch.get("sample", 8, part.size)
+            _sample_chunk(key, part, radius, y, scratch, trig32=True)
+            d2 = _near_distance2(y, spec, hi2 + _FIX_SLACK, scratch)
+            hits += np.count_nonzero(d2 <= lo2)
+            band.append(part[(lo2 < d2) & (d2 <= hi2)])
+        band = np.concatenate(band)
+        return np.array([hits + exact_hits(band), band.size])
+
+    starts = range(0, samples, _BLOCK)
+    workers = _worker_count(threads, len(starts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(work, blocks))
+            hits, rechecked = map(int, sum(pool.map(work, starts)))
     else:
-        hits = sum(map(work, blocks))
+        hits, rechecked = map(int, sum(map(work, starts)))
     value = hits / samples
     stderr = math.sqrt(max(value * (1.0 - value), 0.0) / samples)
-    return DensityEstimate(value=value, stderr=stderr, samples=samples,
-                           seed=seed, radius=radius, workers=workers)
+    return DensityEstimate(value=value, stderr=stderr, samples=samples, seed=seed,
+                           radius=radius, workers=workers, rechecked=rechecked)

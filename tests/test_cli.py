@@ -232,6 +232,26 @@ def test_mc_reports_the_workers_that_ran(capsys):
     assert data["config"]["threads"] == 64
 
 
+@pytest.mark.parametrize("radius, samples", [("5", "65536"), ("1e12", "4096")])
+def test_mc_rechecked_same_on_every_thread_count(monkeypatch, capsys, radius, samples):
+    runs = []
+    for flags, env in (([], None), (["--threads", "1"], None), (["--threads", "2"], None),
+                       ([], "2")):
+        if env is None:
+            monkeypatch.delenv("SPHEREPACK_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SPHEREPACK_THREADS", env)
+        code, out, _ = invoke(capsys, "packing", "mc", "--radius", radius,
+                              "--samples", samples, *flags)
+        assert code == 0
+        runs.append(json.loads(out)["results"])
+    assert len({(r["value"], r["rechecked"]) for r in runs}) == 1
+    if radius == "1e12":    # beyond the float32 pass's reach: every sample is exact
+        assert runs[0]["rechecked"] == int(samples)
+    else:
+        assert 0 < runs[0]["rechecked"] < int(samples) // 100
+
+
 def test_mc_sigma_deviation_is_null_without_a_spread(capsys):
     # one sample has standard error 0, so the deviation in sigmas is undefined
     code, out, _ = invoke(capsys, "packing", "mc", "--samples", "1")
@@ -280,6 +300,8 @@ def test_runconfig_validation():
     ["lattice", "decode", "--point=1e300,0,0,0,0,0,0,0"],
     ["lattice", "decode", "--point=1e19,0.5,0,0,0,0,0,0"],
     ["packing", "mc", "--radius=1e19", "--samples=1"],
+    # beyond 2^60 samples the lane counters wrap
+    ["packing", "mc", f"--samples={2 ** 60 + 1}"],
 ])
 def test_bad_input_refused_at_boundary(capsys, argv):
     with warnings.catch_warnings():

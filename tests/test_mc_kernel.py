@@ -162,6 +162,51 @@ def test_hit_counts_match_row_major(offsets):
             assert est.value == want, (radius, threads)
 
 
+def _exact_hits(spec, radius, samples, seed):
+    """Hits of the float64 sampler and the exact hit test, with no float32 pass."""
+    key, scratch = packing._stream_key(seed), lattice.Scratch()
+    hits = 0
+    for lo in range(0, samples, CHUNK):
+        index = np.arange(lo, min(lo + CHUNK, samples), dtype=np.uint64)
+        y = np.empty((8, index.size))
+        packing._sample_chunk(key, index, radius, y, scratch)
+        hits += packing._count_hits(y, spec, scratch)
+    return hits
+
+
+@pytest.mark.parametrize("offsets", [
+    ((0.0,) * 8,),
+    ((0.5, -0.25, 0.0, 0.0, 1.0, 0.0, 0.0, 0.125),),
+    ((0.0,) * 8, (0.5,) * 4 + (0.0,) * 4),
+], ids=["zero-offset", "nonzero-offset", "two-offsets"])
+@pytest.mark.parametrize("radius", [0.5, math.sqrt(0.5), 1.0, 5.0, 30.0, 3000.0, 2.0 ** 40])
+def test_filtered_hits_equal_exact_hits(offsets, radius):
+    spec = PeriodicPackingSpec(basis=e8_basis(), offsets=offsets)
+    for samples in (1, CHUNK + 1, 3 * _BLOCK + 5):
+        want = _exact_hits(spec, radius, samples, 17) / samples
+        for threads in (1, 2):
+            est = finite_density_mc(spec, radius=radius, samples=samples, seed=17,
+                                    threads=threads)
+            assert est.value == want, (samples, threads)
+            if radius == 2.0 ** 40:    # delta >= rho: every sample takes the exact path
+                assert est.rechecked == samples
+            elif radius <= 30.0 and samples > CHUNK:
+                assert est.rechecked < samples // 10
+
+
+def test_float32_trig_within_bound():
+    # the sampler's angles 2 pi u, u the open-interval uniforms, with both extremes
+    bits = np.random.default_rng(3).integers(0, 2 ** 53, size=1 << 22, dtype=np.uint64)
+    u = np.concatenate([bits * 2.0 ** -53 + 2.0 ** -54, [2.0 ** -54, 1.0 - 2.0 ** -54]])
+    worst = 0.0
+    for part in np.array_split(u, 8):
+        angle = part * (2.0 * math.pi)
+        angle32 = angle.astype(np.float32)
+        for trig in (np.cos, np.sin):
+            worst = max(worst, float(np.abs(trig(angle32).astype(np.float64) - trig(angle)).max()))
+    assert worst < packing._TRIG32_ERROR / 4
+
+
 def _unfixed_d2(y, half):
     """Squared distance of each row of y to its rounding on the coset's grid, parity ignored."""
     shift = 0.5 if half else 0.0
