@@ -367,6 +367,53 @@ def nearest_in_coset(y: np.ndarray, half: bool, point: np.ndarray,
     return coset_distance2(y, half, point, scratch)
 
 
+def e8_distance2(y: np.ndarray, scratch: Scratch) -> np.ndarray:
+    """Squared distance from each column of y, (8, n) with n <= CHUNK, to the nearest E8 point.
+
+    Both cosets are read off one rounding (Conway & Sloane).  With f the
+    nearest integer to each coordinate, d = y - f is exact; r = |d|,
+    S1 = sum r and S2 = sum r^2.  The nearest point of D8 is f, at S2, or,
+    where sum f is odd, f with the coordinate of largest r rounded the
+    other way, at S2 + 1 - 2 max r.  The nearest point of
+    D8 + (1/2,...,1/2) is floor(y) + 1/2, at sum (1/2 - r)^2 =
+    S2 + 2 - S1, or, where sum floor(y) is odd, that point with the
+    coordinate of smallest r moved by one, at 2 min r more; sum floor(y)
+    is sum f less the count of d < 0.  Every term is the distance to a
+    lattice point, so only the rounding of the sums (r <= 1/2, S1 <= 4,
+    S2 <= 2) separates the result from the true squared distance: at most
+    2^-48.  ``decode_batch`` rounds y - 1/2 and may break a tie within one
+    unit in the last place of y the other way, so the two agree within
+    2^-46 (1 + max |y|).  The result is a row of ``scratch`` that the next
+    call overwrites.
+    """
+    n = y.shape[1]
+    r = np.rint(y, out=scratch.get("coset", 8, n))
+    odd = scratch.get("odd", 1, n, np.int64)[0]
+    np.copyto(odd, sum8(r, scratch.get("sums", 4, n)), casting="unsafe")
+    odd &= 1
+    np.subtract(y, r, out=r)
+    neg = np.less(r, 0.0, out=scratch.get("neg", 8, n, np.bool_))
+    negs = sum8(neg.view(np.uint8), scratch.get("negs", 4, n, np.uint8))
+    np.abs(r, out=r)
+    d8, half, s1 = scratch.get("terms", 3, n)
+    np.max(r, axis=0, out=d8)
+    np.min(r, axis=0, out=half)
+    np.copyto(s1, sum8(r, scratch.get("sums", 4, n)))
+    s2 = sum8(np.square(r, out=r), scratch.get("sums", 4, n))
+    d8 *= -2.0
+    d8 += 1.0
+    d8 *= odd
+    d8 += s2
+    odd += negs
+    odd &= 1
+    half *= 2.0
+    half *= odd
+    half += s2
+    half += 2.0
+    half -= s1
+    return np.minimum(d8, half, out=d8)
+
+
 #: decode_batch's work arrays (at most CHUNK columns each), kept from call to
 #: call: fresh maps in every call cost a page fault per 4 KiB
 _DECODE_SCRATCH = Scratch()

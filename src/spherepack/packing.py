@@ -17,26 +17,30 @@ The hit test is a filtered predicate (Shewchuk, DCG 18, 1997).  A first
 pass draws every sample with float32 cos and sin, each within
 eps = 2^-18 of the float64 ones.  That moves the unit direction by at most
 2 sqrt(2) eps, and the sample by at most 2 sqrt(2) eps R.  The distance to
-the centers is 1-Lipschitz, so a sample decodes to within
-delta = 2 sqrt(2) eps R + eta of its exact distance, where eta covers the
-float rounding of both samplers and decoders.  Beyond delta of the
-separation radius rho the first pass decides; the samples in the band
-between rho - delta and rho + delta are drawn again in float64 and
-decoded exactly.  Where delta >= rho the band holds everything, so every
-sample takes the exact path.
+the centers is 1-Lipschitz, so it moves by as much.  The first pass
+measures it with ``lattice.e8_distance2``, a closed form that reads both
+E8 cosets off one rounding and is within 2^-48 of the true squared
+distance.  So a sample's first-pass distance is within
+delta = 2 sqrt(2) eps R + eta of its exact one, where eta covers that
+rounding term and the float rounding of the exact sampler and decoder.
+Beyond delta of the separation radius rho the first pass decides; the
+samples in the band between rho - delta and rho + delta are drawn again
+in float64 and decoded exactly.  Where delta >= rho the band holds
+everything, so every sample takes the exact path.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .lattice import (CHUNK, DECODE_LIMIT, LatticeBasis, Scratch, coset_distance2, e8_basis,
-                      nearest_in_coset, round_in_coset, sum8)
+from .lattice import (CHUNK, DECODE_LIMIT, LatticeBasis, Scratch, coset_distance2,
+                      e8_basis, e8_distance2, nearest_in_coset, round_in_coset, sum8)
 
 _BLOCK = 1 << 15
 
@@ -149,9 +153,13 @@ def _stream_key(seed: int) -> np.ndarray:
 #: this bound, so a platform with a worse float32 trig fails there.
 _TRIG32_ERROR = 2.0 ** -18
 
-#: eta / (1 + R).  The float rounding of both samplers and both decoders, and
-#: the parity fix's ``_FIX_SLACK``, each move a decoded distance at the edges
-#: of the band by less than 2^-44 (1 + R)
+#: eta / (1 + R), the float rounding.  The first pass's closed form
+#: ``e8_distance2`` is within 2^-48 of the true squared distance.  That moves
+#: a distance at an edge of the band of at least 2^-8 by at most 2^-40, and
+#: one at a lower edge below 2^-8, where delta > rho - 2^-8 and so R > 2^15,
+#: by at most 2^-24: less than 2^-39 (1 + R) either way.  The rounding of
+#: both samplers, of the exact decoder and the parity fix's ``_FIX_SLACK``
+#: each move it by less than 2^-44 (1 + R)
 _ETA = 2.0 ** -32
 
 #: above this many samples the lane counter 16 i + l wraps around 2^64
@@ -225,31 +233,31 @@ def _sample_block(seed: int, start: int, count: int, radius: float) -> np.ndarra
 _FIX_SLACK = 2.0 ** -46
 
 
-def _near_distance2(y: np.ndarray, spec: PeriodicPackingSpec, reach2: float,
-                    scratch: Scratch) -> np.ndarray:
-    """Squared distance from each column of y, (8, n) with n <= CHUNK, to its nearest center.
+def _count_hits(y: np.ndarray, spec: PeriodicPackingSpec, scratch: Scratch) -> int:
+    """How many columns of y, (8, n) with n <= CHUNK, lie within separation/2 of a center.
 
-    Exact (that of the full decoder) wherever it is at most
-    reach2 - ``_FIX_SLACK``, and above that elsewhere.  Only the squared
-    distance to each coset decides; the closer point is never assembled.
-    Each coset rounds every column once.  Where the rounded coordinate sum
-    is even, that is the coset's nearest point and its distance is final.
-    Where it is odd, the parity fix moves one coordinate from
-    |y - f| <= 1/2 to 1 - |y - f| >= 1/2, and float squaring and the
-    ``sum8`` tree are monotone, so the fixed distance is never below the
-    unfixed one (up to ``_FIX_SLACK``).  So only the odd columns whose
-    unfixed distance is within reach2 go through ``nearest_in_coset``; the
-    others keep their unfixed distance, which is above reach2.  The result
-    is a row of ``scratch``.
+    The exact hit test: the rule ``sqrt(d2) <= separation/2`` on each
+    column's squared distance d2 to its nearest center, the full decoder's
+    wherever it matters.  Only the squared distance to each coset decides;
+    the closer point is never assembled.  Each coset rounds every column
+    once.  Where the rounded coordinate sum is even, that is the coset's
+    nearest point and its distance is final.  Where it is odd, the parity
+    fix moves one coordinate from |y - f| <= 1/2 to 1 - |y - f| >= 1/2,
+    and float squaring and the ``sum8`` tree are monotone, so the fixed
+    distance is never below the unfixed one (up to ``_FIX_SLACK``).  So
+    only the odd columns whose unfixed distance is within separation^2/4
+    plus ``_FIX_SLACK`` go through ``nearest_in_coset``; the others are
+    misses either way.  ``finite_density_mc`` runs it on the float64
+    samples of the band its float32 pass cannot decide.
     """
     n = y.shape[1]
+    rho = spec.separation / 2.0
+    reach2 = rho * rho + _FIX_SLACK
     point = scratch.get("point", 8, n)
     best = scratch.get("best", 1, n)[0]
     best.fill(np.inf)
     for off in spec.offsets:
-        shifted = y
-        if any(off):
-            shifted = np.subtract(y, np.asarray(off)[:, None], out=scratch.get("shifted", 8, n))
+        shifted = _shift(y, off, scratch)
         for half in (False, True):
             _, odd = round_in_coset(shifted, half, point, scratch)
             d2 = coset_distance2(shifted, half, point, scratch)
@@ -259,25 +267,14 @@ def _near_distance2(y: np.ndarray, spec: PeriodicPackingSpec, reach2: float,
             if cand.size:
                 d2 = nearest_in_coset(shifted[:, cand], half, point[:, :cand.size], scratch)
                 best[cand] = np.minimum(before, d2, out=before)
-    return best
+    return int(np.count_nonzero(np.sqrt(best) <= rho))
 
 
-def _count_hits(y: np.ndarray, spec: PeriodicPackingSpec, scratch: Scratch) -> int:
-    """How many columns of y, (8, n) with n <= CHUNK, lie within separation/2 of a center.
-
-    The exact hit test: the rule ``sqrt(d2) <= separation/2`` on the
-    squared distances of ``_near_distance2``, reaching separation^2/4 plus
-    ``_FIX_SLACK``, so the hits are those of the full decoder, column for
-    column.  ``finite_density_mc`` runs it on float64 samples only where its
-    float32 pass cannot decide: float32 trig, within eps = 2^-18, moves a
-    sample by at most 2 sqrt(2) eps R, and the 1-Lipschitz distance by as
-    much, so only squared distances between (rho - delta)^2 and
-    (rho + delta)^2, delta = 2 sqrt(2) eps R + eta, come here; where
-    delta >= rho, every sample does.
-    """
-    rho = spec.separation / 2.0
-    d2 = _near_distance2(y, spec, rho * rho + _FIX_SLACK, scratch)
-    return int(np.count_nonzero(np.sqrt(d2) <= rho))
+def _shift(y: np.ndarray, offset: Sequence[float], scratch: Scratch) -> np.ndarray:
+    """y less the center offset, in ``scratch``; y itself for the zero offset."""
+    if not any(offset):
+        return y
+    return np.subtract(y, np.asarray(offset)[:, None], out=scratch.get("shifted", 8, y.shape[1]))
 
 
 def _worker_count(threads: int, blocks: int) -> int:
@@ -307,15 +304,23 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
     Box-Muller pairs then moves by at most sqrt(2) eps times its length, so
     the Gaussian vector moves by sqrt(2) eps times its norm, its unit
     direction by 2 sqrt(2) eps, and the sample by 2 sqrt(2) eps R.  The
-    distance to the union of the cosets is 1-Lipschitz, so the decoded
-    distance moves by at most delta = 2 sqrt(2) eps R + eta, with
-    eta = ``_ETA`` (1 + R) for the float rounding.  A squared distance at
-    most (rho - delta)^2 is a hit and one above (rho + delta)^2 a miss, for
-    rho = separation/2; the parity fix reaches (rho + delta)^2 plus
-    ``_FIX_SLACK``.  The samples in between are drawn again in float64 and
-    decoded by ``_count_hits``, once per block; ``rechecked`` counts them.
-    Where delta >= rho nothing is certain, so every sample takes that exact
-    path.  Either way the hits are those of the exact sampler and decoder.
+    distance to the union of the cosets is 1-Lipschitz, so the distance
+    moves by at most 2 sqrt(2) eps R.  This first pass measures it with
+    ``lattice.e8_distance2``, once per offset: the closed form reads both
+    cosets off one rounding and is within 2^-48 of the true squared
+    distance, where the exact decoder is within 2^-46 (1 + R).  So the two
+    decoded distances differ by at most delta = 2 sqrt(2) eps R + eta,
+    with eta = ``_ETA`` (1 + R) for the float rounding.  A squared distance
+    at most (rho - delta)^2 is a hit and one above (rho + delta)^2 a miss,
+    for rho = separation/2.  The samples in between are drawn again in
+    float64 and decoded by ``_count_hits``, once per block; ``rechecked``
+    counts them.  Where delta >= rho nothing is certain, so every sample
+    takes that exact path.  Either way the hits are those of the exact
+    sampler and decoder.
+
+    The workers take the blocks one at a time from one shared iterator,
+    so at most ``workers`` tasks are ever submitted, however many blocks
+    there are.
     """
     if not 0 < radius < DECODE_LIMIT:
         raise ValueError(f"radius must be positive and below 2^50, got {radius}")
@@ -344,25 +349,44 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
         """(hits, rechecked) of the block from sample ``start``."""
         index = np.arange(start, min(start + _BLOCK, samples), dtype=np.uint64)
         if delta >= rho:
-            return np.array([exact_hits(index), index.size])
+            return exact_hits(index), index.size
         hits, band = 0, []
         for lo in range(0, index.size, CHUNK):
             part = index[lo:lo + CHUNK]
             y = scratch.get("sample", 8, part.size)
             _sample_chunk(key, part, radius, y, scratch, trig32=True)
-            d2 = _near_distance2(y, spec, hi2 + _FIX_SLACK, scratch)
-            hits += np.count_nonzero(d2 <= lo2)
+            d2 = scratch.get("best", 1, part.size)[0]
+            d2.fill(np.inf)
+            for off in spec.offsets:
+                np.minimum(d2, e8_distance2(_shift(y, off, scratch), scratch), out=d2)
+            hits += int(np.count_nonzero(d2 <= lo2))
             band.append(part[(lo2 < d2) & (d2 <= hi2)])
         band = np.concatenate(band)
-        return np.array([hits + exact_hits(band), band.size])
+        return hits + exact_hits(band), band.size
 
     starts = range(0, samples, _BLOCK)
+    blocks, lock = iter(starts), threading.Lock()
+
+    def drain():
+        """(hits, rechecked) of the blocks this worker takes from ``blocks``."""
+        hits = rechecked = 0
+        while True:
+            with lock:
+                start = next(blocks, None)
+            if start is None:
+                return hits, rechecked
+            block_hits, block_rechecked = work(start)
+            hits += block_hits
+            rechecked += block_rechecked
+
     workers = _worker_count(threads, len(starts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits, rechecked = map(int, sum(pool.map(work, starts)))
+            tasks = [pool.submit(drain) for _ in range(workers)]
+            totals = [task.result() for task in tasks]
     else:
-        hits, rechecked = map(int, sum(map(work, starts)))
+        totals = [drain()]
+    hits, rechecked = map(sum, zip(*totals))
     value = hits / samples
     stderr = math.sqrt(max(value * (1.0 - value), 0.0) / samples)
     return DensityEstimate(value=value, stderr=stderr, samples=samples, seed=seed,

@@ -9,7 +9,11 @@ oracle always gets C-contiguous input.
 """
 
 import math
+import os
+import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -267,6 +271,92 @@ def test_hits_where_the_parity_fix_decides(monkeypatch):
     assert sum(n for _, n in ran) < 2 * len(y)    # not every column is decoded in full
     got = [packing._count_hits(cols[:, i:i + 1].copy(), spec, scratch) for i in range(len(y))]
     assert np.array_equal(np.array(got, dtype=bool), want)
+
+
+def _exact_distance2(y):
+    """Squared distance from each column of y, (8, n), to the point ``decode_batch`` finds."""
+    best, _ = decode_batch(y.T)
+    return lattice.sum8(np.square(y - best.T), np.empty((4, y.shape[1])))
+
+
+def _hand_made_columns():
+    """Columns where the closed form's roundings and parity terms decide, as an (8, n) array."""
+    rng = np.random.default_rng(21)
+    ties = rng.choice([0.5, -0.5, 1.5, -1.5, 2.5, 0.0, -0.0, 1.0, 0.25], size=(2000, 8))
+    signs = np.array([[1 - 2 * ((k >> i) & 1) for i in range(8)] for k in range(256)])
+    holes = 0.5 * signs                               # lattice points and deep holes
+    holes = np.vstack([holes, holes + np.eye(8)[rng.integers(0, 8, 256)]])
+    parity = _parity_block()                          # odd sums in D8 and in the half coset
+    zeros = np.array([[-0.0] * 8, [-0.0, 0.5] + [-0.0] * 6, [-0.0] * 7 + [-0.5],
+                      [0.5 - 2.0 ** -54, 0.5 - 2.0 ** -54] + [0.0] * 6])
+    shells = lattice.enumerate_shells(4, with_vectors=True)
+    centers = np.array([v.as_floats() for sh in shells for v in sh.vectors[:40]] + [[0.0] * 8])
+    direction = rng.standard_normal((len(centers), 8))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    sphere = centers + direction * (math.sqrt(2.0) / 2.0)   # at rho from a lattice point
+    cols = np.vstack([ties, holes, parity, zeros, sphere])
+    offset = np.array([0.5, -0.25, 0.0, 0.0, 1.0, 0.0, 0.0, 0.125])
+    return np.ascontiguousarray(np.vstack([cols, cols - offset]).T)
+
+
+def _random_columns(radius):
+    rng = np.random.default_rng(int(radius))
+    uniform = rng.uniform(-radius, radius, size=(8, CHUNK))
+    sampled = np.ascontiguousarray(_sample_block(5, 0, CHUNK, radius).T)
+    return [uniform, sampled]
+
+
+@pytest.mark.parametrize("radius", [5.0, 60_000.0, None], ids=["R=5", "R=60000", "hand-made"])
+def test_e8_distance2_matches_exact_decoder(radius):
+    blocks = _random_columns(radius) if radius else [_hand_made_columns()]
+    scratch = lattice.Scratch()
+    for y in blocks:
+        for lo in range(0, y.shape[1], CHUNK):
+            cols = np.ascontiguousarray(y[:, lo:lo + CHUNK])
+            got = lattice.e8_distance2(cols, scratch)
+            want = _exact_distance2(cols)
+            bound = 2.0 ** -46 * (1.0 + np.abs(cols).max(axis=0))
+            assert (np.abs(got - want) <= bound).all(), np.abs(got - want).max()
+            assert (got <= 1.0 + 2.0 ** -48).all()    # the covering radius of E8 is 1
+
+
+def test_blocks_stream_to_at_most_workers_tasks(monkeypatch):
+    submitted = []
+    submit = ThreadPoolExecutor.submit
+
+    def counting(pool, fn, *args, **kwargs):
+        submitted.append(fn)
+        return submit(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counting)
+    spec = e8_packing_spec()
+    samples = 16 * _BLOCK + 3
+    two = finite_density_mc(spec, radius=5.0, samples=samples, seed=8, threads=2)
+    assert two.workers == 2
+    assert len(submitted) <= 2
+    one = finite_density_mc(spec, radius=5.0, samples=samples, seed=8, threads=1)
+    assert len(submitted) <= 2
+    assert (one.value, one.stderr, one.rechecked) == (two.value, two.stderr, two.rechecked)
+    assert type(two.value) is float and type(two.rechecked) is int
+
+
+def test_workers_share_the_block_iterator_under_stress():
+    spec = e8_packing_spec()
+    samples = 12 * _BLOCK + 7
+    threads = (os.cpu_count() or 1) + 2
+    want = finite_density_mc(spec, radius=30.0, samples=samples, seed=6, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.perf_counter()
+        got = [finite_density_mc(spec, radius=30.0, samples=samples, seed=6, threads=threads)
+               for _ in range(3)]
+        assert time.perf_counter() - started < 60
+    finally:
+        sys.setswitchinterval(interval)
+    for est in got:
+        assert est.workers == min(threads, 13)
+        assert (est.value, est.rechecked) == (want.value, want.rechecked)
 
 
 # -- edge cases --------------------------------------------------------------------
