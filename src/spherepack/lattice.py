@@ -3,7 +3,8 @@
 Vectors live in Z^8 union (Z+1/2)^8 with even coordinate sum.  Coordinates
 are stored doubled (``half_coords``), so membership, norms and Gram data
 are integer arithmetic throughout; floating point appears only in the
-nearest-point decoder's distances.
+float decoders ``nearest_in_coset`` (under ``decode_batch``) and
+``e8_distance2``.
 
 Shell counts come from an integer dynamic program over the coordinates
 (one coset at a time).  Explicit shell vectors come from a pruned box
@@ -317,36 +318,6 @@ def sum8(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return s[0]
 
 
-def round_in_coset(y: np.ndarray, half: bool, f: np.ndarray,
-                   scratch: Scratch) -> tuple[np.ndarray, np.ndarray]:
-    """Round every coordinate of y on the grid of D8, or of D8 + (1/2,...,1/2).
-
-    ``y`` is (8, n) with n <= CHUNK.  Writes ``floor(yc + 1/2)`` into
-    ``f``, where yc is y for D8 and y - 1/2 for the half coset, and returns
-    yc with a boolean row that marks the columns whose rounded coordinate
-    sum is odd: the columns the parity fix has to change.  For the half
-    coset yc is a row block of ``scratch`` that the next call overwrites.
-    """
-    n = y.shape[1]
-    yc = np.subtract(y, 0.5, out=scratch.get("coset", 8, n)) if half else y
-    np.floor(np.add(yc, 0.5, out=f), out=f)
-    odd = (sum8(f, scratch.get("sums", 4, n)).astype(np.int64) & 1).astype(bool)
-    return yc, odd
-
-
-def coset_distance2(y: np.ndarray, half: bool, f: np.ndarray, scratch: Scratch) -> np.ndarray:
-    """Squared distances from the columns of y to the D8 points in ``f``.
-
-    For the half coset ``f`` is first shifted by 1/2, in place, onto the
-    coset.  The distances are a row of ``scratch`` that the next call
-    overwrites.
-    """
-    if half:
-        f += 0.5
-    diff = np.subtract(y, f, out=scratch.get("coset", 8, y.shape[1]))
-    return sum8(np.square(diff, out=diff), scratch.get("sums", 4, y.shape[1]))
-
-
 def nearest_in_coset(y: np.ndarray, half: bool, point: np.ndarray,
                      scratch: Scratch) -> np.ndarray:
     """Nearest point of D8, or of D8 + (1/2,...,1/2), to each column of y.
@@ -358,13 +329,18 @@ def nearest_in_coset(y: np.ndarray, half: bool, point: np.ndarray,
     coordinate farthest from its integer is rounded the other way (Conway &
     Sloane).  The half coset decodes ``y - 1/2`` in D8 and shifts back.
     """
-    yc, odd = round_in_coset(y, half, point, scratch)
-    odd = np.flatnonzero(odd)
+    n = y.shape[1]
+    yc = np.subtract(y, 0.5, out=scratch.get("coset", 8, n)) if half else y
+    np.floor(np.add(yc, 0.5, out=point), out=point)
+    odd = np.flatnonzero(sum8(point, scratch.get("sums", 4, n)).astype(np.int64) & 1)
     if odd.size:
         delta = yc[:, odd] - point[:, odd]
         idx = np.abs(delta).argmax(axis=0)
         point[idx, odd] += np.where(delta[idx, np.arange(odd.size)] >= 0.0, 1.0, -1.0)
-    return coset_distance2(y, half, point, scratch)
+    if half:
+        point += 0.5
+    diff = np.subtract(y, point, out=scratch.get("coset", 8, n))
+    return sum8(np.square(diff, out=diff), scratch.get("sums", 4, n))
 
 
 def e8_distance2(y: np.ndarray, scratch: Scratch) -> np.ndarray:

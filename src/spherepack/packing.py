@@ -24,8 +24,8 @@ distance.  So a sample's first-pass distance is within
 delta = 2 sqrt(2) eps R + eta of its exact one, where eta covers that
 rounding term and the float rounding of the exact sampler and decoder.
 Beyond delta of the separation radius rho the first pass decides; the
-samples in the band between rho - delta and rho + delta are drawn again
-in float64 and decoded exactly.  Where delta >= rho the band holds
+samples in the band between are drawn again in float64 and decoded by
+``lattice.nearest_in_coset`` alone.  Where delta >= rho the band holds
 everything, so every sample takes the exact path.
 """
 
@@ -39,8 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import (CHUNK, DECODE_LIMIT, LatticeBasis, Scratch, coset_distance2,
-                      e8_basis, e8_distance2, nearest_in_coset, round_in_coset, sum8)
+from .lattice import (CHUNK, DECODE_LIMIT, LatticeBasis, Scratch, e8_basis, e8_distance2,
+                      nearest_in_coset, sum8)
 
 _BLOCK = 1 << 15
 
@@ -158,8 +158,8 @@ _TRIG32_ERROR = 2.0 ** -18
 #: a distance at an edge of the band of at least 2^-8 by at most 2^-40, and
 #: one at a lower edge below 2^-8, where delta > rho - 2^-8 and so R > 2^15,
 #: by at most 2^-24: less than 2^-39 (1 + R) either way.  The rounding of
-#: both samplers, of the exact decoder and the parity fix's ``_FIX_SLACK``
-#: each move it by less than 2^-44 (1 + R)
+#: both samplers and of the exact decoder each move it by less than
+#: 2^-44 (1 + R)
 _ETA = 2.0 ** -32
 
 #: above this many samples the lane counter 16 i + l wraps around 2^64
@@ -224,50 +224,23 @@ def _sample_block(seed: int, start: int, count: int, radius: float) -> np.ndarra
     return normals.T
 
 
-#: how far the parity fix can lower a squared distance, by rounding alone.
-#: Where x + 1/2 rounds up to an integer (x = 1/2 - 2^-54 in D8, or
-#: x = y - 1/2 with -2^-54 <= y < 0 in the half coset), the coordinate is
-#: 1/2 + 2^-54 from its rounding before the fix and 1/2 - 2^-54 after it.
-#: Fixed or not, a squared distance to a coset is below 3, where one unit in
-#: the last place is 2^-51, so the fix lowers it by a few units at most.
-_FIX_SLACK = 2.0 ** -46
-
-
 def _count_hits(y: np.ndarray, spec: PeriodicPackingSpec, scratch: Scratch) -> int:
     """How many columns of y, (8, n) with n <= CHUNK, lie within separation/2 of a center.
 
-    The exact hit test: the rule ``sqrt(d2) <= separation/2`` on each
-    column's squared distance d2 to its nearest center, the full decoder's
-    wherever it matters.  Only the squared distance to each coset decides;
-    the closer point is never assembled.  Each coset rounds every column
-    once.  Where the rounded coordinate sum is even, that is the coset's
-    nearest point and its distance is final.  Where it is odd, the parity
-    fix moves one coordinate from |y - f| <= 1/2 to 1 - |y - f| >= 1/2,
-    and float squaring and the ``sum8`` tree are monotone, so the fixed
-    distance is never below the unfixed one (up to ``_FIX_SLACK``).  So
-    only the odd columns whose unfixed distance is within separation^2/4
-    plus ``_FIX_SLACK`` go through ``nearest_in_coset``; the others are
-    misses either way.  ``finite_density_mc`` runs it on the float64
-    samples of the band its float32 pass cannot decide.
+    The exact hit test: d2, the least squared distance ``nearest_in_coset``
+    returns over every offset and both cosets, is a hit where
+    ``sqrt(d2) <= separation/2``.  ``finite_density_mc`` runs it on the
+    float64 samples of the band its float32 pass cannot decide.
     """
     n = y.shape[1]
-    rho = spec.separation / 2.0
-    reach2 = rho * rho + _FIX_SLACK
     point = scratch.get("point", 8, n)
     best = scratch.get("best", 1, n)[0]
     best.fill(np.inf)
     for off in spec.offsets:
         shifted = _shift(y, off, scratch)
         for half in (False, True):
-            _, odd = round_in_coset(shifted, half, point, scratch)
-            d2 = coset_distance2(shifted, half, point, scratch)
-            cand = np.flatnonzero(odd & (d2 <= reach2))
-            before = best[cand]
-            np.minimum(best, d2, out=best)
-            if cand.size:
-                d2 = nearest_in_coset(shifted[:, cand], half, point[:, :cand.size], scratch)
-                best[cand] = np.minimum(before, d2, out=before)
-    return int(np.count_nonzero(np.sqrt(best) <= rho))
+            np.minimum(best, nearest_in_coset(shifted, half, point, scratch), out=best)
+    return int(np.count_nonzero(np.sqrt(best) <= spec.separation / 2.0))
 
 
 def _shift(y: np.ndarray, offset: Sequence[float], scratch: Scratch) -> np.ndarray:
@@ -313,10 +286,10 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
     with eta = ``_ETA`` (1 + R) for the float rounding.  A squared distance
     at most (rho - delta)^2 is a hit and one above (rho + delta)^2 a miss,
     for rho = separation/2.  The samples in between are drawn again in
-    float64 and decoded by ``_count_hits``, once per block; ``rechecked``
-    counts them.  Where delta >= rho nothing is certain, so every sample
-    takes that exact path.  Either way the hits are those of the exact
-    sampler and decoder.
+    float64 and decoded by ``_count_hits``, with ``nearest_in_coset`` alone,
+    once per block; ``rechecked`` counts them.  Where delta >= rho nothing
+    is certain, so every sample takes that exact path.  Either way the hits
+    are those of the exact sampler and decoder.
 
     The workers take the blocks one at a time from one shared iterator,
     so at most ``workers`` tasks are ever submitted, however many blocks
