@@ -10,8 +10,11 @@ Shell counts come from an integer dynamic program over the coordinates
 (one coset at a time).  Explicit shell vectors come from a pruned box
 expansion on small-integer arrays: each coset grows one coordinate at a
 time, keeping the prefixes whose partial norm fits, and one ``lexsort``
-orders the result by norm and coordinates.  The two enumeration routes
-share no code, and the test suite holds them against each other.
+orders the result by norm and coordinates.  Each shell's vectors are a
+read-only row slice of that one array: int8 doubled coordinates, the
+encoding of ``LatticeVector.half_coords``, validated once per shell.  The
+two enumeration routes share no code, and the test suite holds them
+against each other.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 import mmap
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -66,18 +69,39 @@ class LatticeVector:
 
 @dataclass(frozen=True)
 class Shell:
+    """The ``count`` lattice vectors of squared norm ``norm2``, optionally listed.
+
+    ``vectors`` is a read-only (count, 8) int8 array of doubled coordinates
+    (row i is vector i's ``half_coords``).  It is validated once, as an
+    array: each row is all even or all odd, sums to 0 mod 4 and has
+    sum h^2 = 4 norm2; any failure is a ValueError.  Equality and hash go
+    by (norm2, count) alone.
+    """
+
     norm2: int
     count: int
-    vectors: tuple[LatticeVector, ...] | None = None
+    vectors: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.norm2 % 2 or self.norm2 < 0:
             raise ValueError("shell norms in E8 are even and nonnegative")
-        if self.vectors is not None:
-            if len(self.vectors) != self.count:
-                raise ValueError("vector list inconsistent with count")
-            if any(v.norm2() != self.norm2 for v in self.vectors):
-                raise ValueError("vector with wrong norm in shell")
+        if self.vectors is None:
+            return
+        h = self.vectors
+        if not isinstance(h, np.ndarray) or h.dtype != np.int8:
+            raise ValueError("shell vectors are an int8 array of doubled coordinates")
+        if h.shape != (self.count, 8):
+            raise ValueError(f"shell vectors have shape {h.shape}, not ({self.count}, 8)")
+        wide = h.astype(np.int32)   # 8 * 128^2 fits: no sum below can overflow
+        if ((wide & 1) != (wide[:, :1] & 1)).any():
+            raise ValueError("coordinates must be all integers or all half-integers")
+        if (wide.sum(axis=1) % 4).any():
+            raise ValueError("coordinate sum must be even")
+        if (np.einsum("ij,ij->i", wide, wide) != 4 * self.norm2).any():
+            raise ValueError("vector with wrong norm in shell")
+        view = h.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "vectors", view)
 
 
 def e8_membership(v: Sequence) -> bool:
@@ -224,7 +248,12 @@ def _box_vectors(max_norm2: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def enumerate_shells(max_norm2: int, with_vectors: bool = False) -> list[Shell]:
-    """Shells 0 < ||v||^2 <= max_norm2, complete and duplicate-free."""
+    """Shells 0 < ||v||^2 <= max_norm2, complete and duplicate-free.
+
+    Counts come from ``_shell_counts``.  ``with_vectors`` runs the box
+    search on every call (max_norm2 <= MAX_NORM2_VECTORS_CAP) and gives each
+    shell its rows of the one sorted int8 array of doubled coordinates.
+    """
     if max_norm2 < 0:
         raise ValueError("max_norm2 must be nonnegative")
     if max_norm2 > MAX_NORM2_CAP:
@@ -235,8 +264,7 @@ def enumerate_shells(max_norm2: int, with_vectors: bool = False) -> list[Shell]:
                 f"explicit vectors capped at norm^2 {MAX_NORM2_VECTORS_CAP}")
         coords, norm2 = _box_vectors(max_norm2)
         starts = np.flatnonzero(np.diff(norm2, prepend=-1)).tolist()
-        return [Shell(int(norm2[lo]), hi - lo,
-                      tuple(LatticeVector(tuple(h)) for h in coords[lo:hi].tolist()))
+        return [Shell(int(norm2[lo]), hi - lo, coords[lo:hi])
                 for lo, hi in zip(starts, starts[1:] + [len(norm2)])]
     counts = _shell_counts(max_norm2)
     return [Shell(m, counts[m]) for m in range(2, max_norm2 + 1, 2) if counts[m]]
@@ -324,17 +352,22 @@ def nearest_in_coset(y: np.ndarray, half: bool, point: np.ndarray,
 
     ``y`` is (8, n) with n <= CHUNK.  Writes the nearest points into
     ``point`` and returns their squared distances, a row of ``scratch``
-    that the next call overwrites.  Every coordinate is rounded half
-    up (``floor(x + 1/2)``); where the coordinate sum comes out odd, the
-    coordinate farthest from its integer is rounded the other way (Conway &
-    Sloane).  The half coset decodes ``y - 1/2`` in D8 and shifts back.
+    that the next call overwrites.  Every coordinate is rounded half up
+    exactly: with f = floor(y), D8 takes f + [y - f >= 1/2] and the half
+    coset f + 1/2.  The comparison of y - f with 1/2 is exact, so no float
+    sum such as x + 1/2 or y - 1/2 can move the choice.  Where the
+    coordinate sum comes out odd, the coordinate farthest from its point
+    (by y - point, or (y - f) - 1/2 in the half coset) is rounded the other
+    way (Conway & Sloane).
     """
     n = y.shape[1]
-    yc = np.subtract(y, 0.5, out=scratch.get("coset", 8, n)) if half else y
-    np.floor(np.add(yc, 0.5, out=point), out=point)
+    np.floor(y, out=point)
+    frac = np.subtract(y, point, out=scratch.get("coset", 8, n))
+    if not half:
+        point += np.greater_equal(frac, 0.5, out=scratch.get("up", 8, n, np.bool_))
     odd = np.flatnonzero(sum8(point, scratch.get("sums", 4, n)).astype(np.int64) & 1)
     if odd.size:
-        delta = yc[:, odd] - point[:, odd]
+        delta = frac[:, odd] - 0.5 if half else y[:, odd] - point[:, odd]
         idx = np.abs(delta).argmax(axis=0)
         point[idx, odd] += np.where(delta[idx, np.arange(odd.size)] >= 0.0, 1.0, -1.0)
     if half:
@@ -357,10 +390,10 @@ def e8_distance2(y: np.ndarray, scratch: Scratch) -> np.ndarray:
     is sum f less the count of d < 0.  Every term is the distance to a
     lattice point, so only the rounding of the sums (r <= 1/2, S1 <= 4,
     S2 <= 2) separates the result from the true squared distance: at most
-    2^-48.  ``decode_batch`` rounds y - 1/2 and may break a tie within one
-    unit in the last place of y the other way, so the two agree within
-    2^-46 (1 + max |y|).  The result is a row of ``scratch`` that the next
-    call overwrites.
+    2^-48.  ``decode_batch`` rounds exactly too, but sums its squares in
+    another order and may break a tie between equally distant points the
+    other way; the tests hold the two within 2^-46 (1 + max |y|).  The
+    result is a row of ``scratch`` that the next call overwrites.
     """
     n = y.shape[1]
     r = np.rint(y, out=scratch.get("coset", 8, n))
@@ -431,9 +464,7 @@ def nearest_point(y: Sequence[float]) -> tuple[LatticeVector, float]:
     """Nearest lattice point to y and the Euclidean distance.
 
     Refuses (ValueError) a coordinate that is not finite or has
-    |x| >= DECODE_LIMIT.  Near the limit a coordinate keeps few fractional
-    bits and y - 1/2 may round, so the point found is a lattice point but
-    not always the nearest one.
+    |x| >= DECODE_LIMIT.
     """
     arr = np.asarray(list(y), dtype=np.float64)
     if arr.shape != (8,):

@@ -154,12 +154,13 @@ def _stream_key(seed: int) -> np.ndarray:
 _TRIG32_ERROR = 2.0 ** -18
 
 #: eta / (1 + R), the float rounding.  The first pass's closed form
-#: ``e8_distance2`` is within 2^-48 of the true squared distance.  That moves
-#: a distance at an edge of the band of at least 2^-8 by at most 2^-40, and
-#: one at a lower edge below 2^-8, where delta > rho - 2^-8 and so R > 2^15,
-#: by at most 2^-24: less than 2^-39 (1 + R) either way.  The rounding of
-#: both samplers and of the exact decoder each move it by less than
-#: 2^-44 (1 + R)
+#: ``e8_distance2`` is within 2^-48 of the true squared distance, and so is
+#: the exact decoder (``nearest_in_coset``), whose rounding of each
+#: coordinate is exact.  Each of them moves a distance at an
+#: edge of the band of at least 2^-8 by at most 2^-40, and one at a lower
+#: edge below 2^-8, where delta > rho - 2^-8 and so R > 2^15, by at most
+#: 2^-24: less than 2^-39 (1 + R) either way.  The rounding of both
+#: samplers each moves it by less than 2^-44 (1 + R)
 _ETA = 2.0 ** -32
 
 #: above this many samples the lane counter 16 i + l wraps around 2^64
@@ -281,7 +282,7 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
     moves by at most 2 sqrt(2) eps R.  This first pass measures it with
     ``lattice.e8_distance2``, once per offset: the closed form reads both
     cosets off one rounding and is within 2^-48 of the true squared
-    distance, where the exact decoder is within 2^-46 (1 + R).  So the two
+    distance, as is the exact decoder.  So the two
     decoded distances differ by at most delta = 2 sqrt(2) eps R + eta,
     with eta = ``_ETA`` (1 + R) for the float rounding.  A squared distance
     at most (rho - delta)^2 is a hit and one above (rho + delta)^2 a miss,

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spherepack.errors import ResourceGuard
 from spherepack.forms import eisenstein_qseries
 from spherepack.lattice import (
     LatticeVector,
+    Shell,
     covolume,
     decode_batch,
     e8_basis,
@@ -26,7 +28,6 @@ def test_membership_examples():
     assert e8_membership([0] * 8)
     assert e8_membership([1, 1, 0, 0, 0, 0, 0, 0])
     assert not e8_membership([1, 0, 0, 0, 0, 0, 0, 0])
-    from fractions import Fraction
     assert e8_membership([Fraction(1, 2)] * 8)
     assert not e8_membership([Fraction(1, 2)] * 7 + [Fraction(3, 2)])  # sum 5 odd
     assert not e8_membership([Fraction(1, 2)] + [0] * 7)  # mixed cosets
@@ -57,7 +58,6 @@ def test_basis_is_unimodular_and_even():
 
 
 def test_gram_determinant_is_one():
-    from fractions import Fraction
     gram = e8_basis().gram()
     m = [[Fraction(x) for x in row] for row in gram]
     # fraction-free elimination on the exact Gram matrix
@@ -111,7 +111,7 @@ def test_shell_vectors_match_pinned_hash():
     digest = hashlib.sha256()
     for m in _PINNED_NORMS:
         shells = enumerate_shells(m, with_vectors=True)
-        digest.update(repr([(s.norm2, s.count, tuple(v.half_coords for v in s.vectors))
+        digest.update(repr([(s.norm2, s.count, tuple(map(tuple, s.vectors.tolist())))
                             for s in shells]).encode())
     assert digest.hexdigest() == _PINNED_SHELLS_SHA256
 
@@ -121,9 +121,61 @@ def test_shells_with_vectors():
     assert len(shells) == 1
     shell = shells[0]
     assert shell.count == 240 and len(shell.vectors) == 240
-    assert all(v.norm2() == 2 for v in shell.vectors)
+    assert shell.vectors.dtype == np.int8 and shell.vectors.shape == (240, 8)
+    assert ((shell.vectors.astype(np.int64) ** 2).sum(axis=1) == 4 * 2).all()
     # duplicate-free
-    assert len(set(shell.vectors)) == 240
+    assert len(np.unique(shell.vectors, axis=0)) == 240
+
+
+def test_shell_vectors_are_read_only():
+    for shell in enumerate_shells(8, with_vectors=True):
+        assert not shell.vectors.flags.writeable
+        with pytest.raises(ValueError):
+            shell.vectors[0, 0] = 0
+    rows = np.array([[2, 2, 0, 0, 0, 0, 0, 0]], dtype=np.int8)
+    Shell(2, 1, rows)
+    assert rows.flags.writeable  # the caller's own array is left as it was
+
+
+def test_shell_equality_and_hash_do_not_raise():
+    a = enumerate_shells(4, with_vectors=True)
+    b = enumerate_shells(4, with_vectors=True)
+    assert a == b and a[0] != a[1]
+    assert a == enumerate_shells(4)  # equality goes by (norm2, count)
+    assert {hash(s) for s in a} == {hash(s) for s in b}
+    assert len(set(a + b)) == 2
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param(np.array([[2, 2, 0, 0, 0, 0, 0, 0]] * 2, np.int8), id="two rows for count 1"),
+    pytest.param(np.array([[2, 2, 0, 0, 0, 0, 0]], np.int8), id="seven coordinates"),
+    pytest.param(np.array([2, 2, 0, 0, 0, 0, 0, 0], np.int8), id="flat vector"),
+    pytest.param(np.array([[2, 1, 1, 1, -1, 0, 0, 0]], np.int8), id="mixed parity"),
+    pytest.param(np.array([[-1, 1, 1, 1, 1, 1, 1, 1]], np.int8), id="sum 6"),
+    pytest.param(np.array([[4, 0, 0, 0, 0, 0, 0, 0]], np.int8), id="norm 4, integer coset"),
+    pytest.param(np.array([[3, 1, 1, 1, 1, 1, 1, -1]], np.int8), id="norm 4, half coset"),
+    pytest.param(np.array([[2, 2, 0, 0, 0, 0, 0, 0]], np.int64), id="int64"),
+    pytest.param([[2, 2, 0, 0, 0, 0, 0, 0]], id="list"),
+])
+def test_shell_refuses_bad_vectors(rows):
+    """Each row fails one check only (sum h^2 = 8 unless the norm is the fault)."""
+    with pytest.raises(ValueError):
+        Shell(2, 1, rows)
+
+
+def test_shell_norm_check_cannot_overflow():
+    """sum h^2 = 8 * 127^2 = 129,032 overflows int8 and int16 sums."""
+    rows = np.full((1, 8), 127, np.int8)  # odd, with sum 1,016 = 0 mod 4
+    assert Shell(32258, 1, rows).count == 1
+    with pytest.raises(ValueError):
+        Shell(2, 1, rows)
+
+
+def test_vector_cap_counts_match_dp():
+    """At the vector cap, the box search's shells against the counting DP's."""
+    boxed = enumerate_shells(24, with_vectors=True)
+    assert [(s.norm2, s.count) for s in boxed] == [(s.norm2, s.count) for s in enumerate_shells(24)]
+    assert all(len(s.vectors) == s.count for s in boxed)
 
 
 def test_resource_guards():
@@ -145,10 +197,10 @@ def test_theta_coefficients_match_e4():
 
 def test_closure_under_addition():
     rng = random.Random(11)
-    shell_vectors = [v for s in enumerate_shells(4, with_vectors=True) for v in s.vectors]
+    shell_vectors = np.concatenate([s.vectors for s in enumerate_shells(4, with_vectors=True)])
     for _ in range(1000):
         a, b = rng.choice(shell_vectors), rng.choice(shell_vectors)
-        assert e8_membership((a + b).coords)
+        assert e8_membership([Fraction(int(x) + int(y), 2) for x, y in zip(a, b)])
 
 
 def test_nearest_point_fixed_cases():
@@ -205,6 +257,27 @@ def test_nearest_point_just_inside_the_coordinate_bound():
     assert abs(nearest_point(y)[1] - _exhaustive_nearest(y)) < 1e-12
     with pytest.raises(ValueError):
         nearest_point([2.0 ** 50] + [0.0] * 7)
+
+
+def test_nearest_point_near_the_bound_matches_its_translate():
+    """y - 1/2 rounded at -2^50 + 1/8 and sent the half coset one unit too far."""
+    x = float(np.nextafter(2.0 ** 50, 0.0))  # 2^50 - 1/8
+    far = [x, -x, 0.5, 0.3, -0.7, 1.5, 2.5, 0.0]
+    near = [-0.125, 0.125, 0.5, 0.3, -0.7, 1.5, 2.5, 0.0]  # far less (2^50, -2^50, 0, ..., 0)
+    v, d = nearest_point(far)
+    w, e = nearest_point(near)
+    assert d == e == 0.7818247885555946
+    shift = (2 ** 51, -(2 ** 51)) + (0,) * 6
+    assert tuple(a - b for a, b in zip(v.half_coords, shift)) == w.half_coords
+
+
+def test_decoder_rounds_half_up_exactly():
+    """At x = 1/2 - 2^-54 the float sum x + 1/2 is 1, but 0 is the nearer integer."""
+    x = 0.5 - 2.0 ** -54
+    best, dist = decode_batch([[x, x] + [0.0] * 6])
+    assert best.tolist() == [[0.0] * 8]
+    assert dist[0] == math.sqrt(x * x + x * x)
+    assert decode_batch([[-x, -x] + [0.0] * 6])[0].tolist() == [[0.0] * 8]
 
 
 def test_decoder_matches_exhaustive_search():

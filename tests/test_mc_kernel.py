@@ -66,24 +66,28 @@ def ref_sample_block(seed, start, count, radius):
     return normals * (r / norms)[:, None]
 
 
-def ref_decode_d8(y):
-    f = np.floor(y + 0.5)
-    delta = y - f
-    odd = (f.sum(axis=1).astype(np.int64) & 1).astype(bool)
+def ref_decode_coset(y, half):
+    """Nearest points of D8, or of D8 + 1/2, to the rows of y: each coordinate
+    rounded half up exactly from floor(y), then the parity fix."""
+    f = np.floor(y)
+    frac = y - f
+    p = f if half else f + (frac >= 0.5)
+    delta = frac - 0.5 if half else y - p
+    odd = (p.sum(axis=1).astype(np.int64) & 1).astype(bool)
     if odd.any():
         idx = np.abs(delta[odd]).argmax(axis=1)
         rows = np.nonzero(odd)[0]
         step = np.where(delta[rows, idx] >= 0.0, 1.0, -1.0)
-        f[rows, idx] += step
-    return f
+        p[rows, idx] += step
+    return p + 0.5 if half else p
 
 
 def ref_decode_batch(points):
     y = np.asarray(points, dtype=np.float64)
     if y.ndim == 1:
         y = y[None, :]
-    a = ref_decode_d8(y)
-    b = ref_decode_d8(y - 0.5) + 0.5
+    a = ref_decode_coset(y, False)
+    b = ref_decode_coset(y, True)
     da = ((y - a) ** 2).sum(axis=1)
     db = ((y - b) ** 2).sum(axis=1)
     use_b = db < da
@@ -212,7 +216,8 @@ def test_float32_trig_within_bound():
 
 
 def _unfixed_d2(y, half):
-    """Squared distance of each row of y to its rounding on the coset's grid, parity ignored."""
+    """Squared distance of each row of y to its rounding by floor(x + 1/2) on the coset's
+    grid, parity ignored."""
     shift = 0.5 if half else 0.0
     return ((y - (np.floor((y - shift) + 0.5) + shift)) ** 2).sum(axis=1)
 
@@ -233,8 +238,9 @@ def _parity_block():
         [0.625, 0.375, 0.375] + [0.125] * 5,     # unfixed exactly rho, fixed 3/4 beyond
         [0.5, 0.5, 0, 0, 0, 0, 0, 0],            # even sum, exactly rho
     ]
-    # Where x + 1/2 rounds up to an integer, |x - f| is 1/2 + 2^-54 before
-    # the fix and 1/2 - 2^-54 after it: the fixed distance is the smaller one.
+    # At x = 1/2 - 2^-54 the float sum x + 1/2 rounds up to 1: rounded that
+    # way, |x - f| is 1/2 + 2^-54 with an odd sum, and only the fix reaches
+    # the nearer point, at 1/2 - 2^-54, which exact rounding takes at once.
     # A third coordinate walks the unfixed distance across rho.
     corners = []
     for x in (0.4921875, 0.49609375, 0.498046875):
@@ -252,7 +258,7 @@ def test_hits_where_the_parity_fix_decides(monkeypatch):
     spec = e8_packing_spec()
     rho = spec.separation / 2.0
     want = ref_decode_batch(y)[1] <= rho
-    # in both cosets some corner row is a hit only after the fix
+    # in both cosets some corner row, rounded by x + 1/2, is a hit only after the fix
     for half, first in ((False, 0.5 - 2.0 ** -54), (True, -2.0 ** -54)):
         rows = y[:, 0] == first
         assert (want[rows] & (np.sqrt(_unfixed_d2(y[rows], half)) > rho)).any()
@@ -290,7 +296,7 @@ def _hand_made_columns():
     zeros = np.array([[-0.0] * 8, [-0.0, 0.5] + [-0.0] * 6, [-0.0] * 7 + [-0.5],
                       [0.5 - 2.0 ** -54, 0.5 - 2.0 ** -54] + [0.0] * 6])
     shells = lattice.enumerate_shells(4, with_vectors=True)
-    centers = np.array([v.as_floats() for sh in shells for v in sh.vectors[:40]] + [[0.0] * 8])
+    centers = np.vstack([sh.vectors[:40] / 2.0 for sh in shells] + [np.zeros((1, 8))])
     direction = rng.standard_normal((len(centers), 8))
     direction /= np.linalg.norm(direction, axis=1)[:, None]
     sphere = centers + direction * (math.sqrt(2.0) / 2.0)   # at rho from a lattice point

@@ -83,7 +83,7 @@ def test_density_invariant_under_offset_translation():
 
 def test_check_separation():
     assert check_separation([[0.0] * 8], math.sqrt(2))
-    mins = [v.as_floats() for v in enumerate_shells(2, with_vectors=True)[0].vectors]
+    mins = enumerate_shells(2, with_vectors=True)[0].vectors / 2.0
     assert check_separation(mins, math.sqrt(2))
     assert not check_separation([[0.0] * 8, [1.0] + [0.0] * 7], math.sqrt(2))
 
