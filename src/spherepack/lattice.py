@@ -4,7 +4,7 @@ Vectors live in Z^8 union (Z+1/2)^8 with even coordinate sum.  Coordinates
 are stored doubled (``half_coords``), so membership, norms and Gram data
 are integer arithmetic throughout; floating point appears only in the
 float decoders ``nearest_in_coset`` (under ``decode_batch``) and
-``e8_distance2``.
+``e8_distance2``, which works in float64 or float32.
 
 Shell counts come from an integer dynamic program over the coordinates
 (one coset at a time).  Explicit shell vectors come from a pruned box
@@ -59,12 +59,6 @@ class LatticeVector:
     def norm2(self) -> int:
         """Exact squared Euclidean norm (always an even integer)."""
         return sum(h * h for h in self.half_coords) // 4
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(h / 2.0 for h in self.half_coords)
-
-    def __add__(self, other: "LatticeVector") -> "LatticeVector":
-        return LatticeVector(tuple(a + b for a, b in zip(self.half_coords, other.half_coords)))
 
 
 @dataclass(frozen=True)
@@ -321,15 +315,17 @@ class Scratch(threading.local):
     """
 
     def __init__(self):
-        self.arrays: dict[str, np.ndarray] = {}
+        self.arrays: dict[tuple[str, np.dtype], np.ndarray] = {}
 
     def get(self, name: str, rows: int, n: int, dtype=np.float64) -> np.ndarray:
-        """A C-contiguous (rows, n) view of the 1-D buffer called ``name`` (one
-        dtype per name), which grows to fit; its contents are stale."""
-        buf = self.arrays.get(name)
+        """A C-contiguous (rows, n) view of the 1-D buffer of this ``name`` and
+        ``dtype``, which grows to fit; its contents are stale.  One name in two
+        dtypes is two buffers."""
+        key = name, np.dtype(dtype)
+        buf = self.arrays.get(key)
         if buf is None or buf.size < rows * n:
-            nbytes = max(rows * n, 1) * np.dtype(dtype).itemsize    # mmap refuses 0 bytes
-            buf = self.arrays[name] = np.frombuffer(mmap.mmap(-1, nbytes, **_PRIVATE), dtype)
+            nbytes = max(rows * n, 1) * key[1].itemsize    # mmap refuses 0 bytes
+            buf = self.arrays[key] = np.frombuffer(mmap.mmap(-1, nbytes, **_PRIVATE), key[1])
         return buf[:rows * n].reshape(rows, n)
 
 
@@ -346,28 +342,45 @@ def sum8(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return s[0]
 
 
-def nearest_in_coset(y: np.ndarray, half: bool, point: np.ndarray,
-                     scratch: Scratch) -> np.ndarray:
-    """Nearest point of D8, or of D8 + (1/2,...,1/2), to each column of y.
+def floor_split(y: np.ndarray, scratch: Scratch) -> tuple[np.ndarray, np.ndarray]:
+    """floor(y), and where y - floor(y) >= 1/2, for y, (8, n) with n <= CHUNK.
 
-    ``y`` is (8, n) with n <= CHUNK.  Writes the nearest points into
-    ``point`` and returns their squared distances, a row of ``scratch``
-    that the next call overwrites.  Every coordinate is rounded half up
-    exactly: with f = floor(y), D8 takes f + [y - f >= 1/2] and the half
-    coset f + 1/2.  The comparison of y - f with 1/2 is exact, so no float
-    sum such as x + 1/2 or y - 1/2 can move the choice.  Where the
-    coordinate sum comes out odd, the coordinate farthest from its point
-    (by y - point, or (y - f) - 1/2 in the half coset) is rounded the other
-    way (Conway & Sloane).
+    Both cosets of ``nearest_in_coset`` read their rounding off these two
+    arrays, so each column is floored once for both.  They are rows of
+    ``scratch`` that the next call overwrites.
     """
     n = y.shape[1]
-    np.floor(y, out=point)
-    frac = np.subtract(y, point, out=scratch.get("coset", 8, n))
+    floor = np.floor(y, out=scratch.get("floor", 8, n))
+    frac = np.subtract(y, floor, out=scratch.get("coset", 8, n))
+    return floor, np.greater_equal(frac, 0.5, out=scratch.get("up", 8, n, np.bool_))
+
+
+def nearest_in_coset(y: np.ndarray, floor: np.ndarray, up: np.ndarray, half: bool,
+                     point: np.ndarray, scratch: Scratch) -> np.ndarray:
+    """Nearest point of D8, or of D8 + (1/2,...,1/2), to each column of y.
+
+    ``y`` is (8, n) with n <= CHUNK, and ``floor`` and ``up`` are its
+    ``floor_split``.  Writes the nearest points into ``point`` and returns
+    their squared distances, a row of ``scratch`` that the next call
+    overwrites.  The half coset may take ``floor`` itself as ``point``, and
+    then overwrites it, so it comes second.  Every coordinate is rounded
+    half up exactly: with f = floor(y), D8 takes f + [y - f >= 1/2] and the
+    half coset f + 1/2.  y - f is exact, so comparing it with 1/2 is exact
+    too, and no float sum such as x + 1/2 or y - 1/2 can move the choice.
+    Where the coordinate sum comes out odd, the coordinate farthest from its
+    point (by y - point, or (y - f) - 1/2 in the half coset) is rounded the
+    other way (Conway & Sloane).
+    """
+    n = y.shape[1]
+    if point is not floor:
+        np.copyto(point, floor)
     if not half:
-        point += np.greater_equal(frac, 0.5, out=scratch.get("up", 8, n, np.bool_))
+        point += up
     odd = np.flatnonzero(sum8(point, scratch.get("sums", 4, n)).astype(np.int64) & 1)
     if odd.size:
-        delta = frac[:, odd] - 0.5 if half else y[:, odd] - point[:, odd]
+        delta = y[:, odd] - point[:, odd]
+        if half:
+            delta -= 0.5
         idx = np.abs(delta).argmax(axis=0)
         point[idx, odd] += np.where(delta[idx, np.arange(odd.size)] >= 0.0, 1.0, -1.0)
     if half:
@@ -379,6 +392,7 @@ def nearest_in_coset(y: np.ndarray, half: bool, point: np.ndarray,
 def e8_distance2(y: np.ndarray, scratch: Scratch) -> np.ndarray:
     """Squared distance from each column of y, (8, n) with n <= CHUNK, to the nearest E8 point.
 
+    Works in y's dtype: float64, or float32 for the Monte-Carlo screen.
     Both cosets are read off one rounding (Conway & Sloane).  With f the
     nearest integer to each coordinate, d = y - f is exact; r = |d|,
     S1 = sum r and S2 = sum r^2.  The nearest point of D8 is f, at S2, or,
@@ -387,28 +401,36 @@ def e8_distance2(y: np.ndarray, scratch: Scratch) -> np.ndarray:
     D8 + (1/2,...,1/2) is floor(y) + 1/2, at sum (1/2 - r)^2 =
     S2 + 2 - S1, or, where sum floor(y) is odd, that point with the
     coordinate of smallest r moved by one, at 2 min r more; sum floor(y)
-    is sum f less the count of d < 0.  Every term is the distance to a
-    lattice point, so only the rounding of the sums (r <= 1/2, S1 <= 4,
-    S2 <= 2) separates the result from the true squared distance: at most
-    2^-48.  ``decode_batch`` rounds exactly too, but sums its squares in
-    another order and may break a tie between equally distant points the
-    other way; the tests hold the two within 2^-46 (1 + max |y|).  The
-    result is a row of ``scratch`` that the next call overwrites.
+    is sum f less the count of d < 0.  Both sums of f are exact integers
+    while |y| < 2^20 in float32 (2^50 in float64).
+
+    Every term is the distance to a lattice point, so only the rounding of
+    the sums separates the result from the true squared distance.  With u
+    the dtype's unit roundoff (eps/2) and r <= 1/2, so S2 <= 2 and
+    S1 <= 4, the pairwise sums are off by at most 4u S2 <= 8u and
+    3u S1 <= 12u (to first order in u), and the three additions of the half-coset term, whose
+    partial results stay below 3, 5 and 3, by 2u, 4u and 2u more: at most
+    28u < e2 = 16 eps, that is 2^-48 in float64 and 2^-19 in float32.
+    The D8 term is within 11u.  ``decode_batch`` rounds exactly too, but
+    sums its squares in another order and may break a tie between equally
+    distant points the other way; the tests hold the two within
+    2^-46 (1 + max |y|) in float64 and within e2 in float32.  The result is
+    a row of ``scratch`` that the next call overwrites.
     """
-    n = y.shape[1]
-    r = np.rint(y, out=scratch.get("coset", 8, n))
+    n, dtype = y.shape[1], y.dtype
+    r = np.rint(y, out=scratch.get("coset", 8, n, dtype))
     odd = scratch.get("odd", 1, n, np.int64)[0]
-    np.copyto(odd, sum8(r, scratch.get("sums", 4, n)), casting="unsafe")
+    np.copyto(odd, sum8(r, scratch.get("sums", 4, n, dtype)), casting="unsafe")
     odd &= 1
     np.subtract(y, r, out=r)
     neg = np.less(r, 0.0, out=scratch.get("neg", 8, n, np.bool_))
     negs = sum8(neg.view(np.uint8), scratch.get("negs", 4, n, np.uint8))
     np.abs(r, out=r)
-    d8, half, s1 = scratch.get("terms", 3, n)
+    d8, half, s1 = scratch.get("terms", 3, n, dtype)
     np.max(r, axis=0, out=d8)
     np.min(r, axis=0, out=half)
-    np.copyto(s1, sum8(r, scratch.get("sums", 4, n)))
-    s2 = sum8(np.square(r, out=r), scratch.get("sums", 4, n))
+    np.copyto(s1, sum8(r, scratch.get("sums", 4, n, dtype)))
+    s2 = sum8(np.square(r, out=r), scratch.get("sums", 4, n, dtype))
     d8 *= -2.0
     d8 += 1.0
     d8 *= odd
@@ -431,8 +453,8 @@ _DECODE_SCRATCH = Scratch()
 def decode_batch(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized decoder: nearest lattice points and distances for an (n,8) array.
 
-    Decodes in D8 and in D8 + (1/2,...,1/2) and keeps the closer point.
-    The kernel runs on the (8, n) transpose, CHUNK columns at a time; it is
+    Decodes in D8 and in D8 + (1/2,...,1/2), both from one ``floor_split``,
+    and keeps the closer point.  The kernel runs on the (8, n) transpose, CHUNK columns at a time; it is
     contiguous for the Monte-Carlo sampler's blocks.  The points come back
     as an (n, 8) view of an (8, n) array.
     """
@@ -446,11 +468,11 @@ def decode_batch(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, len(y), CHUNK):
         cols = slice(lo, lo + CHUNK)
         yt = y[cols].T
-        b = scratch.get("b", 8, yt.shape[1])
-        da = nearest_in_coset(yt, False, best[:, cols], scratch).copy()
-        db = nearest_in_coset(yt, True, b, scratch)
+        floor, up = floor_split(yt, scratch)
+        da = nearest_in_coset(yt, floor, up, False, best[:, cols], scratch).copy()
+        db = nearest_in_coset(yt, floor, up, True, floor, scratch)   # its points replace floor
         use_b = db < da
-        np.copyto(best[:, cols], b, where=use_b)
+        np.copyto(best[:, cols], floor, where=use_b)
         np.sqrt(np.where(use_b, db, da), out=dist[cols])
     return best.T, dist
 

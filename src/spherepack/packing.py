@@ -14,19 +14,22 @@ contiguous, and sum eight coordinates in numpy's pairwise order, so every
 sample, distance and hit is the same as in the row-major formulation.
 
 The hit test is a filtered predicate (Shewchuk, DCG 18, 1997).  A first
-pass draws every sample with float32 cos and sin, each within
-eps = 2^-18 of the float64 ones.  That moves the unit direction by at most
-2 sqrt(2) eps, and the sample by at most 2 sqrt(2) eps R.  The distance to
-the centers is 1-Lipschitz, so it moves by as much.  The first pass
-measures it with ``lattice.e8_distance2``, a closed form that reads both
-E8 cosets off one rounding and is within 2^-48 of the true squared
-distance.  So a sample's first-pass distance is within
-delta = 2 sqrt(2) eps R + eta of its exact one, where eta covers that
-rounding term and the float rounding of the exact sampler and decoder.
-Beyond delta of the separation radius rho the first pass decides; the
-samples in the band between are drawn again in float64 and decoded by
-``lattice.nearest_in_coset`` alone.  Where delta >= rho the band holds
-everything, so every sample takes the exact path.
+pass, the screen, draws every sample in float32 from the Box-Muller pair
+lengths on, with float32 cos and sin within eps = 2^-18 of the float64
+ones.  That moves the unit direction by at most 2 sqrt(2) eps, and the
+sample by at most 2 sqrt(2) eps R; the other float32 roundings add at
+most K 2^-24 R, K = 16.  The distance to the centers is 1-Lipschitz, so
+it moves by as much.  The screen measures the squared distance with
+``lattice.e8_distance2`` in float32, a closed form that reads both E8
+cosets off one rounding and is within e2 = 2^-19 of the true one.  With
+delta = 2 sqrt(2) eps R + K 2^-24 R + eta, eta for the float rounding of
+the exact sampler and decoder, a float32 squared distance at most
+(rho - delta)^2 - e2 is a hit and one above (rho + delta)^2 + e2 a miss,
+both edges rounded outward to float32.  The samples in the band between
+are drawn again in float64 and decoded by ``lattice.nearest_in_coset``
+alone.  Where delta >= rho the band holds everything, and from
+R + max |offset| = 2^20 on float32 sums of rounded coordinates are no
+longer exact integers; in either case every sample takes the exact path.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .lattice import (CHUNK, DECODE_LIMIT, LatticeBasis, Scratch, e8_basis, e8_distance2,
-                      nearest_in_coset, sum8)
+                      floor_split, nearest_in_coset, sum8)
 
 _BLOCK = 1 << 15
 
@@ -116,7 +119,7 @@ class DensityEstimate:
     seed: int
     radius: float
     workers: int    # threads that ran the sample blocks
-    rechecked: int  # samples in the band that float32 trig cannot decide, decoded exactly
+    rechecked: int  # samples in the band that the float32 screen cannot decide, decoded exactly
 
 
 # -- counter-based sampling ---------------------------------------------------
@@ -146,37 +149,67 @@ def _stream_key(seed: int) -> np.ndarray:
     return _splitmix64(key, key.copy())
 
 
-#: bound on |trig32(fl32(theta)) - trig(theta)| for numpy's float32 cos and
-#: sin at the sampler's angles theta = 2 pi u, 0 < u < 1.  Rounding theta to
-#: float32 contributes at most 2^-22; the largest error measured on 2^24
-#: angles was 2.6e-7, about 2^-21.9.  ``test_mc_kernel`` checks a quarter of
-#: this bound, so a platform with a worse float32 trig fails there.
+#: eps, a bound on |trig32(fl32(theta)) - trig(theta)| for numpy's float32
+#: cos and sin at the sampler's angles theta = 2 pi u, 0 < u < 1, theta in
+#: float64.  Rounding theta to float32 contributes at most 2^-22; the
+#: largest error measured on 2^24 angles was 2.6e-7, about 2^-21.9.
+#: ``test_mc_kernel`` checks a quarter of this bound, so a platform with a
+#: worse float32 trig fails there.
 _TRIG32_ERROR = 2.0 ** -18
 
-#: eta / (1 + R), the float rounding.  The first pass's closed form
-#: ``e8_distance2`` is within 2^-48 of the true squared distance, and so is
-#: the exact decoder (``nearest_in_coset``), whose rounding of each
-#: coordinate is exact.  Each of them moves a distance at an
-#: edge of the band of at least 2^-8 by at most 2^-40, and one at a lower
-#: edge below 2^-8, where delta > rho - 2^-8 and so R > 2^15, by at most
-#: 2^-24: less than 2^-39 (1 + R) either way.  The rounding of both
-#: samplers each moves it by less than 2^-44 (1 + R)
+#: K 2^-24, K = 16: the screen's float32 roundings other than the trig move
+#: a sample, less its offset, by at most this times reach = R + max |offset|
+#: (13.875 2^-24 R in ``_sample_chunk``, 2^-24 reach for the offset's
+#: subtraction, and second-order terms)
+_ROUNDING32 = 16 * 2.0 ** -24
+
+#: e2: ``lattice.e8_distance2`` in float32 is within this of the true
+#: squared distance
+_E2 = 2.0 ** -19
+
+#: eta / (1 + reach + rho + 1/rho), the float64 rounding.  Each sampler's
+#: float64 steps move a sample by less than 2^-44 (1 + R), and the exact
+#: path's subtraction of an offset by 2^-53 reach: less than
+#: 2^-32 (1 + reach) together.  The exact decoder (``nearest_in_coset``),
+#: whose rounding of each coordinate is exact, is within 2^-48 of the true
+#: squared distance, and its hit test rounds the square root once.  A true
+#: distance at most rho - eta' or above rho + eta', eta' = 2^-32 (rho + 1/rho),
+#: therefore decides the exact test as well: (rho - eta')^2 <= rho^2 - 2^-48
+#: because rho eta' >= 2^-32 and eta' < delta < rho, and (rho + eta')^2 exceeds
+#: rho^2 (1 + 2^-50) + 2^-48 because 2 rho eta' = 2^-31 (rho^2 + 1).
 _ETA = 2.0 ** -32
+
+#: the screen runs where reach < 2^20: there every coordinate of a shifted
+#: float32 sample is below 2^20, and float32 sums of eight rounded
+#: coordinates are exact integers with a defined parity
+_SCREEN_LIMIT = 2.0 ** 20
 
 #: above this many samples the lane counter 16 i + l wraps around 2^64
 _MAX_SAMPLES = 2 ** 60
 
 
 def _sample_chunk(key: np.ndarray, index: np.ndarray, radius: float, out: np.ndarray,
-                  scratch: Scratch, trig32: bool = False) -> None:
+                  scratch: Scratch) -> None:
     """Fill ``out``, (8, n) with n <= CHUNK, with the samples numbered ``index``.
 
-    ``index`` is a uint64 array of n sample indices.  Each value goes
-    through the same floating-point operations, in the same order, as in
-    the row-major sampler, so every sample is bit-identical.  The uniforms
-    overwrite their own lane bits in place.  With ``trig32`` the Box-Muller
-    angles go through float32 cos and sin, within ``_TRIG32_ERROR`` of the
-    float64 ones; every other operation is unchanged.
+    ``index`` is a uint64 array of n sample indices; the dtype of ``out``
+    sets the precision.  The uniforms overwrite their own lane bits in
+    place, and they, log u and the angles 2 pi u are float64 either way.
+    In float64 each value goes through the same floating-point operations,
+    in the same order, as in the row-major sampler, so every sample is
+    bit-identical.
+
+    In float32, the screen's precision, -2 log u, the angles and the radius
+    uniform are rounded to float32, and the square roots, cos and sin
+    (within eps = ``_TRIG32_ERROR``), the products, the norm and the scale
+    u^(1/8) R are float32; u^(1/8) is three correctly rounded square roots.
+    With u = 2^-24, each pair length is within 1.5u (relative) of its exact
+    value and each product rounds by u, so the Gaussian vector moves by at
+    most (sqrt(2) eps + 2.5u) times its norm, and its direction by twice
+    that.  The norm is within 3u, u^(1/8) within 1.875u, and R, the scale's
+    product, its quotient and the final product round by u each: 8.875u
+    along the radius.  So a float32 sample is within
+    (2 sqrt(2) eps + 13.875u) R of the exact sample, to first order.
     """
     n = out.shape[1]
     bits = scratch.get("lanes", 9, n, np.uint64)
@@ -186,23 +219,23 @@ def _sample_chunk(key: np.ndarray, index: np.ndarray, radius: float, out: np.nda
     u = bits.view(np.float64)
     np.multiply(np.right_shift(bits, 11, out=bits), 2.0 ** -53, out=u)
     u += 2.0 ** -54
-    rho, angle = u[0:8:2], u[1:8:2]
-    np.log(rho, out=rho)
-    rho *= -2.0
-    np.sqrt(rho, out=rho)
-    angle *= 2.0 * math.pi
-    if trig32:
-        angle32 = scratch.get("angle32", 4, n, np.float32)
-        np.copyto(angle32, angle, casting="same_kind")
-        sin = np.sin(angle32, out=scratch.get("sin32", 4, n, np.float32))
-        cos = np.cos(angle32, out=angle32)
+    np.log(u[0:8:2], out=u[0:8:2])
+    u[0:8:2] *= -2.0
+    u[1:8:2] *= 2.0 * math.pi
+    if out.dtype == np.float64:
+        scale = u[8] ** 0.125
     else:
-        cos, sin = np.cos(angle, out=out[0::2]), np.sin(angle, out=out[1::2])
+        lanes = scratch.get("uniforms", 9, n, out.dtype)
+        np.copyto(lanes, u, casting="same_kind")
+        u = lanes
+        scale = np.sqrt(np.sqrt(np.sqrt(u[8])))
+    rho, angle = u[0:8:2], u[1:8:2]
+    np.sqrt(rho, out=rho)
+    cos, sin = np.cos(angle, out=out[0::2]), np.sin(angle, out=out[1::2])
     np.multiply(cos, rho, out=out[0::2])
     np.multiply(sin, rho, out=out[1::2])
-    scale = u[8] ** 0.125
     scale *= radius
-    norms = np.sqrt(sum8(np.square(out, out=u[:8]), scratch.get("sums", 4, n)))
+    norms = np.sqrt(sum8(np.square(out, out=u[:8]), scratch.get("sums", 4, n, out.dtype)))
     norms[norms == 0.0] = 1.0
     scale /= norms
     out *= scale
@@ -230,8 +263,9 @@ def _count_hits(y: np.ndarray, spec: PeriodicPackingSpec, scratch: Scratch) -> i
 
     The exact hit test: d2, the least squared distance ``nearest_in_coset``
     returns over every offset and both cosets, is a hit where
-    ``sqrt(d2) <= separation/2``.  ``finite_density_mc`` runs it on the
-    float64 samples of the band its float32 pass cannot decide.
+    ``sqrt(d2) <= separation/2``.  Both cosets read one ``floor_split`` of
+    each shifted block.  ``finite_density_mc`` runs it on the float64
+    samples of the band its float32 screen cannot decide.
     """
     n = y.shape[1]
     point = scratch.get("point", 8, n)
@@ -239,16 +273,31 @@ def _count_hits(y: np.ndarray, spec: PeriodicPackingSpec, scratch: Scratch) -> i
     best.fill(np.inf)
     for off in spec.offsets:
         shifted = _shift(y, off, scratch)
-        for half in (False, True):
-            np.minimum(best, nearest_in_coset(shifted, half, point, scratch), out=best)
+        floor, up = floor_split(shifted, scratch)
+        for half, out in ((False, point), (True, floor)):
+            np.minimum(best, nearest_in_coset(shifted, floor, up, half, out, scratch), out=best)
     return int(np.count_nonzero(np.sqrt(best) <= spec.separation / 2.0))
 
 
 def _shift(y: np.ndarray, offset: Sequence[float], scratch: Scratch) -> np.ndarray:
-    """y less the center offset, in ``scratch``; y itself for the zero offset."""
+    """y less the center offset, in ``scratch`` and y's dtype; y itself for the zero offset.
+
+    The difference is taken in float64 and rounded once to y's dtype.
+    """
     if not any(offset):
         return y
-    return np.subtract(y, np.asarray(offset)[:, None], out=scratch.get("shifted", 8, y.shape[1]))
+    return np.subtract(y, np.asarray(offset)[:, None],
+                       out=scratch.get("shifted", 8, y.shape[1], y.dtype))
+
+
+def _float32_edge(x: float, toward: float) -> np.float32:
+    """x rounded to float32, then one float32 step toward ``toward`` (-inf or inf).
+
+    The step covers the rounding either way, so the edge lies on the far
+    side of x; beyond the float32 range it is the largest float32 or inf.
+    """
+    with np.errstate(over="ignore"):
+        return np.nextafter(np.float32(x), np.float32(toward))
 
 
 def _worker_count(threads: int, blocks: int) -> int:
@@ -273,24 +322,33 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
     hit-tested CHUNK columns at a time, in buffers that each worker thread
     reuses for every block it takes.
 
-    Every sample is first drawn with float32 cos and sin, within
-    eps = ``_TRIG32_ERROR`` of the float64 ones.  Each of the four
-    Box-Muller pairs then moves by at most sqrt(2) eps times its length, so
-    the Gaussian vector moves by sqrt(2) eps times its norm, its unit
-    direction by 2 sqrt(2) eps, and the sample by 2 sqrt(2) eps R.  The
-    distance to the union of the cosets is 1-Lipschitz, so the distance
-    moves by at most 2 sqrt(2) eps R.  This first pass measures it with
-    ``lattice.e8_distance2``, once per offset: the closed form reads both
-    cosets off one rounding and is within 2^-48 of the true squared
-    distance, as is the exact decoder.  So the two
-    decoded distances differ by at most delta = 2 sqrt(2) eps R + eta,
-    with eta = ``_ETA`` (1 + R) for the float rounding.  A squared distance
-    at most (rho - delta)^2 is a hit and one above (rho + delta)^2 a miss,
-    for rho = separation/2.  The samples in between are drawn again in
-    float64 and decoded by ``_count_hits``, with ``nearest_in_coset`` alone,
-    once per block; ``rechecked`` counts them.  Where delta >= rho nothing
-    is certain, so every sample takes that exact path.  Either way the hits
-    are those of the exact sampler and decoder.
+    The hit test is a filtered predicate.  Its screen draws every sample
+    in float32 (``_sample_chunk``): within (2 sqrt(2) eps + K 2^-24) R of
+    the exact float64 sample, with eps = ``_TRIG32_ERROR`` and
+    K 2^-24 = ``_ROUNDING32``, which also covers rounding the sample less
+    its offset to float32.  It measures the squared distance once per
+    offset with ``lattice.e8_distance2`` in float32, within
+    e2 = ``_E2``.  The distance to the centers is 1-Lipschitz, so with
+    reach = R + max |offset|,
+
+        delta = 2 sqrt(2) eps R + K 2^-24 reach + eta,
+        eta = ``_ETA`` (1 + reach + rho + 1/rho)
+
+    for the float64 rounding of the exact sampler and decoder, and
+    rho = separation/2, a float32 squared distance d2 is a certain hit
+    where d2 <= (rho - delta)^2 - e2: the true distance of the float32
+    sample is then at most rho - delta, so that of the exact sample, its
+    float64 rounding counted, at most rho - ``_ETA`` (rho + 1/rho), which
+    the exact test finds within rho.  It is a certain miss
+    where d2 > (rho + delta)^2 + e2.  Both edges are rounded outward to
+    float32 (``_float32_edge``), since numpy rounds a Python float
+    compared with a float32 array to float32 first.  The samples in
+    between are drawn again in float64 and decoded by ``_count_hits``,
+    with ``nearest_in_coset`` alone, once per block; ``rechecked`` counts
+    them.  Where delta >= rho nothing is certain, and where
+    reach >= 2^20 float32 sums of rounded coordinates are not exact
+    integers; either way every sample takes that exact path.  The hits are
+    those of the exact sampler and decoder.
 
     The workers take the blocks one at a time from one shared iterator,
     so at most ``workers`` tasks are ever submitted, however many blocks
@@ -305,8 +363,12 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
                          "of E8 vectors with determinant +-1")
     key = _stream_key(seed)
     rho = spec.separation / 2.0
-    delta = 2.0 * math.sqrt(2.0) * _TRIG32_ERROR * radius + _ETA * (1.0 + radius)
-    lo2, hi2 = (rho - delta) ** 2, (rho + delta) ** 2
+    reach = radius + max((math.hypot(*off) for off in spec.offsets), default=0.0)
+    delta = (2.0 * math.sqrt(2.0) * _TRIG32_ERROR * radius + _ROUNDING32 * reach
+             + _ETA * (1.0 + reach + rho + 1.0 / rho))
+    screened = delta < rho and reach < _SCREEN_LIMIT
+    lo2 = _float32_edge((rho - delta) * (rho - delta) - _E2, -np.inf)
+    hi2 = _float32_edge((rho + delta) * (rho + delta) + _E2, np.inf)
 
     scratch = Scratch()
 
@@ -322,14 +384,14 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
     def work(start):
         """(hits, rechecked) of the block from sample ``start``."""
         index = np.arange(start, min(start + _BLOCK, samples), dtype=np.uint64)
-        if delta >= rho:
+        if not screened:
             return exact_hits(index), index.size
         hits, band = 0, []
         for lo in range(0, index.size, CHUNK):
             part = index[lo:lo + CHUNK]
-            y = scratch.get("sample", 8, part.size)
-            _sample_chunk(key, part, radius, y, scratch, trig32=True)
-            d2 = scratch.get("best", 1, part.size)[0]
+            y = scratch.get("sample", 8, part.size, np.float32)
+            _sample_chunk(key, part, radius, y, scratch)
+            d2 = scratch.get("best", 1, part.size, np.float32)[0]
             d2.fill(np.inf)
             for off in spec.offsets:
                 np.minimum(d2, e8_distance2(_shift(y, off, scratch), scratch), out=d2)

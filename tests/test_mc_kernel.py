@@ -187,7 +187,8 @@ def _exact_hits(spec, radius, samples, seed):
     ((0.5, -0.25, 0.0, 0.0, 1.0, 0.0, 0.0, 0.125),),
     ((0.0,) * 8, (0.5,) * 4 + (0.0,) * 4),
 ], ids=["zero-offset", "nonzero-offset", "two-offsets"])
-@pytest.mark.parametrize("radius", [0.5, math.sqrt(0.5), 1.0, 5.0, 30.0, 3000.0, 2.0 ** 40])
+@pytest.mark.parametrize("radius", [0.5, math.sqrt(0.5), 1.0, 5.0, 30.0, 3000.0, 30_000.0,
+                                    60_000.0, 2.0 ** 40])
 def test_filtered_hits_equal_exact_hits(offsets, radius):
     spec = PeriodicPackingSpec(basis=e8_basis(), offsets=offsets)
     for samples in (1, CHUNK + 1, 3 * _BLOCK + 5):
@@ -213,6 +214,44 @@ def test_float32_trig_within_bound():
         for trig in (np.cos, np.sin):
             worst = max(worst, float(np.abs(trig(angle32).astype(np.float64) - trig(angle)).max()))
     assert worst < packing._TRIG32_ERROR / 4
+
+
+@pytest.mark.parametrize("radius", [1.0, 5.0, 3000.0, 2.0 ** 19])
+def test_float32_sample_within_bound(radius):
+    # 2^22 samples, each drawn by the screen in float32 and by the exact path in float64
+    key, scratch = packing._stream_key(13), lattice.Scratch()
+    narrow, wide = np.empty((8, CHUNK), np.float32), np.empty((8, CHUNK))
+    worst = 0.0
+    for lo in range(0, 1 << 22, CHUNK):
+        index = np.arange(lo, lo + CHUNK, dtype=np.uint64)
+        packing._sample_chunk(key, index, radius, narrow, scratch)
+        packing._sample_chunk(key, index, radius, wide, scratch)
+        worst = max(worst, float(np.linalg.norm(narrow - wide, axis=0).max()))
+    term = (2.0 * math.sqrt(2.0) * packing._TRIG32_ERROR + packing._ROUNDING32) * radius
+    assert worst < term / 4
+
+
+def test_float32_edges_round_outward():
+    for x in (0.25, 1.0 / 3.0, 0.5 - 2.0 ** -40, 2.0 ** -30, -1e-3, 1e60):
+        lo, hi = packing._float32_edge(x, -np.inf), packing._float32_edge(x, np.inf)
+        assert lo.dtype == hi.dtype == np.float32
+        assert float(lo) < x < float(hi)
+        column = np.array([lo, hi], dtype=np.float32)
+        assert list(column <= lo) == [True, False] and list(column > hi) == [False, False]
+
+
+def test_screen_needs_reach_below_2_20():
+    # rho = 60 exceeds delta at every radius here, and every point lies within 1 of E8
+    samples = CHUNK + 1
+    wide = PeriodicPackingSpec(basis=e8_basis(), separation=120.0)
+    below = finite_density_mc(wide, radius=2.0 ** 19, samples=samples, seed=2)
+    assert (below.value, below.rechecked) == (1.0, 0)    # the screen decides every sample
+    at = finite_density_mc(wide, radius=2.0 ** 20, samples=samples, seed=2)
+    assert (at.value, at.rechecked) == (1.0, samples)
+    far = PeriodicPackingSpec(basis=e8_basis(), offsets=((2.0 ** 19,) + (0.0,) * 7,),
+                              separation=120.0)
+    shifted = finite_density_mc(far, radius=2.0 ** 19, samples=samples, seed=2)
+    assert (shifted.value, shifted.rechecked) == (1.0, samples)
 
 
 def _unfixed_d2(y, half):
@@ -265,9 +304,9 @@ def test_hits_where_the_parity_fix_decides(monkeypatch):
 
     ran = []
 
-    def counting(cols, half, point, scratch):
+    def counting(cols, floor, up, half, point, scratch):
         ran.append((half, cols.shape[1]))
-        return lattice.nearest_in_coset(cols, half, point, scratch)
+        return lattice.nearest_in_coset(cols, floor, up, half, point, scratch)
 
     monkeypatch.setattr(packing, "nearest_in_coset", counting)
     scratch = lattice.Scratch()
@@ -324,6 +363,20 @@ def test_e8_distance2_matches_exact_decoder(radius):
             bound = 2.0 ** -46 * (1.0 + np.abs(cols).max(axis=0))
             assert (np.abs(got - want) <= bound).all(), np.abs(got - want).max()
             assert (got <= 1.0 + 2.0 ** -48).all()    # the covering radius of E8 is 1
+
+
+@pytest.mark.parametrize("radius", [5.0, 2.0 ** 19, None], ids=["R=5", "R=2^19", "hand-made"])
+def test_float32_e8_distance2_within_e2(radius):
+    blocks = _random_columns(radius) if radius else [_hand_made_columns()]
+    scratch = lattice.Scratch()
+    for y in blocks:
+        for lo in range(0, y.shape[1], CHUNK):
+            cols = y[:, lo:lo + CHUNK].astype(np.float32)
+            got = lattice.e8_distance2(cols, scratch)
+            assert got.dtype == np.float32
+            want = _exact_distance2(cols.astype(np.float64))    # the same points, decoded exactly
+            bound = packing._E2 + 2.0 ** -46 * (1.0 + np.abs(cols).max(axis=0))
+            assert (np.abs(got - want) <= bound).all(), np.abs(got - want).max()
 
 
 def test_blocks_stream_to_at_most_workers_tasks(monkeypatch):
@@ -386,11 +439,23 @@ def test_scratch_arrays_are_per_thread_contiguous_and_reused():
     assert not np.shares_memory(got["one"], got["two"])
     assert not np.shares_memory(got["main"], got["one"])
     assert not np.shares_memory(got["main"], got["two"])
+    key = "y", np.dtype(np.float64)
     smaller = scratch.get("y", 3, 50)
     assert smaller.shape == (3, 50) and smaller.flags.c_contiguous
-    assert smaller.base is scratch.arrays["y"] is got["main"].base
+    assert smaller.base is scratch.arrays[key] is got["main"].base
     larger = scratch.get("y", 8, 200)
-    assert larger.shape == (8, 200) and larger.base is scratch.arrays["y"]
+    assert larger.shape == (8, 200) and larger.base is scratch.arrays[key]
+
+
+def test_scratch_keeps_one_buffer_per_name_and_dtype():
+    scratch = lattice.Scratch()
+    wide = scratch.get("sums", 4, 100)
+    narrow = scratch.get("sums", 4, 100, np.float32)
+    assert wide.dtype == np.float64 and narrow.dtype == np.float32
+    assert not np.shares_memory(wide, narrow)
+    assert scratch.get("sums", 4, 100).base is wide.base
+    assert scratch.get("sums", 2, 10, np.float32).base is narrow.base
+    assert set(scratch.arrays) == {("sums", np.dtype(np.float64)), ("sums", np.dtype(np.float32))}
 
 
 def test_decode_single_point():
