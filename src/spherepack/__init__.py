@@ -1,8 +1,25 @@
-"""Numerical verification toolkit for the E8 sphere packing bound."""
+"""Numerical verification toolkit for the E8 sphere packing bound.
+
+Importing the package loads ``qseries`` and ``forms``; every other
+submodule is imported on its first attribute access (PEP 562), so
+``spherepack.magic`` works after a bare ``import spherepack`` and a
+process pays only for the modules it touches.
+"""
 
 __version__ = "0.1.0"
+
+import importlib
 
 from .qseries import Nome, QSeries
 from .forms import FormId, HalfPlanePoint
 
 __all__ = ["Nome", "QSeries", "FormId", "HalfPlanePoint", "__version__"]
+
+_SUBMODULES = frozenset({"axis", "cli", "cohn_elkies", "errors", "forms", "lattice", "magic",
+                         "packing", "qseries", "quadrature"})
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,6 +23,10 @@ Reports share one envelope: {"command", "config", "results", "pass",
 keys are sorted, so identical invocations produce byte-identical output
 except for the timing field.  Exit code 0 means the envelope passed, 1 a
 failed check, 2 a usage or configuration error.
+
+A cold process loads only what its command runs: this module imports
+``errors``, ``forms`` (with ``qseries``) and ``quadrature`` at the top, and
+each ``_cmd_*`` handler imports the rest of the library it calls.
 """
 
 from __future__ import annotations
@@ -38,21 +42,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .axis import Eq2Convention, check_realness, log_grid, verify_inequalities
-from .cohn_elkies import E8_DENSITY, verify_magic_ce
 from .errors import ConfigError, SpherepackError
-from .forms import (
-    FormId,
-    check_jacobi,
-    check_ramanujan,
-    delta_qseries,
-    eta_product_qseries,
-    form_qseries,
-)
-from .forms import eisenstein_qseries
-from .lattice import covolume, e8_basis, enumerate_shells, min_norm, nearest_point, theta_coefficients
-from .magic import RadialKind, default_evaluator, tabulate_radial
-from .packing import e8_packing_spec, finite_density_mc, periodic_density
+from .forms import (FormId, check_jacobi, check_ramanujan, delta_qseries, eisenstein_qseries,
+                    eta_product_qseries, form_qseries)
 from .quadrature import QuadratureConfig
 
 
@@ -218,6 +210,7 @@ def _cmd_forms_identities(args, config: RunConfig):
 
 
 def _cmd_lattice_shells(args, config: RunConfig):
+    from .lattice import enumerate_shells
     shells = enumerate_shells(args.max_norm2)
     results = {
         "max_norm2": args.max_norm2,
@@ -229,6 +222,7 @@ def _cmd_lattice_shells(args, config: RunConfig):
 
 
 def _cmd_lattice_decode(args, config: RunConfig):
+    from .lattice import nearest_point
     try:
         coords = [float(x) for x in args.point.split(",")]
     except ValueError:
@@ -247,6 +241,7 @@ def _cmd_lattice_decode(args, config: RunConfig):
 
 
 def _cmd_lattice_info(args, config: RunConfig):
+    from .lattice import covolume, e8_basis, min_norm, theta_coefficients
     basis = e8_basis()
     theta = theta_coefficients(10)
     e4 = eisenstein_qseries(4, 10)
@@ -263,6 +258,7 @@ def _cmd_lattice_info(args, config: RunConfig):
 
 
 def _cmd_packing_density(args, config: RunConfig):
+    from .packing import E8_DENSITY, e8_packing_spec, periodic_density
     value = periodic_density(e8_packing_spec())
     results = {
         "value": value,
@@ -273,6 +269,7 @@ def _cmd_packing_density(args, config: RunConfig):
 
 
 def _cmd_packing_mc(args, config: RunConfig):
+    from .packing import E8_DENSITY, e8_packing_spec, finite_density_mc
     _require_finite("--radius", args.radius)
     est = finite_density_mc(e8_packing_spec(), radius=args.radius,
                             samples=args.samples, seed=config.seed,
@@ -296,6 +293,7 @@ def _cmd_packing_mc(args, config: RunConfig):
 
 
 def _cmd_magic_eval(args, config: RunConfig):
+    from .magic import default_evaluator
     _require_finite("--r", args.r)
     if args.r < 0:
         raise ConfigError(f"--r must be nonnegative, got {args.r}")
@@ -313,6 +311,7 @@ def _cmd_magic_eval(args, config: RunConfig):
 
 
 def _cmd_magic_table(args, config: RunConfig):
+    from .magic import RadialKind, default_evaluator, tabulate_radial
     kind = {k.value.lower(): k for k in RadialKind}.get(args.which.lower())
     if kind is None:
         raise ConfigError(f"--which must be A, B, G or GHat, got {args.which!r}")
@@ -327,6 +326,7 @@ def _cmd_magic_table(args, config: RunConfig):
 
 
 def _cmd_magic_verify(args, config: RunConfig):
+    from .magic import default_evaluator
     ev = default_evaluator(config.quadrature)
     checked = (1.5, 2.0, 3.0)
     lattice = (1, 2, 3)
@@ -357,6 +357,9 @@ def _cmd_magic_verify(args, config: RunConfig):
 
 
 def _cmd_bound(args, config: RunConfig):
+    from .cohn_elkies import verify_magic_ce
+    from .magic import default_evaluator
+    from .packing import E8_DENSITY, e8_packing_spec, periodic_density
     ev = default_evaluator(config.quadrature)
     report = verify_magic_ce(ev)
     lattice_density = periodic_density(e8_packing_spec())
@@ -367,6 +370,7 @@ def _cmd_bound(args, config: RunConfig):
 
 
 def _cmd_axis_check(args, config: RunConfig):
+    from .axis import Eq2Convention, check_realness, log_grid, verify_inequalities
     grid = (_parse_grid(args.grid) if args.grid
             else log_grid(config.axis_grid_lo, config.axis_grid_hi, config.axis_grid_n))
     which = args.convention

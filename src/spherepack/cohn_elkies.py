@@ -22,13 +22,10 @@ import numpy as np
 from .errors import InsufficientGrid, NonpositiveFhat0
 from .lattice import enumerate_shells
 from .magic import MagicEvaluator, default_evaluator
-from .packing import ball_volume
+from .packing import E8_DENSITY, ball_volume
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
-
-#: the closed-form density of the E8 packing, pi^4/384
-E8_DENSITY = PI ** 4 / 384.0
 
 
 def ce_bound(f0: float, fhat0: float, d: int) -> float:
@@ -58,8 +55,10 @@ def default_ce_grid(r_max: float = 6.0, step: float = 0.05,
     """Base grid plus a refinement window across the first sign change."""
     base = np.arange(0.0, r_max + step / 2, step)
     refine = np.arange(refine_lo, refine_hi + refine_step / 2, refine_step)
-    grid = np.unique(np.concatenate([base, refine]))
-    return tuple(float(r) for r in grid)
+    # sorted, adjacent duplicates dropped: np.unique's result without its
+    # import of numpy.ma
+    grid = np.sort(np.concatenate([base, refine]))
+    return tuple(float(r) for r in grid[np.append(True, grid[1:] != grid[:-1])])
 
 
 @dataclass(frozen=True)

@@ -308,22 +308,9 @@ def eval_psi_s(tau: complex | HalfPlanePoint, tol: float = 1e-12) -> complex:
     return eval_form(FormId.PSI_S, tau, tol)
 
 
-def eval_psi_s_from_thetas(tau: complex | HalfPlanePoint, tol: float = 1e-12) -> complex:
-    """psi_s assembled from three theta evaluations instead of its own series."""
-    t00 = eval_form(FormId.THETA00, tau, tol) ** 4
-    t01 = eval_form(FormId.THETA01, tau, tol) ** 4
-    t10 = eval_form(FormId.THETA10, tau, tol) ** 4
-    return 128.0 * ((t01 - t10) / t00 ** 2 - (t10 + t00) / t01 ** 2)
-
-
 # ---------------------------------------------------------------------------
 # derivatives and identity checks
 # ---------------------------------------------------------------------------
-
-def normalized_derivative(series: QSeries) -> QSeries:
-    """(1/(2*pi*i)) d/dtau acting coefficient-wise."""
-    return series.derivative()
-
 
 def serre_derivative(series: QSeries, weight: int) -> QSeries:
     """D - (weight/12)*E2, mapping weight-k forms to weight-(k+2)."""

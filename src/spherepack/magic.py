@@ -88,8 +88,9 @@ _SCRATCH = Scratch()
 # ---------------------------------------------------------------------------
 
 def _float_pairs(series):
-    return [(k, float(series.coefficient(k)))
-            for k in range(series.lowest, series.order + 1) if series.coefficient(k) != 0]
+    # the series' own floats: n / den is correctly rounded, as float(Fraction) is
+    floats = series._numeric()[0]
+    return [(series.lowest + j, c) for j, (n, c) in enumerate(zip(series.num, floats)) if n]
 
 
 @lru_cache(maxsize=2)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,6 +45,9 @@ from .lattice import (CHUNK, DECODE_LIMIT, LatticeBasis, Scratch, e8_basis, e8_d
                       floor_split, nearest_in_coset, sum8)
 
 _BLOCK = 1 << 15
+
+#: the closed-form density of the E8 packing, pi^4/384
+E8_DENSITY = math.pi ** 4 / 384.0
 
 
 def ball_volume(d: int, r: float) -> float:
@@ -97,18 +99,6 @@ def periodic_density(spec: PeriodicPackingSpec) -> float:
     """m * Vol(B_8(0, sep/2)) / covolume; pi^4/384 for the E8 packing."""
     m = len(spec.offsets)
     return m * ball_volume(8, spec.separation / 2.0) / spec.covolume()
-
-
-def check_separation(centers: Sequence[Sequence[float]], separation: float) -> bool:
-    """All pairwise distances >= separation (within 1e-12 slack)."""
-    pts = np.asarray(list(centers), dtype=np.float64)
-    n = len(pts)
-    if n < 2:
-        return True
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt((diff ** 2).sum(axis=2))
-    iu = np.triu_indices(n, k=1)
-    return bool((d[iu] >= separation - 1e-12).all())
 
 
 @dataclass(frozen=True)
@@ -417,6 +407,7 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
 
     workers = _worker_count(threads, len(starts))
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
         with ThreadPoolExecutor(max_workers=workers) as pool:
             tasks = [pool.submit(drain) for _ in range(workers)]
             totals = [task.result() for task in tasks]

@@ -334,10 +334,6 @@ class QSeries:
         return acc.astype(complex, copy=False) if array else complex(acc)
 
 
-def zero_series(nome: Nome, order: int) -> QSeries:
-    return QSeries(nome, [0] * (order + 1), 0)
-
-
 def one_series(nome: Nome, order: int) -> QSeries:
     return QSeries(nome, [1] + [0] * order, 0)
 

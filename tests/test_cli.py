@@ -332,3 +332,49 @@ def test_one_series_build_per_cache_entry(argv, builds):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) == builds
+
+
+_CHECK_MODULES = {"cli", "errors", "forms", "qseries", "quadrature"}
+
+
+def _fresh_process(script: str) -> str:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spherepack.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["forms", "identities"], _CHECK_MODULES),
+    (["axis", "check"], _CHECK_MODULES | {"axis"}),
+    (["magic", "verify"], _CHECK_MODULES | {"magic", "lattice"}),
+    (["bound"], _CHECK_MODULES | {"magic", "lattice", "cohn_elkies", "packing"}),
+])
+def test_paper_checks_load_only_their_modules(argv, modules):
+    # a fresh process per command, so sys.modules holds that command's imports alone
+    out = _fresh_process(
+        "import contextlib, io, json, sys\n"
+        "from spherepack import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.run({argv!r}) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n")
+    loaded = set(json.loads(out))
+    assert {m for m in loaded if m.startswith("spherepack.")} == {
+        f"spherepack.{m}" for m in modules}
+    assert "numpy.ma" not in loaded
+    assert "concurrent.futures" not in loaded
+
+
+def test_package_imports_submodules_on_first_access():
+    out = _fresh_process(
+        "import sys\n"
+        "import spherepack\n"
+        "assert 'spherepack.magic' not in sys.modules\n"
+        "assert spherepack.magic.RadialKind.G.value == 'G'\n"
+        "assert 'spherepack.magic' in sys.modules\n"
+        "try:\n"
+        "    spherepack.nope\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n")
+    assert out == "module 'spherepack' has no attribute 'nope'\n"

@@ -58,6 +58,24 @@ def test_default_grid_shape():
     assert any(math.sqrt(2) < r < 1.42 for r in grid)  # refinement near sqrt(2)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {},
+    # dyadic steps, so 1.0, 1.5 and 2.0 lie in both ranges bit for bit
+    dict(r_max=3.0, step=0.5, refine_lo=1.0, refine_hi=2.0, refine_step=0.25),
+])
+def test_default_grid_equals_unique_of_both_ranges(kwargs):
+    # the construction the grid had before it dropped np.unique
+    args = dict(r_max=6.0, step=0.05, refine_lo=math.sqrt(2), refine_hi=1.6,
+                refine_step=0.005) | kwargs
+    base = np.arange(0.0, args["r_max"] + args["step"] / 2, args["step"])
+    refine = np.arange(args["refine_lo"], args["refine_hi"] + args["refine_step"] / 2,
+                       args["refine_step"])
+    want = tuple(float(r) for r in np.unique(np.concatenate([base, refine])))
+    grid = default_ce_grid(**kwargs)
+    assert [r.hex() for r in grid] == [r.hex() for r in want]
+    assert len(grid) == len(base) + len(refine) - (3 if kwargs else 0)
+
+
 def test_verify_ce_gaussian_fails_sign_condition():
     # the standard Gaussian is its own transform but positive everywhere
     f = lambda r: np.exp(-PI * r * r)

@@ -38,10 +38,8 @@ from spherepack.forms import (
     eval_form,
     eval_phi0,
     eval_psi_s,
-    eval_psi_s_from_thetas,
     e2e4_minus_e6_qseries,
     form_qseries,
-    normalized_derivative,
     phi0_qseries,
     psi_i_qseries,
     psi_s_qseries,
@@ -202,7 +200,7 @@ def test_serre_derivative_kills_constants_at_weight_zero():
 def test_normalized_derivative_e4_identity():
     # q-coefficient of D E4 equals that of (E2 E4 - E6)/3
     e4 = eisenstein_qseries(4, 10)
-    de4 = normalized_derivative(e4)
+    de4 = e4.derivative()
     assert de4.coefficient(1) == 240
     assert e2e4_minus_e6_qseries(10).scale(Fraction(1, 3)).coefficient(1) == 240
 
@@ -255,9 +253,15 @@ def test_psi_s_asymptotic_at_3i():
 
 
 def test_psi_s_two_evaluation_paths_agree():
+    def psi_s_from_thetas(tau):
+        """psi_s assembled from three theta evaluations instead of its own series."""
+        t00, t01, t10 = (eval_form(f, tau) ** 4
+                         for f in (FormId.THETA00, FormId.THETA01, FormId.THETA10))
+        return 128.0 * ((t01 - t10) / t00 ** 2 - (t10 + t00) / t01 ** 2)
+
     for tau in (0.3 + 1.1j, 1j, -0.2 + 0.8j):
         a = eval_psi_s(tau)
-        b = eval_psi_s_from_thetas(tau)
+        b = psi_s_from_thetas(tau)
         assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
 
 

