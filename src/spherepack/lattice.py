@@ -472,7 +472,7 @@ def decode_batch(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         da = nearest_in_coset(yt, floor, up, False, best[:, cols], scratch).copy()
         db = nearest_in_coset(yt, floor, up, True, floor, scratch)   # its points replace floor
         use_b = db < da
-        np.copyto(best[:, cols], floor, where=use_b)
+        best[:, cols] = np.where(use_b, floor, best[:, cols])
         np.sqrt(np.where(use_b, db, da), out=dist[cols])
     return best.T, dist
 

@@ -25,12 +25,17 @@ conventions used here, g(0) = g_hat(0) = 1.
 
 Quadrature: Gauss panels on [0, 1], where the node values at i/t need the
 series at Im >= 1 only, and on [1, inf) exact exponential moments of the
-kernel's q-expansion (``_moment_terms``).  Kphi, Kpsi and K+ grow like
-e^{2 pi t}, K- like t, so the integrals converge only for s > 2
-respectively s > 0.  Below s = 2 + _SUBTRACT_MARGIN the growing terms
-(rate offset <= 0) are subtracted on [0, 1] and their Laplace transforms
-m!/(pi (s - j))^{m+1} added back in closed form, each multiplied with
-sin^2(pi s/2) as one expression that is finite at s = 0 and s = 2.
+kernel's q-expansion (``_moment_terms``).  The panels are equal and share
+their nodes up to a shift, so a radius costs one exponential per panel
+and one per node of a panel, not one per node.  Of the decaying moment
+terms only those a double can hold are summed: the dropped tail is at
+most 2^-60 of the largest kept term at every s (``_cut_tail``).  Kphi,
+Kpsi and K+ grow like e^{2 pi t}, K- like t, so the integrals converge
+only for s > 2 respectively s > 0.  Below s = 2 + _SUBTRACT_MARGIN the
+growing terms (rate offset <= 0) are subtracted on [0, 1] and their
+Laplace transforms m!/(pi (s - j))^{m+1} added back in closed form, each
+multiplied with sin^2(pi s/2) as one expression that is finite at s = 0
+and s = 2.
 
 The six-leg contour integral (two rectangle sides from -1 and +1 up to
 i, the leg from i down to 0, and the vertical ray from i) is a second,
@@ -76,6 +81,10 @@ _SUBTRACT_MARGIN = 1.0
 _BLOCK = 256
 #: the largest radius handled, so that pi r^2 stays finite
 _R_MAX = 1e150
+#: the moment terms left out add up to at most this fraction of the largest kept one
+_MOMENT_CUT = 2.0 ** -60
+#: how far a [0, 1] node may lie from its panel's left end plus its first-panel node
+_SPLIT_TOL = 2.0 ** -53
 
 
 #: each thread's exponential and moment arrays for the blocks of a Laplace
@@ -149,19 +158,64 @@ class _Moments:
         return np.exp(-PI * s) * total
 
 
+def _panel_split(nodes: np.ndarray, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The left ends p/P of P equal panels on [0, 1] and the first panel's
+    nodes t_0k, where every node is t_pk = p/P + t_0k to within 2^-53.
+
+    A node table that does not split so is a RuntimeError.
+    """
+    lo = np.arange(panels) / panels
+    base = nodes[:nodes.size // panels]
+    gap = np.abs(nodes.reshape(panels, -1) - (lo[:, None] + base)).max()
+    if not gap <= _SPLIT_TOL:
+        raise RuntimeError(f"the [0, 1] nodes are not panel ends plus the first panel's "
+                           f"nodes: off by {gap:.3g}")
+    return lo, base
+
+
+def _cut_tail(order, offset, coeff):
+    """The decaying terms sorted by offset, less their longest high-offset
+    tail whose summed bound |c| e^{-o} (1 + m + m(m-1)) is at most _MOMENT_CUT
+    times the largest kept |c| e^{-o}.
+
+    The cut holds at every s >= 0.  A term's moment is
+    c e^{-o} e^{-pi s} (x + m x^2 + m(m-1) x^3) with x = 1/(o + pi s), and
+    every decaying offset is at least pi, so x <= 1/pi < 1 and the moment is
+    at most |c| e^{-o} (1 + m + m(m-1)) e^{-pi s} x in size.  x falls as o
+    grows, so every omitted term's x is at most that of the largest kept
+    term, whose moment is at least |c| e^{-o} e^{-pi s} x in size (its three
+    parts share a sign).  The omitted sum is thus at most _MOMENT_CUT of
+    the largest kept moment, below the rounding of the kept sum.
+    """
+    if offset.min() < PI:
+        raise RuntimeError("a decaying moment term with offset below pi")
+    by = np.argsort(offset, kind="stable")
+    order, offset, coeff = order[by], offset[by], coeff[by]
+    size = np.abs(coeff) * np.exp(-offset)
+    tail = np.cumsum((size * (1.0 + order + order * (order - 1.0)))[::-1])[::-1]
+    # keeping the first n terms omits tail[n] against max(size[:n])
+    fits = np.append(tail[1:], 0.0) <= _MOMENT_CUT * np.maximum.accumulate(size)
+    n = int(np.argmax(fits)) + 1
+    return order[:n], offset[:n], coeff[:n]
+
+
 @dataclass(frozen=True)
 class _Kernel:
     """One real axis kernel K on the Laplace rule.
 
-    ``plain`` and ``subtracted`` are the Gauss weights times K, respectively
-    K minus its growing terms, at the [0, 1] nodes.  On [1, inf) K is a sum
-    of terms c t^m e^{-offset t}: ``decaying`` has those with offset > 0,
+    The [0, 1] rule is P equal panels of Q nodes each, t_pk = p/P + t_0k
+    (``_panel_split``), so e^{-pi s t_pk} = e^{-pi s p/P} e^{-pi s t_0k}.
+    ``panel_rate`` and ``node_rate`` are -pi p/P and -pi t_0k.  ``weights``
+    is (2P, Q): row p holds the Gauss weights times K at panel p's nodes,
+    row P + p the same for K minus its growing terms.  On [1, inf) K is a
+    sum of terms c t^m e^{-offset t}: ``decaying`` has those with
+    offset > 0, less the tail that ``_cut_tail`` proves negligible,
     ``growing`` the others, each e^{pi j t} with j = ``shift``.
     """
 
-    nodes: np.ndarray
-    plain: np.ndarray
-    subtracted: np.ndarray
+    panel_rate: np.ndarray  # (P,)
+    node_rate: np.ndarray   # (Q,)
+    weights: np.ndarray     # (2P, Q)
     decaying: _Moments
     growing: _Moments
     shift: np.ndarray      # (G, 1)
@@ -169,7 +223,8 @@ class _Kernel:
     coeff: np.ndarray      # (G,)
 
     @classmethod
-    def build(cls, nodes, weights, values, terms) -> _Kernel:
+    def build(cls, nodes, weights, values, terms, panels) -> _Kernel:
+        lo, base = _panel_split(nodes, panels)
         order, offset, coeff = (np.array(col, dtype=float) for col in zip(*terms))
         up = offset <= 0.0
         shift = np.round(-offset[up] / PI)
@@ -178,19 +233,34 @@ class _Kernel:
         if order.max() > 2 or np.any(shift % 2) or np.any(shift > 2) or np.any(order[up] > 1):
             raise RuntimeError("unexpected growing term in an axis kernel")
         grow = coeff[up] @ (nodes ** order[up, None] * np.exp(-offset[up, None] * nodes))
-        return cls(nodes, weights * values, weights * (values - grow),
-                   _Moments.of(order[~up], offset[~up], coeff[~up]),
+        by_panel = np.concatenate([weights * values, weights * (values - grow)])
+        return cls(-PI * lo, -PI * base, by_panel.reshape(2 * panels, -1),
+                   _Moments.of(*_cut_tail(order[~up], offset[~up], coeff[~up])),
                    _Moments.of(order[up], offset[up], coeff[up]),
                    shift[:, None], order[up, None], coeff[up])
 
     def sin2_laplace(self, s: np.ndarray) -> np.ndarray:
-        """sin^2(pi s/2) L[K](s) at each s = r^2 >= 0 of one block."""
+        """sin^2(pi s/2) L[K](s) at each s = r^2 >= 0 of one block.
+
+        The [0, 1] part takes P + Q exponentials per radius: one product
+        of the node exponentials with ``weights`` gives each panel's sum of
+        both integrands, and the panel exponentials weight those sums.
+        """
         sine = np.sin(PI * (s - 2.0 * np.round(s / 2.0)) / 2.0)   # the reduction is exact
         low = s < 2.0 + _SUBTRACT_MARGIN
-        e = _SCRATCH.get("exp", s.size, self.nodes.size)
-        np.multiply.outer(s, -PI * self.nodes, out=e)
-        np.exp(e, out=e)
-        inner = np.where(low, e @ self.subtracted, e @ self.plain) + self.decaying(s)
+        n, panels = s.size, self.panel_rate.size
+        e1 = _SCRATCH.get("e1", panels, n)
+        np.multiply.outer(self.panel_rate, s, out=e1)
+        np.exp(e1, out=e1)
+        e2 = _SCRATCH.get("e2", self.node_rate.size, n)
+        np.multiply.outer(self.node_rate, s, out=e2)
+        np.exp(e2, out=e2)
+        m = _SCRATCH.get("m", 2 * panels, n)
+        np.matmul(self.weights, e2, out=m)
+        both = m.reshape(2, panels, n)
+        both *= e1
+        sums = both.sum(axis=1)
+        inner = np.where(low, sums[1], sums[0]) + self.decaying(s)
         inner[~low] += self.growing(s[~low])
         out = sine * sine * inner
         # below the switch the growing terms' transforms m!/(pi w)^{m+1}, w = s - j,
@@ -244,12 +314,13 @@ class MagicEvaluator:
         phi, psi = _moment_terms(FormId.PHI0), _moment_terms(FormId.PSI_S)
         # a's and b's tables share one array of nodes
         self._nodes_a = self._nodes_b = t
-        self._phi = _Kernel.build(t, w, kphi, phi)
-        self._psi = _Kernel.build(t, w, kpsi, psi)
+        panels = self.quad.panels_per_segment
+        self._phi = _Kernel.build(t, w, kphi, phi, panels)
+        self._psi = _Kernel.build(t, w, kpsi, psi, panels)
         self._plus = _Kernel.build(t, w, kphi - WEIGHT36 * kpsi,
-                                   _combine(1.0, phi, -WEIGHT36, psi))
+                                   _combine(1.0, phi, -WEIGHT36, psi), panels)
         self._minus = _Kernel.build(t, w, -kphi - WEIGHT36 * kpsi,
-                                    _combine(-1.0, phi, -WEIGHT36, psi))
+                                    _combine(-1.0, phi, -WEIGHT36, psi), panels)
 
     def a_values(self, radii) -> np.ndarray:
         """Plus eigenfunction over a radius grid (complex array, real part 0)."""
@@ -293,8 +364,10 @@ def default_evaluator(quad: QuadratureConfig | None = None) -> MagicEvaluator:
     """Shared evaluator per quadrature configuration.
 
     Building the Laplace tables costs one array series evaluation per form
-    on the [0, 1] nodes and the four kernels' moment terms, a few
-    milliseconds once the exact series are cached.
+    on the [0, 1] nodes, the check that those nodes split into panel ends
+    plus the first panel's nodes, and the four kernels' moment terms, cut
+    to their proven-negligible tail: a few milliseconds once the exact
+    series are cached.
     """
     return MagicEvaluator(quad)
 

@@ -307,8 +307,9 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
     The hit test is the E8 coset decoder, so the basis must generate E8:
     a :class:`LatticeBasis` (its rows are E8 vectors) with determinant +-1.
     Any other basis, a radius outside (0, DECODE_LIMIT), the decoder's
-    limit on the coordinates, and more than 2^60 samples, where the
-    lane counters wrap, are a ValueError.  Each block is sampled and
+    limit on the coordinates, a reach = R + max |offset| (below) of
+    DECODE_LIMIT or more, and more than 2^60 samples, where the lane
+    counters wrap, are a ValueError.  Each block is sampled and
     hit-tested CHUNK columns at a time, in buffers that each worker thread
     reuses for every block it takes.
 
@@ -354,6 +355,8 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
     key = _stream_key(seed)
     rho = spec.separation / 2.0
     reach = radius + max((math.hypot(*off) for off in spec.offsets), default=0.0)
+    if not reach < DECODE_LIMIT:
+        raise ValueError(f"radius plus the largest offset norm must be below 2^50, got {reach}")
     delta = (2.0 * math.sqrt(2.0) * _TRIG32_ERROR * radius + _ROUNDING32 * reach
              + _ETA * (1.0 + reach + rho + 1.0 / rho))
     screened = delta < rho and reach < _SCREEN_LIMIT

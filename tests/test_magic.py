@@ -14,7 +14,7 @@ from spherepack import magic
 from spherepack.cli import run
 from spherepack.cohn_elkies import default_ce_grid, verify_magic_ce
 from spherepack.errors import InsufficientTable, TailBoundViolated
-from spherepack.forms import FormId
+from spherepack.forms import WEIGHT36, FormId, form_qseries
 from spherepack.magic import (
     A_SCALE,
     ContourSegment,
@@ -31,7 +31,7 @@ from spherepack.magic import (
     _SUBTRACT_MARGIN,
     _laplace_sweep,
 )
-from spherepack.quadrature import QuadratureConfig
+from spherepack.quadrature import QuadratureConfig, panel_nodes
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
@@ -67,7 +67,6 @@ def test_inverted_leg_argument_high():
 
 
 def test_segment_arguments_stay_above_half():
-    from spherepack.quadrature import panel_nodes
     for seg in contour_segments(FormId.PHI0)[:4] + contour_segments(FormId.PSI_S)[:4]:
         nodes, _ = panel_nodes(seg.start, seg.end, 8, 32)
         args = -1.0 / (nodes + seg.shift)
@@ -229,6 +228,113 @@ def test_quadrature_self_convergence(ev):
             fine_v = getattr(fine, f)(r)
             assert abs(coarse_v - fine_v) < 1e-8 * (abs(coarse_v) + A_SCALE)
         assert abs(ev.eval_g(r) - fine.eval_g(r)) < 1e-8 * (abs(ev.eval_g(r)) + 1.0)
+
+
+# -- the sweep against the direct Laplace rule -------------------------------------
+
+QUADS = [QuadratureConfig(), QuadratureConfig(gauss_order=48, panels_per_segment=12)]
+
+
+def _kernel_inputs(quad):
+    """Each kernel's [0, 1] nodes, weights and values and its full list of
+    moment terms, built afresh from the forms."""
+    t, w = panel_nodes(0.0, 1.0, quad.panels_per_segment, quad.gauss_order)
+    kphi = (t * t) * form_qseries(FormId.PHI0).eval(1j / t).real
+    kpsi = (t * t) * form_qseries(FormId.PSI_S).eval(1j / t).real
+    phi, psi = magic._moment_terms(FormId.PHI0), magic._moment_terms(FormId.PSI_S)
+    return t, w, {
+        "_phi": (kphi, phi),
+        "_psi": (kpsi, psi),
+        "_plus": (kphi - WEIGHT36 * kpsi, magic._combine(1.0, phi, -WEIGHT36, psi)),
+        "_minus": (-kphi - WEIGHT36 * kpsi, magic._combine(-1.0, phi, -WEIGHT36, psi)),
+    }
+
+
+def _direct_sin2_laplace(t, w, values, terms, s):
+    """sin^2(pi s/2) L[K](s) with nothing factored or left out: the exponential
+    of the whole s x node product, both node products, and every moment term."""
+    order, offset, coeff = (np.array(col, dtype=float) for col in zip(*terms))
+    up = offset <= 0.0
+    grow = coeff[up] @ (t ** order[up, None] * np.exp(-offset[up, None] * t))
+
+    def moments(pick, s):
+        x = 1.0 / (offset[pick, None] + PI * s)
+        c, m = coeff[pick] * np.exp(-offset[pick]), order[pick]
+        return np.exp(-PI * s) * (c @ x + (m * c) @ x ** 2 + (m * (m - 1.0) * c) @ x ** 3)
+
+    sine = np.sin(PI * (s - 2.0 * np.round(s / 2.0)) / 2.0)
+    low = s < 2.0 + _SUBTRACT_MARGIN
+    e = np.exp(np.multiply.outer(s, -PI * t))
+    inner = np.where(low, e @ (w * (values - grow)), e @ (w * values)) + moments(~up, s)
+    inner[~low] += moments(up, s[~low])
+    out = sine * sine * inner
+    shift, m = np.round(-offset[up] / PI)[:, None], order[up, None]
+    gap = s[low] - shift
+    near = np.abs(gap) < 1.0
+    q = np.where(near, 0.5 * np.sinc(gap / 2.0), sine[low] / (PI * np.where(near, 1.0, gap)))
+    out[low] += coeff[up] @ np.where(m == 0, sine[low] * q, q * q)
+    return out
+
+
+def test_sweep_matches_the_direct_rule(ev):
+    radii = np.concatenate([np.sqrt([0.0, 1e-6, 2.0 - 1e-9, 2.0 + 1e-9, 3.0 - 1e-9,
+                                     3.0 + 1e-9, 8.0, 36.0, 400.0, 1e4]), [1e150],
+                            np.linspace(0.0, 40.0, 1001)])
+    s, close = radii ** 2, radii <= 6.0
+    t, w, inputs = _kernel_inputs(ev.quad)
+    want = {name: _direct_sin2_laplace(t, w, values, terms, s)
+            for name, (values, terms) in inputs.items()}
+    # one scale for all four, |a(0)|/4, the scale b is measured on: K_psi's
+    # own largest value (8.7) is below an ulp of its subtracted [0, 1] sum (86)
+    scale = max(np.abs(v[close]).max() for v in want.values())
+    for name, v in want.items():
+        got = _laplace_sweep(getattr(ev, name), radii)
+        assert np.abs(got - v)[close].max() <= 1e-15 * scale, name
+        far = (radii >= 2.0 * SQRT2) & (v != 0.0)
+        assert np.all(np.abs(got - v)[far] <= 1e-13 * np.abs(v[far])), name
+
+
+@pytest.mark.parametrize("quad", QUADS, ids=["default", "48x12"])
+def test_moment_cut_omits_a_proven_negligible_tail(quad):
+    ev = MagicEvaluator(quad)
+    for name, (_, terms) in _kernel_inputs(quad)[2].items():
+        order, offset, coeff = (np.array(col, dtype=float) for col in zip(*terms))
+        decaying = offset > 0.0
+        by = np.argsort(offset[decaying], kind="stable")
+        order, offset, coeff = order[decaying][by], offset[decaying][by], coeff[decaying][by]
+        kept = getattr(ev, name).decaying
+        n = kept.offset.shape[0]
+        # the kept terms are the low-offset head of the sorted terms
+        assert np.array_equal(kept.offset.ravel(), offset[:n]), name
+        assert np.array_equal(kept.k[0], coeff[:n] * np.exp(-offset[:n])), name
+        assert n < offset.size and offset[n:].min() >= offset[:n].max(), name
+        size = np.abs(coeff) * np.exp(-offset)
+        bound = size * (1.0 + order + order * (order - 1.0))
+        assert bound[n:].sum() <= 2.0 ** -60 * size[:n].max(), name
+        # and the omitted tail is the longest one within the bound
+        assert bound[n - 1:].sum() > 2.0 ** -60 * size[:n - 1].max(), name
+
+
+@pytest.mark.parametrize("quad", QUADS, ids=["default", "48x12"])
+def test_nodes_split_into_panel_ends_plus_first_panel(quad):
+    panels, order = quad.panels_per_segment, quad.gauss_order
+    t, _ = panel_nodes(0.0, 1.0, panels, order)
+    lo, base = magic._panel_split(t, panels)
+    assert np.array_equal(lo, np.arange(panels) / panels)
+    assert np.array_equal(base, t[:order])
+    assert np.abs(t.reshape(panels, order) - (lo[:, None] + base)).max() <= 2.0 ** -53
+
+
+def test_a_node_table_that_does_not_split_is_refused(monkeypatch):
+    def perturbed(*args):
+        t, w = panel_nodes(*args)
+        t = t.copy()
+        t[40] += 1e-15
+        return t, w
+
+    monkeypatch.setattr(magic, "panel_nodes", perturbed)
+    with pytest.raises(RuntimeError):
+        MagicEvaluator()
 
 
 # -- representation consistency --------------------------------------------------

@@ -122,6 +122,20 @@ def test_mc_rejects_bad_input():
         finite_density_mc(e8_packing_spec(), radius=1.0, samples=0, seed=1)
 
 
+@pytest.mark.parametrize("k", [51, 53])
+def test_mc_rejects_offsets_beyond_the_decoder_limit(k):
+    # 2^k e1 is an E8 vector, but the shifted samples' coordinates would pass 2^50
+    spec = PeriodicPackingSpec(basis=e8_basis(), offsets=((2.0 ** k,) + (0.0,) * 7,))
+    with pytest.raises(ValueError, match="offset"):
+        finite_density_mc(spec, radius=5.0, samples=1024, seed=3)
+
+
+def test_mc_runs_with_an_offset_inside_the_decoder_limit():
+    spec = PeriodicPackingSpec(basis=e8_basis(), offsets=((2.0 ** 49,) + (0.0,) * 7,))
+    est = finite_density_mc(spec, radius=5.0, samples=1024, seed=3)
+    assert est.samples == 1024 and 0.0 <= est.value <= 1.0
+
+
 @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
 def test_mc_rejects_non_finite_radius(radius):
     with pytest.raises(ValueError):
