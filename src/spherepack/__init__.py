@@ -3,7 +3,10 @@
 Importing the package loads ``qseries`` and ``forms``; every other
 submodule is imported on its first attribute access (PEP 562), so
 ``spherepack.magic`` works after a bare ``import spherepack`` and a
-process pays only for the modules it touches.
+process pays only for the modules it touches.  ``qseries`` and ``forms``
+import numpy only to evaluate an ndarray, so ``import spherepack`` and the
+CLI's ``forms identities``, ``forms eval`` and ``--help`` run on the
+standard library alone.
 """
 
 __version__ = "0.1.0"

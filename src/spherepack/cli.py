@@ -26,7 +26,10 @@ failed check, 2 a usage or configuration error.
 
 A cold process loads only what its command runs: this module imports
 ``errors``, ``forms`` (with ``qseries``) and ``quadrature`` at the top, and
-each ``_cmd_*`` handler imports the rest of the library it calls.
+each ``_cmd_*`` handler imports the rest of the library it calls.  None of
+the modules imported at the top loads numpy, so ``forms identities``,
+``forms eval``, ``--help`` and every usage error run on the standard
+library alone; the other commands load numpy with the module they call.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .errors import ConfigError, SpherepackError
 from .forms import (FormId, check_jacobi, check_ramanujan, delta_qseries, eisenstein_qseries,
@@ -129,12 +130,15 @@ def _to_json(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{pad}  {_to_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    np = sys.modules.get("numpy")   # a numpy scalar exists only once numpy is loaded
+    if np is not None and isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+    if isinstance(obj, float):
+        return _fmt_float(obj)
     if obj is None:
         return "null"
     return json.dumps(str(obj))

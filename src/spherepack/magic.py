@@ -504,6 +504,8 @@ class RadialTable:
     def __post_init__(self):
         if len(self.radii) != len(self.values):
             raise ValueError("radii and values must have equal length")
+        if not all(math.isfinite(r) for r in self.radii):
+            raise ValueError("table radii must be finite")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ValueError("radii must be strictly increasing")
         if not all(math.isfinite(v) for v in self.values):
@@ -563,7 +565,7 @@ def _bessel_asymptotic(n: int, x):
 
 
 def bessel_j(n: int, x):
-    """J_n(x) for n in 0..3 and x >= 0, a scalar or an ndarray.
+    """J_n(x) for n in 0..3 and finite x >= 0, a scalar or an ndarray.
 
     Power series below 12, asymptotics plus upward recurrence above (stable
     there since n <= 3 << x).  A scalar x returns a float.
@@ -571,8 +573,8 @@ def bessel_j(n: int, x):
     if n < 0 or n > 3:
         raise ValueError("bessel_j supports orders 0..3")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("bessel_j expects x >= 0")
+    if not np.all((x >= 0) & (x < np.inf)):
+        raise ValueError("bessel_j expects finite x >= 0")
     low = x < _SERIES_CUTOFF
     out = np.empty_like(x)
     out[low] = _bessel_series(n, x[low])
@@ -620,8 +622,8 @@ def hankel8(table: RadialTable, r: float, taper_start: float = 0.7) -> float:
     eigenfunction tails.  The integrand is evaluated once on all
     (panels x 16) nodes; the panel sums are added in panel order.
     """
-    if r <= 0:
-        raise ValueError("hankel8 needs r > 0")
+    if not 0 < r < math.inf:
+        raise ValueError(f"hankel8 needs a finite r > 0, got {r}")
     radii = np.asarray(table.radii)
     values = np.asarray(table.values)
     if len(radii) < 16:

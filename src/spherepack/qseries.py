@@ -18,7 +18,8 @@ discriminant/eta-product match) are decided by integer arithmetic, and
 floating point enters only in :func:`QSeries.eval`.  Every ring operation
 runs on Python ints; ``Fraction`` appears only where coefficients enter
 (the constructor, :meth:`QSeries.scale`) and leave (:meth:`QSeries.coefficient`,
-``repr``).
+``repr``).  The module runs on the standard library: numpy is imported
+only when an ndarray is evaluated.
 
 Instances are immutable after construction and safe to share between
 threads.
@@ -28,11 +29,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from fractions import Fraction
 from enum import Enum
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import (
     DomainTooLow,
@@ -62,8 +62,13 @@ class Nome(Enum):
     Q4 = "q4"
 
     def value_at(self, tau):
-        """The nome at tau: cmath for a scalar, numpy elementwise for an ndarray."""
-        exp = np.exp if isinstance(tau, np.ndarray) else cmath.exp
+        """The nome at tau: cmath for a number (numpy scalars included), numpy
+        elementwise for an ndarray."""
+        if isinstance(tau, numbers.Number):
+            exp = cmath.exp
+        else:
+            import numpy as np
+            exp = np.exp
         if self is Nome.Q2:
             return exp(2j * cmath.pi * tau)
         return exp(1j * cmath.pi * tau / 4)
@@ -288,10 +293,11 @@ class QSeries:
     def eval(self, tau, tol: float = 1e-12, eta_min: float = ETA_MIN_DEFAULT):
         """Evaluate at a point, or an ndarray of points, of the upper half-plane.
 
-        One Horner loop serves both: a scalar tau runs it on a Python nome
-        and returns a ``complex``, an ndarray runs it elementwise, in place,
-        and returns a complex array of the same shape (empty for an empty
-        array).  Refuses points with Im(tau) < eta_min or NaN (DomainTooLow)
+        One Horner loop serves both: a number (numpy scalars included) runs
+        it on a Python nome and returns a ``complex``, an ndarray runs it
+        elementwise, in place, and returns a complex array of the same shape
+        (empty for an empty array); only the latter imports numpy.  Refuses
+        points with Im(tau) < eta_min or NaN (DomainTooLow)
         and refuses to return values whose certified truncation tail, taken
         at the largest |nome|, exceeds ``tol`` (TruncationInsufficient).
 
@@ -303,9 +309,11 @@ class QSeries:
         nome**lowest stays a complex integer power, of which the float loop
         takes the real part.
         """
-        array = isinstance(tau, np.ndarray)
-        if array and not tau.size:
-            return np.empty(tau.shape, dtype=complex)
+        array = not isinstance(tau, numbers.Number)
+        if array:
+            import numpy as np
+            if not tau.size:
+                return np.empty(tau.shape, dtype=complex)
         im_min = tau.imag.min() if array else tau.imag
         if not im_min >= eta_min:
             raise DomainTooLow(
@@ -320,7 +328,7 @@ class QSeries:
         if self.tail_estimate(float(abs_max)) > tol:
             raise TruncationInsufficient(
                 f"tail estimate exceeds tol={tol} at |q|={abs_max:.4g}, order {self.order}")
-        real = not np.any(w.imag)
+        real = not (w.imag.any() if array else w.imag)
         x = w.real if real else w
         *rest, top = self._numeric()[0]
         acc = np.full(w.shape, top, dtype=x.dtype) if array else type(x)(top)

@@ -1,11 +1,14 @@
-"""Gauss-Legendre panel quadrature on complex line segments."""
+"""Gauss-Legendre panel quadrature on complex line segments.
+
+``QuadratureConfig`` is plain data; numpy is imported only when nodes are
+built, so a command that reads the config and builds no nodes runs on the
+standard library.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -31,12 +34,14 @@ class QuadratureConfig:
 @lru_cache(maxsize=32)
 def gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1] (cached; numpy's Golub-Welsch)."""
+    import numpy as np
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
 
 
 def panel_nodes(a: complex, b: complex, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and complex weights for integrating along the straight segment a->b."""
+    import numpy as np
     x, w = gauss_nodes(order)
     nodes = []
     weights = []

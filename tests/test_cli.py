@@ -7,11 +7,13 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import spherepack
-from spherepack.cli import RunConfig, run
+from spherepack.cli import RunConfig, _to_json, run
 from spherepack.errors import ConfigError
 
 
@@ -46,6 +48,21 @@ def test_float_formatting_17_digits(capsys):
     _, out, _ = invoke(capsys, "packing", "density")
     m = re.search(r'"target": ([0-9.]+)', out)
     assert m and len(m.group(1).replace(".", "")) >= 16
+
+
+@pytest.mark.parametrize("value, want", [
+    (np.int64(-3), "-3"),
+    (np.float32(0.1), "0.10000000149011612"),
+    (np.float64(0.1), "0.10000000000000001"),
+    (np.bool_(True), "true"),
+    (np.bool_(False), "false"),
+    (Fraction(1, 3), '"1/3"'),
+    (True, "true"),
+    (7, "7"),
+    (0.1, "0.10000000000000001"),
+])
+def test_json_scalars(value, want):
+    assert _to_json(value) == want
 
 
 def test_forms_identities(capsys):
@@ -345,23 +362,34 @@ def _fresh_process(script: str) -> str:
     return done.stdout
 
 
+_USAGE_ERROR = ["forms", "eval", "--form", "E5"]
+
+
 @pytest.mark.parametrize("argv, modules", [
     (["forms", "identities"], _CHECK_MODULES),
     (["axis", "check"], _CHECK_MODULES | {"axis"}),
     (["magic", "verify"], _CHECK_MODULES | {"magic", "lattice"}),
     (["bound"], _CHECK_MODULES | {"magic", "lattice", "cohn_elkies", "packing"}),
+    (["forms", "eval", "--form", "E4"], _CHECK_MODULES),
+    (["--help"], _CHECK_MODULES),
+    (_USAGE_ERROR, _CHECK_MODULES),
 ])
 def test_paper_checks_load_only_their_modules(argv, modules):
     # a fresh process per command, so sys.modules holds that command's imports alone
     out = _fresh_process(
         "import contextlib, io, json, sys\n"
         "from spherepack import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.run({argv!r}) == 0\n"
-        "print(json.dumps(sorted(sys.modules)))\n")
-    loaded = set(json.loads(out))
+        "imported = sorted(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = cli.run({argv!r})\n"
+        "print(json.dumps([code, imported, sorted(sys.modules)]))\n")
+    code, imported, loaded = json.loads(out)
+    assert code == (2 if argv == _USAGE_ERROR else 0)
     assert {m for m in loaded if m.startswith("spherepack.")} == {
         f"spherepack.{m}" for m in modules}
+    # the exact checks run on the standard library; only float arrays need numpy
+    assert "numpy" not in imported
+    assert ("numpy" in loaded) == (modules != _CHECK_MODULES)
     assert "numpy.ma" not in loaded
     assert "concurrent.futures" not in loaded
 
@@ -370,7 +398,7 @@ def test_package_imports_submodules_on_first_access():
     out = _fresh_process(
         "import sys\n"
         "import spherepack\n"
-        "assert 'spherepack.magic' not in sys.modules\n"
+        "assert 'spherepack.magic' not in sys.modules and 'numpy' not in sys.modules\n"
         "assert spherepack.magic.RadialKind.G.value == 'G'\n"
         "assert 'spherepack.magic' in sys.modules\n"
         "try:\n"

@@ -496,6 +496,9 @@ def test_radial_table_validation():
         RadialTable((1.0, 1.0), (0.0, 0.0), RadialKind.A)
     with pytest.raises(ValueError):
         RadialTable((1.0,), (0.0, 0.0), RadialKind.A)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radii must be finite"):
+            RadialTable((0.0, bad, 1.0), (0.0, 0.0, 0.0), RadialKind.A)
 
 
 # -- Bessel ----------------------------------------------------------------------
@@ -553,6 +556,9 @@ def test_bessel_rejects_bad_orders():
         bessel_j(4, 1.0)
     with pytest.raises(ValueError):
         bessel_j(0, -1.0)
+    for bad in (math.nan, math.inf, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match="finite x >= 0"):
+            bessel_j(3, bad)
 
 
 # -- Hankel transform -------------------------------------------------------------
@@ -563,6 +569,14 @@ def test_hankel_gaussian_self_transform():
     got = hankel8(table, 1.0)
     want = math.exp(-PI)
     assert abs(got - want) < 1e-6 * want
+
+
+def test_hankel_refuses_non_finite_radius():
+    s = np.arange(0.0, 6.0001, 0.01)
+    table = RadialTable(tuple(s), tuple(np.exp(-PI * s ** 2)), RadialKind.A)
+    for r in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="finite r > 0"):
+            hankel8(table, r)
 
 
 def test_hankel_insufficient_table():

@@ -152,6 +152,34 @@ def test_scalar_eval_returns_python_complex():
     assert type(series.eval(np.complex128(0.1 + 1.3j))) is complex
 
 
+@pytest.mark.parametrize("tau, e4, q2, q4", [
+    (1j, "(1.4557628922687096+0j)", "(0.0018674427317079893+0j)", "(0.45593812776599624+0j)"),
+    (np.complex128(1j), "(1.4557628922687096+0j)", "(0.0018674427317079893+0j)",
+     "(0.45593812776599624+0j)"),
+    # the nome's argument 2*pi*i*tau is formed in complex64 before cmath.exp
+    (np.complex64(1j), "(1.4557628112481305+0j)", "(0.0018674424051939472+0j)",
+     "(0.4559381178011517+0j)"),
+    (np.float64(0.25), None, "(6.123233995736766e-17+1j)",
+     "(0.9807852804032304+0.19509032201612825j)"),
+])
+def test_number_dispatch_returns_python_complex_bit_for_bit(tau, e4, q2, q4):
+    # every numbers.Number, numpy scalars included, takes the cmath path
+    pinned = [(Nome.Q2.value_at(tau), q2), (Nome.Q4.value_at(tau), q4)]
+    if e4 is not None:
+        pinned.append((form_qseries(FormId.E4).eval(tau), e4))
+    for got, want in pinned:
+        assert type(got) is complex and repr(got) == want
+
+
+def test_array_dispatch_returns_ndarrays():
+    series = form_qseries(FormId.E4)
+    for tau in (np.array(1j), np.array([1j, 0.25 + 1.5j])):
+        got = series.eval(tau)
+        assert type(got) is np.ndarray and got.shape == tau.shape and got.dtype == complex
+        assert complex(got.flat[0]) == series.eval(1j)
+        assert np.shape(Nome.Q4.value_at(tau)) == tau.shape
+
+
 def test_array_eval_of_empty_array_is_empty():
     # the length-0 case of arrays-in/arrays-out, also for a pole at the cusp
     for series in (psi_i_qseries(), form_qseries(FormId.PHI0)):
