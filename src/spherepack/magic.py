@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -134,27 +135,36 @@ def _combine(fa: float, terms_a, fb: float, terms_b) -> tuple[tuple[int, float, 
 @dataclass(frozen=True)
 class _Moments:
     """Int_1^inf sum_T c_T t^m_T e^{-offset_T t} e^{-pi s t} dt, exact for m <= 2:
-    e^{-pi s} sum_T c_T e^{-offset_T} (x + m x^2 + m(m-1) x^3), x = 1/(offset_T + pi s)."""
+    e^{-pi s} sum_T c_T e^{-offset_T} (x + m x^2 + m(m-1) x^3), x = 1/(offset_T + pi s).
+
+    The terms are held with m = 2 first, then m = 1, then m = 0, so x^2 is
+    formed over the m >= 1 rows only and x^3 over the m = 2 rows."""
 
     offset: np.ndarray     # (T, 1)
-    k: np.ndarray          # (3, T): the coefficients of x, x^2 and x^3
+    k: np.ndarray          # (T,): the coefficients of x
+    k2: np.ndarray         # (T1,): of x^2, over the T1 rows with m >= 1
+    k3: np.ndarray         # (T2,): of x^3, over the T2 rows with m = 2
 
     @classmethod
     def of(cls, order, offset, coeff) -> _Moments:
-        scaled = coeff * np.exp(-offset)
-        return cls(offset[:, None],
-                   np.stack([scaled, order * scaled, order * (order - 1.0) * scaled]))
+        by = np.argsort(-order, kind="stable")
+        order, offset = order[by], offset[by]
+        scaled = coeff[by] * np.exp(-offset)
+        return cls(offset[:, None], scaled, (order * scaled)[order >= 1.0],
+                   (order * (order - 1.0) * scaled)[order == 2.0])
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         terms, n = self.offset.shape[0], s.size
-        x, x2 = _SCRATCH.get("x", terms, n), _SCRATCH.get("x2", terms, n)
+        t1, t2 = self.k2.size, self.k3.size
+        x, x2 = _SCRATCH.get("x", terms, n), _SCRATCH.get("x2", t1, n)
         np.add(self.offset, PI * s, out=x)
         np.reciprocal(x, out=x)
-        total = self.k[0] @ x
-        np.multiply(x, x, out=x2)
-        total += self.k[1] @ x2
-        x2 *= x
-        total += self.k[2] @ x2
+        total = self.k @ x
+        np.multiply(x[:t1], x[:t1], out=x2)
+        total += self.k2 @ x2
+        x3 = x2[:t2]
+        x3 *= x[:t2]
+        total += self.k3 @ x3
         return np.exp(-PI * s) * total
 
 
@@ -533,35 +543,73 @@ def tabulate_radial(which: RadialKind, radii: Sequence[float],
 # -- Bessel J0..J3 ------------------------------------------------------------
 
 _SERIES_CUTOFF = 12.0
+#: the power series stops at the first term at most this fraction of its first
+_SERIES_REMAINDER = 2.0 ** -60
+#: terms of the Hankel asymptotic expansion after the leading 1
+_ASYMPTOTIC_TERMS = 10
+
+
+def _horner(coeffs: Sequence[float], y):
+    """sum_m coeffs[m] y^m for a float or an ndarray y, as an ndarray."""
+    acc = np.full(np.shape(y), coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc *= y
+        acc += c
+    return acc
 
 
 def _bessel_series(n: int, x):
-    """Power series of J_n, summed until every element's next term is negligible."""
+    """J_n(x) = (x/2)^n sum_{m<N} y^m / (m! (m+n)!) with y = -(x/2)^2, by Horner in y.
+
+    Term m is (x/2)^{2m} n!/(m! (m+n)!) times the first, a ratio that grows
+    with x.  N is the first m where that ratio is at most _SERIES_REMAINDER
+    at the largest x of the call.  A ratio below 1 puts term N past the
+    largest term, so the terms fall from N on and, the series alternating,
+    the remainder is at most term N: at most 2^-60 of (x/2)^n/n! at every x.
+    """
     half = x / 2.0
-    term = half ** n / math.factorial(n)
-    total = term
-    for m in range(1, 80):
-        # not in place: total starts as the same object as term
-        term = term * (-(half * half) / (m * (m + n)))
-        total = total + term
-        if np.all(np.abs(term) < 1e-18 * np.maximum(np.abs(total), 1e-300)):
-            break
-    return total
+    top = float(np.max(half * half, initial=0.0))
+    coeffs, ratio = [], 1.0
+    while ratio > _SERIES_REMAINDER:
+        m = len(coeffs)
+        coeffs.append(1.0 / (math.factorial(m) * math.factorial(m + n)))
+        ratio *= top / ((m + 1) * (m + 1 + n))
+    return half ** n * _horner(coeffs, -(half * half))
 
 
-def _bessel_asymptotic(n: int, x):
-    """Hankel asymptotic expansion of J_n, ten terms."""
-    mu = 4.0 * n * n
-    chi = x - (2 * n + 1) * PI / 4.0
-    p, q = 1.0, 0.0
-    term = 1.0
-    for m in range(1, 11):
-        term *= (mu - (2 * m - 1) ** 2) / (m * 8.0 * x)
-        if m % 2:
-            q += term if (m // 2) % 2 == 0 else -term
-        else:
-            p += term if (m // 2) % 2 == 0 else -term
-    return np.sqrt(2.0 / (PI * x)) * (p * np.cos(chi) - q * np.sin(chi))
+@lru_cache(maxsize=4)
+def _asymptotic_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """P and Q of J_n's Hankel expansion as polynomials in z = 1/x^2, Q without
+    its factor 1/x: (-1)^k a_2k and (-1)^k a_2k+1, where
+    a_m = prod_{j<=m} (4n^2 - (2j-1)^2) / (m! 8^m), each rounded once."""
+    a, exact = [], Fraction(1)
+    for m in range(_ASYMPTOTIC_TERMS + 1):
+        if m:
+            exact *= Fraction(4 * n * n - (2 * m - 1) ** 2, 8 * m)
+        a.append(float(exact) if m % 4 < 2 else -float(exact))
+    return tuple(a[0::2]), tuple(a[1::2])
+
+
+def _asymptotic_phase(x):
+    """sqrt(2/(pi x)), cos chi_0 and sin chi_0, chi_0 = x - pi/4."""
+    chi = x - PI / 4.0
+    return np.sqrt(2.0 / (PI * x)), np.cos(chi), np.sin(chi)
+
+
+def _bessel_asymptotic(n: int, x, phase=None):
+    """J_n(x) ~ sqrt(2/(pi x)) (P cos chi_n - Q sin chi_n), chi_n = x - (2n+1) pi/4,
+    the Hankel expansion to ten terms with P and Q by Horner in 1/x^2.
+
+    chi_n = chi_0 - n pi/2, so cos and sin of chi_n are those of chi_0
+    turned by n quarter turns; ``phase``, from ``_asymptotic_phase(x)``,
+    lets orders share one sqrt, cos and sin.
+    """
+    amp, cos, sin = _asymptotic_phase(x) if phase is None else phase
+    for _ in range(n % 4):
+        cos, sin = sin, -cos
+    p, q = _asymptotic_coefficients(n)
+    z = 1.0 / (x * x)
+    return amp * (_horner(p, z) * cos - _horner(q, z) / x * sin)
 
 
 def bessel_j(n: int, x):
@@ -579,7 +627,8 @@ def bessel_j(n: int, x):
     out = np.empty_like(x)
     out[low] = _bessel_series(n, x[low])
     far = x[~low]
-    jm, jc = _bessel_asymptotic(0, far), _bessel_asymptotic(1, far)
+    phase = _asymptotic_phase(far)
+    jm, jc = _bessel_asymptotic(0, far, phase), _bessel_asymptotic(1, far, phase)
     for k in range(1, n):
         jm, jc = jc, (2.0 * k / far) * jc - jm
     out[~low] = jm if n == 0 else jc
@@ -606,20 +655,24 @@ def _cubic_interp(radii: np.ndarray, values: np.ndarray, s: np.ndarray) -> np.nd
     return out
 
 
+#: hankel8's taper falls from 1 at this fraction of the table's last radius to 0 at it
+_TAPER_START = 0.7
+
+
 def _taper(u: np.ndarray) -> np.ndarray:
     """C^2 window: 1 at u<=0 falling to 0 at u>=1 (smootherstep complement)."""
     v = np.clip(u, 0.0, 1.0)
     return 1.0 - v ** 3 * (10.0 - 15.0 * v + 6.0 * v * v)
 
 
-def hankel8(table: RadialTable, r: float, taper_start: float = 0.7) -> float:
+def hankel8(table: RadialTable, r: float) -> float:
     """8-dimensional radial Fourier transform of the tabulated profile at radius r.
 
     f_hat(r) = 2 pi r^{-3} Int_0^inf f(s) J_3(2 pi r s) s^4 ds, via panelwise
     Gauss resolving both the Bessel oscillation (period 1/r) and the
-    profile's own oscillation, with a smooth taper over the last
-    (1 - taper_start) of the table regularizing the slowly decaying
-    eigenfunction tails.  The integrand is evaluated once on all
+    profile's own oscillation, with a smooth taper (from 1 at _TAPER_START
+    times the table's last radius to 0 at that radius) regularizing the
+    slowly decaying eigenfunction tails.  The integrand is evaluated once on all
     (panels x 16) nodes; the panel sums are added in panel order.
     """
     if not 0 < r < math.inf:
@@ -634,7 +687,7 @@ def hankel8(table: RadialTable, r: float, taper_start: float = 0.7) -> float:
     gaps = np.diff(radii)
     if gaps.max() > 0.2:
         raise InsufficientTable(f"table spacing {gaps.max():.3g} too coarse")
-    s0 = taper_start * s_max
+    s0 = _TAPER_START * s_max
     x, w = gauss_nodes(16)
     edges = [0.0]
     while edges[-1] < s_max:

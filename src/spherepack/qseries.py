@@ -272,16 +272,19 @@ class QSeries:
 
     # -- numerics --------------------------------------------------------------
 
-    def _numeric(self) -> tuple[tuple[float, ...], float]:
-        """Float coefficients (int / int is correctly rounded) and the tail
-        constant C, computed once.  C is the largest magnitude among the last
-        few retained coefficients, a pragmatic stand-in for the
-        (sub-exponentially growing) true tail.
+    def _numeric(self) -> tuple[tuple[float, ...], float, int]:
+        """Float coefficients (int / int is correctly rounded), the tail
+        constant C and the stride, computed once.  C is the largest magnitude
+        among the last few retained coefficients, a pragmatic stand-in for
+        the (sub-exponentially growing) true tail.  The stride is the gcd of
+        the offsets j with ``num[j]`` nonzero, or 1 when there is none but 0:
+        the window is nome**lowest times a polynomial in nome**stride.
         """
         if self._float_cache is None:
             floats = tuple(n / self.den for n in self.num)
             nz = [abs(c) for c in floats[-12:] if c != 0.0]
-            self._float_cache = (floats, max(nz) if nz else max(map(abs, floats)))
+            step = math.gcd(*(j for j, n in enumerate(self.num) if n)) or 1
+            self._float_cache = (floats, max(nz) if nz else max(map(abs, floats)), step)
         return self._float_cache
 
     def tail_estimate(self, abs_nome: float) -> float:
@@ -301,13 +304,16 @@ class QSeries:
         and refuses to return values whose certified truncation tail, taken
         at the largest |nome|, exceeds ``tol`` (TruncationInsufficient).
 
-        The loop skips the add of each zero coefficient, and its working
-        type follows the nome: when no nome value has a nonzero imaginary
-        part (every point of the imaginary axis), it runs in float.  That
-        is the real part of the complex loop bit for bit, up to the sign of
-        a zero, because the imaginary parts stay exactly zero.  The factor
-        nome**lowest stays a complex integer power, of which the float loop
-        takes the real part.
+        The loop runs over every stride-th float coefficient (``_numeric``)
+        in y = nome**stride, formed by ``stride_power``: psi_s, psi_i and the
+        Q4 theta series step by 8 or 4 over the zeros between, and a dense
+        series (stride 1) runs in the nome itself.  It skips the add of each
+        remaining zero coefficient, and its working type follows the nome:
+        when no nome value has a nonzero imaginary part (every point of the
+        imaginary axis), y and the loop are float.  That is the real part of
+        the complex loop bit for bit, up to the sign of a zero, because the
+        imaginary parts stay exactly zero.  The factor nome**lowest stays a
+        complex integer power, of which the float loop takes the real part.
         """
         array = not isinstance(tau, numbers.Number)
         if array:
@@ -329,17 +335,34 @@ class QSeries:
             raise TruncationInsufficient(
                 f"tail estimate exceeds tol={tol} at |q|={abs_max:.4g}, order {self.order}")
         real = not (w.imag.any() if array else w.imag)
-        x = w.real if real else w
-        *rest, top = self._numeric()[0]
-        acc = np.full(w.shape, top, dtype=x.dtype) if array else type(x)(top)
+        floats, _, step = self._numeric()
+        y = stride_power(w.real if real else w, step)
+        *rest, top = floats[::step]
+        acc = np.full(w.shape, top, dtype=y.dtype) if array else type(y)(top)
         for c in reversed(rest):
-            acc *= x
+            acc *= y
             if c:
                 acc += c
         if self.lowest:
             power = w ** self.lowest
             acc *= power.real if real else power
         return acc.astype(complex, copy=False) if array else complex(acc)
+
+
+def stride_power(w, k: int):
+    """w**k for k >= 1 by repeated squaring, a fixed chain of products.
+
+    A float w and the complex w + 0j take the same chain, so the real part
+    of the complex result is the float result bit for bit.  k = 1 returns w.
+    """
+    power = None
+    while True:
+        if k & 1:
+            power = w if power is None else power * w
+        k >>= 1
+        if not k:
+            return power
+        w = w * w
 
 
 def one_series(nome: Nome, order: int) -> QSeries:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -304,9 +305,14 @@ def test_moment_cut_omits_a_proven_negligible_tail(quad):
         order, offset, coeff = order[decaying][by], offset[decaying][by], coeff[decaying][by]
         kept = getattr(ev, name).decaying
         n = kept.offset.shape[0]
-        # the kept terms are the low-offset head of the sorted terms
-        assert np.array_equal(kept.offset.ravel(), offset[:n]), name
-        assert np.array_equal(kept.k[0], coeff[:n] * np.exp(-offset[:n])), name
+        # the kept terms are the low-offset head of the sorted terms, held
+        # with moment order 2 first, then 1, then 0
+        head = np.argsort(-order[:n], kind="stable")
+        m, scaled = order[:n][head], (coeff[:n] * np.exp(-offset[:n]))[head]
+        assert np.array_equal(kept.offset.ravel(), offset[:n][head]), name
+        assert np.array_equal(kept.k, scaled), name
+        assert np.array_equal(kept.k2, (m * scaled)[m >= 1.0]), name
+        assert np.array_equal(kept.k3, (m * (m - 1.0) * scaled)[m == 2.0]), name
         assert n < offset.size and offset[n:].min() >= offset[:n].max(), name
         size = np.abs(coeff) * np.exp(-offset)
         bound = size * (1.0 + order + order * (order - 1.0))
@@ -549,6 +555,30 @@ def test_bessel_branches_agree_in_overlap():
     for n in range(4):
         for x in (12.0, 13.5, 16.0):
             assert abs(_bessel_series(n, x) - _bessel_asymptotic(n, x)) < 1e-9
+
+
+def _exact_bessel(n, x):
+    """J_n at a dyadic x as a Fraction: the power series summed until its
+    terms fall and the next is below 2^-70, so the alternating remainder is too."""
+    half = Fraction(x) / 2
+    total, term, m = Fraction(0), half ** n / math.factorial(n), 0
+    while not (abs(term) < Fraction(1, 2 ** 70) and m * (m + n) > half * half):
+        total += term
+        m += 1
+        term *= -half * half / (m * (m + n))
+    return total
+
+
+def test_bessel_meets_the_exact_series():
+    # below the cutoff the series rounds by up to about 1e-12 through
+    # cancellation near x = 12; above it the ten-term asymptotics err by
+    # about 1.5e-10 at x = 12
+    xs = np.arange(0, 513) / 32.0
+    for n in range(4):
+        got = bessel_j(n, xs)
+        for x, v in zip(xs, got):
+            tol = 2e-12 if x < 12.0 else 1e-9
+            assert abs(Fraction(float(v)) - _exact_bessel(n, x)) <= tol, (n, x)
 
 
 def test_bessel_rejects_bad_orders():

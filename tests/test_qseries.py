@@ -8,7 +8,8 @@ import pytest
 
 from spherepack.errors import DomainTooLow, NomeMismatch, TruncationInsufficient, ZeroDivisionSeries
 from spherepack.forms import FormId, form_qseries, psi_i_qseries
-from spherepack.qseries import Nome, QSeries, from_coefficients, monomial, one_series
+from spherepack.qseries import (Nome, QSeries, from_coefficients, monomial, one_series,
+                                stride_power)
 
 
 def geometric(order):
@@ -358,11 +359,26 @@ def test_builder_coefficients_match_pinned_hash():
     assert digest.hexdigest() == _PINNED_SHA256
 
 
-# -- the real-nome Horner against the complex loop it replaced ----------------------
+# -- the real-nome stride loop against the complex one, both against exact values --
 
 def _complex_horner(series, tau):
-    """eval's earlier loop, guards left out: complex Horner in every case, then
-    the complex integer power nome**lowest."""
+    """eval's loop, guards left out, in complex in every case: Horner over
+    every stride-th coefficient in nome**stride, then the complex integer
+    power nome**lowest."""
+    floats, _, step = series._numeric()
+    w = series.nome.value_at(tau)
+    y = stride_power(w, step)
+    acc = 0.0 + 0.0j
+    for c in reversed(floats[::step]):
+        acc = acc * y + c
+    if series.lowest:
+        acc *= w ** series.lowest
+    return acc
+
+
+def _dense_horner(series, tau):
+    """The loop eval ran before the stride: complex Horner over every
+    coefficient in the nome itself, then nome**lowest."""
     w = series.nome.value_at(tau)
     acc = 0.0 + 0.0j
     for c in reversed(series._numeric()[0]):
@@ -408,3 +424,57 @@ def test_real_nome_keeps_the_complex_power_of_a_pole():
     if np.array_equal((w ** -8).real, w.real ** -8):
         pytest.skip("this numpy rounds the complex and the float power alike, "
                     "so the comparison cannot tell them apart")
+
+
+def _gamma(n):
+    u = Fraction(1, 2 ** 53)
+    return n * u / (1 - n * u)
+
+
+@pytest.mark.parametrize("call", _PINNED_CALLS, ids=lambda call: "-".join(map(str, call)))
+def test_stride_and_dense_loops_meet_the_horner_bound(call):
+    # The float nome of an axis point is a dyadic rational; against the exact
+    # series there, both loops stay within Higham's Horner bound (Accuracy and
+    # Stability of Numerical Algorithms, 5.1) gamma_2n sum |c_k| |w|^k.  n
+    # counts the coefficient slots plus |lowest|, which covers the rounding
+    # of each float coefficient and of nome**lowest; the stride loop's
+    # chain nome**stride adds fewer roundings than the dense loop's steps.
+    series = _build(call)
+    exponents = range(series.lowest, series.order + 1)
+    gamma = _gamma(2 * (len(series.num) + abs(series.lowest)))
+    for t in (0.5, 1.0, 2.0, 7.0):
+        tau = complex(0.0, t)
+        w = series.nome.value_at(tau)
+        assert w.imag == 0.0 and 0.0 < w.real < 1.0
+        w = Fraction(w.real)
+        exact = sum(series.coefficient(k) * w ** k for k in exponents)
+        bound = gamma * sum(abs(series.coefficient(k)) * w ** k for k in exponents)
+        for got in (series.eval(tau), _dense_horner(series, tau)):
+            assert got.imag == 0.0
+            assert abs(Fraction(got.real) - exact) <= bound, (t, got)
+
+
+def test_stride_of_each_pinned_series():
+    # the gcd of the nonzero exponent offsets: the Q4 theta series, psi_s and
+    # psi_i step by 4 or 8, every Q2 series by 1
+    sparse = {("theta_qseries", "00", 200): 4, ("theta_qseries", "10", 200): 8,
+              ("theta_qseries", "01", 200): 4, ("form_qseries", "THETA00"): 4,
+              ("form_qseries", "THETA10"): 8, ("form_qseries", "THETA01"): 4,
+              ("form_qseries", "PSI_S"): 8, ("psi_i_qseries",): 4,
+              ("_b_minus_psi_i_q4",): 4, ("_b_plus_psi_i_q4",): 4}
+    for call in _PINNED_CALLS:
+        series = _build(call)
+        step = series._numeric()[2]
+        assert step == sparse.get(call, 1), call
+        assert all((k - series.lowest) % step == 0 for k in series.support()), call
+    assert one_series(Nome.Q2, 5)._numeric()[2] == 1
+
+
+def test_stride_power_is_one_chain_for_float_and_complex():
+    xs = np.array([0.3, 0.77, 0.912345678901, 1e-3])
+    for k in (1, 2, 3, 4, 7, 8, 12):
+        got = stride_power(xs, k)
+        assert np.array_equal(stride_power(xs + 0j, k).real, got)
+        assert np.all(np.abs(got - xs ** k) <= 2 * k * 2.0 ** -53 * xs ** k)
+        assert stride_power(complex(0.77), k).real == stride_power(0.77, k)
+    assert stride_power(xs, 1) is xs
