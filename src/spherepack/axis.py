@@ -222,8 +222,9 @@ class Eq2Convention(Enum):
     S_WEIGHTED = "sweighted"
 
 
-def log_grid(lo: float = 0.05, hi: float = 20.0, n: int = 400) -> tuple[float, ...]:
-    """n logarithmically spaced points on [lo, hi]."""
+def log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
+    """n logarithmically spaced points on [lo, hi]; ``cli.RunConfig`` holds
+    the default axis grid's lo, hi and n."""
     if not (0 < lo < hi) or n < 2:
         raise ValueError("need 0 < lo < hi and n >= 2")
     ratio = hi / lo
@@ -349,8 +350,7 @@ class InequalityReport:
                 | {"convention": self.convention.value})
 
 
-def verify_inequalities(grid: Sequence[float] | None = None,
-                        convention: Eq2Convention = Eq2Convention.S_WEIGHTED) -> InequalityReport:
+def verify_inequalities(grid: Sequence[float], convention: Eq2Convention) -> InequalityReport:
     """Positivity of both combinations over the grid, with local refinement.
 
     A refinement pass (4x density) is run around any sample whose smaller
@@ -358,7 +358,7 @@ def verify_inequalities(grid: Sequence[float] | None = None,
     not straddled by the grid; a negative margin has already failed.
     pass is true iff both combinations are strictly positive everywhere.
     """
-    pts = np.asarray(log_grid() if grid is None else grid, dtype=float)
+    pts = np.asarray(grid, dtype=float)
     if not pts.size:
         raise ValueError("grid must not be empty")
     samples = eq2_samples(pts, convention)

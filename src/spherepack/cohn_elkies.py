@@ -21,11 +21,16 @@ import numpy as np
 
 from .errors import InsufficientGrid, NonpositiveFhat0
 from .lattice import enumerate_shells
-from .magic import MagicEvaluator, default_evaluator
+from .magic import MagicEvaluator
 from .packing import E8_DENSITY, ball_volume
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
+
+#: the Cohn-Elkies verdict needs the bound within this of pi^4/384
+TOL_BOUND = 1e-6
+#: poisson_check sums the lattice shells up to this squared norm
+POISSON_MAX_NORM2 = 40
 
 
 def ce_bound(f0: float, fhat0: float, d: int) -> float:
@@ -35,30 +40,24 @@ def ce_bound(f0: float, fhat0: float, d: int) -> float:
     return (f0 / fhat0) * ball_volume(d, 0.5)
 
 
-def rescaled_bound(g0: float, ghat0: float, scale: float = SQRT2, d: int = 8) -> float:
-    """Bound from a certificate normalized to separation ``scale``.
+def rescaled_bound(g0: float, ghat0: float) -> float:
+    """Bound from a certificate at separation sqrt(2) in dimension 8.
 
-    With f(x) = g(scale*x), f(0) = g(0) and f_hat(0) = scale^-d g_hat(0),
-    so the bound becomes (g0 * scale^d / ghat0) * Vol(B_d(0, 1/2)); at
-    scale sqrt(2), d = 8 this is (g0/ghat0) * pi^4/384.
+    f(x) = g(sqrt(2) x) has f(0) = g(0) and f_hat(0) = 2^-4 g_hat(0), so
+    the bound is (g0 sqrt(2)^8 / ghat0) * Vol(B_8(0, 1/2)) =
+    (g0/ghat0) * pi^4/384.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
     if ghat0 <= 0:
         raise NonpositiveFhat0(f"ghat(0) must be positive, got {ghat0}")
-    return (g0 * scale ** d / ghat0) * ball_volume(d, 0.5)
+    return (g0 * SQRT2 ** 8 / ghat0) * ball_volume(8, 0.5)
 
 
-def default_ce_grid(r_max: float = 6.0, step: float = 0.05,
-                    refine_lo: float = SQRT2, refine_hi: float = 1.6,
-                    refine_step: float = 0.005) -> tuple[float, ...]:
-    """Base grid plus a refinement window across the first sign change."""
-    base = np.arange(0.0, r_max + step / 2, step)
-    refine = np.arange(refine_lo, refine_hi + refine_step / 2, refine_step)
-    # sorted, adjacent duplicates dropped: np.unique's result without its
-    # import of numpy.ma
-    grid = np.sort(np.concatenate([base, refine]))
-    return tuple(float(r) for r in grid[np.append(True, grid[1:] != grid[:-1])])
+def default_ce_grid() -> tuple[float, ...]:
+    """The bound's sign grid, sorted: 0 to 6 in steps of 0.05 and, across the
+    first sign change, sqrt(2) to 1.6 in steps of 0.005; 159 distinct points."""
+    base = np.arange(0.0, 6.0 + 0.05 / 2, 0.05)
+    refine = np.arange(SQRT2, 1.6 + 0.005 / 2, 0.005)
+    return tuple(float(r) for r in np.sort(np.concatenate([base, refine])))
 
 
 @dataclass(frozen=True)
@@ -86,26 +85,24 @@ class CEReport:
 
 def verify_ce(g_values: Callable[[np.ndarray], np.ndarray],
               ghat_values: Callable[[np.ndarray], np.ndarray],
-              grid: Sequence[float] | None = None,
-              tol: float | None = None,
-              tol_bound: float = 1e-6) -> CEReport:
+              grid: Sequence[float]) -> CEReport:
     """Check the certificate's sign conditions on a grid and compute the bound.
 
     ``g_values`` and ``ghat_values`` map a radius array to a value array.
     The conditions are taken at separation sqrt(2): g may be positive only
-    inside the first lattice radius, g_hat nowhere negative.  ``tol``
-    defaults to 1e-7*|g(0)|, one order below the quadrature
-    self-convergence error.
+    inside the first lattice radius, g_hat nowhere negative, each to
+    within tol = 1e-7*|g(0)|, one order below the quadrature
+    self-convergence error; the bound must lie within ``TOL_BOUND`` of
+    pi^4/384.
     """
-    grid = default_ce_grid() if grid is None else tuple(float(r) for r in grid)
+    grid = tuple(float(r) for r in grid)
     rs = np.asarray(grid)
     outside = rs > SQRT2 * (1 + 1e-6)
     if not outside.any():
         raise InsufficientGrid("grid needs points above sqrt(2) to test the sign condition")
     g0 = float(g_values(np.zeros(1))[0])
     ghat0 = float(ghat_values(np.zeros(1))[0])
-    if tol is None:
-        tol = 1e-7 * abs(g0)
+    tol = 1e-7 * abs(g0)
     g_vals = g_values(rs)
     ghat_vals = ghat_values(rs)
     i2 = int(np.argmax(np.where(outside, g_vals, -np.inf)))
@@ -113,35 +110,33 @@ def verify_ce(g_values: Callable[[np.ndarray], np.ndarray],
     ce1 = g0 > 0.0
     bound = rescaled_bound(g0, ghat0) if ghat0 > 0 else float("inf")
     ok = (ce1 and g_vals[i2] <= tol and ghat_vals[i3] >= -tol
-          and abs(bound - E8_DENSITY) <= tol_bound)
+          and abs(bound - E8_DENSITY) <= TOL_BOUND)
     return CEReport(grid=grid, g0=g0, ghat0=ghat0, ce1_pass=ce1,
                     ce2_max_violation=float(g_vals[i2]), ce2_argmax=float(rs[i2]),
                     ce3_min_value=float(ghat_vals[i3]), ce3_argmin=float(rs[i3]),
-                    bound=bound, target=E8_DENSITY, tol=tol, tol_bound=tol_bound,
+                    bound=bound, target=E8_DENSITY, tol=tol, tol_bound=TOL_BOUND,
                     pass_=bool(ok))
 
 
-def verify_magic_ce(evaluator: MagicEvaluator | None = None,
-                    grid: Sequence[float] | None = None,
-                    tol: float | None = None) -> CEReport:
-    """The headline run: the magic function against its own certificate."""
-    ev = evaluator if evaluator is not None else default_evaluator()
-    return verify_ce(ev.g_values, ev.g_hat_values, grid, tol)
+def verify_magic_ce(evaluator: MagicEvaluator) -> CEReport:
+    """The headline run: the magic function's certificate on ``default_ce_grid``."""
+    return verify_ce(evaluator.g_values, evaluator.g_hat_values, default_ce_grid())
 
 
 # ---------------------------------------------------------------------------
 # Poisson summation harness
 # ---------------------------------------------------------------------------
 
-def poisson_check(sigma: float, max_shell_norm2: int = 40) -> tuple[float, float]:
+def poisson_check(sigma: float) -> tuple[float, float]:
     """Gaussian Poisson summation over the lattice (self-dual, covolume 1).
 
     lhs = sum_v exp(-pi sigma |v|^2), rhs = sigma^-4 sum_v exp(-pi |v|^2 / sigma);
-    summed over shells with a certified tail bound on the dropped terms.
+    summed over the shells up to squared norm ``POISSON_MAX_NORM2``, with a
+    certified tail bound on the dropped terms.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    shells = enumerate_shells(max_shell_norm2)
+    shells = enumerate_shells(POISSON_MAX_NORM2)
     lhs = 1.0
     rhs_sum = 1.0
     for shell in shells:
@@ -151,11 +146,11 @@ def poisson_check(sigma: float, max_shell_norm2: int = 40) -> tuple[float, float
     # counts grow like 240*sigma_3(n) <= 290 n^3; bound the dropped shells
     # by the integral of 290 x^3 exp(-pi s x) beyond the cutoff
     for s, total in ((sigma, lhs), (1.0 / sigma, rhs_sum)):
-        m = max_shell_norm2 + 2
+        m = POISSON_MAX_NORM2 + 2
         rate = PI * s
         tail = 290.0 * math.exp(-rate * m) * (
             m ** 3 / rate + 3 * m ** 2 / rate ** 2 + 6 * m / rate ** 3 + 6 / rate ** 4)
         if tail > 1e-13 * total:
             raise ValueError(
-                f"shell cutoff {max_shell_norm2} cannot certify the tail at sigma={s}")
+                f"shell cutoff {POISSON_MAX_NORM2} cannot certify the tail at sigma={s}")
     return lhs, rhs

@@ -39,22 +39,6 @@ from .qseries import (
 WEIGHT36 = 36.0 / math.pi ** 2
 
 
-@dataclass(frozen=True)
-class HalfPlanePoint:
-    """A point tau = re + i*im with im > 0."""
-
-    re: float
-    im: float
-
-    def __post_init__(self):
-        if not self.im > 0:
-            raise ValueError(f"Im(tau) must be positive, got {self.im}")
-
-    @property
-    def tau(self) -> complex:
-        return complex(self.re, self.im)
-
-
 class FormId(Enum):
     E2 = "E2"
     E4 = "E4"
@@ -283,42 +267,15 @@ _FORM_BUILDERS = {
 }
 
 
-def form_qseries(form: FormId, order: int | None = None) -> QSeries:
-    """Series for any named form; order defaults per nome."""
-    build = _FORM_BUILDERS[form]
-    return build() if order is None else build(order)
+def form_qseries(form: FormId) -> QSeries:
+    """Series for any named form at its nome's default order; the form's
+    value at tau is ``form_qseries(form).eval(tau)``."""
+    return _FORM_BUILDERS[form]()
 
 
 # ---------------------------------------------------------------------------
-# point evaluation
+# identity checks
 # ---------------------------------------------------------------------------
-
-def eval_form(form: FormId, tau: complex | HalfPlanePoint, tol: float = 1e-12) -> complex:
-    """Evaluate a named form at a half-plane point via its q-expansion."""
-    if isinstance(tau, HalfPlanePoint):
-        tau = tau.tau
-    return form_qseries(form).eval(tau, tol=tol)
-
-
-def eval_phi0(tau: complex | HalfPlanePoint, tol: float = 1e-12) -> complex:
-    return eval_form(FormId.PHI0, tau, tol)
-
-
-def eval_psi_s(tau: complex | HalfPlanePoint, tol: float = 1e-12) -> complex:
-    return eval_form(FormId.PSI_S, tau, tol)
-
-
-# ---------------------------------------------------------------------------
-# derivatives and identity checks
-# ---------------------------------------------------------------------------
-
-def serre_derivative(series: QSeries, weight: int) -> QSeries:
-    """D - (weight/12)*E2, mapping weight-k forms to weight-(k+2)."""
-    if series.nome is not Nome.Q2:
-        raise ValueError("serre_derivative expects a q2-series; convert first")
-    e2 = eisenstein_qseries(2, series.order)
-    return series.derivative() - (e2 * series).scale(Fraction(weight, 12))
-
 
 @dataclass(frozen=True)
 class RamanujanReport:
@@ -366,9 +323,9 @@ def check_jacobi(order: int = DEFAULT_ORDER_Q4,
         raise ValueError("order must be at least 8")
     res = (theta_qseries("00", order) ** 4 - theta_qseries("10", order) ** 4
            - theta_qseries("01", order) ** 4)
+    thetas = (FormId.THETA00, FormId.THETA10, FormId.THETA01)
     numeric = []
     for tau in samples:
-        v = (eval_form(FormId.THETA00, tau) ** 4 - eval_form(FormId.THETA10, tau) ** 4
-             - eval_form(FormId.THETA01, tau) ** 4)
-        numeric.append(abs(v))
+        t00, t10, t01 = (form_qseries(f).eval(tau) ** 4 for f in thetas)
+        numeric.append(abs(t00 - t10 - t01))
     return JacobiReport(order, res, tuple(numeric))

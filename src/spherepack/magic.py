@@ -505,21 +505,28 @@ class RadialKind(Enum):
     GHAT = "GHat"    # g_hat(r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialTable:
-    radii: tuple[float, ...]
-    values: tuple[float, ...]
-    which: RadialKind
+    """A radial profile's finite values at strictly increasing finite radii:
+    read-only float64 copies of the arguments, of one length, validated as
+    arrays (a failure is a ValueError)."""
+
+    radii: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.radii) != len(self.values):
-            raise ValueError("radii and values must have equal length")
-        if not all(math.isfinite(r) for r in self.radii):
+        radii, values = (np.array(a, dtype=np.float64) for a in (self.radii, self.values))
+        if radii.ndim != 1 or radii.shape != values.shape:
+            raise ValueError("radii and values must be 1-d and of equal length")
+        if not np.isfinite(radii).all():
             raise ValueError("table radii must be finite")
-        if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
+        if (np.diff(radii) <= 0.0).any():
             raise ValueError("radii must be strictly increasing")
-        if not all(math.isfinite(v) for v in self.values):
+        if not np.isfinite(values).all():
             raise ValueError("table values must be finite")
+        for name, array in (("radii", radii), ("values", values)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 #: each radial profile's values at an array of radii
@@ -532,12 +539,10 @@ _PROFILES = {
 
 
 def tabulate_radial(which: RadialKind, radii: Sequence[float],
-                    evaluator: MagicEvaluator | None = None) -> RadialTable:
-    """Evaluate one radial profile on a grid (vectorized, deterministic)."""
-    ev = evaluator if evaluator is not None else default_evaluator()
-    rs = np.asarray(list(radii), dtype=float)
-    vals = _PROFILES[which](ev, rs)
-    return RadialTable(tuple(float(r) for r in rs), tuple(float(v) for v in vals), which)
+                    evaluator: MagicEvaluator) -> RadialTable:
+    """One radial profile on a grid: a single array sweep of ``evaluator``."""
+    rs = np.asarray(radii, dtype=float)
+    return RadialTable(rs, _PROFILES[which](evaluator, rs))
 
 
 # -- Bessel J0..J3 ------------------------------------------------------------
@@ -677,8 +682,7 @@ def hankel8(table: RadialTable, r: float) -> float:
     """
     if not 0 < r < math.inf:
         raise ValueError(f"hankel8 needs a finite r > 0, got {r}")
-    radii = np.asarray(table.radii)
-    values = np.asarray(table.values)
+    radii, values = table.radii, table.values
     if len(radii) < 16:
         raise InsufficientTable("need at least 16 table points")
     s_max = radii[-1]

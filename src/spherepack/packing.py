@@ -63,32 +63,27 @@ def ball_volume(d: int, r: float) -> float:
 class PeriodicPackingSpec:
     """A lattice packing with translated copies: basis, center offsets, separation.
 
-    ``basis`` is either a :class:`LatticeBasis` or a plain 8x8 row matrix
-    (anything numpy can turn into floats), so non-E8 lattices can be used
-    in density formulas and tests.
+    ``basis`` is a :class:`LatticeBasis`, whose rows are E8 vectors, so its
+    determinant is exact; anything else is a ValueError.
     """
 
-    basis: object
+    basis: LatticeBasis
     offsets: tuple[tuple[float, ...], ...] = ((0.0,) * 8,)
     separation: float = math.sqrt(2.0)
 
     def __post_init__(self):
+        if not isinstance(self.basis, LatticeBasis):
+            raise ValueError("the basis must be a LatticeBasis")
         if not self.separation > 0:
             raise ValueError("separation must be positive")
         if any(len(o) != 8 for o in self.offsets):
             raise ValueError("offsets are 8-vectors")
 
     def covolume(self) -> float:
-        if isinstance(self.basis, LatticeBasis):
-            det = float(abs(self.basis.determinant()))
-        else:
-            m = np.asarray(self.basis, dtype=np.float64)
-            if m.shape != (8, 8):
-                raise ValueError("basis must be 8x8")
-            det = float(abs(np.linalg.det(m)))
-        if det < 1e-12:
+        det = abs(self.basis.determinant())
+        if not det:
             raise ValueError("degenerate basis")
-        return det
+        return float(det)
 
 
 def e8_packing_spec() -> PeriodicPackingSpec:
@@ -176,6 +171,9 @@ _SCREEN_LIMIT = 2.0 ** 20
 
 #: above this many samples the lane counter 16 i + l wraps around 2^64
 _MAX_SAMPLES = 2 ** 60
+
+#: the most worker threads ``finite_density_mc`` accepts
+_MAX_THREADS = 64
 
 
 def _sample_chunk(key: np.ndarray, index: np.ndarray, radius: float, out: np.ndarray,
@@ -305,13 +303,14 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
     per block, whatever ``threads`` asks for.
 
     The hit test is the E8 coset decoder, so the basis must generate E8:
-    a :class:`LatticeBasis` (its rows are E8 vectors) with determinant +-1.
-    Any other basis, a radius outside (0, DECODE_LIMIT), the decoder's
-    limit on the coordinates, a reach = R + max |offset| (below) of
-    DECODE_LIMIT or more, and more than 2^60 samples, where the lane
-    counters wrap, are a ValueError.  Each block is sampled and
-    hit-tested CHUNK columns at a time, in buffers that each worker thread
-    reuses for every block it takes.
+    its rows are E8 vectors, and its determinant must be +-1.  Any other
+    basis, a radius outside (0, DECODE_LIMIT), the decoder's limit on the
+    coordinates, a reach = R + max |offset| (below) of DECODE_LIMIT or
+    more, more than 2^60 samples, where the lane counters wrap, and more
+    than 64 threads (``_MAX_THREADS``) are a ValueError, raised before any
+    thread starts.  Each block is sampled and hit-tested CHUNK columns at a
+    time, in buffers that each worker thread reuses for every block it
+    takes.
 
     The hit test is a filtered predicate.  Its screen draws every sample
     in float32 (``_sample_chunk``): within (2 sqrt(2) eps + K 2^-24) R of
@@ -349,9 +348,10 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
         raise ValueError(f"radius must be positive and below 2^50, got {radius}")
     if not 1 <= samples <= _MAX_SAMPLES:
         raise ValueError(f"samples must be between 1 and 2^60, got {samples}")
-    if not (isinstance(spec.basis, LatticeBasis) and abs(spec.basis.determinant()) == 1):
-        raise ValueError("the hit test decodes E8: the basis must be a LatticeBasis "
-                         "of E8 vectors with determinant +-1")
+    if threads > _MAX_THREADS:
+        raise ValueError(f"threads must be at most {_MAX_THREADS}, got {threads}")
+    if abs(spec.basis.determinant()) != 1:
+        raise ValueError("the hit test decodes E8: the basis must have determinant +-1")
     key = _stream_key(seed)
     rho = spec.separation / 2.0
     reach = radius + max((math.hypot(*off) for off in spec.offsets), default=0.0)

@@ -46,6 +46,9 @@ from .errors import (
 #: the axis-transform operations instead.
 ETA_MIN_DEFAULT = 0.5
 
+#: ``QSeries.eval`` refuses a value whose truncation tail may exceed this.
+EVAL_TOL = 1e-12
+
 #: Default truncation order (highest retained exponent) in the Q2 nome.
 DEFAULT_ORDER_Q2 = 50
 
@@ -293,7 +296,7 @@ class QSeries:
             return float("inf")
         return self._numeric()[1] * abs_nome ** max(self.order, 1) / (1.0 - abs_nome)
 
-    def eval(self, tau, tol: float = 1e-12, eta_min: float = ETA_MIN_DEFAULT):
+    def eval(self, tau, eta_min: float = ETA_MIN_DEFAULT):
         """Evaluate at a point, or an ndarray of points, of the upper half-plane.
 
         One Horner loop serves both: a number (numpy scalars included) runs
@@ -302,7 +305,7 @@ class QSeries:
         (empty for an empty array); only the latter imports numpy.  Refuses
         points with Im(tau) < eta_min or NaN (DomainTooLow)
         and refuses to return values whose certified truncation tail, taken
-        at the largest |nome|, exceeds ``tol`` (TruncationInsufficient).
+        at the largest |nome|, exceeds ``EVAL_TOL`` (TruncationInsufficient).
 
         The loop runs over every stride-th float coefficient (``_numeric``)
         in y = nome**stride, formed by ``stride_power``: psi_s, psi_i and the
@@ -331,9 +334,9 @@ class QSeries:
         if self.lowest < 0 and abs_min < 1e-300:
             raise DomainTooLow(
                 f"nome underflow at Im(tau) = {im_min} with a pole at the cusp")
-        if self.tail_estimate(float(abs_max)) > tol:
+        if self.tail_estimate(float(abs_max)) > EVAL_TOL:
             raise TruncationInsufficient(
-                f"tail estimate exceeds tol={tol} at |q|={abs_max:.4g}, order {self.order}")
+                f"tail estimate exceeds tol={EVAL_TOL} at |q|={abs_max:.4g}, order {self.order}")
         real = not (w.imag.any() if array else w.imag)
         floats, _, step = self._numeric()
         y = stride_power(w.real if real else w, step)
@@ -367,15 +370,6 @@ def stride_power(w, k: int):
 
 def one_series(nome: Nome, order: int) -> QSeries:
     return QSeries(nome, [1] + [0] * order, 0)
-
-
-def monomial(nome: Nome, k: int, order: int, c=1) -> QSeries:
-    """c * nome^k truncated at ``order``."""
-    if k > order:
-        raise ValueError("monomial exponent above truncation order")
-    coeffs = [0] * (order + 1)
-    coeffs[k] = c
-    return QSeries(nome, coeffs, 0)
 
 
 def from_coefficients(nome: Nome, pairs: Iterable[tuple[int, object]], order: int) -> QSeries:

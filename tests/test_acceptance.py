@@ -119,7 +119,7 @@ def test_criterion_05_slope_clause_at_sqrt2():
 
 def test_criterion_06_ce_conditions(capsys):
     t0 = time.perf_counter()
-    rep = verify_magic_ce()
+    rep = verify_magic_ce(default_evaluator())
     ok = (rep.ce1_pass and rep.g0 > 0 and rep.ghat0 > 0
           and rep.ce2_max_violation <= 1e-7 * abs(rep.g0)
           and rep.ce3_min_value >= -1e-7 * abs(rep.g0))
@@ -166,7 +166,7 @@ def test_criterion_09_poisson_summation(capsys):
     t0 = time.perf_counter()
     worst = 0.0
     for sigma in (0.7, 1.0, 1.5, 2.0):
-        lhs, rhs = poisson_check(sigma, max_shell_norm2=40)
+        lhs, rhs = poisson_check(sigma)
         worst = max(worst, abs(lhs - rhs) / lhs)
     with capsys.disabled():
         report(9, worst < 1e-10, f"Gaussian lattice sums vs duals, worst rel {worst:.2e}", t0, 60.0)

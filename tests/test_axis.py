@@ -19,10 +19,13 @@ from spherepack.axis import (
 )
 from spherepack.cohn_elkies import verify_magic_ce
 from spherepack.forms import FormId, form_qseries
+from spherepack.magic import default_evaluator
 from spherepack.qseries import QSeries
 
 PI = math.pi
 W = 36.0 / PI ** 2
+#: the CLI's default axis grid (RunConfig's axis_grid_lo, _hi and _n)
+GRID = log_grid(0.05, 20.0, 400)
 
 
 def test_res_to_imag_axis_zero_for_nonpositive_t():
@@ -120,7 +123,7 @@ def test_combo_algebra_identity():
 
 
 def test_direct_convention_fails():
-    report = verify_inequalities(convention=Eq2Convention.DIRECT)
+    report = verify_inequalities(GRID, Eq2Convention.DIRECT)
     assert not report.pass_
     # every margin is already negative, so nothing is refined
     assert report.grid_size == 400 and report.refined is False
@@ -130,7 +133,7 @@ def test_direct_convention_fails():
 
 
 def test_sweighted_convention_passes():
-    report = verify_inequalities(convention=Eq2Convention.S_WEIGHTED)
+    report = verify_inequalities(GRID, Eq2Convention.S_WEIGHTED)
     assert report.pass_ and report.refined is True
     assert report.min_plus > 0.0
     assert report.min_minus > 0.0
@@ -155,8 +158,8 @@ def test_sweighted_kernels_positive():
 def test_convention_conclusion_matches_certificate():
     """The convention that passes here is the one whose positivity is the
     pointwise control for the certificate's grid checks."""
-    axis_ok = verify_inequalities(convention=Eq2Convention.S_WEIGHTED).pass_
-    ce = verify_magic_ce()
+    axis_ok = verify_inequalities(GRID, Eq2Convention.S_WEIGHTED).pass_
+    ce = verify_magic_ce(default_evaluator())
     assert axis_ok and ce.pass_
 
 
@@ -193,7 +196,7 @@ _PUBLIC = {
 
 @pytest.mark.parametrize("convention", list(Eq2Convention))
 def test_eq2_pass_evaluates_each_series_once_per_branch(convention, monkeypatch):
-    grid = np.array(log_grid(n=64))
+    grid = np.array(log_grid(0.05, 20.0, 64))
     calls = []
     real_eval = QSeries.eval
 

@@ -319,6 +319,9 @@ def test_runconfig_validation():
     ["packing", "mc", "--radius=1e19", "--samples=1"],
     # beyond 2^60 samples the lane counters wrap
     ["packing", "mc", f"--samples={2 ** 60 + 1}"],
+    # caps on outside input: ResourceGuard and the thread bound
+    ["lattice", "shells", "--max-norm2", "200"],
+    ["packing", "mc", "--samples", "100", "--threads", "65"],
 ])
 def test_bad_input_refused_at_boundary(capsys, argv):
     with warnings.catch_warnings():

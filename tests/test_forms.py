@@ -27,7 +27,6 @@ from spherepack.axis import (
 from spherepack.errors import NonRealValue
 from spherepack.forms import (
     FormId,
-    HalfPlanePoint,
     check_jacobi,
     check_ramanujan,
     delta_qseries,
@@ -35,15 +34,11 @@ from spherepack.forms import (
     e4sq_over_delta_qseries,
     eisenstein_qseries,
     eta_product_qseries,
-    eval_form,
-    eval_phi0,
-    eval_psi_s,
     e2e4_minus_e6_qseries,
     form_qseries,
     phi0_qseries,
     psi_i_qseries,
     psi_s_qseries,
-    serre_derivative,
     theta_qseries,
 )
 from spherepack.qseries import Nome
@@ -185,18 +180,6 @@ def test_jacobi_fourth_power_coefficients():
     assert t014.coefficient(4) == -8
 
 
-def test_serre_derivative_images():
-    e4 = eisenstein_qseries(4, 30)
-    e6 = eisenstein_qseries(6, 30)
-    assert serre_derivative(e4, 4) == e6.scale(Fraction(-1, 3))
-    assert serre_derivative(e6, 6) == (e4 * e4).scale(Fraction(-1, 2))
-
-
-def test_serre_derivative_kills_constants_at_weight_zero():
-    from spherepack.qseries import one_series
-    assert serre_derivative(one_series(Nome.Q2, 10), 0).is_zero()
-
-
 def test_normalized_derivative_e4_identity():
     # q-coefficient of D E4 equals that of (E2 E4 - E6)/3
     e4 = eisenstein_qseries(4, 10)
@@ -209,24 +192,24 @@ def test_normalized_derivative_e4_identity():
 
 def test_eval_e4_at_i_against_high_order_oracle():
     oracle = eisenstein_qseries(4, 200).eval(1j)
-    val = eval_form(FormId.E4, 1j)
+    val = form_qseries(FormId.E4).eval(1j)
     assert abs(val - oracle) < 1e-10 * abs(oracle)
     assert abs(val - 1.4557628) < 2e-7
 
 
 def test_eval_theta00_at_i():
     oracle = theta_qseries("00", 400).eval(1j)
-    val = eval_form(FormId.THETA00, 1j)
+    val = form_qseries(FormId.THETA00).eval(1j)
     assert abs(val - oracle) < 1e-10 * abs(oracle)
     assert abs(val - 1.0864348) < 2e-7
 
 
 def test_eval_e6_vanishes_at_i():
-    assert abs(eval_form(FormId.E6, 1j)) < 1e-12
+    assert abs(form_qseries(FormId.E6).eval(1j)) < 1e-12
 
 
 def test_eval_e2_at_i_is_three_over_pi():
-    assert abs(eval_form(FormId.E2, 1j) - 3.0 / PI) < 1e-12
+    assert abs(form_qseries(FormId.E2).eval(1j) - 3.0 / PI) < 1e-12
 
 
 def test_delta_consistency_at_random_points():
@@ -234,20 +217,20 @@ def test_delta_consistency_at_random_points():
     rng = random.Random(7)
     for _ in range(20):
         tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 3.0))
-        d = eval_form(FormId.DELTA, tau)
-        e4 = eval_form(FormId.E4, tau)
-        e6 = eval_form(FormId.E6, tau)
+        d = form_qseries(FormId.DELTA).eval(tau)
+        e4 = form_qseries(FormId.E4).eval(tau)
+        e6 = form_qseries(FormId.E6).eval(tau)
         assert abs(d - (e4 ** 3 - e6 ** 2) / 1728.0) < 1e-10 * abs(d)
 
 
 def test_phi0_asymptotic_at_3i():
-    val = eval_phi0(3j)
+    val = phi0_qseries().eval(3j)
     lead = 518400.0 * math.exp(-6 * PI)
     assert abs(val / lead - 1.0) < 0.01
 
 
 def test_psi_s_asymptotic_at_3i():
-    val = eval_psi_s(3j)
+    val = psi_s_qseries().eval(3j)
     lead = -10240.0 * math.exp(-3 * PI)
     assert abs(val / lead - 1.0) < 0.05
 
@@ -255,27 +238,19 @@ def test_psi_s_asymptotic_at_3i():
 def test_psi_s_two_evaluation_paths_agree():
     def psi_s_from_thetas(tau):
         """psi_s assembled from three theta evaluations instead of its own series."""
-        t00, t01, t10 = (eval_form(f, tau) ** 4
+        t00, t01, t10 = (form_qseries(f).eval(tau) ** 4
                          for f in (FormId.THETA00, FormId.THETA01, FormId.THETA10))
         return 128.0 * ((t01 - t10) / t00 ** 2 - (t10 + t00) / t01 ** 2)
 
     for tau in (0.3 + 1.1j, 1j, -0.2 + 0.8j):
-        a = eval_psi_s(tau)
+        a = psi_s_qseries().eval(tau)
         b = psi_s_from_thetas(tau)
         assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
 
 
 def test_psi_s_periodicity_tau_plus_two():
     tau = 0.3 + 1.1j
-    assert abs(eval_psi_s(tau + 2) - eval_psi_s(tau)) < 1e-12
-
-
-def test_halfplane_point_rejects_lower_half():
-    with pytest.raises(ValueError):
-        HalfPlanePoint(0.0, -1.0)
-    with pytest.raises(ValueError):
-        HalfPlanePoint(0.0, 0.0)
-    assert HalfPlanePoint(0.25, 2.0).tau == 0.25 + 2.0j
+    assert abs(psi_s_qseries().eval(tau + 2) - psi_s_qseries().eval(tau)) < 1e-12
 
 
 def test_form_qseries_covers_all_ids():
@@ -289,7 +264,7 @@ def test_form_qseries_covers_all_ids():
 def test_phi0_axis_overlap_direct_vs_transformed():
     """The inversion law must reproduce the direct series on [0.8, 1.25]."""
     for t in (0.8, 0.9, 0.97, 1.0):
-        direct = (eval_phi0(1j * t)).real  # series still converges here
+        direct = (phi0_qseries().eval(1j * t)).real  # series still converges here
         trans = eval_phi0_axis(t)
         assert abs(direct - trans) < 1e-8 * abs(direct)
 
@@ -302,7 +277,7 @@ def test_phi0_axis_t1_continuity():
 
 def test_psi_s_axis_overlap_direct_vs_transformed():
     for t in (0.8, 0.9, 0.97, 1.0):
-        direct = (eval_psi_s(1j * t)).real
+        direct = (psi_s_qseries().eval(1j * t)).real
         trans = eval_psi_s_axis(t)
         assert abs(direct - trans) < 1e-8 * abs(direct)
 
@@ -346,7 +321,7 @@ def test_psi_i_axis_positive_and_consistent():
 
 def test_weighted_kernel_matches_definition_below_one():
     for t in (0.3, 0.6, 0.9):
-        direct = t * t * eval_phi0(1j / t).real
+        direct = t * t * phi0_qseries().eval(1j / t).real
         assert abs(phi0_weighted_kernel(t) - direct) < 1e-10 * abs(direct)
 
 
@@ -372,7 +347,7 @@ def test_axis_combos_match_naive_evaluation_midrange():
 def test_axis_realness_small_imag_parts():
     # direct complex evaluation at purely imaginary tau should be essentially real
     for t in (0.3, 0.5, 1.0, 2.0, 5.0):
-        v = eval_phi0(1j * t) if t >= 1.0 else None
+        v = phi0_qseries().eval(1j * t) if t >= 1.0 else None
         if v is not None:
             assert abs(v.imag) < 1e-9 * abs(v)
         assert isinstance(eval_phi0_axis(t), float)

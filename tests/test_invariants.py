@@ -7,10 +7,10 @@ import pytest
 
 from spherepack.forms import (
     e4sq_over_delta_qseries,
-    eval_phi0,
-    eval_psi_s,
     phi0_anomaly_qseries,
+    phi0_qseries,
     psi_i_qseries,
+    psi_s_qseries,
 )
 from spherepack.cohn_elkies import E8_DENSITY
 from spherepack.magic import default_evaluator
@@ -29,9 +29,9 @@ def test_phi0_transform_overlap_08_to_125():
     anom = phi0_anomaly_qseries()
     bser = e4sq_over_delta_qseries()
     for t in np.linspace(0.8, 1.25, 10):
-        direct = eval_phi0(1j * t).real
+        direct = phi0_qseries().eval(1j * t).real
         u = 1.0 / t
-        transformed = (eval_phi0(1j * u)
+        transformed = (phi0_qseries().eval(1j * u)
                        - (12.0 * t / PI) * anom.eval(1j * u)
                        + (36.0 * t * t / PI ** 2) * bser.eval(1j * u)).real
         assert abs(direct - transformed) < 1e-8 * abs(direct)
@@ -40,7 +40,7 @@ def test_phi0_transform_overlap_08_to_125():
 def test_psi_s_transform_overlap_08_to_125():
     psi_i = psi_i_qseries()
     for t in np.linspace(0.8, 1.25, 10):
-        direct = eval_psi_s(1j * t).real
+        direct = psi_s_qseries().eval(1j * t).real
         transformed = (-(t * t) * psi_i.eval(1j / t)).real
         assert abs(direct - transformed) < 1e-8 * abs(direct)
 

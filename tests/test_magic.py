@@ -442,7 +442,7 @@ def test_bound_reports_signs_without_slack(capsys):
     res = json.loads(capsys.readouterr().out)["results"]
     assert res["ce2_max_violation"] <= 0.0
     assert res["ce3_min_value"] >= 0.0
-    rep = verify_magic_ce()
+    rep = verify_magic_ce(default_evaluator())
     assert rep.tol == 1e-7 * abs(rep.g0)
 
 
@@ -486,7 +486,7 @@ def test_tabulate_radial_monotone_and_deterministic(ev):
     grid = [0.1, 0.5, 1.0, 2.0]
     t1 = tabulate_radial(RadialKind.G, grid, ev)
     t2 = tabulate_radial(RadialKind.G, grid, ev)
-    assert t1.radii == t2.radii and t1.values == t2.values
+    assert np.array_equal(t1.radii, t2.radii) and np.array_equal(t1.values, t2.values)
     assert list(t1.radii) == sorted(t1.radii)
 
 
@@ -499,12 +499,41 @@ def test_tabulate_zeros_of_g(ev):
 
 def test_radial_table_validation():
     with pytest.raises(ValueError):
-        RadialTable((1.0, 1.0), (0.0, 0.0), RadialKind.A)
+        RadialTable((1.0, 1.0), (0.0, 0.0))
     with pytest.raises(ValueError):
-        RadialTable((1.0,), (0.0, 0.0), RadialKind.A)
+        RadialTable((1.0,), (0.0, 0.0))
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="radii must be finite"):
-            RadialTable((0.0, bad, 1.0), (0.0, 0.0, 0.0), RadialKind.A)
+            RadialTable((0.0, bad, 1.0), (0.0, 0.0, 0.0))
+
+
+def test_radial_table_arrays_are_read_only_copies(ev):
+    grid = np.array([0.1, 0.5, 1.0])
+    table = tabulate_radial(RadialKind.G, grid, ev)
+    for array in (table.radii, table.values):
+        assert array.dtype == np.float64 and array.shape == (3,)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    grid[0] = 0.2
+    assert table.radii[0] == 0.1
+
+
+@pytest.mark.parametrize("which", ["A", "GHat"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_magic_table_rows_are_the_tabulated_floats(ev, capsys, which, fmt):
+    assert run(["magic", "table", "--which", which, "--grid", "0:6:61", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        # a float with an integral value prints without a point, so JSON reads an int
+        rows = [(float(row["r"]), float(row["value"]))
+                for row in json.loads(out)["results"]["rows"]]
+    else:
+        rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+    grid = [6.0 * j / 60 for j in range(61)]
+    table = tabulate_radial(RadialKind(which), grid, ev)
+    want = list(zip(table.radii.tolist(), table.values.tolist()))
+    assert [(r.hex(), v.hex()) for r, v in rows] == [(r.hex(), v.hex()) for r, v in want]
 
 
 # -- Bessel ----------------------------------------------------------------------
@@ -595,7 +624,7 @@ def test_bessel_rejects_bad_orders():
 
 def test_hankel_gaussian_self_transform():
     s = np.arange(0.0, 6.0001, 0.01)
-    table = RadialTable(tuple(s), tuple(np.exp(-PI * s ** 2)), RadialKind.A)
+    table = RadialTable(s, np.exp(-PI * s ** 2))
     got = hankel8(table, 1.0)
     want = math.exp(-PI)
     assert abs(got - want) < 1e-6 * want
@@ -603,7 +632,7 @@ def test_hankel_gaussian_self_transform():
 
 def test_hankel_refuses_non_finite_radius():
     s = np.arange(0.0, 6.0001, 0.01)
-    table = RadialTable(tuple(s), tuple(np.exp(-PI * s ** 2)), RadialKind.A)
+    table = RadialTable(s, np.exp(-PI * s ** 2))
     for r in (math.nan, math.inf, 0.0):
         with pytest.raises(ValueError, match="finite r > 0"):
             hankel8(table, r)
@@ -611,11 +640,11 @@ def test_hankel_refuses_non_finite_radius():
 
 def test_hankel_insufficient_table():
     s = np.arange(0.0, 2.0, 0.1)
-    table = RadialTable(tuple(s), tuple(np.exp(-s)), RadialKind.A)
+    table = RadialTable(s, np.exp(-s))
     with pytest.raises(InsufficientTable):
         hankel8(table, 1.0)
     s = np.arange(0.0, 6.0, 0.5)
-    table = RadialTable(tuple(s), tuple(np.exp(-s)), RadialKind.A)
+    table = RadialTable(s, np.exp(-s))
     with pytest.raises(InsufficientTable):
         hankel8(table, 1.0)
 

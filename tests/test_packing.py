@@ -57,15 +57,16 @@ def test_e8_density_closed_form():
     assert abs(periodic_density(e8_packing_spec()) - TARGET) < 1e-12
 
 
-def test_z8_density():
-    spec = PeriodicPackingSpec(basis=np.eye(8).tolist(), separation=1.0)
-    assert periodic_density(spec) == pytest.approx(math.pi ** 4 / 6144.0, rel=1e-14)
-
-
 def test_degenerate_basis_rejected():
-    rows = np.zeros((8, 8)).tolist()
-    with pytest.raises(ValueError):
-        periodic_density(PeriodicPackingSpec(basis=rows, separation=1.0))
+    rows = list(e8_basis().rows)
+    rows[1] = rows[0]
+    with pytest.raises(ValueError, match="degenerate basis"):
+        periodic_density(PeriodicPackingSpec(basis=LatticeBasis(tuple(rows)), separation=1.0))
+
+
+def test_a_matrix_basis_is_refused():
+    with pytest.raises(ValueError, match="LatticeBasis"):
+        PeriodicPackingSpec(basis=np.eye(8).tolist())
 
 
 def test_density_invariant_under_row_swap():
@@ -143,15 +144,13 @@ def test_mc_rejects_non_finite_radius(radius):
 
 
 def test_mc_rejects_a_basis_other_than_e8():
-    # the hit test decodes E8 whatever the basis says; 3*I8 has density 3.9e-5
-    cubic = PeriodicPackingSpec(basis=(3 * np.eye(8)).tolist())
-    assert periodic_density(cubic) == pytest.approx(ball_volume(8, math.sqrt(2) / 2) / 3 ** 8)
-    with pytest.raises(ValueError):
-        finite_density_mc(cubic, radius=2.0, samples=100, seed=1)
+    # the hit test decodes E8 whatever the basis says; 2 E8 has covolume 2^8
     doubled = LatticeBasis(tuple(LatticeVector(tuple(2 * h for h in r.half_coords))
                                  for r in e8_basis().rows))
+    spec = PeriodicPackingSpec(basis=doubled)
+    assert periodic_density(spec) == pytest.approx(TARGET / 2 ** 8, rel=1e-14)
     with pytest.raises(ValueError):
-        finite_density_mc(PeriodicPackingSpec(basis=doubled), radius=2.0, samples=100, seed=1)
+        finite_density_mc(spec, radius=2.0, samples=100, seed=1)
 
 
 def test_mc_accepts_any_basis_of_e8():
