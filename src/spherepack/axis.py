@@ -6,8 +6,7 @@ series is evaluated once per branch, at i*t where t >= 1 and at i/t where
 t < 1, so the series argument always has Im >= 1.  The table is the one
 realness check: on the axis every nome is real, so a series value with a
 nonzero imaginary part raises NonRealValue, and the kernels do plain float
-arithmetic.  ``res_to_imag_axis`` restricts any named form to
-t -> F(i*t), returning exactly 0 for t <= 0.
+arithmetic.
 
 ``eq2_samples``/``verify_inequalities`` probe the pair of combinations
 phi0 +- (36/pi^2) psi_s in two conventions:
@@ -47,7 +46,6 @@ from .forms import (
     _b_minus_psi_i_q4,
     _b_plus_psi_i_q4,
     e4sq_over_delta_qseries,
-    form_qseries,
     phi0_anomaly_qseries,
     phi0_qseries,
     psi_i_qseries,
@@ -231,60 +229,17 @@ def log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(lo * ratio ** (j / (n - 1)) for j in range(n))
 
 
-def _inversion(form: FormId, sign: float, weight: float, partner: FormId,
-               anomaly: float = 0.0):
-    """F's own series for t >= 1 and, with u = 1/t,
-    F(it) = sign * u^weight * partner(iu) + anomaly * u / pi for t < 1."""
-    own, other = partial(form_qseries, form), partial(form_qseries, partner)
-
-    def law(t, v, upper):
-        if upper:
-            return v(own)
-        return sign * (1.0 / t) ** weight * v(other) + anomaly * (1.0 / t) / PI
-    return law
-
-
-#: each form's law on the axis (E2's anomaly is its quasimodular term); PHI0
-#: and PSI_S, whose t < 1 laws need more than one series, are their axis kernels
-_LAWS = {form: _inversion(form, *law) for form, law in {
-    FormId.E2: (-1.0, 2, FormId.E2, 6.0),
-    FormId.E4: (1.0, 4, FormId.E4),
-    FormId.E6: (-1.0, 6, FormId.E6),
-    FormId.DELTA: (1.0, 12, FormId.DELTA),
-    FormId.THETA00: (1.0, 0.5, FormId.THETA00),
-    FormId.THETA01: (1.0, 0.5, FormId.THETA10),
-    FormId.THETA10: (1.0, 0.5, FormId.THETA01),
-}.items()} | {FormId.PHI0: eval_phi0_axis.kernel, FormId.PSI_S: eval_psi_s_axis.kernel}
-
-
-def res_to_imag_axis(form: FormId, t: float | np.ndarray) -> complex | np.ndarray:
-    """F(i*t) for t > 0 and exactly 0 otherwise, at a float or an array of t.
-
-    t >= 1 is the form's own series at i*t, with no upper limit.  Smaller t
-    is reached through the inversion laws of each form, so the series
-    argument always has Im >= 1; PHI0 and PSI_S, whose laws there hold
-    poles in exp(2*pi/t), refuse 0 < t < AXIS_T_MIN (ValueError).
-    """
-    ts = np.asarray(t, dtype=float)
-    if np.isnan(ts).any():
-        raise ValueError("axis restriction needs t that is not NaN")
-    out = np.zeros(ts.shape, dtype=complex)
-    positive = ts > 0.0
-    if form in (FormId.PHI0, FormId.PSI_S):
-        axis_table(ts[positive & (ts < 1.0)])  # only for its range check
-    out[positive] = AxisTable(ts[positive]).branches(_LAWS[form])
-    return complex(out) if ts.ndim == 0 else out
-
-
 def check_realness(form: FormId, grid: Sequence[float]) -> float:
-    """max |Im F(it)| / |F(it)| over the grid: 0 whenever it returns, since
-    the axis table refuses every series value that is not real."""
-    ts = np.asarray(grid, dtype=float)
-    if not (ts > 0).all():
+    """max |Im F(it)| / |F(it)| over a positive grid, for F = PHI0 or PSI_S:
+    0 whenever it returns, since the axis table refuses every series value
+    that is not real.  Any other form is a ValueError."""
+    if not (np.asarray(grid, dtype=float) > 0).all():
         raise ValueError("realness grid must be positive")
-    v = res_to_imag_axis(form, ts)
-    v = v[v != 0]
-    return float(np.max(np.abs(v.imag) / np.abs(v), initial=0.0))
+    evaluate = {FormId.PHI0: eval_phi0_axis, FormId.PSI_S: eval_psi_s_axis}.get(form)
+    if evaluate is None:
+        raise ValueError(f"realness is checked for Phi0 and PsiS, not {form.value}")
+    evaluate(grid)
+    return 0.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -66,6 +66,10 @@ class RunConfig:
     output_format: str = "json"
 
     def __post_init__(self):
+        for name in ("series_order", "axis_grid_n", "seed", "threads"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.series_order < 2:
             raise ConfigError("series_order must be at least 2")
         if self.eta_min <= 0:

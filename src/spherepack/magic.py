@@ -316,8 +316,8 @@ class MagicEvaluator:
     construction and safe to share.
     """
 
-    def __init__(self, quad: QuadratureConfig | None = None):
-        self.quad = quad if quad is not None else QuadratureConfig()
+    def __init__(self, quad: QuadratureConfig):
+        self.quad = quad
         t, w = panel_nodes(0.0, 1.0, self.quad.panels_per_segment, self.quad.gauss_order)
         kphi = (t * t) * form_qseries(FormId.PHI0).eval(1j / t).real
         kpsi = (t * t) * form_qseries(FormId.PSI_S).eval(1j / t).real
@@ -370,7 +370,7 @@ class MagicEvaluator:
 
 
 @lru_cache(maxsize=4)
-def default_evaluator(quad: QuadratureConfig | None = None) -> MagicEvaluator:
+def default_evaluator(quad: QuadratureConfig) -> MagicEvaluator:
     """Shared evaluator per quadrature configuration.
 
     Building the Laplace tables costs one array series evaluation per form

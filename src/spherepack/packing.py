@@ -1,8 +1,8 @@
 """Packing densities: closed forms and a deterministic Monte-Carlo estimator.
 
-The density of a periodic packing with m centers per fundamental cell is
-m * Vol(B_d(0, sep/2)) / covolume.  For the E8 packing (one center,
-separation sqrt(2), covolume 1) this is pi^4/384.
+The density of a lattice packing is Vol(B_d(0, sep/2)) / covolume, one
+center per fundamental cell.  For the E8 packing (separation sqrt(2),
+covolume 1) this is pi^4/384.
 
 The finite density -- the fraction of a ball B(0, R) covered -- is
 estimated by Monte Carlo: points uniform in B(0, R), hit-tested against
@@ -27,9 +27,9 @@ the exact sampler and decoder, a float32 squared distance at most
 (rho - delta)^2 - e2 is a hit and one above (rho + delta)^2 + e2 a miss,
 both edges rounded outward to float32.  The samples in the band between
 are drawn again in float64 and decoded by ``lattice.nearest_in_coset``
-alone.  Where delta >= rho the band holds everything, and from
-R + max |offset| = 2^20 on float32 sums of rounded coordinates are no
-longer exact integers; in either case every sample takes the exact path.
+alone.  Where delta >= rho the band holds everything, and from R = 2^20 on
+float32 sums of rounded coordinates are no longer exact integers; in
+either case every sample takes the exact path.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -61,14 +60,13 @@ def ball_volume(d: int, r: float) -> float:
 
 @dataclass(frozen=True)
 class PeriodicPackingSpec:
-    """A lattice packing with translated copies: basis, center offsets, separation.
+    """A lattice packing: one center per lattice point, at the given separation.
 
     ``basis`` is a :class:`LatticeBasis`, whose rows are E8 vectors, so its
     determinant is exact; anything else is a ValueError.
     """
 
     basis: LatticeBasis
-    offsets: tuple[tuple[float, ...], ...] = ((0.0,) * 8,)
     separation: float = math.sqrt(2.0)
 
     def __post_init__(self):
@@ -76,8 +74,6 @@ class PeriodicPackingSpec:
             raise ValueError("the basis must be a LatticeBasis")
         if not self.separation > 0:
             raise ValueError("separation must be positive")
-        if any(len(o) != 8 for o in self.offsets):
-            raise ValueError("offsets are 8-vectors")
 
     def covolume(self) -> float:
         det = abs(self.basis.determinant())
@@ -91,9 +87,8 @@ def e8_packing_spec() -> PeriodicPackingSpec:
 
 
 def periodic_density(spec: PeriodicPackingSpec) -> float:
-    """m * Vol(B_8(0, sep/2)) / covolume; pi^4/384 for the E8 packing."""
-    m = len(spec.offsets)
-    return m * ball_volume(8, spec.separation / 2.0) / spec.covolume()
+    """Vol(B_8(0, sep/2)) / covolume; pi^4/384 for the E8 packing."""
+    return ball_volume(8, spec.separation / 2.0) / spec.covolume()
 
 
 @dataclass(frozen=True)
@@ -143,19 +138,17 @@ def _stream_key(seed: int) -> np.ndarray:
 _TRIG32_ERROR = 2.0 ** -18
 
 #: K 2^-24, K = 16: the screen's float32 roundings other than the trig move
-#: a sample, less its offset, by at most this times reach = R + max |offset|
-#: (13.875 2^-24 R in ``_sample_chunk``, 2^-24 reach for the offset's
-#: subtraction, and second-order terms)
+#: a sample by at most this times R (13.875 2^-24 R in ``_sample_chunk``,
+#: and second-order terms)
 _ROUNDING32 = 16 * 2.0 ** -24
 
 #: e2: ``lattice.e8_distance2`` in float32 is within this of the true
 #: squared distance
 _E2 = 2.0 ** -19
 
-#: eta / (1 + reach + rho + 1/rho), the float64 rounding.  Each sampler's
-#: float64 steps move a sample by less than 2^-44 (1 + R), and the exact
-#: path's subtraction of an offset by 2^-53 reach: less than
-#: 2^-32 (1 + reach) together.  The exact decoder (``nearest_in_coset``),
+#: eta / (1 + R + rho + 1/rho), the float64 rounding.  Each sampler's
+#: float64 steps move a sample by less than 2^-44 (1 + R), well within
+#: 2^-32 (1 + R).  The exact decoder (``nearest_in_coset``),
 #: whose rounding of each coordinate is exact, is within 2^-48 of the true
 #: squared distance, and its hit test rounds the square root once.  A true
 #: distance at most rho - eta' or above rho + eta', eta' = 2^-32 (rho + 1/rho),
@@ -164,9 +157,9 @@ _E2 = 2.0 ** -19
 #: rho^2 (1 + 2^-50) + 2^-48 because 2 rho eta' = 2^-31 (rho^2 + 1).
 _ETA = 2.0 ** -32
 
-#: the screen runs where reach < 2^20: there every coordinate of a shifted
-#: float32 sample is below 2^20, and float32 sums of eight rounded
-#: coordinates are exact integers with a defined parity
+#: the screen runs where R < 2^20: there every coordinate of a float32
+#: sample is below 2^20, and float32 sums of eight rounded coordinates are
+#: exact integers with a defined parity
 _SCREEN_LIMIT = 2.0 ** 20
 
 #: above this many samples the lane counter 16 i + l wraps around 2^64
@@ -249,33 +242,17 @@ def _sample_block(seed: int, start: int, count: int, radius: float) -> np.ndarra
 def _count_hits(y: np.ndarray, spec: PeriodicPackingSpec, scratch: Scratch) -> int:
     """How many columns of y, (8, n) with n <= CHUNK, lie within separation/2 of a center.
 
-    The exact hit test: d2, the least squared distance ``nearest_in_coset``
-    returns over every offset and both cosets, is a hit where
-    ``sqrt(d2) <= separation/2``.  Both cosets read one ``floor_split`` of
-    each shifted block.  ``finite_density_mc`` runs it on the float64
-    samples of the band its float32 screen cannot decide.
+    The exact hit test: d2, the lesser squared distance ``nearest_in_coset``
+    returns over both cosets, is a hit where ``sqrt(d2) <= separation/2``.
+    Both cosets read one ``floor_split`` of y.  ``finite_density_mc`` runs
+    it on the float64 samples of the band its float32 screen cannot decide.
     """
     n = y.shape[1]
-    point = scratch.get("point", 8, n)
+    floor, up = floor_split(y, scratch)
     best = scratch.get("best", 1, n)[0]
-    best.fill(np.inf)
-    for off in spec.offsets:
-        shifted = _shift(y, off, scratch)
-        floor, up = floor_split(shifted, scratch)
-        for half, out in ((False, point), (True, floor)):
-            np.minimum(best, nearest_in_coset(shifted, floor, up, half, out, scratch), out=best)
+    np.copyto(best, nearest_in_coset(y, floor, up, False, scratch.get("point", 8, n), scratch))
+    np.minimum(best, nearest_in_coset(y, floor, up, True, floor, scratch), out=best)
     return int(np.count_nonzero(np.sqrt(best) <= spec.separation / 2.0))
-
-
-def _shift(y: np.ndarray, offset: Sequence[float], scratch: Scratch) -> np.ndarray:
-    """y less the center offset, in ``scratch`` and y's dtype; y itself for the zero offset.
-
-    The difference is taken in float64 and rounded once to y's dtype.
-    """
-    if not any(offset):
-        return y
-    return np.subtract(y, np.asarray(offset)[:, None],
-                       out=scratch.get("shifted", 8, y.shape[1], y.dtype))
 
 
 def _float32_edge(x: float, toward: float) -> np.float32:
@@ -305,24 +282,21 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
     The hit test is the E8 coset decoder, so the basis must generate E8:
     its rows are E8 vectors, and its determinant must be +-1.  Any other
     basis, a radius outside (0, DECODE_LIMIT), the decoder's limit on the
-    coordinates, a reach = R + max |offset| (below) of DECODE_LIMIT or
-    more, more than 2^60 samples, where the lane counters wrap, and more
-    than 64 threads (``_MAX_THREADS``) are a ValueError, raised before any
-    thread starts.  Each block is sampled and hit-tested CHUNK columns at a
-    time, in buffers that each worker thread reuses for every block it
+    coordinates, more than 2^60 samples, where the lane counters wrap, and
+    more than 64 threads (``_MAX_THREADS``) are a ValueError, raised before
+    any thread starts.  Each block is sampled and hit-tested CHUNK columns
+    at a time, in buffers that each worker thread reuses for every block it
     takes.
 
     The hit test is a filtered predicate.  Its screen draws every sample
     in float32 (``_sample_chunk``): within (2 sqrt(2) eps + K 2^-24) R of
     the exact float64 sample, with eps = ``_TRIG32_ERROR`` and
-    K 2^-24 = ``_ROUNDING32``, which also covers rounding the sample less
-    its offset to float32.  It measures the squared distance once per
-    offset with ``lattice.e8_distance2`` in float32, within
-    e2 = ``_E2``.  The distance to the centers is 1-Lipschitz, so with
-    reach = R + max |offset|,
+    K 2^-24 = ``_ROUNDING32``.  It measures the squared distance with
+    ``lattice.e8_distance2`` in float32, within e2 = ``_E2``.  The distance
+    to the centers is 1-Lipschitz, so with
 
-        delta = 2 sqrt(2) eps R + K 2^-24 reach + eta,
-        eta = ``_ETA`` (1 + reach + rho + 1/rho)
+        delta = (2 sqrt(2) eps + K 2^-24) R + eta,
+        eta = ``_ETA`` (1 + R + rho + 1/rho)
 
     for the float64 rounding of the exact sampler and decoder, and
     rho = separation/2, a float32 squared distance d2 is a certain hit
@@ -336,7 +310,7 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
     between are drawn again in float64 and decoded by ``_count_hits``,
     with ``nearest_in_coset`` alone, once per block; ``rechecked`` counts
     them.  Where delta >= rho nothing is certain, and where
-    reach >= 2^20 float32 sums of rounded coordinates are not exact
+    R >= 2^20 float32 sums of rounded coordinates are not exact
     integers; either way every sample takes that exact path.  The hits are
     those of the exact sampler and decoder.
 
@@ -354,12 +328,9 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
         raise ValueError("the hit test decodes E8: the basis must have determinant +-1")
     key = _stream_key(seed)
     rho = spec.separation / 2.0
-    reach = radius + max((math.hypot(*off) for off in spec.offsets), default=0.0)
-    if not reach < DECODE_LIMIT:
-        raise ValueError(f"radius plus the largest offset norm must be below 2^50, got {reach}")
-    delta = (2.0 * math.sqrt(2.0) * _TRIG32_ERROR * radius + _ROUNDING32 * reach
-             + _ETA * (1.0 + reach + rho + 1.0 / rho))
-    screened = delta < rho and reach < _SCREEN_LIMIT
+    delta = (2.0 * math.sqrt(2.0) * _TRIG32_ERROR * radius + _ROUNDING32 * radius
+             + _ETA * (1.0 + radius + rho + 1.0 / rho))
+    screened = delta < rho and radius < _SCREEN_LIMIT
     lo2 = _float32_edge((rho - delta) * (rho - delta) - _E2, -np.inf)
     hi2 = _float32_edge((rho + delta) * (rho + delta) + _E2, np.inf)
 
@@ -384,10 +355,7 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
             part = index[lo:lo + CHUNK]
             y = scratch.get("sample", 8, part.size, np.float32)
             _sample_chunk(key, part, radius, y, scratch)
-            d2 = scratch.get("best", 1, part.size, np.float32)[0]
-            d2.fill(np.inf)
-            for off in spec.offsets:
-                np.minimum(d2, e8_distance2(_shift(y, off, scratch), scratch), out=d2)
+            d2 = e8_distance2(y, scratch)
             hits += int(np.count_nonzero(d2 <= lo2))
             band.append(part[(lo2 < d2) & (d2 <= hi2)])
         band = np.concatenate(band)

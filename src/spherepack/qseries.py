@@ -280,7 +280,7 @@ class QSeries:
         constant C and the stride, computed once.  C is the largest magnitude
         among the last few retained coefficients, a pragmatic stand-in for
         the (sub-exponentially growing) true tail.  The stride is the gcd of
-        the offsets j with ``num[j]`` nonzero, or 1 when there is none but 0:
+        the indices j with ``num[j]`` nonzero, or 1 when there is none but 0:
         the window is nome**lowest times a polynomial in nome**stride.
         """
         if self._float_cache is None:

@@ -21,6 +21,10 @@ class QuadratureConfig:
     tail_tol: float = 1e-12
 
     def __post_init__(self):
+        for name in ("gauss_order", "panels_per_segment"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.gauss_order < 2:
             raise ValueError("gauss_order must be at least 2")
         if self.panels_per_segment < 1:

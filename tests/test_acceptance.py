@@ -31,6 +31,7 @@ from spherepack.forms import (
 from spherepack.lattice import theta_coefficients
 from spherepack.magic import RadialKind, default_evaluator, hankel8, tabulate_radial
 from spherepack.packing import e8_packing_spec, finite_density_mc, periodic_density
+from spherepack.quadrature import QuadratureConfig
 
 SQRT2 = math.sqrt(2.0)
 
@@ -74,7 +75,7 @@ def test_criterion_03_exact_identities(capsys):
 
 def test_criterion_04_representation_consistency(capsys):
     t0 = time.perf_counter()
-    ev = default_evaluator()
+    ev = default_evaluator(QuadratureConfig())
     a0 = abs(ev.eval_a(0.0))
     worst = 0.0
     for r in (1.5, 2.0, 3.0):
@@ -89,7 +90,7 @@ def test_criterion_05_double_zero_values_and_higher_slopes(capsys):
     """The attainable part of criterion 5: values at all three radii and
     slopes at the genuinely double zeros sqrt(4), sqrt(6)."""
     t0 = time.perf_counter()
-    ev = default_evaluator()
+    ev = default_evaluator(QuadratureConfig())
     g0 = abs(ev.eval_g(0.0))
     h = 1e-3
     worst_val = max(abs(ev.eval_g(math.sqrt(2.0 * n))) for n in (1, 2, 3))
@@ -108,7 +109,7 @@ def test_criterion_05_double_zero_values_and_higher_slopes(capsys):
                           "of the collapsed kernel; a sub-1e-3 slope there is "
                           "incompatible with criteria 6/7 (see decisions ledger)")
 def test_criterion_05_slope_clause_at_sqrt2():
-    ev = default_evaluator()
+    ev = default_evaluator(QuadratureConfig())
     g0 = abs(ev.eval_g(0.0))
     h = 1e-3
     slope = (ev.eval_g(SQRT2 + h) - ev.eval_g(SQRT2 - h)) / (2 * h)
@@ -119,7 +120,7 @@ def test_criterion_05_slope_clause_at_sqrt2():
 
 def test_criterion_06_ce_conditions(capsys):
     t0 = time.perf_counter()
-    rep = verify_magic_ce(default_evaluator())
+    rep = verify_magic_ce(default_evaluator(QuadratureConfig()))
     ok = (rep.ce1_pass and rep.g0 > 0 and rep.ghat0 > 0
           and rep.ce2_max_violation <= 1e-7 * abs(rep.g0)
           and rep.ce3_min_value >= -1e-7 * abs(rep.g0))
@@ -131,7 +132,7 @@ def test_criterion_06_ce_conditions(capsys):
 
 def test_criterion_07_optimality_closing_identity(capsys):
     t0 = time.perf_counter()
-    ev = default_evaluator()
+    ev = default_evaluator(QuadratureConfig())
     a0, b0 = abs(ev.eval_a(0.0)), abs(ev.eval_b(0.0))
     g0, ghat0 = ev.eval_g(0.0), ev.eval_g_hat(0.0)
     bound = rescaled_bound(g0, ghat0)
@@ -147,7 +148,7 @@ def test_criterion_07_optimality_closing_identity(capsys):
 
 def test_criterion_08_eigenfunction_facts(capsys):
     t0 = time.perf_counter()
-    ev = default_evaluator()
+    ev = default_evaluator(QuadratureConfig())
     grid = np.arange(0.0, 20.0001, 0.02)
     table_a = tabulate_radial(RadialKind.A, grid, ev)   # cached node data reused
     table_b = tabulate_radial(RadialKind.B, grid, ev)

@@ -1,4 +1,4 @@
-"""Axis restrictions and the two-sided inequality verification."""
+"""Axis kernels, the realness check and the two-sided inequality verification."""
 
 import math
 
@@ -7,20 +7,19 @@ import pytest
 
 from spherepack import axis
 from spherepack.axis import (
-    AXIS_T_MIN,
     AxisSamples,
     Eq2Convention,
     InequalityReport,
     check_realness,
     eq2_samples,
     log_grid,
-    res_to_imag_axis,
     verify_inequalities,
 )
 from spherepack.cohn_elkies import verify_magic_ce
-from spherepack.forms import FormId, form_qseries
+from spherepack.forms import FormId
 from spherepack.magic import default_evaluator
 from spherepack.qseries import QSeries
+from spherepack.quadrature import QuadratureConfig
 
 PI = math.pi
 W = 36.0 / PI ** 2
@@ -28,73 +27,13 @@ W = 36.0 / PI ** 2
 GRID = log_grid(0.05, 20.0, 400)
 
 
-def test_res_to_imag_axis_zero_for_nonpositive_t():
-    for form in FormId:
-        assert res_to_imag_axis(form, -1.0) == 0j
-        assert res_to_imag_axis(form, 0.0) == 0j
-
-
-def test_res_to_imag_axis_e4_at_one():
-    v = res_to_imag_axis(FormId.E4, 1.0)
-    assert abs(v - 1.4557628) < 2e-7
-    assert abs(v.imag) < 1e-12
-
-
-def test_res_to_imag_axis_inversion_consistency():
-    """Each form's small-t branch must glue to the direct series."""
-    for form in FormId:
-        hi = res_to_imag_axis(form, 1.0)
-        lo = res_to_imag_axis(form, 1.0 - 1e-12)
-        # the 1e-3 floor covers forms vanishing at i (E6), where the step
-        # itself moves the value by |F'(i)| * 1e-12
-        assert abs(hi - lo) < 1e-6 * max(abs(hi), 1e-3), form
-
-
-def test_res_to_imag_axis_e2_small_t():
-    # E2(i t) = -t^-2 E2(i/t) + 6/(pi t); at t = 1 this forces E2(i) = 3/pi
-    v = res_to_imag_axis(FormId.E2, 0.5)
-    w = -4.0 * res_to_imag_axis(FormId.E2, 2.0) + 12.0 / PI
-    assert abs(v - w) < 1e-10 * abs(v)
-
-
-@pytest.mark.parametrize("form", list(FormId))
-def test_res_to_imag_axis_array_matches_per_float(form):
-    grid = np.concatenate([[-1.0, 0.0], np.geomspace(0.05, 20.0, 41), [1.0, 1.0 - 1e-12]])
-    got = res_to_imag_axis(form, grid)
-    assert got.shape == grid.shape and got.dtype == complex
-    want = [res_to_imag_axis(form, float(t)) for t in grid]
-    assert all(type(w) is complex for w in want)
-    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
-    assert np.all(got[:2] == 0j)
-
-
-def test_res_to_imag_axis_refuses_nan():
-    for form in FormId:
-        with pytest.raises(ValueError):
-            res_to_imag_axis(form, np.array([0.5, math.nan]))
-
-
-@pytest.mark.parametrize("form", list(FormId))
-def test_res_to_imag_axis_large_t_is_the_direct_series(form):
-    """t >= 1 has no upper limit: each form is its own series at i*t."""
-    grid = np.array([1.0, 150.0, 200.0])
-    want = np.array([form_qseries(form).eval(1j * t) for t in grid])
-    got = res_to_imag_axis(form, grid)
-    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
-    assert res_to_imag_axis(form, 200.0) == got[-1]
-
-
-def test_res_to_imag_axis_phi0_psi_s_refuse_t_below_axis_t_min():
-    for form in (FormId.PHI0, FormId.PSI_S):
-        with pytest.raises(ValueError):
-            res_to_imag_axis(form, AXIS_T_MIN / 2)
-
-
 def test_check_realness_on_log_grids():
     grid = log_grid(0.1, 10.0, 40)
     assert check_realness(FormId.PHI0, grid) < 1e-9
     assert check_realness(FormId.PSI_S, grid) < 1e-9
-    assert check_realness(FormId.E2, [1.0]) < 1e-12
+    # the other forms have no axis evaluator
+    with pytest.raises(ValueError):
+        check_realness(FormId.E2, [1.0])
 
 
 def test_check_realness_rejects_nonpositive_grid():
@@ -159,7 +98,7 @@ def test_convention_conclusion_matches_certificate():
     """The convention that passes here is the one whose positivity is the
     pointwise control for the certificate's grid checks."""
     axis_ok = verify_inequalities(GRID, Eq2Convention.S_WEIGHTED).pass_
-    ce = verify_magic_ce(default_evaluator())
+    ce = verify_magic_ce(default_evaluator(QuadratureConfig()))
     assert axis_ok and ce.pass_
 
 

@@ -226,6 +226,23 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config keys" in err
 
 
+#: the integer fields of RunConfig and QuadratureConfig, as keys in a config file
+INT_FIELDS = [("series_order",), ("axis_grid_n",), ("seed",), ("threads",),
+              ("quadrature", "gauss_order"), ("quadrature", "panels_per_segment")]
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("key", INT_FIELDS, ids=".".join)
+def test_config_refuses_a_non_integer_in_an_integer_field(tmp_path, capsys, key, value):
+    data = {key[0]: value} if len(key) == 1 else {key[0]: {key[1]: value}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "packing", "mc", "--samples", "100", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert f"{key[-1]} must be an integer" in err
+
+
 def test_usage_error_returns_2(capsys):
     assert run(["lattice", "bogus"]) == 2
     assert run([]) == 2

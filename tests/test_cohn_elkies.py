@@ -17,6 +17,7 @@ from spherepack.cohn_elkies import (
 from spherepack.errors import InsufficientGrid, NonpositiveFhat0
 from spherepack.magic import default_evaluator
 from spherepack.packing import e8_packing_spec, periodic_density
+from spherepack.quadrature import QuadratureConfig
 
 PI = math.pi
 
@@ -83,7 +84,7 @@ def test_verify_ce_requires_points_beyond_sqrt2():
 
 
 def test_magic_certificate_passes():
-    report = verify_magic_ce(default_evaluator())
+    report = verify_magic_ce(default_evaluator(QuadratureConfig()))
     assert report.ce1_pass
     assert report.ce2_max_violation <= report.tol
     assert report.ce3_min_value >= -report.tol
@@ -92,7 +93,7 @@ def test_magic_certificate_passes():
 
 
 def test_magic_certificate_matches_callable_route():
-    ev = default_evaluator()
+    ev = default_evaluator(QuadratureConfig())
     a = verify_magic_ce(ev)
     b = verify_ce(ev.g_values, ev.g_hat_values, grid=default_ce_grid())
     assert a == b

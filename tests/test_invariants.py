@@ -15,6 +15,7 @@ from spherepack.forms import (
 from spherepack.cohn_elkies import E8_DENSITY
 from spherepack.magic import default_evaluator
 from spherepack.packing import e8_packing_spec, finite_density_mc
+from spherepack.quadrature import QuadratureConfig
 
 PI = math.pi
 
@@ -47,7 +48,7 @@ def test_psi_s_transform_overlap_08_to_125():
 
 def test_a_b_purely_imaginary_on_grid():
     """|Re a|, |Re b| at rounding level across r in [0, 4] (20 points)."""
-    ev = default_evaluator()
+    ev = default_evaluator(QuadratureConfig())
     scale = abs(ev.eval_a(0.0))
     for r in np.linspace(0.0, 4.0, 20):
         a = ev.eval_a(float(r))

@@ -40,7 +40,7 @@ SQRT2 = math.sqrt(2.0)
 
 @pytest.fixture(scope="module")
 def ev():
-    return default_evaluator()
+    return default_evaluator(QuadratureConfig())
 
 
 # -- contour geometry ----------------------------------------------------------
@@ -340,7 +340,7 @@ def test_a_node_table_that_does_not_split_is_refused(monkeypatch):
 
     monkeypatch.setattr(magic, "panel_nodes", perturbed)
     with pytest.raises(RuntimeError):
-        MagicEvaluator()
+        MagicEvaluator(QuadratureConfig())
 
 
 # -- representation consistency --------------------------------------------------
@@ -442,7 +442,7 @@ def test_bound_reports_signs_without_slack(capsys):
     res = json.loads(capsys.readouterr().out)["results"]
     assert res["ce2_max_violation"] <= 0.0
     assert res["ce3_min_value"] >= 0.0
-    rep = verify_magic_ce(default_evaluator())
+    rep = verify_magic_ce(default_evaluator(QuadratureConfig()))
     assert rep.tol == 1e-7 * abs(rep.g0)
 
 
@@ -468,11 +468,12 @@ def test_production_never_builds_the_contour_table():
     script = (
         "import contextlib, io\n"
         "from spherepack import cli, magic\n"
+        "from spherepack.quadrature import QuadratureConfig\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.run(['bound']) == 0\n"
         "    assert cli.run(['magic', 'table', '--which', 'GHat', '--grid', '0:20:101']) == 0\n"
         "print(magic._contour_table.cache_info().misses)\n"
-        "magic.default_evaluator().eval_a_propagated(1.0)\n"
+        "magic.default_evaluator(QuadratureConfig()).eval_a_propagated(1.0)\n"
         "print(magic._contour_table.cache_info().misses)\n")
     done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)

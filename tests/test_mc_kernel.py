@@ -100,11 +100,8 @@ def ref_hits(spec, radius, samples, seed):
     hits = 0
     for start in range(0, samples, _BLOCK):
         pts = ref_sample_block(seed, start, min(_BLOCK, samples - start), radius)
-        hit = np.zeros(len(pts), dtype=bool)
-        for off in spec.offsets:
-            _, d = ref_decode_batch(pts - np.asarray(off))
-            hit |= d <= spec.separation / 2.0
-        hits += int(hit.sum())
+        _, d = ref_decode_batch(pts)
+        hits += int((d <= spec.separation / 2.0).sum())
     return hits
 
 
@@ -155,13 +152,8 @@ def test_decoder_matches_row_major_on_sampled_points():
     assert np.array_equal(dist, want_dist)
 
 
-@pytest.mark.parametrize("offsets", [
-    ((0.0,) * 8,),
-    ((0.5, -0.25, 0.0, 0.0, 1.0, 0.0, 0.0, 0.125),),
-    ((0.0,) * 8, (0.5,) * 4 + (0.0,) * 4),
-], ids=["zero-offset", "nonzero-offset", "two-offsets"])
-def test_hit_counts_match_row_major(offsets):
-    spec = PeriodicPackingSpec(basis=e8_basis(), offsets=offsets)
+def test_hit_counts_match_row_major():
+    spec = e8_packing_spec()
     for radius in (0.5, 1.0, 3.0, 30.0, 1e5):    # at 1e5 every sample takes the exact path
         want = ref_hits(spec, radius, 40_000, 9) / 40_000
         for threads in (1, 2):
@@ -182,15 +174,10 @@ def _exact_hits(spec, radius, samples, seed):
     return hits
 
 
-@pytest.mark.parametrize("offsets", [
-    ((0.0,) * 8,),
-    ((0.5, -0.25, 0.0, 0.0, 1.0, 0.0, 0.0, 0.125),),
-    ((0.0,) * 8, (0.5,) * 4 + (0.0,) * 4),
-], ids=["zero-offset", "nonzero-offset", "two-offsets"])
 @pytest.mark.parametrize("radius", [0.5, math.sqrt(0.5), 1.0, 5.0, 30.0, 3000.0, 30_000.0,
                                     60_000.0, 2.0 ** 40])
-def test_filtered_hits_equal_exact_hits(offsets, radius):
-    spec = PeriodicPackingSpec(basis=e8_basis(), offsets=offsets)
+def test_filtered_hits_equal_exact_hits(radius):
+    spec = e8_packing_spec()
     for samples in (1, CHUNK + 1, 3 * _BLOCK + 5):
         want = _exact_hits(spec, radius, samples, 17) / samples
         for threads in (1, 2):
@@ -248,10 +235,6 @@ def test_screen_needs_reach_below_2_20():
     assert (below.value, below.rechecked) == (1.0, 0)    # the screen decides every sample
     at = finite_density_mc(wide, radius=2.0 ** 20, samples=samples, seed=2)
     assert (at.value, at.rechecked) == (1.0, samples)
-    far = PeriodicPackingSpec(basis=e8_basis(), offsets=((2.0 ** 19,) + (0.0,) * 7,),
-                              separation=120.0)
-    shifted = finite_density_mc(far, radius=2.0 ** 19, samples=samples, seed=2)
-    assert (shifted.value, shifted.rechecked) == (1.0, samples)
 
 
 def _unfixed_d2(y, half):
