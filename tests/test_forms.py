@@ -7,6 +7,7 @@ import pydoc
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from spherepack.axis import (
     eval_phi0_axis,
     eval_psi_i_axis,
     eval_psi_s_axis,
+    check_realness,
     phi0_weighted_kernel,
 )
 from spherepack.errors import NonRealValue
@@ -387,7 +389,12 @@ def test_axis_array_refuses_bad_t(name, bad):
         AXIS_EVALUATORS[name](np.array([0.5, bad, 2.0]))
 
 
-@pytest.mark.parametrize("name", list(AXIS_EVALUATORS))
+#: the axis evaluators and the realness check of each form it covers
+PHASE_CHECKED = AXIS_EVALUATORS | {f"res_{form.value}": partial(check_realness, form)
+                                   for form in (FormId.PHI0, FormId.PSI_S)}
+
+
+@pytest.mark.parametrize("name", list(PHASE_CHECKED))
 def test_axis_refuses_injected_imaginary_part(name, monkeypatch):
     # the axis table refuses any series value that is not real, so a phase
     # on each series value is refused on both sides of t = 1.  Only a patch
@@ -397,7 +404,7 @@ def test_axis_refuses_injected_imaginary_part(name, monkeypatch):
                         lambda self, tau, **kw: plain(self, tau, **kw) * (1 + 1e-6j))
     for t in (np.array([0.5, 0.7]), np.array([1.5, 3.0])):
         with pytest.raises(NonRealValue):
-            AXIS_EVALUATORS[name](t)
+            PHASE_CHECKED[name](t)
 
 
 AXIS_FUNCTIONS = ["eval_phi0_axis", "eval_psi_s_axis", "eval_psi_i_axis",

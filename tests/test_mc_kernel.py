@@ -152,8 +152,12 @@ def test_decoder_matches_row_major_on_sampled_points():
     assert np.array_equal(dist, want_dist)
 
 
-def test_hit_counts_match_row_major():
-    spec = e8_packing_spec()
+#: one center per lattice point, at offset zero
+CENTERED = [pytest.param(e8_packing_spec(), id="zero-offset")]
+
+
+@pytest.mark.parametrize("spec", CENTERED)
+def test_hit_counts_match_row_major(spec):
     for radius in (0.5, 1.0, 3.0, 30.0, 1e5):    # at 1e5 every sample takes the exact path
         want = ref_hits(spec, radius, 40_000, 9) / 40_000
         for threads in (1, 2):
@@ -174,10 +178,10 @@ def _exact_hits(spec, radius, samples, seed):
     return hits
 
 
+@pytest.mark.parametrize("spec", CENTERED)
 @pytest.mark.parametrize("radius", [0.5, math.sqrt(0.5), 1.0, 5.0, 30.0, 3000.0, 30_000.0,
                                     60_000.0, 2.0 ** 40])
-def test_filtered_hits_equal_exact_hits(radius):
-    spec = e8_packing_spec()
+def test_filtered_hits_equal_exact_hits(spec, radius):
     for samples in (1, CHUNK + 1, 3 * _BLOCK + 5):
         want = _exact_hits(spec, radius, samples, 17) / samples
         for threads in (1, 2):
