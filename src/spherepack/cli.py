@@ -46,6 +46,7 @@ from typing import Callable, NamedTuple
 from .errors import ConfigError, ResourceGuard, SpherepackError
 from .forms import (FormId, check_jacobi, check_ramanujan, delta_qseries, eisenstein_qseries,
                     eta_product_qseries, form_qseries)
+from .qseries import ETA_MIN
 from .quadrature import QuadratureConfig
 
 
@@ -53,33 +54,36 @@ from .quadrature import QuadratureConfig
 # configuration
 # ---------------------------------------------------------------------------
 
+#: caps on --order (series_order) and on the n of --grid lo:hi:n (axis_grid_n),
+#: sized by timing: order 1,000 takes about 2 s, a 100,000-row magic table 1.4 s
+MAX_SERIES_ORDER = 1000
+MAX_GRID_POINTS = 100_000
+
+
 @dataclass(frozen=True)
 class RunConfig:
     series_order: int = 50
-    eta_min: float = 0.5
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
     axis_grid_lo: float = 0.05
     axis_grid_hi: float = 20.0
     axis_grid_n: int = 400
     seed: int = 0
     threads: int = 0
-    output_format: str = "json"
 
     def __post_init__(self):
         for name in ("series_order", "axis_grid_n", "seed", "threads"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.series_order < 2:
-            raise ConfigError("series_order must be at least 2")
-        if self.eta_min <= 0:
-            raise ConfigError("eta_min must be positive")
-        if not (0 < self.axis_grid_lo < self.axis_grid_hi) or self.axis_grid_n < 2:
-            raise ConfigError("axis grid must satisfy 0 < lo < hi and n >= 2")
+        if not 2 <= self.series_order <= MAX_SERIES_ORDER:
+            raise ConfigError(f"series_order must be at least 2 and at most the cap "
+                              f"{MAX_SERIES_ORDER}, got {self.series_order}")
+        if (not (0 < self.axis_grid_lo < self.axis_grid_hi)
+                or not 2 <= self.axis_grid_n <= MAX_GRID_POINTS):
+            raise ConfigError("axis grid must satisfy 0 < lo < hi and 2 <= n <= the cap "
+                              f"{MAX_GRID_POINTS}")
         if self.threads < 0:
             raise ConfigError("threads must be nonnegative")
-        if self.output_format not in ("json", "csv"):
-            raise ConfigError("output_format must be json or csv")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -185,11 +189,11 @@ def _cmd_forms_eval(args, config: RunConfig):
         raise ConfigError(f"unknown form {args.form!r}; choose from {valid}")
     _require_finite("--re", args.re)
     _require_finite("--im", args.im)
-    if args.im < config.eta_min:
-        raise ConfigError(f"--im must be at least eta_min = {config.eta_min}; "
+    if args.im < ETA_MIN:
+        raise ConfigError(f"--im must be at least ETA_MIN = {ETA_MIN}; "
                           "direct series evaluation is refused below it")
     series = form_qseries(form)
-    value = series.eval(complex(args.re, args.im), eta_min=config.eta_min)
+    value = series.eval(complex(args.re, args.im))
     results = {
         "form": form.value,
         "tau": {"re": args.re, "im": args.im},
@@ -202,6 +206,8 @@ def _cmd_forms_eval(args, config: RunConfig):
 
 def _cmd_forms_identities(args, config: RunConfig):
     order = args.order if args.order is not None else config.series_order
+    if order > MAX_SERIES_ORDER:
+        raise ConfigError(f"--order = {order} above cap {MAX_SERIES_ORDER}")
     ram = check_ramanujan(order)
     jac = check_jacobi(max(8, 4 * order), samples=(0.3 + 0.9j,))
     delta_ok = delta_qseries(order) == eta_product_qseries(order)
@@ -409,8 +415,8 @@ def _parse_grid(spec: str) -> list[float]:
         raise ConfigError(f"--grid expects lo:hi:n, got {spec!r}")
     _require_finite("--grid lo", lo)
     _require_finite("--grid hi", hi)
-    if n < 2 or hi <= lo:
-        raise ConfigError("--grid needs hi > lo and n >= 2")
+    if not 2 <= n <= MAX_GRID_POINTS or hi <= lo:
+        raise ConfigError(f"--grid needs hi > lo and 2 <= n <= the cap {MAX_GRID_POINTS}")
     return [lo + (hi - lo) * j / (n - 1) for j in range(n)]
 
 
@@ -514,10 +520,10 @@ def run(argv: list[str] | None = None) -> int:
         if args.config:
             with open(args.config) as fh:
                 config = RunConfig.from_dict(json.load(fh))
-        overrides = {"seed": args.seed, "threads": args.threads, "output_format": args.format}
+        overrides = {"seed": args.seed, "threads": args.threads}
         config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
         entry = _COMMANDS[command]
-        if config.output_format == "csv" and not entry.csv:
+        if args.format == "csv" and not entry.csv:
             tables = sorted(name for name, e in _COMMANDS.items() if e.csv)
             raise ConfigError(f"csv output is only available for {tables}")
         results, passed, csv = entry.handler(args, config)
@@ -529,7 +535,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     wall_ms = int(round((time.perf_counter() - t0) * 1000.0))
-    if config.output_format == "csv":
+    if args.format == "csv":
         text = csv
     else:
         text = render_report(command, config, results, passed, wall_ms)

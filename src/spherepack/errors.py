@@ -14,7 +14,7 @@ class ZeroDivisionSeries(SpherepackError):
 
 
 class DomainTooLow(SpherepackError):
-    """Evaluation point below the configured Im(tau) floor."""
+    """Evaluation point below the Im(tau) floor, ``qseries.ETA_MIN``."""
 
 
 class TruncationInsufficient(SpherepackError):
@@ -26,7 +26,7 @@ class NonRealValue(SpherepackError):
 
 
 class TailBoundViolated(SpherepackError):
-    """Ray truncation cannot certify the requested tail tolerance."""
+    """The contour's ray ends too early to certify its tail tolerance."""
 
 
 class NonpositiveFhat0(SpherepackError):

@@ -52,10 +52,6 @@ class LatticeVector:
         if sum(self.half_coords) % 4 != 0:
             raise ValueError("coordinate sum must be even")
 
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(h, 2) for h in self.half_coords)
-
     def norm2(self) -> int:
         """Exact squared Euclidean norm (always an even integer)."""
         return sum(h * h for h in self.half_coords) // 4

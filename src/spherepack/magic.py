@@ -390,6 +390,11 @@ def default_evaluator(quad: QuadratureConfig) -> MagicEvaluator:
 #: in certified tail bounds (factor 2 of safety)
 _RAY_TAIL = {FormId.PHI0: (2.0 * PI, 2.0 * 518400.0), FormId.PSI_S: (PI, 2.0 * 10240.0)}
 
+#: the contour's vertical ray is cut at Im(z) = _RAY_END, where the certified
+#: bound on the dropped tail (``_check_ray_tail``) must be within _RAY_TAIL_TOL
+_RAY_END = 12.0
+_RAY_TAIL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ContourSegment:
@@ -444,19 +449,18 @@ def contour_segments(form: FormId) -> list[ContourSegment]:
     ]
 
 
-def _check_ray_tail(form: FormId, r2: float, quad: QuadratureConfig) -> None:
+def _check_ray_tail(form: FormId, r2: float) -> None:
     decay, coeff = _RAY_TAIL[form]
     rate = decay + PI * r2
-    tail = coeff * math.exp(-rate * quad.ray_truncation) / rate
-    if tail > quad.tail_tol:
-        raise TailBoundViolated(
-            f"ray tail {tail:.3g} above tol {quad.tail_tol} at T={quad.ray_truncation}")
+    tail = coeff * math.exp(-rate * _RAY_END) / rate
+    if tail > _RAY_TAIL_TOL:
+        raise TailBoundViolated(f"ray tail {tail:.3g} above tol {_RAY_TAIL_TOL} at T={_RAY_END}")
 
 
 def _segment_nodes(seg: ContourSegment, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and complex weights (including kernel values and coefficient)."""
     if seg.is_ray:
-        nodes_t, weights_t = panel_nodes(seg.start.imag, quad.ray_truncation,
+        nodes_t, weights_t = panel_nodes(seg.start.imag, _RAY_END,
                                          quad.panels_per_segment, quad.gauss_order)
         nodes, weights = 1j * nodes_t, 1j * weights_t
     elif seg.start == seg.end:
@@ -475,7 +479,7 @@ def segment_integral(seg: ContourSegment, r2: float, quad: QuadratureConfig) -> 
     on an endpoint anyway.
     """
     if seg.is_ray:
-        _check_ray_tail(seg.form, r2, quad)
+        _check_ray_tail(seg.form, r2)
     nodes, weights = _segment_nodes(seg, quad)
     return complex((weights * np.exp(1j * PI * r2 * nodes)).sum())
 
@@ -483,7 +487,7 @@ def segment_integral(seg: ContourSegment, r2: float, quad: QuadratureConfig) -> 
 @lru_cache(maxsize=4)
 def _contour_table(form: FormId, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of all six legs of one function, concatenated."""
-    _check_ray_tail(form, 0.0, quad)
+    _check_ray_tail(form, 0.0)
     parts = [_segment_nodes(seg, quad) for seg in contour_segments(form)]
     return np.concatenate([n for n, _ in parts]), np.concatenate([w for _, w in parts])
 

@@ -1,8 +1,8 @@
 """Packing densities: closed forms and a deterministic Monte-Carlo estimator.
 
-The density of a lattice packing is Vol(B_d(0, sep/2)) / covolume, one
-center per fundamental cell.  For the E8 packing (separation sqrt(2),
-covolume 1) this is pi^4/384.
+The packing is E8's: one center per lattice point (covolume 1), at a
+separation that defaults to sqrt(2), the minimal distance.  Its density
+Vol(B_8(0, sep/2)) / covolume is then pi^4/384.
 
 The finite density -- the fraction of a ball B(0, R) covered -- is
 estimated by Monte Carlo: points uniform in B(0, R), hit-tested against
@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (CHUNK, DECODE_LIMIT, LatticeBasis, Scratch, e8_basis, e8_distance2,
-                      floor_split, nearest_in_coset, sum8)
+from .lattice import (CHUNK, DECODE_LIMIT, Scratch, covolume, e8_distance2, floor_split,
+                      nearest_in_coset, sum8)
 
 _BLOCK = 1 << 15
 
@@ -60,35 +60,22 @@ def ball_volume(d: int, r: float) -> float:
 
 @dataclass(frozen=True)
 class PeriodicPackingSpec:
-    """A lattice packing: one center per lattice point, at the given separation.
+    """The E8 lattice packing: one center per lattice point, at the given separation."""
 
-    ``basis`` is a :class:`LatticeBasis`, whose rows are E8 vectors, so its
-    determinant is exact; anything else is a ValueError.
-    """
-
-    basis: LatticeBasis
     separation: float = math.sqrt(2.0)
 
     def __post_init__(self):
-        if not isinstance(self.basis, LatticeBasis):
-            raise ValueError("the basis must be a LatticeBasis")
         if not self.separation > 0:
             raise ValueError("separation must be positive")
 
-    def covolume(self) -> float:
-        det = abs(self.basis.determinant())
-        if not det:
-            raise ValueError("degenerate basis")
-        return float(det)
-
 
 def e8_packing_spec() -> PeriodicPackingSpec:
-    return PeriodicPackingSpec(basis=e8_basis())
+    return PeriodicPackingSpec()
 
 
 def periodic_density(spec: PeriodicPackingSpec) -> float:
-    """Vol(B_8(0, sep/2)) / covolume; pi^4/384 for the E8 packing."""
-    return ball_volume(8, spec.separation / 2.0) / spec.covolume()
+    """Vol(B_8(0, sep/2)) / covolume; pi^4/384 at separation sqrt(2)."""
+    return ball_volume(8, spec.separation / 2.0) / covolume()
 
 
 @dataclass(frozen=True)
@@ -279,9 +266,8 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
     result does not depend on the worker count.  At most one worker runs
     per block, whatever ``threads`` asks for.
 
-    The hit test is the E8 coset decoder, so the basis must generate E8:
-    its rows are E8 vectors, and its determinant must be +-1.  Any other
-    basis, a radius outside (0, DECODE_LIMIT), the decoder's limit on the
+    The hit test decodes E8, the lattice of every ``PeriodicPackingSpec``.
+    A radius outside (0, DECODE_LIMIT), the decoder's limit on the
     coordinates, more than 2^60 samples, where the lane counters wrap, and
     more than 64 threads (``_MAX_THREADS``) are a ValueError, raised before
     any thread starts.  Each block is sampled and hit-tested CHUNK columns
@@ -324,8 +310,6 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
         raise ValueError(f"samples must be between 1 and 2^60, got {samples}")
     if threads > _MAX_THREADS:
         raise ValueError(f"threads must be at most {_MAX_THREADS}, got {threads}")
-    if abs(spec.basis.determinant()) != 1:
-        raise ValueError("the hit test decodes E8: the basis must have determinant +-1")
     key = _stream_key(seed)
     rho = spec.separation / 2.0
     delta = (2.0 * math.sqrt(2.0) * _TRIG32_ERROR * radius + _ROUNDING32 * radius

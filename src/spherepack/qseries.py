@@ -15,11 +15,11 @@ is the coefficient of nome**(lowest + j).
 
 Exactness is the point: identity checks (Ramanujan, Jacobi, the
 discriminant/eta-product match) are decided by integer arithmetic, and
-floating point enters only in :func:`QSeries.eval`.  Every ring operation
-runs on Python ints; ``Fraction`` appears only where coefficients enter
-(the constructor, :meth:`QSeries.scale`) and leave (:meth:`QSeries.coefficient`,
-``repr``).  The module runs on the standard library: numpy is imported
-only when an ndarray is evaluated.
+floating point enters only in :func:`QSeries.eval`, at Im(tau) >= ``ETA_MIN``.
+Every ring operation runs on Python ints; ``Fraction`` appears only where
+coefficients enter (the constructor, :meth:`QSeries.scale`) and leave
+(:meth:`QSeries.coefficient`, ``repr``).  The module runs on the standard
+library: numpy is imported only when an ndarray is evaluated.
 
 Instances are immutable after construction and safe to share between
 threads.
@@ -41,10 +41,10 @@ from .errors import (
     ZeroDivisionSeries,
 )
 
-#: Default floor on Im(tau) for direct series evaluation.  Below this the
-#: nome is too large for comfortable truncation and callers must go through
-#: the axis-transform operations instead.
-ETA_MIN_DEFAULT = 0.5
+#: Floor on Im(tau) for direct series evaluation.  Below this the nome is
+#: too large for comfortable truncation and callers must go through the
+#: axis-transform operations instead.
+ETA_MIN = 0.5
 
 #: ``QSeries.eval`` refuses a value whose truncation tail may exceed this.
 EVAL_TOL = 1e-12
@@ -66,12 +66,19 @@ class Nome(Enum):
 
     def value_at(self, tau):
         """The nome at tau: cmath for a number (numpy scalars included), numpy
-        elementwise for an ndarray."""
+        elementwise for an ndarray.  tau first drops k = Re(tau) - fmod(Re(tau), P),
+        the exact multiple of the nome's period P (1 for Q2, 8 for Q4); k is 0,
+        and tau keeps its bits, where |Re(tau)| < P."""
+        period = 1.0 if self is Nome.Q2 else 8.0
         if isinstance(tau, numbers.Number):
             exp = cmath.exp
+            k = tau.real - math.fmod(tau.real, period)
+            if k:
+                tau = tau - k
         else:
             import numpy as np
             exp = np.exp
+            tau = tau - (tau.real - np.fmod(tau.real, period))
         if self is Nome.Q2:
             return exp(2j * cmath.pi * tau)
         return exp(1j * cmath.pi * tau / 4)
@@ -132,14 +139,6 @@ class QSeries:
         if k > self.order:
             raise IndexError(f"coefficient of exponent {k} beyond order {self.order}")
         return Fraction(self._num_at(k), self.den)
-
-    def leading_exponent(self) -> int | None:
-        """Exponent of the first nonzero coefficient, or None for the zero window."""
-        return self.lowest if self.num[0] else None
-
-    def support(self) -> list[int]:
-        """Exponents with nonzero coefficients."""
-        return [self.lowest + j for j, n in enumerate(self.num) if n]
 
     def is_zero(self) -> bool:
         return not self.num[0]
@@ -296,16 +295,16 @@ class QSeries:
             return float("inf")
         return self._numeric()[1] * abs_nome ** max(self.order, 1) / (1.0 - abs_nome)
 
-    def eval(self, tau, eta_min: float = ETA_MIN_DEFAULT):
+    def eval(self, tau):
         """Evaluate at a point, or an ndarray of points, of the upper half-plane.
 
         One Horner loop serves both: a number (numpy scalars included) runs
         it on a Python nome and returns a ``complex``, an ndarray runs it
         elementwise, in place, and returns a complex array of the same shape
         (empty for an empty array); only the latter imports numpy.  Refuses
-        points with Im(tau) < eta_min or NaN (DomainTooLow)
-        and refuses to return values whose certified truncation tail, taken
-        at the largest |nome|, exceeds ``EVAL_TOL`` (TruncationInsufficient).
+        points with Im(tau) < ``ETA_MIN`` or NaN (DomainTooLow) and refuses
+        to return values whose certified truncation tail, taken at the
+        largest |nome|, exceeds ``EVAL_TOL`` (TruncationInsufficient).
 
         The loop runs over every stride-th float coefficient (``_numeric``)
         in y = nome**stride, formed by ``stride_power``: psi_s, psi_i and the
@@ -324,9 +323,9 @@ class QSeries:
             if not tau.size:
                 return np.empty(tau.shape, dtype=complex)
         im_min = tau.imag.min() if array else tau.imag
-        if not im_min >= eta_min:
+        if not im_min >= ETA_MIN:
             raise DomainTooLow(
-                f"Im(tau) = {im_min} below eta_min = {eta_min}; "
+                f"Im(tau) = {im_min} below ETA_MIN = {ETA_MIN}; "
                 "use the axis-transform evaluators for low points")
         w = self.nome.value_at(tau)
         abs_w = np.abs(w) if array else abs(w)

@@ -1,8 +1,9 @@
 """Gauss-Legendre panel quadrature on complex line segments.
 
-``QuadratureConfig`` is plain data; numpy is imported only when nodes are
-built, so a command that reads the config and builds no nodes runs on the
-standard library.
+``QuadratureConfig`` holds the two node counts, as plain data; where the
+contour's ray ends is a constant of ``magic``.  numpy is imported only when
+nodes are built, so a command that reads the config and builds no nodes
+runs on the standard library.
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ from functools import lru_cache
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Node counts and ray handling for the contour integrals."""
+    """Gauss nodes per panel and panels per segment of the contour integrals."""
 
     gauss_order: int = 32
     panels_per_segment: int = 8
-    ray_truncation: float = 12.0
-    tail_tol: float = 1e-12
 
     def __post_init__(self):
         for name in ("gauss_order", "panels_per_segment"):
@@ -29,10 +28,6 @@ class QuadratureConfig:
             raise ValueError("gauss_order must be at least 2")
         if self.panels_per_segment < 1:
             raise ValueError("panels_per_segment must be at least 1")
-        if self.ray_truncation < 2.0:
-            raise ValueError("ray_truncation must be at least 2")
-        if not 0 < self.tail_tol < 1:
-            raise ValueError("tail_tol must be in (0, 1)")
 
 
 @lru_cache(maxsize=32)

@@ -80,6 +80,18 @@ def test_forms_eval(capsys):
     assert abs(data["results"]["value"]["re"] - 1.4557628) < 2e-7
 
 
+@pytest.mark.parametrize("form", ["E4", "Theta00"])
+def test_forms_eval_far_along_the_real_axis(capsys, form):
+    # 1e17 is a multiple of both periods, 1 and 8
+    values = []
+    for re_tau in ("0", "1e17"):
+        code, out, _ = invoke(capsys, "forms", "eval", "--form", form, "--re", re_tau,
+                              "--im", "0.5")
+        assert code == 0
+        values.append(json.loads(out)["results"]["value"])
+    assert values[0] == values[1]
+
+
 def test_forms_eval_unknown_form(capsys):
     code, _, err = invoke(capsys, "forms", "eval", "--form", "E8")
     assert code == 2
@@ -243,6 +255,22 @@ def test_config_refuses_a_non_integer_in_an_integer_field(tmp_path, capsys, key,
     assert f"{key[-1]} must be an integer" in err
 
 
+@pytest.mark.parametrize("data", [
+    {"eta_min": 0.3}, {"output_format": "csv"},
+    {"quadrature": {"ray_truncation": 4.0}}, {"quadrature": {"tail_tol": 1e-9}},
+    {"series_order": 1001}, {"axis_grid_n": 100001},
+], ids=["eta_min", "output_format", "ray_truncation", "tail_tol", "series_order_cap",
+        "axis_grid_n_cap"])
+def test_config_refuses_retired_keys_and_values_above_a_cap(tmp_path, capsys, data):
+    # the Im(tau) floor, the ray's end and its tail tolerance are constants,
+    # and --format alone sets the output format
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "forms", "eval", "--form", "E4", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_error_returns_2(capsys):
     assert run(["lattice", "bogus"]) == 2
     assert run([]) == 2
@@ -305,8 +333,6 @@ def test_runconfig_validation():
     with pytest.raises(ConfigError):
         RunConfig(series_order=1)
     with pytest.raises(ConfigError):
-        RunConfig(output_format="xml")
-    with pytest.raises(ConfigError):
         RunConfig.from_dict({"quadrature": {"nodes": 3}})
 
 
@@ -339,6 +365,11 @@ def test_runconfig_validation():
     # caps on outside input: ResourceGuard and the thread bound
     ["lattice", "shells", "--max-norm2", "200"],
     ["packing", "mc", "--samples", "100", "--threads", "65"],
+    # caps on outside input: series orders and grid sizes
+    ["forms", "identities", "--order", "1001"],
+    ["forms", "identities", "--order", "100000000"],
+    ["magic", "table", "--which", "A", "--grid", "0:1:100001"],
+    ["axis", "check", "--grid", "0.1:1:1000000000000"],
 ])
 def test_bad_input_refused_at_boundary(capsys, argv):
     with warnings.catch_warnings():

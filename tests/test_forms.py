@@ -115,7 +115,7 @@ def test_phi0_leading_terms():
     assert num.coefficient(1) == 720
     p = phi0_qseries(10)
     assert p.coefficient(0) == 0
-    assert p.leading_exponent() == 1
+    assert p.lowest == 1
     assert p.coefficient(1) == 518400
 
 
@@ -124,7 +124,7 @@ def test_psi_s_leading_terms_and_support():
     assert p.coefficient(0) == 0
     assert p.coefficient(4) == -10240
     # invariance under tau -> tau + 2: every exponent a multiple of 4
-    assert all(k % 4 == 0 for k in p.support())
+    assert all(k % 4 == 0 for k in range(p.lowest, p.order + 1) if p.coefficient(k))
 
 
 def test_psi_i_expansion_and_shift_relation():

@@ -54,7 +54,7 @@ def test_basis_is_unimodular_and_even():
     for i in range(8):
         assert gram[i][i] % 2 == 0
     for row in basis.rows:
-        assert e8_membership(row.coords)
+        assert e8_membership([Fraction(h, 2) for h in row.half_coords])
 
 
 def test_gram_determinant_is_one():

@@ -95,10 +95,12 @@ def test_ray_self_convergence_under_refinement():
     assert abs(base - fine) < 1e-10 * max(abs(base), 1e-12)
 
 
-def test_ray_tail_bound_enforced():
+def test_ray_tail_bound_enforced(monkeypatch):
+    # cut at Im(z) = 4, psi_s's certified tail bound is 2.3e-2, far above 1e-12
+    monkeypatch.setattr(magic, "_RAY_END", 4.0)
     ray = contour_segments(FormId.PSI_S)[-1]
     with pytest.raises(TailBoundViolated):
-        segment_integral(ray, 0.0, QuadratureConfig(ray_truncation=4.0, tail_tol=1e-12))
+        segment_integral(ray, 0.0, QuadratureConfig())
 
 
 # -- eigenfunction values -------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from spherepack import lattice, packing
-from spherepack.lattice import CHUNK, decode_batch, e8_basis
+from spherepack.lattice import CHUNK, decode_batch
 from spherepack.packing import (
     _BLOCK,
     PeriodicPackingSpec,
@@ -234,7 +234,7 @@ def test_float32_edges_round_outward():
 def test_screen_needs_reach_below_2_20():
     # rho = 60 exceeds delta at every radius here, and every point lies within 1 of E8
     samples = CHUNK + 1
-    wide = PeriodicPackingSpec(basis=e8_basis(), separation=120.0)
+    wide = PeriodicPackingSpec(separation=120.0)
     below = finite_density_mc(wide, radius=2.0 ** 19, samples=samples, seed=2)
     assert (below.value, below.rechecked) == (1.0, 0)    # the screen decides every sample
     at = finite_density_mc(wide, radius=2.0 ** 20, samples=samples, seed=2)

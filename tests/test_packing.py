@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spherepack.lattice import LatticeBasis, LatticeVector, e8_basis, enumerate_shells
+from spherepack.lattice import enumerate_shells
 from spherepack.packing import (
     DensityEstimate,
     PeriodicPackingSpec,
@@ -57,23 +57,11 @@ def test_e8_density_closed_form():
     assert abs(periodic_density(e8_packing_spec()) - TARGET) < 1e-12
 
 
-def test_degenerate_basis_rejected():
-    rows = list(e8_basis().rows)
-    rows[1] = rows[0]
-    with pytest.raises(ValueError, match="degenerate basis"):
-        periodic_density(PeriodicPackingSpec(basis=LatticeBasis(tuple(rows)), separation=1.0))
-
-
-def test_a_matrix_basis_is_refused():
-    with pytest.raises(ValueError, match="LatticeBasis"):
-        PeriodicPackingSpec(basis=np.eye(8).tolist())
-
-
-def test_density_invariant_under_row_swap():
-    rows = list(e8_basis().rows)
-    rows[0], rows[1] = rows[1], rows[0]
-    swapped = PeriodicPackingSpec(basis=LatticeBasis(tuple(rows)))
-    assert periodic_density(swapped) == pytest.approx(TARGET, rel=1e-14)
+def test_density_at_another_separation():
+    # the lattice stays E8 (covolume 1); only the radius of the balls changes
+    assert periodic_density(PeriodicPackingSpec(separation=1.0)) == ball_volume(8, 0.5)
+    with pytest.raises(ValueError):
+        PeriodicPackingSpec(separation=0.0)
 
 
 def check_separation(centers, separation: float) -> bool:
@@ -97,7 +85,7 @@ def test_separation_violation_detected_in_spec():
 
 def test_mc_full_coverage_window():
     # window strictly inside one ball: every sample hits
-    spec = PeriodicPackingSpec(basis=e8_basis(), separation=math.sqrt(2))
+    spec = PeriodicPackingSpec(separation=math.sqrt(2))
     est = finite_density_mc(spec, radius=0.5, samples=4096, seed=1)
     assert est.value == 1.0
 
@@ -116,24 +104,6 @@ def test_mc_rejects_bad_input():
 def test_mc_rejects_non_finite_radius(radius):
     with pytest.raises(ValueError):
         finite_density_mc(e8_packing_spec(), radius=radius, samples=10, seed=1)
-
-
-def test_mc_rejects_a_basis_other_than_e8():
-    # the hit test decodes E8 whatever the basis says; 2 E8 has covolume 2^8
-    doubled = LatticeBasis(tuple(LatticeVector(tuple(2 * h for h in r.half_coords))
-                                 for r in e8_basis().rows))
-    spec = PeriodicPackingSpec(basis=doubled)
-    assert periodic_density(spec) == pytest.approx(TARGET / 2 ** 8, rel=1e-14)
-    with pytest.raises(ValueError):
-        finite_density_mc(spec, radius=2.0, samples=100, seed=1)
-
-
-def test_mc_accepts_any_basis_of_e8():
-    rows = list(e8_basis().rows)
-    rows[0], rows[7] = rows[7], rows[0]
-    reordered = PeriodicPackingSpec(basis=LatticeBasis(tuple(rows)))
-    a = finite_density_mc(reordered, radius=2.0, samples=2000, seed=1)
-    assert a.value == finite_density_mc(e8_packing_spec(), radius=2.0, samples=2000, seed=1).value
 
 
 def test_mc_reproducible_across_thread_counts():

@@ -1,5 +1,6 @@
 """Series arithmetic: ring laws, truncation bookkeeping, evaluation guards."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -40,7 +41,7 @@ def test_division_tracks_lowest():
     num = from_coefficients(Nome.Q2, [(2, 1)], 10)           # q^2
     den = from_coefficients(Nome.Q2, [(1, 1), (2, 1)], 10)  # q + q^2
     quot = num / den
-    assert quot.leading_exponent() == 1
+    assert quot.lowest == 1
     assert quot.coefficient(1) == 1
     assert quot.coefficient(2) == -1
 
@@ -145,6 +146,44 @@ def test_array_eval_keeps_shape_and_pole():
     got = series.eval(taus)
     assert got.shape == (7, 5)
     assert abs(got[3, 2] - series.eval(complex(taus[3, 2]))) <= 1e-13 * abs(got[3, 2])
+
+
+#: period P -> (x, k) with x + P k exact in float64: from 2^53 on the float
+#: spacing is 2 (16 from 2^56, where 8 10^16 lies), so x is a multiple of it
+_PERIOD_SHIFTS = {
+    1: [(0.375, 1), (-0.625, 7), (0.375, 2 ** 40 + 1), (-2.0, 10 ** 15), (2.0, 10 ** 16),
+        (6.0, -(10 ** 16))],
+    8: [(0.375, 1), (-0.625, 7), (3.375, 2 ** 40 + 1), (-2.0, 10 ** 15), (6.0, -(10 ** 15)),
+        (0.0, 10 ** 16), (-16.0, 10 ** 16)],
+}
+
+
+@pytest.mark.parametrize("form", list(FormId))
+def test_eval_is_periodic_in_re_tau(form):
+    # the nome has period P in Re(tau), also where P k is far beyond 1/ulp
+    series = form_qseries(form)
+    period = 1 if series.nome is Nome.Q2 else 8
+    shifts = _PERIOD_SHIFTS[period]
+    base = np.array([complex(x, 0.6) for x, _ in shifts])
+    shifted = np.array([complex(x + period * k, 0.6) for x, k in shifts])
+    assert [Fraction(t.real) for t in shifted] == [Fraction(x) + period * k for x, k in shifts]
+    want = series.eval(base)
+    for got in (series.eval(shifted), [series.eval(complex(t)) for t in shifted]):
+        assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+
+
+@pytest.mark.parametrize("nome", list(Nome))
+def test_nome_keeps_its_bits_within_one_period(nome):
+    # |Re(tau)| < P: the nome is the plain exponential, bit for bit
+    if nome is Nome.Q2:
+        period, plain = 1.0, lambda exp, tau: exp(2j * cmath.pi * tau)
+    else:
+        period, plain = 8.0, lambda exp, tau: exp(1j * cmath.pi * tau / 4)
+    taus = [complex(s * period, y) for s in (-0.999, -0.375, -0.0, 0.0, 0.5, 0.999)
+            for y in (0.5, 1.3)]
+    for tau in taus:
+        assert nome.value_at(tau) == plain(cmath.exp, tau)
+    assert np.array_equal(nome.value_at(np.array(taus)), plain(np.exp, np.array(taus)))
 
 
 def test_scalar_eval_returns_python_complex():
@@ -320,7 +359,7 @@ def test_integer_numerators_match_fraction_reference():
 
 def test_zero_window_through_integer_paths():
     z = QSeries(Nome.Q4, [Fraction(0), 0, Fraction(0, 5)], -2)
-    assert z.is_zero() and z.leading_exponent() is None and z.den == 1
+    assert z.is_zero() and z.den == 1
     assert z.order == 0 and z.coefficient(-3) == 0
     with pytest.raises(ZeroDivisionSeries):
         z.inverse()
@@ -466,7 +505,7 @@ def test_stride_of_each_pinned_series():
         series = _build(call)
         step = series._numeric()[2]
         assert step == sparse.get(call, 1), call
-        assert all((k - series.lowest) % step == 0 for k in series.support()), call
+        assert all(j % step == 0 for j, n in enumerate(series.num) if n), call
     assert one_series(Nome.Q2, 5)._numeric()[2] == 1
 
 
