@@ -47,6 +47,7 @@ the first oracle call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -78,8 +79,11 @@ _G_SCALE = PI / 2160.0
 #: s = r^2 below 2 + this margin takes the subtracted form; above it the
 #: plain integral converges and subtracting would only cost accuracy
 _SUBTRACT_MARGIN = 1.0
-#: radii per block of a Laplace sweep
-_BLOCK = 256
+#: radii per block of a Laplace sweep.  A block's work arrays hold
+#: P + Q + 2P + T + T1 = 8 + 32 + 16 + 46 + 23 = 125 float64 per radius, so
+#: 1,024 radii take about 1 MiB, half of a 2 MiB L2; smaller blocks pay
+#: numpy's per-call overhead on every few hundred radii
+_BLOCK = 1024
 #: the largest radius handled, so that pi r^2 stays finite
 _R_MAX = 1e150
 #: the moment terms left out add up to at most this fraction of the largest kept one
@@ -89,7 +93,7 @@ _SPLIT_TOL = 2.0 ** -53
 
 
 #: each thread's exponential and moment arrays for the blocks of a Laplace
-#: sweep, a few hundred KiB each, kept between blocks and calls
+#: sweep, about 1 MiB in all, kept between blocks and calls
 _SCRATCH = Scratch()
 
 
@@ -647,20 +651,25 @@ def bessel_j(n: int, x):
 # -- the radial Fourier transform in dimension 8 ------------------------------
 
 def _cubic_interp(radii: np.ndarray, values: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Local 4-point Lagrange cubic on a strictly increasing grid."""
+    """Local 4-point Lagrange cubic on a strictly increasing grid.
+
+    Each of the four neighbours' radii x_m is gathered once and each
+    s - x_m formed once; weight k is the product over m != k of
+    (s - x_m) / (x_k - x_m), taken in increasing m.
+    """
     idx = np.searchsorted(radii, s, side="right") - 1
     idx = np.clip(idx, 0, len(radii) - 2)
     i0 = np.clip(idx - 1, 0, len(radii) - 4)
+    near = [i0 + k for k in range(4)]
+    x = [radii[i] for i in near]
+    d = [s - xm for xm in x]
     out = np.zeros_like(s)
     for k in range(4):
-        xk = radii[i0 + k]
         lk = np.ones_like(s)
         for m in range(4):
-            if m == k:
-                continue
-            xm = radii[i0 + m]
-            lk *= (s - xm) / (xk - xm)
-        out += values[i0 + k] * lk
+            if m != k:
+                lk *= d[m] / (x[k] - x[m])
+        out += values[near[k]] * lk
     return out
 
 
@@ -684,8 +693,13 @@ def hankel8(table: RadialTable, r: float) -> float:
     slowly decaying eigenfunction tails.  The integrand is evaluated once on all
     (panels x 16) nodes; the panel sums are added in panel order.
     """
-    if not 0 < r < math.inf:
-        raise ValueError(f"hankel8 needs a finite r > 0, got {r}")
+    try:
+        cube = float(r) ** 3
+    except OverflowError:
+        cube = math.inf
+    # r^3 divides the integral, so a cube that underflows or overflows is refused
+    if not (r > 0 and sys.float_info.min <= cube < math.inf):
+        raise ValueError(f"hankel8 needs a finite r > 0 with a normal r^3, got {r}")
     radii, values = table.radii, table.values
     if len(radii) < 16:
         raise InsufficientTable("need at least 16 table points")
@@ -697,11 +711,19 @@ def hankel8(table: RadialTable, r: float) -> float:
         raise InsufficientTable(f"table spacing {gaps.max():.3g} too coarse")
     s0 = _TAPER_START * s_max
     x, w = gauss_nodes(16)
-    edges = [0.0]
-    while edges[-1] < s_max:
-        s = edges[-1]
-        h = min(0.5 / r, 1.0 / max(1.0, s), s_max - s)
-        edges.append(s + max(h, 1e-3))
+    # panel widths min(0.5/r, 1/max(1, s), s_max - s), at least 1e-3
+    bessel_step, end, s, edges = 0.5 / r, float(s_max), 0.0, [0.0]
+    while s < end:
+        h = bessel_step
+        wide = 1.0 / s if s > 1.0 else 1.0
+        if wide < h:
+            h = wide
+        if end - s < h:
+            h = end - s
+        if h < 1e-3:
+            h = 1e-3
+        s += h
+        edges.append(s)
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     half = (hi - lo) / 2.0
     s = ((lo + hi) / 2.0)[:, None] + half[:, None] * x      # one row of nodes per panel
@@ -709,4 +731,4 @@ def hankel8(table: RadialTable, r: float) -> float:
     window = _taper((s - s0) / (s_max - s0))
     panels = (w * f * window * bessel_j(3, 2.0 * PI * r * s) * s ** 4).sum(axis=1) * half
     total = float(np.cumsum(panels)[-1])                      # panel by panel, in order
-    return 2.0 * PI * total / r ** 3
+    return 2.0 * PI * total / cube

@@ -16,6 +16,7 @@ from spherepack.cli import run
 from spherepack.cohn_elkies import default_ce_grid, verify_magic_ce
 from spherepack.errors import InsufficientTable, TailBoundViolated
 from spherepack.forms import WEIGHT36, FormId, form_qseries
+from spherepack.lattice import Scratch
 from spherepack.magic import (
     A_SCALE,
     ContourSegment,
@@ -30,9 +31,11 @@ from spherepack.magic import (
     tabulate_radial,
     _BLOCK,
     _SUBTRACT_MARGIN,
+    _TAPER_START,
     _laplace_sweep,
+    _taper,
 )
-from spherepack.quadrature import QuadratureConfig, panel_nodes
+from spherepack.quadrature import QuadratureConfig, gauss_nodes, panel_nodes
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
@@ -190,7 +193,7 @@ def test_sweeps_refuse_nonreal_values(ev):
     assert isinstance(ev.eval_g(1.0), float)
 
 
-@pytest.mark.parametrize("n", [_BLOCK + 1, 1001])
+@pytest.mark.parametrize("n", [_BLOCK + 1, 3 * _BLOCK + 5])
 def test_chunked_sweep_matches_one_outer_product(ev, n):
     radii = np.linspace(0.0, 6.0, n)
     for kernel in (ev._phi, ev._psi, ev._plus, ev._minus):
@@ -209,6 +212,21 @@ def test_repeated_sweeps_reuse_work_arrays(ev):
         method([1.0])
     assert magic._SCRATCH.arrays.keys() == kept.keys()
     assert all(magic._SCRATCH.arrays[k] is v for k, v in kept.items())
+
+
+def test_sweep_work_arrays_are_sized_by_the_block_not_the_grid(ev, monkeypatch):
+    # a fresh per-thread store, so that earlier one-block sweeps do not count
+    monkeypatch.setattr(magic, "_SCRATCH", Scratch())
+    kernels = (ev._phi, ev._psi, ev._plus, ev._minus)
+    panels = max(k.panel_rate.size for k in kernels)
+    nodes = max(k.node_rate.size for k in kernels)
+    terms = max(m.offset.shape[0] for k in kernels for m in (k.decaying, k.growing))
+    terms1 = max(m.k2.size for k in kernels for m in (k.decaying, k.growing))
+    radii = np.linspace(0.0, 6.0, 3000)
+    for method in (ev.a_values, ev.b_values, ev.g_values, ev.g_hat_values):
+        method(radii)
+    held = sum(a.nbytes for a in magic._SCRATCH.arrays.values())
+    assert 0 < held <= _BLOCK * 8 * (panels + nodes + 2 * panels + terms + terms1)
 
 
 def test_sweeps_from_threads_match_one_thread(ev):
@@ -636,9 +654,19 @@ def test_hankel_gaussian_self_transform():
 def test_hankel_refuses_non_finite_radius():
     s = np.arange(0.0, 6.0001, 0.01)
     table = RadialTable(s, np.exp(-PI * s ** 2))
-    for r in (math.nan, math.inf, 0.0):
+    for r in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="finite r > 0"):
             hankel8(table, r)
+
+
+def test_hankel_refuses_a_radius_whose_cube_is_not_normal():
+    s = np.arange(0.0, 6.0001, 0.01)
+    table = RadialTable(s, np.exp(-PI * s ** 2))
+    for r in (1e-110, 1e-105, 1e110):       # r^3 underflows, is subnormal, overflows
+        with pytest.raises(ValueError, match="finite r > 0"):
+            hankel8(table, r)
+    # r -> 0: the integral of f over R^8, which is 1 for exp(-pi |x|^2)
+    assert abs(hankel8(table, 1e-60) - 1.0) < 1e-6
 
 
 def test_hankel_insufficient_table():
@@ -673,3 +701,50 @@ def test_hankel_minus_eigenfunction(ev, eigen_tables):
         got = hankel8(table_b, r)
         want = -ev.eval_b(r).imag
         assert abs(got - want) < 0.01 * abs(want)
+
+
+def _cubic_interp_reference(radii, values, s):
+    # the 16-gather Lagrange cubic that hankel8 used before its neighbours
+    # were gathered once
+    idx = np.searchsorted(radii, s, side="right") - 1
+    idx = np.clip(idx, 0, len(radii) - 2)
+    i0 = np.clip(idx - 1, 0, len(radii) - 4)
+    out = np.zeros_like(s)
+    for k in range(4):
+        xk = radii[i0 + k]
+        lk = np.ones_like(s)
+        for m in range(4):
+            if m == k:
+                continue
+            xm = radii[i0 + m]
+            lk *= (s - xm) / (xk - xm)
+        out += values[i0 + k] * lk
+    return out
+
+
+def _hankel8_reference(table, r):
+    # hankel8 with the min/max panel-edge loop and the reference interpolation
+    radii, values = table.radii, table.values
+    s_max = radii[-1]
+    s0 = _TAPER_START * s_max
+    x, w = gauss_nodes(16)
+    edges = [0.0]
+    while edges[-1] < s_max:
+        s = edges[-1]
+        h = min(0.5 / r, 1.0 / max(1.0, s), s_max - s)
+        edges.append(s + max(h, 1e-3))
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    half = (hi - lo) / 2.0
+    s = ((lo + hi) / 2.0)[:, None] + half[:, None] * x
+    f = _cubic_interp_reference(radii, values, s)
+    window = _taper((s - s0) / (s_max - s0))
+    panels = (w * f * window * bessel_j(3, 2.0 * PI * r * s) * s ** 4).sum(axis=1) * half
+    return 2.0 * PI * float(np.cumsum(panels)[-1]) / r ** 3
+
+
+def test_hankel_is_bit_identical_to_the_reference(eigen_tables):
+    uneven = np.cumsum(np.random.default_rng(3).uniform(0.01, 0.2, 400))
+    tables = (*eigen_tables, RadialTable(uneven, np.exp(-PI * uneven ** 2) * np.cos(uneven)))
+    for table in tables:
+        for r in (0.05, 0.7, 0.8, 1.1, 1.3, 1.4, 3.0):
+            assert hankel8(table, r) == _hankel8_reference(table, r), r
