@@ -1,12 +1,13 @@
 """Imaginary-axis evaluation and the two-sided positivity inequalities.
 
 Every function here takes a grid of t as one array (a float t is the
-length-1 case) and reads its series values from one ``AxisTable``: each
-series is evaluated once per branch, at i*t where t >= 1 and at i/t where
-t < 1, so the series argument always has Im >= 1.  The table is the one
-realness check: on the axis every nome is real, so a series value with a
-nonzero imaginary part raises NonRealValue, and the kernels do plain float
-arithmetic.
+length-1 case) and reads its series values from one ``AxisTable``: the
+seven series of the kernels are evaluated in one stacked call
+(``qseries.eval_stack``) at every grid point, at i*t where t >= 1 and at
+i/t where t < 1, so the series argument always has Im >= 1.  The table is
+the one realness check: on the axis every nome is real, so a series value
+with a nonzero imaginary part raises NonRealValue, and the kernels do
+plain float arithmetic.
 
 ``eq2_samples``/``verify_inequalities`` probe the pair of combinations
 phi0 +- (36/pi^2) psi_s in two conventions:
@@ -51,6 +52,7 @@ from .forms import (
     psi_i_qseries,
     psi_s_qseries,
 )
+from .qseries import eval_stack
 
 PI = math.pi
 
@@ -75,33 +77,42 @@ PI = math.pi
 AXIS_T_MIN = 0.01
 
 
+#: the seven series an axis table holds, one row each
+_TABLE_SERIES = (phi0_qseries, phi0_anomaly_qseries, e4sq_over_delta_qseries,
+                 psi_s_qseries, psi_i_qseries, _b_minus_psi_i_q4, _b_plus_psi_i_q4)
+_ROW = {build: i for i, build in enumerate(_TABLE_SERIES)}
+
+
 class AxisTable:
     """Series values on the two branches of one grid of t: at i*t where
     t >= 1 and at i/t where t < 1.  The one place that splits t by branch.
 
-    ``values(build, upper)`` evaluates ``build()`` once per branch, on
-    first use, so the kernels of one pass share their series values; it is
-    also the one realness check.  A table lives for one pass over one grid;
-    nothing outlives it.
+    The table evaluates its seven series (phi0, A, B, psi_s, psi_i,
+    B - psi_i, B + psi_i) once, at every grid point, in one
+    ``eval_stack`` call, and is the one realness check: a value with a
+    nonzero imaginary part, which no real nome can give, raises
+    NonRealValue.  ``values(build, upper)`` looks up build()'s row on one
+    branch.  A table lives for one pass over one grid; nothing outlives it.
     """
 
     def __init__(self, t: np.ndarray):
         self.t = t
         self.upper = t >= 1.0
-        self._points = {True: 1j * t[self.upper], False: 1j * (1.0 / t[~self.upper])}
-        self._values: dict = {}
+        # the upper branch's points first, so that each branch is a slice
+        split = int(self.upper.sum())
+        val = eval_stack([build() for build in _TABLE_SERIES],
+                         1j * np.concatenate([t[self.upper], 1.0 / t[~self.upper]]))
+        bad = val.imag != 0
+        if bad.any():
+            row = int(np.argmax(bad.any(axis=1)))
+            raise NonRealValue(f"{_TABLE_SERIES[row].__name__} is not real on the "
+                               f"axis: {val[row][bad[row]][0]}")
+        self._values = {True: val.real[:, :split], False: val.real[:, split:]}
 
     def values(self, build, upper: bool) -> np.ndarray:
-        """The branch's values of build() as a float array; NonRealValue if
-        any has a nonzero imaginary part, which no real nome can give."""
-        key = build, upper
-        if key not in self._values:
-            val = build().eval(self._points[upper])
-            if val.imag.any():
-                raise NonRealValue(f"{getattr(build, '__name__', build)} is not real on the "
-                                   f"axis: {val[val.imag != 0][0]}")
-            self._values[key] = val.real
-        return self._values[key]
+        """The branch's values of build(), one of the table's series, as a
+        float array."""
+        return self._values[upper][_ROW[build]]
 
     def branches(self, kernel, *sign) -> np.ndarray:
         """kernel(t, v, upper, *sign) on each branch's part of the grid, as one
@@ -276,8 +287,8 @@ def eq2_samples(grid: Sequence[float], convention: Eq2Convention) -> AxisSamples
     The combinations are computed through cancellation-free series (the
     exp(2 pi t)-sized parts combined exactly), so the samples remain
     meaningful where naive subtraction would lose all precision.  The four
-    arrays read one ``AxisTable``, so each series is evaluated once per
-    branch.  A t <= 0 or NaN raises ValueError.
+    arrays read one ``AxisTable``, so the seven series are evaluated in one
+    stacked call over the whole grid.  A t <= 0 or NaN raises ValueError.
     """
     t = np.asarray(grid, dtype=float)
     first, second, combo, w = _CONVENTIONS[convention]

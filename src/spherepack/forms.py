@@ -57,12 +57,20 @@ class FormId(Enum):
 
 def _series_cache(build):
     """lru_cache keyed on the effective arguments, defaults filled in, so
-    theta_qseries("00") and theta_qseries("00", 256) are one entry."""
+    theta_qseries("00") and theta_qseries("00", 256) are one entry.  A
+    positional call fills its defaults from a tuple made here; a keyword
+    call, or one with too few or too many arguments, goes through
+    ``Signature.bind``, which raises TypeError on the latter."""
     cached = lru_cache(maxsize=None)(build)
     signature = inspect.signature(build)
+    params = signature.parameters.values()
+    defaults = tuple(p.default for p in params)
+    required = sum(p.default is p.empty for p in params)
 
     @wraps(build)
     def call(*args, **kwargs):
+        if not kwargs and required <= len(args) <= len(defaults):
+            return cached(*args, *defaults[len(args):])
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
         return cached(*bound.args)

@@ -67,6 +67,7 @@ from .forms import (
     psi_i_qseries,
 )
 from .lattice import Scratch
+from .qseries import eval_stack
 from .quadrature import QuadratureConfig, gauss_nodes, panel_nodes
 
 PI = math.pi
@@ -311,7 +312,7 @@ class MagicEvaluator:
     The kernel values at the [0, 1] Gauss nodes and the exponential terms
     on [1, inf) are independent of the radius, so they are built once per
     quadrature configuration (``panels_per_segment`` panels of
-    ``gauss_order`` nodes), from one array series evaluation per form.
+    ``gauss_order`` nodes), from one stacked series evaluation of both forms.
     a, b, g and g_hat are real integrals at every r >= 0; a and b come
     back as complex arrays with real part exactly 0.  The ``*_values``
     methods take radius arrays and are the only evaluation path; ``eval_*``
@@ -323,8 +324,8 @@ class MagicEvaluator:
     def __init__(self, quad: QuadratureConfig):
         self.quad = quad
         t, w = panel_nodes(0.0, 1.0, self.quad.panels_per_segment, self.quad.gauss_order)
-        kphi = (t * t) * form_qseries(FormId.PHI0).eval(1j / t).real
-        kpsi = (t * t) * form_qseries(FormId.PSI_S).eval(1j / t).real
+        kphi, kpsi = (t * t) * eval_stack(
+            (form_qseries(FormId.PHI0), form_qseries(FormId.PSI_S)), 1j / t).real
         phi, psi = _moment_terms(FormId.PHI0), _moment_terms(FormId.PSI_S)
         # a's and b's tables share one array of nodes
         self._nodes_a = self._nodes_b = t
@@ -377,8 +378,8 @@ class MagicEvaluator:
 def default_evaluator(quad: QuadratureConfig) -> MagicEvaluator:
     """Shared evaluator per quadrature configuration.
 
-    Building the Laplace tables costs one array series evaluation per form
-    on the [0, 1] nodes, the check that those nodes split into panel ends
+    Building the Laplace tables costs one stacked series evaluation of both
+    forms on the [0, 1] nodes, the check that those nodes split into panel ends
     plus the first panel's nodes, and the four kernels' moment terms, cut
     to their proven-negligible tail: a few milliseconds once the exact
     series are cached.

@@ -15,11 +15,14 @@ is the coefficient of nome**(lowest + j).
 
 Exactness is the point: identity checks (Ramanujan, Jacobi, the
 discriminant/eta-product match) are decided by integer arithmetic, and
-floating point enters only in :func:`QSeries.eval`, at Im(tau) >= ``ETA_MIN``.
-Every ring operation runs on Python ints; ``Fraction`` appears only where
-coefficients enter (the constructor, :meth:`QSeries.scale`) and leave
-(:meth:`QSeries.coefficient`, ``repr``).  The module runs on the standard
-library: numpy is imported only when an ndarray is evaluated.
+floating point enters only in evaluation, at Im(tau) >= ``ETA_MIN``:
+:meth:`QSeries.eval` at a number or an array, and :func:`eval_stack`, which
+evaluates several series at one array of points in one Horner loop and is
+the array case of ``eval``.  Every ring operation runs on Python ints;
+``Fraction`` appears only where coefficients enter (the constructor,
+:meth:`QSeries.scale`) and leave (:meth:`QSeries.coefficient`, ``repr``).
+The module runs on the standard library: numpy is imported only when an
+ndarray is evaluated.
 
 Instances are immutable after construction and safe to share between
 threads.
@@ -56,6 +59,10 @@ DEFAULT_ORDER_Q2 = 50
 #: Im(tau) = 0.5 (|q4| ~ 0.675) still certifies ~1e-12 tails despite the
 #: sub-exponential coefficient growth of the theta quotients.
 DEFAULT_ORDER_Q4 = 256
+
+#: Points per block of ``eval_stack``: with seven complex rows, its
+#: accumulator and y take 0.9 MiB.
+_STACK_BLOCK = 4096
 
 
 class Nome(Enum):
@@ -295,52 +302,51 @@ class QSeries:
             return float("inf")
         return self._numeric()[1] * abs_nome ** max(self.order, 1) / (1.0 - abs_nome)
 
-    def eval(self, tau):
-        """Evaluate at a point, or an ndarray of points, of the upper half-plane.
-
-        One Horner loop serves both: a number (numpy scalars included) runs
-        it on a Python nome and returns a ``complex``, an ndarray runs it
-        elementwise, in place, and returns a complex array of the same shape
-        (empty for an empty array); only the latter imports numpy.  Refuses
-        points with Im(tau) < ``ETA_MIN`` or NaN (DomainTooLow) and refuses
-        to return values whose certified truncation tail, taken at the
-        largest |nome|, exceeds ``EVAL_TOL`` (TruncationInsufficient).
-
-        The loop runs over every stride-th float coefficient (``_numeric``)
-        in y = nome**stride, formed by ``stride_power``: psi_s, psi_i and the
-        Q4 theta series step by 8 or 4 over the zeros between, and a dense
-        series (stride 1) runs in the nome itself.  It skips the add of each
-        remaining zero coefficient, and its working type follows the nome:
-        when no nome value has a nonzero imaginary part (every point of the
-        imaginary axis), y and the loop are float.  That is the real part of
-        the complex loop bit for bit, up to the sign of a zero, because the
-        imaginary parts stay exactly zero.  The factor nome**lowest stays a
-        complex integer power, of which the float loop takes the real part.
-        """
-        array = not isinstance(tau, numbers.Number)
-        if array:
-            import numpy as np
-            if not tau.size:
-                return np.empty(tau.shape, dtype=complex)
-        im_min = tau.imag.min() if array else tau.imag
-        if not im_min >= ETA_MIN:
-            raise DomainTooLow(
-                f"Im(tau) = {im_min} below ETA_MIN = {ETA_MIN}; "
-                "use the axis-transform evaluators for low points")
-        w = self.nome.value_at(tau)
-        abs_w = np.abs(w) if array else abs(w)
-        abs_min, abs_max = (abs_w.min(), abs_w.max()) if array else (abs_w, abs_w)
+    def _check(self, im_min: float, abs_min: float, abs_max: float) -> None:
+        """The refusals of an evaluation whose smallest Im(tau) and whose
+        smallest and largest |nome| are given: DomainTooLow on nome
+        underflow with a pole at the cusp, TruncationInsufficient when the
+        tail at the largest |nome| exceeds ``EVAL_TOL``."""
         if self.lowest < 0 and abs_min < 1e-300:
             raise DomainTooLow(
                 f"nome underflow at Im(tau) = {im_min} with a pole at the cusp")
         if self.tail_estimate(float(abs_max)) > EVAL_TOL:
             raise TruncationInsufficient(
                 f"tail estimate exceeds tol={EVAL_TOL} at |q|={abs_max:.4g}, order {self.order}")
-        real = not (w.imag.any() if array else w.imag)
+
+    def eval(self, tau):
+        """Evaluate at a point, or an ndarray of points, of the upper half-plane.
+
+        A number (numpy scalars included) runs Horner on a Python nome and
+        returns a ``complex``; only an ndarray imports numpy, and it is the
+        one-series case of :func:`eval_stack`, a complex array of tau's
+        shape.  Refuses points with Im(tau) < ``ETA_MIN`` or NaN
+        (DomainTooLow) and refuses to return values whose certified
+        truncation tail, taken at the largest |nome|, exceeds ``EVAL_TOL``
+        (TruncationInsufficient).
+
+        The loop runs over every stride-th float coefficient (``_numeric``)
+        in y = nome**stride, formed by ``stride_power``: psi_s, psi_i and the
+        Q4 theta series step by 8 or 4 over the zeros between, and a dense
+        series (stride 1) runs in the nome itself.  It skips the add of each
+        remaining zero coefficient, and its working type follows the nome:
+        when the nome is real (every point of the imaginary axis), y and the
+        loop are float.  That is the real part of the complex loop bit for
+        bit, up to the sign of a zero, because the imaginary parts stay
+        exactly zero.  The factor nome**lowest stays a complex integer
+        power, of which the float loop takes the real part.
+        """
+        if not isinstance(tau, numbers.Number):
+            return eval_stack((self,), tau)[0, ...].astype(complex, copy=False)
+        _check_domain(tau.imag)
+        w = self.nome.value_at(tau)
+        abs_w = abs(w)
+        self._check(tau.imag, abs_w, abs_w)
+        real = not w.imag
         floats, _, step = self._numeric()
         y = stride_power(w.real if real else w, step)
         *rest, top = floats[::step]
-        acc = np.full(w.shape, top, dtype=y.dtype) if array else type(y)(top)
+        acc = type(y)(top)
         for c in reversed(rest):
             acc *= y
             if c:
@@ -348,7 +354,74 @@ class QSeries:
         if self.lowest:
             power = w ** self.lowest
             acc *= power.real if real else power
-        return acc.astype(complex, copy=False) if array else complex(acc)
+        return complex(acc)
+
+
+def _check_domain(im_min) -> None:
+    """DomainTooLow unless the smallest Im(tau) is at least ``ETA_MIN`` (NaN is not)."""
+    if not im_min >= ETA_MIN:
+        raise DomainTooLow(
+            f"Im(tau) = {im_min} below ETA_MIN = {ETA_MIN}; "
+            "use the axis-transform evaluators for low points")
+
+
+def eval_stack(series: Sequence[QSeries], tau):
+    """Values of k series at one ndarray of points, as an array of shape
+    (k, *tau.shape): row i is ``series[i].eval(tau)``, bit for bit up to
+    the sign of a zero.  The array is float when every nome value is real,
+    as on the imaginary axis, where the imaginary parts are exactly 0, and
+    when tau is empty; it is complex otherwise.
+
+    Each row keeps the refusals of ``QSeries.eval`` and its own
+    nome**lowest factor.  One Horner loop serves all rows: row i runs in
+    its own y = nome_i**stride_i over its stride-th coefficients, padded
+    with zeros above its top coefficient up to the longest row.  A padded
+    row stays 0 until it reaches its top coefficient, and 0*y + top is top
+    exactly.  The add of a coefficient that is zero in every row is
+    skipped, so one series runs exactly the operations of its own loop.
+    The loop runs over blocks of ``_STACK_BLOCK`` points, so that the k
+    rows of the accumulator and of y stay in cache on a large grid.
+    """
+    import numpy as np
+    if not tau.size:
+        return np.empty((len(series),) + tau.shape)
+    im_min = tau.imag.min()
+    _check_domain(im_min)
+    nomes = {s.nome: s.nome.value_at(tau.ravel()) for s in series}
+    ranges = {nome: (np.abs(w).min(), np.abs(w).max()) for nome, w in nomes.items()}
+    for s in series:
+        s._check(im_min, *ranges[s.nome])
+    real = not any(w.imag.any() for w in nomes.values())
+    bases = {nome: w.real for nome, w in nomes.items()} if real else nomes
+    strided, keys = [], []
+    for s in series:
+        floats, _, step = s._numeric()
+        strided.append(floats[::step])
+        keys.append((s.nome, step))
+    width = max(map(len, strided))
+    table = np.array([c + (0.0,) * (width - len(c)) for c in strided]).T
+    # coefficient j of every row: a float where it is the same in every row
+    # (None where that is 0), else a (k, 1) column
+    uniform = (table == table[:, :1]).all(axis=1).tolist()
+    first = table[:, 0].tolist()
+    table = table[:, :, None]
+    columns = [(first[j] or None) if uniform[j] else table[j] for j in range(width)]
+    out = np.empty((len(series), tau.size), dtype=float if real else complex)
+    for lo in range(0, tau.size, _STACK_BLOCK):
+        part = slice(lo, lo + _STACK_BLOCK)
+        powers = {(nome, step): stride_power(bases[nome][part], step) for nome, step in set(keys)}
+        y = np.stack([powers[key] for key in keys])
+        acc = out[:, part]
+        acc[...] = table[-1]
+        for c in columns[-2::-1]:
+            acc *= y
+            if c is not None:
+                acc += c
+        for i, s in enumerate(series):
+            if s.lowest:
+                power = nomes[s.nome][part] ** s.lowest
+                acc[i] *= power.real if real else power
+    return out.reshape((len(series),) + tau.shape)
 
 
 def stride_power(w, k: int):

@@ -16,9 +16,17 @@ from spherepack.axis import (
     verify_inequalities,
 )
 from spherepack.cohn_elkies import verify_magic_ce
-from spherepack.forms import FormId
+from spherepack.forms import (
+    FormId,
+    _b_minus_psi_i_q4,
+    _b_plus_psi_i_q4,
+    e4sq_over_delta_qseries,
+    phi0_anomaly_qseries,
+    phi0_qseries,
+    psi_i_qseries,
+    psi_s_qseries,
+)
 from spherepack.magic import default_evaluator
-from spherepack.qseries import QSeries
 from spherepack.quadrature import QuadratureConfig
 
 PI = math.pi
@@ -110,19 +118,7 @@ def test_report_is_serializable():
     assert d["pass"] is True
 
 
-# -- one evaluation per (series, branch) in a pass ---------------------------------
-
-#: the distinct (series, branch) pairs the four arrays of a pass read
-_PASS_SERIES = {
-    Eq2Convention.DIRECT: {
-        "t >= 1": ("phi0", "psi_s"),
-        "t < 1": ("phi0", "A", "B", "psi_i", "B - psi_i", "B + psi_i"),
-    },
-    Eq2Convention.S_WEIGHTED: {
-        "t >= 1": ("phi0", "A", "B", "psi_i", "B - psi_i", "B + psi_i"),
-        "t < 1": ("phi0", "psi_s"),
-    },
-}
+# -- one stacked evaluation of the seven series per table ---------------------------
 
 #: the public evaluators behind each convention's four arrays, phi0-slot weight last
 _PUBLIC = {
@@ -135,22 +131,46 @@ _PUBLIC = {
 
 @pytest.mark.parametrize("convention", list(Eq2Convention))
 def test_eq2_pass_evaluates_each_series_once_per_branch(convention, monkeypatch):
+    # one stacked call per table: the seven series at every grid point, i*t
+    # where t >= 1 and i/t where t < 1, so each series once on each branch
     grid = np.array(log_grid(0.05, 20.0, 64))
     calls = []
-    real_eval = QSeries.eval
+    real_stack = axis.eval_stack
 
-    def counting_eval(self, tau, *args, **kwargs):
-        calls.append((id(self), complex(tau.flat[0])))
-        return real_eval(self, tau, *args, **kwargs)
+    def counting_stack(series, tau):
+        calls.append((tuple(series), tau.copy()))
+        return real_stack(series, tau)
 
-    monkeypatch.setattr(QSeries, "eval", counting_eval)
+    monkeypatch.setattr(axis, "eval_stack", counting_stack)
     samples = eq2_samples(grid, convention)
     monkeypatch.undo()
-    want = sum(map(len, _PASS_SERIES[convention].values()))
-    assert len(calls) == len(set(calls)) == want
+    assert len(calls) == 1
+    series, tau = calls[0]
+    # phi0, A, B, psi_s, psi_i, B - psi_i and B + psi_i
+    want = (phi0_qseries(), phi0_anomaly_qseries(), e4sq_over_delta_qseries(),
+            psi_s_qseries(), psi_i_qseries(), _b_minus_psi_i_q4(), _b_plus_psi_i_q4())
+    assert len(series) == len(want) and all(a is b for a, b in zip(series, want))
+    upper = grid >= 1.0
+    assert 0 < upper.sum() < grid.size
+    assert sorted(tau.imag) == sorted(np.where(upper, grid, 1.0 / grid))
+    assert np.all(tau.real == 0.0)
     first, second, combo, w = _PUBLIC[convention]
     assert np.array_equal(samples.t, grid)
     assert np.array_equal(samples.phi0, w * first(grid))
     assert np.array_equal(samples.psi_s, (1.0 / w) * second(grid))
     assert np.array_equal(samples.combo_plus, combo(grid, +1))
     assert np.array_equal(samples.combo_minus, combo(grid, -1))
+
+
+def test_empty_grid_gives_empty_float_arrays():
+    for f in (axis.eval_phi0_axis, axis.eval_psi_s_axis, axis.eval_psi_i_axis,
+              axis.phi0_weighted_kernel):
+        got = f(np.array([]))
+        assert got.shape == (0,) and got.dtype == float
+    for combo in (axis.axis_combo_direct, axis.axis_combo_weighted):
+        for sign in (1, -1):
+            got = combo(np.empty((0, 2)), sign)
+            assert got.shape == (0, 2) and got.dtype == float
+    for convention in Eq2Convention:
+        for value in vars(eq2_samples([], convention)).values():
+            assert value.shape == (0,) and value.dtype == float

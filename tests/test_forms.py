@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import spherepack
-from spherepack import qseries
 
 from spherepack.axis import (
     axis_combo_direct,
@@ -397,11 +396,11 @@ PHASE_CHECKED = AXIS_EVALUATORS | {f"res_{form.value}": partial(check_realness, 
 @pytest.mark.parametrize("name", list(PHASE_CHECKED))
 def test_axis_refuses_injected_imaginary_part(name, monkeypatch):
     # the axis table refuses any series value that is not real, so a phase
-    # on each series value is refused on both sides of t = 1.  Only a patch
-    # like this one reaches that check: on the axis every nome is real.
-    plain = qseries.QSeries.eval
-    monkeypatch.setattr(qseries.QSeries, "eval",
-                        lambda self, tau, **kw: plain(self, tau, **kw) * (1 + 1e-6j))
+    # on each stacked series value is refused on both sides of t = 1.  Only a
+    # patch like this one reaches that check: on the axis every nome is real.
+    plain = spherepack.axis.eval_stack
+    monkeypatch.setattr(spherepack.axis, "eval_stack",
+                        lambda series, tau: plain(series, tau) * (1 + 1e-6j))
     for t in (np.array([0.5, 0.7]), np.array([1.5, 3.0])):
         with pytest.raises(NonRealValue):
             PHASE_CHECKED[name](t)
@@ -446,3 +445,25 @@ def test_builders_cache_on_effective_order():
     # delta_qseries(50) adds one Eisenstein build, E6 at order 50
     assert done.stdout.split() == ["theta_qseries", "1", "eisenstein_qseries", "2",
                                    "delta_qseries", "1"]
+
+
+def test_positional_and_keyword_calls_share_one_entry():
+    # a positional call fills its defaults without binding; a keyword call
+    # binds; both reach the entry of the same effective arguments
+    first = theta_qseries("00")
+    size = theta_qseries.cache_info().currsize
+    assert theta_qseries("00", 256) is first and theta_qseries(kind="00") is first
+    assert theta_qseries.cache_info().currsize == size
+    assert eisenstein_qseries(4) is eisenstein_qseries(weight=4, order=50)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: theta_qseries(),
+    lambda: theta_qseries(order=256),
+    lambda: eisenstein_qseries(order=50),
+    lambda: theta_qseries("00", 256, 1),
+    lambda: delta_qseries(50, order=50),
+])
+def test_builders_refuse_missing_or_extra_arguments(call):
+    with pytest.raises(TypeError):
+        call()

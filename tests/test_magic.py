@@ -748,3 +748,25 @@ def test_hankel_is_bit_identical_to_the_reference(eigen_tables):
     for table in tables:
         for r in (0.05, 0.7, 0.8, 1.1, 1.3, 1.4, 3.0):
             assert hankel8(table, r) == _hankel8_reference(table, r), r
+
+
+def test_kernel_weights_match_two_single_series_evaluations():
+    # the evaluator reads phi0 and psi_s at the 1j/t nodes from one stacked
+    # call; each kernel's table equals the one built from two plain evals
+    quad = QuadratureConfig()
+    ev = MagicEvaluator(quad)
+    panels = quad.panels_per_segment
+    t, w = panel_nodes(0.0, 1.0, panels, quad.gauss_order)
+    kphi = (t * t) * form_qseries(FormId.PHI0).eval(1j / t).real
+    kpsi = (t * t) * form_qseries(FormId.PSI_S).eval(1j / t).real
+    phi, psi = magic._moment_terms(FormId.PHI0), magic._moment_terms(FormId.PSI_S)
+    want = {
+        "_phi": magic._Kernel.build(t, w, kphi, phi, panels),
+        "_psi": magic._Kernel.build(t, w, kpsi, psi, panels),
+        "_plus": magic._Kernel.build(t, w, kphi - WEIGHT36 * kpsi,
+                                     magic._combine(1.0, phi, -WEIGHT36, psi), panels),
+        "_minus": magic._Kernel.build(t, w, -kphi - WEIGHT36 * kpsi,
+                                      magic._combine(-1.0, phi, -WEIGHT36, psi), panels),
+    }
+    for name, kernel in want.items():
+        assert np.array_equal(getattr(ev, name).weights, kernel.weights), name

@@ -8,9 +8,17 @@ import numpy as np
 import pytest
 
 from spherepack.errors import DomainTooLow, NomeMismatch, TruncationInsufficient, ZeroDivisionSeries
-from spherepack.forms import FormId, form_qseries, psi_i_qseries
-from spherepack.qseries import (Nome, QSeries, from_coefficients, one_series,
-                                stride_power)
+from spherepack.forms import (
+    FormId,
+    _b_minus_psi_i_q4,
+    _b_plus_psi_i_q4,
+    e4sq_over_delta_qseries,
+    form_qseries,
+    phi0_anomaly_qseries,
+    psi_i_qseries,
+)
+from spherepack.qseries import (_STACK_BLOCK, Nome, QSeries, eval_stack, from_coefficients,
+                                one_series, stride_power)
 
 
 def geometric(order):
@@ -517,3 +525,95 @@ def test_stride_power_is_one_chain_for_float_and_complex():
         assert np.all(np.abs(got - xs ** k) <= 2 * k * 2.0 ** -53 * xs ** k)
         assert stride_power(complex(0.77), k).real == stride_power(0.77, k)
     assert stride_power(xs, 1) is xs
+
+
+# -- the stacked loop against the one-series array loop --------------------------
+
+def _one_series_loop(series, tau):
+    """The array loop of QSeries.eval before eval_stack, guards left out:
+    one series, in y = nome**stride, float when its own nome is real, the
+    add of each zero coefficient skipped."""
+    w = series.nome.value_at(tau)
+    real = not w.imag.any()
+    floats, _, step = series._numeric()
+    y = stride_power(w.real if real else w, step)
+    *rest, top = floats[::step]
+    acc = np.full(w.shape, top, dtype=y.dtype)
+    for c in reversed(rest):
+        acc *= y
+        if c:
+            acc += c
+    if series.lowest:
+        power = w ** series.lowest
+        acc *= power.real if real else power
+    return acc.astype(complex, copy=False)
+
+
+def _stack_series():
+    """The seven axis series, E2 and E4 (dense Q2), theta10 (Q4, stride 8) and Delta."""
+    return (form_qseries(FormId.PHI0), phi0_anomaly_qseries(), e4sq_over_delta_qseries(),
+            form_qseries(FormId.PSI_S), psi_i_qseries(), _b_minus_psi_i_q4(), _b_plus_psi_i_q4(),
+            form_qseries(FormId.E2), form_qseries(FormId.E4), form_qseries(FormId.THETA10),
+            form_qseries(FormId.DELTA))
+
+
+_IM = np.array([0.5, 0.6, 0.9, 1.0, 1.7, 3.0, 7.5])
+
+#: label -> (points, whether every nome is real there)
+_STACK_POINTS = {
+    "axis": (1j * _IM, True),
+    "off axis": (np.array([x + 1j * y for x in (-0.45, -0.1, 0.2, 0.49) for y in _IM]), False),
+    # q2 is real at Re(tau) = 1 and q4 is not, so the stack runs complex there
+    "Re = 1": (1.0 + 1j * _IM, False),
+    "|Re| >= period": (np.array([x + 1j * y for x in (-8.0, 9.25, -17.5, 1e6 + 0.375)
+                                 for y in _IM]), False),
+    # more than two blocks of the stacked loop, on and off the axis
+    "blocks, axis": (1j * np.geomspace(0.5, 8.0, 2 * _STACK_BLOCK + 5), True),
+    "blocks, off axis": (0.3 + 1j * np.geomspace(0.5, 8.0, 2 * _STACK_BLOCK + 5), False),
+}
+
+
+@pytest.mark.parametrize("label", list(_STACK_POINTS))
+@pytest.mark.parametrize("shape", ["(n,)", "(m, 1)"])
+def test_stack_rows_are_the_one_series_loop_bit_for_bit(label, shape):
+    # == on floats and complexes counts -0.0 equal to 0.0: a padded row or a
+    # complex loop may give a zero of the other sign, and nothing else differs
+    taus, real = _STACK_POINTS[label]
+    if shape == "(m, 1)":
+        taus = taus.reshape(-1, 1)
+    series = _stack_series()
+    got = eval_stack(series, taus)
+    assert got.shape == (len(series),) + taus.shape
+    assert got.dtype == (float if real else complex)
+    for row, s in zip(got, series):
+        want = _one_series_loop(s, taus)
+        assert np.array_equal(row, want), (label, s)
+        # the one-series case is eval's own array path, the zero signs included
+        own = s.eval(taus)
+        assert own.dtype == complex and np.array_equal(own, want)
+        assert np.array_equal(np.signbit(own.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(own.imag), np.signbit(want.imag))
+    if label == "Re = 1":
+        q2 = [i for i, s in enumerate(series) if s.nome is Nome.Q2]
+        assert q2 and np.all(got[q2].imag == 0.0)
+
+
+def test_stack_keeps_each_rows_refusals():
+    e4 = form_qseries(FormId.E4)
+    short = from_coefficients(Nome.Q2, [(0, 1), (3, 10 ** 9)], 3)
+    with pytest.raises(TruncationInsufficient):
+        eval_stack((e4, short, psi_i_qseries()), np.array([3.0j, 0.5j]))
+    with pytest.raises(DomainTooLow):
+        eval_stack((e4, psi_i_qseries()), np.array([1j, 0.2 + 0.4j]))
+    with pytest.raises(DomainTooLow):
+        eval_stack((e4,), np.array([1j, complex(0.0, math.nan)]))
+    # nome underflow with a pole at the cusp: psi_i's q4 at Im(tau) = 1000
+    with pytest.raises(DomainTooLow):
+        eval_stack((e4, psi_i_qseries()), np.array([1j, 1000j]))
+    assert eval_stack((e4, form_qseries(FormId.PSI_S)), np.array([1000j])).shape == (2, 1)
+
+
+def test_stack_of_empty_array_is_empty_float():
+    for shape in ((0,), (0, 3)):
+        got = eval_stack(_stack_series(), np.empty(shape, dtype=complex))
+        assert got.shape == (11,) + shape and got.dtype == float
