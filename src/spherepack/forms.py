@@ -174,7 +174,7 @@ def phi0_qseries(order: int = DEFAULT_ORDER_Q2) -> QSeries:
     if order < 2:
         raise ValueError("order must be at least 2")
     pad = order + 2  # division by Delta (simple zero) costs precision
-    num = eisenstein_qseries(2, pad) * eisenstein_qseries(4, pad) - eisenstein_qseries(6, pad)
+    num = e2e4_minus_e6_qseries(pad)
     series = (num * num) / delta_qseries(pad)
     return series.truncate(order)
 

@@ -1,4 +1,4 @@
-"""The magic function: real Laplace integrals, the contour oracle, Hankel check.
+"""The magic function: real Laplace integrals, the contour oracle, eigenbasis check.
 
 The plus eigenfunction a and minus eigenfunction b are purely imaginary
 on real radii.  With s = r^2 and L[K](s) = Int_0^inf K(t) e^{-pi s t} dt
@@ -19,9 +19,10 @@ with W = 36/pi^2: K+ and K- are the S-weighted axis kernels
 (``axis.axis_combo_weighted``), positive on (0, inf), so the sign
 conditions g <= 0 beyond sqrt(2) and g_hat >= 0 are sin^2 >= 0 times a
 positive integral, and the zeros at the lattice radii sqrt(2n) are those
-of sin^2.  The b-term sign is cross-checked by the independent
-Hankel-transform pipeline in this module; with the theta and Eisenstein
-conventions used here, g(0) = g_hat(0) = 1.
+of sin^2.  The b-term sign is cross-checked by the independent radial
+Fourier transform ``hankel8`` in this module, which expands a tabulated
+profile in the Laguerre eigenbasis of the 8-dimensional transform; with
+the theta and Eisenstein conventions used here, g(0) = g_hat(0) = 1.
 
 Quadrature: Gauss panels on [0, 1], where the node values at i/t need the
 series at Im >= 1 only, and on [1, inf) exact exponential moments of the
@@ -50,7 +51,6 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -68,7 +68,7 @@ from .forms import (
 )
 from .lattice import Scratch
 from .qseries import eval_stack
-from .quadrature import QuadratureConfig, gauss_nodes, panel_nodes
+from .quadrature import QuadratureConfig, panel_nodes
 
 PI = math.pi
 
@@ -504,7 +504,7 @@ def _contour_value(form: FormId, r: float, quad: QuadratureConfig) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# radial tables and the Hankel-transform cross-check
+# radial tables and the eigenbasis Fourier cross-check
 # ---------------------------------------------------------------------------
 
 class RadialKind(Enum):
@@ -554,101 +554,6 @@ def tabulate_radial(which: RadialKind, radii: Sequence[float],
     return RadialTable(rs, _PROFILES[which](evaluator, rs))
 
 
-# -- Bessel J0..J3 ------------------------------------------------------------
-
-_SERIES_CUTOFF = 12.0
-#: the power series stops at the first term at most this fraction of its first
-_SERIES_REMAINDER = 2.0 ** -60
-#: terms of the Hankel asymptotic expansion after the leading 1
-_ASYMPTOTIC_TERMS = 10
-
-
-def _horner(coeffs: Sequence[float], y):
-    """sum_m coeffs[m] y^m for a float or an ndarray y, as an ndarray."""
-    acc = np.full(np.shape(y), coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc *= y
-        acc += c
-    return acc
-
-
-def _bessel_series(n: int, x):
-    """J_n(x) = (x/2)^n sum_{m<N} y^m / (m! (m+n)!) with y = -(x/2)^2, by Horner in y.
-
-    Term m is (x/2)^{2m} n!/(m! (m+n)!) times the first, a ratio that grows
-    with x.  N is the first m where that ratio is at most _SERIES_REMAINDER
-    at the largest x of the call.  A ratio below 1 puts term N past the
-    largest term, so the terms fall from N on and, the series alternating,
-    the remainder is at most term N: at most 2^-60 of (x/2)^n/n! at every x.
-    """
-    half = x / 2.0
-    top = float(np.max(half * half, initial=0.0))
-    coeffs, ratio = [], 1.0
-    while ratio > _SERIES_REMAINDER:
-        m = len(coeffs)
-        coeffs.append(1.0 / (math.factorial(m) * math.factorial(m + n)))
-        ratio *= top / ((m + 1) * (m + 1 + n))
-    return half ** n * _horner(coeffs, -(half * half))
-
-
-@lru_cache(maxsize=4)
-def _asymptotic_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """P and Q of J_n's Hankel expansion as polynomials in z = 1/x^2, Q without
-    its factor 1/x: (-1)^k a_2k and (-1)^k a_2k+1, where
-    a_m = prod_{j<=m} (4n^2 - (2j-1)^2) / (m! 8^m), each rounded once."""
-    a, exact = [], Fraction(1)
-    for m in range(_ASYMPTOTIC_TERMS + 1):
-        if m:
-            exact *= Fraction(4 * n * n - (2 * m - 1) ** 2, 8 * m)
-        a.append(float(exact) if m % 4 < 2 else -float(exact))
-    return tuple(a[0::2]), tuple(a[1::2])
-
-
-def _asymptotic_phase(x):
-    """sqrt(2/(pi x)), cos chi_0 and sin chi_0, chi_0 = x - pi/4."""
-    chi = x - PI / 4.0
-    return np.sqrt(2.0 / (PI * x)), np.cos(chi), np.sin(chi)
-
-
-def _bessel_asymptotic(n: int, x, phase=None):
-    """J_n(x) ~ sqrt(2/(pi x)) (P cos chi_n - Q sin chi_n), chi_n = x - (2n+1) pi/4,
-    the Hankel expansion to ten terms with P and Q by Horner in 1/x^2.
-
-    chi_n = chi_0 - n pi/2, so cos and sin of chi_n are those of chi_0
-    turned by n quarter turns; ``phase``, from ``_asymptotic_phase(x)``,
-    lets orders share one sqrt, cos and sin.
-    """
-    amp, cos, sin = _asymptotic_phase(x) if phase is None else phase
-    for _ in range(n % 4):
-        cos, sin = sin, -cos
-    p, q = _asymptotic_coefficients(n)
-    z = 1.0 / (x * x)
-    return amp * (_horner(p, z) * cos - _horner(q, z) / x * sin)
-
-
-def bessel_j(n: int, x):
-    """J_n(x) for n in 0..3 and finite x >= 0, a scalar or an ndarray.
-
-    Power series below 12, asymptotics plus upward recurrence above (stable
-    there since n <= 3 << x).  A scalar x returns a float.
-    """
-    if n < 0 or n > 3:
-        raise ValueError("bessel_j supports orders 0..3")
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0) & (x < np.inf)):
-        raise ValueError("bessel_j expects finite x >= 0")
-    low = x < _SERIES_CUTOFF
-    out = np.empty_like(x)
-    out[low] = _bessel_series(n, x[low])
-    far = x[~low]
-    phase = _asymptotic_phase(far)
-    jm, jc = _bessel_asymptotic(0, far, phase), _bessel_asymptotic(1, far, phase)
-    for k in range(1, n):
-        jm, jc = jc, (2.0 * k / far) * jc - jm
-    out[~low] = jm if n == 0 else jc
-    return float(out) if out.ndim == 0 else out
-
-
 # -- the radial Fourier transform in dimension 8 ------------------------------
 
 def _cubic_interp(radii: np.ndarray, values: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -674,62 +579,60 @@ def _cubic_interp(radii: np.ndarray, values: np.ndarray, s: np.ndarray) -> np.nd
     return out
 
 
-#: hankel8's taper falls from 1 at this fraction of the table's last radius to 0 at it
-_TAPER_START = 0.7
+#: hankel8 projects onto phi_k for k below this
+_EIGEN_TERMS = 32
+#: beyond this radius |phi_k| < 4e-19 for every k < _EIGEN_TERMS
+_EIGEN_END = 6.5
 
 
-def _taper(u: np.ndarray) -> np.ndarray:
-    """C^2 window: 1 at u<=0 falling to 0 at u>=1 (smootherstep complement)."""
-    v = np.clip(u, 0.0, 1.0)
-    return 1.0 - v ** 3 * (10.0 - 15.0 * v + 6.0 * v * v)
+def _eigenbasis(s: np.ndarray) -> np.ndarray:
+    """phi_k(s) = L_k^(3)(2 pi s^2) e^{-pi s^2} for k < _EIGEN_TERMS, in rows.
+
+    One three-term recurrence on the weighted functions, x = 2 pi s^2:
+    phi_0 = e^{-x/2}, phi_1 = (4 - x) phi_0 and
+    (k+1) phi_{k+1} = (2k + 4 - x) phi_k - (k + 3) phi_{k-1}.
+    """
+    x = 2.0 * PI * s * s
+    phi = np.empty((_EIGEN_TERMS,) + s.shape)
+    phi[0] = np.exp(-x / 2.0)
+    phi[1] = (4.0 - x) * phi[0]
+    for k in range(1, _EIGEN_TERMS - 1):
+        phi[k + 1] = ((2 * k + 4 - x) * phi[k] - (k + 3) * phi[k - 1]) / (k + 1)
+    return phi
 
 
 def hankel8(table: RadialTable, r: float) -> float:
     """8-dimensional radial Fourier transform of the tabulated profile at radius r.
 
-    f_hat(r) = 2 pi r^{-3} Int_0^inf f(s) J_3(2 pi r s) s^4 ds, via panelwise
-    Gauss resolving both the Bessel oscillation (period 1/r) and the
-    profile's own oscillation, with a smooth taper (from 1 at _TAPER_START
-    times the table's last radius to 0 at that radius) regularizing the
-    slowly decaying eigenfunction tails.  The integrand is evaluated once on all
-    (panels x 16) nodes; the panel sums are added in panel order.
+    The radial eigenfunctions phi_k(s) = L_k^(3)(2 pi s^2) e^{-pi s^2} of
+    the Fourier transform in R^8 have eigenvalue (-1)^k and squared norm
+    (k+1)(k+2)(k+3)/96 in L^2(R^8).  The profile's coefficients
+
+        c_k = (pi^4/3) Int_0^S f(s) phi_k(s) s^7 ds / ((k+1)(k+2)(k+3)/96)
+
+    for k < _EIGEN_TERMS, by 16 Gauss panels of 16 nodes on the table's
+    cubic interpolant with S = min(last radius, _EIGEN_END), give
+    f_hat(r) = sum_k (-1)^k c_k phi_k(r).  The result is accurate only for
+    a profile that is small beyond the table's end and well described by
+    the first _EIGEN_TERMS eigenfunctions.  The domain is r > 0 with a
+    normal r^3.
     """
     try:
         cube = float(r) ** 3
     except OverflowError:
         cube = math.inf
-    # r^3 divides the integral, so a cube that underflows or overflows is refused
     if not (r > 0 and sys.float_info.min <= cube < math.inf):
         raise ValueError(f"hankel8 needs a finite r > 0 with a normal r^3, got {r}")
     radii, values = table.radii, table.values
     if len(radii) < 16:
         raise InsufficientTable("need at least 16 table points")
-    s_max = radii[-1]
-    if s_max < 4.0:
+    if radii[-1] < 4.0:
         raise InsufficientTable("table must extend to s >= 4")
     gaps = np.diff(radii)
     if gaps.max() > 0.2:
         raise InsufficientTable(f"table spacing {gaps.max():.3g} too coarse")
-    s0 = _TAPER_START * s_max
-    x, w = gauss_nodes(16)
-    # panel widths min(0.5/r, 1/max(1, s), s_max - s), at least 1e-3
-    bessel_step, end, s, edges = 0.5 / r, float(s_max), 0.0, [0.0]
-    while s < end:
-        h = bessel_step
-        wide = 1.0 / s if s > 1.0 else 1.0
-        if wide < h:
-            h = wide
-        if end - s < h:
-            h = end - s
-        if h < 1e-3:
-            h = 1e-3
-        s += h
-        edges.append(s)
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-    half = (hi - lo) / 2.0
-    s = ((lo + hi) / 2.0)[:, None] + half[:, None] * x      # one row of nodes per panel
-    f = _cubic_interp(radii, values, s)
-    window = _taper((s - s0) / (s_max - s0))
-    panels = (w * f * window * bessel_j(3, 2.0 * PI * r * s) * s ** 4).sum(axis=1) * half
-    total = float(np.cumsum(panels)[-1])                      # panel by panel, in order
-    return 2.0 * PI * total / cube
+    s, w = panel_nodes(0.0, min(float(radii[-1]), _EIGEN_END), 16, 16)
+    k = np.arange(_EIGEN_TERMS)
+    moments = _eigenbasis(s) @ (w * _cubic_interp(radii, values, s) * s ** 7)
+    coeffs = (PI ** 4 / 3.0) * moments * 96.0 / ((k + 1) * (k + 2) * (k + 3))
+    return float((-1.0) ** k * coeffs @ _eigenbasis(np.array(float(r))))

@@ -377,10 +377,10 @@ def eval_stack(series: Sequence[QSeries], tau):
     its own y = nome_i**stride_i over its stride-th coefficients, padded
     with zeros above its top coefficient up to the longest row.  A padded
     row stays 0 until it reaches its top coefficient, and 0*y + top is top
-    exactly.  The add of a coefficient that is zero in every row is
-    skipped, so one series runs exactly the operations of its own loop.
-    The loop runs over blocks of ``_STACK_BLOCK`` points, so that the k
-    rows of the accumulator and of y stay in cache on a large grid.
+    exactly.  Every coefficient is added as a (k, 1) column, zeros too,
+    where the number path skips a zero; that changes at most the sign of a
+    zero.  The loop runs over blocks of ``_STACK_BLOCK`` points, so that
+    the k rows of the accumulator and of y stay in cache on a large grid.
     """
     import numpy as np
     if not tau.size:
@@ -399,13 +399,8 @@ def eval_stack(series: Sequence[QSeries], tau):
         strided.append(floats[::step])
         keys.append((s.nome, step))
     width = max(map(len, strided))
-    table = np.array([c + (0.0,) * (width - len(c)) for c in strided]).T
-    # coefficient j of every row: a float where it is the same in every row
-    # (None where that is 0), else a (k, 1) column
-    uniform = (table == table[:, :1]).all(axis=1).tolist()
-    first = table[:, 0].tolist()
-    table = table[:, :, None]
-    columns = [(first[j] or None) if uniform[j] else table[j] for j in range(width)]
+    # row j is coefficient j of every series, as a (k, 1) column
+    table = np.array([c + (0.0,) * (width - len(c)) for c in strided]).T[:, :, None]
     out = np.empty((len(series), tau.size), dtype=float if real else complex)
     for lo in range(0, tau.size, _STACK_BLOCK):
         part = slice(lo, lo + _STACK_BLOCK)
@@ -413,10 +408,9 @@ def eval_stack(series: Sequence[QSeries], tau):
         y = np.stack([powers[key] for key in keys])
         acc = out[:, part]
         acc[...] = table[-1]
-        for c in columns[-2::-1]:
+        for c in table[-2::-1]:
             acc *= y
-            if c is not None:
-                acc += c
+            acc += c
         for i, s in enumerate(series):
             if s.lowest:
                 power = nomes[s.nome][part] ** s.lowest

@@ -1,12 +1,12 @@
 """Magic function: contour geometry, quadrature convergence, representation
-consistency, certificate values, Bessel/Hankel eigenfunction cross-checks."""
+consistency, certificate values, and the radial Fourier transform in the
+Laguerre eigenbasis against closed forms and the a/b eigenfunction facts."""
 
 import json
 import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ from spherepack.magic import (
     MagicEvaluator,
     RadialKind,
     RadialTable,
-    bessel_j,
     contour_segments,
     default_evaluator,
     hankel8,
@@ -31,11 +30,9 @@ from spherepack.magic import (
     tabulate_radial,
     _BLOCK,
     _SUBTRACT_MARGIN,
-    _TAPER_START,
     _laplace_sweep,
-    _taper,
 )
-from spherepack.quadrature import QuadratureConfig, gauss_nodes, panel_nodes
+from spherepack.quadrature import QuadratureConfig, panel_nodes
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
@@ -557,90 +554,6 @@ def test_magic_table_rows_are_the_tabulated_floats(ev, capsys, which, fmt):
     assert [(r.hex(), v.hex()) for r, v in rows] == [(r.hex(), v.hex()) for r, v in want]
 
 
-# -- Bessel ----------------------------------------------------------------------
-
-def test_bessel_at_zero():
-    assert bessel_j(0, 0.0) == 1.0
-    assert bessel_j(3, 0.0) == 0.0
-
-
-def test_bessel_derivative_identity():
-    # J1 = -J0' via central differences
-    for x in (1.0, 5.0, 20.0):
-        h = 1e-6
-        d = (bessel_j(0, x + h) - bessel_j(0, x - h)) / (2 * h)
-        assert abs(bessel_j(1, x) + d) < 1e-8
-
-
-def _series_oracle(n, x, terms=60):
-    """Independent 60-term series evaluation of J_n."""
-    total = 0.0
-    for m in range(terms):
-        total += (-1) ** m * (x / 2.0) ** (n + 2 * m) / (
-            math.factorial(m) * math.factorial(m + n))
-    return total
-
-
-def test_bessel_j3_series_oracle():
-    assert abs(bessel_j(3, 5.0) - _series_oracle(3, 5.0)) < 1e-10
-
-
-def test_bessel_array_matches_scalar_and_series_oracle():
-    xs = np.array([0.0, 0.3, 1.0, 5.0, 11.9, 12.0, 13.5, 20.0, 47.0])
-    for n in range(4):
-        got = bessel_j(n, xs)
-        assert got.shape == xs.shape
-        for x, v in zip(xs, got):
-            assert abs(v - bessel_j(n, float(x))) <= 1e-15 * max(abs(v), 1e-300)
-    below = xs[xs < 12.0]
-    assert np.all(np.abs(bessel_j(3, below) - [_series_oracle(3, x) for x in below]) < 1e-10)
-    assert isinstance(bessel_j(3, 5.0), float)
-    with pytest.raises(ValueError):
-        bessel_j(1, np.array([1.0, -1.0]))
-
-
-def test_bessel_branches_agree_in_overlap():
-    # series is still accurate up to ~16, asymptotics already good from 12
-    from spherepack.magic import _bessel_asymptotic, _bessel_series
-    for n in range(4):
-        for x in (12.0, 13.5, 16.0):
-            assert abs(_bessel_series(n, x) - _bessel_asymptotic(n, x)) < 1e-9
-
-
-def _exact_bessel(n, x):
-    """J_n at a dyadic x as a Fraction: the power series summed until its
-    terms fall and the next is below 2^-70, so the alternating remainder is too."""
-    half = Fraction(x) / 2
-    total, term, m = Fraction(0), half ** n / math.factorial(n), 0
-    while not (abs(term) < Fraction(1, 2 ** 70) and m * (m + n) > half * half):
-        total += term
-        m += 1
-        term *= -half * half / (m * (m + n))
-    return total
-
-
-def test_bessel_meets_the_exact_series():
-    # below the cutoff the series rounds by up to about 1e-12 through
-    # cancellation near x = 12; above it the ten-term asymptotics err by
-    # about 1.5e-10 at x = 12
-    xs = np.arange(0, 513) / 32.0
-    for n in range(4):
-        got = bessel_j(n, xs)
-        for x, v in zip(xs, got):
-            tol = 2e-12 if x < 12.0 else 1e-9
-            assert abs(Fraction(float(v)) - _exact_bessel(n, x)) <= tol, (n, x)
-
-
-def test_bessel_rejects_bad_orders():
-    with pytest.raises(ValueError):
-        bessel_j(4, 1.0)
-    with pytest.raises(ValueError):
-        bessel_j(0, -1.0)
-    for bad in (math.nan, math.inf, np.array([1.0, math.nan])):
-        with pytest.raises(ValueError, match="finite x >= 0"):
-            bessel_j(3, bad)
-
-
 # -- Hankel transform -------------------------------------------------------------
 
 def test_hankel_gaussian_self_transform():
@@ -680,6 +593,43 @@ def test_hankel_insufficient_table():
         hankel8(table, 1.0)
 
 
+def _laguerre_eigenfunction(k, s):
+    """phi_k(s) = L_k^(3)(2 pi s^2) e^{-pi s^2} from the explicit sum
+    L_k^(3)(x) = sum_j (-1)^j C(k+3, k-j) x^j / j!."""
+    x = 2.0 * PI * np.asarray(s, dtype=float) ** 2
+    laguerre = sum((-1) ** j * math.comb(k + 3, k - j) * x ** j / math.factorial(j)
+                   for j in range(k + 1))
+    return laguerre * np.exp(-x / 2.0)
+
+
+def _gaussian(a):
+    # e^{-pi a s^2} -> a^-4 e^{-pi r^2/a}
+    return (lambda s: np.exp(-PI * a * s ** 2),
+            lambda r: a ** -4 * math.exp(-PI * r * r / a), a ** -4)
+
+
+_HANKEL_ORACLES = {
+    "gauss_a0.5": _gaussian(0.5),
+    "gauss_a2": _gaussian(2.0),
+    # s^2 e^{-pi s^2} -> (4/pi - r^2) e^{-pi r^2}
+    "s2_gauss": (lambda s: s ** 2 * np.exp(-PI * s ** 2),
+                 lambda r: (4.0 / PI - r * r) * math.exp(-PI * r * r), 4.0 / PI),
+    **{f"phi{k}": (lambda s, k=k: _laguerre_eigenfunction(k, s),
+                   lambda r, k=k: (-1) ** k * float(_laguerre_eigenfunction(k, r)),
+                   math.comb(k + 3, 3))
+       for k in (3, 10, 20)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HANKEL_ORACLES))
+def test_hankel_meets_closed_form_transforms(name):
+    profile, transform, scale = _HANKEL_ORACLES[name]
+    s = np.arange(0.0, 6.0001, 0.01)
+    table = RadialTable(s, profile(s))
+    worst = max(abs(hankel8(table, r) - transform(r)) for r in (0.05, 0.3, 0.8, 1.3, 2.0, 3.0))
+    assert worst <= 1e-6 * scale, worst
+
+
 @pytest.fixture(scope="module")
 def eigen_tables(ev):
     grid = np.arange(0.0, 20.0001, 0.02)
@@ -701,53 +651,6 @@ def test_hankel_minus_eigenfunction(ev, eigen_tables):
         got = hankel8(table_b, r)
         want = -ev.eval_b(r).imag
         assert abs(got - want) < 0.01 * abs(want)
-
-
-def _cubic_interp_reference(radii, values, s):
-    # the 16-gather Lagrange cubic that hankel8 used before its neighbours
-    # were gathered once
-    idx = np.searchsorted(radii, s, side="right") - 1
-    idx = np.clip(idx, 0, len(radii) - 2)
-    i0 = np.clip(idx - 1, 0, len(radii) - 4)
-    out = np.zeros_like(s)
-    for k in range(4):
-        xk = radii[i0 + k]
-        lk = np.ones_like(s)
-        for m in range(4):
-            if m == k:
-                continue
-            xm = radii[i0 + m]
-            lk *= (s - xm) / (xk - xm)
-        out += values[i0 + k] * lk
-    return out
-
-
-def _hankel8_reference(table, r):
-    # hankel8 with the min/max panel-edge loop and the reference interpolation
-    radii, values = table.radii, table.values
-    s_max = radii[-1]
-    s0 = _TAPER_START * s_max
-    x, w = gauss_nodes(16)
-    edges = [0.0]
-    while edges[-1] < s_max:
-        s = edges[-1]
-        h = min(0.5 / r, 1.0 / max(1.0, s), s_max - s)
-        edges.append(s + max(h, 1e-3))
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-    half = (hi - lo) / 2.0
-    s = ((lo + hi) / 2.0)[:, None] + half[:, None] * x
-    f = _cubic_interp_reference(radii, values, s)
-    window = _taper((s - s0) / (s_max - s0))
-    panels = (w * f * window * bessel_j(3, 2.0 * PI * r * s) * s ** 4).sum(axis=1) * half
-    return 2.0 * PI * float(np.cumsum(panels)[-1]) / r ** 3
-
-
-def test_hankel_is_bit_identical_to_the_reference(eigen_tables):
-    uneven = np.cumsum(np.random.default_rng(3).uniform(0.01, 0.2, 400))
-    tables = (*eigen_tables, RadialTable(uneven, np.exp(-PI * uneven ** 2) * np.cos(uneven)))
-    for table in tables:
-        for r in (0.05, 0.7, 0.8, 1.1, 1.3, 1.4, 3.0):
-            assert hankel8(table, r) == _hankel8_reference(table, r), r
 
 
 def test_kernel_weights_match_two_single_series_evaluations():
