@@ -1,13 +1,13 @@
 """Imaginary-axis evaluation and the two-sided positivity inequalities.
 
-Every function here takes a grid of t as one array (a float t is the
-length-1 case) and reads its series values from one ``AxisTable``: the
-seven series of the kernels are evaluated in one stacked call
-(``qseries.eval_stack``) at every grid point, at i*t where t >= 1 and at
-i/t where t < 1, so the series argument always has Im >= 1.  The table is
-the one realness check: on the axis every nome is real, so a series value
-with a nonzero imaginary part raises NonRealValue, and the kernels do
-plain float arithmetic.
+The six axis kernels are plain functions kernel(t, v, upper[, sign]), and
+``axis_table(t).branches(kernel, *sign)`` is the one way to evaluate them
+over a flat array of t.  The table evaluates the kernels' seven series in
+one stacked call (``qseries.eval_stack``) at every grid point, at i*t
+where t >= 1 and at i/t where t < 1, so the series argument always has
+Im >= 1.  It is the one realness check: on the axis every nome is real,
+so a series value with a nonzero imaginary part raises NonRealValue, and
+the kernels do plain float arithmetic.
 
 ``eq2_samples``/``verify_inequalities`` probe the pair of combinations
 phi0 +- (36/pi^2) psi_s in two conventions:
@@ -135,25 +135,6 @@ def axis_table(t) -> AxisTable:
     return AxisTable(t)
 
 
-def _on_axis(kernel):
-    """The public front end of kernel(t, v, upper, *sign): a function of t (a
-    float, or an array whose shape the result keeps) and, for a combination,
-    a sign of +1 or -1, evaluated on a table of its own.  It keeps the
-    kernel's name and docstring; ``.kernel`` is the kernel, for a shared table."""
-    def front(t: float | np.ndarray, *sign: int) -> float | np.ndarray:
-        if sign and sign[0] not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        ts = np.asarray(t, dtype=float)
-        val = axis_table(ts.ravel()).branches(kernel, *sign)
-        return float(val[0]) if ts.ndim == 0 else val.reshape(ts.shape)
-
-    front.__name__, front.__qualname__, front.__doc__ = (
-        kernel.__name__, kernel.__qualname__, kernel.__doc__)
-    front.kernel = kernel
-    return front
-
-
-@_on_axis
 def eval_phi0_axis(t, v, upper):
     """phi0 on the positive imaginary axis; positive for all t."""
     if upper:
@@ -163,19 +144,16 @@ def eval_phi0_axis(t, v, upper):
             + (36.0 * t * t / PI ** 2) * v(e4sq_over_delta_qseries))
 
 
-@_on_axis
 def eval_psi_s_axis(t, v, upper):
     """psi_s on the positive imaginary axis; negative for all t."""
     return v(psi_s_qseries) if upper else -(t * t) * v(psi_i_qseries)
 
 
-@_on_axis
 def eval_psi_i_axis(t, v, upper):
     """psi_i on the positive imaginary axis; positive, grows like exp(2*pi*t)."""
     return v(psi_i_qseries) if upper else -(t * t) * v(psi_s_qseries)
 
 
-@_on_axis
 def phi0_weighted_kernel(t, v, upper):
     """t^2 * phi0(i/t): the plus-eigenfunction's axis kernel.
 
@@ -189,7 +167,6 @@ def phi0_weighted_kernel(t, v, upper):
             + WEIGHT36 * v(e4sq_over_delta_qseries))
 
 
-@_on_axis
 def axis_combo_direct(t, v, upper, sign):
     """phi0(it) + sign*(36/pi^2)*psi_s(it), evaluated without cancellation.
 
@@ -206,7 +183,6 @@ def axis_combo_direct(t, v, upper, sign):
             + (36.0 * t * t / PI ** 2) * v(combo))
 
 
-@_on_axis
 def axis_combo_weighted(t, v, upper, sign):
     """(36/pi^2)*psi_i(it) + sign*t^2*phi0(i/t), evaluated without cancellation.
 
@@ -242,14 +218,14 @@ def log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
 
 def check_realness(form: FormId, grid: Sequence[float]) -> float:
     """max |Im F(it)| / |F(it)| over a positive grid, for F = PHI0 or PSI_S:
-    0 whenever it returns, since the axis table refuses every series value
-    that is not real.  Any other form is a ValueError."""
+    0 whenever it returns, since the grid's ``AxisTable`` refuses every
+    series value that is not real.  Any other form is a ValueError.  Kept
+    for ``axis check`` and the benchmark, which call it."""
     if not (np.asarray(grid, dtype=float) > 0).all():
         raise ValueError("realness grid must be positive")
-    evaluate = {FormId.PHI0: eval_phi0_axis, FormId.PSI_S: eval_psi_s_axis}.get(form)
-    if evaluate is None:
+    if form not in (FormId.PHI0, FormId.PSI_S):
         raise ValueError(f"realness is checked for Phi0 and PsiS, not {form.value}")
-    evaluate(grid)
+    axis_table(grid)
     return 0.0
 
 
@@ -274,10 +250,9 @@ class AxisSamples:
 
 #: per convention: phi0-slot kernel, psi_s-slot kernel, the combination, phi0-slot weight
 _CONVENTIONS = {
-    Eq2Convention.DIRECT: (eval_phi0_axis.kernel, eval_psi_s_axis.kernel,
-                           axis_combo_direct.kernel, 1.0),
-    Eq2Convention.S_WEIGHTED: (eval_psi_i_axis.kernel, phi0_weighted_kernel.kernel,
-                               axis_combo_weighted.kernel, WEIGHT36),
+    Eq2Convention.DIRECT: (eval_phi0_axis, eval_psi_s_axis, axis_combo_direct, 1.0),
+    Eq2Convention.S_WEIGHTED: (eval_psi_i_axis, phi0_weighted_kernel, axis_combo_weighted,
+                               WEIGHT36),
 }
 
 

@@ -75,6 +75,10 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("axis_grid_lo", "axis_grid_hi"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if not 2 <= self.series_order <= MAX_SERIES_ORDER:
             raise ConfigError(f"series_order must be at least 2 and at most the cap "
                               f"{MAX_SERIES_ORDER}, got {self.series_order}")

@@ -12,6 +12,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
+#: cap on gauss_order and on panels_per_segment, sized by timing: at 256 x 256
+#: ``magic verify`` takes about 0.7 s, at 1,024 x 1,024 about 5 s and 0.8 GB
+MAX_QUADRATURE_SIZE = 256
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Gauss nodes per panel and panels per segment of the contour integrals."""
@@ -20,14 +25,13 @@ class QuadratureConfig:
     panels_per_segment: int = 8
 
     def __post_init__(self):
-        for name in ("gauss_order", "panels_per_segment"):
+        for name, least in (("gauss_order", 2), ("panels_per_segment", 1)):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.gauss_order < 2:
-            raise ValueError("gauss_order must be at least 2")
-        if self.panels_per_segment < 1:
-            raise ValueError("panels_per_segment must be at least 1")
+            if not least <= value <= MAX_QUADRATURE_SIZE:
+                raise ValueError(f"{name} must be at least {least} and at most the cap "
+                                 f"{MAX_QUADRATURE_SIZE}, got {value}")
 
 
 @lru_cache(maxsize=32)

@@ -120,7 +120,7 @@ def test_report_is_serializable():
 
 # -- one stacked evaluation of the seven series per table ---------------------------
 
-#: the public evaluators behind each convention's four arrays, phi0-slot weight last
+#: the kernels behind each convention's four arrays, phi0-slot weight last
 _PUBLIC = {
     Eq2Convention.DIRECT: (axis.eval_phi0_axis, axis.eval_psi_s_axis,
                            axis.axis_combo_direct, 1.0),
@@ -155,22 +155,24 @@ def test_eq2_pass_evaluates_each_series_once_per_branch(convention, monkeypatch)
     assert sorted(tau.imag) == sorted(np.where(upper, grid, 1.0 / grid))
     assert np.all(tau.real == 0.0)
     first, second, combo, w = _PUBLIC[convention]
+    table = axis.axis_table(grid)
     assert np.array_equal(samples.t, grid)
-    assert np.array_equal(samples.phi0, w * first(grid))
-    assert np.array_equal(samples.psi_s, (1.0 / w) * second(grid))
-    assert np.array_equal(samples.combo_plus, combo(grid, +1))
-    assert np.array_equal(samples.combo_minus, combo(grid, -1))
+    assert np.array_equal(samples.phi0, w * table.branches(first))
+    assert np.array_equal(samples.psi_s, (1.0 / w) * table.branches(second))
+    assert np.array_equal(samples.combo_plus, table.branches(combo, +1))
+    assert np.array_equal(samples.combo_minus, table.branches(combo, -1))
 
 
 def test_empty_grid_gives_empty_float_arrays():
-    for f in (axis.eval_phi0_axis, axis.eval_psi_s_axis, axis.eval_psi_i_axis,
-              axis.phi0_weighted_kernel):
-        got = f(np.array([]))
+    table = axis.axis_table([])
+    for kernel in (axis.eval_phi0_axis, axis.eval_psi_s_axis, axis.eval_psi_i_axis,
+                   axis.phi0_weighted_kernel):
+        got = table.branches(kernel)
         assert got.shape == (0,) and got.dtype == float
     for combo in (axis.axis_combo_direct, axis.axis_combo_weighted):
         for sign in (1, -1):
-            got = combo(np.empty((0, 2)), sign)
-            assert got.shape == (0, 2) and got.dtype == float
+            got = table.branches(combo, sign)
+            assert got.shape == (0,) and got.dtype == float
     for convention in Eq2Convention:
         for value in vars(eq2_samples([], convention)).values():
             assert value.shape == (0,) and value.dtype == float

