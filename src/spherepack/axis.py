@@ -220,7 +220,7 @@ def check_realness(form: FormId, grid: Sequence[float]) -> float:
     """max |Im F(it)| / |F(it)| over a positive grid, for F = PHI0 or PSI_S:
     0 whenever it returns, since the grid's ``AxisTable`` refuses every
     series value that is not real.  Any other form is a ValueError.  Kept
-    for ``axis check`` and the benchmark, which call it."""
+    only for the benchmark, its one caller."""
     if not (np.asarray(grid, dtype=float) > 0).all():
         raise ValueError("realness grid must be positive")
     if form not in (FormId.PHI0, FormId.PSI_S):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InsufficientGrid, NonpositiveFhat0
 from .lattice import enumerate_shells
-from .magic import MagicEvaluator
+from .magic import MagicEvaluator, RadialKind
 from .packing import E8_DENSITY, ball_volume
 
 PI = math.pi
@@ -83,28 +83,23 @@ class CEReport:
                  for f in fields(self) if f.name != "grid"} | {"grid_points": len(self.grid)})
 
 
-def verify_ce(g_values: Callable[[np.ndarray], np.ndarray],
-              ghat_values: Callable[[np.ndarray], np.ndarray],
-              grid: Sequence[float]) -> CEReport:
+def verify_ce(values: Callable[[np.ndarray], np.ndarray], grid: Sequence[float]) -> CEReport:
     """Check the certificate's sign conditions on a grid and compute the bound.
 
-    ``g_values`` and ``ghat_values`` map a radius array to a value array.
-    The conditions are taken at separation sqrt(2): g may be positive only
-    inside the first lattice radius, g_hat nowhere negative, each to
-    within tol = 1e-7*|g(0)|, one order below the quadrature
-    self-convergence error; the bound must lie within ``TOL_BOUND`` of
-    pi^4/384.
+    ``values`` maps a radius array to two rows, g and g_hat there; it is
+    called once, on r = 0 followed by the grid.  The conditions are taken at
+    separation sqrt(2): g may be positive only inside the first lattice
+    radius, g_hat nowhere negative, each to within tol = 1e-7*|g(0)|; the
+    bound must lie within ``TOL_BOUND`` of pi^4/384.
     """
     grid = tuple(float(r) for r in grid)
     rs = np.asarray(grid)
     outside = rs > SQRT2 * (1 + 1e-6)
     if not outside.any():
         raise InsufficientGrid("grid needs points above sqrt(2) to test the sign condition")
-    g0 = float(g_values(np.zeros(1))[0])
-    ghat0 = float(ghat_values(np.zeros(1))[0])
+    g, ghat = values(np.concatenate([[0.0], rs]))
+    g0, ghat0, g_vals, ghat_vals = float(g[0]), float(ghat[0]), g[1:], ghat[1:]
     tol = 1e-7 * abs(g0)
-    g_vals = g_values(rs)
-    ghat_vals = ghat_values(rs)
     i2 = int(np.argmax(np.where(outside, g_vals, -np.inf)))
     i3 = int(np.argmin(ghat_vals))
     ce1 = g0 > 0.0
@@ -120,7 +115,8 @@ def verify_ce(g_values: Callable[[np.ndarray], np.ndarray],
 
 def verify_magic_ce(evaluator: MagicEvaluator) -> CEReport:
     """The headline run: the magic function's certificate on ``default_ce_grid``."""
-    return verify_ce(evaluator.g_values, evaluator.g_hat_values, default_ce_grid())
+    return verify_ce(lambda rs: evaluator.values((RadialKind.G, RadialKind.GHAT), rs),
+                     default_ce_grid())
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,14 @@ Fourier transform ``hankel8`` in this module, which expands a tabulated
 profile in the Laguerre eigenbasis of the 8-dimensional transform; with
 the theta and Eisenstein conventions used here, g(0) = g_hat(0) = 1.
 
+Each profile is thus scale * sin^2 L[fa Kphi + fb Kpsi], one row of ``_PROFILES``.
+
 Quadrature: Gauss panels on [0, 1], where the node values at i/t need the
 series at Im >= 1 only, and on [1, inf) exact exponential moments of the
 kernel's q-expansion (``_moment_terms``).  The panels are equal and share
 their nodes up to a shift, so a radius costs one exponential per panel
-and one per node of a panel, not one per node.  Of the decaying moment
-terms only those a double can hold are summed: the dropped tail is at
+and one per node of a panel, for all kernels of a sweep together, not one
+per node.  Of the decaying moment terms only those a double can hold are summed: the dropped tail is at
 most 2^-60 of the largest kept term at every s (``_cut_tail``).  Kphi,
 Kpsi and K+ grow like e^{2 pi t}, K- like t, so the integrals converge
 only for s > 2 respectively s > 0.  Below s = 2 + _SUBTRACT_MARGIN the
@@ -219,17 +221,14 @@ class _Kernel:
     """One real axis kernel K on the Laplace rule.
 
     The [0, 1] rule is P equal panels of Q nodes each, t_pk = p/P + t_0k
-    (``_panel_split``), so e^{-pi s t_pk} = e^{-pi s p/P} e^{-pi s t_0k}.
-    ``panel_rate`` and ``node_rate`` are -pi p/P and -pi t_0k.  ``weights``
-    is (2P, Q): row p holds the Gauss weights times K at panel p's nodes,
-    row P + p the same for K minus its growing terms.  On [1, inf) K is a
-    sum of terms c t^m e^{-offset t}: ``decaying`` has those with
-    offset > 0, less the tail that ``_cut_tail`` proves negligible,
-    ``growing`` the others, each e^{pi j t} with j = ``shift``.
+    (``_panel_split``).  ``weights`` is (2P, Q): row p holds the Gauss
+    weights times K at panel p's nodes, row P + p the same for K minus its
+    growing terms.  On [1, inf) K is a sum of terms c t^m e^{-offset t}:
+    ``decaying`` has those with offset > 0, less the tail that
+    ``_cut_tail`` proves negligible, ``growing`` the others, each
+    e^{pi j t} with j = ``shift``.
     """
 
-    panel_rate: np.ndarray  # (P,)
-    node_rate: np.ndarray   # (Q,)
     weights: np.ndarray     # (2P, Q)
     decaying: _Moments
     growing: _Moments
@@ -239,7 +238,6 @@ class _Kernel:
 
     @classmethod
     def build(cls, nodes, weights, values, terms, panels) -> _Kernel:
-        lo, base = _panel_split(nodes, panels)
         order, offset, coeff = (np.array(col, dtype=float) for col in zip(*terms))
         up = offset <= 0.0
         shift = np.round(-offset[up] / PI)
@@ -249,27 +247,18 @@ class _Kernel:
             raise RuntimeError("unexpected growing term in an axis kernel")
         grow = coeff[up] @ (nodes ** order[up, None] * np.exp(-offset[up, None] * nodes))
         by_panel = np.concatenate([weights * values, weights * (values - grow)])
-        return cls(-PI * lo, -PI * base, by_panel.reshape(2 * panels, -1),
+        return cls(by_panel.reshape(2 * panels, -1),
                    _Moments.of(*_cut_tail(order[~up], offset[~up], coeff[~up])),
                    _Moments.of(order[up], offset[up], coeff[up]),
                    shift[:, None], order[up, None], coeff[up])
 
-    def sin2_laplace(self, s: np.ndarray) -> np.ndarray:
-        """sin^2(pi s/2) L[K](s) at each s = r^2 >= 0 of one block.
-
-        The [0, 1] part takes P + Q exponentials per radius: one product
-        of the node exponentials with ``weights`` gives each panel's sum of
-        both integrands, and the panel exponentials weight those sums.
+    def sin2_laplace(self, s, sine, low, e1, e2) -> np.ndarray:
+        """sin^2(pi s/2) L[K](s) at each s = r^2 >= 0 of one block, from its
+        sin(pi s/2), its mask of s below the switch and its panel and node
+        exponentials e1 (P, n) and e2 (Q, n): one product of e2 with
+        ``weights`` gives each panel's sum of both integrands, weighted by e1.
         """
-        sine = np.sin(PI * (s - 2.0 * np.round(s / 2.0)) / 2.0)   # the reduction is exact
-        low = s < 2.0 + _SUBTRACT_MARGIN
-        n, panels = s.size, self.panel_rate.size
-        e1 = _SCRATCH.get("e1", panels, n)
-        np.multiply.outer(self.panel_rate, s, out=e1)
-        np.exp(e1, out=e1)
-        e2 = _SCRATCH.get("e2", self.node_rate.size, n)
-        np.multiply.outer(self.node_rate, s, out=e2)
-        np.exp(e2, out=e2)
+        n, panels = s.size, e1.shape[0]
         m = _SCRATCH.get("m", 2 * panels, n)
         np.matmul(self.weights, e2, out=m)
         both = m.reshape(2, panels, n)
@@ -287,22 +276,58 @@ class _Kernel:
         return out
 
 
-def _laplace_sweep(kernel: _Kernel, radii) -> np.ndarray:
-    """sin^2(pi r^2/2) L[K](r^2) at each radius, in near-equal blocks of at
-    most _BLOCK radii.  A NaN radius or one beyond _R_MAX is a ValueError."""
+def _laplace_sweep(rule, kernels, radii) -> np.ndarray:
+    """(k, n): sin^2(pi r^2/2) L[K](r^2) for each of the k kernels at each
+    radius, in near-equal blocks of at most _BLOCK radii.  A NaN radius or
+    one beyond _R_MAX is a ValueError.
+
+    ``rule`` holds the rates -pi p/P and -pi t_0k of ``_panel_split``, as
+    e^{-pi s t_pk} = e^{-pi s p/P} e^{-pi s t_0k}: a block's P + Q
+    exponentials per radius serve every kernel, and each kernel runs its
+    own (2P, Q) product on them, so every row is a one-kernel sweep's
+    arithmetic.  But a radius's last bits depend on how many radii share
+    the call, as BLAS picks its kernel by width: with OpenBLAS 0.3.31, g at
+    570 of 1,000 random radii differed between a width of 1 and 2 to 1,000.
+    """
     r = np.asarray(radii, dtype=float).ravel()
     inside = np.abs(r) <= _R_MAX
     if not inside.all():
         raise ValueError(f"radii must satisfy |r| <= {_R_MAX:g}, got {r[np.argmin(inside)]}")
-    s = r ** 2
-    blocks = np.array_split(s, max(1, -(-s.size // _BLOCK)))
-    return np.concatenate([kernel.sin2_laplace(b) for b in blocks])
+    panel_rate, node_rate = rule
+    rows = []
+    for s in np.array_split(r ** 2, max(1, -(-r.size // _BLOCK))):
+        sine = np.sin(PI * (s - 2.0 * np.round(s / 2.0)) / 2.0)   # the reduction is exact
+        low = s < 2.0 + _SUBTRACT_MARGIN
+        e1 = _SCRATCH.get("e1", panel_rate.size, s.size)
+        np.multiply.outer(panel_rate, s, out=e1)
+        np.exp(e1, out=e1)
+        e2 = _SCRATCH.get("e2", node_rate.size, s.size)
+        np.multiply.outer(node_rate, s, out=e2)
+        np.exp(e2, out=e2)
+        rows.append([kernel.sin2_laplace(s, sine, low, e1, e2) for kernel in kernels])
+    return np.concatenate(rows, axis=1)
 
 
 def _imaginary(values: np.ndarray) -> np.ndarray:
     out = np.zeros(values.shape, dtype=complex)
     out.imag = values
     return out
+
+
+class RadialKind(Enum):
+    A = "A"          # Im a(r): the plus eigenfunction's real radial profile
+    B = "B"          # Im b(r)
+    G = "G"          # g(r)
+    GHAT = "GHat"    # g_hat(r)
+
+
+#: each radial profile as scale * sin^2(pi s/2) L[K](s), K = fa Kphi + fb Kpsi: (fa, fb, scale)
+_PROFILES = {
+    RadialKind.A: (1.0, 0.0, 4.0),
+    RadialKind.B: (0.0, 1.0, 4.0),
+    RadialKind.G: (1.0, -WEIGHT36, -_G_SCALE),
+    RadialKind.GHAT: (-1.0, -WEIGHT36, _G_SCALE),
+}
 
 
 class MagicEvaluator:
@@ -313,43 +338,48 @@ class MagicEvaluator:
     on [1, inf) are independent of the radius, so they are built once per
     quadrature configuration (``panels_per_segment`` panels of
     ``gauss_order`` nodes), from one stacked series evaluation of both forms.
-    a, b, g and g_hat are real integrals at every r >= 0; a and b come
-    back as complex arrays with real part exactly 0.  The ``*_values``
-    methods take radius arrays and are the only evaluation path; ``eval_*``
-    are their length-1 case.  ``eval_*_propagated`` evaluate the
+    a, b, g and g_hat are real integrals at every r >= 0.  ``values`` is the
+    one evaluation path: any profiles at an array of radii, from one sweep.
+    ``a_values``, ``b_values``, ``g_values`` and ``g_hat_values`` are its
+    one-row case, with a and b as complex arrays of real part exactly 0, and
+    ``eval_*`` their length-1 case.  ``eval_*_propagated`` evaluate the
     independent contour representation.  Instances are immutable after
     construction and safe to share.
     """
 
     def __init__(self, quad: QuadratureConfig):
         self.quad = quad
-        t, w = panel_nodes(0.0, 1.0, self.quad.panels_per_segment, self.quad.gauss_order)
+        panels = self.quad.panels_per_segment
+        t, w = panel_nodes(0.0, 1.0, panels, self.quad.gauss_order)
         kphi, kpsi = (t * t) * eval_stack(
             (form_qseries(FormId.PHI0), form_qseries(FormId.PSI_S)), 1j / t).real
         phi, psi = _moment_terms(FormId.PHI0), _moment_terms(FormId.PSI_S)
         # a's and b's tables share one array of nodes
         self._nodes_a = self._nodes_b = t
-        panels = self.quad.panels_per_segment
-        self._phi = _Kernel.build(t, w, kphi, phi, panels)
-        self._psi = _Kernel.build(t, w, kpsi, psi, panels)
-        self._plus = _Kernel.build(t, w, kphi - WEIGHT36 * kpsi,
-                                   _combine(1.0, phi, -WEIGHT36, psi), panels)
-        self._minus = _Kernel.build(t, w, -kphi - WEIGHT36 * kpsi,
-                                    _combine(-1.0, phi, -WEIGHT36, psi), panels)
+        lo, base = _panel_split(t, panels)
+        self._rule = -PI * lo, -PI * base
+        self._kernels = {kind: _Kernel.build(t, w, fa * kphi + fb * kpsi,
+                                             _combine(fa, phi, fb, psi), panels)
+                         for kind, (fa, fb, _) in _PROFILES.items()}
+
+    def values(self, kinds: Sequence[RadialKind], radii) -> np.ndarray:
+        """(k, n): each of the k profiles at each of the n radii, from one sweep."""
+        scale = np.array([[_PROFILES[kind][2]] for kind in kinds])
+        return scale * _laplace_sweep(self._rule, [self._kernels[kind] for kind in kinds], radii)
 
     def a_values(self, radii) -> np.ndarray:
         """Plus eigenfunction over a radius grid (complex array, real part 0)."""
-        return _imaginary(4.0 * _laplace_sweep(self._phi, radii))
+        return _imaginary(self.values((RadialKind.A,), radii)[0])
 
     def b_values(self, radii) -> np.ndarray:
         """Minus eigenfunction over a radius grid (complex array, real part 0)."""
-        return _imaginary(4.0 * _laplace_sweep(self._psi, radii))
+        return _imaginary(self.values((RadialKind.B,), radii)[0])
 
     def g_values(self, radii) -> np.ndarray:
-        return -_G_SCALE * _laplace_sweep(self._plus, radii)
+        return self.values((RadialKind.G,), radii)[0]
 
     def g_hat_values(self, radii) -> np.ndarray:
-        return _G_SCALE * _laplace_sweep(self._minus, radii)
+        return self.values((RadialKind.GHAT,), radii)[0]
 
     def eval_a(self, r: float) -> complex:
         return complex(self.a_values([r])[0])
@@ -507,13 +537,6 @@ def _contour_value(form: FormId, r: float, quad: QuadratureConfig) -> complex:
 # radial tables and the eigenbasis Fourier cross-check
 # ---------------------------------------------------------------------------
 
-class RadialKind(Enum):
-    A = "A"          # Im a(r): the plus eigenfunction's real radial profile
-    B = "B"          # Im b(r)
-    G = "G"          # g(r)
-    GHAT = "GHat"    # g_hat(r)
-
-
 @dataclass(frozen=True, eq=False)
 class RadialTable:
     """A radial profile's finite values at strictly increasing finite radii:
@@ -538,20 +561,11 @@ class RadialTable:
             object.__setattr__(self, name, array)
 
 
-#: each radial profile's values at an array of radii
-_PROFILES = {
-    RadialKind.A: lambda ev, rs: ev.a_values(rs).imag,
-    RadialKind.B: lambda ev, rs: ev.b_values(rs).imag,
-    RadialKind.G: lambda ev, rs: ev.g_values(rs),
-    RadialKind.GHAT: lambda ev, rs: ev.g_hat_values(rs),
-}
-
-
 def tabulate_radial(which: RadialKind, radii: Sequence[float],
                     evaluator: MagicEvaluator) -> RadialTable:
     """One radial profile on a grid: a single array sweep of ``evaluator``."""
     rs = np.asarray(radii, dtype=float)
-    return RadialTable(rs, _PROFILES[which](evaluator, rs))
+    return RadialTable(rs, evaluator.values((which,), rs)[0])
 
 
 # -- the radial Fourier transform in dimension 8 ------------------------------

@@ -71,6 +71,8 @@ def test_forms_identities(capsys):
     data = json.loads(out)
     res = data["results"]
     assert res["ramanujan_zero"] and res["jacobi_zero"] and res["delta_matches_eta_product"]
+    # --order overrides the config's series_order, and the report echoes it
+    assert res["order"] == data["config"]["series_order"] == 20
 
 
 def test_forms_eval(capsys):
@@ -192,6 +194,7 @@ def test_axis_check_both(capsys):
     assert conv["sweighted"]["pass"] is True
     assert conv["direct"]["pass"] is False
     assert data["results"]["certified_by"] == "sweighted"
+    assert set(data["results"]) == {"conventions", "certified_by"}
 
 
 def test_axis_check_direct_fails(capsys):

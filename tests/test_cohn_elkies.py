@@ -68,19 +68,23 @@ def test_default_grid_equals_unique_of_both_ranges():
     assert len(grid) == len(base) + len(refine) == 159
 
 
+def _gaussian_pair(r):
+    # g and g_hat rows of the standard Gaussian, which is its own transform
+    f = np.exp(-PI * r * r)
+    return np.stack([f, f])
+
+
 def test_verify_ce_gaussian_fails_sign_condition():
     # the standard Gaussian is its own transform but positive everywhere
-    f = lambda r: np.exp(-PI * r * r)
-    report = verify_ce(f, f, grid=[0.0, 1.0, 1.5, 2.0, 3.0])
+    report = verify_ce(_gaussian_pair, grid=[0.0, 1.0, 1.5, 2.0, 3.0])
     assert not report.pass_
     assert report.ce2_max_violation > 0.0
     assert report.ce1_pass  # f(0) = 1 > 0 is fine; CE2 is what fails
 
 
 def test_verify_ce_requires_points_beyond_sqrt2():
-    f = lambda r: np.exp(-PI * r * r)
     with pytest.raises(InsufficientGrid):
-        verify_ce(f, f, grid=[0.0, 0.5, 1.0])
+        verify_ce(_gaussian_pair, grid=[0.0, 0.5, 1.0])
 
 
 def test_magic_certificate_passes():
@@ -95,7 +99,9 @@ def test_magic_certificate_passes():
 def test_magic_certificate_matches_callable_route():
     ev = default_evaluator(QuadratureConfig())
     a = verify_magic_ce(ev)
-    b = verify_ce(ev.g_values, ev.g_hat_values, grid=default_ce_grid())
+    # the two one-row sweeps give the stacked sweep's rows bit for bit
+    b = verify_ce(lambda rs: np.stack([ev.g_values(rs), ev.g_hat_values(rs)]),
+                  grid=default_ce_grid())
     assert a == b
     assert a.ce2_max_violation == pytest.approx(
         max(ev.eval_g(r) for r in a.grid if r > math.sqrt(2) * (1 + 1e-6)), abs=1e-15)

@@ -191,13 +191,42 @@ def test_sweeps_refuse_nonreal_values(ev):
 
 
 @pytest.mark.parametrize("n", [_BLOCK + 1, 3 * _BLOCK + 5])
-def test_chunked_sweep_matches_one_outer_product(ev, n):
+def test_chunked_sweep_matches_one_outer_product(ev, n, monkeypatch):
     radii = np.linspace(0.0, 6.0, n)
-    for kernel in (ev._phi, ev._psi, ev._plus, ev._minus):
-        want = kernel.sin2_laplace(radii ** 2)       # every radius in one block
-        got = _laplace_sweep(kernel, radii)
-        assert got.shape == (n,)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    kernels = list(ev._kernels.values())
+    got = _laplace_sweep(ev._rule, kernels, radii)
+    monkeypatch.setattr(magic, "_BLOCK", n)
+    wanted = _laplace_sweep(ev._rule, kernels, radii)     # every radius in one block
+    assert got.shape == wanted.shape == (len(kernels), n)
+    for row, want in zip(got, wanted):
+        assert np.abs(row - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("quad", [QuadratureConfig(), QuadratureConfig(gauss_order=16,
+                                                                       panels_per_segment=4)],
+                         ids=["default", "4x16"])
+def test_stacked_rows_equal_the_one_row_methods(quad):
+    ev = MagicEvaluator(quad)
+    radii = np.linspace(0.0, 8.0, 3 * _BLOCK + 5)
+    one_row = {RadialKind.A: ev.a_values(radii).imag, RadialKind.B: ev.b_values(radii).imag,
+               RadialKind.G: ev.g_values(radii), RadialKind.GHAT: ev.g_hat_values(radii)}
+    for kinds in (tuple(RadialKind), tuple(reversed(RadialKind)),
+                  (RadialKind.G, RadialKind.A, RadialKind.G)):
+        rows = ev.values(kinds, radii)
+        assert rows.shape == (len(kinds), radii.size)
+        for kind, row in zip(kinds, rows):
+            assert np.array_equal(row, one_row[kind]), kind
+
+
+@pytest.mark.parametrize("argv", [["bound"], ["magic", "verify"], ["magic", "eval", "--r", "1"],
+                                  ["magic", "table", "--which", "A", "--grid", "0:6:50"]])
+def test_each_magic_command_makes_one_sweep(capsys, monkeypatch, argv):
+    calls = []
+    sweep = magic._laplace_sweep
+    monkeypatch.setattr(magic, "_laplace_sweep", lambda *args: calls.append(args) or sweep(*args))
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_repeated_sweeps_reuse_work_arrays(ev):
@@ -214,9 +243,8 @@ def test_repeated_sweeps_reuse_work_arrays(ev):
 def test_sweep_work_arrays_are_sized_by_the_block_not_the_grid(ev, monkeypatch):
     # a fresh per-thread store, so that earlier one-block sweeps do not count
     monkeypatch.setattr(magic, "_SCRATCH", Scratch())
-    kernels = (ev._phi, ev._psi, ev._plus, ev._minus)
-    panels = max(k.panel_rate.size for k in kernels)
-    nodes = max(k.node_rate.size for k in kernels)
+    kernels = ev._kernels.values()
+    panels, nodes = (rate.size for rate in ev._rule)
     terms = max(m.offset.shape[0] for k in kernels for m in (k.decaying, k.growing))
     terms1 = max(m.k2.size for k in kernels for m in (k.decaying, k.growing))
     radii = np.linspace(0.0, 6.0, 3000)
@@ -261,10 +289,10 @@ def _kernel_inputs(quad):
     kpsi = (t * t) * form_qseries(FormId.PSI_S).eval(1j / t).real
     phi, psi = magic._moment_terms(FormId.PHI0), magic._moment_terms(FormId.PSI_S)
     return t, w, {
-        "_phi": (kphi, phi),
-        "_psi": (kpsi, psi),
-        "_plus": (kphi - WEIGHT36 * kpsi, magic._combine(1.0, phi, -WEIGHT36, psi)),
-        "_minus": (-kphi - WEIGHT36 * kpsi, magic._combine(-1.0, phi, -WEIGHT36, psi)),
+        RadialKind.A: (kphi, phi),
+        RadialKind.B: (kpsi, psi),
+        RadialKind.G: (kphi - WEIGHT36 * kpsi, magic._combine(1.0, phi, -WEIGHT36, psi)),
+        RadialKind.GHAT: (-kphi - WEIGHT36 * kpsi, magic._combine(-1.0, phi, -WEIGHT36, psi)),
     }
 
 
@@ -305,8 +333,8 @@ def test_sweep_matches_the_direct_rule(ev):
     # one scale for all four, |a(0)|/4, the scale b is measured on: K_psi's
     # own largest value (8.7) is below an ulp of its subtracted [0, 1] sum (86)
     scale = max(np.abs(v[close]).max() for v in want.values())
-    for name, v in want.items():
-        got = _laplace_sweep(getattr(ev, name), radii)
+    rows = _laplace_sweep(ev._rule, [ev._kernels[name] for name in want], radii)
+    for (name, v), got in zip(want.items(), rows):
         assert np.abs(got - v)[close].max() <= 1e-15 * scale, name
         far = (radii >= 2.0 * SQRT2) & (v != 0.0)
         assert np.all(np.abs(got - v)[far] <= 1e-13 * np.abs(v[far])), name
@@ -320,7 +348,7 @@ def test_moment_cut_omits_a_proven_negligible_tail(quad):
         decaying = offset > 0.0
         by = np.argsort(offset[decaying], kind="stable")
         order, offset, coeff = order[decaying][by], offset[decaying][by], coeff[decaying][by]
-        kept = getattr(ev, name).decaying
+        kept = ev._kernels[name].decaying
         n = kept.offset.shape[0]
         # the kept terms are the low-offset head of the sorted terms, held
         # with moment order 2 first, then 1, then 0
@@ -442,8 +470,8 @@ def test_laplace_g_and_g_hat_match_contour_oracle(ev, oracle):
 def test_minus_kernel_growth_cancels_exactly(ev):
     # the e^{2 pi t} terms of -Kphi and -W Kpsi cancel in the merged terms, so
     # K- grows only like t; K+ keeps them
-    assert set(ev._minus.shift.ravel()) == {0.0}
-    assert set(ev._plus.shift.ravel()) == {0.0, 2.0}
+    assert set(ev._kernels[RadialKind.GHAT].shift.ravel()) == {0.0}
+    assert set(ev._kernels[RadialKind.G].shift.ravel()) == {0.0, 2.0}
 
 
 @pytest.mark.parametrize("radii", [np.array(default_ce_grid()), np.linspace(0.0, 20.0, 20002)[1:]],
@@ -664,12 +692,12 @@ def test_kernel_weights_match_two_single_series_evaluations():
     kpsi = (t * t) * form_qseries(FormId.PSI_S).eval(1j / t).real
     phi, psi = magic._moment_terms(FormId.PHI0), magic._moment_terms(FormId.PSI_S)
     want = {
-        "_phi": magic._Kernel.build(t, w, kphi, phi, panels),
-        "_psi": magic._Kernel.build(t, w, kpsi, psi, panels),
-        "_plus": magic._Kernel.build(t, w, kphi - WEIGHT36 * kpsi,
-                                     magic._combine(1.0, phi, -WEIGHT36, psi), panels),
-        "_minus": magic._Kernel.build(t, w, -kphi - WEIGHT36 * kpsi,
-                                      magic._combine(-1.0, phi, -WEIGHT36, psi), panels),
+        RadialKind.A: magic._Kernel.build(t, w, kphi, phi, panels),
+        RadialKind.B: magic._Kernel.build(t, w, kpsi, psi, panels),
+        RadialKind.G: magic._Kernel.build(t, w, kphi - WEIGHT36 * kpsi,
+                                          magic._combine(1.0, phi, -WEIGHT36, psi), panels),
+        RadialKind.GHAT: magic._Kernel.build(t, w, -kphi - WEIGHT36 * kpsi,
+                                             magic._combine(-1.0, phi, -WEIGHT36, psi), panels),
     }
     for name, kernel in want.items():
-        assert np.array_equal(getattr(ev, name).weights, kernel.weights), name
+        assert np.array_equal(ev._kernels[name].weights, kernel.weights), name
