@@ -307,7 +307,7 @@ def verify_inequalities(grid: Sequence[float], convention: Eq2Convention) -> Ine
     low = np.minimum(plus, minus)
     near = samples.t[(0.0 <= low) & (low < 1e-3)]
     extra = np.outer(near, [0.99, 0.995, 1.005, 1.01]).ravel()
-    extra = extra[(pts[0] <= extra) & (extra <= pts[-1])]
+    extra = extra[(pts.min() <= extra) & (extra <= pts.max())]
     if extra.size:
         samples = samples.concat(eq2_samples(extra, convention))
         plus, minus = samples.margins()

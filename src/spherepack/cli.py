@@ -15,14 +15,17 @@ Grammar (long-form flags only):
     spherepack bound
     spherepack axis check [--convention direct|sweighted|both] [--grid lo:hi:n]
 
-Common flags: --config FILE, --out FILE, --format json|csv, --seed N,
---threads N (SPHEREPACK_THREADS is the environment fallback).
+Common flags: --config FILE, --out FILE, --format json|csv.  --order,
+--seed, --threads and the axis check's --grid (logarithmically spaced) set
+config fields, and only the commands that read those fields take them.
+SPHEREPACK_THREADS applies to packing mc alone, under --threads.
 
 Reports share one envelope: {"command", "config", "results", "pass",
-"wall_time_ms"}.  All floats are printed with 17 significant digits and
-keys are sorted, so identical invocations produce byte-identical output
-except for the timing field.  Exit code 0 means the envelope passed, 1 a
-failed check, 2 a usage or configuration error.
+"wall_time_ms"}, whose "config" holds the config fields the command read.
+All floats are printed with 17 significant digits and keys are sorted, so
+identical invocations produce byte-identical output except for the timing
+field.  Exit code 0 means the envelope passed, 1 a failed check, 2 a usage
+or configuration error.
 
 A cold process loads only what its command runs: this module imports
 ``errors``, ``forms`` (with ``qseries``) and ``quadrature`` at the top, and
@@ -82,15 +85,12 @@ class RunConfig:
         if not 2 <= self.series_order <= MAX_SERIES_ORDER:
             raise ConfigError(f"series_order must be at least 2 and at most the cap "
                               f"{MAX_SERIES_ORDER}, got {self.series_order}")
-        if (not (0 < self.axis_grid_lo < self.axis_grid_hi)
+        if (not (0 < self.axis_grid_lo < self.axis_grid_hi < math.inf)
                 or not 2 <= self.axis_grid_n <= MAX_GRID_POINTS):
-            raise ConfigError("axis grid must satisfy 0 < lo < hi and 2 <= n <= the cap "
+            raise ConfigError("axis grid must satisfy 0 < lo < hi < inf and 2 <= n <= the cap "
                               f"{MAX_GRID_POINTS}")
         if self.threads < 0:
             raise ConfigError("threads must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -133,9 +133,7 @@ def _to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = []
-        for k in sorted(obj):
-            items.append(f'{pad}  "{k}": {_to_json(obj[k], indent + 1)}')
+        items = [f'{pad}  "{k}": {_to_json(obj[k], indent + 1)}' for k in sorted(obj)]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -145,22 +143,18 @@ def _to_json(obj, indent: int = 0) -> str:
     np = sys.modules.get("numpy")   # a numpy scalar exists only once numpy is loaded
     if np is not None and isinstance(obj, np.generic):
         obj = obj.item()
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(int(obj))
+    if obj is None or isinstance(obj, (bool, int)):
+        return json.dumps(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
-    if obj is None:
-        return "null"
     return json.dumps(str(obj))
 
 
-def render_report(command: str, config: RunConfig, results: dict, passed: bool,
+def render_report(command: str, config: dict, results: dict, passed: bool,
                   wall_ms: int) -> str:
     envelope = {
         "command": command,
-        "config": config.to_dict(),
+        "config": config,
         "results": results,
         "pass": passed,
         "wall_time_ms": wall_ms,
@@ -169,16 +163,9 @@ def render_report(command: str, config: RunConfig, results: dict, passed: bool,
 
 
 def _csv_table(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(format(cell, ".17g"))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    cells = [header] + [[format(c, ".17g") if isinstance(c, float) else str(c) for c in row]
+                        for row in rows]
+    return "".join(",".join(line) + "\n" for line in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +276,7 @@ def _cmd_packing_mc(args, config: RunConfig):
     _require_finite("--radius", args.radius)
     est = finite_density_mc(e8_packing_spec(), radius=args.radius,
                             samples=args.samples, seed=config.seed,
-                            threads=_effective_threads(args, config))
+                            threads=config.threads or min(os.cpu_count() or 1, 8))
     dev = abs(est.value - E8_DENSITY)
     results = {
         "value": est.value,
@@ -330,7 +317,10 @@ def _cmd_magic_table(args, config: RunConfig):
     kind = {k.value.lower(): k for k in RadialKind}.get(args.which.lower())
     if kind is None:
         raise ConfigError(f"--which must be A, B, G or GHat, got {args.which!r}")
-    grid = _parse_grid(args.grid)
+    lo, hi, n = _parse_grid(args.grid)
+    if not (-math.inf < lo < hi < math.inf and 2 <= n <= MAX_GRID_POINTS):
+        raise ConfigError(f"--grid needs finite lo < hi and 2 <= n <= the cap {MAX_GRID_POINTS}")
+    grid = [lo + (hi - lo) * j / (n - 1) for j in range(n)]
     table = tabulate_radial(kind, grid, default_evaluator(config.quadrature))
     rows = list(zip(table.radii.tolist(), table.values.tolist()))
     results = {"which": kind.value, "rows": [{"r": r, "value": v} for r, v in rows]}
@@ -372,19 +362,15 @@ def _cmd_bound(args, config: RunConfig):
     from .cohn_elkies import verify_magic_ce
     from .magic import default_evaluator
     from .packing import e8_packing_spec, periodic_density
-    ev = default_evaluator(config.quadrature)
-    report = verify_magic_ce(ev)
-    lattice_density = periodic_density(e8_packing_spec())
-    results = dict(report.as_dict())
-    results["lattice_density"] = lattice_density
-    results["bound_minus_target"] = report.bound - report.target
+    report = verify_magic_ce(default_evaluator(config.quadrature))
+    results = dict(report.as_dict(), lattice_density=periodic_density(e8_packing_spec()),
+                   bound_minus_target=report.bound - report.target)
     return results, report.pass_, None
 
 
 def _cmd_axis_check(args, config: RunConfig):
     from .axis import Eq2Convention, log_grid, verify_inequalities
-    grid = (_parse_grid(args.grid) if args.grid
-            else log_grid(config.axis_grid_lo, config.axis_grid_hi, config.axis_grid_n))
+    grid = log_grid(config.axis_grid_lo, config.axis_grid_hi, config.axis_grid_n)
     which = args.convention
     names = ("direct", "sweighted") if which == "both" else (which,)
     reports = {n: verify_inequalities(grid, Eq2Convention(n)).as_dict() for n in names}
@@ -396,17 +382,12 @@ def _cmd_axis_check(args, config: RunConfig):
 # plumbing
 # ---------------------------------------------------------------------------
 
-def _parse_grid(spec: str) -> list[float]:
+def _parse_grid(spec: str) -> tuple[float, float, int]:
     try:
         lo_s, hi_s, n_s = spec.split(":")
-        lo, hi, n = float(lo_s), float(hi_s), int(n_s)
+        return float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise ConfigError(f"--grid expects lo:hi:n, got {spec!r}")
-    _require_finite("--grid lo", lo)
-    _require_finite("--grid hi", hi)
-    if not 2 <= n <= MAX_GRID_POINTS or hi <= lo:
-        raise ConfigError(f"--grid needs hi > lo and 2 <= n <= the cap {MAX_GRID_POINTS}")
-    return [lo + (hi - lo) * j / (n - 1) for j in range(n)]
 
 
 def _require_finite(flag: str, value: float) -> None:
@@ -414,23 +395,10 @@ def _require_finite(flag: str, value: float) -> None:
         raise ConfigError(f"{flag} must be finite, got {value}")
 
 
-def _effective_threads(args, config: RunConfig) -> int:
-    """config.threads, which holds --threads when it is given; without the
-    flag SPHEREPACK_THREADS overrides the config file.  0 means auto."""
-    n = config.threads
-    if args.threads is None and os.environ.get("SPHEREPACK_THREADS"):
-        try:
-            n = int(os.environ["SPHEREPACK_THREADS"])
-        except ValueError:
-            raise ConfigError("SPHEREPACK_THREADS must be an integer")
-    if n < 0:
-        raise ConfigError("threads must be nonnegative")
-    return n or min(os.cpu_count() or 1, 8)
-
-
 class _Command(NamedTuple):
     help: str
     handler: Callable
+    reads: tuple = ()     # the RunConfig fields the handler reads: its config flags and echo
     csv: bool = False     # --format csv prints the handler's table
     flags: dict = {}      # the command's own flags: name -> add_argument keywords
 
@@ -439,8 +407,18 @@ _COMMON_FLAGS = {
     "--config": dict(help="JSON configuration file"),
     "--out": dict(help="write the report to this file instead of stdout"),
     "--format": dict(choices=["json", "csv"]),
-    "--seed": dict(type=int),
-    "--threads": dict(type=int),
+}
+
+_QUAD = ("quadrature",)
+_GRID = ("axis_grid_lo", "axis_grid_hi", "axis_grid_n")
+
+#: flags that override RunConfig fields: flag -> (its fields, add_argument keywords);
+#: a command takes the flag when it reads the fields
+_CONFIG_FLAGS = {
+    "--order": (("series_order",), dict(type=int)),
+    "--seed": (("seed",), dict(type=int)),
+    "--threads": (("threads",), dict(type=int)),
+    "--grid": (_GRID, dict(help="lo:hi:n, logarithmically spaced")),
 }
 
 _GROUP_HELP = {
@@ -457,25 +435,32 @@ _COMMANDS = {
         "--form": dict(required=True, help="E2,E4,E6,Delta,Theta00,Theta01,Theta10,Phi0,PsiS"),
         "--re": dict(type=float, default=0.0), "--im": dict(type=float, default=1.0)}),
     "forms identities": _Command("exact residuals of the classical identities",
-                                 _cmd_forms_identities, flags={"--order": dict(type=int)}),
+                                 _cmd_forms_identities, reads=("series_order",)),
     "lattice shells": _Command("shell counts up to a squared norm", _cmd_lattice_shells, csv=True,
                                flags={"--max-norm2": dict(type=int, required=True)}),
     "lattice decode": _Command("nearest lattice point", _cmd_lattice_decode, flags={
         "--point": dict(required=True, help="8 comma-separated coordinates")}),
     "lattice info": _Command("basis, covolume, theta coefficients", _cmd_lattice_info),
     "packing density": _Command("closed-form packing density", _cmd_packing_density),
-    "packing mc": _Command("Monte-Carlo finite density", _cmd_packing_mc, flags={
-        "--radius": dict(type=float, default=5.0), "--samples": dict(type=int, default=2_000_000)}),
-    "magic eval": _Command("a, b, g, g_hat at one radius", _cmd_magic_eval,
+    "packing mc": _Command("Monte-Carlo finite density", _cmd_packing_mc, reads=("seed", "threads"),
+                           flags={"--radius": dict(type=float, default=5.0),
+                                  "--samples": dict(type=int, default=2_000_000)}),
+    "magic eval": _Command("a, b, g, g_hat at one radius", _cmd_magic_eval, reads=_QUAD,
                            flags={"--r": dict(type=float, required=True)}),
-    "magic table": _Command("radial table of A, B, G or GHat", _cmd_magic_table, csv=True, flags={
-        "--which": dict(required=True), "--grid": dict(required=True, help="lo:hi:n")}),
-    "magic verify": _Command("representation consistency and zeros", _cmd_magic_verify),
-    "bound": _Command("Cohn-Elkies verdict and bound value", _cmd_bound),
-    "axis check": _Command("two-sided positivity in both conventions", _cmd_axis_check, flags={
-        "--convention": dict(choices=["direct", "sweighted", "both"], default="both"),
-        "--grid": dict(help="lo:hi:n (logarithmic default)")}),
+    "magic table": _Command("radial table of A, B, G or GHat", _cmd_magic_table, reads=_QUAD,
+                            csv=True, flags={"--which": dict(required=True),
+                                             "--grid": dict(required=True, help="lo:hi:n")}),
+    "magic verify": _Command("representation consistency and zeros", _cmd_magic_verify,
+                             reads=_QUAD),
+    "bound": _Command("Cohn-Elkies verdict and bound value", _cmd_bound, reads=_QUAD),
+    "axis check": _Command("two-sided positivity in both conventions", _cmd_axis_check,
+                           reads=_GRID, flags={"--convention": dict(
+                               choices=["direct", "sweighted", "both"], default="both")}),
 }
+
+
+def _config_flags(entry: _Command) -> dict:
+    return {flag: spec for flag, spec in _CONFIG_FLAGS.items() if set(spec[0]) <= set(entry.reads)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -490,6 +475,8 @@ def _build_parser() -> argparse.ArgumentParser:
             groups[group] = top.add_parser(group, help=_GROUP_HELP[group]).add_subparsers(
                 dest="sub", required=True)
         p = (groups[group] if sub else top).add_parser(sub or group, help=entry.help)
+        for flag, (_, keywords) in _config_flags(entry).items():
+            p.add_argument(flag, **keywords)
         for flag, keywords in (entry.flags | _COMMON_FLAGS).items():
             p.add_argument(flag, **keywords)
     return parser
@@ -504,15 +491,24 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     command = args.group if not getattr(args, "sub", None) else f"{args.group} {args.sub}"
     t0 = time.perf_counter()
+    entry = _COMMANDS[command]
     try:
         config = RunConfig()
         if args.config:
             with open(args.config) as fh:
                 config = RunConfig.from_dict(json.load(fh))
-        overrides = {"seed": args.seed, "threads": args.threads,
-                     "series_order": getattr(args, "order", None)}
-        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
-        entry = _COMMANDS[command]
+        # precedence: flag, then SPHEREPACK_THREADS, then the config file
+        overrides = {}
+        if "threads" in entry.reads and os.environ.get("SPHEREPACK_THREADS"):
+            try:
+                overrides["threads"] = int(os.environ["SPHEREPACK_THREADS"])
+            except ValueError:
+                raise ConfigError("SPHEREPACK_THREADS must be an integer")
+        for flag, (names, _) in _config_flags(entry).items():
+            value = getattr(args, flag[2:])
+            if value is not None:
+                overrides.update(zip(names, _parse_grid(value) if flag == "--grid" else (value,)))
+        config = replace(config, **overrides)
         if args.format == "csv" and not entry.csv:
             tables = sorted(name for name, e in _COMMANDS.items() if e.csv)
             raise ConfigError(f"csv output is only available for {tables}")
@@ -528,7 +524,8 @@ def run(argv: list[str] | None = None) -> int:
     if args.format == "csv":
         text = csv
     else:
-        text = render_report(command, config, results, passed, wall_ms)
+        echo = {name: value for name, value in asdict(config).items() if name in entry.reads}
+        text = render_report(command, echo, results, passed, wall_ms)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -86,6 +86,17 @@ def test_sweighted_convention_passes():
     assert report.min_minus > 0.0
 
 
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_refinement_does_not_depend_on_grid_order(order):
+    # the refinement points are bounded by the grid's extent, not its first and last entries
+    grid = GRID[::-1] if order == "reversed" else np.random.default_rng(0).permutation(GRID)
+    want = verify_inequalities(GRID, Eq2Convention.S_WEIGHTED)
+    got = verify_inequalities(grid, Eq2Convention.S_WEIGHTED)
+    assert want.grid_size == 982 and want.refined is True
+    # grid size, refinement, minima, argmins and verdict alike
+    assert got.as_dict() == want.as_dict()
+
+
 def test_sweighted_single_point():
     report = verify_inequalities(grid=[1.0], convention=Eq2Convention.S_WEIGHTED)
     assert report.pass_

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import spherepack
+from spherepack import cli
 from spherepack.cli import RunConfig, _to_json, run
 from spherepack.errors import ConfigError
 
@@ -38,9 +39,11 @@ def test_packing_density_report(capsys):
 
 
 def test_envelope_echoes_config(capsys):
-    code, out, _ = invoke(capsys, "packing", "density", "--seed", "7")
+    code, out, _ = invoke(capsys, "packing", "mc", "--samples", "1000", "--seed", "7")
     data = json.loads(out)
     assert data["config"]["seed"] == 7
+    code, out, _ = invoke(capsys, "magic", "eval", "--r", "1")
+    data = json.loads(out)
     assert data["config"]["quadrature"]["gauss_order"] == 32
 
 
@@ -226,10 +229,13 @@ def test_out_file(tmp_path, capsys):
 def test_config_file_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"seed": 11, "quadrature": {"gauss_order": 24}}))
-    code, out, _ = invoke(capsys, "packing", "density", "--config", str(cfg))
+    code, out, _ = invoke(capsys, "packing", "mc", "--samples", "1000", "--config", str(cfg))
     assert code == 0
     data = json.loads(out)
     assert data["config"]["seed"] == 11
+    code, out, _ = invoke(capsys, "magic", "eval", "--r", "1", "--config", str(cfg))
+    assert code == 0
+    data = json.loads(out)
     assert data["config"]["quadrature"]["gauss_order"] == 24
 
 
@@ -286,6 +292,80 @@ def test_config_refuses_retired_keys_and_values_above_a_cap(tmp_path, capsys, da
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+#: a small run of every command
+SMALL_RUNS = {
+    "forms eval": ["--form", "E4"],
+    "forms identities": ["--order", "8"],
+    "lattice shells": ["--max-norm2", "4"],
+    "lattice decode": ["--point", "0.9,0.9,0,0,0,0,0,0"],
+    "lattice info": [],
+    "packing density": [],
+    "packing mc": ["--samples", "1000"],
+    "magic eval": ["--r", "1"],
+    "magic table": ["--which", "G", "--grid", "0:2:5"],
+    "magic verify": [],
+    "bound": [],
+    "axis check": ["--convention", "sweighted", "--grid", "0.1:10:20"],
+}
+
+
+class _RecordingConfig:
+    """Passes attribute reads through to a RunConfig and records their names."""
+
+    def __init__(self, config):
+        self._config, self.read = config, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._config, name)
+
+
+def test_small_runs_cover_every_command():
+    assert list(SMALL_RUNS) == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_command_reads_and_echoes_exactly_its_declared_fields(monkeypatch, capsys, command):
+    entry = cli._COMMANDS[command]
+    proxies = []
+
+    def recording_handler(args, config):
+        proxies.append(_RecordingConfig(config))
+        return entry.handler(args, proxies[-1])
+
+    monkeypatch.setitem(cli._COMMANDS, command, entry._replace(handler=recording_handler))
+    code, out, _ = invoke(capsys, *command.split(), *SMALL_RUNS[command])
+    assert code == 0
+    assert proxies[0].read == set(entry.reads)
+    assert set(json.loads(out)["config"]) == set(entry.reads)
+
+
+#: the config flags, each with the commands that take it
+CONFIG_FLAGS = {"--seed": {"packing mc"}, "--threads": {"packing mc"},
+                "--order": {"forms identities"}}
+
+
+@pytest.mark.parametrize("flag, command", [
+    (flag, command) for flag, takers in CONFIG_FLAGS.items() for command in SMALL_RUNS
+    if command not in takers])
+def test_config_flag_refused_where_its_field_is_unread(capsys, flag, command):
+    code, out, err = invoke(capsys, *command.split(), *SMALL_RUNS[command], flag, "1")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_axis_grid_flag_and_config_file_give_the_same_report(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"axis_grid_lo": 0.1, "axis_grid_hi": 10.0, "axis_grid_n": 50}))
+    code, by_flag, _ = invoke(capsys, "axis", "check", "--grid", "0.1:10:50")
+    assert code == 0
+    assert json.loads(by_flag)["config"] == {
+        "axis_grid_lo": 0.1, "axis_grid_hi": 10.0, "axis_grid_n": 50}
+    code, by_file, _ = invoke(capsys, "axis", "check", "--config", str(cfg))
+    assert code == 0
+    assert strip_timing(by_flag) == strip_timing(by_file)
+
+
 def test_usage_error_returns_2(capsys):
     assert run(["lattice", "bogus"]) == 2
     assert run([]) == 2
@@ -297,7 +377,24 @@ def test_env_threads(monkeypatch, capsys):
     code, out, _ = invoke(capsys, "packing", "mc", "--radius", "2",
                           "--samples", "65536", "--seed", "1")
     assert code == 0
-    assert json.loads(out)["results"]["threads"] == 2
+    data = json.loads(out)
+    assert data["results"]["threads"] == data["config"]["threads"] == 2
+
+
+def test_threads_flag_takes_precedence_over_the_environment(monkeypatch, capsys):
+    monkeypatch.setenv("SPHEREPACK_THREADS", "2")
+    code, out, _ = invoke(capsys, "packing", "mc", "--radius", "2",
+                          "--samples", "65536", "--threads", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["results"]["threads"] == data["config"]["threads"] == 1
+
+
+def test_env_threads_ignored_by_commands_that_run_no_threads(monkeypatch, capsys):
+    monkeypatch.setenv("SPHEREPACK_THREADS", "many")
+    code, out, _ = invoke(capsys, "lattice", "info")
+    assert code == 0
+    assert json.loads(out)["config"] == {}
 
 
 def test_mc_reports_the_workers_that_ran(capsys):

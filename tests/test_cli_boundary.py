@@ -40,8 +40,7 @@ def _command(words, *options):
     return st.tuples(*options).map(lambda parts: list(words) + [a for p in parts for a in p])
 
 
-_COMMON = (_opt("seed", ints), _opt("threads", st.integers(-2, 2)),
-           _opt("format", st.sampled_from(["json", "csv", "xml"])))
+_COMMON = (_opt("format", st.sampled_from(["json", "csv", "xml"])),)
 
 argvs = st.one_of(
     _command(["forms", "eval"], _opt("form", st.sampled_from(["E4", "Phi0", "PsiS", "Theta10", "E5"])),
@@ -54,7 +53,8 @@ argvs = st.one_of(
     _command(["lattice", "info"], *_COMMON),
     _command(["packing", "density"], *_COMMON),
     _command(["packing", "mc"], _opt("radius", floats),
-             st.integers(-2, 4096).map(lambda n: [f"--samples={n}"]), *_COMMON),
+             st.integers(-2, 4096).map(lambda n: [f"--samples={n}"]),
+             _opt("seed", ints), _opt("threads", st.integers(-2, 2)), *_COMMON),
     _command(["magic", "eval"], _opt("r", floats), *_COMMON),
     _command(["magic", "table"], _opt("which", st.sampled_from(["A", "B", "G", "GHat", "H"])),
              _opt("grid", _grid(64)), *_COMMON),
