@@ -239,9 +239,8 @@ def psi_i_qseries(order: int = DEFAULT_ORDER_Q4) -> QSeries:
 
 
 def _b_q4() -> QSeries:
-    """E4^2/Delta re-expressed in nome q4 at the default q4 order."""
-    return (e4sq_over_delta_qseries(DEFAULT_ORDER_Q4 // 8 + 1).to_q4()
-            .truncate(DEFAULT_ORDER_Q4))
+    """The default-order E4^2/Delta (q2^50 = q4^400) in nome q4, cut at the default q4 order."""
+    return e4sq_over_delta_qseries().to_q4().truncate(DEFAULT_ORDER_Q4)
 
 
 @lru_cache(maxsize=None)

@@ -42,9 +42,9 @@ and s = 2.
 
 The six-leg contour integral (two rectangle sides from -1 and +1 up to
 i, the leg from i down to 0, and the vertical ray from i) is a second,
-independent representation of a and b.  It serves only as the oracle of
-``eval_a_propagated``/``eval_b_propagated``; its node table is built on
-the first oracle call.
+independent representation of a and b.  It serves only as the oracle
+``MagicEvaluator.contour_values``: one product of exp(pi i r^2 z) at an
+array of radii with the form's node table, built on the first oracle call.
 """
 
 from __future__ import annotations
@@ -276,10 +276,18 @@ class _Kernel:
         return out
 
 
+def _checked_radii(radii) -> np.ndarray:
+    """The radii as a flat float array; a NaN radius or one beyond _R_MAX is a ValueError."""
+    r = np.asarray(radii, dtype=float).ravel()
+    inside = np.abs(r) <= _R_MAX
+    if not inside.all():
+        raise ValueError(f"radii must satisfy |r| <= {_R_MAX:g}, got {r[np.argmin(inside)]}")
+    return r
+
+
 def _laplace_sweep(rule, kernels, radii) -> np.ndarray:
     """(k, n): sin^2(pi r^2/2) L[K](r^2) for each of the k kernels at each
-    radius, in near-equal blocks of at most _BLOCK radii.  A NaN radius or
-    one beyond _R_MAX is a ValueError.
+    of the ``_checked_radii``, in near-equal blocks of at most _BLOCK radii.
 
     ``rule`` holds the rates -pi p/P and -pi t_0k of ``_panel_split``, as
     e^{-pi s t_pk} = e^{-pi s p/P} e^{-pi s t_0k}: a block's P + Q
@@ -289,10 +297,7 @@ def _laplace_sweep(rule, kernels, radii) -> np.ndarray:
     the call, as BLAS picks its kernel by width: with OpenBLAS 0.3.31, g at
     570 of 1,000 random radii differed between a width of 1 and 2 to 1,000.
     """
-    r = np.asarray(radii, dtype=float).ravel()
-    inside = np.abs(r) <= _R_MAX
-    if not inside.all():
-        raise ValueError(f"radii must satisfy |r| <= {_R_MAX:g}, got {r[np.argmin(inside)]}")
+    r = _checked_radii(radii)
     panel_rate, node_rate = rule
     rows = []
     for s in np.array_split(r ** 2, max(1, -(-r.size // _BLOCK))):
@@ -306,12 +311,6 @@ def _laplace_sweep(rule, kernels, radii) -> np.ndarray:
         np.exp(e2, out=e2)
         rows.append([kernel.sin2_laplace(s, sine, low, e1, e2) for kernel in kernels])
     return np.concatenate(rows, axis=1)
-
-
-def _imaginary(values: np.ndarray) -> np.ndarray:
-    out = np.zeros(values.shape, dtype=complex)
-    out.imag = values
-    return out
 
 
 class RadialKind(Enum):
@@ -340,11 +339,11 @@ class MagicEvaluator:
     ``gauss_order`` nodes), from one stacked series evaluation of both forms.
     a, b, g and g_hat are real integrals at every r >= 0.  ``values`` is the
     one evaluation path: any profiles at an array of radii, from one sweep.
-    ``a_values``, ``b_values``, ``g_values`` and ``g_hat_values`` are its
-    one-row case, with a and b as complex arrays of real part exactly 0, and
-    ``eval_*`` their length-1 case.  ``eval_*_propagated`` evaluate the
-    independent contour representation.  Instances are immutable after
-    construction and safe to share.
+    ``eval_*`` are its length-1 case, with a and b as complex numbers of
+    real part exactly 0; ``g_values`` and ``g_hat_values`` its one-row case.
+    ``contour_values`` evaluates the independent contour representation at
+    an array of radii, and ``eval_*_propagated`` are its length-1 case.
+    Instances are immutable after construction and safe to share.
     """
 
     def __init__(self, quad: QuadratureConfig):
@@ -367,14 +366,6 @@ class MagicEvaluator:
         scale = np.array([[_PROFILES[kind][2]] for kind in kinds])
         return scale * _laplace_sweep(self._rule, [self._kernels[kind] for kind in kinds], radii)
 
-    def a_values(self, radii) -> np.ndarray:
-        """Plus eigenfunction over a radius grid (complex array, real part 0)."""
-        return _imaginary(self.values((RadialKind.A,), radii)[0])
-
-    def b_values(self, radii) -> np.ndarray:
-        """Minus eigenfunction over a radius grid (complex array, real part 0)."""
-        return _imaginary(self.values((RadialKind.B,), radii)[0])
-
     def g_values(self, radii) -> np.ndarray:
         return self.values((RadialKind.G,), radii)[0]
 
@@ -382,10 +373,10 @@ class MagicEvaluator:
         return self.values((RadialKind.GHAT,), radii)[0]
 
     def eval_a(self, r: float) -> complex:
-        return complex(self.a_values([r])[0])
+        return complex(0.0, self.values((RadialKind.A,), [r])[0, 0])
 
     def eval_b(self, r: float) -> complex:
-        return complex(self.b_values([r])[0])
+        return complex(0.0, self.values((RadialKind.B,), [r])[0, 0])
 
     def eval_g(self, r: float) -> float:
         return float(self.g_values([r])[0])
@@ -395,13 +386,17 @@ class MagicEvaluator:
 
     # -- the contour oracle --------------------------------------------------
 
+    def contour_values(self, form: FormId, radii) -> np.ndarray:
+        """a (``FormId.PHI0``) or b (``FormId.PSI_S``) at each radius through
+        the six-leg contour, independent of the Laplace tables: a complex array."""
+        r = _checked_radii(radii)
+        return _contour_sum(*_contour_table(form, self.quad), r * r)
+
     def eval_a_propagated(self, r: float) -> complex:
-        """a(r) through the six-leg contour, independent of the Laplace tables."""
-        return _contour_value(FormId.PHI0, r, self.quad)
+        return complex(self.contour_values(FormId.PHI0, [r])[0])
 
     def eval_b_propagated(self, r: float) -> complex:
-        """b(r) through the six-leg contour, independent of the Laplace tables."""
-        return _contour_value(FormId.PSI_S, r, self.quad)
+        return complex(self.contour_values(FormId.PSI_S, [r])[0])
 
 
 @lru_cache(maxsize=4)
@@ -421,9 +416,9 @@ def default_evaluator(quad: QuadratureConfig) -> MagicEvaluator:
 # the six-leg contour: the oracle
 # ---------------------------------------------------------------------------
 
-#: decay rate and leading-coefficient envelope of each ray integrand, used
-#: in certified tail bounds (factor 2 of safety)
-_RAY_TAIL = {FormId.PHI0: (2.0 * PI, 2.0 * 518400.0), FormId.PSI_S: (PI, 2.0 * 10240.0)}
+#: each form's ray: its coefficient, and its integrand's decay rate and
+#: leading-coefficient envelope for the certified tail bound (factor 2 of safety)
+_RAY = {FormId.PHI0: (2.0, 2.0 * PI, 2.0 * 518400.0), FormId.PSI_S: (-2.0, PI, 2.0 * 10240.0)}
 
 #: the contour's vertical ray is cut at Im(z) = _RAY_END, where the certified
 #: bound on the dropped tail (``_check_ray_tail``) must be within _RAY_TAIL_TOL
@@ -473,7 +468,7 @@ def contour_segments(form: FormId) -> list[ContourSegment]:
     i -> 0 with coefficient +2 (same as -2 times the 0 -> i integral),
     and the ray i -> i*inf with coefficient +2 for a and -2 for b.
     """
-    ray = {FormId.PHI0: 2.0, FormId.PSI_S: -2.0}[form]
+    ray = _RAY[form][0]
     return [
         ContourSegment(-1.0 + 0j, -1.0 + 1j, form, 1, 1.0),
         ContourSegment(-1.0 + 1j, 1j, form, 1, 1.0),
@@ -484,10 +479,11 @@ def contour_segments(form: FormId) -> list[ContourSegment]:
     ]
 
 
-def _check_ray_tail(form: FormId, r2: float) -> None:
-    decay, coeff = _RAY_TAIL[form]
-    rate = decay + PI * r2
-    tail = coeff * math.exp(-rate * _RAY_END) / rate
+def _check_ray_tail(form: FormId) -> None:
+    """The certified bound on the ray beyond _RAY_END, taken at r = 0, where
+    it is largest: the factor exp(pi i r^2 z) only speeds the decay."""
+    _, decay, coeff = _RAY[form]
+    tail = coeff * math.exp(-decay * _RAY_END) / decay
     if tail > _RAY_TAIL_TOL:
         raise TailBoundViolated(f"ray tail {tail:.3g} above tol {_RAY_TAIL_TOL} at T={_RAY_END}")
 
@@ -495,6 +491,7 @@ def _check_ray_tail(form: FormId, r2: float) -> None:
 def _segment_nodes(seg: ContourSegment, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and complex weights (including kernel values and coefficient)."""
     if seg.is_ray:
+        _check_ray_tail(seg.form)
         nodes_t, weights_t = panel_nodes(seg.start.imag, _RAY_END,
                                          quad.panels_per_segment, quad.gauss_order)
         nodes, weights = 1j * nodes_t, 1j * weights_t
@@ -506,6 +503,11 @@ def _segment_nodes(seg: ContourSegment, quad: QuadratureConfig) -> tuple[np.ndar
     return nodes, seg.coefficient * weights * seg.kernel(nodes)
 
 
+def _contour_sum(nodes: np.ndarray, weights: np.ndarray, r2) -> np.ndarray:
+    """sum_k weights_k exp(pi i r2_j nodes_k) at each r2_j: one (n, N) product."""
+    return np.exp(1j * PI * np.multiply.outer(r2, nodes)) @ weights
+
+
 def segment_integral(seg: ContourSegment, r2: float, quad: QuadratureConfig) -> complex:
     """Integral of the segment's integrand times exp(pi*i*r2*z), with coefficient.
 
@@ -513,24 +515,14 @@ def segment_integral(seg: ContourSegment, r2: float, quad: QuadratureConfig) -> 
     orders as the axis is approached vertically, and Gauss nodes never sit
     on an endpoint anyway.
     """
-    if seg.is_ray:
-        _check_ray_tail(seg.form, r2)
-    nodes, weights = _segment_nodes(seg, quad)
-    return complex((weights * np.exp(1j * PI * r2 * nodes)).sum())
+    return complex(_contour_sum(*_segment_nodes(seg, quad), [r2])[0])
 
 
 @lru_cache(maxsize=4)
 def _contour_table(form: FormId, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of all six legs of one function, concatenated."""
-    _check_ray_tail(form, 0.0)
     parts = [_segment_nodes(seg, quad) for seg in contour_segments(form)]
     return np.concatenate([n for n, _ in parts]), np.concatenate([w for _, w in parts])
-
-
-def _contour_value(form: FormId, r: float, quad: QuadratureConfig) -> complex:
-    """The six legs' sum at one radius: a (phi0) or b (psi_s)."""
-    nodes, weights = _contour_table(form, quad)
-    return complex(np.exp(1j * PI * (r * r * nodes)) @ weights)
 
 
 # ---------------------------------------------------------------------------

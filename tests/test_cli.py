@@ -494,7 +494,7 @@ def test_bad_input_refused_at_boundary(capsys, argv):
 
 @pytest.mark.parametrize("argv, builds", [
     (["magic", "verify"], 16),
-    (["axis", "check"], 22),
+    (["axis", "check"], 18),
     (["forms", "identities", "--order", "64"], 8),
 ])
 def test_one_series_build_per_cache_entry(argv, builds):

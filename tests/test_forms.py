@@ -39,8 +39,9 @@ from spherepack.forms import (
     psi_i_qseries,
     psi_s_qseries,
     theta_qseries,
+    _b_q4,
 )
-from spherepack.qseries import Nome
+from spherepack.qseries import DEFAULT_ORDER_Q4, Nome
 
 PI = math.pi
 
@@ -434,6 +435,31 @@ def test_builders_cache_on_effective_order():
     # delta_qseries(50) adds one Eisenstein build, E6 at order 50
     assert done.stdout.split() == ["theta_qseries", "1", "eisenstein_qseries", "2",
                                    "delta_qseries", "1"]
+
+
+def test_b_q4_equals_its_construction_from_a_shorter_series():
+    # q2^33 = q4^264 already covers q4^256; the default-order series gives the same
+    old = e4sq_over_delta_qseries(DEFAULT_ORDER_Q4 // 8 + 1).to_q4().truncate(DEFAULT_ORDER_Q4)
+    new = _b_q4()
+    assert new == old
+    assert (new.nome, new.lowest, new.order, new.num, new.den) == \
+        (old.nome, old.lowest, old.order, old.num, old.den)
+
+
+def test_axis_check_builds_one_e4sq_over_delta_and_one_delta():
+    # a fresh process, so the cache entries are the command's own
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spherepack.__file__)))
+    script = (
+        "import contextlib, io\n"
+        "from spherepack import cli, forms\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['axis', 'check']) == 0\n"
+        "print(forms.e4sq_over_delta_qseries.cache_info().currsize,\n"
+        "      forms.delta_qseries.cache_info().currsize)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "1"]
 
 
 def test_positional_and_keyword_calls_share_one_entry():

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -103,6 +104,15 @@ def test_ray_tail_bound_enforced(monkeypatch):
         segment_integral(ray, 0.0, QuadratureConfig())
 
 
+def test_ray_tail_bound_enforced_by_the_oracle(ev, monkeypatch):
+    # the node table checks the bound at r = 0 when it builds the ray, so a
+    # shortened ray fails at any radius; a failed build leaves no cache entry
+    monkeypatch.setattr(magic, "_RAY_END", 4.0)
+    magic._contour_table.cache_clear()
+    with pytest.raises(TailBoundViolated):
+        ev.eval_b_propagated(1.0)
+
+
 # -- eigenfunction values -------------------------------------------------------
 
 def test_a_at_zero_matches_exact_value(ev):
@@ -171,23 +181,29 @@ def test_g_hat_nonnegative_samples(ev):
 
 def test_vectorized_values_match_scalar(ev):
     rs = np.array([0.0, 0.8, 1.5, 2.2])
-    av = ev.a_values(rs)
-    gv = ev.g_values(rs)
+    av, gv = ev.values((RadialKind.A, RadialKind.G), rs)
     for i, r in enumerate(rs):
-        assert abs(av[i] - ev.eval_a(float(r))) < 1e-12 * (abs(av[i]) + 1)
+        assert abs(1j * av[i] - ev.eval_a(float(r))) < 1e-12 * (abs(av[i]) + 1)
         assert abs(gv[i] - ev.eval_g(float(r))) < 1e-12
 
 
 def test_sweeps_refuse_nonreal_values(ev):
     # the Laplace path is real arithmetic: a and b are i times a real array
     rs = np.array([0.0, 1.0, SQRT2, 2.5, 7.0])
-    for method in (ev.a_values, ev.b_values):
-        values = method(rs)
+    assert ev.values(tuple(RadialKind), rs).dtype == np.float64
+    for method in (ev.eval_a, ev.eval_b):
+        values = np.array([method(float(r)) for r in rs])
         assert values.dtype == np.complex128
         assert np.all(values.real == 0)
     for method in (ev.g_values, ev.g_hat_values):
         assert method(rs).dtype == np.float64
     assert isinstance(ev.eval_g(1.0), float)
+
+
+def _one_row_sweeps(ev):
+    """A sweep of each profile on its own: A and B through ``values``."""
+    return [partial(ev.values, (RadialKind.A,)), partial(ev.values, (RadialKind.B,)),
+            ev.g_values, ev.g_hat_values]
 
 
 @pytest.mark.parametrize("n", [_BLOCK + 1, 3 * _BLOCK + 5])
@@ -208,7 +224,8 @@ def test_chunked_sweep_matches_one_outer_product(ev, n, monkeypatch):
 def test_stacked_rows_equal_the_one_row_methods(quad):
     ev = MagicEvaluator(quad)
     radii = np.linspace(0.0, 8.0, 3 * _BLOCK + 5)
-    one_row = {RadialKind.A: ev.a_values(radii).imag, RadialKind.B: ev.b_values(radii).imag,
+    one_row = {RadialKind.A: ev.values((RadialKind.A,), radii)[0],
+               RadialKind.B: ev.values((RadialKind.B,), radii)[0],
                RadialKind.G: ev.g_values(radii), RadialKind.GHAT: ev.g_hat_values(radii)}
     for kinds in (tuple(RadialKind), tuple(reversed(RadialKind)),
                   (RadialKind.G, RadialKind.A, RadialKind.G)):
@@ -233,7 +250,7 @@ def test_repeated_sweeps_reuse_work_arrays(ev):
     rng = np.random.default_rng(7)
     ev.g_values(np.sort(rng.uniform(0.0, 6.0, 3000)))
     kept = dict(magic._SCRATCH.arrays)
-    for method in (ev.a_values, ev.b_values, ev.g_values, ev.g_hat_values):
+    for method in _one_row_sweeps(ev):
         method(np.sort(rng.uniform(0.0, 6.0, 3000)))
         method([1.0])
     assert magic._SCRATCH.arrays.keys() == kept.keys()
@@ -248,7 +265,7 @@ def test_sweep_work_arrays_are_sized_by_the_block_not_the_grid(ev, monkeypatch):
     terms = max(m.offset.shape[0] for k in kernels for m in (k.decaying, k.growing))
     terms1 = max(m.k2.size for k in kernels for m in (k.decaying, k.growing))
     radii = np.linspace(0.0, 6.0, 3000)
-    for method in (ev.a_values, ev.b_values, ev.g_values, ev.g_hat_values):
+    for method in _one_row_sweeps(ev):
         method(radii)
     held = sum(a.nbytes for a in magic._SCRATCH.arrays.values())
     assert 0 < held <= _BLOCK * 8 * (panels + nodes + 2 * panels + terms + terms1)
@@ -258,7 +275,7 @@ def test_sweeps_from_threads_match_one_thread(ev):
     from concurrent.futures import ThreadPoolExecutor
 
     radii = np.linspace(0.0, 6.0, 1001)
-    methods = [ev.g_values, ev.g_hat_values, ev.a_values, ev.b_values]
+    methods = _one_row_sweeps(ev)
     want = [m(radii) for m in methods]
     with ThreadPoolExecutor(max_workers=2) as pool:
         got = list(pool.map(lambda m: m(radii), methods * 8))
@@ -426,6 +443,51 @@ def test_propagated_rejects_small_radius(ev):
         assert abs(ev.eval_b_propagated(r) - ev.eval_b(r)) <= 1e-14 * a0
 
 
+def test_contour_values_match_one_radius_calls(ev):
+    radii = np.array([0.0, 0.7, SQRT2, 1.5, 2.0, 3.0, 5.5])
+    a0 = abs(ev.eval_a(0.0))
+    for form, one in ((FormId.PHI0, ev.eval_a_propagated), (FormId.PSI_S, ev.eval_b_propagated)):
+        many = ev.contour_values(form, radii)
+        assert many.dtype == np.complex128 and many.shape == radii.shape
+        assert np.abs(many - [one(float(r)) for r in radii]).max() <= 1e-15 * a0
+
+
+def test_contour_values_of_no_radii_is_empty(ev):
+    for form in (FormId.PHI0, FormId.PSI_S):
+        out = ev.contour_values(form, np.array([]))
+        assert out.shape == (0,) and out.dtype == np.complex128
+
+
+@pytest.mark.parametrize("form", [FormId.PHI0, FormId.PSI_S])
+def test_six_legs_sum_to_contour_values(ev, form):
+    a0 = abs(ev.eval_a(0.0))
+    for r in (0.0, 1.0, 1.5, 2.5):
+        legs = sum(segment_integral(seg, r * r, ev.quad) for seg in contour_segments(form))
+        assert abs(legs - ev.contour_values(form, [r])[0]) <= 1e-15 * a0
+
+
+def test_magic_verify_makes_one_oracle_call_per_form(capsys, monkeypatch):
+    calls = []
+    contour_sum = magic._contour_sum
+    monkeypatch.setattr(magic, "_contour_sum",
+                        lambda *args: calls.append(args) or contour_sum(*args))
+    assert run(["magic", "verify"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+    assert [np.size(r2) for _, _, r2 in calls] == [3, 3]
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 1e200])
+def test_both_representations_refuse_the_same_radii(ev, r):
+    calls = [lambda: ev.contour_values(FormId.PHI0, [1.0, r]),
+             lambda: ev.contour_values(FormId.PSI_S, [r]),
+             lambda: ev.eval_a_propagated(r), lambda: ev.eval_b_propagated(r),
+             lambda: ev.values((RadialKind.A,), [r]), lambda: ev.values(tuple(RadialKind), [0.5, r])]
+    for call in calls:
+        with pytest.raises(ValueError, match="radii must satisfy"):
+            call()
+
+
 def test_propagated_a_sign_at_three(ev):
     # 4i sin^2 * positive integral: a/i > 0 at r just above sqrt(2), and the
     # resulting g is negative there
@@ -447,9 +509,8 @@ ORACLE_RADII = np.concatenate([
 
 @pytest.fixture(scope="module")
 def oracle(ev):
-    """a, b, g and g_hat at ORACLE_RADII from the six-leg contour, one radius at a time."""
-    a = np.array([ev.eval_a_propagated(float(r)) for r in ORACLE_RADII])
-    b = np.array([ev.eval_b_propagated(float(r)) for r in ORACLE_RADII])
+    """a, b, g and g_hat at ORACLE_RADII from the six-leg contour, one call per form."""
+    a, b = (ev.contour_values(form, ORACLE_RADII) for form in (FormId.PHI0, FormId.PSI_S))
     plus, minus = 1j * PI / 8640.0 * a, 1j / (240.0 * PI) * b
     return a, b, (plus - minus).real, (plus + minus).real
 
@@ -457,8 +518,9 @@ def oracle(ev):
 def test_laplace_a_and_b_match_contour_oracle(ev, oracle):
     a, b, _, _ = oracle
     a0 = abs(ev.eval_a(0.0))
-    assert np.abs(ev.a_values(ORACLE_RADII) - a).max() <= 1e-14 * a0
-    assert np.abs(ev.b_values(ORACLE_RADII) - b).max() <= 1e-14 * a0
+    laplace_a, laplace_b = 1j * ev.values((RadialKind.A, RadialKind.B), ORACLE_RADII)
+    assert np.abs(laplace_a - a).max() <= 1e-14 * a0
+    assert np.abs(laplace_b - b).max() <= 1e-14 * a0
 
 
 def test_laplace_g_and_g_hat_match_contour_oracle(ev, oracle):
