@@ -18,7 +18,9 @@ Grammar (long-form flags only):
 Common flags: --config FILE, --out FILE, --format json|csv.  --order,
 --seed, --threads and the axis check's --grid (logarithmically spaced) set
 config fields, and only the commands that read those fields take them.
-SPHEREPACK_THREADS applies to packing mc alone, under --threads.
+--threads is the number of Monte-Carlo worker processes (0: the usable
+CPUs, at most 8); SPHEREPACK_THREADS applies to packing mc alone, under
+--threads.
 
 Reports share one envelope: {"command", "config", "results", "pass",
 "wall_time_ms"}, whose "config" holds the config fields the command read.
@@ -271,12 +273,19 @@ def _cmd_packing_density(args, config: RunConfig):
     return results, abs(value - E8_DENSITY) < 1e-12, None
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_packing_mc(args, config: RunConfig):
     from .packing import E8_DENSITY, e8_packing_spec, finite_density_mc
     _require_finite("--radius", args.radius)
     est = finite_density_mc(e8_packing_spec(), radius=args.radius,
                             samples=args.samples, seed=config.seed,
-                            threads=config.threads or min(os.cpu_count() or 1, 8))
+                            threads=config.threads or min(_usable_cpus(), 8))
     dev = abs(est.value - E8_DENSITY)
     results = {
         "value": est.value,

@@ -43,8 +43,8 @@ and s = 2.
 The six-leg contour integral (two rectangle sides from -1 and +1 up to
 i, the leg from i down to 0, and the vertical ray from i) is a second,
 independent representation of a and b.  It serves only as the oracle
-``MagicEvaluator.contour_values``: one product of exp(pi i r^2 z) at an
-array of radii with the form's node table, built on the first oracle call.
+``MagicEvaluator.contour_values``: products of exp(pi i r^2 z) at blocks
+of radii with the form's node table, built on the first oracle call.
 """
 
 from __future__ import annotations
@@ -87,6 +87,9 @@ _SUBTRACT_MARGIN = 1.0
 #: 1,024 radii take about 1 MiB, half of a 2 MiB L2; smaller blocks pay
 #: numpy's per-call overhead on every few hundred radii
 _BLOCK = 1024
+#: complex entries of exp(pi i r^2 z) per block of the contour oracle: 1 MiB
+#: each, and 42 radii a block on the default 1,536 nodes
+_CONTOUR_BLOCK = 1 << 16
 #: the largest radius handled, so that pi r^2 stays finite
 _R_MAX = 1e150
 #: the moment terms left out add up to at most this fraction of the largest kept one
@@ -504,8 +507,14 @@ def _segment_nodes(seg: ContourSegment, quad: QuadratureConfig) -> tuple[np.ndar
 
 
 def _contour_sum(nodes: np.ndarray, weights: np.ndarray, r2) -> np.ndarray:
-    """sum_k weights_k exp(pi i r2_j nodes_k) at each r2_j: one (n, N) product."""
-    return np.exp(1j * PI * np.multiply.outer(r2, nodes)) @ weights
+    """sum_k weights_k exp(pi i r2_j nodes_k) at each r2_j: an (m, N) product
+    per block of m radii, with m N at most _CONTOUR_BLOCK (m at least 1)."""
+    r2 = np.asarray(r2, dtype=float)
+    width = max(1, _CONTOUR_BLOCK // max(nodes.size, 1))
+    out = np.empty(r2.size, dtype=complex)
+    for lo in range(0, r2.size, width):
+        out[lo:lo + width] = np.exp(1j * PI * np.multiply.outer(r2[lo:lo + width], nodes)) @ weights
+    return out
 
 
 def segment_integral(seg: ContourSegment, r2: float, quad: QuadratureConfig) -> complex:

@@ -406,6 +406,18 @@ def test_mc_reports_the_workers_that_ran(capsys):
     assert data["config"]["threads"] == 64
 
 
+def test_mc_default_workers_follow_the_cpu_affinity(monkeypatch, capsys):
+    # eight CPUs in the machine but one usable: three blocks, one worker
+    monkeypatch.delenv("SPHEREPACK_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    code, out, _ = invoke(capsys, "packing", "mc", "--samples", "70000")
+    assert code == 0
+    data = json.loads(out)
+    assert data["results"]["threads"] == 1
+    assert data["config"]["threads"] == 0
+
+
 @pytest.mark.parametrize("radius, samples", [("5", "65536"), ("1e12", "4096")])
 def test_mc_rechecked_same_on_every_thread_count(monkeypatch, capsys, radius, samples):
     runs = []

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -456,6 +457,21 @@ def test_contour_values_of_no_radii_is_empty(ev):
     for form in (FormId.PHI0, FormId.PSI_S):
         out = ev.contour_values(form, np.array([]))
         assert out.shape == (0,) and out.dtype == np.complex128
+
+
+def test_contour_values_run_in_capped_blocks(ev):
+    # 5,000 radii in one (5,000, 1,536) product took 234 MiB; blocks of 42
+    # radii keep a few 1 MiB temporaries
+    radii = np.linspace(0.0, 6.0, 5000)
+    want = ev.contour_values(FormId.PHI0, radii[:42])    # the node table is built
+    tracemalloc.start()
+    try:
+        got = ev.contour_values(FormId.PHI0, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+    assert np.array_equal(got[:42], want)
 
 
 @pytest.mark.parametrize("form", [FormId.PHI0, FormId.PSI_S])

@@ -10,10 +10,10 @@ oracle always gets C-contiguous input.
 
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -366,43 +366,96 @@ def test_float32_e8_distance2_within_e2(radius):
             assert (np.abs(got - want) <= bound).all(), np.abs(got - want).max()
 
 
-def test_blocks_stream_to_at_most_workers_tasks(monkeypatch):
-    submitted = []
-    submit = ThreadPoolExecutor.submit
+def _counting_forks(monkeypatch) -> list:
+    """Make os.fork append to the returned list (in the caller) before it forks."""
+    forks, fork = [], os.fork
 
-    def counting(pool, fn, *args, **kwargs):
-        submitted.append(fn)
-        return submit(pool, fn, *args, **kwargs)
+    def counting():
+        forks.append(None)
+        return fork()
 
-    monkeypatch.setattr(ThreadPoolExecutor, "submit", counting)
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forks_one_child_per_extra_worker(monkeypatch):
+    forks = _counting_forks(monkeypatch)
     spec = e8_packing_spec()
-    samples = 16 * _BLOCK + 3
-    two = finite_density_mc(spec, radius=5.0, samples=samples, seed=8, threads=2)
-    assert two.workers == 2
-    assert len(submitted) <= 2
-    one = finite_density_mc(spec, radius=5.0, samples=samples, seed=8, threads=1)
-    assert len(submitted) <= 2
-    assert (one.value, one.stderr, one.rechecked) == (two.value, two.stderr, two.rechecked)
-    assert type(two.value) is float and type(two.rechecked) is int
-
-
-def test_workers_share_the_block_iterator_under_stress():
-    spec = e8_packing_spec()
-    samples = 12 * _BLOCK + 7
+    samples = 12 * _BLOCK + 7   # 13 blocks
+    one = finite_density_mc(spec, radius=30.0, samples=samples, seed=6, threads=1)
+    assert one.workers == 1 and len(forks) == 0
+    got = [finite_density_mc(spec, radius=30.0, samples=samples, seed=6, threads=2)]
+    assert got[0].workers == 2 and len(forks) == 1
     threads = (os.cpu_count() or 1) + 2
-    want = finite_density_mc(spec, radius=30.0, samples=samples, seed=6, threads=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        started = time.perf_counter()
-        got = [finite_density_mc(spec, radius=30.0, samples=samples, seed=6, threads=threads)
-               for _ in range(3)]
-        assert time.perf_counter() - started < 60
-    finally:
-        sys.setswitchinterval(interval)
+    started = time.perf_counter()
+    got += [finite_density_mc(spec, radius=30.0, samples=samples, seed=6, threads=threads)
+            for _ in range(3)]
+    assert time.perf_counter() - started < 60
+    assert len(forks) == 1 + 3 * (min(threads, 13) - 1)
+    del forks[:]
+    got.append(finite_density_mc(spec, radius=30.0, samples=samples, seed=6, threads=64))
+    assert got[-1].workers == 13 and len(forks) == 12
     for est in got:
-        assert est.workers == min(threads, 13)
-        assert (est.value, est.rechecked) == (want.value, want.rechecked)
+        assert (est.value, est.stderr, est.rechecked) == (one.value, one.stderr, one.rechecked)
+    assert type(one.value) is float and type(got[-1].rechecked) is int
+    _no_child_left()
+
+
+def test_a_failing_worker_is_an_error_and_leaves_no_child(monkeypatch):
+    sample_chunk = packing._sample_chunk
+
+    def failing(key, index, *args):
+        # block 1 belongs to stripe 1, which the forked child runs
+        if index.size and _BLOCK <= int(index[0]) < 2 * _BLOCK:
+            raise ArithmeticError("injected")
+        return sample_chunk(key, index, *args)
+
+    monkeypatch.setattr(packing, "_sample_chunk", failing)
+    with pytest.raises(RuntimeError, match="worker process .* failed: wait status"):
+        finite_density_mc(e8_packing_spec(), radius=5.0, samples=4 * _BLOCK, seed=1, threads=2)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("bad", [dict(threads=65), dict(radius=math.nan), dict(radius=0.0),
+                                 dict(samples=0), dict(samples=2 ** 60 + 1)],
+                         ids=["threads", "nan-radius", "zero-radius", "no-samples", "too-many"])
+def test_refusals_come_before_any_fork(monkeypatch, bad):
+    def no_fork():
+        raise AssertionError("forked before refusing")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    args = {**dict(radius=5.0, samples=4 * _BLOCK, seed=1, threads=2), **bad}
+    with pytest.raises(ValueError):
+        finite_density_mc(e8_packing_spec(), **args)
+
+
+def test_one_worker_where_the_platform_cannot_fork(monkeypatch):
+    spec = e8_packing_spec()
+    want = finite_density_mc(spec, radius=5.0, samples=3 * _BLOCK, seed=2, threads=3)
+    monkeypatch.delattr(os, "fork")
+    got = finite_density_mc(spec, radius=5.0, samples=3 * _BLOCK, seed=2, threads=3)
+    assert (want.workers, got.workers) == (3, 1)
+    assert (got.value, got.rechecked) == (want.value, want.rechecked)
+
+
+def test_workers_do_not_flush_the_callers_stdout():
+    # stdout is a pipe here, so the line waits in the buffer across the fork
+    script = ("import sys\n"
+              "from spherepack.packing import e8_packing_spec, finite_density_mc\n"
+              "sys.stdout.write('before the workers\\n')\n"
+              "est = finite_density_mc(e8_packing_spec(), 5.0, 65536, seed=3, threads=2)\n"
+              "assert est.workers == 2\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(packing.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    done = subprocess.run([sys.executable, "-c", script], env=dict(env, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "before the workers\n"
 
 
 # -- edge cases --------------------------------------------------------------------
