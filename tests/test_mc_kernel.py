@@ -383,26 +383,39 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_forks_one_child_per_extra_worker(monkeypatch):
+def test_blocks_stream_to_at_most_workers_tasks(monkeypatch):
+    # w workers are the caller and w - 1 forked children, one stripe of blocks each
+    forks = _counting_forks(monkeypatch)
+    spec = e8_packing_spec()
+    samples = 16 * _BLOCK + 3   # 17 blocks
+    one = finite_density_mc(spec, radius=5.0, samples=samples, seed=8, threads=1)
+    assert one.workers == 1 and len(forks) == 0
+    two = finite_density_mc(spec, radius=5.0, samples=samples, seed=8, threads=2)
+    assert two.workers == 2 and len(forks) == 1
+    assert (one.value, one.stderr, one.rechecked) == (two.value, two.stderr, two.rechecked)
+    assert type(two.value) is float and type(two.rechecked) is int
+    _no_child_left()
+
+
+def test_workers_share_the_block_iterator_under_stress(monkeypatch):
+    # more workers than CPUs, and more than blocks: each block is still run exactly once
     forks = _counting_forks(monkeypatch)
     spec = e8_packing_spec()
     samples = 12 * _BLOCK + 7   # 13 blocks
-    one = finite_density_mc(spec, radius=30.0, samples=samples, seed=6, threads=1)
-    assert one.workers == 1 and len(forks) == 0
-    got = [finite_density_mc(spec, radius=30.0, samples=samples, seed=6, threads=2)]
-    assert got[0].workers == 2 and len(forks) == 1
+    want = finite_density_mc(spec, radius=30.0, samples=samples, seed=6, threads=1)
     threads = (os.cpu_count() or 1) + 2
     started = time.perf_counter()
-    got += [finite_density_mc(spec, radius=30.0, samples=samples, seed=6, threads=threads)
-            for _ in range(3)]
+    got = [finite_density_mc(spec, radius=30.0, samples=samples, seed=6, threads=threads)
+           for _ in range(3)]
     assert time.perf_counter() - started < 60
-    assert len(forks) == 1 + 3 * (min(threads, 13) - 1)
+    assert [est.workers for est in got] == [min(threads, 13)] * 3
+    assert len(forks) == 3 * (min(threads, 13) - 1)
     del forks[:]
     got.append(finite_density_mc(spec, radius=30.0, samples=samples, seed=6, threads=64))
     assert got[-1].workers == 13 and len(forks) == 12
     for est in got:
-        assert (est.value, est.stderr, est.rechecked) == (one.value, one.stderr, one.rechecked)
-    assert type(one.value) is float and type(got[-1].rechecked) is int
+        assert (est.value, est.stderr, est.rechecked) == (want.value, want.stderr, want.rechecked)
+    assert type(got[-1].rechecked) is int
     _no_child_left()
 
 
