@@ -282,8 +282,9 @@ def theta_coefficients(max_n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 #: columns per pass of the coset kernel and of the Monte-Carlo sampler.  The
-#: buffers of a pass (512 KiB for 8 rows) stay in a core's L2 cache; at 4,096
-#: columns two threads scaled worse (more interpreter time per sample)
+#: buffers of a pass (512 KiB for 8 rows) stay in a core's L2 cache; a pass
+#: makes about 60 numpy calls whatever its width, so at 4,096 columns each
+#: sample paid more interpreter time
 CHUNK = 1 << 13
 
 
@@ -303,11 +304,11 @@ class Scratch(threading.local):
     2-vCPU Xeon VM.
 
     The buffers are anonymous memory maps, not malloc blocks, so a buffer
-    that is dropped goes back to the operating system at once.  From malloc,
-    a worker thread's buffers stayed resident in its arena after the thread
-    ended, by chance of what else the arena held: a 2-thread Monte-Carlo
-    call left 4 MB behind with one hit test and 8 MB with another that
-    differed only in its small temporaries.
+    that is dropped goes back to the operating system at once, whichever
+    thread made it; from malloc, a thread's buffers could stay resident in
+    its arena after the thread ended.  The arrays are per thread so that
+    threads may share one instance, and with it one ``MagicEvaluator``.
+    The Monte-Carlo workers are forked processes, each with its own copy.
     """
 
     def __init__(self):

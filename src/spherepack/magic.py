@@ -21,7 +21,8 @@ conditions g <= 0 beyond sqrt(2) and g_hat >= 0 are sin^2 >= 0 times a
 positive integral, and the zeros at the lattice radii sqrt(2n) are those
 of sin^2.  The b-term sign is cross-checked by the independent radial
 Fourier transform ``hankel8`` in this module, which expands a tabulated
-profile in the Laguerre eigenbasis of the 8-dimensional transform; with
+profile in the Laguerre eigenbasis of the 8-dimensional transform (rule
+and basis built once per upper limit, coefficients once per table); with
 the theta and Eisenstein conventions used here, g(0) = g_hat(0) = 1.
 
 Each profile is thus scale * sin^2 L[fa Kphi + fb Kpsi], one row of ``_PROFILES``.
@@ -53,7 +54,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -561,6 +562,11 @@ class RadialTable:
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
+    @cached_property
+    def _signed_coefficients(self) -> np.ndarray:
+        """hankel8's coefficients, built once: the table is immutable."""
+        return _hankel_coefficients(self.radii, self.values)
+
 
 def tabulate_radial(which: RadialKind, radii: Sequence[float],
                     evaluator: MagicEvaluator) -> RadialTable:
@@ -600,20 +606,54 @@ _EIGEN_TERMS = 32
 _EIGEN_END = 6.5
 
 
-def _eigenbasis(s: np.ndarray) -> np.ndarray:
+def _eigenbasis(s: np.ndarray | float) -> np.ndarray:
     """phi_k(s) = L_k^(3)(2 pi s^2) e^{-pi s^2} for k < _EIGEN_TERMS, in rows.
 
     One three-term recurrence on the weighted functions, x = 2 pi s^2:
     phi_0 = e^{-x/2}, phi_1 = (4 - x) phi_0 and
     (k+1) phi_{k+1} = (2k + 4 - x) phi_k - (k + 3) phi_{k-1}.
+    On an array of s it runs on rows, on a float s on float64 scalars.
     """
     x = 2.0 * PI * s * s
-    phi = np.empty((_EIGEN_TERMS,) + s.shape)
-    phi[0] = np.exp(-x / 2.0)
-    phi[1] = (4.0 - x) * phi[0]
+    phi = [np.exp(-x / 2.0)]
+    phi.append((4.0 - x) * phi[0])
     for k in range(1, _EIGEN_TERMS - 1):
-        phi[k + 1] = ((2 * k + 4 - x) * phi[k] - (k + 3) * phi[k - 1]) / (k + 1)
-    return phi
+        phi.append(((2 * k + 4 - x) * phi[k] - (k + 3) * phi[k - 1]) / (k + 1))
+    return np.array(phi)
+
+
+@lru_cache(maxsize=8)
+def _eigen_rule(end: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """hankel8's rule on [0, end], read-only: its 16 Gauss panels' 16 nodes
+    s each, their weights, the eigenbasis at s and s^7."""
+    s, w = panel_nodes(0.0, end, 16, 16)
+    rule = s, w, _eigenbasis(s), s ** 7
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
+def _hankel_coefficients(radii: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A table's (-1)^k c_k for k < _EIGEN_TERMS (see ``hankel8``), read-only.
+
+    A table hankel8 cannot transform is an InsufficientTable.
+    """
+    if len(radii) < 16:
+        raise InsufficientTable("need at least 16 table points")
+    if radii[0] != 0.0:
+        raise InsufficientTable(f"table must start at radius 0, not {radii[0]:.3g}")
+    if radii[-1] < 4.0:
+        raise InsufficientTable("table must extend to s >= 4")
+    gaps = np.diff(radii)
+    if gaps.max() > 0.2:
+        raise InsufficientTable(f"table spacing {gaps.max():.3g} too coarse")
+    s, w, basis, s7 = _eigen_rule(min(float(radii[-1]), _EIGEN_END))
+    k = np.arange(_EIGEN_TERMS)
+    moments = basis @ (w * _cubic_interp(radii, values, s) * s7)
+    coeffs = (PI ** 4 / 3.0) * moments * 96.0 / ((k + 1) * (k + 2) * (k + 3))
+    signed = (-1.0) ** k * coeffs
+    signed.flags.writeable = False
+    return signed
 
 
 def hankel8(table: RadialTable, r: float) -> float:
@@ -627,10 +667,11 @@ def hankel8(table: RadialTable, r: float) -> float:
 
     for k < _EIGEN_TERMS, by 16 Gauss panels of 16 nodes on the table's
     cubic interpolant with S = min(last radius, _EIGEN_END), give
-    f_hat(r) = sum_k (-1)^k c_k phi_k(r).  The result is accurate only for
-    a profile that is small beyond the table's end and well described by
-    the first _EIGEN_TERMS eigenfunctions.  The domain is r > 0 with a
-    normal r^3.
+    f_hat(r) = sum_k (-1)^k c_k phi_k(r).  The rule and the basis at its
+    nodes are built once per S, the coefficients once per table.  The result
+    is accurate only for a profile that is small beyond the table's end and
+    well described by the first _EIGEN_TERMS eigenfunctions.  The domain
+    is r > 0 with a normal r^3, and the table must start at radius 0.
     """
     try:
         cube = float(r) ** 3
@@ -638,16 +679,4 @@ def hankel8(table: RadialTable, r: float) -> float:
         cube = math.inf
     if not (r > 0 and sys.float_info.min <= cube < math.inf):
         raise ValueError(f"hankel8 needs a finite r > 0 with a normal r^3, got {r}")
-    radii, values = table.radii, table.values
-    if len(radii) < 16:
-        raise InsufficientTable("need at least 16 table points")
-    if radii[-1] < 4.0:
-        raise InsufficientTable("table must extend to s >= 4")
-    gaps = np.diff(radii)
-    if gaps.max() > 0.2:
-        raise InsufficientTable(f"table spacing {gaps.max():.3g} too coarse")
-    s, w = panel_nodes(0.0, min(float(radii[-1]), _EIGEN_END), 16, 16)
-    k = np.arange(_EIGEN_TERMS)
-    moments = _eigenbasis(s) @ (w * _cubic_interp(radii, values, s) * s ** 7)
-    coeffs = (PI ** 4 / 3.0) * moments * 96.0 / ((k + 1) * (k + 2) * (k + 3))
-    return float((-1.0) ** k * coeffs @ _eigenbasis(np.array(float(r))))
+    return float(table._signed_coefficients @ _eigenbasis(float(r)))

@@ -759,6 +759,100 @@ def test_hankel_minus_eigenfunction(ev, eigen_tables):
         assert abs(got - want) < 0.01 * abs(want)
 
 
+def _hankel8_before(table, r):
+    """hankel8 as it was before its rule and coefficients were cached,
+    verbatim, with the table and radius checks left out."""
+    def eigenbasis(s):
+        x = 2.0 * PI * s * s
+        phi = np.empty((magic._EIGEN_TERMS,) + s.shape)
+        phi[0] = np.exp(-x / 2.0)
+        phi[1] = (4.0 - x) * phi[0]
+        for k in range(1, magic._EIGEN_TERMS - 1):
+            phi[k + 1] = ((2 * k + 4 - x) * phi[k] - (k + 3) * phi[k - 1]) / (k + 1)
+        return phi
+
+    radii, values = table.radii, table.values
+    s, w = panel_nodes(0.0, min(float(radii[-1]), magic._EIGEN_END), 16, 16)
+    k = np.arange(magic._EIGEN_TERMS)
+    moments = eigenbasis(s) @ (w * _CUBIC_INTERP(radii, values, s) * s ** 7)
+    coeffs = (PI ** 4 / 3.0) * moments * 96.0 / ((k + 1) * (k + 2) * (k + 3))
+    return float((-1.0) ** k * coeffs @ eigenbasis(np.array(float(r))))
+
+
+_CUBIC_INTERP = magic._cubic_interp
+_HEX_RADII = np.random.default_rng(31).uniform(0.05, 3.0, 20)
+
+
+def _oracle_table(name, end=6.0):
+    s = np.arange(0.0, end + 1e-4, 0.01)
+    return RadialTable(s, _HANKEL_ORACLES[name][0](s))
+
+
+def test_hankel_is_bit_identical_to_the_uncached_formula(eigen_tables):
+    tables = [*eigen_tables, *(_oracle_table(name) for name in sorted(_HANKEL_ORACLES))]
+    for table in tables:
+        got = [hankel8(table, r).hex() for r in _HEX_RADII]
+        assert got == [_hankel8_before(table, r).hex() for r in _HEX_RADII]
+
+
+def _count_interpolations(monkeypatch):
+    calls = []
+    monkeypatch.setattr(magic, "_cubic_interp",
+                        lambda *args: calls.append(1) or _CUBIC_INTERP(*args))
+    return calls
+
+
+def test_hankel_builds_a_tables_coefficients_once(monkeypatch):
+    calls = _count_interpolations(monkeypatch)
+    table = _oracle_table("gauss_a2")
+    first = [hankel8(table, r) for r in (0.8, 1.3)]
+    assert len(calls) == 1
+    assert table._signed_coefficients.flags.writeable is False
+    again = RadialTable(table.radii, table.values)
+    assert [hankel8(again, r) for r in (0.8, 1.3)] == first
+    assert len(calls) == 2
+
+
+def test_hankel_refuses_a_radius_after_the_coefficients_are_cached():
+    table = _oracle_table("gauss_a2")
+    hankel8(table, 1.0)
+    for r in (math.nan, 0.0, 1e-110):
+        with pytest.raises(ValueError, match="finite r > 0"):
+            hankel8(table, r)
+
+
+def test_hankel_refuses_an_insufficient_table_on_every_call(monkeypatch):
+    calls = _count_interpolations(monkeypatch)
+    s = np.arange(0.0, 6.0001, 0.25)
+    table = RadialTable(s, np.exp(-s))
+    for _ in range(3):
+        with pytest.raises(InsufficientTable, match="too coarse"):
+            hankel8(table, 1.0)
+    assert calls == []
+
+
+def test_hankel_refuses_a_table_that_does_not_start_at_zero():
+    s = np.arange(1.0, 6.0001, 0.01)
+    table = RadialTable(s, np.exp(-PI * s ** 2))
+    # extrapolated over [0, 1), the transform missed e^{-pi} by about 4.8e-4
+    assert abs(_hankel8_before(table, 1.0) - math.exp(-PI)) > 1e-4
+    with pytest.raises(InsufficientTable, match="start at radius 0"):
+        hankel8(table, 1.0)
+
+
+def test_hankel_builds_one_read_only_rule_per_upper_limit():
+    magic._eigen_rule.cache_clear()
+    tables = [_oracle_table("gauss_a2", end) for end in (5.0, 20.0, 5.0, 20.0)]
+    for table in tables:
+        assert hankel8(table, 0.9).hex() == _hankel8_before(table, 0.9).hex()
+    info = magic._eigen_rule.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    for end in (5.0, magic._EIGEN_END):
+        s, w, basis, s7 = magic._eigen_rule(end)
+        assert s.max() < end and basis.shape == (magic._EIGEN_TERMS, s.size)
+        assert not any(a.flags.writeable for a in (s, w, basis, s7))
+
+
 def test_kernel_weights_match_two_single_series_evaluations():
     # the evaluator reads phi0 and psi_s at the 1j/t nodes from one stacked
     # call; each kernel's table equals the one built from two plain evals
