@@ -128,25 +128,27 @@ def poisson_check(sigma: float) -> tuple[float, float]:
 
     lhs = sum_v exp(-pi sigma |v|^2), rhs = sigma^-4 sum_v exp(-pi |v|^2 / sigma);
     summed over the shells up to squared norm ``POISSON_MAX_NORM2``, with a
-    certified tail bound on the dropped terms.
+    certified tail bound on the dropped terms.  A sigma that is NaN, inf or
+    not positive is a ValueError, and so is one whose tail at either end
+    the cutoff cannot certify.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     shells = enumerate_shells(POISSON_MAX_NORM2)
     lhs = 1.0
     rhs_sum = 1.0
     for shell in shells:
         lhs += shell.count * math.exp(-PI * sigma * shell.norm2)
         rhs_sum += shell.count * math.exp(-PI * shell.norm2 / sigma)
-    rhs = rhs_sum / sigma ** 4
     # counts grow like 240*sigma_3(n) <= 290 n^3; bound the dropped shells
-    # by the integral of 290 x^3 exp(-pi s x) beyond the cutoff
+    # by the integral of 290 x^3 exp(-pi s x) beyond the cutoff, in powers
+    # of u = 1/(pi s); at an extreme s they overflow to inf, never raise
     for s, total in ((sigma, lhs), (1.0 / sigma, rhs_sum)):
         m = POISSON_MAX_NORM2 + 2
         rate = PI * s
-        tail = 290.0 * math.exp(-rate * m) * (
-            m ** 3 / rate + 3 * m ** 2 / rate ** 2 + 6 * m / rate ** 3 + 6 / rate ** 4)
+        u = 1.0 / rate
+        tail = 290.0 * math.exp(-rate * m) * u * (m ** 3 + u * (3 * m ** 2 + u * (6 * m + 6 * u)))
         if tail > 1e-13 * total:
             raise ValueError(
                 f"shell cutoff {POISSON_MAX_NORM2} cannot certify the tail at sigma={s}")
-    return lhs, rhs
+    return lhs, rhs_sum / sigma ** 4

@@ -45,7 +45,9 @@ The six-leg contour integral (two rectangle sides from -1 and +1 up to
 i, the leg from i down to 0, and the vertical ray from i) is a second,
 independent representation of a and b.  It serves only as the oracle
 ``MagicEvaluator.contour_values``: products of exp(pi i r^2 z) at blocks
-of radii with the form's node table, built on the first oracle call.
+of radii with the form's node table, built on the first oracle call.  The
+five finite legs are rows of data (``_LEGS``), the ray is ``_RAY``, and a
+table costs one series evaluation of the form at all six legs' arguments.
 """
 
 from __future__ import annotations
@@ -420,91 +422,22 @@ def default_evaluator(quad: QuadratureConfig) -> MagicEvaluator:
 # the six-leg contour: the oracle
 # ---------------------------------------------------------------------------
 
-#: each form's ray: its coefficient, and its integrand's decay rate and
+#: the five finite legs in the drawn orientation, as (start, end, shift,
+#: coefficient): the integrand is the form at -1/(z + shift) times (z + shift)^2,
+#: and the coefficient +2 on i -> 0 is -2 times the 0 -> i integral
+_LEGS = ((-1.0 + 0j, -1.0 + 1j, 1, 1.0), (-1.0 + 1j, 1j, 1, 1.0),
+         (1.0 + 0j, 1.0 + 1j, -1, 1.0), (1.0 + 1j, 1j, -1, 1.0),
+         (1j, 0j, 0, 2.0))
+
+#: each form's ray i -> i*inf, where the integrand is the form itself: its
+#: coefficient (+2 for a, -2 for b), and its integrand's decay rate and
 #: leading-coefficient envelope for the certified tail bound (factor 2 of safety)
 _RAY = {FormId.PHI0: (2.0, 2.0 * PI, 2.0 * 518400.0), FormId.PSI_S: (-2.0, PI, 2.0 * 10240.0)}
 
 #: the contour's vertical ray is cut at Im(z) = _RAY_END, where the certified
-#: bound on the dropped tail (``_check_ray_tail``) must be within _RAY_TAIL_TOL
+#: bound on the dropped tail (``_contour_table``) must be within _RAY_TAIL_TOL
 _RAY_END = 12.0
 _RAY_TAIL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ContourSegment:
-    """One straight leg (or the vertical ray) of a contour integral.
-
-    The integrand, without the exponential factor exp(pi*i*r^2*z), is the
-    form (``FormId.PHI0`` or ``FormId.PSI_S``) pulled back by the leg map
-    z -> -1/(z+shift) with weight (z+shift)^2, or the form itself at z when
-    ``shift`` is None (the direct ray).
-    """
-
-    start: complex
-    end: complex
-    form: FormId
-    shift: int | None
-    coefficient: complex
-    is_ray: bool = False
-
-    def __post_init__(self):
-        if self.is_ray:
-            if self.start.imag <= 0:
-                raise ValueError("ray must start in the upper half-plane")
-        else:
-            mid = (self.start + self.end) / 2.0
-            if self.start != self.end and mid.imag <= 0:
-                raise ValueError("segment interior must stay in the upper half-plane")
-
-    def kernel(self, z: np.ndarray) -> np.ndarray:
-        """Integrand without the exponential factor at the nodes z: one series eval."""
-        series = form_qseries(self.form)
-        if self.shift is None:
-            return series.eval(z)
-        w = z + self.shift
-        return series.eval(-1.0 / w) * w ** 2
-
-
-def contour_segments(form: FormId) -> list[ContourSegment]:
-    """The six legs whose integral sum defines a(r) (phi0) or b(r) (psi_s).
-
-    Legs follow the drawn orientation: -1 -> -1+i -> i, 1 -> 1+i -> i,
-    i -> 0 with coefficient +2 (same as -2 times the 0 -> i integral),
-    and the ray i -> i*inf with coefficient +2 for a and -2 for b.
-    """
-    ray = _RAY[form][0]
-    return [
-        ContourSegment(-1.0 + 0j, -1.0 + 1j, form, 1, 1.0),
-        ContourSegment(-1.0 + 1j, 1j, form, 1, 1.0),
-        ContourSegment(1.0 + 0j, 1.0 + 1j, form, -1, 1.0),
-        ContourSegment(1.0 + 1j, 1j, form, -1, 1.0),
-        ContourSegment(1j, 0j, form, 0, 2.0),
-        ContourSegment(1j, 1j, form, None, ray, is_ray=True),
-    ]
-
-
-def _check_ray_tail(form: FormId) -> None:
-    """The certified bound on the ray beyond _RAY_END, taken at r = 0, where
-    it is largest: the factor exp(pi i r^2 z) only speeds the decay."""
-    _, decay, coeff = _RAY[form]
-    tail = coeff * math.exp(-decay * _RAY_END) / decay
-    if tail > _RAY_TAIL_TOL:
-        raise TailBoundViolated(f"ray tail {tail:.3g} above tol {_RAY_TAIL_TOL} at T={_RAY_END}")
-
-
-def _segment_nodes(seg: ContourSegment, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and complex weights (including kernel values and coefficient)."""
-    if seg.is_ray:
-        _check_ray_tail(seg.form)
-        nodes_t, weights_t = panel_nodes(seg.start.imag, _RAY_END,
-                                         quad.panels_per_segment, quad.gauss_order)
-        nodes, weights = 1j * nodes_t, 1j * weights_t
-    elif seg.start == seg.end:
-        return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
-    else:
-        nodes, weights = panel_nodes(seg.start, seg.end,
-                                     quad.panels_per_segment, quad.gauss_order)
-    return nodes, seg.coefficient * weights * seg.kernel(nodes)
 
 
 def _contour_sum(nodes: np.ndarray, weights: np.ndarray, r2) -> np.ndarray:
@@ -518,21 +451,30 @@ def _contour_sum(nodes: np.ndarray, weights: np.ndarray, r2) -> np.ndarray:
     return out
 
 
-def segment_integral(seg: ContourSegment, r2: float, quad: QuadratureConfig) -> complex:
-    """Integral of the segment's integrand times exp(pi*i*r2*z), with coefficient.
-
-    Endpoints on the real axis are regular: the integrands vanish to all
-    orders as the axis is approached vertically, and Gauss nodes never sit
-    on an endpoint anyway.
-    """
-    return complex(_contour_sum(*_segment_nodes(seg, quad), [r2])[0])
-
-
 @lru_cache(maxsize=4)
 def _contour_table(form: FormId, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of all six legs of one function, concatenated."""
-    parts = [_segment_nodes(seg, quad) for seg in contour_segments(form)]
-    return np.concatenate([n for n, _ in parts]), np.concatenate([w for _, w in parts])
+    """Nodes and weights (Gauss weight times coefficient times integrand) of
+    the five ``_LEGS`` and the ray, concatenated, from one series evaluation
+    at every leg's -1/(z + shift) and the ray's i t.
+
+    The certified bound on the ray beyond _RAY_END is checked first, at
+    r = 0, where it is largest: the factor exp(pi i r^2 z) only speeds the
+    decay.  The integrands vanish to all orders as the legs approach the
+    real axis vertically, and Gauss nodes never sit on an endpoint.
+    """
+    coefficient, decay, envelope = _RAY[form]
+    tail = envelope * math.exp(-decay * _RAY_END) / decay
+    if tail > _RAY_TAIL_TOL:
+        raise TailBoundViolated(f"ray tail {tail:.3g} above tol {_RAY_TAIL_TOL} at T={_RAY_END}")
+    rule = quad.panels_per_segment, quad.gauss_order
+    starts, ends, shifts, coeffs = zip(*_LEGS)
+    z, gauss = np.array([panel_nodes(a, b, *rule) for a, b in zip(starts, ends)]).swapaxes(0, 1)
+    w = z + np.array(shifts)[:, None]
+    t, dt = panel_nodes(1.0, _RAY_END, *rule)
+    values = form_qseries(form).eval(np.concatenate([(-1.0 / w).ravel(), 1j * t]))
+    weights = np.array(coeffs)[:, None] * gauss * (values[:z.size].reshape(z.shape) * w ** 2)
+    return (np.concatenate([z.ravel(), 1j * t]),
+            np.concatenate([weights.ravel(), coefficient * (1j * dt) * values[z.size:]]))
 
 
 # ---------------------------------------------------------------------------

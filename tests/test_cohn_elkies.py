@@ -132,3 +132,12 @@ def test_poisson_rejects_bad_sigma():
         poisson_check(0.0)
     with pytest.raises(ValueError):
         poisson_check(0.05)  # tail not certifiable at the default cutoff
+
+
+@pytest.mark.parametrize("sigma, message", [
+    (math.nan, "positive and finite"), (math.inf, "positive and finite"),
+    (1e-300, "cannot certify"), (1e300, "cannot certify")])
+def test_poisson_refuses_nan_inf_and_extreme_sigma(sigma, message):
+    # the extremes' tail bounds overflow to inf rather than raising
+    with pytest.raises(ValueError, match=message):
+        poisson_check(sigma)

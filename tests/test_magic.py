@@ -2,6 +2,7 @@
 consistency, certificate values, and the radial Fourier transform in the
 Laguerre eigenbasis against closed forms and the a/b eigenfunction facts."""
 
+import cmath
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from spherepack import magic
+from spherepack import magic, qseries
 from spherepack.cli import run
 from spherepack.cohn_elkies import default_ce_grid, verify_magic_ce
 from spherepack.errors import InsufficientTable, TailBoundViolated
@@ -21,14 +22,11 @@ from spherepack.forms import WEIGHT36, FormId, form_qseries
 from spherepack.lattice import Scratch
 from spherepack.magic import (
     A_SCALE,
-    ContourSegment,
     MagicEvaluator,
     RadialKind,
     RadialTable,
-    contour_segments,
     default_evaluator,
     hankel8,
-    segment_integral,
     tabulate_radial,
     _BLOCK,
     _SUBTRACT_MARGIN,
@@ -47,19 +45,23 @@ def ev():
 
 # -- contour geometry ----------------------------------------------------------
 
+FORMS = (FormId.PHI0, FormId.PSI_S)
+
+
 def test_segment_counts_and_endpoints():
-    segs = contour_segments(FormId.PHI0)
-    assert len(segs) == 6
-    endpoints = {s.start for s in segs} | {s.end for s in segs if not s.is_ray}
+    assert len(magic._LEGS) == 5 and set(magic._RAY) == set(FORMS)
+    endpoints = {a for a, *_ in magic._LEGS} | {b for _, b, *_ in magic._LEGS}
     assert endpoints == {-1 + 0j, -1 + 1j, 1 + 0j, 1 + 1j, 1j, 0j}
+    # the table is the five legs, then the ray up from i, one panel rule each
+    nodes, weights = magic._contour_table(FormId.PHI0, QuadratureConfig())
+    assert nodes.shape == weights.shape == (6 * 8 * 32,)
+    ray = nodes[5 * 8 * 32:]
+    assert (ray.real == 0.0).all() and 1.0 < ray.imag.min() < ray.imag.max() < magic._RAY_END
 
 
 def test_segment_coefficients():
-    a = contour_segments(FormId.PHI0)
-    assert [s.coefficient for s in a] == [1.0, 1.0, 1.0, 1.0, 2.0, 2.0]
-    b = contour_segments(FormId.PSI_S)
-    assert [s.coefficient for s in b] == [1.0, 1.0, 1.0, 1.0, 2.0, -2.0]
-    assert b[-1].is_ray
+    assert [c for *_, c in magic._LEGS] == [1.0, 1.0, 1.0, 1.0, 2.0]
+    assert [magic._RAY[form][0] for form in FORMS] == [2.0, -2.0]
 
 
 def test_inverted_leg_argument_high():
@@ -70,39 +72,39 @@ def test_inverted_leg_argument_high():
 
 
 def test_segment_arguments_stay_above_half():
-    for seg in contour_segments(FormId.PHI0)[:4] + contour_segments(FormId.PSI_S)[:4]:
-        nodes, _ = panel_nodes(seg.start, seg.end, 8, 32)
-        args = -1.0 / (nodes + seg.shift)
+    for start, end, shift, _ in magic._LEGS:
+        nodes, _ = panel_nodes(start, end, 8, 32)
+        args = -1.0 / (nodes + shift)
         assert (args.imag >= 0.5 - 1e-12).all()
 
 
-def test_zero_length_segment_is_zero():
-    seg = ContourSegment(1j, 1j, FormId.PHI0, None, 1.0)
-    assert segment_integral(seg, 1.0, QuadratureConfig()) == 0
-
-
-def test_reversed_segment_negates():
-    quad = QuadratureConfig()
-    fwd = ContourSegment(-1 + 1j, 1j, FormId.PHI0, 1, 1.0)
-    rev = ContourSegment(1j, -1 + 1j, FormId.PHI0, 1, 1.0)
-    a = segment_integral(fwd, 1.0, quad)
-    b = segment_integral(rev, 1.0, quad)
-    assert abs(a + b) < 1e-14 * max(abs(a), 1.0)
-
-
-def test_ray_self_convergence_under_refinement():
-    ray = contour_segments(FormId.PHI0)[-1]
-    base = segment_integral(ray, 4.0, QuadratureConfig())
-    fine = segment_integral(ray, 4.0, QuadratureConfig(gauss_order=64, panels_per_segment=16))
-    assert abs(base - fine) < 1e-10 * max(abs(base), 1e-12)
+def test_ray_self_convergence_under_refinement(ev):
+    # the whole contour, ray included, against a rule four times finer
+    fine = MagicEvaluator(QuadratureConfig(gauss_order=64, panels_per_segment=16))
+    radii = [0.0, 1.0, 1.5, 2.0, 2.5]
+    a0 = abs(ev.eval_a(0.0))
+    for form in FORMS:
+        gap = np.abs(ev.contour_values(form, radii) - fine.contour_values(form, radii)).max()
+        assert gap <= 1e-14 * a0
 
 
 def test_ray_tail_bound_enforced(monkeypatch):
-    # cut at Im(z) = 4, psi_s's certified tail bound is 2.3e-2, far above 1e-12
+    # cut at Im(z) = 4, the certified tail bounds are 2e-6 for phi0 and
+    # 2.3e-2 for psi_s, both far above 1e-12
     monkeypatch.setattr(magic, "_RAY_END", 4.0)
-    ray = contour_segments(FormId.PSI_S)[-1]
-    with pytest.raises(TailBoundViolated):
-        segment_integral(ray, 0.0, QuadratureConfig())
+    for form in FORMS:
+        with pytest.raises(TailBoundViolated):
+            magic._contour_table.__wrapped__(form, QuadratureConfig())
+
+
+def test_contour_table_build_makes_one_series_evaluation(monkeypatch):
+    calls = []
+    stack = qseries.eval_stack
+    monkeypatch.setattr(qseries, "eval_stack",
+                        lambda series, tau: calls.append(tau.size) or stack(series, tau))
+    for form in FORMS:
+        magic._contour_table.__wrapped__(form, QuadratureConfig(16, 4))
+    assert calls == [6 * 16 * 4] * 2
 
 
 def test_ray_tail_bound_enforced_by_the_oracle(ev, monkeypatch):
@@ -474,12 +476,20 @@ def test_contour_values_run_in_capped_blocks(ev):
     assert np.array_equal(got[:42], want)
 
 
-@pytest.mark.parametrize("form", [FormId.PHI0, FormId.PSI_S])
+@pytest.mark.parametrize("form", FORMS)
 def test_six_legs_sum_to_contour_values(ev, form):
+    # each leg's nodes on their own, with the integrand from the scalar series path
+    series, rule = form_qseries(form), (ev.quad.panels_per_segment, ev.quad.gauss_order)
+    terms = []
+    for start, end, shift, c in magic._LEGS:
+        for z, w in zip(*panel_nodes(start, end, *rule)):
+            terms.append((z, c * w * series.eval(complex(-1.0 / (z + shift))) * (z + shift) ** 2))
+    for t, w in zip(*panel_nodes(1.0, magic._RAY_END, *rule)):
+        terms.append((1j * t, magic._RAY[form][0] * 1j * w * series.eval(1j * t)))
     a0 = abs(ev.eval_a(0.0))
     for r in (0.0, 1.0, 1.5, 2.5):
-        legs = sum(segment_integral(seg, r * r, ev.quad) for seg in contour_segments(form))
-        assert abs(legs - ev.contour_values(form, [r])[0]) <= 1e-15 * a0
+        total = sum(cw * cmath.exp(1j * PI * r * r * z) for z, cw in terms)
+        assert abs(total - ev.contour_values(form, [r])[0]) <= 1e-15 * a0
 
 
 def test_magic_verify_makes_one_oracle_call_per_form(capsys, monkeypatch):
