@@ -91,8 +91,9 @@ class AxisTable:
     B - psi_i, B + psi_i) once, at every grid point, in one
     ``eval_stack`` call, and is the one realness check: a value with a
     nonzero imaginary part, which no real nome can give, raises
-    NonRealValue.  ``values(build, upper)`` looks up build()'s row on one
-    branch.  A table lives for one pass over one grid; nothing outlives it.
+    NonRealValue; a float stack, from real nomes, is real by construction.
+    ``values(build, upper)`` looks up build()'s row on one branch.  A table
+    lives for one pass over one grid; nothing outlives it.
     """
 
     def __init__(self, t: np.ndarray):
@@ -102,8 +103,7 @@ class AxisTable:
         split = int(self.upper.sum())
         val = eval_stack([build() for build in _TABLE_SERIES],
                          1j * np.concatenate([t[self.upper], 1.0 / t[~self.upper]]))
-        bad = val.imag != 0
-        if bad.any():
+        if np.iscomplexobj(val) and (bad := val.imag != 0).any():
             row = int(np.argmax(bad.any(axis=1)))
             raise NonRealValue(f"{_TABLE_SERIES[row].__name__} is not real on the "
                                f"axis: {val[row][bad[row]][0]}")

@@ -86,9 +86,10 @@ _G_SCALE = PI / 2160.0
 #: plain integral converges and subtracting would only cost accuracy
 _SUBTRACT_MARGIN = 1.0
 #: radii per block of a Laplace sweep.  A block's work arrays hold
-#: P + Q + 2P + T + T1 = 8 + 32 + 16 + 46 + 23 = 125 float64 per radius, so
-#: 1,024 radii take about 1 MiB, half of a 2 MiB L2; smaller blocks pay
-#: numpy's per-call overhead on every few hundred radii
+#: P + Q + 2P + T + T1 = 8 + 32 + 16 + 46 + 23 = 125 float64 per radius in
+#: ``_SCRATCH``, and its [1; pi s] and e^{-pi s} 3 more, so 1,024 radii take
+#: about 1 MiB, half of a 2 MiB L2; smaller blocks pay numpy's per-call
+#: overhead on every few hundred radii
 _BLOCK = 1024
 #: complex entries of exp(pi i r^2 z) per block of the contour oracle: 1 MiB
 #: each, and 42 radii a block on the default 1,536 nodes
@@ -151,9 +152,13 @@ class _Moments:
     e^{-pi s} sum_T c_T e^{-offset_T} (x + m x^2 + m(m-1) x^3), x = 1/(offset_T + pi s).
 
     The terms are held with m = 2 first, then m = 1, then m = 0, so x^2 is
-    formed over the m >= 1 rows only and x^3 over the m = 2 rows."""
+    formed over the m >= 1 rows only and x^3 over the m = 2 rows.  All
+    offset_T + pi s are one product of ``rate`` = [offset, 1] with [1; pi s],
+    whose two products are exact: in any order, FMA or not, it is the
+    broadcast add bit for bit, rounded once."""
 
     offset: np.ndarray     # (T, 1)
+    rate: np.ndarray       # (T, 2): [offset, 1]
     k: np.ndarray          # (T,): the coefficients of x
     k2: np.ndarray         # (T1,): of x^2, over the T1 rows with m >= 1
     k3: np.ndarray         # (T2,): of x^3, over the T2 rows with m = 2
@@ -163,14 +168,15 @@ class _Moments:
         by = np.argsort(-order, kind="stable")
         order, offset = order[by], offset[by]
         scaled = coeff[by] * np.exp(-offset)
-        return cls(offset[:, None], scaled, (order * scaled)[order >= 1.0],
-                   (order * (order - 1.0) * scaled)[order == 2.0])
+        return cls(offset[:, None], np.stack([offset, np.ones_like(offset)], axis=1), scaled,
+                   (order * scaled)[order >= 1.0], (order * (order - 1.0) * scaled)[order == 2.0])
 
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        terms, n = self.offset.shape[0], s.size
+    def __call__(self, pi_s: np.ndarray, decay: np.ndarray) -> np.ndarray:
+        """The integral at n values of s, from their (2, n) [1; pi s] and e^{-pi s}."""
+        terms, n = self.offset.shape[0], decay.size
         t1, t2 = self.k2.size, self.k3.size
         x, x2 = _SCRATCH.get("x", terms, n), _SCRATCH.get("x2", t1, n)
-        np.add(self.offset, PI * s, out=x)
+        np.matmul(self.rate, pi_s, out=x)
         np.reciprocal(x, out=x)
         total = self.k @ x
         np.multiply(x[:t1], x[:t1], out=x2)
@@ -178,7 +184,7 @@ class _Moments:
         x3 = x2[:t2]
         x3 *= x[:t2]
         total += self.k3 @ x3
-        return np.exp(-PI * s) * total
+        return decay * total
 
 
 def _panel_split(nodes: np.ndarray, panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,11 +264,13 @@ class _Kernel:
                    _Moments.of(order[up], offset[up], coeff[up]),
                    shift[:, None], order[up, None], coeff[up])
 
-    def sin2_laplace(self, s, sine, low, e1, e2) -> np.ndarray:
+    def sin2_laplace(self, s, sine, low, e1, e2, pi_s, decay) -> np.ndarray:
         """sin^2(pi s/2) L[K](s) at each s = r^2 >= 0 of one block, from its
-        sin(pi s/2), its mask of s below the switch and its panel and node
-        exponentials e1 (P, n) and e2 (Q, n): one product of e2 with
-        ``weights`` gives each panel's sum of both integrands, weighted by e1.
+        sin(pi s/2), its mask of s below the switch, its panel and node
+        exponentials e1 (P, n) and e2 (Q, n), its [1; pi s] and its e^{-pi s}:
+        one product of e2 with ``weights`` gives each panel's sum of both
+        integrands, weighted by e1.  The growing terms' moments run only if
+        some s is above the switch, their closed forms only if some is below.
         """
         n, panels = s.size, e1.shape[0]
         m = _SCRATCH.get("m", 2 * panels, n)
@@ -270,15 +278,17 @@ class _Kernel:
         both = m.reshape(2, panels, n)
         both *= e1
         sums = both.sum(axis=1)
-        inner = np.where(low, sums[1], sums[0]) + self.decaying(s)
-        inner[~low] += self.growing(s[~low])
+        inner = np.where(low, sums[1], sums[0]) + self.decaying(pi_s, decay)
+        if not low.all():
+            inner[~low] += self.growing(pi_s[:, ~low], decay[~low])
         out = sine * sine * inner
-        # below the switch the growing terms' transforms m!/(pi w)^{m+1}, w = s - j,
-        # times sin^2, through q = sin(pi s/2)/(pi w), which is sinc-like for small w
-        w = s[low] - self.shift
-        near = np.abs(w) < 1.0
-        q = np.where(near, 0.5 * np.sinc(w / 2.0), sine[low] / (PI * np.where(near, 1.0, w)))
-        out[low] += self.coeff @ np.where(self.order == 0, sine[low] * q, q * q)
+        if low.any():
+            # below the switch the growing terms' transforms m!/(pi w)^{m+1}, w = s - j,
+            # times sin^2, through q = sin(pi s/2)/(pi w), which is sinc-like for small w
+            w = s[low] - self.shift
+            near = np.abs(w) < 1.0
+            q = np.where(near, 0.5 * np.sinc(w / 2.0), sine[low] / (PI * np.where(near, 1.0, w)))
+            out[low] += self.coeff @ np.where(self.order == 0, sine[low] * q, q * q)
         return out
 
 
@@ -297,16 +307,22 @@ def _laplace_sweep(rule, kernels, radii) -> np.ndarray:
 
     ``rule`` holds the rates -pi p/P and -pi t_0k of ``_panel_split``, as
     e^{-pi s t_pk} = e^{-pi s p/P} e^{-pi s t_0k}: a block's P + Q
-    exponentials per radius serve every kernel, and each kernel runs its
-    own (2P, Q) product on them, so every row is a one-kernel sweep's
-    arithmetic.  But a radius's last bits depend on how many radii share
-    the call, as BLAS picks its kernel by width: with OpenBLAS 0.3.31, g at
-    570 of 1,000 random radii differed between a width of 1 and 2 to 1,000.
+    exponentials per radius, its e^{-pi s} and its [1; pi s] serve every kernel, and
+    each kernel runs its own (2P, Q) product on them, so every row is a one-kernel
+    sweep's arithmetic.  But a radius's last bits depend on how many radii share the
+    call, as BLAS picks its kernel by width: with OpenBLAS 0.3.31, g at 570 of 1,000
+    random radii differed between a width of 1 and 2 to 1,000.
     """
     r = _checked_radii(radii)
     panel_rate, node_rate = rule
+    squares = r ** 2
+    # np.array_split's blocks: the first r.size % blocks of them one radius longer
+    blocks = max(1, -(-r.size // _BLOCK))
+    size, longer = divmod(r.size, blocks)
+    ends = [j * size + min(j, longer) for j in range(blocks + 1)]
     rows = []
-    for s in np.array_split(r ** 2, max(1, -(-r.size // _BLOCK))):
+    for lo, hi in zip(ends, ends[1:]):
+        s = squares[lo:hi]
         sine = np.sin(PI * (s - 2.0 * np.round(s / 2.0)) / 2.0)   # the reduction is exact
         low = s < 2.0 + _SUBTRACT_MARGIN
         e1 = _SCRATCH.get("e1", panel_rate.size, s.size)
@@ -315,7 +331,11 @@ def _laplace_sweep(rule, kernels, radii) -> np.ndarray:
         e2 = _SCRATCH.get("e2", node_rate.size, s.size)
         np.multiply.outer(node_rate, s, out=e2)
         np.exp(e2, out=e2)
-        rows.append([kernel.sin2_laplace(s, sine, low, e1, e2) for kernel in kernels])
+        pi_s = np.ones((2, s.size))
+        np.multiply(PI, s, out=pi_s[1])
+        decay = np.exp(-PI * s)
+        rows.append([kernel.sin2_laplace(s, sine, low, e1, e2, pi_s, decay)
+                     for kernel in kernels])
     return np.concatenate(rows, axis=1)
 
 

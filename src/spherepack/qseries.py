@@ -373,7 +373,9 @@ def eval_stack(series: Sequence[QSeries], tau):
     when tau is empty; it is complex otherwise.
 
     Each row keeps the refusals of ``QSeries.eval`` and its own
-    nome**lowest factor.  One Horner loop serves all rows: row i runs in
+    nome**lowest factor.  Each distinct nome is formed once per call, and
+    each distinct (nome, lowest) factor once per block, for every row that
+    shares it.  One Horner loop serves all rows: row i runs in
     its own y = nome_i**stride_i over its stride-th coefficients, padded
     with zeros above its top coefficient up to the longest row.  A padded
     row stays 0 until it reaches its top coefficient, and 0*y + top is top
@@ -387,7 +389,7 @@ def eval_stack(series: Sequence[QSeries], tau):
         return np.empty((len(series),) + tau.shape)
     im_min = tau.imag.min()
     _check_domain(im_min)
-    nomes = {s.nome: s.nome.value_at(tau.ravel()) for s in series}
+    nomes = {nome: nome.value_at(tau.ravel()) for nome in dict.fromkeys(s.nome for s in series)}
     ranges = {nome: (np.abs(w).min(), np.abs(w).max()) for nome, w in nomes.items()}
     for s in series:
         s._check(im_min, *ranges[s.nome])
@@ -411,9 +413,11 @@ def eval_stack(series: Sequence[QSeries], tau):
         for c in table[-2::-1]:
             acc *= y
             acc += c
+        lows = {(nome, k): nomes[nome][part] ** k
+                for nome, k in {(s.nome, s.lowest) for s in series if s.lowest}}
         for i, s in enumerate(series):
             if s.lowest:
-                power = nomes[s.nome][part] ** s.lowest
+                power = lows[s.nome, s.lowest]
                 acc[i] *= power.real if real else power
     return out.reshape((len(series),) + tau.shape)
 

@@ -27,6 +27,7 @@ from spherepack.forms import (
     psi_s_qseries,
 )
 from spherepack.magic import default_evaluator
+from spherepack.qseries import Nome
 from spherepack.quadrature import QuadratureConfig
 
 PI = math.pi
@@ -172,6 +173,15 @@ def test_eq2_pass_evaluates_each_series_once_per_branch(convention, monkeypatch)
     assert np.array_equal(samples.psi_s, (1.0 / w) * table.branches(second))
     assert np.array_equal(samples.combo_plus, table.branches(combo, +1))
     assert np.array_equal(samples.combo_minus, table.branches(combo, -1))
+
+
+def test_axis_table_forms_each_nome_once(monkeypatch):
+    # the table's stack of seven series in two nomes builds each nome once
+    calls = []
+    value_at = Nome.value_at
+    monkeypatch.setattr(Nome, "value_at", lambda nome, tau: calls.append(nome) or value_at(nome, tau))
+    axis.axis_table(GRID)
+    assert sorted(nome.value for nome in calls) == ["q2", "q4"]
 
 
 def test_empty_grid_gives_empty_float_arrays():

@@ -408,6 +408,111 @@ def test_a_node_table_that_does_not_split_is_refused(monkeypatch):
         MagicEvaluator(QuadratureConfig())
 
 
+# -- the sweep against the arithmetic it replaced ------------------------------------
+#
+# The oracles below are the sweep as first written: np.array_split's blocks,
+# both sides of s = 3 evaluated in every block, and moment sums that add
+# offset + pi s by broadcasting and take e^{-pi s} each on their own.  The
+# sweep must equal them bit for bit.
+
+_ORACLE_SCRATCH = Scratch()
+
+
+def _broadcast_moments(moments, s):
+    terms, n = moments.offset.shape[0], s.size
+    t1, t2 = moments.k2.size, moments.k3.size
+    x, x2 = _ORACLE_SCRATCH.get("x", terms, n), _ORACLE_SCRATCH.get("x2", t1, n)
+    np.add(moments.offset, PI * s, out=x)
+    np.reciprocal(x, out=x)
+    total = moments.k @ x
+    np.multiply(x[:t1], x[:t1], out=x2)
+    total += moments.k2 @ x2
+    x3 = x2[:t2]
+    x3 *= x[:t2]
+    total += moments.k3 @ x3
+    return np.exp(-PI * s) * total
+
+
+def _both_sides_sin2_laplace(kernel, s, sine, low, e1, e2):
+    n, panels = s.size, e1.shape[0]
+    m = _ORACLE_SCRATCH.get("m", 2 * panels, n)
+    np.matmul(kernel.weights, e2, out=m)
+    both = m.reshape(2, panels, n)
+    both *= e1
+    sums = both.sum(axis=1)
+    inner = np.where(low, sums[1], sums[0]) + _broadcast_moments(kernel.decaying, s)
+    inner[~low] += _broadcast_moments(kernel.growing, s[~low])
+    out = sine * sine * inner
+    w = s[low] - kernel.shift
+    near = np.abs(w) < 1.0
+    q = np.where(near, 0.5 * np.sinc(w / 2.0), sine[low] / (PI * np.where(near, 1.0, w)))
+    out[low] += kernel.coeff @ np.where(kernel.order == 0, sine[low] * q, q * q)
+    return out
+
+
+def _array_split_sweep(rule, kernels, radii):
+    r = magic._checked_radii(radii)
+    panel_rate, node_rate = rule
+    rows = []
+    for s in np.array_split(r ** 2, max(1, -(-r.size // magic._BLOCK))):
+        sine = np.sin(PI * (s - 2.0 * np.round(s / 2.0)) / 2.0)
+        low = s < 2.0 + _SUBTRACT_MARGIN
+        e1 = _ORACLE_SCRATCH.get("e1", panel_rate.size, s.size)
+        np.multiply.outer(panel_rate, s, out=e1)
+        np.exp(e1, out=e1)
+        e2 = _ORACLE_SCRATCH.get("e2", node_rate.size, s.size)
+        np.multiply.outer(node_rate, s, out=e2)
+        np.exp(e2, out=e2)
+        rows.append([_both_sides_sin2_laplace(k, s, sine, low, e1, e2) for k in kernels])
+    return np.concatenate(rows, axis=1)
+
+
+#: radii whose squares lie wholly below the switch s = 3, wholly above it, or on both sides
+_SWEEP_SPANS = {"below": (0.0, 1.73), "above": (1.74, 9.0), "straddling": (0.0, 6.0)}
+
+
+@pytest.mark.parametrize("span", list(_SWEEP_SPANS))
+@pytest.mark.parametrize("quad", [QuadratureConfig(), QuadratureConfig(gauss_order=16,
+                                                                       panels_per_segment=4)],
+                         ids=["default", "4x16"])
+def test_sweep_is_the_array_split_broadcast_sweep_bit_for_bit(quad, span):
+    ev = MagicEvaluator(quad)
+    kernels = [ev._kernels[kind] for kind in RadialKind]
+    rng = np.random.default_rng(11)
+    lo, hi = _SWEEP_SPANS[span]
+    for n in (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5):
+        radii = np.sort(rng.uniform(lo, hi, n))
+        got = _laplace_sweep(ev._rule, kernels, radii)
+        want = _array_split_sweep(ev._rule, kernels, radii)
+        assert got.shape == want.shape == (4, n)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
+
+
+def test_moment_denominators_are_the_broadcast_add_bit_for_bit(ev):
+    # [offset, 1] @ [1; pi s] adds two exact products, rounded once
+    rng = np.random.default_rng(5)
+    for s in (np.zeros(3), np.full(3, 1e300), rng.uniform(0.0, 40.0, 1000),
+              10.0 ** rng.uniform(-300.0, 300.0, 1000)):
+        pi_s = np.array([np.ones_like(s), PI * s])
+        for kernel in ev._kernels.values():
+            for moments in (kernel.decaying, kernel.growing):
+                got = moments.rate @ pi_s
+                want = np.add.outer(moments.offset.ravel(), PI * s)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("radii, calls", [([1.0], 1), ([2.0], 2), ([1.0, 2.0], 2)],
+                         ids=["below", "above", "straddling"])
+def test_moment_sums_run_only_for_the_side_a_block_needs(ev, radii, calls, monkeypatch):
+    # the decaying terms always, the growing terms only where some s >= 3
+    seen = []
+    moments = magic._Moments.__call__
+    monkeypatch.setattr(magic._Moments, "__call__",
+                        lambda self, *args: seen.append(self) or moments(self, *args))
+    ev.values((RadialKind.G,), radii)
+    assert len(seen) == calls
+
+
 # -- representation consistency --------------------------------------------------
 
 def test_propagated_matches_contour_for_a(ev):

@@ -617,3 +617,31 @@ def test_stack_of_empty_array_is_empty_float():
     for shape in ((0,), (0, 3)):
         got = eval_stack(_stack_series(), np.empty(shape, dtype=complex))
         assert got.shape == (11,) + shape and got.dtype == float
+
+
+def test_stack_forms_each_nome_once(monkeypatch):
+    calls = []
+    value_at = Nome.value_at
+    monkeypatch.setattr(Nome, "value_at", lambda nome, tau: calls.append(nome) or value_at(nome, tau))
+    q2 = (form_qseries(FormId.PHI0), phi0_anomaly_qseries(), e4sq_over_delta_qseries(),
+          form_qseries(FormId.E4), form_qseries(FormId.DELTA))
+    for taus, _ in _STACK_POINTS.values():
+        calls.clear()
+        eval_stack(q2, taus)
+        assert calls == [Nome.Q2]
+        calls.clear()
+        eval_stack(_stack_series(), taus)
+        assert sorted(nome.value for nome in calls) == ["q2", "q4"]
+
+
+def test_stack_rows_sharing_a_nome_power_are_each_eval():
+    # phi0 and Delta share (Q2, 1), psi_i and B + psi_i share (Q4, -8), E4 comes twice
+    series = (form_qseries(FormId.PHI0), form_qseries(FormId.E4), form_qseries(FormId.DELTA),
+              psi_i_qseries(), form_qseries(FormId.THETA10), _b_plus_psi_i_q4(),
+              form_qseries(FormId.E4))
+    assert series[0].lowest == series[2].lowest == 1 and series[0].nome is series[2].nome
+    assert series[3].lowest == series[5].lowest == -8 and series[3].nome is series[5].nome
+    for label, (taus, _) in _STACK_POINTS.items():
+        got = eval_stack(series, taus)
+        for row, s in zip(got, series):
+            assert np.array_equal(row, s.eval(taus)), (label, s)
