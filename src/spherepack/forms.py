@@ -155,14 +155,14 @@ def eta_product_qseries(order: int = DEFAULT_ORDER_Q2) -> QSeries:
     """q * prod_{n>=1} (1 - q^n)^24, expanded symbolically.
 
     Independent construction of the discriminant's expansion, used as the
-    oracle against :func:`delta_qseries`.
+    oracle against :func:`delta_qseries`; each factor from its binomials.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     prod = one_series(Nome.Q2, order - 1)
     for n in range(1, order):
-        factor = from_coefficients(Nome.Q2, [(0, 1), (n, -1)], order - 1)
-        prod = prod * factor ** 24
+        factor = [(n * k, (-1) ** k * math.comb(24, k)) for k in range(25) if n * k < order]
+        prod = prod * from_coefficients(Nome.Q2, factor, order - 1)
     # shift by q
     return from_coefficients(
         Nome.Q2, [(k + 1, prod.coefficient(k)) for k in range(0, order)], order)

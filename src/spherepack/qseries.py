@@ -18,7 +18,9 @@ discriminant/eta-product match) are decided by integer arithmetic, and
 floating point enters only in evaluation, at Im(tau) >= ``ETA_MIN``:
 :meth:`QSeries.eval` at a number or an array, and :func:`eval_stack`, which
 evaluates several series at one array of points in one Horner loop and is
-the array case of ``eval``.  Every ring operation runs on Python ints;
+the array case of ``eval``.  Both stop at a proven top cut (``_top``),
+beside the ``tail_estimate`` estimate of the terms above ``order``.
+Every ring operation runs on Python ints;
 ``Fraction`` appears only where coefficients enter (the constructor,
 :meth:`QSeries.scale`) and leave (:meth:`QSeries.coefficient`, ``repr``).
 The module runs on the standard library: numpy is imported only when an
@@ -60,6 +62,9 @@ DEFAULT_ORDER_Q2 = 50
 #: sub-exponential coefficient growth of the theta quotients.
 DEFAULT_ORDER_Q4 = 256
 
+#: ``QSeries._top``'s cut, as ``magic._MOMENT_CUT``: of the leading term
+_TERM_CUT = 2.0 ** -60
+
 #: Points per block of ``eval_stack``: with seven complex rows, its
 #: accumulator and y take 0.9 MiB.
 _STACK_BLOCK = 4096
@@ -100,7 +105,7 @@ class QSeries:
     window is zero.  The constructor takes ints or ``Fraction``s.
     """
 
-    __slots__ = ("nome", "lowest", "num", "den", "_float_cache")
+    __slots__ = ("nome", "lowest", "num", "den", "_float_cache", "_tops")
 
     def __init__(self, nome: Nome, coeffs: Sequence, lowest: int = 0):
         parsed = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
@@ -125,6 +130,7 @@ class QSeries:
         self.num = tuple(n // g for n in num[first:]) if g > 1 else tuple(num[first:])
         self.den = den // g
         self._float_cache = None
+        self._tops = {}
 
     # -- basic introspection -------------------------------------------------
 
@@ -296,6 +302,26 @@ class QSeries:
             self._float_cache = (floats, max(nz) if nz else max(map(abs, floats)), step)
         return self._float_cache
 
+    def _top(self, abs_max) -> int:
+        """Stride-th coefficients kept at largest |nome| abs_max: the fewest
+        whose dropped terms sum |c_j| r**(stride j), at the rung
+        r = 2**(k/4) >= abs_max, to at most ``_TERM_CUT`` of the leading one.
+        That ratio grows with |nome|, so the cut holds at every point, below
+        2**-7 of one rounding of the leading term.  One int is kept per rung."""
+        floats, _, step = self._numeric()
+        strided = floats[::step]
+        if not abs_max < 1.0:  # NaN
+            return len(strided)
+        k = math.ceil(4 * math.log2(max(abs_max, 1e-300)))
+        if k not in self._tops:
+            size = [abs(c) * 2.0 ** (k * step * j / 4) for j, c in enumerate(strided)]
+            keep, dropped = len(size), 0.0
+            while keep > 1 and dropped + size[keep - 1] <= _TERM_CUT * size[0]:
+                keep -= 1
+                dropped += size[keep]
+            self._tops[k] = keep
+        return self._tops[k]
+
     def tail_estimate(self, abs_nome: float) -> float:
         """Geometric tail bound C * |q|^order / (1 - |q|), C as in ``_numeric``."""
         if abs_nome >= 1.0:
@@ -325,9 +351,10 @@ class QSeries:
         truncation tail, taken at the largest |nome|, exceeds ``EVAL_TOL``
         (TruncationInsufficient).
 
-        The loop runs over every stride-th float coefficient (``_numeric``)
-        in y = nome**stride, formed by ``stride_power``: psi_s, psi_i and the
-        Q4 theta series step by 8 or 4 over the zeros between, and a dense
+        The loop runs over the stride-th float coefficients (``_numeric``)
+        up to the top cut at |nome| (``_top``), in y = nome**stride, formed
+        by ``stride_power``: psi_s, psi_i and the Q4 theta series step by 8
+        or 4 over the zeros between, and a dense
         series (stride 1) runs in the nome itself.  It skips the add of each
         remaining zero coefficient, and its working type follows the nome:
         when the nome is real (every point of the imaginary axis), y and the
@@ -345,7 +372,7 @@ class QSeries:
         real = not w.imag
         floats, _, step = self._numeric()
         y = stride_power(w.real if real else w, step)
-        *rest, top = floats[::step]
+        *rest, top = floats[::step][:self._top(abs_w)]
         acc = type(y)(top)
         for c in reversed(rest):
             acc *= y
@@ -376,8 +403,9 @@ def eval_stack(series: Sequence[QSeries], tau):
     nome**lowest factor.  Each distinct nome is formed once per call, and
     each distinct (nome, lowest) factor once per block, for every row that
     shares it.  One Horner loop serves all rows: row i runs in
-    its own y = nome_i**stride_i over its stride-th coefficients, padded
-    with zeros above its top coefficient up to the longest row.  A padded
+    its own y = nome_i**stride_i over its stride-th coefficients up to its
+    top cut at the largest |nome_i| (``QSeries._top``), padded with zeros
+    above its top coefficient up to the longest row.  A padded
     row stays 0 until it reaches its top coefficient, and 0*y + top is top
     exactly.  Every coefficient is added as a (k, 1) column, zeros too,
     where the number path skips a zero; that changes at most the sign of a
@@ -389,35 +417,37 @@ def eval_stack(series: Sequence[QSeries], tau):
         return np.empty((len(series),) + tau.shape)
     im_min = tau.imag.min()
     _check_domain(im_min)
-    nomes = {nome: nome.value_at(tau.ravel()) for nome in dict.fromkeys(s.nome for s in series)}
-    ranges = {nome: (np.abs(w).min(), np.abs(w).max()) for nome, w in nomes.items()}
-    for s in series:
-        s._check(im_min, *ranges[s.nome])
+    # str keys: Enum.__hash__ runs in Python
+    names = [s.nome.value for s in series]
+    nomes = {name: s.nome.value_at(tau.ravel()) for name, s in dict(zip(names, series)).items()}
+    ranges = {name: (np.abs(w).min(), np.abs(w).max()) for name, w in nomes.items()}
+    for name, s in zip(names, series):
+        s._check(im_min, *ranges[name])
     real = not any(w.imag.any() for w in nomes.values())
-    bases = {nome: w.real for nome, w in nomes.items()} if real else nomes
+    bases = {name: w.real for name, w in nomes.items()} if real else nomes
     strided, keys = [], []
-    for s in series:
+    for name, s in zip(names, series):
         floats, _, step = s._numeric()
-        strided.append(floats[::step])
-        keys.append((s.nome, step))
+        strided.append(floats[::step][:s._top(ranges[name][1])])
+        keys.append((name, step))
     width = max(map(len, strided))
     # row j is coefficient j of every series, as a (k, 1) column
     table = np.array([c + (0.0,) * (width - len(c)) for c in strided]).T[:, :, None]
     out = np.empty((len(series), tau.size), dtype=float if real else complex)
     for lo in range(0, tau.size, _STACK_BLOCK):
         part = slice(lo, lo + _STACK_BLOCK)
-        powers = {(nome, step): stride_power(bases[nome][part], step) for nome, step in set(keys)}
+        powers = {(name, step): stride_power(bases[name][part], step) for name, step in set(keys)}
         y = np.stack([powers[key] for key in keys])
         acc = out[:, part]
         acc[...] = table[-1]
         for c in table[-2::-1]:
             acc *= y
             acc += c
-        lows = {(nome, k): nomes[nome][part] ** k
-                for nome, k in {(s.nome, s.lowest) for s in series if s.lowest}}
-        for i, s in enumerate(series):
+        lows = {(name, k): nomes[name][part] ** k
+                for name, k in {(name, s.lowest) for name, s in zip(names, series) if s.lowest}}
+        for i, (name, s) in enumerate(zip(names, series)):
             if s.lowest:
-                power = lows[s.nome, s.lowest]
+                power = lows[name, s.lowest]
                 acc[i] *= power.real if real else power
     return out.reshape((len(series),) + tau.shape)
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,8 @@ from spherepack.forms import (
     phi0_anomaly_qseries,
     psi_i_qseries,
 )
-from spherepack.qseries import (_STACK_BLOCK, Nome, QSeries, eval_stack, from_coefficients,
-                                one_series, stride_power)
+from spherepack.qseries import (_STACK_BLOCK, ETA_MIN, Nome, QSeries, eval_stack,
+                                from_coefficients, one_series, stride_power)
 
 
 def geometric(order):
@@ -645,3 +646,122 @@ def test_stack_rows_sharing_a_nome_power_are_each_eval():
         got = eval_stack(series, taus)
         for row, s in zip(got, series):
             assert np.array_equal(row, s.eval(taus)), (label, s)
+
+
+# -- the top cut: each loop stops where the dropped terms fall below rounding --
+
+def _exact_and_bound(series, w):
+    """The stored window at the float nome w, sum c_k w^k as exact (re, im)
+    Fractions, and Higham's bound gamma sum |c_k| |w|^k plus 2^-60 of the
+    leading term, both taken 0.1 % up for the float sums.  Each complex
+    product rounds by at most sqrt(2) gamma_2 (Higham, 3.6), so gamma counts
+    four roundings per coefficient slot and per unit of |lowest|.  The exact
+    sum runs on integers: w = (a + bi)/d with d a power of 2, and
+    w^-k = d^k (a - bi)^k / (a^2 + b^2)^k."""
+    d = math.lcm(Fraction(w.real).denominator, Fraction(w.imag).denominator)
+    a, b = int(w.real * d), int(w.imag * d)
+    re = im = 0
+    for j, n in enumerate(reversed(series.num)):
+        re, im = re * a - im * b + n * d ** j, re * b + im * a
+    low = series.lowest
+    pa, pb = (a, b) if low > 0 else (a, -b)
+    for _ in range(abs(low)):
+        re, im = re * pa - im * pb, re * pb + im * pa
+    scale = Fraction(series.den * d ** (len(series.num) - 1 + max(low, 0))
+                     * (a * a + b * b) ** max(-low, 0), d ** max(-low, 0))
+    r = abs(w)
+    floats = series._numeric()[0]
+    size = math.fsum(abs(c) * r ** j for j, c in enumerate(floats))
+    gamma = float(_gamma(4 * (len(floats) + abs(low))))
+    bound = (gamma * size + 2.0 ** -60 * abs(floats[0])) * r ** low * 1.001
+    return re / scale, im / scale, bound
+
+
+def _assert_within(series, got, w):
+    re, im, bound = _exact_and_bound(series, w)
+    err = (Fraction(got.real) - re) ** 2 + (Fraction(got.imag) - im) ** 2
+    assert err <= Fraction(bound) ** 2, (series, got, w)
+
+
+_CUT_IM = (0.5, 1.0, 2.3, 20.0)
+
+
+@pytest.mark.parametrize("re", [0.0, -0.3, 0.45])
+def test_cut_loop_meets_the_horner_bound_plus_the_cut(re):
+    # Against the exact stored window, the loop that stops at the top cut is
+    # within Higham's Horner bound plus 2^-60 of the leading term: the number
+    # path at each point, the array path at each Im(tau) alone and at all of
+    # them at once, where the cut is taken at the largest |nome|
+    series = _stack_series()
+    taus = np.array([complex(re, im) for im in _CUT_IM])
+    for s in series:
+        for tau in taus:
+            _assert_within(s, s.eval(complex(tau)), s.nome.value_at(complex(tau)))
+    for points in [taus[i:i + 1] for i in range(len(taus))] + [taus]:
+        got = eval_stack(series, points)
+        for row, s in zip(got, series):
+            for value, w in zip(row, s.nome.value_at(points)):
+                _assert_within(s, complex(value), complex(w))
+
+
+def test_cut_keeps_every_coefficient_of_the_widest_series_at_eta_min():
+    for s in (psi_i_qseries(), _b_minus_psi_i_q4(), _b_plus_psi_i_q4()):
+        floats, _, step = s._numeric()
+        assert s._top(abs(s.nome.value_at(1j * ETA_MIN))) == len(floats[::step])
+
+
+def test_cut_is_memoised_per_rung():
+    s = form_qseries(FormId.E4)
+    s._tops.clear()
+    tops = [s._top(abs(s.nome.value_at(1j * im))) for im in (1.0, 1.001, 1.002)]
+    # |q| 0.0019 and its 0.6 % and 1.3 % smaller neighbours share the rung 2^-9
+    assert tops == [tops[0]] * 3 and list(s._tops) == [-36]
+    assert s._top(float("nan")) == len(s.num)
+
+
+def test_axis_tables_stack_the_cut_widths(monkeypatch):
+    # one S-weighted verdict on the default grid: the base table's seven rows
+    # keep 30 coefficients at most (67 uncut), the refinement table's, at
+    # Im >= 2.2, 9; with the direct verdict's 30, a benchmark round's three
+    # tables run 29 + 29 + 8 = 66 stacked Horner steps (198 uncut)
+    from spherepack import axis, cli
+    widths, tops = [], []
+    stack, top = axis.eval_stack, QSeries._top
+
+    def counting_stack(series, tau):
+        tops.clear()
+        out = stack(series, tau)
+        widths.append(max(tops))
+        return out
+
+    monkeypatch.setattr(axis, "eval_stack", counting_stack)
+    monkeypatch.setattr(QSeries, "_top", lambda s, abs_max: tops.append(top(s, abs_max)) or tops[-1])
+    config = cli.RunConfig()
+    grid = axis.log_grid(config.axis_grid_lo, config.axis_grid_hi, config.axis_grid_n)
+    axis.verify_inequalities(grid, axis.Eq2Convention.S_WEIGHTED)
+    assert widths == [30, 9]
+    axis.verify_inequalities(grid, axis.Eq2Convention.DIRECT)
+    assert widths == [30, 9, 30]
+
+
+def test_stack_hashes_no_enum_member(monkeypatch):
+    # Enum.__hash__ is a Python-level method; eval_stack keys on nome.value
+    from enum import Enum
+    from spherepack import axis
+    callers = []
+    plain = Enum.__hash__
+
+    def counting(member):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not eval_stack.__code__:
+            frame = frame.f_back
+        callers.append(frame is not None)
+        return plain(member)
+
+    axis.axis_table(np.geomspace(0.05, 20.0, 400))
+    monkeypatch.setattr(Enum, "__hash__", counting)
+    hash(Nome.Q2)
+    assert callers == [False]
+    axis.axis_table(np.geomspace(0.05, 20.0, 400))
+    eval_stack(_stack_series(), _STACK_POINTS["off axis"][0])
+    assert True not in callers
