@@ -14,7 +14,7 @@ class ZeroDivisionSeries(SpherepackError):
 
 
 class DomainTooLow(SpherepackError):
-    """Evaluation point below the Im(tau) floor, ``qseries.ETA_MIN``."""
+    """Evaluation point below the Im(tau) floor, ``qseries.ETA_MIN``, or with no finite Re(tau)."""
 
 
 class TruncationInsufficient(SpherepackError):

@@ -32,14 +32,15 @@ series at Im >= 1 only, and on [1, inf) exact exponential moments of the
 kernel's q-expansion (``_moment_terms``).  The panels are equal and share
 their nodes up to a shift, so a radius costs one exponential per panel
 and one per node of a panel, for all kernels of a sweep together, not one
-per node.  Of the decaying moment terms only those a double can hold are summed: the dropped tail is at
-most 2^-60 of the largest kept term at every s (``_cut_tail``).  Kphi,
-Kpsi and K+ grow like e^{2 pi t}, K- like t, so the integrals converge
-only for s > 2 respectively s > 0.  Below s = 2 + _SUBTRACT_MARGIN the
-growing terms (rate offset <= 0) are subtracted on [0, 1] and their
-Laplace transforms m!/(pi (s - j))^{m+1} added back in closed form, each
-multiplied with sin^2(pi s/2) as one expression that is finite at s = 0
-and s = 2.
+per node, and one reciprocal per distinct moment rate (``_Moments``).
+Only the decaying moment terms a double can hold are summed: the dropped
+tail is at most 2^-60 of the largest kept term at every s (``_cut_tail``).
+Kphi, Kpsi and K+ grow like e^{2 pi t}, K- like t, so the integrals
+converge only for s > 2 respectively s > 0.  Below s = 2 +
+_SUBTRACT_MARGIN the growing terms (rate offset <= 0) are subtracted on
+[0, 1] and their Laplace transforms m!/(pi (s - j))^{m+1} added back in
+closed form, each multiplied with sin^2(pi s/2) as one expression that
+is finite at s = 0 and s = 2.
 
 The six-leg contour integral (two rectangle sides from -1 and +1 up to
 i, the leg from i down to 0, and the vertical ray from i) is a second,
@@ -85,11 +86,12 @@ _G_SCALE = PI / 2160.0
 #: s = r^2 below 2 + this margin takes the subtracted form; above it the
 #: plain integral converges and subtracting would only cost accuracy
 _SUBTRACT_MARGIN = 1.0
-#: radii per block of a Laplace sweep.  A block's work arrays hold
-#: P + Q + 2P + T + T1 = 8 + 32 + 16 + 46 + 23 = 125 float64 per radius in
-#: ``_SCRATCH``, and its [1; pi s] and e^{-pi s} 3 more, so 1,024 radii take
-#: about 1 MiB, half of a 2 MiB L2; smaller blocks pay numpy's per-call
-#: overhead on every few hundred radii
+#: radii per block of a Laplace sweep.  A block's work arrays hold at most
+#: P + Q + 2P + T + T1 = 8 + 32 + 16 + 24 + 12 = 92 float64 per radius in
+#: ``_SCRATCH`` (P, not 2P, on a block wholly on one side of the switch), and
+#: its [1; pi s] and e^{-pi s} 3 more, so 1,024 radii take at most 0.75 MiB
+#: of a 2 MiB L2; smaller blocks pay numpy's per-call overhead on every few
+#: hundred radii
 _BLOCK = 1024
 #: complex entries of exp(pi i r^2 z) per block of the contour oracle: 1 MiB
 #: each, and 42 radii a block on the default 1,536 nodes
@@ -151,25 +153,30 @@ class _Moments:
     """Int_1^inf sum_T c_T t^m_T e^{-offset_T t} e^{-pi s t} dt, exact for m <= 2:
     e^{-pi s} sum_T c_T e^{-offset_T} (x + m x^2 + m(m-1) x^3), x = 1/(offset_T + pi s).
 
-    The terms are held with m = 2 first, then m = 1, then m = 0, so x^2 is
-    formed over the m >= 1 rows only and x^3 over the m = 2 rows.  All
-    offset_T + pi s are one product of ``rate`` = [offset, 1] with [1; pi s],
-    whose two products are exact: in any order, FMA or not, it is the
-    broadcast add bit for bit, rounded once."""
+    One row per distinct rate offset, so one reciprocal per rate: the terms
+    that share an offset are merged, their c e^{-offset}, m c e^{-offset}
+    and m(m-1) c e^{-offset} summed into k, k2 and k3.  The rows with a k3
+    are held first, then those with a k2, so x^2 is formed over the T1 rows
+    with either and x^3 over the T2 with a k3.  All offset + pi s are one
+    product of ``rate`` = [offset, 1] with [1; pi s], whose two products
+    are exact: in any order, FMA or not, it is the broadcast add bit for
+    bit, rounded once."""
 
     offset: np.ndarray     # (T, 1)
     rate: np.ndarray       # (T, 2): [offset, 1]
     k: np.ndarray          # (T,): the coefficients of x
-    k2: np.ndarray         # (T1,): of x^2, over the T1 rows with m >= 1
-    k3: np.ndarray         # (T2,): of x^3, over the T2 rows with m = 2
+    k2: np.ndarray         # (T1,): of x^2, over the first T1 rows
+    k3: np.ndarray         # (T2,): of x^3, over the first T2 rows
 
     @classmethod
     def of(cls, order, offset, coeff) -> _Moments:
-        by = np.argsort(-order, kind="stable")
-        order, offset = order[by], offset[by]
-        scaled = coeff[by] * np.exp(-offset)
-        return cls(offset[:, None], np.stack([offset, np.ones_like(offset)], axis=1), scaled,
-                   (order * scaled)[order >= 1.0], (order * (order - 1.0) * scaled)[order == 2.0])
+        scaled = coeff * np.exp(-offset)
+        rates, row = np.unique(offset, return_inverse=True)
+        sums = np.array([np.bincount(row, f * scaled) for f in (1.0, order, order * (order - 1.0))])
+        by = np.lexsort(sums[1:] == 0.0)    # the rows with a k3 first, then those with a k2
+        rates, (k, k2, k3) = rates[by], sums[:, by]
+        return cls(rates[:, None], np.stack([rates, np.ones_like(rates)], axis=1), k,
+                   k2[:np.count_nonzero(sums[1:].any(axis=0))], k3[:np.count_nonzero(k3)])
 
     def __call__(self, pi_s: np.ndarray, decay: np.ndarray) -> np.ndarray:
         """The integral at n values of s, from their (2, n) [1; pi s] and e^{-pi s}."""
@@ -237,8 +244,9 @@ class _Kernel:
     weights times K at panel p's nodes, row P + p the same for K minus its
     growing terms.  On [1, inf) K is a sum of terms c t^m e^{-offset t}:
     ``decaying`` has those with offset > 0, less the tail that
-    ``_cut_tail`` proves negligible, ``growing`` the others, each
-    e^{pi j t} with j = ``shift``.
+    ``_cut_tail`` proves negligible, ``growing`` the others, both one row
+    per rate.  ``shift``, ``order`` and ``coeff`` hold the growing terms one
+    by one for their closed forms, each e^{pi j t} with j = ``shift``.
     """
 
     weights: np.ndarray     # (2P, Q)
@@ -269,20 +277,26 @@ class _Kernel:
         sin(pi s/2), its mask of s below the switch, its panel and node
         exponentials e1 (P, n) and e2 (Q, n), its [1; pi s] and its e^{-pi s}:
         one product of e2 with ``weights`` gives each panel's sum of both
-        integrands, weighted by e1.  The growing terms' moments run only if
-        some s is above the switch, their closed forms only if some is below.
+        integrands, weighted by e1, or on a block wholly below or above the
+        switch only the (P, Q) half it reads, the subtracted or the plain
+        rows.  The growing terms' moments run only if some s is above the
+        switch, their closed forms only if some is below.
         """
         n, panels = s.size, e1.shape[0]
-        m = _SCRATCH.get("m", 2 * panels, n)
-        np.matmul(self.weights, e2, out=m)
-        both = m.reshape(2, panels, n)
-        both *= e1
-        sums = both.sum(axis=1)
-        inner = np.where(low, sums[1], sums[0]) + self.decaying(pi_s, decay)
-        if not low.all():
-            inner[~low] += self.growing(pi_s[:, ~low], decay[~low])
+        below, above = low.all(), not low.any()
+        rows = self.weights[panels:] if below else self.weights[:panels] if above else self.weights
+        m = _SCRATCH.get("m", rows.shape[0], n)
+        np.matmul(rows, e2, out=m)
+        parts = m.reshape(-1, panels, n)
+        parts *= e1
+        sums = parts.sum(axis=1)
+        inner = sums[0] if below or above else np.where(low, sums[1], sums[0])
+        inner += self.decaying(pi_s, decay)
+        if not below:
+            up = slice(None) if above else ~low
+            inner[up] += self.growing(pi_s[:, up], decay[up])
         out = sine * sine * inner
-        if low.any():
+        if not above:
             # below the switch the growing terms' transforms m!/(pi w)^{m+1}, w = s - j,
             # times sin^2, through q = sin(pi s/2)/(pi w), which is sinc-like for small w
             w = s[low] - self.shift
@@ -306,12 +320,13 @@ def _laplace_sweep(rule, kernels, radii) -> np.ndarray:
     of the ``_checked_radii``, in near-equal blocks of at most _BLOCK radii.
 
     ``rule`` holds the rates -pi p/P and -pi t_0k of ``_panel_split``, as
-    e^{-pi s t_pk} = e^{-pi s p/P} e^{-pi s t_0k}: a block's P + Q
-    exponentials per radius, its e^{-pi s} and its [1; pi s] serve every kernel, and
-    each kernel runs its own (2P, Q) product on them, so every row is a one-kernel
-    sweep's arithmetic.  But a radius's last bits depend on how many radii share the
-    call, as BLAS picks its kernel by width: with OpenBLAS 0.3.31, g at 570 of 1,000
-    random radii differed between a width of 1 and 2 to 1,000.
+    e^{-pi s t_pk} = e^{-pi s p/P} e^{-pi s t_0k}: a block's P + Q exponentials per
+    radius, its e^{-pi s} and its [1; pi s] serve every kernel, and each kernel runs
+    its own (2P, Q) product on them, or its (P, Q) half on a block wholly on one side
+    of s = 3, so every row is a one-kernel sweep's arithmetic.  But a radius's last
+    bits depend on how many radii share the call, as BLAS picks its kernel by width:
+    with OpenBLAS 0.3.31, g at 570 of 1,000 random radii differed between a width
+    of 1 and 2 to 1,000.
     """
     r = _checked_radii(radii)
     panel_rate, node_rate = rule

@@ -346,10 +346,10 @@ class QSeries:
         A number (numpy scalars included) runs Horner on a Python nome and
         returns a ``complex``; only an ndarray imports numpy, and it is the
         one-series case of :func:`eval_stack`, a complex array of tau's
-        shape.  Refuses points with Im(tau) < ``ETA_MIN`` or NaN
-        (DomainTooLow) and refuses to return values whose certified
-        truncation tail, taken at the largest |nome|, exceeds ``EVAL_TOL``
-        (TruncationInsufficient).
+        shape.  Refuses points with Im(tau) < ``ETA_MIN`` or NaN, or with
+        a NaN or infinite Re(tau) (DomainTooLow), and refuses to return
+        values whose certified truncation tail, taken at the largest |nome|,
+        exceeds ``EVAL_TOL`` (TruncationInsufficient).
 
         The loop runs over the stride-th float coefficients (``_numeric``)
         up to the top cut at |nome| (``_top``), in y = nome**stride, formed
@@ -365,7 +365,7 @@ class QSeries:
         """
         if not isinstance(tau, numbers.Number):
             return eval_stack((self,), tau)[0, ...].astype(complex, copy=False)
-        _check_domain(tau.imag)
+        _check_domain(tau)
         w = self.nome.value_at(tau)
         abs_w = abs(w)
         self._check(tau.imag, abs_w, abs_w)
@@ -384,12 +384,23 @@ class QSeries:
         return complex(acc)
 
 
-def _check_domain(im_min) -> None:
-    """DomainTooLow unless the smallest Im(tau) is at least ``ETA_MIN`` (NaN is not)."""
+def _check_domain(tau) -> float:
+    """The smallest Im(tau) of tau, a number or an ndarray.  DomainTooLow
+    unless it is at least ``ETA_MIN`` (NaN is not) and every Re(tau) is
+    finite: a NaN or infinite one has no period to reduce by."""
+    if isinstance(tau, numbers.Number):
+        im_min, point = tau.imag, tau
+    else:
+        import numpy as np
+        # the first point with a non-finite real part, or the first point
+        im_min, point = tau.imag.min(), tau.flat[np.argmin(np.isfinite(tau.real))]
+    if not math.isfinite(point.real):
+        raise DomainTooLow(f"Re(tau) is not finite at tau = {point}")
     if not im_min >= ETA_MIN:
         raise DomainTooLow(
             f"Im(tau) = {im_min} below ETA_MIN = {ETA_MIN}; "
             "use the axis-transform evaluators for low points")
+    return im_min
 
 
 def eval_stack(series: Sequence[QSeries], tau):
@@ -415,8 +426,7 @@ def eval_stack(series: Sequence[QSeries], tau):
     import numpy as np
     if not tau.size:
         return np.empty((len(series),) + tau.shape)
-    im_min = tau.imag.min()
-    _check_domain(im_min)
+    im_min = _check_domain(tau)
     # str keys: Enum.__hash__ runs in Python
     names = [s.nome.value for s in series]
     nomes = {name: s.nome.value_at(tau.ravel()) for name, s in dict(zip(names, series)).items()}

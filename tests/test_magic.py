@@ -274,6 +274,16 @@ def test_sweep_work_arrays_are_sized_by_the_block_not_the_grid(ev, monkeypatch):
     assert 0 < held <= _BLOCK * 8 * (panels + nodes + 2 * panels + terms + terms1)
 
 
+@pytest.mark.parametrize("span, halves", [("below", 1), ("above", 1), ("straddling", 2)])
+def test_a_one_sided_block_forms_one_half_of_the_node_product(ev, span, halves, monkeypatch):
+    # a fresh per-thread store: its "m" buffer grows to the widest product formed
+    monkeypatch.setattr(magic, "_SCRATCH", Scratch())
+    panels = ev._rule[0].size
+    radii = np.linspace(*_SWEEP_SPANS[span], 500)
+    ev.values(tuple(RadialKind), radii)
+    assert magic._SCRATCH.arrays["m", np.dtype(np.float64)].size == halves * panels * radii.size
+
+
 def test_sweeps_from_threads_match_one_thread(ev):
     from concurrent.futures import ThreadPoolExecutor
 
@@ -369,21 +379,39 @@ def test_moment_cut_omits_a_proven_negligible_tail(quad):
         by = np.argsort(offset[decaying], kind="stable")
         order, offset, coeff = order[decaying][by], offset[decaying][by], coeff[decaying][by]
         kept = ev._kernels[name].decaying
-        n = kept.offset.shape[0]
-        # the kept terms are the low-offset head of the sorted terms, held
-        # with moment order 2 first, then 1, then 0
-        head = np.argsort(-order[:n], kind="stable")
-        m, scaled = order[:n][head], (coeff[:n] * np.exp(-offset[:n]))[head]
-        assert np.array_equal(kept.offset.ravel(), offset[:n][head]), name
-        assert np.array_equal(kept.k, scaled), name
-        assert np.array_equal(kept.k2, (m * scaled)[m >= 1.0]), name
-        assert np.array_equal(kept.k3, (m * (m - 1.0) * scaled)[m == 2.0]), name
+        rates = kept.offset.ravel()
+        # the cut may split the terms of its last offset, so n counts terms, not rows
+        n = magic._cut_tail(order, offset, coeff)[0].size
+        # the kept terms are the low-offset head of the sorted terms, held as
+        # one row per distinct offset whose coefficients are its terms' sums,
+        # within one rounding per term; the rows with an x^3 coefficient come
+        # first, then those with an x^2 one
+        assert np.array_equal(np.sort(rates), np.unique(offset[:n])), name
+        m, scaled = order[:n], coeff[:n] * np.exp(-offset[:n])
+        t1, t2 = kept.k2.size, kept.k3.size
+        held = (kept.k, np.append(kept.k2, np.zeros(rates.size - t1)),
+                np.append(kept.k3, np.zeros(rates.size - t2)))
+        for got, parts in zip(held, (scaled, m * scaled, m * (m - 1.0) * scaled)):
+            for rate, value in zip(rates, got):
+                terms = parts[offset[:n] == rate]
+                slack = terms.size * 2.0 ** -53 * np.abs(terms).sum()
+                assert abs(value - math.fsum(terms)) <= slack, name
+        assert np.all(kept.k3 != 0.0) and np.all((kept.k2 != 0.0) | (held[2][:t1] != 0.0)), name
         assert n < offset.size and offset[n:].min() >= offset[:n].max(), name
         size = np.abs(coeff) * np.exp(-offset)
         bound = size * (1.0 + order + order * (order - 1.0))
         assert bound[n:].sum() <= 2.0 ** -60 * size[:n].max(), name
         # and the omitted tail is the longest one within the bound
         assert bound[n - 1:].sum() > 2.0 ** -60 * size[:n - 1].max(), name
+
+
+def test_moments_hold_one_row_per_rate(ev):
+    # (x, x^2, x^3) rows of the decaying moments: K+- merge their phi0 and
+    # psi_i terms at the even rates, Kphi its three orders at each rate
+    rows = {kind: (k.decaying.offset.shape[0], k.decaying.k2.size, k.decaying.k3.size)
+            for kind, k in ev._kernels.items()}
+    assert rows == {RadialKind.A: (12, 12, 12), RadialKind.B: (23, 0, 0),
+                    RadialKind.G: (24, 12, 12), RadialKind.GHAT: (24, 12, 12)}
 
 
 @pytest.mark.parametrize("quad", QUADS, ids=["default", "48x12"])

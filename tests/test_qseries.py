@@ -614,6 +614,18 @@ def test_stack_keeps_each_rows_refusals():
     assert eval_stack((e4, form_qseries(FormId.PSI_S)), np.array([1000j])).shape == (2, 1)
 
 
+@pytest.mark.parametrize("re", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_real_part_is_refused_on_both_paths(re):
+    e4, bad = form_qseries(FormId.E4), complex(re, 1.0)
+    with pytest.raises(DomainTooLow, match=r"Re\(tau\) is not finite at tau = "):
+        e4.eval(bad)
+    for taus in (np.array([1j, bad, 2j]), np.array([[1j, 2j], [3j, bad]])):
+        with pytest.raises(DomainTooLow, match=r"Re\(tau\) is not finite at tau = "):
+            eval_stack((e4, psi_i_qseries()), taus)
+        with pytest.raises(DomainTooLow, match=r"Re\(tau\) is not finite at tau = "):
+            e4.eval(taus)
+
+
 def test_stack_of_empty_array_is_empty_float():
     for shape in ((0,), (0, 3)):
         got = eval_stack(_stack_series(), np.empty(shape, dtype=complex))
