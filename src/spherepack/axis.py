@@ -1,33 +1,30 @@
-"""Imaginary-axis evaluation and the two-sided positivity inequalities.
+"""The axis kernels and the two-sided positivity inequalities.
 
-The six axis kernels are plain functions kernel(t, v, upper[, sign]), and
-``axis_table(t).branches(kernel, *sign)`` is the one way to evaluate them
-over a flat array of t.  The table evaluates the kernels' seven series in
-one stacked call (``qseries.eval_stack``) at every grid point, at i*t
-where t >= 1 and at i/t where t < 1, so the series argument always has
-Im >= 1.  It is the one realness check: on the axis every nome is real,
-so a series value with a nonzero imaginary part raises NonRealValue, and
-the kernels do plain float arithmetic.
+With W = 36/pi^2, the Laplace sweep of ``spherepack.magic`` integrates one
+row fa Kphi + fb Kpsi per radial profile, where Kphi(t) = t^2 phi0(i/t)
+and Kpsi(t) = t^2 psi_s(i/t) = -psi_i(it).  ``kernels(rows, t)`` is the one
+evaluation of such rows over a flat array of t, for the sweep's [0, 1]
+nodes and for the verdicts here alike.  Where t < 1 it is one stacked
+series evaluation of phi0 and psi_s at i/t (Im > 1), and the one realness
+check: on the axis every nome is real, so a series value with a nonzero
+imaginary part raises NonRealValue.  Where t >= 1 it sums the row's terms
+c t^m e^{-pi j t}, the terms the sweep's moments integrate, in which the
+e^{2 pi t} parts of K- cancel exactly (``_moment_terms``, ``_combine``).
 
-``eq2_samples``/``verify_inequalities`` probe the pair of combinations
-phi0 +- (36/pi^2) psi_s in two conventions:
+``eq2_samples``/``verify_inequalities`` probe phi0 +- W psi_s in two
+conventions, each four rows of the entry:
 
-* ``DIRECT``: the kernels are the literal axis restrictions phi0(it) and
-  psi_s(it).  In this reading the plus combination is provably negative
-  for small and large t (psi_s's exp(-pi t) leading term beats phi0's
-  exp(-2 pi t)), so the convention fails and the report says so.
+* ``DIRECT``: phi0(it) = t^2 Kphi(1/t) and psi_s(it) = t^2 Kpsi(1/t).  The
+  minus combination is t^2 K+(1/t) and the plus one -t^2 K-(1/t), negative
+  wherever g_hat's kernel is positive, so the convention fails and the
+  report says so.
 
-* ``S_WEIGHTED``: the kernels are the inversion-weighted pair that sits
-  inside the collapsed integral representations of the magic function,
-
-      phi0 slot:  (36/pi^2) * psi_i(it)     psi_s slot:  (pi^2/36) * t^2 phi0(i/t)
-
-  The slot assignment follows the kernels' roles, which the inversion
-  z -> -1/z swaps: the combinations then read
-  (36/pi^2) psi_i(it) +- t^2 phi0(i/t), which are exactly the pointwise
-  integrand-sign controls for g <= 0 beyond sqrt(2) (plus sign) and
-  g_hat >= 0 (minus sign).  Both are strictly positive on the axis, and
-  their positivity is what the certificate's grid checks consume.
+* ``S_WEIGHTED``: W psi_i(it) = -W Kpsi(t) and t^2 phi0(i/t) / W, whose
+  combinations W psi_i(it) +- t^2 phi0(i/t) are K+ = Kphi - W Kpsi and
+  K- = -Kphi - W Kpsi, the kernels of g and g_hat (``magic._PROFILES``):
+  the pointwise integrand-sign controls for g <= 0 beyond sqrt(2) and
+  g_hat >= 0.  Both are strictly positive on the axis, and their
+  positivity is what the certificate's grid checks consume.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import partial
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -44,163 +41,157 @@ from .errors import NonRealValue
 from .forms import (
     WEIGHT36,
     FormId,
-    _b_minus_psi_i_q4,
-    _b_plus_psi_i_q4,
     e4sq_over_delta_qseries,
+    form_qseries,
     phi0_anomaly_qseries,
     phi0_qseries,
     psi_i_qseries,
-    psi_s_qseries,
 )
-from .qseries import eval_stack
+from .qseries import _TERM_CUT, eval_stack
 
 PI = math.pi
 
-
-# ---------------------------------------------------------------------------
-# the table and the axis kernels
-#
-# For t >= 1 the series converge comfortably at tau = i*t.  For t < 1 we
-# move to tau = i/t via the inversion laws
-#
-#   phi0(it)  = phi0(i/t) - (12t/pi) A(i/t) + (36t^2/pi^2) B(i/t)
-#   psi_s(it) = -t^2 psi_i(i/t)          psi_i(it) = -t^2 psi_s(i/t)
-#
-# with A = (E2 E4 - E6) E4/Delta and B = E4^2/Delta.  These follow from
-# E2's quasimodular anomaly and the weight-2 theta transformation; the
-# direct and transformed branches are cross-checked on the overlap
-# t in [0.8, 1.25] by the test suite before anything downstream trusts
-# them.
-# ---------------------------------------------------------------------------
-
-#: Below this the transformed series argument exp(-2*pi/t) underflows.
+#: the verdicts' smallest t: below it phi0(i/t) and psi_s(i/t) underflow
 AXIS_T_MIN = 0.01
 
+#: the axis kernels as (fa, fb) rows of fa Kphi + fb Kpsi
+KPHI, KPSI = (1.0, 0.0), (0.0, 1.0)
+#: K+ = W psi_i(it) + t^2 phi0(i/t) and K- = W psi_i(it) - t^2 phi0(i/t): g's and g_hat's kernels
+K_PLUS, K_MINUS = (1.0, -WEIGHT36), (-1.0, -WEIGHT36)
 
-#: the seven series an axis table holds, one row each
-_TABLE_SERIES = (phi0_qseries, phi0_anomaly_qseries, e4sq_over_delta_qseries,
-                 psi_s_qseries, psi_i_qseries, _b_minus_psi_i_q4, _b_plus_psi_i_q4)
-_ROW = {build: i for i, build in enumerate(_TABLE_SERIES)}
+
+# ---------------------------------------------------------------------------
+# the kernels' expansion on [1, inf)
+# ---------------------------------------------------------------------------
+
+def _float_pairs(series):
+    # the series' own floats: n / den is correctly rounded, as float(Fraction) is
+    floats = series._numeric()[0]
+    return [(series.lowest + j, c) for j, (n, c) in enumerate(zip(series.num, floats)) if n]
 
 
-class AxisTable:
-    """Series values on the two branches of one grid of t: at i*t where
-    t >= 1 and at i/t where t < 1.  The one place that splits t by branch.
+@lru_cache(maxsize=2)
+def _moment_terms(form: FormId) -> tuple[tuple[int, float, float], ...]:
+    """(moment order m, rate offset, coefficient) of t^2 F(i/t) expanded on [1, inf).
 
-    The table evaluates its seven series (phi0, A, B, psi_s, psi_i,
-    B - psi_i, B + psi_i) once, at every grid point, in one
-    ``eval_stack`` call, and is the one realness check: a value with a
-    nonzero imaginary part, which no real nome can give, raises
-    NonRealValue; a float stack, from real nomes, is real by construction.
-    ``values(build, upper)`` looks up build()'s row on one branch.  A table
-    lives for one pass over one grid; nothing outlives it.
+    phi0: t^2 phi0(i/t) = t^2 phi0(it) - (12t/pi) A(it) + (36/pi^2) B(it)
+    there, with A = (E2 E4 - E6) E4/Delta and B = E4^2/Delta, all in
+    exp(-2 pi n t).  psi_s: t^2 psi_s(i/t) = -psi_i(it), in exp(-pi k t).
+    The tests check these inversion laws on t in [0.8, 1.25].
     """
-
-    def __init__(self, t: np.ndarray):
-        self.t = t
-        self.upper = t >= 1.0
-        # the upper branch's points first, so that each branch is a slice
-        split = int(self.upper.sum())
-        val = eval_stack([build() for build in _TABLE_SERIES],
-                         1j * np.concatenate([t[self.upper], 1.0 / t[~self.upper]]))
-        if np.iscomplexobj(val) and (bad := val.imag != 0).any():
-            row = int(np.argmax(bad.any(axis=1)))
-            raise NonRealValue(f"{_TABLE_SERIES[row].__name__} is not real on the "
-                               f"axis: {val[row][bad[row]][0]}")
-        self._values = {True: val.real[:, :split], False: val.real[:, split:]}
-
-    def values(self, build, upper: bool) -> np.ndarray:
-        """The branch's values of build(), one of the table's series, as a
-        float array."""
-        return self._values[upper][_ROW[build]]
-
-    def branches(self, kernel, *sign) -> np.ndarray:
-        """kernel(t, v, upper, *sign) on each branch's part of the grid, as one
-        float array; v(build) gives the branch's values of build()."""
-        val = np.empty(self.t.shape)
-        for upper, where in ((True, self.upper), (False, ~self.upper)):
-            val[where] = kernel(self.t[where], partial(self.values, upper=upper), upper, *sign)
-        return val
+    if form is FormId.PHI0:
+        parts = ((2, 1.0, phi0_qseries()), (1, -12.0 / PI, phi0_anomaly_qseries()),
+                 (0, 36.0 / PI ** 2, e4sq_over_delta_qseries()))
+        return tuple((m, 2.0 * PI * n, f * c)
+                     for m, f, series in parts for n, c in _float_pairs(series))
+    pairs = _float_pairs(psi_i_qseries())
+    if any(k % 4 for k, _ in pairs):
+        raise RuntimeError("psi_i support must lie in 4Z")
+    return tuple((0, PI * (k // 4), -c) for k, c in pairs)
 
 
-def axis_table(t) -> AxisTable:
-    """The table of a flat grid of t in [AXIS_T_MIN, 1/AXIS_T_MIN]
-    (ValueError otherwise, NaN included)."""
-    t = np.asarray(t, dtype=float)
-    inside = (t >= AXIS_T_MIN) & (t <= 1.0 / AXIS_T_MIN)
+def _combine(fa: float, terms_a, fb: float, terms_b) -> tuple[tuple[int, float, float], ...]:
+    """The terms of fa*A + fb*B, merged on (moment order, rate offset); exact
+    cancellations (the e^{2 pi t} terms of K-) are dropped."""
+    merged: dict[tuple[int, float], float] = {}
+    for f, terms in ((fa, terms_a), (fb, terms_b)):
+        for m, offset, c in terms:
+            merged[m, offset] = merged.get((m, offset), 0.0) + f * c
+    return tuple((m, offset, c) for (m, offset), c in merged.items() if c != 0.0)
+
+
+def _kept(size: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Along the last axis, the fewest leading terms n whose omitted bounds
+    bound[n:] sum to at most _TERM_CUT times the largest kept size[:n]."""
+    tail = np.cumsum(bound[..., ::-1], axis=-1)[..., ::-1]
+    dropped = np.concatenate([tail[..., 1:], np.zeros_like(tail[..., :1])], axis=-1)
+    return np.argmax(dropped <= _TERM_CUT * np.maximum.accumulate(size, axis=-1), axis=-1) + 1
+
+
+@lru_cache(maxsize=8)
+def _upper_table(rows: tuple[tuple[float, float], ...]) -> tuple[np.ndarray, int]:
+    """A (width, 3 len(rows), 1) table and the lowest rate index j0: row
+    (fa, fb) is q^j0 sum_m t^m P_m(q) in q = e^{-pi t}, where P_m's
+    coefficient of q^(j - j0) is c of the row's ``_combine`` term
+    c t^m e^{-pi j t}.  Each P_m keeps the fewest coefficients whose dropped
+    terms sum at t = 1 to at most _TERM_CUT of its largest kept one
+    (``_kept``); against that one they only shrink as q falls, so the cut
+    holds at every t >= 1.  Shorter P_m are padded with zeros at the top.
+    The table is read-only.
+    """
+    phi, psi = _moment_terms(FormId.PHI0), _moment_terms(FormId.PSI_S)
+    terms = [(i, m, round(offset / PI), c) for i, (fa, fb) in enumerate(rows)
+             for m, offset, c in _combine(fa, phi, fb, psi)]
+    low = min(j for _, _, j, _ in terms)
+    poly = np.zeros((len(rows), 3, max(j for _, _, j, _ in terms) - low + 1))
+    for i, m, j, c in terms:
+        poly[i, m, j - low] = c
+    poly = poly.reshape(3 * len(rows), -1)
+    size = np.abs(poly) * np.exp(-PI * np.arange(poly.shape[1]))
+    width = int(_kept(size, size).max())
+    table = poly[:, :width].T[:, :, None]
+    table.flags.writeable = False
+    return table, low
+
+
+# ---------------------------------------------------------------------------
+# the one kernel entry
+# ---------------------------------------------------------------------------
+
+def _checked_t(t, lo: float) -> np.ndarray:
+    """t as a flat float array; ValueError unless every t is positive and in
+    [lo, 1/AXIS_T_MIN] (NaN is not)."""
+    t = np.asarray(t, dtype=float).ravel()
+    inside = (t > 0.0) & (t >= lo) & (t <= 1.0 / AXIS_T_MIN)
     if not inside.all():
-        bad = t[np.argmin(inside)]
-        need = "t > 0" if not bad > 0 else f"t in [{AXIS_T_MIN}, {1 / AXIS_T_MIN}]"
-        raise ValueError(f"axis evaluation needs {need}, got {bad}")
-    return AxisTable(t)
+        raise ValueError(f"axis evaluation needs 0 < t in [{lo}, {1 / AXIS_T_MIN}], "
+                         f"got {t[np.argmin(inside)]}")
+    return t
 
 
-def eval_phi0_axis(t, v, upper):
-    """phi0 on the positive imaginary axis; positive for all t."""
-    if upper:
-        return v(phi0_qseries)
-    return (v(phi0_qseries)
-            - (12.0 * t / PI) * v(phi0_anomaly_qseries)
-            + (36.0 * t * t / PI ** 2) * v(e4sq_over_delta_qseries))
+def _below_one(rows, t: np.ndarray) -> np.ndarray:
+    """The rows at t from one ``eval_stack`` call of phi0 and psi_s at i/t,
+    which needs Im(i/t) >= ETA_MIN; a value with a nonzero imaginary part
+    raises NonRealValue."""
+    forms = (FormId.PHI0, FormId.PSI_S)
+    val = eval_stack([form_qseries(form) for form in forms], 1j / t)
+    if np.iscomplexobj(val) and (bad := val.imag != 0).any():
+        row = int(np.argmax(bad.any(axis=1)))
+        raise NonRealValue(f"{forms[row].value} is not real on the axis: {val[row][bad[row]][0]}")
+    kphi, kpsi = (t * t) * val.real
+    return np.array([fa * kphi + fb * kpsi for fa, fb in rows])
 
 
-def eval_psi_s_axis(t, v, upper):
-    """psi_s on the positive imaginary axis; negative for all t."""
-    return v(psi_s_qseries) if upper else -(t * t) * v(psi_i_qseries)
+def _above_one(rows, t: np.ndarray) -> np.ndarray:
+    """The rows at t from one stacked Horner loop over ``_upper_table``,
+    whose top cut holds for t >= 1."""
+    table, low = _upper_table(tuple(rows))
+    q = np.exp(-PI * t)
+    acc = np.empty((table.shape[1], t.size))
+    acc[...] = table[-1]
+    for c in table[-2::-1]:
+        acc *= q
+        acc += c
+    by_order = acc.reshape(len(rows), 3, t.size)
+    return (by_order[:, 0] + t * by_order[:, 1] + (t * t) * by_order[:, 2]) * q ** low
 
 
-def eval_psi_i_axis(t, v, upper):
-    """psi_i on the positive imaginary axis; positive, grows like exp(2*pi*t)."""
-    return v(psi_i_qseries) if upper else -(t * t) * v(psi_s_qseries)
+def kernels(rows: Sequence[tuple[float, float]], t) -> np.ndarray:
+    """(len(rows), t.size): row (fa, fb) is fa Kphi + fb Kpsi at each t in
+    (0, 1/AXIS_T_MIN] (ValueError otherwise, NaN included), through
+    ``_below_one`` where t < 1 and ``_above_one`` where t >= 1."""
+    t = _checked_t(t, 0.0)
+    out = np.empty((len(rows), t.size))
+    upper = t >= 1.0
+    for where, branch in ((~upper, _below_one), (upper, _above_one)):
+        if where.any():
+            out[:, where] = branch(rows, t[where])
+    return out
 
 
-def phi0_weighted_kernel(t, v, upper):
-    """t^2 * phi0(i/t): the plus-eigenfunction's axis kernel.
-
-    For t >= 1 the inversion law is substituted so no exp(2*pi*t)-sized
-    cancellation occurs; for t < 1 the series at i/t converges directly.
-    """
-    if not upper:
-        return (t * t) * v(phi0_qseries)
-    return ((t * t) * v(phi0_qseries)
-            - (12.0 * t / PI) * v(phi0_anomaly_qseries)
-            + WEIGHT36 * v(e4sq_over_delta_qseries))
-
-
-def axis_combo_direct(t, v, upper, sign):
-    """phi0(it) + sign*(36/pi^2)*psi_s(it), evaluated without cancellation.
-
-    For t < 1 both terms blow up like t^2 exp(2*pi/t); the blowing-up
-    parts are B = E4^2/Delta and -psi_i, so the combination is evaluated
-    through the exact series B - sign*psi_i whose poles cancel (sign=+1)
-    or add benignly (sign=-1).
-    """
-    if upper:
-        return v(phi0_qseries) + sign * WEIGHT36 * v(psi_s_qseries)
-    combo = _b_minus_psi_i_q4 if sign > 0 else _b_plus_psi_i_q4
-    return (v(phi0_qseries)
-            - (12.0 * t / PI) * v(phi0_anomaly_qseries)
-            + (36.0 * t * t / PI ** 2) * v(combo))
-
-
-def axis_combo_weighted(t, v, upper, sign):
-    """(36/pi^2)*psi_i(it) + sign*t^2*phi0(i/t), evaluated without cancellation.
-
-    These are the two pointwise integrand-sign controls of the magic
-    function beyond sqrt(2): the plus combination controls the sign of g,
-    the minus combination the sign of g-hat.  For t >= 1 the exp(2*pi*t)
-    parts of the two kernels coincide and are combined through the exact
-    series psi_i - B before evaluation.
-    """
-    if not upper:
-        return WEIGHT36 * (-(t * t) * v(psi_s_qseries)) + sign * ((t * t) * v(phi0_qseries))
-    # W = 36/pi^2, PHI = t^2 phi0(i/t): W*psi_i + PHI = W*(B + psi_i) + [PHI - W*B] and
-    # W*psi_i - PHI = -W*(B - psi_i) - [PHI - W*B], with the cusp-regular bracket
-    # PHI - W*B = t^2 phi0(it) - (12t/pi) A(it): the exp(2*pi*t) parts never cancel in floats.
-    combo = _b_plus_psi_i_q4 if sign > 0 else _b_minus_psi_i_q4
-    return sign * (WEIGHT36 * v(combo) + (t * t) * v(phi0_qseries)
-                   - (12.0 * t / PI) * v(phi0_anomaly_qseries))
-
+# ---------------------------------------------------------------------------
+# the two conventions and their inequality reports
+# ---------------------------------------------------------------------------
 
 class Eq2Convention(Enum):
     DIRECT = "direct"
@@ -217,15 +208,15 @@ def log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
 
 
 def check_realness(form: FormId, grid: Sequence[float]) -> float:
-    """max |Im F(it)| / |F(it)| over a positive grid, for F = PHI0 or PSI_S:
-    0 whenever it returns, since the grid's ``AxisTable`` refuses every
-    series value that is not real.  Any other form is a ValueError.  Kept
-    only for the benchmark, its one caller."""
-    if not (np.asarray(grid, dtype=float) > 0).all():
-        raise ValueError("realness grid must be positive")
+    """max |Im F(it)| / |F(it)| over a grid in [AXIS_T_MIN, 1/AXIS_T_MIN],
+    for F = PHI0 or PSI_S: 0 whenever it returns, since ``kernels`` refuses
+    every series value that is not real.  It reads F(it) = t^2 K(1/t) for
+    F's kernel row K.  A grid outside that range, or any other form, is a
+    ValueError.  Kept only for the benchmark, its one caller."""
+    t = _checked_t(grid, AXIS_T_MIN)
     if form not in (FormId.PHI0, FormId.PSI_S):
         raise ValueError(f"realness is checked for Phi0 and PsiS, not {form.value}")
-    axis_table(grid)
+    kernels((KPHI if form is FormId.PHI0 else KPSI,), 1.0 / t)
     return 0.0
 
 
@@ -248,29 +239,27 @@ class AxisSamples:
         return AxisSamples(*map(np.concatenate, zip(vars(self).values(), vars(other).values())))
 
 
-#: per convention: phi0-slot kernel, psi_s-slot kernel, the combination, phi0-slot weight
+#: per convention: whether the rows are read as t^2 times their value at 1/t,
+#: and the ``kernels`` rows of AxisSamples' phi0, psi_s, combo_plus and combo_minus
 _CONVENTIONS = {
-    Eq2Convention.DIRECT: (eval_phi0_axis, eval_psi_s_axis, axis_combo_direct, 1.0),
-    Eq2Convention.S_WEIGHTED: (eval_psi_i_axis, phi0_weighted_kernel, axis_combo_weighted,
-                               WEIGHT36),
+    # phi0(it) = t^2 Kphi(1/t) and psi_s(it) = t^2 Kpsi(1/t)
+    Eq2Convention.DIRECT: (True, (KPHI, KPSI, (1.0, WEIGHT36), K_PLUS)),
+    # W psi_i(it) = -W Kpsi(t) and t^2 phi0(i/t) / W = Kphi(t) / W
+    Eq2Convention.S_WEIGHTED: (False, ((0.0, -WEIGHT36), (1.0 / WEIGHT36, 0.0), K_PLUS, K_MINUS)),
 }
 
 
 def eq2_samples(grid: Sequence[float], convention: Eq2Convention) -> AxisSamples:
-    """Kernel pairs and combinations over the whole grid.
-
-    The combinations are computed through cancellation-free series (the
-    exp(2 pi t)-sized parts combined exactly), so the samples remain
-    meaningful where naive subtraction would lose all precision.  The four
-    arrays read one ``AxisTable``, so the seven series are evaluated in one
-    stacked call over the whole grid.  A t <= 0 or NaN raises ValueError.
+    """Kernel pairs and combinations over the whole grid, from one ``kernels``
+    call: the exp(2 pi t)-sized parts of the combinations cancel exactly in
+    their moment terms, so the samples remain meaningful where naive
+    subtraction would lose all precision.  A t outside [AXIS_T_MIN,
+    1/AXIS_T_MIN] raises ValueError, NaN included.
     """
-    t = np.asarray(grid, dtype=float)
-    first, second, combo, w = _CONVENTIONS[convention]
-    table = axis_table(t)
-    return AxisSamples(t=t, phi0=w * table.branches(first),
-                       psi_s=(1.0 / w) * table.branches(second),
-                       combo_plus=table.branches(combo, 1), combo_minus=table.branches(combo, -1))
+    t = _checked_t(grid, AXIS_T_MIN)
+    inverted, rows = _CONVENTIONS[convention]
+    values = (t * t) * kernels(rows, 1.0 / t) if inverted else kernels(rows, t)
+    return AxisSamples(t, *values)
 
 
 @dataclass(frozen=True)

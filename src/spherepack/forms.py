@@ -239,23 +239,23 @@ def psi_i_qseries(order: int = DEFAULT_ORDER_Q4) -> QSeries:
 
 
 def _b_q4() -> QSeries:
-    """The default-order E4^2/Delta (q2^50 = q4^400) in nome q4, cut at the default q4 order."""
+    """The default-order E4^2/Delta (q2^50 = q4^400) in nome q4, cut at the
+    default q4 order; kept only for the two series below."""
     return e4sq_over_delta_qseries().to_q4().truncate(DEFAULT_ORDER_Q4)
 
 
 @lru_cache(maxsize=None)
 def _b_minus_psi_i_q4() -> QSeries:
-    """E4^2/Delta - psi_i in nome q4; the double poles cancel exactly.
-
-    Constant term 360.  Used to evaluate phi0 +- (36/pi^2) psi_s and the
-    S-weighted kernels without catastrophic cancellation of the
-    exp(2*pi*t) parts.
-    """
+    """E4^2/Delta - psi_i in nome q4, whose double poles cancel exactly
+    (constant term 360).  Kept only for the benchmark, whose series builds
+    call it by name; ``axis`` cancels these poles in its moment terms."""
     return _b_q4() - psi_i_qseries()
 
 
 @lru_cache(maxsize=None)
 def _b_plus_psi_i_q4() -> QSeries:
+    """E4^2/Delta + psi_i in nome q4; kept only for the benchmark, as
+    ``_b_minus_psi_i_q4`` is."""
     return _b_q4() + psi_i_qseries()
 
 

@@ -15,8 +15,8 @@ g only flips the b term) are
     g(r)     = -(pi/2160) sin^2(pi s/2) L[K+](s),   K+ = Kphi - W Kpsi
     g_hat(r) =  (pi/2160) sin^2(pi s/2) L[K-](s),   K- = -Kphi - W Kpsi
 
-with W = 36/pi^2: K+ and K- are the S-weighted axis kernels
-(``axis.axis_combo_weighted``), positive on (0, inf), so the sign
+with W = 36/pi^2: K+ and K- are the S-weighted axis kernels, positive
+on (0, inf) (``axis.verify_inequalities``), so the sign
 conditions g <= 0 beyond sqrt(2) and g_hat >= 0 are sin^2 >= 0 times a
 positive integral, and the zeros at the lattice radii sqrt(2n) are those
 of sin^2.  The b-term sign is cross-checked by the independent radial
@@ -25,11 +25,12 @@ profile in the Laguerre eigenbasis of the 8-dimensional transform (rule
 and basis built once per upper limit, coefficients once per table); with
 the theta and Eisenstein conventions used here, g(0) = g_hat(0) = 1.
 
-Each profile is thus scale * sin^2 L[fa Kphi + fb Kpsi], one row of ``_PROFILES``.
+Each profile is thus scale * sin^2 L[fa Kphi + fb Kpsi], one row of ``_PROFILES``;
+the rows, their values (``axis.kernels``) and their terms on [1, inf) are ``axis``'s.
 
 Quadrature: Gauss panels on [0, 1], where the node values at i/t need the
 series at Im >= 1 only, and on [1, inf) exact exponential moments of the
-kernel's q-expansion (``_moment_terms``).  The panels are equal and share
+kernel's q-expansion.  The panels are equal and share
 their nodes up to a shift, so a radius costs one exponential per panel
 and one per node of a panel, for all kernels of a sweep together, not one
 per node, and one reciprocal per distinct moment rate (``_Moments``).
@@ -62,18 +63,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .axis import K_MINUS, K_PLUS, KPHI, KPSI, _combine, _kept, _moment_terms, kernels
 from .errors import InsufficientTable, TailBoundViolated
-from .forms import (
-    WEIGHT36,
-    FormId,
-    e4sq_over_delta_qseries,
-    form_qseries,
-    phi0_anomaly_qseries,
-    phi0_qseries,
-    psi_i_qseries,
-)
+from .forms import FormId, form_qseries
 from .lattice import Scratch
-from .qseries import eval_stack
 from .quadrature import QuadratureConfig, panel_nodes
 
 PI = math.pi
@@ -98,8 +91,6 @@ _BLOCK = 1024
 _CONTOUR_BLOCK = 1 << 16
 #: the largest radius handled, so that pi r^2 stays finite
 _R_MAX = 1e150
-#: the moment terms left out add up to at most this fraction of the largest kept one
-_MOMENT_CUT = 2.0 ** -60
 #: how far a [0, 1] node may lie from its panel's left end plus its first-panel node
 _SPLIT_TOL = 2.0 ** -53
 
@@ -112,41 +103,6 @@ _SCRATCH = Scratch()
 # ---------------------------------------------------------------------------
 # the Laplace representation
 # ---------------------------------------------------------------------------
-
-def _float_pairs(series):
-    # the series' own floats: n / den is correctly rounded, as float(Fraction) is
-    floats = series._numeric()[0]
-    return [(series.lowest + j, c) for j, (n, c) in enumerate(zip(series.num, floats)) if n]
-
-
-@lru_cache(maxsize=2)
-def _moment_terms(form: FormId) -> tuple[tuple[int, float, float], ...]:
-    """(moment order m, rate offset, coefficient) of t^2 F(i/t) expanded on [1, inf).
-
-    phi0: t^2 phi0(i/t) = t^2 phi0(it) - (12t/pi) A(it) + (36/pi^2) B(it)
-    there, with A = (E2 E4 - E6) E4/Delta and B = E4^2/Delta, all in
-    exp(-2 pi n t).  psi_s: t^2 psi_s(i/t) = -psi_i(it), in exp(-pi k t).
-    """
-    if form is FormId.PHI0:
-        parts = ((2, 1.0, phi0_qseries()), (1, -12.0 / PI, phi0_anomaly_qseries()),
-                 (0, 36.0 / PI ** 2, e4sq_over_delta_qseries()))
-        return tuple((m, 2.0 * PI * n, f * c)
-                     for m, f, series in parts for n, c in _float_pairs(series))
-    pairs = _float_pairs(psi_i_qseries())
-    if any(k % 4 for k, _ in pairs):
-        raise RuntimeError("psi_i support must lie in 4Z")
-    return tuple((0, PI * (k // 4), -c) for k, c in pairs)
-
-
-def _combine(fa: float, terms_a, fb: float, terms_b) -> tuple[tuple[int, float, float], ...]:
-    """The terms of fa*A + fb*B, merged on (moment order, rate offset); exact
-    cancellations (the e^{2 pi t} terms of K-) are dropped."""
-    merged: dict[tuple[int, float], float] = {}
-    for f, terms in ((fa, terms_a), (fb, terms_b)):
-        for m, offset, c in terms:
-            merged[m, offset] = merged.get((m, offset), 0.0) + f * c
-    return tuple((m, offset, c) for (m, offset), c in merged.items() if c != 0.0)
-
 
 @dataclass(frozen=True)
 class _Moments:
@@ -211,8 +167,8 @@ def _panel_split(nodes: np.ndarray, panels: int) -> tuple[np.ndarray, np.ndarray
 
 def _cut_tail(order, offset, coeff):
     """The decaying terms sorted by offset, less their longest high-offset
-    tail whose summed bound |c| e^{-o} (1 + m + m(m-1)) is at most _MOMENT_CUT
-    times the largest kept |c| e^{-o}.
+    tail whose summed bound |c| e^{-o} (1 + m + m(m-1)) is at most 2^-60
+    times the largest kept |c| e^{-o} (``axis._kept``).
 
     The cut holds at every s >= 0.  A term's moment is
     c e^{-o} e^{-pi s} (x + m x^2 + m(m-1) x^3) with x = 1/(o + pi s), and
@@ -220,7 +176,7 @@ def _cut_tail(order, offset, coeff):
     at most |c| e^{-o} (1 + m + m(m-1)) e^{-pi s} x in size.  x falls as o
     grows, so every omitted term's x is at most that of the largest kept
     term, whose moment is at least |c| e^{-o} e^{-pi s} x in size (its three
-    parts share a sign).  The omitted sum is thus at most _MOMENT_CUT of
+    parts share a sign).  The omitted sum is thus at most 2^-60 of
     the largest kept moment, below the rounding of the kept sum.
     """
     if offset.min() < PI:
@@ -228,10 +184,7 @@ def _cut_tail(order, offset, coeff):
     by = np.argsort(offset, kind="stable")
     order, offset, coeff = order[by], offset[by], coeff[by]
     size = np.abs(coeff) * np.exp(-offset)
-    tail = np.cumsum((size * (1.0 + order + order * (order - 1.0)))[::-1])[::-1]
-    # keeping the first n terms omits tail[n] against max(size[:n])
-    fits = np.append(tail[1:], 0.0) <= _MOMENT_CUT * np.maximum.accumulate(size)
-    n = int(np.argmax(fits)) + 1
+    n = int(_kept(size, size * (1.0 + order + order * (order - 1.0))))
     return order[:n], offset[:n], coeff[:n]
 
 
@@ -363,10 +316,10 @@ class RadialKind(Enum):
 
 #: each radial profile as scale * sin^2(pi s/2) L[K](s), K = fa Kphi + fb Kpsi: (fa, fb, scale)
 _PROFILES = {
-    RadialKind.A: (1.0, 0.0, 4.0),
-    RadialKind.B: (0.0, 1.0, 4.0),
-    RadialKind.G: (1.0, -WEIGHT36, -_G_SCALE),
-    RadialKind.GHAT: (-1.0, -WEIGHT36, _G_SCALE),
+    RadialKind.A: (*KPHI, 4.0),
+    RadialKind.B: (*KPSI, 4.0),
+    RadialKind.G: (*K_PLUS, -_G_SCALE),
+    RadialKind.GHAT: (*K_MINUS, _G_SCALE),
 }
 
 
@@ -377,7 +330,7 @@ class MagicEvaluator:
     The kernel values at the [0, 1] Gauss nodes and the exponential terms
     on [1, inf) are independent of the radius, so they are built once per
     quadrature configuration (``panels_per_segment`` panels of
-    ``gauss_order`` nodes), from one stacked series evaluation of both forms.
+    ``gauss_order`` nodes), from one ``axis.kernels`` call of the four rows.
     a, b, g and g_hat are real integrals at every r >= 0.  ``values`` is the
     one evaluation path: any profiles at an array of radii, from one sweep.
     ``eval_*`` are its length-1 case, with a and b as complex numbers of
@@ -391,16 +344,14 @@ class MagicEvaluator:
         self.quad = quad
         panels = self.quad.panels_per_segment
         t, w = panel_nodes(0.0, 1.0, panels, self.quad.gauss_order)
-        kphi, kpsi = (t * t) * eval_stack(
-            (form_qseries(FormId.PHI0), form_qseries(FormId.PSI_S)), 1j / t).real
+        values = kernels([profile[:2] for profile in _PROFILES.values()], t)
         phi, psi = _moment_terms(FormId.PHI0), _moment_terms(FormId.PSI_S)
         # a's and b's tables share one array of nodes
         self._nodes_a = self._nodes_b = t
         lo, base = _panel_split(t, panels)
         self._rule = -PI * lo, -PI * base
-        self._kernels = {kind: _Kernel.build(t, w, fa * kphi + fb * kpsi,
-                                             _combine(fa, phi, fb, psi), panels)
-                         for kind, (fa, fb, _) in _PROFILES.items()}
+        self._kernels = {kind: _Kernel.build(t, w, row, _combine(fa, phi, fb, psi), panels)
+                         for (kind, (fa, fb, _)), row in zip(_PROFILES.items(), values)}
 
     def values(self, kinds: Sequence[RadialKind], radii) -> np.ndarray:
         """(k, n): each of the k profiles at each of the n radii, from one sweep."""

@@ -62,7 +62,7 @@ DEFAULT_ORDER_Q2 = 50
 #: sub-exponential coefficient growth of the theta quotients.
 DEFAULT_ORDER_Q4 = 256
 
-#: ``QSeries._top``'s cut, as ``magic._MOMENT_CUT``: of the leading term
+#: ``QSeries._top``'s cut, as the moment terms' (``axis._kept``): of the leading term
 _TERM_CUT = 2.0 ** -60
 
 #: Points per block of ``eval_stack``: with seven complex rows, its

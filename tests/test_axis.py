@@ -16,19 +16,10 @@ from spherepack.axis import (
     verify_inequalities,
 )
 from spherepack.cohn_elkies import verify_magic_ce
-from spherepack.forms import (
-    FormId,
-    _b_minus_psi_i_q4,
-    _b_plus_psi_i_q4,
-    e4sq_over_delta_qseries,
-    phi0_anomaly_qseries,
-    phi0_qseries,
-    psi_i_qseries,
-    psi_s_qseries,
-)
+from spherepack.forms import FormId, phi0_qseries, psi_i_qseries, psi_s_qseries
 from spherepack.magic import default_evaluator
 from spherepack.qseries import Nome
-from spherepack.quadrature import QuadratureConfig
+from spherepack.quadrature import QuadratureConfig, panel_nodes
 
 PI = math.pi
 W = 36.0 / PI ** 2
@@ -130,21 +121,14 @@ def test_report_is_serializable():
     assert d["pass"] is True
 
 
-# -- one stacked evaluation of the seven series per table ---------------------------
-
-#: the kernels behind each convention's four arrays, phi0-slot weight last
-_PUBLIC = {
-    Eq2Convention.DIRECT: (axis.eval_phi0_axis, axis.eval_psi_s_axis,
-                           axis.axis_combo_direct, 1.0),
-    Eq2Convention.S_WEIGHTED: (axis.eval_psi_i_axis, axis.phi0_weighted_kernel,
-                               axis.axis_combo_weighted, W),
-}
-
+# -- one kernel entry per pass ------------------------------------------------------
 
 @pytest.mark.parametrize("convention", list(Eq2Convention))
 def test_eq2_pass_evaluates_each_series_once_per_branch(convention, monkeypatch):
-    # one stacked call per table: the seven series at every grid point, i*t
-    # where t >= 1 and i/t where t < 1, so each series once on each branch
+    # one stacked call of phi0 and psi_s per pass, at i/x for the entry's
+    # arguments x < 1 alone: x = t for S_WEIGHTED and 1/t for DIRECT, so the
+    # series are read at i/t where t < 1, or at i*t where t > 1.  Every other
+    # point takes the moment-term Horner, and each array is one of the entry's rows
     grid = np.array(log_grid(0.05, 20.0, 64))
     calls = []
     real_stack = axis.eval_stack
@@ -158,42 +142,102 @@ def test_eq2_pass_evaluates_each_series_once_per_branch(convention, monkeypatch)
     monkeypatch.undo()
     assert len(calls) == 1
     series, tau = calls[0]
-    # phi0, A, B, psi_s, psi_i, B - psi_i and B + psi_i
-    want = (phi0_qseries(), phi0_anomaly_qseries(), e4sq_over_delta_qseries(),
-            psi_s_qseries(), psi_i_qseries(), _b_minus_psi_i_q4(), _b_plus_psi_i_q4())
+    want = (phi0_qseries(), psi_s_qseries())
     assert len(series) == len(want) and all(a is b for a, b in zip(series, want))
-    upper = grid >= 1.0
-    assert 0 < upper.sum() < grid.size
-    assert sorted(tau.imag) == sorted(np.where(upper, grid, 1.0 / grid))
+    inverted, rows = axis._CONVENTIONS[convention]
+    x = 1.0 / grid if inverted else grid
+    assert 0 < (x < 1.0).sum() < grid.size
+    assert np.array_equal(tau.imag, 1.0 / x[x < 1.0])
     assert np.all(tau.real == 0.0)
-    first, second, combo, w = _PUBLIC[convention]
-    table = axis.axis_table(grid)
+    values = (grid * grid) * axis.kernels(rows, x) if inverted else axis.kernels(rows, x)
     assert np.array_equal(samples.t, grid)
-    assert np.array_equal(samples.phi0, w * table.branches(first))
-    assert np.array_equal(samples.psi_s, (1.0 / w) * table.branches(second))
-    assert np.array_equal(samples.combo_plus, table.branches(combo, +1))
-    assert np.array_equal(samples.combo_minus, table.branches(combo, -1))
+    for got, want in zip((samples.phi0, samples.psi_s, samples.combo_plus, samples.combo_minus),
+                         values):
+        assert np.array_equal(got, want)
 
 
-def test_axis_table_forms_each_nome_once(monkeypatch):
-    # the table's stack of seven series in two nomes builds each nome once
+def test_kernels_form_each_nome_once(monkeypatch):
+    # the entry's stack of phi0 and psi_s in two nomes builds each nome once
     calls = []
     value_at = Nome.value_at
     monkeypatch.setattr(Nome, "value_at", lambda nome, tau: calls.append(nome) or value_at(nome, tau))
-    axis.axis_table(GRID)
+    axis.kernels([axis.K_PLUS, axis.K_MINUS], np.array(GRID))
     assert sorted(nome.value for nome in calls) == ["q2", "q4"]
 
 
 def test_empty_grid_gives_empty_float_arrays():
-    table = axis.axis_table([])
-    for kernel in (axis.eval_phi0_axis, axis.eval_psi_s_axis, axis.eval_psi_i_axis,
-                   axis.phi0_weighted_kernel):
-        got = table.branches(kernel)
-        assert got.shape == (0,) and got.dtype == float
-    for combo in (axis.axis_combo_direct, axis.axis_combo_weighted):
-        for sign in (1, -1):
-            got = table.branches(combo, sign)
-            assert got.shape == (0,) and got.dtype == float
+    got = axis.kernels([axis.KPHI, axis.KPSI, axis.K_PLUS, axis.K_MINUS], [])
+    assert got.shape == (4, 0) and got.dtype == float
     for convention in Eq2Convention:
         for value in vars(eq2_samples([], convention)).values():
             assert value.shape == (0,) and value.dtype == float
+
+
+def test_kernels_take_every_t_in_their_range():
+    # the evaluator's [0, 1] nodes go down to about 2e-4, below the grids' AXIS_T_MIN
+    t = np.array([2e-4, 0.005, 0.5, 1.0, 100.0])
+    assert np.all(np.isfinite(axis.kernels([axis.K_PLUS, axis.K_MINUS], t)))
+    for bad in (math.nan, 0.0, -1.0, 100.5):
+        with pytest.raises(ValueError):
+            axis.kernels([axis.K_PLUS], np.array([0.5, bad]))
+    for convention in Eq2Convention:
+        for bad in (math.nan, 0.0, 0.005, 100.5):
+            with pytest.raises(ValueError):
+                eq2_samples([0.5, bad], convention)
+
+
+# -- one definition: the verdicts read the kernels the Laplace sweep integrates ------
+
+def test_sweighted_combinations_are_the_g_and_g_hat_kernels():
+    from spherepack.magic import _PROFILES, RadialKind
+    rows = axis._CONVENTIONS[Eq2Convention.S_WEIGHTED][1]
+    assert rows[2:] == (_PROFILES[RadialKind.G][:2], _PROFILES[RadialKind.GHAT][:2])
+
+
+def test_evaluator_reads_the_entry_bit_for_bit(monkeypatch):
+    # the evaluator's [0, 1] node values are the entry's rows, and the terms
+    # it integrates on [1, inf) are the lists the entry's t >= 1 Horner reads
+    from spherepack import magic
+    built = []
+    build = magic._Kernel.build.__func__
+    monkeypatch.setattr(magic._Kernel, "build",
+                        classmethod(lambda cls, *args: built.append(args) or build(cls, *args)))
+    quad = QuadratureConfig()
+    magic.MagicEvaluator(quad)
+    rows = [profile[:2] for profile in magic._PROFILES.values()]
+    t, _ = panel_nodes(0.0, 1.0, quad.panels_per_segment, quad.gauss_order)
+    read = []
+    combine = axis._combine
+    monkeypatch.setattr(axis, "_combine", lambda *args: read.append(combine(*args)) or read[-1])
+    axis._upper_table.__wrapped__(tuple(rows))
+    assert len(built) == len(read) == len(rows)
+    for (nodes, _, values, terms, _), row, want, got in zip(built, rows, axis.kernels(rows, t),
+                                                            read):
+        assert np.array_equal(nodes, t)
+        assert values.tobytes() == want.tobytes(), row
+        assert terms == got, row
+
+
+def test_flipped_psi_moment_terms_fail_the_sweighted_verdict(monkeypatch):
+    # a sign slip in psi_s's moment terms moves g and, now that both read one
+    # definition, the verdict too (min_plus about -5.4e4)
+    from spherepack import magic
+    pairs = axis._float_pairs
+    quad = QuadratureConfig()
+    g = magic.default_evaluator(quad).g_values([1.7, 2.2])
+
+    def clear():
+        for cached in (axis._moment_terms, axis._upper_table, magic.default_evaluator):
+            cached.cache_clear()
+
+    monkeypatch.setattr(axis, "_float_pairs", lambda series: [
+        (k, -c if series is psi_i_qseries() else c) for k, c in pairs(series)])
+    clear()
+    try:
+        assert not np.array_equal(magic.default_evaluator(quad).g_values([1.7, 2.2]), g)
+        report = verify_inequalities(GRID, Eq2Convention.S_WEIGHTED)
+        assert not report.pass_ and report.min_plus < 0.0
+    finally:
+        monkeypatch.undo()
+        clear()
+    assert verify_inequalities(GRID, Eq2Convention.S_WEIGHTED).pass_

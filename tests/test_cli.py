@@ -506,7 +506,7 @@ def test_bad_input_refused_at_boundary(capsys, argv):
 
 @pytest.mark.parametrize("argv, builds", [
     (["magic", "verify"], 16),
-    (["axis", "check"], 18),
+    (["axis", "check"], 16),
     (["forms", "identities", "--order", "64"], 8),
 ])
 def test_one_series_build_per_cache_entry(argv, builds):
@@ -543,8 +543,8 @@ _USAGE_ERROR = ["forms", "eval", "--form", "E5"]
 @pytest.mark.parametrize("argv, modules", [
     (["forms", "identities"], _CHECK_MODULES),
     (["axis", "check"], _CHECK_MODULES | {"axis"}),
-    (["magic", "verify"], _CHECK_MODULES | {"magic", "lattice"}),
-    (["bound"], _CHECK_MODULES | {"magic", "lattice", "cohn_elkies", "packing"}),
+    (["magic", "verify"], _CHECK_MODULES | {"magic", "lattice", "axis"}),
+    (["bound"], _CHECK_MODULES | {"magic", "lattice", "cohn_elkies", "packing", "axis"}),
     (["forms", "eval", "--form", "E4"], _CHECK_MODULES),
     (["--help"], _CHECK_MODULES),
     (_USAGE_ERROR, _CHECK_MODULES),

@@ -13,18 +13,10 @@ import pytest
 
 import spherepack
 
-from spherepack.axis import (
-    axis_combo_direct,
-    axis_combo_weighted,
-    axis_table,
-    eval_phi0_axis,
-    eval_psi_i_axis,
-    eval_psi_s_axis,
-    check_realness,
-    phi0_weighted_kernel,
-)
+from spherepack.axis import Eq2Convention, check_realness, eq2_samples
 from spherepack.errors import NonRealValue
 from spherepack.forms import (
+    WEIGHT36,
     FormId,
     check_jacobi,
     check_ramanujan,
@@ -261,39 +253,55 @@ def test_form_qseries_covers_all_ids():
 
 # -- axis behaviour -----------------------------------------------------------
 
-def on_axis(t, kernel, *sign):
-    return axis_table(t).branches(kernel, *sign)
+#: each axis function as an array of ``eq2_samples``: its convention, field and
+#: factor.  Every array is a row of the one kernel entry ``axis.kernels``, read at
+#: t (S_WEIGHTED) or as t^2 times its value at 1/t (DIRECT).
+AXIS_KERNELS = {
+    "phi0_axis": (Eq2Convention.DIRECT, "phi0", 1.0),                  # phi0(it)
+    "psi_s_axis": (Eq2Convention.DIRECT, "psi_s", 1.0),                # psi_s(it)
+    "psi_i_axis": (Eq2Convention.S_WEIGHTED, "phi0", 1.0 / WEIGHT36),  # psi_i(it)
+    "phi0_weighted_kernel": (Eq2Convention.S_WEIGHTED, "psi_s", WEIGHT36),  # t^2 phi0(i/t)
+    "combo_direct_plus": (Eq2Convention.DIRECT, "combo_plus", 1.0),
+    "combo_direct_minus": (Eq2Convention.DIRECT, "combo_minus", 1.0),
+    "combo_weighted_plus": (Eq2Convention.S_WEIGHTED, "combo_plus", 1.0),
+    "combo_weighted_minus": (Eq2Convention.S_WEIGHTED, "combo_minus", 1.0),
+}
+
+
+def on_axis(t, name):
+    convention, field, factor = AXIS_KERNELS[name]
+    return factor * getattr(eq2_samples(t, convention), field)
 
 
 def test_phi0_axis_overlap_direct_vs_transformed():
     """The inversion law must reproduce the direct series on [0.8, 1.25]."""
     t = np.array([0.8, 0.9, 0.97, 1.0])
     direct = np.array([phi0_qseries().eval(1j * x).real for x in t])  # series still converges here
-    trans = on_axis(t, eval_phi0_axis)
+    trans = on_axis(t, "phi0_axis")
     assert np.all(np.abs(direct - trans) < 1e-8 * np.abs(direct))
 
 
 def test_phi0_axis_t1_continuity():
-    below, above = on_axis([1.0 - 1e-9, 1.0 + 1e-9], eval_phi0_axis)
+    below, above = on_axis([1.0 - 1e-9, 1.0 + 1e-9], "phi0_axis")
     assert abs(below - above) < 1e-6 * abs(above)
 
 
 def test_psi_s_axis_overlap_direct_vs_transformed():
     t = np.array([0.8, 0.9, 0.97, 1.0])
     direct = np.array([psi_s_qseries().eval(1j * x).real for x in t])
-    trans = on_axis(t, eval_psi_s_axis)
+    trans = on_axis(t, "psi_s_axis")
     assert np.all(np.abs(direct - trans) < 1e-8 * np.abs(direct))
 
 
 def test_phi0_axis_asymptotics():
-    val, small = on_axis([4.0, 0.25], eval_phi0_axis)
+    val, small = on_axis([4.0, 0.25], "phi0_axis")
     lead = 518400.0 * math.exp(-8 * PI)
     assert abs(val / lead - 1.0) < 0.01
     assert small > 1e6  # dominated by (36 t^2/pi^2) exp(2 pi/t)
 
 
 def test_psi_s_axis_asymptotic():
-    (val,) = on_axis([3.0], eval_psi_s_axis)
+    (val,) = on_axis([3.0], "psi_s_axis")
     lead = -10240.0 * math.exp(-3 * PI)
     assert abs(val / lead - 1.0) < 0.05
 
@@ -303,46 +311,46 @@ LOG_GRID = 0.05 * (20.0 / 0.05) ** (np.arange(61) / 60)
 
 
 def test_phi0_axis_positive_on_log_grid():
-    assert np.all(on_axis(LOG_GRID, eval_phi0_axis) > 0.0)
+    assert np.all(on_axis(LOG_GRID, "phi0_axis") > 0.0)
 
 
 def test_psi_s_axis_negative_on_log_grid():
-    assert np.all(on_axis(LOG_GRID, eval_psi_s_axis) < 0.0)
+    assert np.all(on_axis(LOG_GRID, "psi_s_axis") < 0.0)
 
 
 def test_psi_i_axis_positive_and_consistent():
     t = np.array([0.3, 0.7, 1.0, 1.4, 3.0])
-    v = on_axis(t, eval_psi_i_axis)
+    v = on_axis(t, "psi_i_axis")
     assert np.all(v > 0.0)
     # psi_i(it) = -t^2 psi_s(i/t) ties the two axis kernels together
-    w = -t * t * on_axis(1.0 / t, eval_psi_s_axis)
+    w = -t * t * on_axis(1.0 / t, "psi_s_axis")
     assert np.all(np.abs(v - w) < 1e-8 * np.abs(v))
 
 
 def test_weighted_kernel_matches_definition_below_one():
     t = np.array([0.3, 0.6, 0.9])
     direct = np.array([x * x * phi0_qseries().eval(1j / x).real for x in t])
-    assert np.all(np.abs(on_axis(t, phi0_weighted_kernel) - direct) < 1e-10 * np.abs(direct))
+    assert np.all(np.abs(on_axis(t, "phi0_weighted_kernel") - direct) < 1e-10 * np.abs(direct))
 
 
 def test_weighted_kernel_continuity_at_one():
-    below, above = on_axis([1.0 - 1e-9, 1.0 + 1e-9], phi0_weighted_kernel)
+    below, above = on_axis([1.0 - 1e-9, 1.0 + 1e-9], "phi0_weighted_kernel")
     assert abs(below - above) < 1e-6 * abs(above)
 
 
 def test_axis_combos_match_naive_evaluation_midrange():
     c = 36.0 / PI ** 2
     t = [0.6, 1.0, 1.8]
-    phi0, psi_s = on_axis(t, eval_phi0_axis), on_axis(t, eval_psi_s_axis)
+    phi0, psi_s = on_axis(t, "phi0_axis"), on_axis(t, "psi_s_axis")
     naive_plus, naive_minus = phi0 + c * psi_s, phi0 - c * psi_s
     scale = np.maximum(np.abs(naive_plus), np.abs(naive_minus))
-    assert np.all(np.abs(on_axis(t, axis_combo_direct, +1) - naive_plus) < 1e-7 * scale)
-    assert np.all(np.abs(on_axis(t, axis_combo_direct, -1) - naive_minus) < 1e-7 * np.abs(naive_minus))
-    psi_i, weighted = on_axis(t, eval_psi_i_axis), on_axis(t, phi0_weighted_kernel)
+    assert np.all(np.abs(on_axis(t, "combo_direct_plus") - naive_plus) < 1e-7 * scale)
+    assert np.all(np.abs(on_axis(t, "combo_direct_minus") - naive_minus) < 1e-7 * np.abs(naive_minus))
+    psi_i, weighted = on_axis(t, "psi_i_axis"), on_axis(t, "phi0_weighted_kernel")
     naive_wplus, naive_wminus = c * psi_i + weighted, c * psi_i - weighted
     wscale = np.maximum(np.abs(naive_wminus), np.abs(naive_wplus))
-    assert np.all(np.abs(on_axis(t, axis_combo_weighted, +1) - naive_wplus) < 1e-7 * np.abs(naive_wplus))
-    assert np.all(np.abs(on_axis(t, axis_combo_weighted, -1) - naive_wminus) < 1e-7 * wscale)
+    assert np.all(np.abs(on_axis(t, "combo_weighted_plus") - naive_wplus) < 1e-7 * np.abs(naive_wplus))
+    assert np.all(np.abs(on_axis(t, "combo_weighted_minus") - naive_wminus) < 1e-7 * wscale)
 
 
 def test_axis_realness_small_imag_parts():
@@ -351,23 +359,11 @@ def test_axis_realness_small_imag_parts():
         v = phi0_qseries().eval(1j * t)
         assert abs(v.imag) < 1e-9 * abs(v)
     t = [0.3, 0.5, 1.0, 2.0, 5.0]
-    for kernel in (eval_phi0_axis, eval_psi_s_axis):
+    for kernel in ("phi0_axis", "psi_s_axis"):
         assert on_axis(t, kernel).dtype == float
 
 
-# -- kernels through the axis table ----------------------------------------------
-
-#: each kernel and sign the axis table evaluates
-AXIS_KERNELS = {
-    "phi0_axis": (eval_phi0_axis,),
-    "psi_s_axis": (eval_psi_s_axis,),
-    "psi_i_axis": (eval_psi_i_axis,),
-    "phi0_weighted_kernel": (phi0_weighted_kernel,),
-    "combo_direct_plus": (axis_combo_direct, +1),
-    "combo_direct_minus": (axis_combo_direct, -1),
-    "combo_weighted_plus": (axis_combo_weighted, +1),
-    "combo_weighted_minus": (axis_combo_weighted, -1),
-}
+# -- the axis functions through the kernel entry ------------------------------------
 
 #: straddles t = 1 and contains it
 STRADDLE = np.concatenate([np.geomspace(0.05, 20.0, 41), [1.0, 1.0 - 1e-12]])
@@ -375,38 +371,50 @@ STRADDLE = np.concatenate([np.geomspace(0.05, 20.0, 41), [1.0, 1.0 - 1e-12]])
 
 @pytest.mark.parametrize("name", list(AXIS_KERNELS))
 def test_axis_array_matches_per_float(name):
-    # a table over STRADDLE gives each point the value of its one-point table
-    got = on_axis(STRADDLE, *AXIS_KERNELS[name])
-    want = np.concatenate([on_axis([t], *AXIS_KERNELS[name]) for t in STRADDLE])
+    # one pass over STRADDLE gives each point the value of its one-point pass
+    got = on_axis(STRADDLE, name)
+    want = np.concatenate([on_axis([t], name) for t in STRADDLE])
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 @pytest.mark.parametrize("name", list(AXIS_KERNELS))
 @pytest.mark.parametrize("bad", [math.nan, 0.0, 0.005])
 def test_axis_array_refuses_bad_t(name, bad):
-    # the table refuses t outside [AXIS_T_MIN, 1/AXIS_T_MIN], and each kernel
-    # is read only through a table
+    # eq2_samples refuses t outside [AXIS_T_MIN, 1/AXIS_T_MIN] in both conventions
     with pytest.raises(ValueError):
-        on_axis(np.array([0.5, bad, 2.0]), *AXIS_KERNELS[name])
+        on_axis(np.array([0.5, bad, 2.0]), name)
 
 
-#: the kernels through the table, and the realness check of each form it covers
-PHASE_CHECKED = ({name: lambda t, k=kernel: on_axis(t, *k) for name, kernel in AXIS_KERNELS.items()}
-                 | {f"res_{form.value}": partial(check_realness, form)
+#: the axis functions, and the realness check of each form it covers, with the
+#: side of t = 1 where they read series: the entry reads phi0 and psi_s at i/x
+#: for its arguments x < 1, so at i/t where t < 1 (S_WEIGHTED) or at i*t where
+#: t > 1 (DIRECT and the realness check, which read the entry at 1/t)
+PHASE_CHECKED = ({name: (partial(on_axis, name=name), AXIS_KERNELS[name][0] is Eq2Convention.DIRECT)
+                  for name in AXIS_KERNELS}
+                 | {f"res_{form.value}": (partial(check_realness, form), True)
                     for form in (FormId.PHI0, FormId.PSI_S)})
 
 
 @pytest.mark.parametrize("name", list(PHASE_CHECKED))
 def test_axis_refuses_injected_imaginary_part(name, monkeypatch):
-    # the axis table refuses any series value that is not real, so a phase
-    # on each stacked series value is refused on both sides of t = 1.  Only a
+    # the entry refuses any series value that is not real, so a phase on each
+    # stacked series value is refused on the side of t = 1 where series are
+    # read, and on a grid across t = 1; the other side reads none.  Only a
     # patch like this one reaches that check: on the axis every nome is real.
     plain = spherepack.axis.eval_stack
-    monkeypatch.setattr(spherepack.axis, "eval_stack",
-                        lambda series, tau: plain(series, tau) * (1 + 1e-6j))
-    for t in (np.array([0.5, 0.7]), np.array([1.5, 3.0])):
+    sizes = []
+    monkeypatch.setattr(spherepack.axis, "eval_stack", lambda series, tau: sizes.append(tau.size)
+                        or plain(series, tau) * (1 + 1e-6j))
+    call, above = PHASE_CHECKED[name]
+    series_side, other_side = np.array([1.5, 3.0]), np.array([0.5, 0.7])
+    if not above:
+        series_side, other_side = other_side, series_side
+    for t in (series_side, np.array([0.7, 1.5])):
         with pytest.raises(NonRealValue):
-            PHASE_CHECKED[name](t)
+            call(t)
+    sizes.clear()
+    call(other_side)
+    assert sizes == []
 
 
 def test_builders_cache_on_effective_order():

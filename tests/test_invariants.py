@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from spherepack import axis
 from spherepack.forms import (
+    WEIGHT36,
     e4sq_over_delta_qseries,
     phi0_anomaly_qseries,
     phi0_qseries,
@@ -44,6 +46,17 @@ def test_psi_s_transform_overlap_08_to_125():
         direct = psi_s_qseries().eval(1j * t).real
         transformed = (-(t * t) * psi_i.eval(1j / t)).real
         assert abs(direct - transformed) < 1e-8 * abs(direct)
+
+
+@pytest.mark.parametrize("row", [axis.KPHI, axis.KPSI, axis.K_PLUS, axis.K_MINUS, (1.0, WEIGHT36)],
+                         ids=["Kphi", "Kpsi", "K_plus", "K_minus", "direct_plus"])
+def test_kernel_branches_agree_on_overlap_08_to_125(row):
+    """The entry's two branches, the series at i/t and the moment terms in
+    e^{-pi t} that the inversion laws give, agree wherever both converge:
+    the guard that licenses each branch on its side of t = 1."""
+    t = np.linspace(0.8, 1.25, 10)
+    below, above = axis._below_one([row], t)[0], axis._above_one([row], t)[0]
+    assert np.all(np.abs(below - above) < 1e-8 * np.abs(below))
 
 
 def test_a_b_purely_imaginary_on_grid():

@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from spherepack import magic, qseries
+from spherepack import axis, magic, qseries
 from spherepack.cli import run
 from spherepack.cohn_elkies import default_ce_grid, verify_magic_ce
 from spherepack.errors import InsufficientTable, TailBoundViolated
@@ -317,12 +317,12 @@ def _kernel_inputs(quad):
     t, w = panel_nodes(0.0, 1.0, quad.panels_per_segment, quad.gauss_order)
     kphi = (t * t) * form_qseries(FormId.PHI0).eval(1j / t).real
     kpsi = (t * t) * form_qseries(FormId.PSI_S).eval(1j / t).real
-    phi, psi = magic._moment_terms(FormId.PHI0), magic._moment_terms(FormId.PSI_S)
+    phi, psi = axis._moment_terms(FormId.PHI0), axis._moment_terms(FormId.PSI_S)
     return t, w, {
         RadialKind.A: (kphi, phi),
         RadialKind.B: (kpsi, psi),
-        RadialKind.G: (kphi - WEIGHT36 * kpsi, magic._combine(1.0, phi, -WEIGHT36, psi)),
-        RadialKind.GHAT: (-kphi - WEIGHT36 * kpsi, magic._combine(-1.0, phi, -WEIGHT36, psi)),
+        RadialKind.G: (kphi - WEIGHT36 * kpsi, axis._combine(1.0, phi, -WEIGHT36, psi)),
+        RadialKind.GHAT: (-kphi - WEIGHT36 * kpsi, axis._combine(-1.0, phi, -WEIGHT36, psi)),
     }
 
 
@@ -722,10 +722,10 @@ def test_moment_terms_equal_the_fraction_construction_bit_for_bit(monkeypatch):
         return [(m, float(r).hex(), float(c).hex()) for m, r, c in terms]
 
     for form in (FormId.PHI0, FormId.PSI_S):
-        terms = magic._moment_terms(form)
+        terms = axis._moment_terms(form)
         with monkeypatch.context() as patch:
-            patch.setattr(magic, "_float_pairs", fraction_pairs)
-            assert bits(magic._moment_terms.__wrapped__(form)) == bits(terms)
+            patch.setattr(axis, "_float_pairs", fraction_pairs)
+            assert bits(axis._moment_terms.__wrapped__(form)) == bits(terms)
 
 
 def test_production_never_builds_the_contour_table():
@@ -1005,14 +1005,14 @@ def test_kernel_weights_match_two_single_series_evaluations():
     t, w = panel_nodes(0.0, 1.0, panels, quad.gauss_order)
     kphi = (t * t) * form_qseries(FormId.PHI0).eval(1j / t).real
     kpsi = (t * t) * form_qseries(FormId.PSI_S).eval(1j / t).real
-    phi, psi = magic._moment_terms(FormId.PHI0), magic._moment_terms(FormId.PSI_S)
+    phi, psi = axis._moment_terms(FormId.PHI0), axis._moment_terms(FormId.PSI_S)
     want = {
         RadialKind.A: magic._Kernel.build(t, w, kphi, phi, panels),
         RadialKind.B: magic._Kernel.build(t, w, kpsi, psi, panels),
         RadialKind.G: magic._Kernel.build(t, w, kphi - WEIGHT36 * kpsi,
-                                          magic._combine(1.0, phi, -WEIGHT36, psi), panels),
+                                          axis._combine(1.0, phi, -WEIGHT36, psi), panels),
         RadialKind.GHAT: magic._Kernel.build(t, w, -kphi - WEIGHT36 * kpsi,
-                                             magic._combine(-1.0, phi, -WEIGHT36, psi), panels),
+                                             axis._combine(-1.0, phi, -WEIGHT36, psi), panels),
     }
     for name, kernel in want.items():
         assert np.array_equal(ev._kernels[name].weights, kernel.weights), name

@@ -731,11 +731,12 @@ def test_cut_is_memoised_per_rung():
     assert s._top(float("nan")) == len(s.num)
 
 
-def test_axis_tables_stack_the_cut_widths(monkeypatch):
-    # one S-weighted verdict on the default grid: the base table's seven rows
-    # keep 30 coefficients at most (67 uncut), the refinement table's, at
-    # Im >= 2.2, 9; with the direct verdict's 30, a benchmark round's three
-    # tables run 29 + 29 + 8 = 66 stacked Horner steps (198 uncut)
+def test_kernels_stack_the_cut_widths(monkeypatch):
+    # one S-weighted verdict on the default grid: the base pass stacks phi0 and
+    # psi_s at its 200 points t < 1 and keeps 14 coefficients at most (50
+    # uncut); the refinement pass's 582 points all lie above t = 1 and stack
+    # none; the direct verdict's pass stacks 14 again.  Every pass's moment-term
+    # Horner on t >= 1 is 26 coefficients wide (103 uncut)
     from spherepack import axis, cli
     widths, tops = [], []
     stack, top = axis.eval_stack, QSeries._top
@@ -751,9 +752,14 @@ def test_axis_tables_stack_the_cut_widths(monkeypatch):
     config = cli.RunConfig()
     grid = axis.log_grid(config.axis_grid_lo, config.axis_grid_hi, config.axis_grid_n)
     axis.verify_inequalities(grid, axis.Eq2Convention.S_WEIGHTED)
-    assert widths == [30, 9]
+    assert widths == [14]
     axis.verify_inequalities(grid, axis.Eq2Convention.DIRECT)
-    assert widths == [30, 9, 30]
+    assert widths == [14, 14]
+    for _, rows in axis._CONVENTIONS.values():
+        assert axis._upper_table(rows)[0].shape == (26, 3 * len(rows), 1)
+    terms = axis._moment_terms(FormId.PHI0) + axis._moment_terms(FormId.PSI_S)
+    rates = [round(offset / math.pi) for _, offset, _ in terms]
+    assert max(rates) - min(rates) + 1 == 103
 
 
 def test_stack_hashes_no_enum_member(monkeypatch):
@@ -770,10 +776,11 @@ def test_stack_hashes_no_enum_member(monkeypatch):
         callers.append(frame is not None)
         return plain(member)
 
-    axis.axis_table(np.geomspace(0.05, 20.0, 400))
+    rows, t = [axis.K_PLUS, axis.K_MINUS], np.geomspace(0.05, 20.0, 400)
+    axis.kernels(rows, t)
     monkeypatch.setattr(Enum, "__hash__", counting)
     hash(Nome.Q2)
     assert callers == [False]
-    axis.axis_table(np.geomspace(0.05, 20.0, 400))
+    axis.kernels(rows, t)
     eval_stack(_stack_series(), _STACK_POINTS["off axis"][0])
     assert True not in callers
