@@ -7,9 +7,9 @@ evaluation of such rows over a flat array of t, for the sweep's [0, 1]
 nodes and for the verdicts here alike.  Where t < 1 it is one stacked
 series evaluation of phi0 and psi_s at i/t (Im > 1), and the one realness
 check: on the axis every nome is real, so a series value with a nonzero
-imaginary part raises NonRealValue.  Where t >= 1 it sums the row's terms
-c t^m e^{-pi j t}, the terms the sweep's moments integrate, in which the
-e^{2 pi t} parts of K- cancel exactly (``_moment_terms``, ``_combine``).
+imaginary part raises NonRealValue.  Where t >= 1 it sums ``_upper_table``,
+the rows' one expansion there, whose terms c t^m e^{-pi j t} the sweep
+integrates too, and in which the e^{2 pi t} parts of K- cancel exactly.
 
 ``eq2_samples``/``verify_inequalities`` probe phi0 +- W psi_s in two
 conventions, each four rows of the entry:
@@ -47,7 +47,7 @@ from .forms import (
     phi0_qseries,
     psi_i_qseries,
 )
-from .qseries import _TERM_CUT, eval_stack
+from .qseries import eval_stack, top_cut
 
 PI = math.pi
 
@@ -100,24 +100,17 @@ def _combine(fa: float, terms_a, fb: float, terms_b) -> tuple[tuple[int, float, 
     return tuple((m, offset, c) for (m, offset), c in merged.items() if c != 0.0)
 
 
-def _kept(size: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Along the last axis, the fewest leading terms n whose omitted bounds
-    bound[n:] sum to at most _TERM_CUT times the largest kept size[:n]."""
-    tail = np.cumsum(bound[..., ::-1], axis=-1)[..., ::-1]
-    dropped = np.concatenate([tail[..., 1:], np.zeros_like(tail[..., :1])], axis=-1)
-    return np.argmax(dropped <= _TERM_CUT * np.maximum.accumulate(size, axis=-1), axis=-1) + 1
-
-
 @lru_cache(maxsize=8)
 def _upper_table(rows: tuple[tuple[float, float], ...]) -> tuple[np.ndarray, int]:
-    """A (width, 3 len(rows), 1) table and the lowest rate index j0: row
-    (fa, fb) is q^j0 sum_m t^m P_m(q) in q = e^{-pi t}, where P_m's
-    coefficient of q^(j - j0) is c of the row's ``_combine`` term
-    c t^m e^{-pi j t}.  Each P_m keeps the fewest coefficients whose dropped
-    terms sum at t = 1 to at most _TERM_CUT of its largest kept one
-    (``_kept``); against that one they only shrink as q falls, so the cut
-    holds at every t >= 1.  Shorter P_m are padded with zeros at the top.
-    The table is read-only.
+    """The rows' one expansion on [1, inf): a read-only (width, 3 len(rows), 1)
+    table and the lowest rate index j0.  Row i, (fa, fb), is
+    q^j0 sum_m t^m P_m(q) in q = e^{-pi t}, where P_m's coefficient of
+    q^(j - j0), at [j - j0, 3 i + m], is c of the row's ``_combine`` term
+    c t^m e^{-pi j t}.  Each P_m needs the fewest coefficients whose dropped
+    terms sum at t = 1 to at most 2^-60 of its leading one; the table keeps
+    the widest P_m's count for all.  ``qseries.top_cut`` is that cut and its
+    proof, for every t >= 1 and for the moments that ``magic`` reads off the
+    columns j >= 1.
     """
     phi, psi = _moment_terms(FormId.PHI0), _moment_terms(FormId.PSI_S)
     terms = [(i, m, round(offset / PI), c) for i, (fa, fb) in enumerate(rows)
@@ -128,8 +121,7 @@ def _upper_table(rows: tuple[tuple[float, float], ...]) -> tuple[np.ndarray, int
         poly[i, m, j - low] = c
     poly = poly.reshape(3 * len(rows), -1)
     size = np.abs(poly) * np.exp(-PI * np.arange(poly.shape[1]))
-    width = int(_kept(size, size).max())
-    table = poly[:, :width].T[:, :, None]
+    table = poly[:, :max(map(top_cut, size.tolist()))].T[:, :, None]
     table.flags.writeable = False
     return table, low
 

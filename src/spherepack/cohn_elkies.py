@@ -44,12 +44,10 @@ def rescaled_bound(g0: float, ghat0: float) -> float:
     """Bound from a certificate at separation sqrt(2) in dimension 8.
 
     f(x) = g(sqrt(2) x) has f(0) = g(0) and f_hat(0) = 2^-4 g_hat(0), so
-    the bound is (g0 sqrt(2)^8 / ghat0) * Vol(B_8(0, 1/2)) =
-    (g0/ghat0) * pi^4/384.
+    the bound is ``ce_bound`` of those, (g0/ghat0) * pi^4/384.  The division
+    by 16 is exact, where sqrt(2)**8 is 16 plus 2 ulps.
     """
-    if ghat0 <= 0:
-        raise NonpositiveFhat0(f"ghat(0) must be positive, got {ghat0}")
-    return (g0 * SQRT2 ** 8 / ghat0) * ball_volume(8, 0.5)
+    return ce_bound(g0, ghat0 / 16.0, 8)
 
 
 def default_ce_grid() -> tuple[float, ...]:

@@ -26,7 +26,8 @@ and basis built once per upper limit, coefficients once per table); with
 the theta and Eisenstein conventions used here, g(0) = g_hat(0) = 1.
 
 Each profile is thus scale * sin^2 L[fa Kphi + fb Kpsi], one row of ``_PROFILES``;
-the rows, their values (``axis.kernels``) and their terms on [1, inf) are ``axis``'s.
+the rows, their values (``axis.kernels``) and their one expansion on [1, inf)
+(``axis._upper_table``) are ``axis``'s.
 
 Quadrature: Gauss panels on [0, 1], where the node values at i/t need the
 series at Im >= 1 only, and on [1, inf) exact exponential moments of the
@@ -34,8 +35,8 @@ kernel's q-expansion.  The panels are equal and share
 their nodes up to a shift, so a radius costs one exponential per panel
 and one per node of a panel, for all kernels of a sweep together, not one
 per node, and one reciprocal per distinct moment rate (``_Moments``).
-Only the decaying moment terms a double can hold are summed: the dropped
-tail is at most 2^-60 of the largest kept term at every s (``_cut_tail``).
+The moments are the table's columns, cut once for its every reader by
+``qseries.top_cut``, which bounds the dropped moments at every s >= 0.
 Kphi, Kpsi and K+ grow like e^{2 pi t}, K- like t, so the integrals
 converge only for s > 2 respectively s > 0.  Below s = 2 +
 _SUBTRACT_MARGIN the growing terms (rate offset <= 0) are subtracted on
@@ -63,7 +64,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .axis import K_MINUS, K_PLUS, KPHI, KPSI, _combine, _kept, _moment_terms, kernels
+from .axis import K_MINUS, K_PLUS, KPHI, KPSI, _upper_table, kernels
 from .errors import InsufficientTable, TailBoundViolated
 from .forms import FormId, form_qseries
 from .lattice import Scratch
@@ -80,7 +81,7 @@ _G_SCALE = PI / 2160.0
 #: plain integral converges and subtracting would only cost accuracy
 _SUBTRACT_MARGIN = 1.0
 #: radii per block of a Laplace sweep.  A block's work arrays hold at most
-#: P + Q + 2P + T + T1 = 8 + 32 + 16 + 24 + 12 = 92 float64 per radius in
+#: P + Q + 2P + T + T1 = 8 + 32 + 16 + 23 + 11 = 90 float64 per radius in
 #: ``_SCRATCH`` (P, not 2P, on a block wholly on one side of the switch), and
 #: its [1; pi s] and e^{-pi s} 3 more, so 1,024 radii take at most 0.75 MiB
 #: of a 2 MiB L2; smaller blocks pay numpy's per-call overhead on every few
@@ -109,14 +110,14 @@ class _Moments:
     """Int_1^inf sum_T c_T t^m_T e^{-offset_T t} e^{-pi s t} dt, exact for m <= 2:
     e^{-pi s} sum_T c_T e^{-offset_T} (x + m x^2 + m(m-1) x^3), x = 1/(offset_T + pi s).
 
-    One row per distinct rate offset, so one reciprocal per rate: the terms
-    that share an offset are merged, their c e^{-offset}, m c e^{-offset}
-    and m(m-1) c e^{-offset} summed into k, k2 and k3.  The rows with a k3
-    are held first, then those with a k2, so x^2 is formed over the T1 rows
-    with either and x^3 over the T2 with a k3.  All offset + pi s are one
-    product of ``rate`` = [offset, 1] with [1; pi s], whose two products
-    are exact: in any order, FMA or not, it is the broadcast add bit for
-    bit, rounded once."""
+    One row per rate offset pi j, a column of ``axis._upper_table``, so one
+    reciprocal per rate: the column's c e^{-offset}, m c e^{-offset} and
+    m(m-1) c e^{-offset} summed, from m = 2 down, into k, k2 and k3.  The
+    rows with a k3 are held first, then those with a k2, so x^2 is formed
+    over the T1 rows with either and x^3 over the T2 with a k3.  All
+    offset + pi s are one product of ``rate`` = [offset, 1] with [1; pi s],
+    whose two products are exact: in any order, FMA or not, it is the
+    broadcast add bit for bit, rounded once."""
 
     offset: np.ndarray     # (T, 1)
     rate: np.ndarray       # (T, 2): [offset, 1]
@@ -125,10 +126,12 @@ class _Moments:
     k3: np.ndarray         # (T2,): of x^3, over the first T2 rows
 
     @classmethod
-    def of(cls, order, offset, coeff) -> _Moments:
-        scaled = coeff * np.exp(-offset)
-        rates, row = np.unique(offset, return_inverse=True)
-        sums = np.array([np.bincount(row, f * scaled) for f in (1.0, order, order * (order - 1.0))])
+    def of(cls, j, upper) -> _Moments:
+        """The moments of sum_m upper[m] t^m e^{-pi j t}, a row per column with a term."""
+        held = upper.any(axis=0)
+        rates = PI * j[held]
+        c0, c1, c2 = upper[:, held] * np.exp(-rates)
+        sums = np.array([c2 + c1 + c0, 2.0 * c2 + c1, 2.0 * c2])
         by = np.lexsort(sums[1:] == 0.0)    # the rows with a k3 first, then those with a k2
         rates, (k, k2, k3) = rates[by], sums[:, by]
         return cls(rates[:, None], np.stack([rates, np.ones_like(rates)], axis=1), k,
@@ -165,29 +168,6 @@ def _panel_split(nodes: np.ndarray, panels: int) -> tuple[np.ndarray, np.ndarray
     return lo, base
 
 
-def _cut_tail(order, offset, coeff):
-    """The decaying terms sorted by offset, less their longest high-offset
-    tail whose summed bound |c| e^{-o} (1 + m + m(m-1)) is at most 2^-60
-    times the largest kept |c| e^{-o} (``axis._kept``).
-
-    The cut holds at every s >= 0.  A term's moment is
-    c e^{-o} e^{-pi s} (x + m x^2 + m(m-1) x^3) with x = 1/(o + pi s), and
-    every decaying offset is at least pi, so x <= 1/pi < 1 and the moment is
-    at most |c| e^{-o} (1 + m + m(m-1)) e^{-pi s} x in size.  x falls as o
-    grows, so every omitted term's x is at most that of the largest kept
-    term, whose moment is at least |c| e^{-o} e^{-pi s} x in size (its three
-    parts share a sign).  The omitted sum is thus at most 2^-60 of
-    the largest kept moment, below the rounding of the kept sum.
-    """
-    if offset.min() < PI:
-        raise RuntimeError("a decaying moment term with offset below pi")
-    by = np.argsort(offset, kind="stable")
-    order, offset, coeff = order[by], offset[by], coeff[by]
-    size = np.abs(coeff) * np.exp(-offset)
-    n = int(_kept(size, size * (1.0 + order + order * (order - 1.0))))
-    return order[:n], offset[:n], coeff[:n]
-
-
 @dataclass(frozen=True)
 class _Kernel:
     """One real axis kernel K on the Laplace rule.
@@ -195,11 +175,11 @@ class _Kernel:
     The [0, 1] rule is P equal panels of Q nodes each, t_pk = p/P + t_0k
     (``_panel_split``).  ``weights`` is (2P, Q): row p holds the Gauss
     weights times K at panel p's nodes, row P + p the same for K minus its
-    growing terms.  On [1, inf) K is a sum of terms c t^m e^{-offset t}:
-    ``decaying`` has those with offset > 0, less the tail that
-    ``_cut_tail`` proves negligible, ``growing`` the others, both one row
-    per rate.  ``shift``, ``order`` and ``coeff`` hold the growing terms one
-    by one for their closed forms, each e^{pi j t} with j = ``shift``.
+    growing terms.  On [1, inf) K is its slab of ``axis._upper_table``, the
+    terms c t^m e^{-pi j t}: ``decaying`` has the columns j >= 1, ``growing``
+    the others, both one row per rate.  ``shift``, ``order`` and ``coeff``
+    hold the growing terms one by one for their closed forms, each
+    e^{pi shift t} with shift = -j, by falling m and then rising j.
     """
 
     weights: np.ndarray     # (2P, Q)
@@ -210,20 +190,22 @@ class _Kernel:
     coeff: np.ndarray      # (G,)
 
     @classmethod
-    def build(cls, nodes, weights, values, terms, panels) -> _Kernel:
-        order, offset, coeff = (np.array(col, dtype=float) for col in zip(*terms))
-        up = offset <= 0.0
-        shift = np.round(-offset[up] / PI)
+    def build(cls, nodes, weights, values, upper, low, panels) -> _Kernel:
+        """From K's values at the [0, 1] nodes and its (3, width) slab of
+        ``axis._upper_table``, whose column 0 is the rate j = low."""
+        j = np.arange(low, low + upper.shape[1], dtype=float)
+        up = j <= 0.0
+        falling, col = np.nonzero(upper[::-1, up])
+        order, shift = 2.0 - falling, -j[col]
+        coeff = upper[2 - falling, col]
         # the closed forms need even shifts (sin^2(pi s/2) has period 2 in s),
         # at most 2 (so the plain integral converges above the switch), and m <= 1
-        if order.max() > 2 or np.any(shift % 2) or np.any(shift > 2) or np.any(order[up] > 1):
+        if np.any(shift % 2) or np.any(shift > 2) or np.any(order > 1):
             raise RuntimeError("unexpected growing term in an axis kernel")
-        grow = coeff[up] @ (nodes ** order[up, None] * np.exp(-offset[up, None] * nodes))
+        grow = coeff @ (nodes ** order[:, None] * np.exp(-PI * j[col, None] * nodes))
         by_panel = np.concatenate([weights * values, weights * (values - grow)])
-        return cls(by_panel.reshape(2 * panels, -1),
-                   _Moments.of(*_cut_tail(order[~up], offset[~up], coeff[~up])),
-                   _Moments.of(order[up], offset[up], coeff[up]),
-                   shift[:, None], order[up, None], coeff[up])
+        return cls(by_panel.reshape(2 * panels, -1), _Moments.of(j[~up], upper[:, ~up]),
+                   _Moments.of(j[up], upper[:, up]), shift[:, None], order[:, None], coeff)
 
     def sin2_laplace(self, s, sine, low, e1, e2, pi_s, decay) -> np.ndarray:
         """sin^2(pi s/2) L[K](s) at each s = r^2 >= 0 of one block, from its
@@ -344,14 +326,15 @@ class MagicEvaluator:
         self.quad = quad
         panels = self.quad.panels_per_segment
         t, w = panel_nodes(0.0, 1.0, panels, self.quad.gauss_order)
-        values = kernels([profile[:2] for profile in _PROFILES.values()], t)
-        phi, psi = _moment_terms(FormId.PHI0), _moment_terms(FormId.PSI_S)
+        rows = tuple(profile[:2] for profile in _PROFILES.values())
+        table, low = _upper_table(rows)
+        slabs = table[:, :, 0].T.reshape(len(rows), 3, -1)
         # a's and b's tables share one array of nodes
         self._nodes_a = self._nodes_b = t
         lo, base = _panel_split(t, panels)
         self._rule = -PI * lo, -PI * base
-        self._kernels = {kind: _Kernel.build(t, w, row, _combine(fa, phi, fb, psi), panels)
-                         for (kind, (fa, fb, _)), row in zip(_PROFILES.items(), values)}
+        self._kernels = {kind: _Kernel.build(t, w, values, upper, low, panels)
+                         for kind, values, upper in zip(_PROFILES, kernels(rows, t), slabs)}
 
     def values(self, kinds: Sequence[RadialKind], radii) -> np.ndarray:
         """(k, n): each of the k profiles at each of the n radii, from one sweep."""
@@ -397,9 +380,8 @@ def default_evaluator(quad: QuadratureConfig) -> MagicEvaluator:
 
     Building the Laplace tables costs one stacked series evaluation of both
     forms on the [0, 1] nodes, the check that those nodes split into panel ends
-    plus the first panel's nodes, and the four kernels' moment terms, cut
-    to their proven-negligible tail: a few milliseconds once the exact
-    series are cached.
+    plus the first panel's nodes, and the four rows' one table on [1, inf):
+    a few milliseconds once the exact series are cached.
     """
     return MagicEvaluator(quad)
 

@@ -322,10 +322,10 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
     The hit test decodes E8, the lattice of every ``PeriodicPackingSpec``.
     A radius outside (0, DECODE_LIMIT), the decoder's limit on the
     coordinates, more than 2^60 samples, where the lane counters wrap, and
-    more than 64 workers (``_MAX_THREADS``) are a ValueError, raised before
-    any worker process is forked.  Each block is sampled and hit-tested
-    CHUNK columns at a time, in buffers that each worker reuses for every
-    block it takes.
+    threads outside [0, 64] (``_MAX_THREADS``) are a ValueError, raised
+    before any worker process is forked.  Each block is sampled and
+    hit-tested CHUNK columns at a time, in buffers that each worker reuses
+    for every block it takes.
 
     The hit test is a filtered predicate.  Its screen draws every sample
     in float32 (``_sample_chunk``): within (2 sqrt(2) eps + K 2^-24) R of
@@ -369,8 +369,8 @@ def finite_density_mc(spec: PeriodicPackingSpec, radius: float, samples: int,
         raise ValueError(f"radius must be positive and below 2^50, got {radius}")
     if not 1 <= samples <= _MAX_SAMPLES:
         raise ValueError(f"samples must be between 1 and 2^60, got {samples}")
-    if threads > _MAX_THREADS:
-        raise ValueError(f"threads must be at most {_MAX_THREADS}, got {threads}")
+    if not 0 <= threads <= _MAX_THREADS:
+        raise ValueError(f"threads must be between 0 and {_MAX_THREADS}, got {threads}")
     key = _stream_key(seed)
     rho = spec.separation / 2.0
     delta = (2.0 * math.sqrt(2.0) * _TRIG32_ERROR * radius + _ROUNDING32 * radius

@@ -18,7 +18,7 @@ discriminant/eta-product match) are decided by integer arithmetic, and
 floating point enters only in evaluation, at Im(tau) >= ``ETA_MIN``:
 :meth:`QSeries.eval` at a number or an array, and :func:`eval_stack`, which
 evaluates several series at one array of points in one Horner loop and is
-the array case of ``eval``.  Both stop at a proven top cut (``_top``),
+the array case of ``eval``.  Both stop at a proven top cut (``top_cut``),
 beside the ``tail_estimate`` estimate of the terms above ``order``.
 Every ring operation runs on Python ints;
 ``Fraction`` appears only where coefficients enter (the constructor,
@@ -62,7 +62,7 @@ DEFAULT_ORDER_Q2 = 50
 #: sub-exponential coefficient growth of the theta quotients.
 DEFAULT_ORDER_Q4 = 256
 
-#: ``QSeries._top``'s cut, as the moment terms' (``axis._kept``): of the leading term
+#: ``top_cut``'s bound on the dropped terms, as a fraction of the leading one
 _TERM_CUT = 2.0 ** -60
 
 #: Points per block of ``eval_stack``: with seven complex rows, its
@@ -303,23 +303,17 @@ class QSeries:
         return self._float_cache
 
     def _top(self, abs_max) -> int:
-        """Stride-th coefficients kept at largest |nome| abs_max: the fewest
-        whose dropped terms sum |c_j| r**(stride j), at the rung
-        r = 2**(k/4) >= abs_max, to at most ``_TERM_CUT`` of the leading one.
-        That ratio grows with |nome|, so the cut holds at every point, below
-        2**-7 of one rounding of the leading term.  One int is kept per rung."""
+        """Stride-th coefficients kept at largest |nome| abs_max: ``top_cut``
+        of their sizes |c_j| r**(stride j) at the rung r = 2**(k/4) >= abs_max,
+        so the cut holds at every point.  One int is kept per rung."""
         floats, _, step = self._numeric()
         strided = floats[::step]
         if not abs_max < 1.0:  # NaN
             return len(strided)
         k = math.ceil(4 * math.log2(max(abs_max, 1e-300)))
         if k not in self._tops:
-            size = [abs(c) * 2.0 ** (k * step * j / 4) for j, c in enumerate(strided)]
-            keep, dropped = len(size), 0.0
-            while keep > 1 and dropped + size[keep - 1] <= _TERM_CUT * size[0]:
-                keep -= 1
-                dropped += size[keep]
-            self._tops[k] = keep
+            self._tops[k] = top_cut([abs(c) * 2.0 ** (k * step * j / 4)
+                                     for j, c in enumerate(strided)])
         return self._tops[k]
 
     def tail_estimate(self, abs_nome: float) -> float:
@@ -460,6 +454,35 @@ def eval_stack(series: Sequence[QSeries], tau):
                 power = lows[name, s.lowest]
                 acc[i] *= power.real if real else power
     return out.reshape((len(series),) + tau.shape)
+
+
+def top_cut(size: Sequence[float]) -> int:
+    """The fewest leading terms n whose dropped sizes size[n:] sum to at most
+    ``_TERM_CUT`` of the leading size, the first nonzero one.
+
+    One proof serves the three readers.  Each passes size_j = |c_j| r**j of
+    a polynomial sum_j c_j y**j read at 0 <= y <= r, whose leading term is
+    c_l y**l.  The dropped terms over it, sum_{j>=n} |c_j / c_l| y**(j - l),
+    only shrink as y falls, so the cut holds at every such y, below 2**-7
+    of one rounding of the leading term.
+
+    * ``QSeries._top``: y = |nome|**stride, up to the rung r.
+    * ``axis._upper_table``: each P_m(q) of a row q**low sum_m t**m P_m(q),
+      at q = e^{-pi t} up to r = e^{-pi}: every t >= 1.
+    * The moments on [1, inf) that ``magic`` reads off that table, at every
+      s >= 0.  A dropped term c t**m e^{-pi j t} integrates against
+      e^{-pi s t} to c e^{-pi j} e^{-pi s} (x + m x**2 + m(m-1) x**3) with
+      x = 1/(pi (j + s)) <= 1/pi, which falls as j grows.  So the dropped
+      moments of P_m are at most (1 + m + m(m-1)) ``_TERM_CUT`` of the
+      leading term's size at t = 1, |c| e^{-pi j}, times e^{-pi s} x at the
+      first dropped j: of its own moment where it decays (j >= 1).
+    """
+    lead = next((x for x in size if x), 0.0)
+    keep, dropped = len(size), 0.0
+    while keep > 1 and dropped + size[keep - 1] <= _TERM_CUT * lead:
+        keep -= 1
+        dropped += size[keep]
+    return keep
 
 
 def stride_power(w, k: int):

@@ -19,7 +19,9 @@ MAX_QUADRATURE_SIZE = 256
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Gauss nodes per panel and panels per segment of the contour integrals."""
+    """Gauss nodes per panel and panels per segment: of the contour oracle's
+    legs and ray, and of the Laplace rule on [0, 1], which is
+    ``panel_nodes(0, 1, panels_per_segment, gauss_order)``."""
 
     gauss_order: int = 32
     panels_per_segment: int = 8

@@ -195,8 +195,9 @@ def test_sweighted_combinations_are_the_g_and_g_hat_kernels():
 
 
 def test_evaluator_reads_the_entry_bit_for_bit(monkeypatch):
-    # the evaluator's [0, 1] node values are the entry's rows, and the terms
-    # it integrates on [1, inf) are the lists the entry's t >= 1 Horner reads
+    # the evaluator's [0, 1] node values are the entry's rows, and the
+    # expansion it integrates on [1, inf) is each row's slab of the table that
+    # the entry's t >= 1 Horner reads
     from spherepack import magic
     built = []
     build = magic._Kernel.build.__func__
@@ -206,16 +207,38 @@ def test_evaluator_reads_the_entry_bit_for_bit(monkeypatch):
     magic.MagicEvaluator(quad)
     rows = [profile[:2] for profile in magic._PROFILES.values()]
     t, _ = panel_nodes(0.0, 1.0, quad.panels_per_segment, quad.gauss_order)
-    read = []
-    combine = axis._combine
-    monkeypatch.setattr(axis, "_combine", lambda *args: read.append(combine(*args)) or read[-1])
-    axis._upper_table.__wrapped__(tuple(rows))
-    assert len(built) == len(read) == len(rows)
-    for (nodes, _, values, terms, _), row, want, got in zip(built, rows, axis.kernels(rows, t),
-                                                            read):
+    table, low = axis._upper_table(tuple(rows))
+    assert len(built) == len(rows)
+    for i, ((nodes, _, values, upper, j0, _), row, want) in enumerate(
+            zip(built, rows, axis.kernels(rows, t))):
         assert np.array_equal(nodes, t)
         assert values.tobytes() == want.tobytes(), row
-        assert terms == got, row
+        assert j0 == low and upper.tobytes() == table[:, 3 * i:3 * i + 3, 0].T.tobytes(), row
+
+
+def test_one_cut_reaches_the_sweep_and_the_entry(monkeypatch):
+    # the one top cut sizes the table that both the sweep's terms on [1, inf)
+    # and the entry's t >= 1 values read, so one patch of it moves both; the
+    # patch keeps four coefficients fewer, since one or two fewer stay below a
+    # rounding almost everywhere, as the cut is meant to
+    from spherepack import magic
+    radii, t = np.linspace(0.0, 6.0, 3001), np.linspace(1.0, 3.0, 2001)
+
+    def both():
+        axis._upper_table.cache_clear()
+        ev = magic.MagicEvaluator(QuadratureConfig())
+        return ev.values((magic.RadialKind.G,), radii)[0], axis.kernels((axis.K_PLUS,), t)[0]
+
+    g, k = both()
+    cut = axis.top_cut
+    monkeypatch.setattr(axis, "top_cut", lambda size: cut(size) - 4)
+    try:
+        cut_g, cut_k = both()
+    finally:
+        monkeypatch.undo()
+        axis._upper_table.cache_clear()
+    assert not np.array_equal(cut_g, g) and not np.array_equal(cut_k, k)
+    assert np.array_equal(both()[1], k)
 
 
 def test_flipped_psi_moment_terms_fail_the_sweighted_verdict(monkeypatch):

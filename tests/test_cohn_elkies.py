@@ -41,7 +41,7 @@ def test_ce_bound_rejects_nonpositive():
 
 
 def test_rescaled_bound_reductions():
-    assert rescaled_bound(1.0, 1.0) == pytest.approx(E8_DENSITY, rel=1e-15)
+    assert rescaled_bound(1.0, 1.0) == E8_DENSITY
     # near-linearity in the ratio
     assert rescaled_bound(1.0 + 1e-6, 1.0) - E8_DENSITY == pytest.approx(
         1e-6 * E8_DENSITY, rel=1e-6)

@@ -370,9 +370,28 @@ def test_sweep_matches_the_direct_rule(ev):
         assert np.all(np.abs(got - v)[far] <= 1e-13 * np.abs(v[far])), name
 
 
+#: the moments' s: 0 and 200 log-spaced points over [1e-3, 1e6]
+_MOMENT_S = np.concatenate([[0.0], np.logspace(-3.0, 6.0, 200)])
+
+
+def _profile_table():
+    """The profiles' one table on [1, inf), as (rows, 3, width) slabs, and its lowest rate index."""
+    table, low = axis._upper_table(tuple(profile[:2] for profile in magic._PROFILES.values()))
+    return table[:, :, 0].T.reshape(len(magic._PROFILES), 3, -1), low
+
+
+def _moment_sizes(order, offset, coeff, s):
+    """|each term's moment on [1, inf)| at each s, less the common factor e^{-pi s}."""
+    x = 1.0 / np.add.outer(offset, PI * s)
+    m = order[:, None]
+    return (np.abs(coeff) * np.exp(-offset))[:, None] * (x + m * x ** 2 + m * (m - 1.0) * x ** 3)
+
+
 @pytest.mark.parametrize("quad", QUADS, ids=["default", "48x12"])
 def test_moment_cut_omits_a_proven_negligible_tail(quad):
     ev = MagicEvaluator(quad)
+    slabs, low = _profile_table()
+    top = low + slabs.shape[2] - 1
     for name, (_, terms) in _kernel_inputs(quad)[2].items():
         order, offset, coeff = (np.array(col, dtype=float) for col in zip(*terms))
         decaying = offset > 0.0
@@ -380,8 +399,8 @@ def test_moment_cut_omits_a_proven_negligible_tail(quad):
         order, offset, coeff = order[decaying][by], offset[decaying][by], coeff[decaying][by]
         kept = ev._kernels[name].decaying
         rates = kept.offset.ravel()
-        # the cut may split the terms of its last offset, so n counts terms, not rows
-        n = magic._cut_tail(order, offset, coeff)[0].size
+        # the table keeps whole rates, its columns j <= top, so n counts terms, not rows
+        n = np.count_nonzero(np.round(offset / PI) <= top)
         # the kept terms are the low-offset head of the sorted terms, held as
         # one row per distinct offset whose coefficients are its terms' sums,
         # within one rounding per term; the rows with an x^3 coefficient come
@@ -397,21 +416,58 @@ def test_moment_cut_omits_a_proven_negligible_tail(quad):
                 slack = terms.size * 2.0 ** -53 * np.abs(terms).sum()
                 assert abs(value - math.fsum(terms)) <= slack, name
         assert np.all(kept.k3 != 0.0) and np.all((kept.k2 != 0.0) | (held[2][:t1] != 0.0)), name
-        assert n < offset.size and offset[n:].min() >= offset[:n].max(), name
-        size = np.abs(coeff) * np.exp(-offset)
-        bound = size * (1.0 + order + order * (order - 1.0))
-        assert bound[n:].sum() <= 2.0 ** -60 * size[:n].max(), name
-        # and the omitted tail is the longest one within the bound
-        assert bound[n - 1:].sum() > 2.0 ** -60 * size[:n - 1].max(), name
+        assert n < offset.size and offset[n:].min() > offset[:n].max(), name
+        # at every s the omitted moments sum to at most 2^-60 of the largest kept one
+        size = _moment_sizes(order, offset, coeff, _MOMENT_S)
+        assert np.all(size[n:].sum(axis=0) <= 2.0 ** -60 * size[:n].max(axis=0)), name
+    # and the omitted tail is the longest one within the cut: dropping the
+    # table's top rate too puts some polynomial's dropped terms at t = 1
+    # above 2^-60 of its leading one
+    widths = []
+    for name, (_, terms) in _kernel_inputs(quad)[2].items():
+        for m in range(3):
+            pairs = sorted((round(o / PI), c) for k, o, c in terms if k == m)
+            if pairs:
+                j, c = (np.array(col, dtype=float) for col in zip(*pairs))
+                size = np.abs(c) * np.exp(-PI * j)
+                assert size[j > top].sum() <= 2.0 ** -60 * size[0], (name, m)
+                widths.append(size[j >= top].sum() > 2.0 ** -60 * size[0])
+    assert any(widths)
+
+
+def test_dropped_moments_meet_the_cut_proof():
+    # qseries.top_cut's moment reader: at every s the dropped moments of each
+    # polynomial P_m of a profile's table are at most (1 + m + m(m - 1)) 2^-60
+    # of its leading term's size at t = 1, |c| e^{-pi j}, times e^{-pi s} x,
+    # x = 1/(pi (j + s)) at the first dropped j (e^{-pi s} taken out on both sides)
+    slabs, low = _profile_table()
+    first = low + slabs.shape[2]
+    for name, (_, terms) in _kernel_inputs(QuadratureConfig())[2].items():
+        for m in range(3):
+            pairs = sorted((o, c) for k, o, c in terms if k == m)
+            if not pairs:
+                continue
+            offset, coeff = (np.array(col, dtype=float) for col in zip(*pairs))
+            dropped = np.round(offset / PI) >= first
+            assert dropped.any() and not dropped[0], (name, m)
+            size = _moment_sizes(np.full(dropped.sum(), float(m)), offset[dropped], coeff[dropped],
+                                 _MOMENT_S).sum(axis=0)
+            lead = abs(coeff[0]) * np.exp(-offset[0]) / (PI * (first + _MOMENT_S))
+            assert np.all(size <= (1 + m + m * (m - 1)) * 2.0 ** -60 * lead), (name, m)
 
 
 def test_moments_hold_one_row_per_rate(ev):
-    # (x, x^2, x^3) rows of the decaying moments: K+- merge their phi0 and
+    # (x, x^2, x^3) rows of the decaying moments, one per column j >= 1 of the
+    # table that holds a term (it keeps j <= 23): K+- merge their phi0 and
     # psi_i terms at the even rates, Kphi its three orders at each rate
     rows = {kind: (k.decaying.offset.shape[0], k.decaying.k2.size, k.decaying.k3.size)
             for kind, k in ev._kernels.items()}
-    assert rows == {RadialKind.A: (12, 12, 12), RadialKind.B: (23, 0, 0),
-                    RadialKind.G: (24, 12, 12), RadialKind.GHAT: (24, 12, 12)}
+    assert rows == {RadialKind.A: (11, 11, 11), RadialKind.B: (23, 0, 0),
+                    RadialKind.G: (23, 11, 11), RadialKind.GHAT: (23, 11, 11)}
+    slabs, low = _profile_table()
+    assert low + slabs.shape[2] - 1 == 23
+    for kind, slab in zip(magic._PROFILES, slabs):
+        assert rows[kind][0] == np.count_nonzero(slab[:, 1 - low:].any(axis=0)), kind
 
 
 @pytest.mark.parametrize("quad", QUADS, ids=["default", "48x12"])
@@ -1005,14 +1061,9 @@ def test_kernel_weights_match_two_single_series_evaluations():
     t, w = panel_nodes(0.0, 1.0, panels, quad.gauss_order)
     kphi = (t * t) * form_qseries(FormId.PHI0).eval(1j / t).real
     kpsi = (t * t) * form_qseries(FormId.PSI_S).eval(1j / t).real
-    phi, psi = axis._moment_terms(FormId.PHI0), axis._moment_terms(FormId.PSI_S)
-    want = {
-        RadialKind.A: magic._Kernel.build(t, w, kphi, phi, panels),
-        RadialKind.B: magic._Kernel.build(t, w, kpsi, psi, panels),
-        RadialKind.G: magic._Kernel.build(t, w, kphi - WEIGHT36 * kpsi,
-                                          axis._combine(1.0, phi, -WEIGHT36, psi), panels),
-        RadialKind.GHAT: magic._Kernel.build(t, w, -kphi - WEIGHT36 * kpsi,
-                                             axis._combine(-1.0, phi, -WEIGHT36, psi), panels),
-    }
+    slabs, low = _profile_table()
+    values = (kphi, kpsi, kphi - WEIGHT36 * kpsi, -kphi - WEIGHT36 * kpsi)
+    want = {kind: magic._Kernel.build(t, w, v, slab, low, panels)
+            for kind, v, slab in zip(magic._PROFILES, values, slabs)}
     for name, kernel in want.items():
         assert np.array_equal(ev._kernels[name].weights, kernel.weights), name

@@ -434,9 +434,10 @@ def test_a_failing_worker_is_an_error_and_leaves_no_child(monkeypatch):
     _no_child_left()
 
 
-@pytest.mark.parametrize("bad", [dict(threads=65), dict(radius=math.nan), dict(radius=0.0),
-                                 dict(samples=0), dict(samples=2 ** 60 + 1)],
-                         ids=["threads", "nan-radius", "zero-radius", "no-samples", "too-many"])
+@pytest.mark.parametrize("bad", [dict(threads=65), dict(threads=-3), dict(radius=math.nan),
+                                 dict(radius=0.0), dict(samples=0), dict(samples=2 ** 60 + 1)],
+                         ids=["threads", "negative-threads", "nan-radius", "zero-radius",
+                              "no-samples", "too-many"])
 def test_refusals_come_before_any_fork(monkeypatch, bad):
     def no_fork():
         raise AssertionError("forked before refusing")

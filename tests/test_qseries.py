@@ -19,7 +19,7 @@ from spherepack.forms import (
     psi_i_qseries,
 )
 from spherepack.qseries import (_STACK_BLOCK, ETA_MIN, Nome, QSeries, eval_stack,
-                                from_coefficients, one_series, stride_power)
+                                from_coefficients, one_series, stride_power, top_cut)
 
 
 def geometric(order):
@@ -720,6 +720,14 @@ def test_cut_keeps_every_coefficient_of_the_widest_series_at_eta_min():
     for s in (psi_i_qseries(), _b_minus_psi_i_q4(), _b_plus_psi_i_q4()):
         floats, _, step = s._numeric()
         assert s._top(abs(s.nome.value_at(1j * ETA_MIN))) == len(floats[::step])
+
+
+def test_top_cut_measures_from_the_first_nonzero_term():
+    # a table polynomial may start with zeros: its leading term is the first nonzero one
+    assert top_cut([0.0, 0.0, 1.0, 2.0 ** -61, 2.0 ** -62]) == 3
+    assert top_cut([1.0, 2.0 ** -59]) == 2
+    assert top_cut([1.0, 2.0 ** -61, 2.0 ** -61]) == 1
+    assert top_cut([0.0, 0.0]) == 1
 
 
 def test_cut_is_memoised_per_rung():
