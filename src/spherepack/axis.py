@@ -10,6 +10,7 @@ check: on the axis every nome is real, so a series value with a nonzero
 imaginary part raises NonRealValue.  Where t >= 1 it sums ``_upper_table``,
 the rows' one expansion there, whose terms c t^m e^{-pi j t} the sweep
 integrates too, and in which the e^{2 pi t} parts of K- cancel exactly.
+One builder adds it up from ``_PARTS``, the inversion laws' parts.
 
 ``eq2_samples``/``verify_inequalities`` probe phi0 +- W psi_s in two
 conventions, each four rows of the entry:
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -64,66 +66,51 @@ K_PLUS, K_MINUS = (1.0, -WEIGHT36), (-1.0, -WEIGHT36)
 # the kernels' expansion on [1, inf)
 # ---------------------------------------------------------------------------
 
-def _float_pairs(series):
-    # the series' own floats: n / den is correctly rounded, as float(Fraction) is
-    floats = series._numeric()[0]
-    return [(series.lowest + j, c) for j, (n, c) in enumerate(zip(series.num, floats)) if n]
-
-
-@lru_cache(maxsize=2)
-def _moment_terms(form: FormId) -> tuple[tuple[int, float, float], ...]:
-    """(moment order m, rate offset, coefficient) of t^2 F(i/t) expanded on [1, inf).
-
-    phi0: t^2 phi0(i/t) = t^2 phi0(it) - (12t/pi) A(it) + (36/pi^2) B(it)
-    there, with A = (E2 E4 - E6) E4/Delta and B = E4^2/Delta, all in
-    exp(-2 pi n t).  psi_s: t^2 psi_s(i/t) = -psi_i(it), in exp(-pi k t).
-    The tests check these inversion laws on t in [0.8, 1.25].
-    """
-    if form is FormId.PHI0:
-        parts = ((2, 1.0, phi0_qseries()), (1, -12.0 / PI, phi0_anomaly_qseries()),
-                 (0, 36.0 / PI ** 2, e4sq_over_delta_qseries()))
-        return tuple((m, 2.0 * PI * n, f * c)
-                     for m, f, series in parts for n, c in _float_pairs(series))
-    pairs = _float_pairs(psi_i_qseries())
-    if any(k % 4 for k, _ in pairs):
-        raise RuntimeError("psi_i support must lie in 4Z")
-    return tuple((0, PI * (k // 4), -c) for k, c in pairs)
-
-
-def _combine(fa: float, terms_a, fb: float, terms_b) -> tuple[tuple[int, float, float], ...]:
-    """The terms of fa*A + fb*B, merged on (moment order, rate offset); exact
-    cancellations (the e^{2 pi t} terms of K-) are dropped."""
-    merged: dict[tuple[int, float], float] = {}
-    for f, terms in ((fa, terms_a), (fb, terms_b)):
-        for m, offset, c in terms:
-            merged[m, offset] = merged.get((m, offset), 0.0) + f * c
-    return tuple((m, offset, c) for (m, offset), c in merged.items() if c != 0.0)
+#: the inversion laws on [1, inf) (Viazovska, Props. 6 and 8), as (kernel,
+#: moment order m, factor, series, rate): kernel 0 (Kphi) or 1 (Kpsi) sums
+#: factor t^m F(it) over its parts, F = series(), whose term in nome**k is
+#: one in e^{-pi j t}, j = rate k.  Kphi = t^2 phi0 - (12t/pi) A + (36/pi^2) B,
+#: with A = (E2 E4 - E6) E4/Delta and B = E4^2/Delta in q2, and Kpsi = -psi_i in
+#: q4.  The tests check both laws on t in [0.8, 1.25].
+_PARTS = (
+    (0, 2, 1.0, phi0_qseries, Fraction(2)),
+    (0, 1, -12.0 / PI, phi0_anomaly_qseries, Fraction(2)),
+    (0, 0, 36.0 / PI ** 2, e4sq_over_delta_qseries, Fraction(2)),
+    (1, 0, -1.0, psi_i_qseries, Fraction(1, 4)),
+)
 
 
 @lru_cache(maxsize=8)
 def _upper_table(rows: tuple[tuple[float, float], ...]) -> tuple[np.ndarray, int]:
-    """The rows' one expansion on [1, inf): a read-only (width, 3 len(rows), 1)
-    table and the lowest rate index j0.  Row i, (fa, fb), is
-    q^j0 sum_m t^m P_m(q) in q = e^{-pi t}, where P_m's coefficient of
-    q^(j - j0), at [j - j0, 3 i + m], is c of the row's ``_combine`` term
-    c t^m e^{-pi j t}.  Each P_m needs the fewest coefficients whose dropped
-    terms sum at t = 1 to at most 2^-60 of its leading one; the table keeps
-    the widest P_m's count for all.  ``qseries.top_cut`` is that cut and its
-    proof, for every t >= 1 and for the moments that ``magic`` reads off the
-    columns j >= 1.
+    """The rows' one expansion on [1, inf): a read-only (len(rows), 3, width)
+    table and the lowest rate j0.  [i, m, j - j0] holds row i's coefficient
+    of t^m e^{-pi j t}: fa or fb times factor times each float term of the
+    ``_PARTS`` (``QSeries._numeric``), the phi0 parts first, so the e^{2 pi t}
+    parts of K- cancel exactly; a term off the integer rates is a RuntimeError.
+    Each P_m(q) = sum_j [i, m, j - j0] q^(j - j0) keeps the fewest
+    coefficients whose dropped terms sum at t = 1 to at most 2^-60 of its
+    leading one, the widest P_m's count for all: ``qseries.top_cut``, the cut
+    and its proof for every t >= 1 and for the moments that ``magic`` reads
+    off the columns j >= 1.
     """
-    phi, psi = _moment_terms(FormId.PHI0), _moment_terms(FormId.PSI_S)
-    terms = [(i, m, round(offset / PI), c) for i, (fa, fb) in enumerate(rows)
-             for m, offset, c in _combine(fa, phi, fb, psi)]
-    low = min(j for _, _, j, _ in terms)
-    poly = np.zeros((len(rows), 3, max(j for _, _, j, _ in terms) - low + 1))
-    for i, m, j, c in terms:
-        poly[i, m, j - low] = c
-    poly = poly.reshape(3 * len(rows), -1)
-    size = np.abs(poly) * np.exp(-PI * np.arange(poly.shape[1]))
-    table = poly[:, :max(map(top_cut, size.tolist()))].T[:, :, None]
+    parts = []
+    for kernel, m, factor, series, rate in _PARTS:
+        s = series()
+        held = np.flatnonzero([n != 0 for n in s.num])
+        j, off = np.divmod((s.lowest + held) * rate.numerator, rate.denominator)
+        if off.any():
+            raise RuntimeError(f"{series.__name__} has an exponent off {rate.denominator}Z")
+        parts.append((kernel, m, j, factor * np.array(s._numeric()[0])[held]))
+    lo = min(j.min() for _, _, j, _ in parts)
+    poly = np.zeros((len(rows), 3, max(j.max() for _, _, j, _ in parts) - lo + 1))
+    for kernel, m, j, c in parts:
+        poly[:, m, j - lo] += np.array([row[kernel] for row in rows])[:, None] * c
+    first = int(np.argmax(poly.any(axis=(0, 1))))
+    poly = poly[:, :, first:]
+    size = np.abs(poly) * np.exp(-PI * np.arange(poly.shape[2]))
+    table = poly[:, :, :max(map(top_cut, size.reshape(-1, size.shape[2]).tolist()))].copy()
     table.flags.writeable = False
-    return table, low
+    return table, int(lo + first)
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +142,14 @@ def _below_one(rows, t: np.ndarray) -> np.ndarray:
 
 
 def _above_one(rows, t: np.ndarray) -> np.ndarray:
-    """The rows at t from one stacked Horner loop over ``_upper_table``,
-    whose top cut holds for t >= 1."""
+    """The rows at t from one stacked Horner loop over ``_upper_table``, whose
+    top cut holds for t >= 1, a (3 len(rows), 1) column per power of e^{-pi t}."""
     table, low = _upper_table(tuple(rows))
+    columns = table.reshape(-1, table.shape[2]).T[:, :, None]
     q = np.exp(-PI * t)
-    acc = np.empty((table.shape[1], t.size))
-    acc[...] = table[-1]
-    for c in table[-2::-1]:
+    acc = np.empty((columns.shape[1], t.size))
+    acc[...] = columns[-1]
+    for c in columns[-2::-1]:
         acc *= q
         acc += c
     by_order = acc.reshape(len(rows), 3, t.size)

@@ -27,7 +27,7 @@ the theta and Eisenstein conventions used here, g(0) = g_hat(0) = 1.
 
 Each profile is thus scale * sin^2 L[fa Kphi + fb Kpsi], one row of ``_PROFILES``;
 the rows, their values (``axis.kernels``) and their one expansion on [1, inf)
-(``axis._upper_table``) are ``axis``'s.
+(``axis._upper_table`` of ``axis._PARTS``, a row per kernel) are ``axis``'s.
 
 Quadrature: Gauss panels on [0, 1], where the node values at i/t need the
 series at Im >= 1 only, and on [1, inf) exact exponential moments of the
@@ -175,7 +175,7 @@ class _Kernel:
     The [0, 1] rule is P equal panels of Q nodes each, t_pk = p/P + t_0k
     (``_panel_split``).  ``weights`` is (2P, Q): row p holds the Gauss
     weights times K at panel p's nodes, row P + p the same for K minus its
-    growing terms.  On [1, inf) K is its slab of ``axis._upper_table``, the
+    growing terms.  On [1, inf) K is its row of ``axis._upper_table``, the
     terms c t^m e^{-pi j t}: ``decaying`` has the columns j >= 1, ``growing``
     the others, both one row per rate.  ``shift``, ``order`` and ``coeff``
     hold the growing terms one by one for their closed forms, each
@@ -191,7 +191,7 @@ class _Kernel:
 
     @classmethod
     def build(cls, nodes, weights, values, upper, low, panels) -> _Kernel:
-        """From K's values at the [0, 1] nodes and its (3, width) slab of
+        """From K's values at the [0, 1] nodes and its (3, width) row of
         ``axis._upper_table``, whose column 0 is the rate j = low."""
         j = np.arange(low, low + upper.shape[1], dtype=float)
         up = j <= 0.0
@@ -267,10 +267,10 @@ def _laplace_sweep(rule, kernels, radii) -> np.ndarray:
     panel_rate, node_rate = rule
     squares = r ** 2
     # np.array_split's blocks: the first r.size % blocks of them one radius longer
-    blocks = max(1, -(-r.size // _BLOCK))
-    size, longer = divmod(r.size, blocks)
+    blocks = -(-r.size // _BLOCK)
+    size, longer = divmod(r.size, blocks or 1)
     ends = [j * size + min(j, longer) for j in range(blocks + 1)]
-    rows = []
+    out = np.empty((len(kernels), r.size))
     for lo, hi in zip(ends, ends[1:]):
         s = squares[lo:hi]
         sine = np.sin(PI * (s - 2.0 * np.round(s / 2.0)) / 2.0)   # the reduction is exact
@@ -284,9 +284,9 @@ def _laplace_sweep(rule, kernels, radii) -> np.ndarray:
         pi_s = np.ones((2, s.size))
         np.multiply(PI, s, out=pi_s[1])
         decay = np.exp(-PI * s)
-        rows.append([kernel.sin2_laplace(s, sine, low, e1, e2, pi_s, decay)
-                     for kernel in kernels])
-    return np.concatenate(rows, axis=1)
+        for row, kernel in zip(out, kernels):
+            row[lo:hi] = kernel.sin2_laplace(s, sine, low, e1, e2, pi_s, decay)
+    return out
 
 
 class RadialKind(Enum):
@@ -328,17 +328,16 @@ class MagicEvaluator:
         t, w = panel_nodes(0.0, 1.0, panels, self.quad.gauss_order)
         rows = tuple(profile[:2] for profile in _PROFILES.values())
         table, low = _upper_table(rows)
-        slabs = table[:, :, 0].T.reshape(len(rows), 3, -1)
         # a's and b's tables share one array of nodes
         self._nodes_a = self._nodes_b = t
         lo, base = _panel_split(t, panels)
         self._rule = -PI * lo, -PI * base
         self._kernels = {kind: _Kernel.build(t, w, values, upper, low, panels)
-                         for kind, values, upper in zip(_PROFILES, kernels(rows, t), slabs)}
+                         for kind, values, upper in zip(_PROFILES, kernels(rows, t), table)}
 
     def values(self, kinds: Sequence[RadialKind], radii) -> np.ndarray:
         """(k, n): each of the k profiles at each of the n radii, from one sweep."""
-        scale = np.array([[_PROFILES[kind][2]] for kind in kinds])
+        scale = np.array([_PROFILES[kind][2] for kind in kinds])[:, None]
         return scale * _laplace_sweep(self._rule, [self._kernels[kind] for kind in kinds], radii)
 
     def g_values(self, radii) -> np.ndarray:
@@ -363,7 +362,10 @@ class MagicEvaluator:
 
     def contour_values(self, form: FormId, radii) -> np.ndarray:
         """a (``FormId.PHI0``) or b (``FormId.PSI_S``) at each radius through
-        the six-leg contour, independent of the Laplace tables: a complex array."""
+        the six-leg contour, independent of the Laplace tables: a complex array
+        (ValueError for any other form)."""
+        if form not in _RAY:
+            raise ValueError(f"the contour oracle evaluates Phi0 and PsiS, not {form.value}")
         r = _checked_radii(radii)
         return _contour_sum(*_contour_table(form, self.quad), r * r)
 

@@ -65,8 +65,8 @@ DEFAULT_ORDER_Q4 = 256
 #: ``top_cut``'s bound on the dropped terms, as a fraction of the leading one
 _TERM_CUT = 2.0 ** -60
 
-#: Points per block of ``eval_stack``: with seven complex rows, its
-#: accumulator and y take 0.9 MiB.
+#: Points per block of ``eval_stack``: its accumulator and y take 16 bytes
+#: per point and row, 32 when complex, so 256 KiB for the axis entry's two rows.
 _STACK_BLOCK = 4096
 
 
@@ -405,9 +405,7 @@ def eval_stack(series: Sequence[QSeries], tau):
     when tau is empty; it is complex otherwise.
 
     Each row keeps the refusals of ``QSeries.eval`` and its own
-    nome**lowest factor.  Each distinct nome is formed once per call, and
-    each distinct (nome, lowest) factor once per block, for every row that
-    shares it.  One Horner loop serves all rows: row i runs in
+    nome**lowest factor.  One Horner loop serves all rows: row i runs in
     its own y = nome_i**stride_i over its stride-th coefficients up to its
     top cut at the largest |nome_i| (``QSeries._top``), padded with zeros
     above its top coefficient up to the longest row.  A padded
@@ -421,37 +419,30 @@ def eval_stack(series: Sequence[QSeries], tau):
     if not tau.size:
         return np.empty((len(series),) + tau.shape)
     im_min = _check_domain(tau)
-    # str keys: Enum.__hash__ runs in Python
-    names = [s.nome.value for s in series]
-    nomes = {name: s.nome.value_at(tau.ravel()) for name, s in dict(zip(names, series)).items()}
-    ranges = {name: (np.abs(w).min(), np.abs(w).max()) for name, w in nomes.items()}
-    for name, s in zip(names, series):
-        s._check(im_min, *ranges[name])
-    real = not any(w.imag.any() for w in nomes.values())
-    bases = {name: w.real for name, w in nomes.items()} if real else nomes
-    strided, keys = [], []
-    for name, s in zip(names, series):
+    nomes = [s.nome.value_at(tau.ravel()) for s in series]
+    strided = []
+    for s, w in zip(series, nomes):
+        size = np.abs(w)
+        s._check(im_min, size.min(), size.max())
         floats, _, step = s._numeric()
-        strided.append(floats[::step][:s._top(ranges[name][1])])
-        keys.append((name, step))
+        strided.append(floats[::step][:s._top(size.max())])
+    real = not any(w.imag.any() for w in nomes)
     width = max(map(len, strided))
     # row j is coefficient j of every series, as a (k, 1) column
     table = np.array([c + (0.0,) * (width - len(c)) for c in strided]).T[:, :, None]
     out = np.empty((len(series), tau.size), dtype=float if real else complex)
     for lo in range(0, tau.size, _STACK_BLOCK):
         part = slice(lo, lo + _STACK_BLOCK)
-        powers = {(name, step): stride_power(bases[name][part], step) for name, step in set(keys)}
-        y = np.stack([powers[key] for key in keys])
+        y = np.stack([stride_power(w.real[part] if real else w[part], s._numeric()[2])
+                      for s, w in zip(series, nomes)])
         acc = out[:, part]
         acc[...] = table[-1]
         for c in table[-2::-1]:
             acc *= y
             acc += c
-        lows = {(name, k): nomes[name][part] ** k
-                for name, k in {(name, s.lowest) for name, s in zip(names, series) if s.lowest}}
-        for i, (name, s) in enumerate(zip(names, series)):
+        for i, (s, w) in enumerate(zip(series, nomes)):
             if s.lowest:
-                power = lows[name, s.lowest]
+                power = w[part] ** s.lowest
                 acc[i] *= power.real if real else power
     return out.reshape((len(series),) + tau.shape)
 

@@ -18,7 +18,7 @@ from spherepack.axis import (
 from spherepack.cohn_elkies import verify_magic_ce
 from spherepack.forms import FormId, phi0_qseries, psi_i_qseries, psi_s_qseries
 from spherepack.magic import default_evaluator
-from spherepack.qseries import Nome
+from spherepack.qseries import Nome, QSeries
 from spherepack.quadrature import QuadratureConfig, panel_nodes
 
 PI = math.pi
@@ -213,7 +213,7 @@ def test_evaluator_reads_the_entry_bit_for_bit(monkeypatch):
             zip(built, rows, axis.kernels(rows, t))):
         assert np.array_equal(nodes, t)
         assert values.tobytes() == want.tobytes(), row
-        assert j0 == low and upper.tobytes() == table[:, 3 * i:3 * i + 3, 0].T.tobytes(), row
+        assert j0 == low and upper.tobytes() == table[i].tobytes(), row
 
 
 def test_one_cut_reaches_the_sweep_and_the_entry(monkeypatch):
@@ -242,19 +242,19 @@ def test_one_cut_reaches_the_sweep_and_the_entry(monkeypatch):
 
 
 def test_flipped_psi_moment_terms_fail_the_sweighted_verdict(monkeypatch):
-    # a sign slip in psi_s's moment terms moves g and, now that both read one
-    # definition, the verdict too (min_plus about -5.4e4)
+    # a sign slip in psi_s's part of the inversion laws moves g and, now that
+    # both read one definition, the verdict too (min_plus about -5.4e4)
     from spherepack import magic
-    pairs = axis._float_pairs
     quad = QuadratureConfig()
     g = magic.default_evaluator(quad).g_values([1.7, 2.2])
 
     def clear():
-        for cached in (axis._moment_terms, axis._upper_table, magic.default_evaluator):
+        for cached in (axis._upper_table, magic.default_evaluator):
             cached.cache_clear()
 
-    monkeypatch.setattr(axis, "_float_pairs", lambda series: [
-        (k, -c if series is psi_i_qseries() else c) for k, c in pairs(series)])
+    monkeypatch.setattr(axis, "_PARTS", tuple(
+        (kernel, m, -factor if series is psi_i_qseries else factor, series, rate)
+        for kernel, m, factor, series, rate in axis._PARTS))
     clear()
     try:
         assert not np.array_equal(magic.default_evaluator(quad).g_values([1.7, 2.2]), g)
@@ -264,3 +264,32 @@ def test_flipped_psi_moment_terms_fail_the_sweighted_verdict(monkeypatch):
         monkeypatch.undo()
         clear()
     assert verify_inequalities(GRID, Eq2Convention.S_WEIGHTED).pass_
+
+
+# -- the structural constants, read off the one table ------------------------------
+
+def test_inversion_law_constants_read_off_the_profiles_table():
+    # in the profiles' table, column j - low holds the e^{-pi j t} terms
+    from spherepack.magic import _PROFILES, RadialKind
+    kinds = list(_PROFILES)
+    table, low = axis._upper_table(tuple(profile[:2] for profile in _PROFILES.values()))
+    k_plus, k_minus = table[kinds.index(RadialKind.G)], table[kinds.index(RadialKind.GHAT)]
+    assert low == -2
+    # e^{2 pi t}: (36/pi^2) B's pole plus W psi_i's, and their exact cancellation in K-
+    assert k_plus[0, -2 - low] == 72.0 / PI ** 2 == 7.29512522224832
+    assert k_minus[0, -2 - low] == 0.0
+    # no e^{pi t} term in any row, so no pole at s = 1
+    assert not table[:, :, -1 - low].any()
+    # -(12t/pi) A's constant term 720 t, with A = (E2 E4 - E6) E4/Delta
+    assert k_plus[1, -low] == -8640.0 / PI and k_minus[1, -low] == 8640.0 / PI
+    # -W 504 from -Kphi's (36/pi^2) B and +W 144 from -W Kpsi = W psi_i
+    assert k_minus[0, -low] == -360.0 * W
+
+
+def test_a_psi_part_off_4z_is_refused(monkeypatch):
+    off = QSeries(Nome.Q4, [1, 1])
+    monkeypatch.setattr(axis, "_PARTS", tuple(
+        (kernel, m, factor, (lambda: off) if kernel else series, rate)
+        for kernel, m, factor, series, rate in axis._PARTS))
+    with pytest.raises(RuntimeError, match="4Z"):
+        axis._upper_table.__wrapped__((axis.K_PLUS,))

@@ -18,7 +18,15 @@ from spherepack import axis, magic, qseries
 from spherepack.cli import run
 from spherepack.cohn_elkies import default_ce_grid, verify_magic_ce
 from spherepack.errors import InsufficientTable, TailBoundViolated
-from spherepack.forms import WEIGHT36, FormId, form_qseries
+from spherepack.forms import (
+    WEIGHT36,
+    FormId,
+    e4sq_over_delta_qseries,
+    form_qseries,
+    phi0_anomaly_qseries,
+    phi0_qseries,
+    psi_i_qseries,
+)
 from spherepack.lattice import Scratch
 from spherepack.magic import (
     A_SCALE,
@@ -32,6 +40,7 @@ from spherepack.magic import (
     _SUBTRACT_MARGIN,
     _laplace_sweep,
 )
+from spherepack.qseries import Nome
 from spherepack.quadrature import QuadratureConfig, panel_nodes
 
 PI = math.pi
@@ -311,26 +320,40 @@ def test_quadrature_self_convergence(ev):
 QUADS = [QuadratureConfig(), QuadratureConfig(gauss_order=48, panels_per_segment=12)]
 
 
+def _inversion_terms(fa, fb):
+    """The terms (m, j, c) of c t^m e^{-pi j t} of fa Kphi + fb Kpsi on
+    [1, inf), from the inversion laws' exact coefficients, each c a
+    float(Fraction): Kphi = t^2 phi0(it) - (12t/pi) A(it) + (36/pi^2) B(it)
+    in q2 = e^{-2 pi t} and Kpsi = -psi_i(it) in q4 = e^{-pi t/4}, merged on
+    (m, j), the phi0 terms first, and exact cancellations dropped."""
+    parts = ((0, 2, 1.0, phi0_qseries()), (0, 1, -12.0 / PI, phi0_anomaly_qseries()),
+             (0, 0, 36.0 / PI ** 2, e4sq_over_delta_qseries()), (1, 0, -1.0, psi_i_qseries()))
+    merged = {}
+    for kernel, m, factor, series in parts:
+        for k in range(series.lowest, series.order + 1):
+            if c := series.coefficient(k):
+                j = 2 * k if series.nome is Nome.Q2 else k // 4
+                assert series.nome is Nome.Q2 or k % 4 == 0
+                merged[m, j] = merged.get((m, j), 0.0) + (fa, fb)[kernel] * (factor * float(c))
+    return [(m, j, c) for (m, j), c in merged.items() if c != 0.0]
+
+
 def _kernel_inputs(quad):
     """Each kernel's [0, 1] nodes, weights and values and its full list of
     moment terms, built afresh from the forms."""
     t, w = panel_nodes(0.0, 1.0, quad.panels_per_segment, quad.gauss_order)
     kphi = (t * t) * form_qseries(FormId.PHI0).eval(1j / t).real
     kpsi = (t * t) * form_qseries(FormId.PSI_S).eval(1j / t).real
-    phi, psi = axis._moment_terms(FormId.PHI0), axis._moment_terms(FormId.PSI_S)
-    return t, w, {
-        RadialKind.A: (kphi, phi),
-        RadialKind.B: (kpsi, psi),
-        RadialKind.G: (kphi - WEIGHT36 * kpsi, axis._combine(1.0, phi, -WEIGHT36, psi)),
-        RadialKind.GHAT: (-kphi - WEIGHT36 * kpsi, axis._combine(-1.0, phi, -WEIGHT36, psi)),
-    }
+    values = (kphi, kpsi, kphi - WEIGHT36 * kpsi, -kphi - WEIGHT36 * kpsi)
+    return t, w, {kind: (v, _inversion_terms(*profile[:2]))
+                  for v, (kind, profile) in zip(values, magic._PROFILES.items())}
 
 
 def _direct_sin2_laplace(t, w, values, terms, s):
     """sin^2(pi s/2) L[K](s) with nothing factored or left out: the exponential
     of the whole s x node product, both node products, and every moment term."""
-    order, offset, coeff = (np.array(col, dtype=float) for col in zip(*terms))
-    up = offset <= 0.0
+    order, j, coeff = (np.array(col, dtype=float) for col in zip(*terms))
+    offset, up = PI * j, j <= 0.0
     grow = coeff[up] @ (t ** order[up, None] * np.exp(-offset[up, None] * t))
 
     def moments(pick, s):
@@ -344,7 +367,7 @@ def _direct_sin2_laplace(t, w, values, terms, s):
     inner = np.where(low, e @ (w * (values - grow)), e @ (w * values)) + moments(~up, s)
     inner[~low] += moments(up, s[~low])
     out = sine * sine * inner
-    shift, m = np.round(-offset[up] / PI)[:, None], order[up, None]
+    shift, m = -j[up, None], order[up, None]
     gap = s[low] - shift
     near = np.abs(gap) < 1.0
     q = np.where(near, 0.5 * np.sinc(gap / 2.0), sine[low] / (PI * np.where(near, 1.0, gap)))
@@ -375,9 +398,8 @@ _MOMENT_S = np.concatenate([[0.0], np.logspace(-3.0, 6.0, 200)])
 
 
 def _profile_table():
-    """The profiles' one table on [1, inf), as (rows, 3, width) slabs, and its lowest rate index."""
-    table, low = axis._upper_table(tuple(profile[:2] for profile in magic._PROFILES.values()))
-    return table[:, :, 0].T.reshape(len(magic._PROFILES), 3, -1), low
+    """The profiles' one table on [1, inf), (rows, 3, width), and its lowest rate index."""
+    return axis._upper_table(tuple(profile[:2] for profile in magic._PROFILES.values()))
 
 
 def _moment_sizes(order, offset, coeff, s):
@@ -393,14 +415,15 @@ def test_moment_cut_omits_a_proven_negligible_tail(quad):
     slabs, low = _profile_table()
     top = low + slabs.shape[2] - 1
     for name, (_, terms) in _kernel_inputs(quad)[2].items():
-        order, offset, coeff = (np.array(col, dtype=float) for col in zip(*terms))
-        decaying = offset > 0.0
-        by = np.argsort(offset[decaying], kind="stable")
-        order, offset, coeff = order[decaying][by], offset[decaying][by], coeff[decaying][by]
+        order, j, coeff = (np.array(col, dtype=float) for col in zip(*terms))
+        decaying = j > 0.0
+        by = np.argsort(j[decaying], kind="stable")
+        order, j, coeff = order[decaying][by], j[decaying][by], coeff[decaying][by]
+        offset = PI * j
         kept = ev._kernels[name].decaying
         rates = kept.offset.ravel()
         # the table keeps whole rates, its columns j <= top, so n counts terms, not rows
-        n = np.count_nonzero(np.round(offset / PI) <= top)
+        n = np.count_nonzero(j <= top)
         # the kept terms are the low-offset head of the sorted terms, held as
         # one row per distinct offset whose coefficients are its terms' sums,
         # within one rounding per term; the rows with an x^3 coefficient come
@@ -426,7 +449,7 @@ def test_moment_cut_omits_a_proven_negligible_tail(quad):
     widths = []
     for name, (_, terms) in _kernel_inputs(quad)[2].items():
         for m in range(3):
-            pairs = sorted((round(o / PI), c) for k, o, c in terms if k == m)
+            pairs = sorted((j, c) for k, j, c in terms if k == m)
             if pairs:
                 j, c = (np.array(col, dtype=float) for col in zip(*pairs))
                 size = np.abs(c) * np.exp(-PI * j)
@@ -444,11 +467,11 @@ def test_dropped_moments_meet_the_cut_proof():
     first = low + slabs.shape[2]
     for name, (_, terms) in _kernel_inputs(QuadratureConfig())[2].items():
         for m in range(3):
-            pairs = sorted((o, c) for k, o, c in terms if k == m)
+            pairs = sorted((j, c) for k, j, c in terms if k == m)
             if not pairs:
                 continue
-            offset, coeff = (np.array(col, dtype=float) for col in zip(*pairs))
-            dropped = np.round(offset / PI) >= first
+            j, coeff = (np.array(col, dtype=float) for col in zip(*pairs))
+            offset, dropped = PI * j, j >= first
             assert dropped.any() and not dropped[0], (name, m)
             size = _moment_sizes(np.full(dropped.sum(), float(m)), offset[dropped], coeff[dropped],
                                  _MOMENT_S).sum(axis=0)
@@ -650,6 +673,19 @@ def test_contour_values_of_no_radii_is_empty(ev):
         assert out.shape == (0,) and out.dtype == np.complex128
 
 
+def test_laplace_values_of_no_radii_are_empty(ev):
+    # no radius is no block of the sweep; the contour oracle refuses a form it
+    # has no ray for by name, as the realness check does
+    assert ev.values((RadialKind.G,), []).shape == (1, 0)
+    assert ev.values(tuple(RadialKind), np.empty(0)).shape == (4, 0)
+    assert ev.values((), [0.5, 1.0]).shape == (0, 2)
+    assert ev.g_values([]).shape == ev.g_hat_values([]).shape == (0,)
+    table = tabulate_radial(RadialKind.G, [], ev)
+    assert table.radii.shape == table.values.shape == (0,)
+    with pytest.raises(ValueError, match="Phi0 and PsiS"):
+        ev.contour_values(FormId.E4, [1.0])
+
+
 def test_contour_values_run_in_capped_blocks(ev):
     # 5,000 radii in one (5,000, 1,536) product took 234 MiB; blocks of 42
     # radii keep a few 1 MiB temporaries
@@ -768,20 +804,17 @@ def test_bound_reports_signs_without_slack(capsys):
     assert rep.tol == 1e-7 * abs(rep.g0)
 
 
-def test_moment_terms_equal_the_fraction_construction_bit_for_bit(monkeypatch):
-    # before, each coefficient was float(series.coefficient(k)), a Fraction
-    def fraction_pairs(series):
-        return [(k, float(series.coefficient(k)))
-                for k in range(series.lowest, series.order + 1) if series.coefficient(k) != 0]
-
-    def bits(terms):
-        return [(m, float(r).hex(), float(c).hex()) for m, r, c in terms]
-
-    for form in (FormId.PHI0, FormId.PSI_S):
-        terms = axis._moment_terms(form)
-        with monkeypatch.context() as patch:
-            patch.setattr(axis, "_float_pairs", fraction_pairs)
-            assert bits(axis._moment_terms.__wrapped__(form)) == bits(terms)
+def test_moment_terms_equal_the_fraction_construction_bit_for_bit():
+    # before, each coefficient was float(series.coefficient(k)), a Fraction:
+    # every entry of the profiles' table is that construction's term bit for
+    # bit, whose terms above the table's top cut are left out
+    table, low = _profile_table()
+    for (name, (_, terms)), slab in zip(_kernel_inputs(QuadratureConfig())[2].items(), table):
+        want = np.zeros_like(slab)
+        for m, j, c in terms:
+            if j - low < slab.shape[1]:
+                want[m, j - low] = c
+        assert want.tobytes() == slab.tobytes(), name
 
 
 def test_production_never_builds_the_contour_table():

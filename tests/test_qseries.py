@@ -632,21 +632,6 @@ def test_stack_of_empty_array_is_empty_float():
         assert got.shape == (11,) + shape and got.dtype == float
 
 
-def test_stack_forms_each_nome_once(monkeypatch):
-    calls = []
-    value_at = Nome.value_at
-    monkeypatch.setattr(Nome, "value_at", lambda nome, tau: calls.append(nome) or value_at(nome, tau))
-    q2 = (form_qseries(FormId.PHI0), phi0_anomaly_qseries(), e4sq_over_delta_qseries(),
-          form_qseries(FormId.E4), form_qseries(FormId.DELTA))
-    for taus, _ in _STACK_POINTS.values():
-        calls.clear()
-        eval_stack(q2, taus)
-        assert calls == [Nome.Q2]
-        calls.clear()
-        eval_stack(_stack_series(), taus)
-        assert sorted(nome.value for nome in calls) == ["q2", "q4"]
-
-
 def test_stack_rows_sharing_a_nome_power_are_each_eval():
     # phi0 and Delta share (Q2, 1), psi_i and B + psi_i share (Q4, -8), E4 comes twice
     series = (form_qseries(FormId.PHI0), form_qseries(FormId.E4), form_qseries(FormId.DELTA),
@@ -764,14 +749,16 @@ def test_kernels_stack_the_cut_widths(monkeypatch):
     axis.verify_inequalities(grid, axis.Eq2Convention.DIRECT)
     assert widths == [14, 14]
     for _, rows in axis._CONVENTIONS.values():
-        assert axis._upper_table(rows)[0].shape == (26, 3 * len(rows), 1)
-    terms = axis._moment_terms(FormId.PHI0) + axis._moment_terms(FormId.PSI_S)
-    rates = [round(offset / math.pi) for _, offset, _ in terms]
+        assert axis._upper_table(rows)[0].shape == (len(rows), 3, 26)
+    rates = []
+    for _, _, _, series, rate in axis._PARTS:
+        s = series()
+        rates += [rate * (s.lowest + k) for k, n in enumerate(s.num) if n]
     assert max(rates) - min(rates) + 1 == 103
 
 
 def test_stack_hashes_no_enum_member(monkeypatch):
-    # Enum.__hash__ is a Python-level method; eval_stack keys on nome.value
+    # Enum.__hash__ is a Python-level method; eval_stack keys nothing on a nome
     from enum import Enum
     from spherepack import axis
     callers = []
