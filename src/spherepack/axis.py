@@ -4,13 +4,14 @@ With W = 36/pi^2, the Laplace sweep of ``spherepack.magic`` integrates one
 row fa Kphi + fb Kpsi per radial profile, where Kphi(t) = t^2 phi0(i/t)
 and Kpsi(t) = t^2 psi_s(i/t) = -psi_i(it).  ``kernels(rows, t)`` is the one
 evaluation of such rows over a flat array of t, for the sweep's [0, 1]
-nodes and for the verdicts here alike.  Where t < 1 it is one stacked
-series evaluation of phi0 and psi_s at i/t (Im > 1), and the one realness
-check: on the axis every nome is real, so a series value with a nonzero
-imaginary part raises NonRealValue.  Where t >= 1 it sums ``_upper_table``,
-the rows' one expansion there, whose terms c t^m e^{-pi j t} the sweep
-integrates too, and in which the e^{2 pi t} parts of K- cancel exactly.
-One builder adds it up from ``_PARTS``, the inversion laws' parts.
+nodes and for the verdicts here alike.  On each side of t = 1 the rows are
+one real table of terms c t^m x^j, x = e^{-pi/t} below it and e^{-pi t}
+above it, so x <= e^{-pi} on both, read by one Horner loop in x.  One
+builder, ``_table``, adds each table up from its parts: ``_LOWER``, the
+series phi0 and psi_s at i/t, and ``_PARTS``, the inversion laws' parts,
+whose terms the sweep integrates too and in which the e^{2 pi t} parts of
+K- cancel exactly.  On the axis every nome is real, and the entry runs in
+real arithmetic only.
 
 ``eq2_samples``/``verify_inequalities`` probe phi0 +- W psi_s in two
 conventions, each four rows of the entry:
@@ -39,17 +40,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonRealValue
 from .forms import (
     WEIGHT36,
     FormId,
     e4sq_over_delta_qseries,
-    form_qseries,
     phi0_anomaly_qseries,
     phi0_qseries,
     psi_i_qseries,
+    psi_s_qseries,
 )
-from .qseries import eval_stack, top_cut
+from .qseries import top_cut
 
 PI = math.pi
 
@@ -63,15 +63,21 @@ K_PLUS, K_MINUS = (1.0, -WEIGHT36), (-1.0, -WEIGHT36)
 
 
 # ---------------------------------------------------------------------------
-# the kernels' expansion on [1, inf)
+# the kernels' expansions on each side of t = 1
 # ---------------------------------------------------------------------------
 
-#: the inversion laws on [1, inf) (Viazovska, Props. 6 and 8), as (kernel,
-#: moment order m, factor, series, rate): kernel 0 (Kphi) or 1 (Kpsi) sums
-#: factor t^m F(it) over its parts, F = series(), whose term in nome**k is
-#: one in e^{-pi j t}, j = rate k.  Kphi = t^2 phi0 - (12t/pi) A + (36/pi^2) B,
-#: with A = (E2 E4 - E6) E4/Delta and B = E4^2/Delta in q2, and Kpsi = -psi_i in
-#: q4.  The tests check both laws on t in [0.8, 1.25].
+#: the kernels' parts as (kernel, moment order m, factor, series, rate): kernel
+#: 0 (Kphi) or 1 (Kpsi) sums factor t^m F over its parts, F = series(), whose
+#: term in nome**k is one in x**j, j = rate k.  Below t = 1, F is read at i/t and
+#: x = e^{-pi/t}: Kphi = t^2 phi0(i/t) in q2 and Kpsi = t^2 psi_s(i/t) in q4.
+_LOWER = (
+    (0, 2, 1.0, phi0_qseries, Fraction(2)),
+    (1, 2, 1.0, psi_s_qseries, Fraction(1, 4)),
+)
+
+#: Above it, F at it and x = e^{-pi t}: the inversion laws (Viazovska, Props. 6
+#: and 8), Kphi = t^2 phi0 - (12t/pi) A + (36/pi^2) B, A = (E2 E4 - E6) E4/Delta
+#: and B = E4^2/Delta in q2, and Kpsi = -psi_i in q4, checked on [0.8, 1.25].
 _PARTS = (
     (0, 2, 1.0, phi0_qseries, Fraction(2)),
     (0, 1, -12.0 / PI, phi0_anomaly_qseries, Fraction(2)),
@@ -80,37 +86,42 @@ _PARTS = (
 )
 
 
-@lru_cache(maxsize=8)
-def _upper_table(rows: tuple[tuple[float, float], ...]) -> tuple[np.ndarray, int]:
-    """The rows' one expansion on [1, inf): a read-only (len(rows), 3, width)
-    table and the lowest rate j0.  [i, m, j - j0] holds row i's coefficient
-    of t^m e^{-pi j t}: fa or fb times factor times each float term of the
-    ``_PARTS`` (``QSeries._numeric``), the phi0 parts first, so the e^{2 pi t}
-    parts of K- cancel exactly; a term off the integer rates is a RuntimeError.
-    Each P_m(q) = sum_j [i, m, j - j0] q^(j - j0) keeps the fewest
-    coefficients whose dropped terms sum at t = 1 to at most 2^-60 of its
-    leading one, the widest P_m's count for all: ``qseries.top_cut``, the cut
-    and its proof for every t >= 1 and for the moments that ``magic`` reads
-    off the columns j >= 1.
+@lru_cache(maxsize=16)
+def _table(parts, rows: tuple[tuple[float, float], ...]) -> tuple[np.ndarray, tuple, int]:
+    """The rows' one expansion from ``parts``: a read-only (len(rows),
+    len(orders), width) float table, the moment orders m the parts use,
+    rising, and the lowest rate j0.  [i, n, j - j0] holds row i's
+    coefficient of t^m x^j, m = orders[n]: fa or fb times factor times each
+    float term of the parts, in their order, so the e^{2 pi t} parts of K-
+    cancel exactly.  A term off the integer rates is a RuntimeError, a
+    complex one a TypeError, and a part whose ``tail_estimate`` at its nome
+    at t = 1 exceeds ``EVAL_TOL`` TruncationInsufficient, for every t on its
+    side.  Each P_m keeps the fewest coefficients whose dropped terms sum at
+    x = e^{-pi} to at most 2^-60 of its leading one, the widest P_m's count
+    for all: ``qseries.top_cut``, whose proof covers every x <= e^{-pi} and
+    the moments that ``magic`` reads off the columns j >= 1 of ``_PARTS``'.
     """
-    parts = []
-    for kernel, m, factor, series, rate in _PARTS:
+    terms = []
+    for kernel, m, factor, series, rate in parts:
         s = series()
+        nome = math.exp(-PI * rate)
+        s._check(1.0, nome, nome)
         held = np.flatnonzero([n != 0 for n in s.num])
         j, off = np.divmod((s.lowest + held) * rate.numerator, rate.denominator)
         if off.any():
             raise RuntimeError(f"{series.__name__} has an exponent off {rate.denominator}Z")
-        parts.append((kernel, m, j, factor * np.array(s._numeric()[0])[held]))
-    lo = min(j.min() for _, _, j, _ in parts)
-    poly = np.zeros((len(rows), 3, max(j.max() for _, _, j, _ in parts) - lo + 1))
-    for kernel, m, j, c in parts:
-        poly[:, m, j - lo] += np.array([row[kernel] for row in rows])[:, None] * c
+        terms.append((kernel, m, j, factor * np.array(s._numeric()[0])[held]))
+    orders = tuple(sorted({m for _, m, _, _ in terms}))
+    lo = min(j.min() for _, _, j, _ in terms)
+    poly = np.zeros((len(rows), len(orders), max(j.max() for _, _, j, _ in terms) - lo + 1))
+    for kernel, m, j, c in terms:
+        poly[:, orders.index(m), j - lo] += np.array([row[kernel] for row in rows])[:, None] * c
     first = int(np.argmax(poly.any(axis=(0, 1))))
     poly = poly[:, :, first:]
-    size = np.abs(poly) * np.exp(-PI * np.arange(poly.shape[2]))
-    table = poly[:, :, :max(map(top_cut, size.reshape(-1, size.shape[2]).tolist()))].copy()
+    size = (np.abs(poly) * np.exp(-PI * np.arange(poly.shape[2]))).reshape(-1, poly.shape[2])
+    table = poly[:, :, :max(map(top_cut, size.tolist()), default=1)].copy()
     table.flags.writeable = False
-    return table, int(lo + first)
+    return table, orders, int(lo + first)
 
 
 # ---------------------------------------------------------------------------
@@ -128,44 +139,31 @@ def _checked_t(t, lo: float) -> np.ndarray:
     return t
 
 
-def _below_one(rows, t: np.ndarray) -> np.ndarray:
-    """The rows at t from one ``eval_stack`` call of phi0 and psi_s at i/t,
-    which needs Im(i/t) >= ETA_MIN; a value with a nonzero imaginary part
-    raises NonRealValue."""
-    forms = (FormId.PHI0, FormId.PSI_S)
-    val = eval_stack([form_qseries(form) for form in forms], 1j / t)
-    if np.iscomplexobj(val) and (bad := val.imag != 0).any():
-        row = int(np.argmax(bad.any(axis=1)))
-        raise NonRealValue(f"{forms[row].value} is not real on the axis: {val[row][bad[row]][0]}")
-    kphi, kpsi = (t * t) * val.real
-    return np.array([fa * kphi + fb * kpsi for fa, fb in rows])
-
-
-def _above_one(rows, t: np.ndarray) -> np.ndarray:
-    """The rows at t from one stacked Horner loop over ``_upper_table``, whose
-    top cut holds for t >= 1, a (3 len(rows), 1) column per power of e^{-pi t}."""
-    table, low = _upper_table(tuple(rows))
+def _side(parts, rows, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The rows at t from one stacked Horner loop in x over ``_table(parts,
+    rows)``, whose top cut holds for x <= e^{-pi}, a (len(rows) len(orders), 1)
+    column per power of x, then the sum of t^m times each P_m, times x**j0."""
+    table, orders, low = _table(parts, rows)
     columns = table.reshape(-1, table.shape[2]).T[:, :, None]
-    q = np.exp(-PI * t)
-    acc = np.empty((columns.shape[1], t.size))
-    acc[...] = columns[-1]
+    acc = np.repeat(columns[-1], t.size, axis=1)
     for c in columns[-2::-1]:
-        acc *= q
+        acc *= x
         acc += c
-    by_order = acc.reshape(len(rows), 3, t.size)
-    return (by_order[:, 0] + t * by_order[:, 1] + (t * t) * by_order[:, 2]) * q ** low
+    by_order = acc.reshape(len(rows), len(orders), t.size).swapaxes(0, 1)
+    return sum(t ** m * p for m, p in zip(orders, by_order)) * x ** low
 
 
 def kernels(rows: Sequence[tuple[float, float]], t) -> np.ndarray:
     """(len(rows), t.size): row (fa, fb) is fa Kphi + fb Kpsi at each t in
-    (0, 1/AXIS_T_MIN] (ValueError otherwise, NaN included), through
-    ``_below_one`` where t < 1 and ``_above_one`` where t >= 1."""
+    (0, 1/AXIS_T_MIN] (ValueError otherwise, NaN included), from ``_side`` of
+    ``_LOWER`` at x = e^{-pi/t} where t < 1 and of ``_PARTS`` at x = e^{-pi t}
+    where t >= 1."""
     t = _checked_t(t, 0.0)
+    rows = tuple((float(fa), float(fb)) for fa, fb in rows)
     out = np.empty((len(rows), t.size))
-    upper = t >= 1.0
-    for where, branch in ((~upper, _below_one), (upper, _above_one)):
+    for where, parts, exponent in ((t < 1.0, _LOWER, -PI / t), (t >= 1.0, _PARTS, -PI * t)):
         if where.any():
-            out[:, where] = branch(rows, t[where])
+            out[:, where] = _side(parts, rows, t[where], np.exp(exponent[where]))
     return out
 
 
@@ -189,10 +187,9 @@ def log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
 
 def check_realness(form: FormId, grid: Sequence[float]) -> float:
     """max |Im F(it)| / |F(it)| over a grid in [AXIS_T_MIN, 1/AXIS_T_MIN],
-    for F = PHI0 or PSI_S: 0 whenever it returns, since ``kernels`` refuses
-    every series value that is not real.  It reads F(it) = t^2 K(1/t) for
-    F's kernel row K.  A grid outside that range, or any other form, is a
-    ValueError.  Kept only for the benchmark, its one caller."""
+    for F = PHI0 or PSI_S: 0 whenever it returns, as ``kernels`` is real.  It
+    reads F(it) = t^2 K(1/t) for F's kernel row K.  A grid outside that range,
+    or any other form, is a ValueError.  Kept only for the benchmark."""
     t = _checked_t(grid, AXIS_T_MIN)
     if form not in (FormId.PHI0, FormId.PSI_S):
         raise ValueError(f"realness is checked for Phi0 and PsiS, not {form.value}")

@@ -21,10 +21,6 @@ class TruncationInsufficient(SpherepackError):
     """Series tail estimate exceeds the requested tolerance."""
 
 
-class NonRealValue(SpherepackError):
-    """A value expected to be real came back with too large an imaginary part."""
-
-
 class TailBoundViolated(SpherepackError):
     """The contour's ray ends too early to certify its tail tolerance."""
 

@@ -27,14 +27,14 @@ the theta and Eisenstein conventions used here, g(0) = g_hat(0) = 1.
 
 Each profile is thus scale * sin^2 L[fa Kphi + fb Kpsi], one row of ``_PROFILES``;
 the rows, their values (``axis.kernels``) and their one expansion on [1, inf)
-(``axis._upper_table`` of ``axis._PARTS``, a row per kernel) are ``axis``'s.
+(``axis._table`` of ``axis._PARTS``, a row per kernel) are ``axis``'s.
 
-Quadrature: Gauss panels on [0, 1], where the node values at i/t need the
-series at Im >= 1 only, and on [1, inf) exact exponential moments of the
-kernel's q-expansion.  The panels are equal and share
-their nodes up to a shift, so a radius costs one exponential per panel
-and one per node of a panel, for all kernels of a sweep together, not one
-per node, and one reciprocal per distinct moment rate (``_Moments``).
+Quadrature: Gauss panels on [0, 1], whose node values ``axis.kernels``
+reads off the kernels' table in e^{-pi/t}, and on [1, inf) exact moments
+of the kernel's q-expansion.  The panels are equal and share their nodes
+up to a shift, so a radius costs one exponential per panel and one per
+node of a panel, for all kernels of a sweep together, not one per node,
+and one reciprocal per distinct moment rate (``_Moments``).
 The moments are the table's columns, cut once for its every reader by
 ``qseries.top_cut``, which bounds the dropped moments at every s >= 0.
 Kphi, Kpsi and K+ grow like e^{2 pi t}, K- like t, so the integrals
@@ -64,7 +64,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .axis import K_MINUS, K_PLUS, KPHI, KPSI, _upper_table, kernels
+from .axis import _PARTS, K_MINUS, K_PLUS, KPHI, KPSI, _table, kernels
 from .errors import InsufficientTable, TailBoundViolated
 from .forms import FormId, form_qseries
 from .lattice import Scratch
@@ -110,7 +110,7 @@ class _Moments:
     """Int_1^inf sum_T c_T t^m_T e^{-offset_T t} e^{-pi s t} dt, exact for m <= 2:
     e^{-pi s} sum_T c_T e^{-offset_T} (x + m x^2 + m(m-1) x^3), x = 1/(offset_T + pi s).
 
-    One row per rate offset pi j, a column of ``axis._upper_table``, so one
+    One row per rate offset pi j, a column of ``axis._table``, so one
     reciprocal per rate: the column's c e^{-offset}, m c e^{-offset} and
     m(m-1) c e^{-offset} summed, from m = 2 down, into k, k2 and k3.  The
     rows with a k3 are held first, then those with a k2, so x^2 is formed
@@ -175,7 +175,7 @@ class _Kernel:
     The [0, 1] rule is P equal panels of Q nodes each, t_pk = p/P + t_0k
     (``_panel_split``).  ``weights`` is (2P, Q): row p holds the Gauss
     weights times K at panel p's nodes, row P + p the same for K minus its
-    growing terms.  On [1, inf) K is its row of ``axis._upper_table``, the
+    growing terms.  On [1, inf) K is its row of ``axis._PARTS``' table, the
     terms c t^m e^{-pi j t}: ``decaying`` has the columns j >= 1, ``growing``
     the others, both one row per rate.  ``shift``, ``order`` and ``coeff``
     hold the growing terms one by one for their closed forms, each
@@ -192,7 +192,7 @@ class _Kernel:
     @classmethod
     def build(cls, nodes, weights, values, upper, low, panels) -> _Kernel:
         """From K's values at the [0, 1] nodes and its (3, width) row of
-        ``axis._upper_table``, whose column 0 is the rate j = low."""
+        ``axis._PARTS``' table, whose column 0 is the rate j = low."""
         j = np.arange(low, low + upper.shape[1], dtype=float)
         up = j <= 0.0
         falling, col = np.nonzero(upper[::-1, up])
@@ -327,7 +327,7 @@ class MagicEvaluator:
         panels = self.quad.panels_per_segment
         t, w = panel_nodes(0.0, 1.0, panels, self.quad.gauss_order)
         rows = tuple(profile[:2] for profile in _PROFILES.values())
-        table, low = _upper_table(rows)
+        table, _, low = _table(_PARTS, rows)
         # a's and b's tables share one array of nodes
         self._nodes_a = self._nodes_b = t
         lo, base = _panel_split(t, panels)

@@ -16,10 +16,9 @@ is the coefficient of nome**(lowest + j).
 Exactness is the point: identity checks (Ramanujan, Jacobi, the
 discriminant/eta-product match) are decided by integer arithmetic, and
 floating point enters only in evaluation, at Im(tau) >= ``ETA_MIN``:
-:meth:`QSeries.eval` at a number or an array, and :func:`eval_stack`, which
-evaluates several series at one array of points in one Horner loop and is
-the array case of ``eval``.  Both stop at a proven top cut (``top_cut``),
-beside the ``tail_estimate`` estimate of the terms above ``order``.
+:meth:`QSeries.eval` at a number or an array, one Horner loop that stops
+at a proven top cut (``top_cut``), beside the ``tail_estimate`` estimate
+of the terms above ``order``.
 Every ring operation runs on Python ints;
 ``Fraction`` appears only where coefficients enter (the constructor,
 :meth:`QSeries.scale`) and leave (:meth:`QSeries.coefficient`, ``repr``).
@@ -65,9 +64,9 @@ DEFAULT_ORDER_Q4 = 256
 #: ``top_cut``'s bound on the dropped terms, as a fraction of the leading one
 _TERM_CUT = 2.0 ** -60
 
-#: Points per block of ``eval_stack``: its accumulator and y take 16 bytes
-#: per point and row, 32 when complex, so 256 KiB for the axis entry's two rows.
-_STACK_BLOCK = 4096
+#: Points per block of ``QSeries.eval``'s array loop: its accumulator and y
+#: take 16 bytes per point, 32 when complex, so at most 128 KiB.
+_EVAL_BLOCK = 4096
 
 
 class Nome(Enum):
@@ -338,10 +337,10 @@ class QSeries:
         """Evaluate at a point, or an ndarray of points, of the upper half-plane.
 
         A number (numpy scalars included) runs Horner on a Python nome and
-        returns a ``complex``; only an ndarray imports numpy, and it is the
-        one-series case of :func:`eval_stack`, a complex array of tau's
-        shape.  Refuses points with Im(tau) < ``ETA_MIN`` or NaN, or with
-        a NaN or infinite Re(tau) (DomainTooLow), and refuses to return
+        returns a ``complex``; only an ndarray imports numpy, and it runs
+        the same loop at every point (``_eval_array``), a complex array of
+        tau's shape.  Refuses points with Im(tau) < ``ETA_MIN`` or NaN, or
+        with a NaN or infinite Re(tau) (DomainTooLow), and refuses to return
         values whose certified truncation tail, taken at the largest |nome|,
         exceeds ``EVAL_TOL`` (TruncationInsufficient).
 
@@ -358,7 +357,7 @@ class QSeries:
         power, of which the float loop takes the real part.
         """
         if not isinstance(tau, numbers.Number):
-            return eval_stack((self,), tau)[0, ...].astype(complex, copy=False)
+            return self._eval_array(tau)
         _check_domain(tau)
         w = self.nome.value_at(tau)
         abs_w = abs(w)
@@ -376,6 +375,35 @@ class QSeries:
             power = w ** self.lowest
             acc *= power.real if real else power
         return complex(acc)
+
+    def _eval_array(self, tau):
+        """``eval`` at an ndarray: the number path's loop at every point at
+        once, its refusals and top cut taken over all points, float where every
+        nome is real, in blocks of ``_EVAL_BLOCK`` points that stay in cache."""
+        import numpy as np
+        if not tau.size:
+            return np.empty(tau.shape, dtype=complex)
+        im_min = _check_domain(tau)
+        w = self.nome.value_at(tau.ravel())
+        size = np.abs(w)
+        self._check(im_min, size.min(), size.max())
+        real = not w.imag.any()
+        floats, _, step = self._numeric()
+        *rest, top = floats[::step][:self._top(size.max())]
+        acc = np.empty(w.size, dtype=float if real else complex)
+        for lo in range(0, w.size, _EVAL_BLOCK):
+            part = slice(lo, lo + _EVAL_BLOCK)
+            y = stride_power(w.real[part] if real else w[part], step)
+            block = acc[part]
+            block[...] = top
+            for c in reversed(rest):
+                block *= y
+                if c:
+                    block += c
+            if self.lowest:
+                power = w[part] ** self.lowest
+                block *= power.real if real else power
+        return acc.astype(complex, copy=False).reshape(tau.shape)
 
 
 def _check_domain(tau) -> float:
@@ -397,73 +425,27 @@ def _check_domain(tau) -> float:
     return im_min
 
 
-def eval_stack(series: Sequence[QSeries], tau):
-    """Values of k series at one ndarray of points, as an array of shape
-    (k, *tau.shape): row i is ``series[i].eval(tau)``, bit for bit up to
-    the sign of a zero.  The array is float when every nome value is real,
-    as on the imaginary axis, where the imaginary parts are exactly 0, and
-    when tau is empty; it is complex otherwise.
-
-    Each row keeps the refusals of ``QSeries.eval`` and its own
-    nome**lowest factor.  One Horner loop serves all rows: row i runs in
-    its own y = nome_i**stride_i over its stride-th coefficients up to its
-    top cut at the largest |nome_i| (``QSeries._top``), padded with zeros
-    above its top coefficient up to the longest row.  A padded
-    row stays 0 until it reaches its top coefficient, and 0*y + top is top
-    exactly.  Every coefficient is added as a (k, 1) column, zeros too,
-    where the number path skips a zero; that changes at most the sign of a
-    zero.  The loop runs over blocks of ``_STACK_BLOCK`` points, so that
-    the k rows of the accumulator and of y stay in cache on a large grid.
-    """
-    import numpy as np
-    if not tau.size:
-        return np.empty((len(series),) + tau.shape)
-    im_min = _check_domain(tau)
-    nomes = [s.nome.value_at(tau.ravel()) for s in series]
-    strided = []
-    for s, w in zip(series, nomes):
-        size = np.abs(w)
-        s._check(im_min, size.min(), size.max())
-        floats, _, step = s._numeric()
-        strided.append(floats[::step][:s._top(size.max())])
-    real = not any(w.imag.any() for w in nomes)
-    width = max(map(len, strided))
-    # row j is coefficient j of every series, as a (k, 1) column
-    table = np.array([c + (0.0,) * (width - len(c)) for c in strided]).T[:, :, None]
-    out = np.empty((len(series), tau.size), dtype=float if real else complex)
-    for lo in range(0, tau.size, _STACK_BLOCK):
-        part = slice(lo, lo + _STACK_BLOCK)
-        y = np.stack([stride_power(w.real[part] if real else w[part], s._numeric()[2])
-                      for s, w in zip(series, nomes)])
-        acc = out[:, part]
-        acc[...] = table[-1]
-        for c in table[-2::-1]:
-            acc *= y
-            acc += c
-        for i, (s, w) in enumerate(zip(series, nomes)):
-            if s.lowest:
-                power = w[part] ** s.lowest
-                acc[i] *= power.real if real else power
-    return out.reshape((len(series),) + tau.shape)
-
-
 def top_cut(size: Sequence[float]) -> int:
     """The fewest leading terms n whose dropped sizes size[n:] sum to at most
     ``_TERM_CUT`` of the leading size, the first nonzero one.
 
-    One proof serves the three readers.  Each passes size_j = |c_j| r**j of
+    One proof serves the four readers.  Each passes size_j = |c_j| r**j of
     a polynomial sum_j c_j y**j read at 0 <= y <= r, whose leading term is
     c_l y**l.  The dropped terms over it, sum_{j>=n} |c_j / c_l| y**(j - l),
     only shrink as y falls, so the cut holds at every such y, below 2**-7
     of one rounding of the leading term.
 
     * ``QSeries._top``: y = |nome|**stride, up to the rung r.
-    * ``axis._upper_table``: each P_m(q) of a row q**low sum_m t**m P_m(q),
-      at q = e^{-pi t} up to r = e^{-pi}: every t >= 1.
-    * The moments on [1, inf) that ``magic`` reads off that table, at every
-      s >= 0.  A dropped term c t**m e^{-pi j t} integrates against
-      e^{-pi s t} to c e^{-pi j} e^{-pi s} (x + m x**2 + m(m-1) x**3) with
-      x = 1/(pi (j + s)) <= 1/pi, which falls as j grows.  So the dropped
+    * ``axis._table`` of ``axis._PARTS``: each P_m(y) of a row
+      y**low sum_m t**m P_m(y), at y = e^{-pi t} up to r = e^{-pi}: every
+      t >= 1.
+    * ``axis._table`` of ``axis._LOWER``: the same at y = e^{-pi/t}: every
+      t <= 1.
+    * The moments on [1, inf) that ``magic`` reads off the first table,
+      at every s >= 0.  A dropped term c t**m e^{-pi j t} integrates
+      against e^{-pi s t} to c e^{-pi j} e^{-pi s} (x + m x**2
+      + m(m-1) x**3) with x = 1/(pi (j + s)) <= 1/pi, which falls as j
+      grows.  So the dropped
       moments of P_m are at most (1 + m + m(m-1)) ``_TERM_CUT`` of the
       leading term's size at t = 1, |c| e^{-pi j}, times e^{-pi s} x at the
       first dropped j: of its own moment where it decays (j >= 1).

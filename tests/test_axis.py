@@ -1,6 +1,7 @@
 """Axis kernels, the realness check and the two-sided inequality verification."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,7 +17,15 @@ from spherepack.axis import (
     verify_inequalities,
 )
 from spherepack.cohn_elkies import verify_magic_ce
-from spherepack.forms import FormId, phi0_qseries, psi_i_qseries, psi_s_qseries
+from spherepack.errors import TruncationInsufficient
+from spherepack.forms import (
+    FormId,
+    e4sq_over_delta_qseries,
+    phi0_anomaly_qseries,
+    phi0_qseries,
+    psi_i_qseries,
+    psi_s_qseries,
+)
 from spherepack.magic import default_evaluator
 from spherepack.qseries import Nome, QSeries
 from spherepack.quadrature import QuadratureConfig, panel_nodes
@@ -125,30 +134,25 @@ def test_report_is_serializable():
 
 @pytest.mark.parametrize("convention", list(Eq2Convention))
 def test_eq2_pass_evaluates_each_series_once_per_branch(convention, monkeypatch):
-    # one stacked call of phi0 and psi_s per pass, at i/x for the entry's
-    # arguments x < 1 alone: x = t for S_WEIGHTED and 1/t for DIRECT, so the
-    # series are read at i/t where t < 1, or at i*t where t > 1.  Every other
-    # point takes the moment-term Horner, and each array is one of the entry's rows
+    # one read of each side's table per pass: the lower table at the entry's
+    # arguments x < 1, the upper one at x >= 1, with x = t for S_WEIGHTED and
+    # 1/t for DIRECT; each array is one of the entry's rows
     grid = np.array(log_grid(0.05, 20.0, 64))
     calls = []
-    real_stack = axis.eval_stack
+    side = axis._side
 
-    def counting_stack(series, tau):
-        calls.append((tuple(series), tau.copy()))
-        return real_stack(series, tau)
+    def counting_side(parts, rows, t, x):
+        calls.append((parts, t.copy()))
+        return side(parts, rows, t, x)
 
-    monkeypatch.setattr(axis, "eval_stack", counting_stack)
+    monkeypatch.setattr(axis, "_side", counting_side)
     samples = eq2_samples(grid, convention)
     monkeypatch.undo()
-    assert len(calls) == 1
-    series, tau = calls[0]
-    want = (phi0_qseries(), psi_s_qseries())
-    assert len(series) == len(want) and all(a is b for a, b in zip(series, want))
     inverted, rows = axis._CONVENTIONS[convention]
     x = 1.0 / grid if inverted else grid
     assert 0 < (x < 1.0).sum() < grid.size
-    assert np.array_equal(tau.imag, 1.0 / x[x < 1.0])
-    assert np.all(tau.real == 0.0)
+    assert [parts for parts, _ in calls] == [axis._LOWER, axis._PARTS]
+    assert np.array_equal(calls[0][1], x[x < 1.0]) and np.array_equal(calls[1][1], x[x >= 1.0])
     values = (grid * grid) * axis.kernels(rows, x) if inverted else axis.kernels(rows, x)
     assert np.array_equal(samples.t, grid)
     for got, want in zip((samples.phi0, samples.psi_s, samples.combo_plus, samples.combo_minus),
@@ -157,12 +161,32 @@ def test_eq2_pass_evaluates_each_series_once_per_branch(convention, monkeypatch)
 
 
 def test_kernels_form_each_nome_once(monkeypatch):
-    # the entry's stack of phi0 and psi_s in two nomes builds each nome once
-    calls = []
-    value_at = Nome.value_at
-    monkeypatch.setattr(Nome, "value_at", lambda nome, tau: calls.append(nome) or value_at(nome, tau))
-    axis.kernels([axis.K_PLUS, axis.K_MINUS], np.array(GRID))
-    assert sorted(nome.value for nome in calls) == ["q2", "q4"]
+    # each side's nome, x = e^{-pi/t} below t = 1 and e^{-pi t} above it, is
+    # one exponential per point; the tables are built before the count
+    t = np.array(GRID)
+    rows = [axis.K_PLUS, axis.K_MINUS]
+    axis.kernels(rows, t)
+    sizes = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda a: sizes.append(np.size(a)) or exp(a))
+    axis.kernels(rows, t)
+    monkeypatch.undo()
+    assert sizes == [(t < 1.0).sum(), (t >= 1.0).sum()]
+
+
+def test_no_rows_give_an_empty_float_array_on_both_sides():
+    for t in ([0.5], [2.0], [0.5, 1.0, 2.0], []):
+        got = axis.kernels((), t)
+        assert got.shape == (0, len(t)) and got.dtype == float
+
+
+def test_list_rows_are_taken_on_both_sides():
+    # a row may be any pair of numbers, a list included, as the cached tables key on tuples
+    t = np.array([0.5, 2.0])
+    want = axis.kernels([axis.KPHI, axis.K_MINUS], t)
+    for rows in ([[1.0, 0.0], [-1.0, -W]], [[1, 0], list(axis.K_MINUS)]):
+        for i in range(t.size):
+            assert np.array_equal(axis.kernels(rows, t[i:i + 1]), want[:, i:i + 1])
 
 
 def test_empty_grid_gives_empty_float_arrays():
@@ -207,7 +231,7 @@ def test_evaluator_reads_the_entry_bit_for_bit(monkeypatch):
     magic.MagicEvaluator(quad)
     rows = [profile[:2] for profile in magic._PROFILES.values()]
     t, _ = panel_nodes(0.0, 1.0, quad.panels_per_segment, quad.gauss_order)
-    table, low = axis._upper_table(tuple(rows))
+    table, _, low = axis._table(axis._PARTS, tuple(rows))
     assert len(built) == len(rows)
     for i, ((nodes, _, values, upper, j0, _), row, want) in enumerate(
             zip(built, rows, axis.kernels(rows, t))):
@@ -225,7 +249,7 @@ def test_one_cut_reaches_the_sweep_and_the_entry(monkeypatch):
     radii, t = np.linspace(0.0, 6.0, 3001), np.linspace(1.0, 3.0, 2001)
 
     def both():
-        axis._upper_table.cache_clear()
+        axis._table.cache_clear()
         ev = magic.MagicEvaluator(QuadratureConfig())
         return ev.values((magic.RadialKind.G,), radii)[0], axis.kernels((axis.K_PLUS,), t)[0]
 
@@ -236,7 +260,7 @@ def test_one_cut_reaches_the_sweep_and_the_entry(monkeypatch):
         cut_g, cut_k = both()
     finally:
         monkeypatch.undo()
-        axis._upper_table.cache_clear()
+        axis._table.cache_clear()
     assert not np.array_equal(cut_g, g) and not np.array_equal(cut_k, k)
     assert np.array_equal(both()[1], k)
 
@@ -249,12 +273,14 @@ def test_flipped_psi_moment_terms_fail_the_sweighted_verdict(monkeypatch):
     g = magic.default_evaluator(quad).g_values([1.7, 2.2])
 
     def clear():
-        for cached in (axis._upper_table, magic.default_evaluator):
+        for cached in (axis._table, magic.default_evaluator):
             cached.cache_clear()
 
-    monkeypatch.setattr(axis, "_PARTS", tuple(
-        (kernel, m, -factor if series is psi_i_qseries else factor, series, rate)
-        for kernel, m, factor, series, rate in axis._PARTS))
+    flipped = tuple((kernel, m, -factor if series is psi_i_qseries else factor, series, rate)
+                    for kernel, m, factor, series, rate in axis._PARTS)
+    # magic imports the one tuple by name, so the patch rebinds both names
+    for module in (axis, magic):
+        monkeypatch.setattr(module, "_PARTS", flipped)
     clear()
     try:
         assert not np.array_equal(magic.default_evaluator(quad).g_values([1.7, 2.2]), g)
@@ -272,7 +298,9 @@ def test_inversion_law_constants_read_off_the_profiles_table():
     # in the profiles' table, column j - low holds the e^{-pi j t} terms
     from spherepack.magic import _PROFILES, RadialKind
     kinds = list(_PROFILES)
-    table, low = axis._upper_table(tuple(profile[:2] for profile in _PROFILES.values()))
+    rows = tuple(profile[:2] for profile in _PROFILES.values())
+    table, orders, low = axis._table(axis._PARTS, rows)
+    assert orders == (0, 1, 2)
     k_plus, k_minus = table[kinds.index(RadialKind.G)], table[kinds.index(RadialKind.GHAT)]
     assert low == -2
     # e^{2 pi t}: (36/pi^2) B's pole plus W psi_i's, and their exact cancellation in K-
@@ -286,10 +314,102 @@ def test_inversion_law_constants_read_off_the_profiles_table():
     assert k_minus[0, -low] == -360.0 * W
 
 
-def test_a_psi_part_off_4z_is_refused(monkeypatch):
-    off = QSeries(Nome.Q4, [1, 1])
-    monkeypatch.setattr(axis, "_PARTS", tuple(
-        (kernel, m, factor, (lambda: off) if kernel else series, rate)
-        for kernel, m, factor, series, rate in axis._PARTS))
-    with pytest.raises(RuntimeError, match="4Z"):
-        axis._upper_table.__wrapped__((axis.K_PLUS,))
+def test_a_psi_part_off_4z_is_refused():
+    off = QSeries(Nome.Q4, [1, 1] + [0] * 256)
+    for parts in (axis._LOWER, axis._PARTS):
+        moved = tuple((kernel, m, factor, (lambda: off) if kernel else series, rate)
+                      for kernel, m, factor, series, rate in parts)
+        with pytest.raises(RuntimeError, match="4Z"):
+            axis._table.__wrapped__(moved, (axis.K_PLUS,))
+
+
+# -- both tables against a 40-digit evaluation of the stored coefficients ------------
+
+def _decimal_pi() -> Decimal:
+    """pi by Machin's formula, 16 arctan(1/5) - 4 arctan(1/239), at the context's precision."""
+    def arctan_inverse(n):
+        x = Decimal(1) / n
+        term, total, k = x, x, 1
+        while True:
+            term *= -x * x
+            k += 2
+            if total + term / k == total:
+                return total
+            total += term / k
+    return 16 * arctan_inverse(5) - 4 * arctan_inverse(239)
+
+
+def _decimal_sum(series, nome: Decimal) -> Decimal:
+    """sum_k c_k nome**k over the stored window, the c_k exact Fractions."""
+    total, power = Decimal(0), nome ** series.lowest
+    for k in range(series.lowest, series.order + 1):
+        c = series.coefficient(k)
+        if c:
+            total += Decimal(c.numerator) / Decimal(c.denominator) * power
+        power *= nome
+    return total
+
+
+def _reference_kernels(t: float, pi: Decimal) -> tuple[Decimal, Decimal]:
+    """Kphi and Kpsi at the float t: t^2 phi0(i/t) and t^2 psi_s(i/t) below
+    t = 1, the inversion laws' parts in q2 = e^{-2 pi t} and q4 = e^{-pi t/4}
+    above it."""
+    u = Decimal(t)
+    if t < 1.0:
+        return (u * u * _decimal_sum(phi0_qseries(), (-2 * pi / u).exp()),
+                u * u * _decimal_sum(psi_s_qseries(), (-pi / (4 * u)).exp()))
+    q2, q4 = (-2 * pi * u).exp(), (-pi * u / 4).exp()
+    kphi = (u * u * _decimal_sum(phi0_qseries(), q2)
+            - 12 * u / pi * _decimal_sum(phi0_anomaly_qseries(), q2)
+            + 36 / (pi * pi) * _decimal_sum(e4sq_over_delta_qseries(), q2))
+    return kphi, -_decimal_sum(psi_i_qseries(), q4)
+
+
+def test_both_tables_meet_a_40_digit_reference():
+    # the exponent's rounding moves x = e^{-pi max(t, 1/t)} by that many
+    # units, and each table reads a small power of x, hence the unit below
+    t = np.concatenate([np.geomspace(axis.AXIS_T_MIN, 1.0, 40, endpoint=False),
+                        np.geomspace(1.0, 1.0 / axis.AXIS_T_MIN, 40)])
+    got = axis.kernels([axis.KPHI, axis.KPSI], t)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        pi = _decimal_pi()
+        for i, x in enumerate(t):
+            unit = 2.0 * (1.0 + PI * max(x, 1.0 / x)) * 2.0 ** -52
+            for value, want in zip(got[:, i], _reference_kernels(float(x), pi)):
+                assert abs(Decimal(value) - want) <= Decimal(unit) * abs(want), (x, value, want)
+
+
+# -- the lower table's cut and both tables' truncation guard -------------------------
+
+@pytest.mark.parametrize("row", [axis.KPHI, axis.KPSI, axis.K_PLUS, axis.K_MINUS, (1.0, W)],
+                         ids=["Kphi", "Kpsi", "K_plus", "K_minus", "direct_plus"])
+def test_lower_table_drops_a_proven_negligible_tail(row):
+    # the lower table is the head of the rows' whole expansion in x = e^{-pi/t},
+    # and its dropped terms sum at x = e^{-pi}, so at every t <= 1, to at most
+    # 2^-60 of the leading term
+    poly = np.zeros(101)
+    for kernel, _, _, series, rate in axis._LOWER:
+        s = series()
+        for k in range(s.lowest, s.order + 1):
+            if s.num[k - s.lowest]:
+                poly[int(rate * k)] += row[kernel] * float(s.coefficient(k))
+    table, orders, low = axis._table(axis._LOWER, (row,))
+    width = table.shape[2]
+    assert orders == (2,) and low == np.flatnonzero(poly)[0]
+    assert np.array_equal(table[0, 0], poly[low:low + width])
+    size = np.abs(poly[low:]) * np.exp(-PI * np.arange(poly.size - low))
+    assert size[width:].sum() <= 2.0 ** -60 * size[0]
+
+
+@pytest.mark.parametrize("table", ["lower", "upper"])
+def test_a_part_too_short_at_one_is_refused(table):
+    # a part whose tail estimate at its nome at t = 1 exceeds EVAL_TOL is
+    # refused when the table is built, for every t on its side at once
+    parts, psi = (axis._LOWER, psi_s_qseries) if table == "lower" else (axis._PARTS, psi_i_qseries)
+    short = psi().truncate(20)
+    moved = tuple((kernel, m, factor, (lambda: short) if series is psi else series, rate)
+                  for kernel, m, factor, series, rate in parts)
+    with pytest.raises(TruncationInsufficient):
+        axis._table.__wrapped__(moved, (axis.K_PLUS,))
+    assert axis._table.__wrapped__(parts, (axis.K_PLUS,))[0].shape[0] == 1

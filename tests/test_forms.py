@@ -14,7 +14,6 @@ import pytest
 import spherepack
 
 from spherepack.axis import Eq2Convention, check_realness, eq2_samples
-from spherepack.errors import NonRealValue
 from spherepack.forms import (
     WEIGHT36,
     FormId,
@@ -33,7 +32,7 @@ from spherepack.forms import (
     theta_qseries,
     _b_q4,
 )
-from spherepack.qseries import DEFAULT_ORDER_Q4, Nome
+from spherepack.qseries import DEFAULT_ORDER_Q4, Nome, QSeries
 
 PI = math.pi
 
@@ -385,36 +384,29 @@ def test_axis_array_refuses_bad_t(name, bad):
         on_axis(np.array([0.5, bad, 2.0]), name)
 
 
-#: the axis functions, and the realness check of each form it covers, with the
-#: side of t = 1 where they read series: the entry reads phi0 and psi_s at i/x
-#: for its arguments x < 1, so at i/t where t < 1 (S_WEIGHTED) or at i*t where
-#: t > 1 (DIRECT and the realness check, which read the entry at 1/t)
-PHASE_CHECKED = ({name: (partial(on_axis, name=name), AXIS_KERNELS[name][0] is Eq2Convention.DIRECT)
-                  for name in AXIS_KERNELS}
-                 | {f"res_{form.value}": (partial(check_realness, form), True)
+#: the axis functions, and the realness check of each form it covers
+PHASE_CHECKED = ({name: partial(on_axis, name=name) for name in AXIS_KERNELS}
+                 | {f"res_{form.value}": partial(check_realness, form)
                     for form in (FormId.PHI0, FormId.PSI_S)})
 
 
 @pytest.mark.parametrize("name", list(PHASE_CHECKED))
 def test_axis_refuses_injected_imaginary_part(name, monkeypatch):
-    # the entry refuses any series value that is not real, so a phase on each
-    # stacked series value is refused on the side of t = 1 where series are
-    # read, and on a grid across t = 1; the other side reads none.  Only a
-    # patch like this one reaches that check: on the axis every nome is real.
-    plain = spherepack.axis.eval_stack
-    sizes = []
-    monkeypatch.setattr(spherepack.axis, "eval_stack", lambda series, tau: sizes.append(tau.size)
-                        or plain(series, tau) * (1 + 1e-6j))
-    call, above = PHASE_CHECKED[name]
-    series_side, other_side = np.array([1.5, 3.0]), np.array([0.5, 0.7])
-    if not above:
-        series_side, other_side = other_side, series_side
-    for t in (series_side, np.array([0.7, 1.5])):
-        with pytest.raises(NonRealValue):
-            call(t)
-    sizes.clear()
-    call(other_side)
-    assert sizes == []
+    # the entry runs in real arithmetic only: its tables are float, so a phase
+    # on every series' float coefficients is refused where a table is built,
+    # on each side of t = 1 and on a grid across it.  Only a patch like this
+    # one reaches that refusal: every stored coefficient is rational.
+    numeric = QSeries._numeric
+    monkeypatch.setattr(QSeries, "_numeric", lambda s: (
+        tuple(c * (1 + 1e-6j) for c in numeric(s)[0]),) + numeric(s)[1:])
+    try:
+        for t in ([0.5, 0.7], [1.5, 3.0], [0.7, 1.5]):
+            spherepack.axis._table.cache_clear()
+            with pytest.raises(TypeError):
+                PHASE_CHECKED[name](np.array(t))
+    finally:
+        monkeypatch.undo()
+        spherepack.axis._table.cache_clear()
 
 
 def test_builders_cache_on_effective_order():

@@ -51,11 +51,12 @@ def test_psi_s_transform_overlap_08_to_125():
 @pytest.mark.parametrize("row", [axis.KPHI, axis.KPSI, axis.K_PLUS, axis.K_MINUS, (1.0, WEIGHT36)],
                          ids=["Kphi", "Kpsi", "K_plus", "K_minus", "direct_plus"])
 def test_kernel_branches_agree_on_overlap_08_to_125(row):
-    """The entry's two branches, the series at i/t and the moment terms in
-    e^{-pi t} that the inversion laws give, agree wherever both converge:
-    the guard that licenses each branch on its side of t = 1."""
+    """The entry's two tables, the series at i/t in e^{-pi/t} and the moment
+    terms in e^{-pi t} that the inversion laws give, agree wherever both
+    converge: the guard that licenses each table on its side of t = 1."""
     t = np.linspace(0.8, 1.25, 10)
-    below, above = axis._below_one([row], t)[0], axis._above_one([row], t)[0]
+    below = axis._side(axis._LOWER, (row,), t, np.exp(-PI / t))[0]
+    above = axis._side(axis._PARTS, (row,), t, np.exp(-PI * t))[0]
     assert np.all(np.abs(below - above) < 1e-8 * np.abs(below))
 
 

@@ -108,9 +108,9 @@ def test_ray_tail_bound_enforced(monkeypatch):
 
 def test_contour_table_build_makes_one_series_evaluation(monkeypatch):
     calls = []
-    stack = qseries.eval_stack
-    monkeypatch.setattr(qseries, "eval_stack",
-                        lambda series, tau: calls.append(tau.size) or stack(series, tau))
+    loop = qseries.QSeries._eval_array
+    monkeypatch.setattr(qseries.QSeries, "_eval_array",
+                        lambda series, tau: calls.append(tau.size) or loop(series, tau))
     for form in FORMS:
         magic._contour_table.__wrapped__(form, QuadratureConfig(16, 4))
     assert calls == [6 * 16 * 4] * 2
@@ -399,7 +399,9 @@ _MOMENT_S = np.concatenate([[0.0], np.logspace(-3.0, 6.0, 200)])
 
 def _profile_table():
     """The profiles' one table on [1, inf), (rows, 3, width), and its lowest rate index."""
-    return axis._upper_table(tuple(profile[:2] for profile in magic._PROFILES.values()))
+    rows = tuple(profile[:2] for profile in magic._PROFILES.values())
+    table, _, low = axis._table(axis._PARTS, rows)
+    return table, low
 
 
 def _moment_sizes(order, offset, coeff, s):
@@ -1086,16 +1088,17 @@ def test_hankel_builds_one_read_only_rule_per_upper_limit():
 
 
 def test_kernel_weights_match_two_single_series_evaluations():
-    # the evaluator reads phi0 and psi_s at the 1j/t nodes from one stacked
-    # call; each kernel's table equals the one built from two plain evals
+    # the evaluator's [0, 1] node values are the lower table's, read at
+    # x = e^{-pi/t} for the four profiles at once; each kernel's table equals
+    # the one built from them (the accuracy of the lower table against the
+    # series is test_axis's 40-digit reference)
     quad = QuadratureConfig()
     ev = MagicEvaluator(quad)
     panels = quad.panels_per_segment
     t, w = panel_nodes(0.0, 1.0, panels, quad.gauss_order)
-    kphi = (t * t) * form_qseries(FormId.PHI0).eval(1j / t).real
-    kpsi = (t * t) * form_qseries(FormId.PSI_S).eval(1j / t).real
+    rows = tuple(profile[:2] for profile in magic._PROFILES.values())
     slabs, low = _profile_table()
-    values = (kphi, kpsi, kphi - WEIGHT36 * kpsi, -kphi - WEIGHT36 * kpsi)
+    values = axis._side(axis._LOWER, rows, t, np.exp(-PI / t))
     want = {kind: magic._Kernel.build(t, w, v, slab, low, panels)
             for kind, v, slab in zip(magic._PROFILES, values, slabs)}
     for name, kernel in want.items():

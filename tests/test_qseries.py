@@ -18,8 +18,8 @@ from spherepack.forms import (
     phi0_anomaly_qseries,
     psi_i_qseries,
 )
-from spherepack.qseries import (_STACK_BLOCK, ETA_MIN, Nome, QSeries, eval_stack,
-                                from_coefficients, one_series, stride_power, top_cut)
+from spherepack.qseries import (_EVAL_BLOCK, ETA_MIN, Nome, QSeries, from_coefficients,
+                                one_series, stride_power, top_cut)
 
 
 def geometric(order):
@@ -528,10 +528,10 @@ def test_stride_power_is_one_chain_for_float_and_complex():
     assert stride_power(xs, 1) is xs
 
 
-# -- the stacked loop against the one-series array loop --------------------------
+# -- the array loop against the plain one-series loop -----------------------------
 
 def _one_series_loop(series, tau):
-    """The array loop of QSeries.eval before eval_stack, guards left out:
+    """The array loop of QSeries.eval, guards, blocks and top cut left out:
     one series, in y = nome**stride, float when its own nome is real, the
     add of each zero coefficient skipped."""
     w = series.nome.value_at(tau)
@@ -568,50 +568,46 @@ _STACK_POINTS = {
     "Re = 1": (1.0 + 1j * _IM, False),
     "|Re| >= period": (np.array([x + 1j * y for x in (-8.0, 9.25, -17.5, 1e6 + 0.375)
                                  for y in _IM]), False),
-    # more than two blocks of the stacked loop, on and off the axis
-    "blocks, axis": (1j * np.geomspace(0.5, 8.0, 2 * _STACK_BLOCK + 5), True),
-    "blocks, off axis": (0.3 + 1j * np.geomspace(0.5, 8.0, 2 * _STACK_BLOCK + 5), False),
+    # more than two blocks of the array loop, on and off the axis
+    "blocks, axis": (1j * np.geomspace(0.5, 8.0, 2 * _EVAL_BLOCK + 5), True),
+    "blocks, off axis": (0.3 + 1j * np.geomspace(0.5, 8.0, 2 * _EVAL_BLOCK + 5), False),
 }
 
 
 @pytest.mark.parametrize("label", list(_STACK_POINTS))
 @pytest.mark.parametrize("shape", ["(n,)", "(m, 1)"])
 def test_stack_rows_are_the_one_series_loop_bit_for_bit(label, shape):
-    # == on floats and complexes counts -0.0 equal to 0.0: a padded row or a
-    # complex loop may give a zero of the other sign, and nothing else differs
+    # each series' array path is the plain loop bit for bit, the zero signs
+    # included, on and off the axis and across blocks
     taus, real = _STACK_POINTS[label]
     if shape == "(m, 1)":
         taus = taus.reshape(-1, 1)
-    series = _stack_series()
-    got = eval_stack(series, taus)
-    assert got.shape == (len(series),) + taus.shape
-    assert got.dtype == (float if real else complex)
-    for row, s in zip(got, series):
-        want = _one_series_loop(s, taus)
-        assert np.array_equal(row, want), (label, s)
-        # the one-series case is eval's own array path, the zero signs included
-        own = s.eval(taus)
-        assert own.dtype == complex and np.array_equal(own, want)
-        assert np.array_equal(np.signbit(own.real), np.signbit(want.real))
-        assert np.array_equal(np.signbit(own.imag), np.signbit(want.imag))
-    if label == "Re = 1":
-        q2 = [i for i, s in enumerate(series) if s.nome is Nome.Q2]
-        assert q2 and np.all(got[q2].imag == 0.0)
+    for s in _stack_series():
+        got, want = s.eval(taus), _one_series_loop(s, taus)
+        assert got.shape == taus.shape and got.dtype == complex
+        assert np.array_equal(got, want), (label, s)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+        if real or (label == "Re = 1" and s.nome is Nome.Q2):
+            assert np.all(got.imag == 0.0), (label, s)
 
 
 def test_stack_keeps_each_rows_refusals():
+    # the array path refuses what the number path refuses at any of its points
     e4 = form_qseries(FormId.E4)
     short = from_coefficients(Nome.Q2, [(0, 1), (3, 10 ** 9)], 3)
     with pytest.raises(TruncationInsufficient):
-        eval_stack((e4, short, psi_i_qseries()), np.array([3.0j, 0.5j]))
-    with pytest.raises(DomainTooLow):
-        eval_stack((e4, psi_i_qseries()), np.array([1j, 0.2 + 0.4j]))
-    with pytest.raises(DomainTooLow):
-        eval_stack((e4,), np.array([1j, complex(0.0, math.nan)]))
+        short.eval(np.array([3.0j, 0.5j]))
+    for s in (e4, psi_i_qseries()):
+        with pytest.raises(DomainTooLow):
+            s.eval(np.array([1j, 0.2 + 0.4j]))
+        with pytest.raises(DomainTooLow):
+            s.eval(np.array([1j, complex(0.0, math.nan)]))
     # nome underflow with a pole at the cusp: psi_i's q4 at Im(tau) = 1000
     with pytest.raises(DomainTooLow):
-        eval_stack((e4, psi_i_qseries()), np.array([1j, 1000j]))
-    assert eval_stack((e4, form_qseries(FormId.PSI_S)), np.array([1000j])).shape == (2, 1)
+        psi_i_qseries().eval(np.array([1j, 1000j]))
+    for s in (e4, form_qseries(FormId.PSI_S)):
+        assert s.eval(np.array([1000j])).shape == (1,)
 
 
 @pytest.mark.parametrize("re", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -620,29 +616,17 @@ def test_a_non_finite_real_part_is_refused_on_both_paths(re):
     with pytest.raises(DomainTooLow, match=r"Re\(tau\) is not finite at tau = "):
         e4.eval(bad)
     for taus in (np.array([1j, bad, 2j]), np.array([[1j, 2j], [3j, bad]])):
-        with pytest.raises(DomainTooLow, match=r"Re\(tau\) is not finite at tau = "):
-            eval_stack((e4, psi_i_qseries()), taus)
-        with pytest.raises(DomainTooLow, match=r"Re\(tau\) is not finite at tau = "):
-            e4.eval(taus)
+        for s in (e4, psi_i_qseries()):
+            with pytest.raises(DomainTooLow, match=r"Re\(tau\) is not finite at tau = "):
+                s.eval(taus)
 
 
 def test_stack_of_empty_array_is_empty_float():
+    # an empty array of points is refused nothing and gives an empty array
     for shape in ((0,), (0, 3)):
-        got = eval_stack(_stack_series(), np.empty(shape, dtype=complex))
-        assert got.shape == (11,) + shape and got.dtype == float
-
-
-def test_stack_rows_sharing_a_nome_power_are_each_eval():
-    # phi0 and Delta share (Q2, 1), psi_i and B + psi_i share (Q4, -8), E4 comes twice
-    series = (form_qseries(FormId.PHI0), form_qseries(FormId.E4), form_qseries(FormId.DELTA),
-              psi_i_qseries(), form_qseries(FormId.THETA10), _b_plus_psi_i_q4(),
-              form_qseries(FormId.E4))
-    assert series[0].lowest == series[2].lowest == 1 and series[0].nome is series[2].nome
-    assert series[3].lowest == series[5].lowest == -8 and series[3].nome is series[5].nome
-    for label, (taus, _) in _STACK_POINTS.items():
-        got = eval_stack(series, taus)
-        for row, s in zip(got, series):
-            assert np.array_equal(row, s.eval(taus)), (label, s)
+        for s in _stack_series():
+            got = s.eval(np.empty(shape, dtype=complex))
+            assert got.shape == shape and got.dtype == complex
 
 
 # -- the top cut: each loop stops where the dropped terms fall below rounding --
@@ -695,9 +679,8 @@ def test_cut_loop_meets_the_horner_bound_plus_the_cut(re):
         for tau in taus:
             _assert_within(s, s.eval(complex(tau)), s.nome.value_at(complex(tau)))
     for points in [taus[i:i + 1] for i in range(len(taus))] + [taus]:
-        got = eval_stack(series, points)
-        for row, s in zip(got, series):
-            for value, w in zip(row, s.nome.value_at(points)):
+        for s in series:
+            for value, w in zip(s.eval(points), s.nome.value_at(points)):
                 _assert_within(s, complex(value), complex(w))
 
 
@@ -725,57 +708,53 @@ def test_cut_is_memoised_per_rung():
 
 
 def test_kernels_stack_the_cut_widths(monkeypatch):
-    # one S-weighted verdict on the default grid: the base pass stacks phi0 and
-    # psi_s at its 200 points t < 1 and keeps 14 coefficients at most (50
-    # uncut); the refinement pass's 582 points all lie above t = 1 and stack
-    # none; the direct verdict's pass stacks 14 again.  Every pass's moment-term
-    # Horner on t >= 1 is 26 coefficients wide (103 uncut)
+    # each verdict's passes read the two tables, cut at x = e^{-pi}: the lower
+    # one 23 columns wide (100 uncut), the upper one 26 (103 uncut).  The
+    # S-weighted base pass reads both; its refinement pass's 582 points all
+    # lie above t = 1 and read the upper one alone; the direct pass reads both
     from spherepack import axis, cli
-    widths, tops = [], []
-    stack, top = axis.eval_stack, QSeries._top
-
-    def counting_stack(series, tau):
-        tops.clear()
-        out = stack(series, tau)
-        widths.append(max(tops))
-        return out
-
-    monkeypatch.setattr(axis, "eval_stack", counting_stack)
-    monkeypatch.setattr(QSeries, "_top", lambda s, abs_max: tops.append(top(s, abs_max)) or tops[-1])
+    widths = []
+    table = axis._table
+    monkeypatch.setattr(axis, "_table", lambda parts, rows: widths.append(
+        (parts is axis._LOWER, table(parts, rows)[0].shape[2])) or table(parts, rows))
     config = cli.RunConfig()
     grid = axis.log_grid(config.axis_grid_lo, config.axis_grid_hi, config.axis_grid_n)
     axis.verify_inequalities(grid, axis.Eq2Convention.S_WEIGHTED)
-    assert widths == [14]
+    assert widths == [(True, 23), (False, 26), (False, 26)]
+    widths.clear()
     axis.verify_inequalities(grid, axis.Eq2Convention.DIRECT)
-    assert widths == [14, 14]
+    assert widths == [(True, 23), (False, 26)]
+    monkeypatch.undo()
     for _, rows in axis._CONVENTIONS.values():
-        assert axis._upper_table(rows)[0].shape == (len(rows), 3, 26)
-    rates = []
-    for _, _, _, series, rate in axis._PARTS:
-        s = series()
-        rates += [rate * (s.lowest + k) for k, n in enumerate(s.num) if n]
-    assert max(rates) - min(rates) + 1 == 103
+        assert axis._table(axis._LOWER, rows)[0].shape == (len(rows), 1, 23)
+        assert axis._table(axis._PARTS, rows)[0].shape == (len(rows), 3, 26)
+    for parts, uncut in ((axis._LOWER, 100), (axis._PARTS, 103)):
+        rates = []
+        for _, _, _, series, rate in parts:
+            s = series()
+            rates += [rate * (s.lowest + k) for k, n in enumerate(s.num) if n]
+        assert max(rates) - min(rates) + 1 == uncut
 
 
 def test_stack_hashes_no_enum_member(monkeypatch):
-    # Enum.__hash__ is a Python-level method; eval_stack keys nothing on a nome
+    # Enum.__hash__ is a Python-level method; the array loop keys nothing on a nome
     from enum import Enum
-    from spherepack import axis
     callers = []
     plain = Enum.__hash__
 
     def counting(member):
         frame = sys._getframe(1)
-        while frame is not None and frame.f_code is not eval_stack.__code__:
+        while frame is not None and frame.f_code is not QSeries._eval_array.__code__:
             frame = frame.f_back
         callers.append(frame is not None)
         return plain(member)
 
-    rows, t = [axis.K_PLUS, axis.K_MINUS], np.geomspace(0.05, 20.0, 400)
-    axis.kernels(rows, t)
+    series, taus = _stack_series(), _STACK_POINTS["off axis"][0]
+    for s in series:
+        s.eval(taus)
     monkeypatch.setattr(Enum, "__hash__", counting)
     hash(Nome.Q2)
     assert callers == [False]
-    axis.kernels(rows, t)
-    eval_stack(_stack_series(), _STACK_POINTS["off axis"][0])
+    for s in series:
+        s.eval(taus)
     assert True not in callers
