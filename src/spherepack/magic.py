@@ -424,8 +424,8 @@ def _contour_sum(nodes: np.ndarray, weights: np.ndarray, r2) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _contour_table(form: FormId, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights (Gauss weight times coefficient times integrand) of
-    the five ``_LEGS`` and the ray, concatenated, from one series evaluation
-    at every leg's -1/(z + shift) and the ray's i t.
+    the five ``_LEGS`` and the ray, concatenated and read-only, from one
+    series evaluation at every leg's -1/(z + shift) and the ray's i t.
 
     The certified bound on the ray beyond _RAY_END is checked first, at
     r = 0, where it is largest: the factor exp(pi i r^2 z) only speeds the
@@ -443,8 +443,11 @@ def _contour_table(form: FormId, quad: QuadratureConfig) -> tuple[np.ndarray, np
     t, dt = panel_nodes(1.0, _RAY_END, *rule)
     values = form_qseries(form).eval(np.concatenate([(-1.0 / w).ravel(), 1j * t]))
     weights = np.array(coeffs)[:, None] * gauss * (values[:z.size].reshape(z.shape) * w ** 2)
-    return (np.concatenate([z.ravel(), 1j * t]),
-            np.concatenate([weights.ravel(), coefficient * (1j * dt) * values[z.size:]]))
+    table = (np.concatenate([z.ravel(), 1j * t]),
+             np.concatenate([weights.ravel(), coefficient * (1j * dt) * values[z.size:]]))
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------

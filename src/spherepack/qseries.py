@@ -16,9 +16,9 @@ is the coefficient of nome**(lowest + j).
 Exactness is the point: identity checks (Ramanujan, Jacobi, the
 discriminant/eta-product match) are decided by integer arithmetic, and
 floating point enters only in evaluation, at Im(tau) >= ``ETA_MIN``:
-:meth:`QSeries.eval` at a number or an array, one Horner loop that stops
-at a proven top cut (``top_cut``), beside the ``tail_estimate`` estimate
-of the terms above ``order``.
+:meth:`QSeries.eval`, one complex Horner loop for a number and an array
+alike, that stops at a proven top cut (``top_cut``) taken once per call,
+beside the ``tail_estimate`` estimate of the terms above ``order``.
 Every ring operation runs on Python ints;
 ``Fraction`` appears only where coefficients enter (the constructor,
 :meth:`QSeries.scale`) and leave (:meth:`QSeries.coefficient`, ``repr``).
@@ -64,10 +64,6 @@ DEFAULT_ORDER_Q4 = 256
 #: ``top_cut``'s bound on the dropped terms, as a fraction of the leading one
 _TERM_CUT = 2.0 ** -60
 
-#: Points per block of ``QSeries.eval``'s array loop: its accumulator and y
-#: take 16 bytes per point, 32 when complex, so at most 128 KiB.
-_EVAL_BLOCK = 4096
-
 
 class Nome(Enum):
     """Exponential variable a series is expanded in."""
@@ -104,7 +100,7 @@ class QSeries:
     window is zero.  The constructor takes ints or ``Fraction``s.
     """
 
-    __slots__ = ("nome", "lowest", "num", "den", "_float_cache", "_tops")
+    __slots__ = ("nome", "lowest", "num", "den", "_float_cache")
 
     def __init__(self, nome: Nome, coeffs: Sequence, lowest: int = 0):
         parsed = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
@@ -129,7 +125,6 @@ class QSeries:
         self.num = tuple(n // g for n in num[first:]) if g > 1 else tuple(num[first:])
         self.den = den // g
         self._float_cache = None
-        self._tops = {}
 
     # -- basic introspection -------------------------------------------------
 
@@ -304,16 +299,13 @@ class QSeries:
     def _top(self, abs_max) -> int:
         """Stride-th coefficients kept at largest |nome| abs_max: ``top_cut``
         of their sizes |c_j| r**(stride j) at the rung r = 2**(k/4) >= abs_max,
-        so the cut holds at every point.  One int is kept per rung."""
+        so the cut holds at every point."""
         floats, _, step = self._numeric()
         strided = floats[::step]
         if not abs_max < 1.0:  # NaN
             return len(strided)
         k = math.ceil(4 * math.log2(max(abs_max, 1e-300)))
-        if k not in self._tops:
-            self._tops[k] = top_cut([abs(c) * 2.0 ** (k * step * j / 4)
-                                     for j, c in enumerate(strided)])
-        return self._tops[k]
+        return top_cut([abs(c) * 2.0 ** (k * step * j / 4) for j, c in enumerate(strided)])
 
     def tail_estimate(self, abs_nome: float) -> float:
         """Geometric tail bound C * |q|^order / (1 - |q|), C as in ``_numeric``."""
@@ -336,74 +328,43 @@ class QSeries:
     def eval(self, tau):
         """Evaluate at a point, or an ndarray of points, of the upper half-plane.
 
-        A number (numpy scalars included) runs Horner on a Python nome and
-        returns a ``complex``; only an ndarray imports numpy, and it runs
-        the same loop at every point (``_eval_array``), a complex array of
-        tau's shape.  Refuses points with Im(tau) < ``ETA_MIN`` or NaN, or
-        with a NaN or infinite Re(tau) (DomainTooLow), and refuses to return
-        values whose certified truncation tail, taken at the largest |nome|,
-        exceeds ``EVAL_TOL`` (TruncationInsufficient).
+        One complex Horner loop: on a Python ``complex`` for a number (numpy
+        scalars included), which it returns, and elementwise for an ndarray,
+        which alone imports numpy, into a complex array of tau's shape.
+        Refuses points with Im(tau) < ``ETA_MIN`` or NaN, or with a NaN or
+        infinite Re(tau) (DomainTooLow), and values whose certified truncation
+        tail, taken at the largest |nome|, exceeds ``EVAL_TOL``
+        (TruncationInsufficient).
 
-        The loop runs over the stride-th float coefficients (``_numeric``)
-        up to the top cut at |nome| (``_top``), in y = nome**stride, formed
-        by ``stride_power``: psi_s, psi_i and the Q4 theta series step by 8
-        or 4 over the zeros between, and a dense
-        series (stride 1) runs in the nome itself.  It skips the add of each
-        remaining zero coefficient, and its working type follows the nome:
-        when the nome is real (every point of the imaginary axis), y and the
-        loop are float.  That is the real part of the complex loop bit for
-        bit, up to the sign of a zero, because the imaginary parts stay
-        exactly zero.  The factor nome**lowest stays a complex integer
-        power, of which the float loop takes the real part.
+        The loop runs over the stride-th float coefficients (``_numeric``) up
+        to the top cut at the largest |nome| (``_top``), in y = nome**stride
+        (``stride_power``; psi_s, psi_i and the Q4 theta series step by 8 or
+        4), skips the add of each zero coefficient, then multiplies by the
+        complex power nome**lowest.  Where the nome is real (on the imaginary
+        axis) every imaginary part stays exactly zero.
         """
-        if not isinstance(tau, numbers.Number):
-            return self._eval_array(tau)
-        _check_domain(tau)
-        w = self.nome.value_at(tau)
-        abs_w = abs(w)
-        self._check(tau.imag, abs_w, abs_w)
-        real = not w.imag
+        number = isinstance(tau, numbers.Number)
+        if not (number or tau.size):
+            return tau.astype(complex)
+        im_min = _check_domain(tau)
+        w = self.nome.value_at(tau if number else tau.ravel())
+        size = abs(w)
+        largest = size if number else size.max()
+        self._check(im_min, size if number else size.min(), largest)
         floats, _, step = self._numeric()
-        y = stride_power(w.real if real else w, step)
-        *rest, top = floats[::step][:self._top(abs_w)]
-        acc = type(y)(top)
+        y = stride_power(w, step)
+        *rest, top = floats[::step][:self._top(largest)]
+        acc = complex(top)
+        if not number:
+            import numpy as np
+            acc = np.full(w.size, acc)
         for c in reversed(rest):
             acc *= y
             if c:
                 acc += c
         if self.lowest:
-            power = w ** self.lowest
-            acc *= power.real if real else power
-        return complex(acc)
-
-    def _eval_array(self, tau):
-        """``eval`` at an ndarray: the number path's loop at every point at
-        once, its refusals and top cut taken over all points, float where every
-        nome is real, in blocks of ``_EVAL_BLOCK`` points that stay in cache."""
-        import numpy as np
-        if not tau.size:
-            return np.empty(tau.shape, dtype=complex)
-        im_min = _check_domain(tau)
-        w = self.nome.value_at(tau.ravel())
-        size = np.abs(w)
-        self._check(im_min, size.min(), size.max())
-        real = not w.imag.any()
-        floats, _, step = self._numeric()
-        *rest, top = floats[::step][:self._top(size.max())]
-        acc = np.empty(w.size, dtype=float if real else complex)
-        for lo in range(0, w.size, _EVAL_BLOCK):
-            part = slice(lo, lo + _EVAL_BLOCK)
-            y = stride_power(w.real[part] if real else w[part], step)
-            block = acc[part]
-            block[...] = top
-            for c in reversed(rest):
-                block *= y
-                if c:
-                    block += c
-            if self.lowest:
-                power = w[part] ** self.lowest
-                block *= power.real if real else power
-        return acc.astype(complex, copy=False).reshape(tau.shape)
+            acc *= w ** self.lowest
+        return acc if number else acc.reshape(tau.shape)
 
 
 def _check_domain(tau) -> float:
@@ -435,7 +396,8 @@ def top_cut(size: Sequence[float]) -> int:
     only shrink as y falls, so the cut holds at every such y, below 2**-7
     of one rounding of the leading term.
 
-    * ``QSeries._top``: y = |nome|**stride, up to the rung r.
+    * ``QSeries._top``, once per ``QSeries.eval`` call: y = |nome|**stride,
+      up to the rung r above the call's largest |nome|.
     * ``axis._table`` of ``axis._PARTS``: each P_m(y) of a row
       y**low sum_m t**m P_m(y), at y = e^{-pi t} up to r = e^{-pi}: every
       t >= 1.

@@ -38,9 +38,10 @@ class QuadratureConfig:
 
 @lru_cache(maxsize=32)
 def gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1] (cached; numpy's Golub-Welsch)."""
+    """Nodes and weights on [-1, 1] (cached, so read-only; numpy's Golub-Welsch)."""
     import numpy as np
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 

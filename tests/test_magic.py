@@ -108,12 +108,24 @@ def test_ray_tail_bound_enforced(monkeypatch):
 
 def test_contour_table_build_makes_one_series_evaluation(monkeypatch):
     calls = []
-    loop = qseries.QSeries._eval_array
-    monkeypatch.setattr(qseries.QSeries, "_eval_array",
+    loop = qseries.QSeries.eval
+    monkeypatch.setattr(qseries.QSeries, "eval",
                         lambda series, tau: calls.append(tau.size) or loop(series, tau))
     for form in FORMS:
         magic._contour_table.__wrapped__(form, QuadratureConfig(16, 4))
     assert calls == [6 * 16 * 4] * 2
+
+
+def test_cached_rule_and_contour_table_are_read_only(ev):
+    # a caller's in-place write would change every later rule and oracle value
+    from spherepack.quadrature import gauss_nodes
+    for array in gauss_nodes(8) + magic._contour_table(FormId.PHI0, ev.quad):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    nodes, weights = panel_nodes(0.0, 1.0, 2, 8)
+    assert nodes.shape == weights.shape == (16,) and abs(weights.sum() - 1.0) < 1e-15
+    values = ev.contour_values(FormId.PHI0, np.array([0.0, 1.5]))
+    assert values.shape == (2,) and np.isfinite(values).all()
 
 
 def test_ray_tail_bound_enforced_by_the_oracle(ev, monkeypatch):

@@ -18,8 +18,8 @@ from spherepack.forms import (
     phi0_anomaly_qseries,
     psi_i_qseries,
 )
-from spherepack.qseries import (_EVAL_BLOCK, ETA_MIN, Nome, QSeries, from_coefficients,
-                                one_series, stride_power, top_cut)
+from spherepack.qseries import (ETA_MIN, Nome, QSeries, from_coefficients, one_series,
+                                stride_power, top_cut)
 
 
 def geometric(order):
@@ -220,6 +220,19 @@ def test_number_dispatch_returns_python_complex_bit_for_bit(tau, e4, q2, q4):
         assert type(got) is complex and repr(got) == want
 
 
+def test_number_path_pins_a_real_nome_a_complex_nome_and_a_pole():
+    # every digit, and the exact +0 imaginary part on the axis, pinned for a
+    # real nome, a complex nome and a pole at the cusp
+    pinned = [
+        (form_qseries(FormId.PSI_S), 0.7j, "(-3922.5881775067505+0j)"),  # real nome, stride 8
+        (form_qseries(FormId.PHI0), 0.3 + 0.6j, "(-8281.598611177347-681.8463102886785j)"),
+        (psi_i_qseries(), 0.6j, "(19.685492212803357+0j)"),  # lowest exponent -8
+    ]
+    for series, tau, want in pinned:
+        got = series.eval(tau)
+        assert type(got) is complex and repr(got) == want
+
+
 def test_array_dispatch_returns_ndarrays():
     series = form_qseries(FormId.E4)
     for tau in (np.array(1j), np.array([1j, 0.25 + 1.5j])):
@@ -407,7 +420,7 @@ def test_builder_coefficients_match_pinned_hash():
     assert digest.hexdigest() == _PINNED_SHA256
 
 
-# -- the real-nome stride loop against the complex one, both against exact values --
+# -- the stride loop on the axis against full complex Horner, both against exact values --
 
 def _complex_horner(series, tau):
     """eval's loop, guards left out, in complex in every case: Horner over
@@ -531,23 +544,21 @@ def test_stride_power_is_one_chain_for_float_and_complex():
 # -- the array loop against the plain one-series loop -----------------------------
 
 def _one_series_loop(series, tau):
-    """The array loop of QSeries.eval, guards, blocks and top cut left out:
-    one series, in y = nome**stride, float when its own nome is real, the
-    add of each zero coefficient skipped."""
+    """The loop of QSeries.eval at an array, guards and top cut left out:
+    complex Horner in y = nome**stride, the add of each zero coefficient
+    skipped, then the complex power nome**lowest."""
     w = series.nome.value_at(tau)
-    real = not w.imag.any()
     floats, _, step = series._numeric()
-    y = stride_power(w.real if real else w, step)
+    y = stride_power(w, step)
     *rest, top = floats[::step]
-    acc = np.full(w.shape, top, dtype=y.dtype)
+    acc = np.full(w.shape, top, dtype=complex)
     for c in reversed(rest):
         acc *= y
         if c:
             acc += c
     if series.lowest:
-        power = w ** series.lowest
-        acc *= power.real if real else power
-    return acc.astype(complex, copy=False)
+        acc *= w ** series.lowest
+    return acc
 
 
 def _stack_series():
@@ -568,9 +579,9 @@ _STACK_POINTS = {
     "Re = 1": (1.0 + 1j * _IM, False),
     "|Re| >= period": (np.array([x + 1j * y for x in (-8.0, 9.25, -17.5, 1e6 + 0.375)
                                  for y in _IM]), False),
-    # more than two blocks of the array loop, on and off the axis
-    "blocks, axis": (1j * np.geomspace(0.5, 8.0, 2 * _EVAL_BLOCK + 5), True),
-    "blocks, off axis": (0.3 + 1j * np.geomspace(0.5, 8.0, 2 * _EVAL_BLOCK + 5), False),
+    # many points at once, on and off the axis
+    "blocks, axis": (1j * np.geomspace(0.5, 8.0, 2 * 4096 + 5), True),
+    "blocks, off axis": (0.3 + 1j * np.geomspace(0.5, 8.0, 2 * 4096 + 5), False),
 }
 
 
@@ -578,7 +589,7 @@ _STACK_POINTS = {
 @pytest.mark.parametrize("shape", ["(n,)", "(m, 1)"])
 def test_stack_rows_are_the_one_series_loop_bit_for_bit(label, shape):
     # each series' array path is the plain loop bit for bit, the zero signs
-    # included, on and off the axis and across blocks
+    # included, on and off the axis and at many points at once
     taus, real = _STACK_POINTS[label]
     if shape == "(m, 1)":
         taus = taus.reshape(-1, 1)
@@ -700,10 +711,10 @@ def test_top_cut_measures_from_the_first_nonzero_term():
 
 def test_cut_is_memoised_per_rung():
     s = form_qseries(FormId.E4)
-    s._tops.clear()
     tops = [s._top(abs(s.nome.value_at(1j * im))) for im in (1.0, 1.001, 1.002)]
-    # |q| 0.0019 and its 0.6 % and 1.3 % smaller neighbours share the rung 2^-9
-    assert tops == [tops[0]] * 3 and list(s._tops) == [-36]
+    # |q| 0.0019 and its 0.6 % and 1.3 % smaller neighbours share the rung 2^-9,
+    # so they get one cut length
+    assert tops == [tops[0]] * 3
     assert s._top(float("nan")) == len(s.num)
 
 
@@ -737,14 +748,14 @@ def test_kernels_stack_the_cut_widths(monkeypatch):
 
 
 def test_stack_hashes_no_enum_member(monkeypatch):
-    # Enum.__hash__ is a Python-level method; the array loop keys nothing on a nome
+    # Enum.__hash__ is a Python-level method; the evaluation loop keys nothing on a nome
     from enum import Enum
     callers = []
     plain = Enum.__hash__
 
     def counting(member):
         frame = sys._getframe(1)
-        while frame is not None and frame.f_code is not QSeries._eval_array.__code__:
+        while frame is not None and frame.f_code is not QSeries.eval.__code__:
             frame = frame.f_back
         callers.append(frame is not None)
         return plain(member)
