@@ -14,7 +14,8 @@ K- cancel exactly.  On the axis every nome is real, and the entry runs in
 real arithmetic only.
 
 ``eq2_samples``/``verify_inequalities`` probe phi0 +- W psi_s in two
-conventions, each four rows of the entry:
+conventions, each two rows of the entry and their sums of |terms|, A; a sign
+counts where its combination exceeds its rounding bound, a multiple of A:
 
 * ``DIRECT``: phi0(it) = t^2 Kphi(1/t) and psi_s(it) = t^2 Kpsi(1/t).  The
   minus combination is t^2 K+(1/t) and the plus one -t^2 K-(1/t), negative
@@ -139,31 +140,34 @@ def _checked_t(t, lo: float) -> np.ndarray:
     return t
 
 
-def _side(parts, rows, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _side(parts, rows, t: np.ndarray, x: np.ndarray, absolute: bool = False) -> np.ndarray:
     """The rows at t from one stacked Horner loop in x over ``_table(parts,
     rows)``, whose top cut holds for x <= e^{-pi}, a (len(rows) len(orders), 1)
-    column per power of x, then the sum of t^m times each P_m, times x**j0."""
+    column per power of x, then the sum of t^m times each P_m, times x**j0;
+    with ``absolute``, then each row's sum |c| t^m x^j from |table| below it."""
     table, orders, low = _table(parts, rows)
+    if absolute:
+        table = np.concatenate((table, np.abs(table)))
     columns = table.reshape(-1, table.shape[2]).T[:, :, None]
     acc = np.repeat(columns[-1], t.size, axis=1)
     for c in columns[-2::-1]:
         acc *= x
         acc += c
-    by_order = acc.reshape(len(rows), len(orders), t.size).swapaxes(0, 1)
+    by_order = acc.reshape(-1, len(orders), t.size).swapaxes(0, 1)
     return sum(t ** m * p for m, p in zip(orders, by_order)) * x ** low
 
 
-def kernels(rows: Sequence[tuple[float, float]], t) -> np.ndarray:
+def kernels(rows: Sequence[tuple[float, float]], t, absolute: bool = False) -> np.ndarray:
     """(len(rows), t.size): row (fa, fb) is fa Kphi + fb Kpsi at each t in
     (0, 1/AXIS_T_MIN] (ValueError otherwise, NaN included), from ``_side`` of
     ``_LOWER`` at x = e^{-pi/t} where t < 1 and of ``_PARTS`` at x = e^{-pi t}
-    where t >= 1."""
+    where t >= 1; with ``absolute`` each row's sum of |terms| follows the rows."""
     t = _checked_t(t, 0.0)
     rows = tuple((float(fa), float(fb)) for fa, fb in rows)
-    out = np.empty((len(rows), t.size))
+    out = np.empty(((1 + absolute) * len(rows), t.size))
     for where, parts, exponent in ((t < 1.0, _LOWER, -PI / t), (t >= 1.0, _PARTS, -PI * t)):
         if where.any():
-            out[:, where] = _side(parts, rows, t[where], np.exp(exponent[where]))
+            out[:, where] = _side(parts, rows, t[where], np.exp(exponent[where]), absolute)
     return out
 
 
@@ -199,43 +203,43 @@ def check_realness(form: FormId, grid: Sequence[float]) -> float:
 
 @dataclass(frozen=True, eq=False)
 class AxisSamples:
-    """The grid, the two kernels and their weighted sum and difference, as arrays."""
+    """The grid, the two combinations and their absolute-term sums, as arrays."""
 
     t: np.ndarray
-    phi0: np.ndarray
-    psi_s: np.ndarray
     combo_plus: np.ndarray    # phi0 + (36/pi^2) psi_s
     combo_minus: np.ndarray   # phi0 - (36/pi^2) psi_s
+    scale_plus: np.ndarray    # sum |c| t^m x^j over combo_plus' terms
+    scale_minus: np.ndarray
 
     def margins(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both combinations over max(|kernels|): scale-free sign margins."""
-        scale = np.maximum(np.maximum(np.abs(self.phi0), WEIGHT36 * np.abs(self.psi_s)), 1e-300)
-        return self.combo_plus / scale, self.combo_minus / scale
+        """Both combinations over their absolute-term sums: scale-free sign
+        margins in [-1, 1], to set against the rounding unit."""
+        return self.combo_plus / self.scale_plus, self.combo_minus / self.scale_minus
 
     def concat(self, other: "AxisSamples") -> "AxisSamples":
         return AxisSamples(*map(np.concatenate, zip(vars(self).values(), vars(other).values())))
 
 
 #: per convention: whether the rows are read as t^2 times their value at 1/t,
-#: and the ``kernels`` rows of AxisSamples' phi0, psi_s, combo_plus and combo_minus
+#: and the ``kernels`` rows of AxisSamples' combo_plus and combo_minus
 _CONVENTIONS = {
-    # phi0(it) = t^2 Kphi(1/t) and psi_s(it) = t^2 Kpsi(1/t)
-    Eq2Convention.DIRECT: (True, (KPHI, KPSI, (1.0, WEIGHT36), K_PLUS)),
-    # W psi_i(it) = -W Kpsi(t) and t^2 phi0(i/t) / W = Kphi(t) / W
-    Eq2Convention.S_WEIGHTED: (False, ((0.0, -WEIGHT36), (1.0 / WEIGHT36, 0.0), K_PLUS, K_MINUS)),
+    # phi0(it) +- W psi_s(it) = t^2 (Kphi +- W Kpsi)(1/t)
+    Eq2Convention.DIRECT: (True, ((1.0, WEIGHT36), K_PLUS)),
+    # W psi_i(it) +- t^2 phi0(i/t) = -W Kpsi(t) +- Kphi(t)
+    Eq2Convention.S_WEIGHTED: (False, (K_PLUS, K_MINUS)),
 }
 
 
 def eq2_samples(grid: Sequence[float], convention: Eq2Convention) -> AxisSamples:
-    """Kernel pairs and combinations over the whole grid, from one ``kernels``
-    call: the exp(2 pi t)-sized parts of the combinations cancel exactly in
-    their moment terms, so the samples remain meaningful where naive
-    subtraction would lose all precision.  A t outside [AXIS_T_MIN,
-    1/AXIS_T_MIN] raises ValueError, NaN included.
+    """Both combinations and their absolute-term sums over the whole grid,
+    from one ``kernels`` call: the exp(2 pi t)-sized parts of the
+    combinations cancel exactly in their moment terms, so the samples remain
+    meaningful where naive subtraction would lose all precision.  A t outside
+    [AXIS_T_MIN, 1/AXIS_T_MIN] raises ValueError, NaN included.
     """
     t = _checked_t(grid, AXIS_T_MIN)
     inverted, rows = _CONVENTIONS[convention]
-    values = (t * t) * kernels(rows, 1.0 / t) if inverted else kernels(rows, t)
+    values = (t * t) * kernels(rows, 1.0 / t, True) if inverted else kernels(rows, t, True)
     return AxisSamples(t, *values)
 
 
@@ -247,10 +251,15 @@ class InequalityReport:
     argmin_plus: float
     min_minus: float
     argmin_minus: float
-    min_margin_plus: float    # combo / max(|kernels|), scale-free sign margin
+    min_margin_plus: float    # combo / sum of its terms' |c| t^m x^j, in [-1, 1]
     min_margin_minus: float
+    rounding_bound: float     # max gamma_k |terms| / |combo|: >= 1 leaves a sign unresolved
     refined: bool
     pass_: bool
+
+    @property
+    def unresolved(self) -> bool:  # some sample's sign lies within its rounding bound
+        return self.rounding_bound >= 1.0
 
     def as_dict(self) -> dict:
         return ({f.name.rstrip("_"): getattr(self, f.name) for f in fields(self)}
@@ -260,10 +269,17 @@ class InequalityReport:
 def verify_inequalities(grid: Sequence[float], convention: Eq2Convention) -> InequalityReport:
     """Positivity of both combinations over the grid, with local refinement.
 
+    A margin is a combination over its sum of |terms| A = sum |c| t^m x^j.
     A refinement pass (4x density) is run around any sample whose smaller
-    normalized margin lies in [0, 1e-3), to make sure a thin sign dip is
-    not straddled by the grid; a negative margin has already failed.
-    pass is true iff both combinations are strictly positive everywhere.
+    margin lies in [0, 1e-3), to make sure a thin sign dip is not straddled
+    by the grid; a negative margin has already failed.  Each sample lies
+    within gamma_k A = k u A / (1 - k u), u = 2^-53, of the stored tables'
+    exact value at its t and x, with k = 2n + 8 for n columns (the wider
+    table's): 2n - 2 roundings in Horner's rule (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 5.1), and ten for t^m, the
+    sum over orders, x**j0, the direct convention's t^2 and A's own rounding.
+    rounding_bound is the largest gamma_k A / |combination|; pass is true iff
+    both combinations are strictly positive everywhere and it is below 1.
     """
     pts = np.asarray(grid, dtype=float)
     if not pts.size:
@@ -277,6 +293,9 @@ def verify_inequalities(grid: Sequence[float], convention: Eq2Convention) -> Ine
     if extra.size:
         samples = samples.concat(eq2_samples(extra, convention))
         plus, minus = samples.margins()
+    k = 2 * max(_table(p, _CONVENTIONS[convention][1])[0].shape[2] for p in (_LOWER, _PARTS)) + 8
+    resolved = float(min(np.abs(plus).min(), np.abs(minus).min()))
+    rounding_bound = k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53) / resolved if resolved else math.inf
     # first-index argmin: ties resolve to the earliest sample, as min() does
     ip, im = int(np.argmin(samples.combo_plus)), int(np.argmin(samples.combo_minus))
     min_plus, min_minus = float(samples.combo_plus[ip]), float(samples.combo_minus[im])
@@ -285,4 +304,5 @@ def verify_inequalities(grid: Sequence[float], convention: Eq2Convention) -> Ine
         min_plus=min_plus, argmin_plus=float(samples.t[ip]),
         min_minus=min_minus, argmin_minus=float(samples.t[im]),
         min_margin_plus=float(plus.min()), min_margin_minus=float(minus.min()),
-        refined=bool(extra.size), pass_=min_plus > 0.0 and min_minus > 0.0)
+        rounding_bound=rounding_bound, refined=bool(extra.size),
+        pass_=min_plus > 0.0 and min_minus > 0.0 and rounding_bound < 1.0)

@@ -34,6 +34,21 @@ PI = math.pi
 W = 36.0 / PI ** 2
 #: the CLI's default axis grid (RunConfig's axis_grid_lo, _hi and _n)
 GRID = log_grid(0.05, 20.0, 400)
+#: per convention, the ``kernels`` rows of the two functions whose weighted sum
+#: and difference the convention's combinations are: phi0(it) and psi_s(it)
+#: (DIRECT), W psi_i(it) and t^2 phi0(i/t) / W (S_WEIGHTED)
+PAIRS = {Eq2Convention.DIRECT: (axis.KPHI, axis.KPSI),
+         Eq2Convention.S_WEIGHTED: ((0.0, -W), (1.0 / W, 0.0))}
+
+
+def pair(t, convention):
+    """The convention's two functions at t, as ``eq2_samples`` reads its rows:
+    from one ``kernels`` call of the pair's rows and the combinations' ones."""
+    t = np.asarray(t, dtype=float)
+    inverted, rows = axis._CONVENTIONS[convention]
+    rows = PAIRS[convention] + rows
+    values = (t * t) * axis.kernels(rows, 1.0 / t) if inverted else axis.kernels(rows, t)
+    return values[:2]
 
 
 def test_check_realness_on_log_grids():
@@ -61,13 +76,14 @@ def test_combo_algebra_identity():
     for conv in Eq2Convention:
         s = eq2_samples([0.3, 1.0, 2.0], conv)
         assert isinstance(s, AxisSamples) and s.t.shape == (3,)
-        recon_plus = s.phi0 + W * s.psi_s
-        recon_minus = s.phi0 - W * s.psi_s
-        scale = np.maximum(np.maximum(abs(s.phi0), W * abs(s.psi_s)), 1.0)
+        phi0, psi_s = pair(s.t, conv)
+        recon_plus = phi0 + W * psi_s
+        recon_minus = phi0 - W * psi_s
+        scale = np.maximum(np.maximum(abs(phi0), W * abs(psi_s)), 1.0)
         assert np.all(abs(s.combo_plus - recon_plus) < 1e-8 * scale)
         assert np.all(abs(s.combo_minus - recon_minus) < 1e-8 * scale)
         # plus + minus = 2 phi0 to near machine accuracy
-        assert np.all(abs((s.combo_plus + s.combo_minus) - 2.0 * s.phi0) <= 1e-11 * scale)
+        assert np.all(abs((s.combo_plus + s.combo_minus) - 2.0 * phi0) <= 1e-11 * scale)
 
 
 def test_direct_convention_fails():
@@ -82,20 +98,90 @@ def test_direct_convention_fails():
 
 def test_sweighted_convention_passes():
     report = verify_inequalities(GRID, Eq2Convention.S_WEIGHTED)
-    assert report.pass_ and report.refined is True
+    # no margin comes near 0 against the rounding scale, so nothing is refined
+    assert report.pass_ and report.refined is False and not report.unresolved
     assert report.min_plus > 0.0
     assert report.min_minus > 0.0
 
 
+#: the default grid's first point at or above t = 1, where K- is about 953
+ABOVE_ONE = min(t for t in GRID if t >= 1.0)
+
+
+def plant_in_k_minus(monkeypatch, shift: float) -> None:
+    """Lower the constant term of the S-weighted upper table's K- row by
+    ``shift``: the one patched entry moves K- above t = 1 alone, where it
+    grows fastest, so a shift just short of K-(ABOVE_ONE) plants a dip one
+    grid point wide.  The patch reads a copy of the cached table, so neither
+    that cache nor the magic evaluator's sees it."""
+    table = axis._table
+
+    def patched(parts, rows):
+        got, orders, low = table(parts, rows)
+        if parts is axis._PARTS and rows == (axis.K_PLUS, axis.K_MINUS):
+            got = got.copy()
+            got[1, orders.index(0), -low] -= shift
+        return got, orders, low
+
+    monkeypatch.setattr(axis, "_table", patched)
+
+
+def k_minus_above_one() -> float:
+    return float(axis.kernels([axis.K_MINUS], [ABOVE_ONE])[0, 0])
+
+
+def test_refinement_finds_a_planted_thin_dip(monkeypatch):
+    # K- is planted 1 above 0 at one grid point, a margin near 1e-4: the grid
+    # alone passes, and the refinement's points 0.5 % below it go negative
+    plant_in_k_minus(monkeypatch, k_minus_above_one() - 1.0)
+    assert np.all(eq2_samples(GRID, Eq2Convention.S_WEIGHTED).combo_minus > 0.0)
+    report = verify_inequalities(GRID, Eq2Convention.S_WEIGHTED)
+    assert report.refined is True and report.grid_size == 404
+    assert not report.pass_ and report.min_minus < 0.0
+    assert ABOVE_ONE * 0.99 < report.argmin_minus < ABOVE_ONE
+
+
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])
-def test_refinement_does_not_depend_on_grid_order(order):
+def test_refinement_does_not_depend_on_grid_order(order, monkeypatch):
     # the refinement points are bounded by the grid's extent, not its first and last entries
     grid = GRID[::-1] if order == "reversed" else np.random.default_rng(0).permutation(GRID)
     want = verify_inequalities(GRID, Eq2Convention.S_WEIGHTED)
-    got = verify_inequalities(grid, Eq2Convention.S_WEIGHTED)
-    assert want.grid_size == 982 and want.refined is True
+    assert want.grid_size == 400 and want.refined is False
     # grid size, refinement, minima, argmins and verdict alike
-    assert got.as_dict() == want.as_dict()
+    assert verify_inequalities(grid, Eq2Convention.S_WEIGHTED).as_dict() == want.as_dict()
+    # the same on a grid that does refine, around the planted dip
+    plant_in_k_minus(monkeypatch, k_minus_above_one() - 1.0)
+    want = verify_inequalities(GRID, Eq2Convention.S_WEIGHTED)
+    assert want.grid_size == 404 and want.refined is True
+    assert verify_inequalities(grid, Eq2Convention.S_WEIGHTED).as_dict() == want.as_dict()
+
+
+def test_a_sample_below_its_rounding_bound_is_unresolved(monkeypatch):
+    # K- planted 1e-11 above 0, against a rounding bound near 5e-11 at a
+    # one-point grid that nothing refines: every sample is positive, yet the
+    # sign is not certified, so the verdict cannot pass
+    plant_in_k_minus(monkeypatch, k_minus_above_one() - 1e-11)
+    report = verify_inequalities([ABOVE_ONE], Eq2Convention.S_WEIGHTED)
+    assert report.min_plus > 0.0 and report.min_minus > 0.0 and report.refined is False
+    assert report.unresolved and report.rounding_bound >= 1.0
+    assert not report.pass_ and report.as_dict()["pass"] is False
+    monkeypatch.undo()
+    clean = verify_inequalities([ABOVE_ONE], Eq2Convention.S_WEIGHTED)
+    assert clean.pass_ and clean.rounding_bound < 1e-12
+
+
+def test_margin_is_scale_free(monkeypatch):
+    # a combination's margin is its value over the sum of its terms' absolute
+    # values, so scaling its row by 1e6 scales both and leaves the margin
+    want = eq2_samples(GRID, Eq2Convention.S_WEIGHTED)
+    monkeypatch.setitem(axis._CONVENTIONS, Eq2Convention.S_WEIGHTED,
+                        (False, (tuple(1e6 * f for f in axis.K_PLUS), axis.K_MINUS)))
+    scaled = eq2_samples(GRID, Eq2Convention.S_WEIGHTED)
+    assert np.allclose(scaled.combo_plus, 1e6 * want.combo_plus, rtol=1e-14, atol=0.0)
+    for got, margin in zip(scaled.margins(), want.margins()):
+        assert np.allclose(got, margin, rtol=1e-14, atol=0.0)
+    assert (verify_inequalities(GRID, Eq2Convention.S_WEIGHTED).min_margin_plus
+            == pytest.approx(float(want.margins()[0].min()), rel=1e-14))
 
 
 def test_sweighted_single_point():
@@ -109,9 +195,9 @@ def test_direct_plus_combo_negative_at_both_ends():
 
 
 def test_sweighted_kernels_positive():
-    s = eq2_samples(log_grid(0.05, 20.0, 50), Eq2Convention.S_WEIGHTED)
-    assert np.all(s.phi0 > 0.0)
-    assert np.all(s.psi_s > 0.0)
+    w_psi_i, phi0_over_w = pair(log_grid(0.05, 20.0, 50), Eq2Convention.S_WEIGHTED)
+    assert np.all(w_psi_i > 0.0)
+    assert np.all(phi0_over_w > 0.0)
 
 
 def test_convention_conclusion_matches_certificate():
@@ -136,14 +222,14 @@ def test_report_is_serializable():
 def test_eq2_pass_evaluates_each_series_once_per_branch(convention, monkeypatch):
     # one read of each side's table per pass: the lower table at the entry's
     # arguments x < 1, the upper one at x >= 1, with x = t for S_WEIGHTED and
-    # 1/t for DIRECT; each array is one of the entry's rows
+    # 1/t for DIRECT; each array is one of the entry's rows or their absolute-term sums
     grid = np.array(log_grid(0.05, 20.0, 64))
     calls = []
     side = axis._side
 
-    def counting_side(parts, rows, t, x):
+    def counting_side(parts, rows, t, x, *absolute):
         calls.append((parts, t.copy()))
-        return side(parts, rows, t, x)
+        return side(parts, rows, t, x, *absolute)
 
     monkeypatch.setattr(axis, "_side", counting_side)
     samples = eq2_samples(grid, convention)
@@ -153,11 +239,32 @@ def test_eq2_pass_evaluates_each_series_once_per_branch(convention, monkeypatch)
     assert 0 < (x < 1.0).sum() < grid.size
     assert [parts for parts, _ in calls] == [axis._LOWER, axis._PARTS]
     assert np.array_equal(calls[0][1], x[x < 1.0]) and np.array_equal(calls[1][1], x[x >= 1.0])
-    values = (grid * grid) * axis.kernels(rows, x) if inverted else axis.kernels(rows, x)
+    values = (grid * grid) * axis.kernels(rows, x, True) if inverted else axis.kernels(rows, x, True)
     assert np.array_equal(samples.t, grid)
-    for got, want in zip((samples.phi0, samples.psi_s, samples.combo_plus, samples.combo_minus),
-                         values):
+    for got, want in zip((samples.combo_plus, samples.combo_minus,
+                          samples.scale_plus, samples.scale_minus), values):
         assert np.array_equal(got, want)
+    # the signed rows come out of the stacked loop bit for bit as they do alone
+    assert values[:2].tobytes() == (
+        (grid * grid) * axis.kernels(rows, x) if inverted else axis.kernels(rows, x)).tobytes()
+
+
+@pytest.mark.parametrize("convention", list(Eq2Convention))
+def test_default_verdict_reads_each_table_once(convention, monkeypatch):
+    # on the default grid no margin calls for a refinement pass, so each
+    # convention's verdict reads the lower and the upper table exactly once,
+    # for its two combinations and their two absolute-term sums
+    calls = []
+    side = axis._side
+
+    def counting_side(parts, rows, t, x, *absolute):
+        calls.append((parts, len(rows), absolute))
+        return side(parts, rows, t, x, *absolute)
+
+    monkeypatch.setattr(axis, "_side", counting_side)
+    report = verify_inequalities(GRID, convention)
+    assert calls == [(axis._LOWER, 2, (True,)), (axis._PARTS, 2, (True,))]
+    assert report.refined is False and report.grid_size == len(GRID)
 
 
 def test_kernels_form_each_nome_once(monkeypatch):
@@ -215,7 +322,7 @@ def test_kernels_take_every_t_in_their_range():
 def test_sweighted_combinations_are_the_g_and_g_hat_kernels():
     from spherepack.magic import _PROFILES, RadialKind
     rows = axis._CONVENTIONS[Eq2Convention.S_WEIGHTED][1]
-    assert rows[2:] == (_PROFILES[RadialKind.G][:2], _PROFILES[RadialKind.GHAT][:2])
+    assert rows == (_PROFILES[RadialKind.G][:2], _PROFILES[RadialKind.GHAT][:2])
 
 
 def test_evaluator_reads_the_entry_bit_for_bit(monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 
 import spherepack
 
+from spherepack import axis
 from spherepack.axis import Eq2Convention, check_realness, eq2_samples
 from spherepack.forms import (
     WEIGHT36,
@@ -252,24 +253,29 @@ def test_form_qseries_covers_all_ids():
 
 # -- axis behaviour -----------------------------------------------------------
 
-#: each axis function as an array of ``eq2_samples``: its convention, field and
-#: factor.  Every array is a row of the one kernel entry ``axis.kernels``, read at
-#: t (S_WEIGHTED) or as t^2 times its value at 1/t (DIRECT).
+#: each axis function as a ``kernels`` row read in an ``eq2_samples``
+#: convention: its convention, row and factor.  The row is read beside the
+#: convention's own rows, at t (S_WEIGHTED) or as t^2 times its value at 1/t
+#: (DIRECT), over the t that ``eq2_samples`` takes.
 AXIS_KERNELS = {
-    "phi0_axis": (Eq2Convention.DIRECT, "phi0", 1.0),                  # phi0(it)
-    "psi_s_axis": (Eq2Convention.DIRECT, "psi_s", 1.0),                # psi_s(it)
-    "psi_i_axis": (Eq2Convention.S_WEIGHTED, "phi0", 1.0 / WEIGHT36),  # psi_i(it)
-    "phi0_weighted_kernel": (Eq2Convention.S_WEIGHTED, "psi_s", WEIGHT36),  # t^2 phi0(i/t)
-    "combo_direct_plus": (Eq2Convention.DIRECT, "combo_plus", 1.0),
-    "combo_direct_minus": (Eq2Convention.DIRECT, "combo_minus", 1.0),
-    "combo_weighted_plus": (Eq2Convention.S_WEIGHTED, "combo_plus", 1.0),
-    "combo_weighted_minus": (Eq2Convention.S_WEIGHTED, "combo_minus", 1.0),
+    "phi0_axis": (Eq2Convention.DIRECT, axis.KPHI, 1.0),                       # phi0(it)
+    "psi_s_axis": (Eq2Convention.DIRECT, axis.KPSI, 1.0),                      # psi_s(it)
+    "psi_i_axis": (Eq2Convention.S_WEIGHTED, (0.0, -WEIGHT36), 1.0 / WEIGHT36),  # psi_i(it)
+    "phi0_weighted_kernel": (Eq2Convention.S_WEIGHTED, (1.0 / WEIGHT36, 0.0), WEIGHT36),
+    "combo_direct_plus": (Eq2Convention.DIRECT, (1.0, WEIGHT36), 1.0),
+    "combo_direct_minus": (Eq2Convention.DIRECT, axis.K_PLUS, 1.0),
+    "combo_weighted_plus": (Eq2Convention.S_WEIGHTED, axis.K_PLUS, 1.0),
+    "combo_weighted_minus": (Eq2Convention.S_WEIGHTED, axis.K_MINUS, 1.0),
 }
 
 
 def on_axis(t, name):
-    convention, field, factor = AXIS_KERNELS[name]
-    return factor * getattr(eq2_samples(t, convention), field)
+    convention, row, factor = AXIS_KERNELS[name]
+    t = eq2_samples(t, convention).t
+    inverted, rows = axis._CONVENTIONS[convention]
+    if inverted:
+        return factor * ((t * t) * axis.kernels((row,) + rows, 1.0 / t)[0])
+    return factor * axis.kernels((row,) + rows, t)[0]
 
 
 def test_phi0_axis_overlap_direct_vs_transformed():

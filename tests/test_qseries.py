@@ -719,10 +719,10 @@ def test_cut_is_memoised_per_rung():
 
 
 def test_kernels_stack_the_cut_widths(monkeypatch):
-    # each verdict's passes read the two tables, cut at x = e^{-pi}: the lower
-    # one 23 columns wide (100 uncut), the upper one 26 (103 uncut).  The
-    # S-weighted base pass reads both; its refinement pass's 582 points all
-    # lie above t = 1 and read the upper one alone; the direct pass reads both
+    # each verdict's one pass reads the two tables, cut at x = e^{-pi}: the
+    # lower one 23 columns wide (100 uncut), the upper one 26 (103 uncut).  No
+    # default-grid verdict refines, so each reads both tables once, and
+    # its rounding bound reads both widths off the same cached tables
     from spherepack import axis, cli
     widths = []
     table = axis._table
@@ -730,11 +730,10 @@ def test_kernels_stack_the_cut_widths(monkeypatch):
         (parts is axis._LOWER, table(parts, rows)[0].shape[2])) or table(parts, rows))
     config = cli.RunConfig()
     grid = axis.log_grid(config.axis_grid_lo, config.axis_grid_hi, config.axis_grid_n)
-    axis.verify_inequalities(grid, axis.Eq2Convention.S_WEIGHTED)
-    assert widths == [(True, 23), (False, 26), (False, 26)]
-    widths.clear()
-    axis.verify_inequalities(grid, axis.Eq2Convention.DIRECT)
-    assert widths == [(True, 23), (False, 26)]
+    for convention in axis.Eq2Convention:
+        widths.clear()
+        axis.verify_inequalities(grid, convention)
+        assert widths == [(True, 23), (False, 26)] * 2
     monkeypatch.undo()
     for _, rows in axis._CONVENTIONS.values():
         assert axis._table(axis._LOWER, rows)[0].shape == (len(rows), 1, 23)
